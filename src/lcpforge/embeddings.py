@@ -9,9 +9,9 @@ tolerance.
 
 Precision protocol: a request at B bits works internally at B + 32 guard
 bits and decisions use the tolerance 2**(-B/2).  Quantities that fail to
-certify raise NeedsEscalation; rank computations re-verify every decision
-at doubled precision and escalate once more before giving up with
-PrecisionError.
+certify raise NeedsEscalation.  A rank is decided at B bits and re-verified
+at 2B bits in one pass; only when the two disagree, or B bits does not
+certify, is 4B bits tried before giving up with PrecisionError.
 """
 
 from __future__ import annotations
@@ -76,6 +76,42 @@ def _at_prec(workbits: int):
 
 def tolerance(bits: int):
     return mp.mpf(2) ** (-(bits // 2))
+
+
+def full_pivot_eliminate(a, cutoff):
+    """Full-pivot forward elimination of a rectangular matrix, in place.
+
+    Each step pivots on the first largest remaining entry above cutoff and
+    clears the rows below it.  Returns (rank, row_perm, col_perm): in the
+    permuted order the leading rank x rank block is upper triangular and
+    everything below it is at most cutoff.  Entries may be mpf or mpc.
+    """
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    row_perm = list(range(nrows))
+    col_perm = list(range(ncols))
+    for step in range(min(nrows, ncols)):
+        best = None
+        best_val = cutoff
+        for i in range(step, nrows):
+            row = a[row_perm[i]]
+            for j in range(step, ncols):
+                v = abs(row[col_perm[j]])
+                if v > best_val:
+                    best_val = v
+                    best = (i, j)
+        if best is None:
+            return step, row_perm, col_perm
+        bi, bj = best
+        row_perm[step], row_perm[bi] = row_perm[bi], row_perm[step]
+        col_perm[step], col_perm[bj] = col_perm[bj], col_perm[step]
+        pivot_row = a[row_perm[step]]
+        pivot = pivot_row[col_perm[step]]
+        for i in range(step + 1, nrows):
+            row = a[row_perm[i]]
+            factor = row[col_perm[step]] / pivot
+            for j in range(step, ncols):
+                row[col_perm[j]] -= factor * pivot_row[col_perm[j]]
+    return min(nrows, ncols), row_perm, col_perm
 
 
 # ----------------------------------------------------------------------
@@ -384,39 +420,6 @@ def log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
     return tuple(out)
 
 
-def _numeric_rank(rows: List[Sequence], tol) -> int:
-    """Rank of a small real matrix by full-pivot elimination."""
-    m = [[mp.mpf(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    row_used = [False] * nrows
-    col_used = [False] * ncols
-    for _ in range(min(nrows, ncols)):
-        best, bi, bj = tol, None, None
-        for i in range(nrows):
-            if row_used[i]:
-                continue
-            for j in range(ncols):
-                if col_used[j]:
-                    continue
-                if abs(m[i][j]) > best:
-                    best, bi, bj = abs(m[i][j]), i, j
-        if bi is None:
-            break
-        rank += 1
-        row_used[bi] = True
-        col_used[bj] = True
-        pivot = m[bi][bj]
-        for i in range(nrows):
-            if row_used[i] or m[i][bj] == 0:
-                continue
-            f = m[i][bj] / pivot
-            for j in range(ncols):
-                m[i][j] -= f * m[bi][j]
-    return rank
-
-
 def _rank_at(
     field: NumberField,
     units: Sequence[FieldElem],
@@ -424,11 +427,11 @@ def _rank_at(
     coords: Optional[Sequence[int]] = None,
 ) -> int:
     emb = embeddings(field, bits)
-    rows = [log_vector(emb, u) for u in units]
+    rows = [list(log_vector(emb, u)) for u in units]
     if coords is not None:
         rows = [[row[i] for i in coords] for row in rows]
     with _at_prec(emb.workbits):
-        return _numeric_rank(rows, tolerance(bits))
+        return full_pivot_eliminate(rows, tolerance(bits))[0]
 
 
 def multiplicative_rank(
@@ -472,14 +475,20 @@ def projected_log_rank(
 
 
 def _stable_rank(field, units, bits, coords):
+    """One stability pass of the log-embedding rank.
+
+    The rank is decided at bits and re-verified at 2*bits.  When bits does
+    not certify or the two disagree, one escalation to 4*bits must agree
+    with 2*bits; otherwise PrecisionError.  So the rank returned is always
+    the one measured at 2*bits.  coords, when given, restricts the log
+    vectors to those places.
+    """
     for u in units:
         require_unit(u, "rank input")
     if not units:
         return 0
     results = []
     for level in (bits, 2 * bits, 4 * bits):
-        if level > MAX_PRECISION * 4:
-            break
         try:
             results.append(_rank_at(field, units, level, coords))
         except NeedsEscalation:

@@ -9,10 +9,11 @@ Dimensions are desk scale; nothing here is tuned beyond that.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, List, Sequence, Tuple
 
 from ._backend import ZZ
-from .errors import InputError, StructureError
+from .errors import InputError
 from .polynomials import IntPoly, int_poly_exact_div
 
 
@@ -124,28 +125,33 @@ def companion(p: IntPoly) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def det(a: IntMatrix):
-    """Fraction-free Bareiss determinant; every division is exact over Z."""
-    n = a.n
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = ZZ(1)
+def _bareiss(m, one, exact_div):
+    """Fraction-free Bareiss determinant of a square matrix, eliminated in
+    place.  Entries live in an integral domain whose exact division is
+    exact_div; every division in the loop is exact."""
+    n = len(m)
+    negate = False
+    prev = one
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
-                    sign = -sign
+                    negate = not negate
                     break
             else:
-                return ZZ(0)
+                return one - one
         pivot = m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = ZZ(0)
+                m[i][j] = exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
         prev = pivot
-    return ZZ(sign) * m[n - 1][n - 1]
+    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
+
+
+def det(a: IntMatrix):
+    """Bareiss determinant over Z."""
+    return _bareiss([list(row) for row in a.rows], ZZ(1), operator.floordiv)
 
 
 def is_gl_z(a: IntMatrix) -> bool:
@@ -154,36 +160,15 @@ def is_gl_z(a: IntMatrix) -> bool:
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(X*I - A), monic, by fraction-free
-    elimination over the polynomial ring Z[X]."""
+    """Characteristic polynomial det(X*I - A), monic, by Bareiss elimination
+    over the polynomial ring Z[X]."""
     n = a.n
     x = IntPoly((0, 1))
-    m: List[List[IntPoly]] = [
+    m = [
         [x - ZZ(a.rows[i][j]) if i == j else IntPoly((-a.rows[i][j],)) for j in range(n)]
         for i in range(n)
     ]
-    sign = 1
-    prev = IntPoly((1,))
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                # det(X*I - A) is monic of degree n, never the zero polynomial
-                raise StructureError("unexpected zero column in elimination")
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = int_poly_exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = IntPoly(())
-        prev = pivot
-    result = m[n - 1][n - 1]
-    if sign < 0:
-        result = -result
-    return result
+    return _bareiss(m, IntPoly((1,)), int_poly_exact_div)
 
 
 def poly_apply(p: IntPoly, a: IntMatrix) -> IntMatrix:
@@ -204,8 +189,9 @@ def commute(a: IntMatrix, b: IntMatrix) -> bool:
 def field_kernel_basis(rows: Sequence[Sequence]) -> List[List]:
     """Kernel basis of a matrix over a field, by exact Gauss-Jordan.
 
-    Entries must support +, -, *, inverse() and truth testing.  Returns one
-    vector per free column, each with its free coordinate set to one.
+    Entries must support +, -, *, 1 / x and truth testing, as Fraction and
+    FieldElem do.  Returns one vector per free column, each with its free
+    coordinate set to one.
     """
     m = [list(r) for r in rows]
     if not m:
@@ -222,7 +208,7 @@ def field_kernel_basis(rows: Sequence[Sequence]) -> List[List]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
+        inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:

@@ -38,6 +38,7 @@ from .embeddings import (
     _at_prec,
     certified_poly_roots,
     default_precision,
+    full_pivot_eliminate,
     multiplicative_rank,
     tolerance,
     validate_precision,
@@ -102,23 +103,6 @@ def _iv_inverse(rows):
     return inv
 
 
-def _iv_det_excludes_zero(rows) -> bool:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(mp.mpf(a[r][col].mid)))
-        piv = a[pivot_row][col]
-        if mp.mpf(abs(piv).a) <= 0:
-            return False
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for j in range(col, n):
-                a[r][j] = a[r][j] - factor * a[col][j]
-    return True
-
-
 def _mid(x):
     return (mp.mpf(x.a) + mp.mpf(x.b)) / 2
 
@@ -149,16 +133,19 @@ class BlockDecomposition:
     The basis columns are numeric eigenvectors of a splitter matrix with
     squarefree characteristic polynomial; blocks come from real
     eigenvalues in descending order followed by complex-conjugate pairs.
-    Invertibility of the basis is certified by an interval determinant.
+    inverse is the interval Gauss-Jordan inverse of the basis, computed once
+    at workbits; its existence certifies that the basis is invertible.
     """
 
-    __slots__ = ("p", "delta", "blocks", "basis", "precision_bits", "workbits")
+    __slots__ = ("p", "delta", "blocks", "basis", "inverse", "precision_bits",
+                 "workbits")
 
-    def __init__(self, p, delta, blocks, basis, precision_bits, workbits):
+    def __init__(self, p, delta, blocks, basis, inverse, precision_bits, workbits):
         self.p = p
         self.delta = delta
         self.blocks = tuple((int(a), int(b)) for a, b in blocks)
         self.basis = _freeze(basis)
+        self.inverse = _freeze(inverse)
         self.precision_bits = precision_bits
         self.workbits = workbits
 
@@ -175,108 +162,35 @@ class BlockDecomposition:
         )
 
 
-def _real_kernel_vector(rows, workbits):
-    """One kernel vector of a numerically singular real matrix.
+def _kernel_vector(rows, workbits, scalar):
+    """One kernel vector of a numerically singular square matrix.
 
-    Full-pivot elimination with an early stop once the remaining entries
-    drop far below the working scale; expects nullity one, which holds for
-    a simple eigenvalue.
+    scalar is mp.mpf or mp.mpc.  Full-pivot elimination stops once the
+    remaining entries drop far below the working scale and expects nullity
+    one, which holds for a simple eigenvalue; back-substitution sets the
+    free coordinate to one and the result is scaled so that its largest
+    coordinate is one.
     """
     n = len(rows)
-    a = [[mp.mpf(x) for x in row] for row in rows]
+    a = [[scalar(x) for x in row] for row in rows]
     stop = mp.mpf(2) ** (-(3 * workbits) // 4)
     scale = max((abs(x) for row in a for x in row), default=mp.mpf(0))
     if scale == 0:
         raise NeedsEscalation("kernel computation hit a zero matrix")
-    cutoff = scale * stop
-    row_perm = list(range(n))
-    col_perm = list(range(n))
-    rank = 0
-    for step in range(n):
-        best = None
-        best_val = cutoff
-        for i in range(step, n):
-            for j in range(step, n):
-                v = abs(a[row_perm[i]][col_perm[j]])
-                if v > best_val:
-                    best_val = v
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        row_perm[step], row_perm[bi] = row_perm[bi], row_perm[step]
-        col_perm[step], col_perm[bj] = col_perm[bj], col_perm[step]
-        pr = row_perm[step]
-        for i in range(step + 1, n):
-            ri = row_perm[i]
-            factor = a[ri][col_perm[step]] / a[pr][col_perm[step]]
-            for j in range(step, n):
-                a[ri][col_perm[j]] -= factor * a[pr][col_perm[j]]
-        rank += 1
+    rank, row_perm, col_perm = full_pivot_eliminate(a, scale * stop)
     if rank != n - 1:
         raise NeedsEscalation(
             "numeric kernel has unexpected dimension %d" % (n - rank)
         )
-    # back-substitute with the free coordinate set to one
-    x = [mp.mpf(0)] * n
-    x[col_perm[n - 1]] = mp.mpf(1)
+    x = [scalar(0)] * n
+    x[col_perm[n - 1]] = scalar(1)
     for step in range(rank - 1, -1, -1):
-        pr = row_perm[step]
-        acc = mp.mpf(0)
+        row = a[row_perm[step]]
+        acc = scalar(0)
         for j in range(step + 1, n):
-            acc += a[pr][col_perm[j]] * x[col_perm[j]]
-        x[col_perm[step]] = -acc / a[pr][col_perm[step]]
-    top = max(range(n), key=lambda i: abs(x[i]))
-    lead = x[top]
-    return [v / lead for v in x]
-
-
-def _complex_kernel_vector(rows, workbits):
-    n = len(rows)
-    a = [[mp.mpc(x) for x in row] for row in rows]
-    stop = mp.mpf(2) ** (-(3 * workbits) // 4)
-    scale = max((abs(x) for row in a for x in row), default=mp.mpf(0))
-    if scale == 0:
-        raise NeedsEscalation("kernel computation hit a zero matrix")
-    cutoff = scale * stop
-    row_perm = list(range(n))
-    col_perm = list(range(n))
-    rank = 0
-    for step in range(n):
-        best = None
-        best_val = cutoff
-        for i in range(step, n):
-            for j in range(step, n):
-                v = abs(a[row_perm[i]][col_perm[j]])
-                if v > best_val:
-                    best_val = v
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        row_perm[step], row_perm[bi] = row_perm[bi], row_perm[step]
-        col_perm[step], col_perm[bj] = col_perm[bj], col_perm[step]
-        pr = row_perm[step]
-        for i in range(step + 1, n):
-            ri = row_perm[i]
-            factor = a[ri][col_perm[step]] / a[pr][col_perm[step]]
-            for j in range(step, n):
-                a[ri][col_perm[j]] -= factor * a[pr][col_perm[j]]
-        rank += 1
-    if rank != n - 1:
-        raise NeedsEscalation(
-            "numeric kernel has unexpected dimension %d" % (n - rank)
-        )
-    x = [mp.mpc(0)] * n
-    x[col_perm[n - 1]] = mp.mpc(1)
-    for step in range(rank - 1, -1, -1):
-        pr = row_perm[step]
-        acc = mp.mpc(0)
-        for j in range(step + 1, n):
-            acc += a[pr][col_perm[j]] * x[col_perm[j]]
-        x[col_perm[step]] = -acc / a[pr][col_perm[step]]
-    top = max(range(n), key=lambda i: abs(x[i]))
-    lead = x[top]
+            acc += row[col_perm[j]] * x[col_perm[j]]
+        x[col_perm[step]] = -acc / row[col_perm[step]]
+    lead = max(x, key=abs)
     return [v / lead for v in x]
 
 
@@ -367,7 +281,7 @@ def _decompose_at(splitter, chi, p, precision, attempt) -> BlockDecomposition:
                 [mp.mpf(int(splitter[i, j])) - (lam if i == j else 0) for j in range(p)]
                 for i in range(p)
             ]
-            vec = _real_kernel_vector(rows, workbits)
+            vec = _kernel_vector(rows, workbits, mp.mpf)
             blocks.append((len(columns), 1))
             columns.append(vec)
         for center, _radius in complex_disks:
@@ -375,7 +289,7 @@ def _decompose_at(splitter, chi, p, precision, attempt) -> BlockDecomposition:
                 [mp.mpc(int(splitter[i, j])) - (center if i == j else 0) for j in range(p)]
                 for i in range(p)
             ]
-            vec = _complex_kernel_vector(rows, workbits)
+            vec = _kernel_vector(rows, workbits, mp.mpc)
             blocks.append((len(columns), 2))
             columns.append([z.real for z in vec])
             columns.append([z.imag for z in vec])
@@ -386,9 +300,9 @@ def _decompose_at(splitter, chi, p, precision, attempt) -> BlockDecomposition:
                 "structure needs at least two" % delta
             )
         basis = [[columns[j][i] for j in range(p)] for i in range(p)]
-        if not _iv_det_excludes_zero(_iv_matrix(basis)):
-            raise NeedsEscalation("eigenbasis not certified invertible")
-    return BlockDecomposition(p, delta, blocks, basis, precision, workbits)
+        # raises NeedsEscalation unless every pivot excludes zero
+        inverse = _iv_inverse(_iv_matrix(basis))
+    return BlockDecomposition(p, delta, blocks, basis, inverse, precision, workbits)
 
 
 def restricted_blocks(decomp: BlockDecomposition, a: IntMatrix):
@@ -396,10 +310,8 @@ def restricted_blocks(decomp: BlockDecomposition, a: IntMatrix):
     if a.n != decomp.p:
         raise InputError("matrix dimension does not match the decomposition")
     with _at_prec(decomp.workbits):
-        b = _iv_matrix(decomp.basis)
-        binv = _iv_inverse(b)
         am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
-        return _iv_matmul(binv, _iv_matmul(am, b))
+        return _iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis)))
 
 
 def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):
@@ -743,11 +655,6 @@ def solve_equivariant_functional(translations, targets,
                     "translation system is inconsistent: no affine functional "
                     "matches the requested increments"
                 )
-        if r < n and r < rows:
-            # leftover zero rows are fine; missing pivots mean the
-            # translations do not span, which is only an error when the
-            # system is inconsistent (checked above)
-            pass
         coeffs = [mp.mpf(0)] * n
         for row_idx, col in enumerate(pivot_cols):
             coeffs[col] = a[row_idx][n]

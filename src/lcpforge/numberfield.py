@@ -26,6 +26,7 @@ from .errors import (
     NotNormalError,
     ReduciblePolynomialError,
 )
+from .intlinalg import field_kernel_basis
 from .polynomials import (
     IntPoly,
     RatPoly,
@@ -266,60 +267,19 @@ def elem_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
 def minimal_polynomial(a: FieldElem) -> RatPoly:
     """Monic minimal polynomial over Q of a power-basis element.
 
-    Finds the first power of the element that depends rationally on the
-    lower powers; the dependency coefficients are the polynomial.  The
-    result is automatically irreducible because the ambient ring is a field.
+    The first power of the element that depends rationally on the lower
+    powers is the first free column of the coordinate matrix of 1, a, ...,
+    a^d; its kernel vector, with that coordinate one, holds the coefficients.
+    The result is irreducible because the ambient ring is a field.
     """
     d = a.field.degree
     powers = [a.field.one()]
     for _ in range(d):
         powers.append(powers[-1] * a)
-    for k in range(1, d + 1):
-        # solve sum_{i<k} c_i * a^i = a^k exactly
-        sol = _solve_rational(
-            [[powers[i].coords[r] for i in range(k)] for r in range(d)],
-            [powers[k].coords[r] for r in range(d)],
-        )
-        if sol is not None:
-            coeffs = [-c for c in sol] + [QQ(1)]
-            return RatPoly(coeffs)
-    raise InputError("no dependency found; field data is inconsistent")
-
-
-def _solve_rational(rows: List[List], rhs: List) -> Optional[List]:
-    """Solve an overdetermined exact linear system; None if inconsistent."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots: Dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    # inconsistent if any zero row has nonzero rhs
-    for i in range(nrows):
-        if all(x == 0 for x in m[i][:-1]) and m[i][-1] != 0:
-            return None
-    # underdetermined systems do not occur for power dependencies, but be
-    # explicit: free columns get zero
-    sol = [QQ(0)] * ncols
-    for c, pr in pivots.items():
-        sol[c] = m[pr][-1]
-    return sol
+    first = field_kernel_basis(
+        [[p.coords[r] for p in powers] for r in range(d)]
+    )[0]
+    return RatPoly(first)
 
 
 def is_unit(a: FieldElem) -> bool:
