@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
@@ -367,31 +367,6 @@ def _certified_complex_disks(p, s, t, workbits):
     return complex_disks
 
 
-def all_roots_numeric(field: NumberField, bits: int):
-    """All d roots as midpoint complex numbers plus the conjugation pairing.
-
-    Real roots map to themselves under the pairing; each complex root is
-    adjacent to its conjugate.  Used for heuristic reconstruction only;
-    callers must verify results exactly.
-    """
-    emb = embeddings(field, min(bits, MAX_PRECISION))
-    roots: List = []
-    pairing: Dict[int, int] = {}
-    with _at_prec(emb.workbits):
-        for lo, hi in emb.real_roots:
-            enc = _iv_from_dyadic_pair(lo, hi)
-            idx = len(roots)
-            roots.append(mp.mpc(mp.mpf(enc.mid)))
-            pairing[idx] = idx
-        for center, _radius in emb.complex_disks:
-            idx = len(roots)
-            roots.append(center)
-            roots.append(mp.mpc(center.real, -center.imag))
-            pairing[idx] = idx + 1
-            pairing[idx + 1] = idx
-    return roots, pairing
-
-
 # ----------------------------------------------------------------------
 # logarithmic embedding and multiplicative rank
 
@@ -404,6 +379,11 @@ def log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
     an enclosure is too wide to support decisions at the set's tolerance.
     """
     require_unit(elem, "logarithmic embedding")
+    return _log_vector(emb, elem)
+
+
+def _log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
+    """log_vector without the unit check, for callers that have made it."""
     s = emb.field.signature[0]
     out = []
     with _at_prec(emb.workbits):
@@ -427,7 +407,7 @@ def _rank_at(
     coords: Optional[Sequence[int]] = None,
 ) -> int:
     emb = embeddings(field, bits)
-    rows = [list(log_vector(emb, u)) for u in units]
+    rows = [list(_log_vector(emb, u)) for u in units]
     if coords is not None:
         rows = [[row[i] for i in coords] for row in rows]
     with _at_prec(emb.workbits):

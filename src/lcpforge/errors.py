@@ -21,12 +21,8 @@ class InconclusiveIrreducibilityError(LcpError):
     """
 
 
-class NotNormalError(LcpError):
-    """The field contains no conjugate root of its defining polynomial."""
-
-
 class NotCyclicError(LcpError):
-    """Conjugates exist in the field but none generates the full orbit."""
+    """A field map does not return to the identity within the field degree."""
 
 
 class NonUnitError(LcpError, ValueError):

@@ -9,10 +9,10 @@ decomposition the module assembles translation-equivariant metrics whose
 conformal behaviour under the group is checked numerically on seeded
 sample points.
 
-All numeric work runs at the requested precision plus guard bits; every
-accept/reject decision is taken against the tolerance 2**(-bits/2) and
-structure checks are re-verified at doubled precision before a verdict
-crosses a borderline.
+All numeric work runs at the requested precision plus guard bits, and
+similarity decisions are taken against the tolerance 2**(-bits/2).  The
+non-isometry of the flat block is decided exactly from the unit witness
+behind each flat-block ratio.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .embeddings import (
     _at_prec,
     certified_poly_roots,
     default_precision,
+    embeddings,
     full_pivot_eliminate,
     multiplicative_rank,
     tolerance,
@@ -487,32 +488,40 @@ def check_J1(decomp: BlockDecomposition, gens: Sequence[IntMatrix]) -> RatioMatr
 def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
     """Decide whether some generator fails to be an isometry on the flat block.
 
-    The decision is re-verified with the whole decomposition recomputed at
-    doubled precision; a disagreement between the two runs raises
-    PrecisionError instead of guessing.
+    The flat-block ratio of a generator is |sigma_i(u)| for its exact unit
+    witness u at embedding i, so the decision is exact wherever the
+    mathematics allows: u = +-1 is an isometry, and a unit other than +-1
+    is not one at a real place, because sigma_i is injective.  At a complex
+    place the certified enclosure of |sigma_i(u)| must exclude 1.  True when
+    some generator is proven non-isometric, False when every witness is
+    +-1; otherwise PrecisionError.  Witnesses are required.
     """
+    if ratios.witnesses is None:
+        raise InputError("check_J2 needs unit witnesses on the ratio matrix")
     if not 0 <= flat_block < ratios.delta:
         raise InputError("flat block index out of range")
-    decision = _j2_decision(ratios, flat_block)
-    doubled = find_block_decomposition(
-        ratios.generators, min(2 * ratios.precision_bits, 4096)
-    )
-    ratios2 = check_J1(doubled, ratios.generators)
-    decision2 = _j2_decision(ratios2, flat_block)
-    if decision != decision2:
+    undecided = False
+    for row in ratios.witnesses:
+        w = row[flat_block]
+        if w is None:
+            raise InputError("missing flat-block witness for a generator")
+        u, i = w.element, w.embedding_index
+        if u == 1 or u == -1:
+            continue
+        emb = embeddings(u.field, ratios.precision_bits)
+        if emb.is_real(i):
+            return True
+        modulus = emb.abs_enclosure(u, i)
+        with _at_prec(emb.workbits):
+            if not mp.mpf(modulus.a) <= 1 <= mp.mpf(modulus.b):
+                return True
+        undecided = True
+    if undecided:
         raise PrecisionError(
-            "flat-block isometry decision flipped under precision doubling; "
-            "a ratio sits on the tolerance boundary"
+            "J2: the flat-block ratio of every generator that is not +-1 "
+            "has a certified modulus enclosing 1 at a complex place"
         )
-    return decision
-
-
-def _j2_decision(ratios: RatioMatrix, flat_block: int) -> bool:
-    tol = tolerance(ratios.precision_bits)
-    with _at_prec(ratios.decomposition.workbits):
-        return any(
-            abs(row[flat_block] - 1) > tol for row in ratios.entries
-        )
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ too.  Anything else is reported as inconclusive rather than assumed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ._backend import QQ, ZZ, qq_from_string, qq_to_string
 from .errors import (
@@ -23,7 +23,6 @@ from .errors import (
     InputError,
     NonUnitError,
     NotCyclicError,
-    NotNormalError,
     ReduciblePolynomialError,
 )
 from .intlinalg import field_kernel_basis
@@ -593,225 +592,40 @@ class GaloisMap:
         return "GaloisMap(alpha -> %r)" % self.image
 
 
-def conjugates_in_field(field: NumberField) -> List[FieldElem]:
-    """All roots of the defining polynomial lying in the field itself.
-
-    Cyclotomic real subfields are handled exactly through the trace
-    polynomials c_g (the images of 2cos(2*pi/m) under the Galois action are
-    c_g evaluated at the generator).  Other fields go through a numeric
-    reconstruction with exact verification of every candidate.
-    """
-    d = field.degree
-    if d == 1:
-        return [field.gen()]
-    m = 2 * d + 1
-    if is_prime(m) and field.minpoly == real_subfield_minpoly(m):
-        out = []
-        for g in range(1, d + 1):
-            cand = field.from_int_poly(trace_poly(g))
-            if cand not in out:
-                out.append(cand)
-        return out
-    return _conjugates_by_search(field)
-
-
-def _conjugates_by_search(field: NumberField) -> List[FieldElem]:
-    """Numeric reconstruction of the conjugates lying in the field.
-
-    Interpolates candidate coordinate polynomials through permutations of
-    the numeric roots, commuting with complex conjugation, then verifies
-    p(candidate) == 0 exactly.  Practical for degree <= 8; the exact
-    verification step means a wrong candidate can never leak through.
-    """
-    from mpmath import mp
-
-    from .embeddings import all_roots_numeric
-
-    d = field.degree
-    if d > 8:
-        raise InputError(
-            "conjugate search is only supported up to degree 8; degree %d field "
-            "needs explicitly provided structure" % d
-        )
-    prec = 256 + 32 * d
-    roots, conj_pairing = all_roots_numeric(field, prec)
-    with mp.workprec(prec):
-        # Lagrange basis coefficients over the numeric roots
-        basis = []
-        for i in range(d):
-            num = [mp.mpc(1)]
-            den = mp.mpc(1)
-            for j in range(d):
-                if j == i:
-                    continue
-                num = _poly_mul_c(num, [-roots[j], mp.mpc(1)])
-                den *= roots[i] - roots[j]
-            basis.append([c / den for c in num])
-        found: List[FieldElem] = []
-        alpha = field.gen()
-        for k in range(d):
-            if _is_close(roots[k], roots[0], prec):
-                continue
-            hit = None
-            for perm in _conjugation_permutations(d, k, conj_pairing):
-                coeffs = [mp.mpc(0)] * d
-                for i in range(d):
-                    ri = roots[perm[i]]
-                    for j in range(d):
-                        coeffs[j] += ri * basis[i][j]
-                cand = _rationalize(coeffs, prec)
-                if cand is None:
-                    continue
-                elem = field.from_coords(cand)
-                if not field.minpoly(elem):
-                    hit = elem
-                    break
-            if hit is not None and hit not in found and hit != alpha:
-                found.append(hit)
-        return found
-
-
-def _poly_mul_c(a, b):
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _is_close(a, b, prec):
-    from mpmath import mpf
-
-    return abs(a - b) < mpf(2) ** (-prec // 2)
-
-
-def _conjugation_permutations(d: int, k: int, pairing: Dict[int, int]):
-    """Permutations of root indices with perm[0] == k that commute with the
-    complex-conjugation involution on the indices."""
-    perm = [None] * d
-
-    def assign(i, v, used):
-        updates = []
-        stack = [(i, v)]
-        ok = True
-        while stack:
-            a, b = stack.pop()
-            if perm[a] is not None:
-                if perm[a] != b:
-                    ok = False
-                    break
-                continue
-            if b in used:
-                ok = False
-                break
-            perm[a] = b
-            used.add(b)
-            updates.append((a, b))
-            stack.append((pairing[a], pairing[b]))
-        return ok, updates
-
-    def undo(updates, used):
-        for a, b in updates:
-            perm[a] = None
-            used.discard(b)
-
-    used: set = set()
-
-    def backtrack(pos):
-        if pos == d:
-            yield tuple(perm)
-            return
-        if perm[pos] is not None:
-            yield from backtrack(pos + 1)
-            return
-        for v in range(d):
-            if v in used:
-                continue
-            ok, updates = assign(pos, v, used)
-            if ok:
-                yield from backtrack(pos + 1)
-            undo(updates, used)
-
-    ok, updates = assign(0, k, used)
-    if ok:
-        yield from backtrack(1)
-    undo(updates, used)
-
-
-def _rationalize(coeffs, prec) -> Optional[List]:
-    """Round numeric coordinates to rationals with bounded denominators."""
-    from mpmath import mpf
-
-    tol = mpf(2) ** (-prec // 2)
-    out = []
-    for c in coeffs:
-        if abs(c.imag) > tol:
-            return None
-        q = _nearest_rational(c.real, 10 ** 6, tol)
-        if q is None:
-            return None
-        out.append(q)
-    return out
-
-
-def _nearest_rational(x, max_den: int, tol):
-    """Continued-fraction convergent with denominator bound, or None."""
-    from mpmath import mp, mpf
-
-    p0, q0, p1, q1 = ZZ(0), ZZ(1), ZZ(1), ZZ(0)
-    rem = x
-    for _ in range(64):
-        a = ZZ(int(mp.floor(rem)))
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        if q1 > max_den:
-            break
-        if abs(x - mpf(int(p1)) / mpf(int(q1))) < tol:
-            return QQ(p1, q1)
-        frac = rem - a
-        if abs(frac) < tol:
-            break
-        rem = 1 / frac
-    return None
-
-
 def galois_generator(field: NumberField) -> GaloisMap:
-    """A generator of the automorphism group for a cyclic Galois field.
+    """A generator of the automorphism group of a real cyclotomic subfield.
 
-    Among the conjugates of the generator lying in the field, picks those
-    whose orbit has full length and returns the one with lexicographically
-    smallest coordinates, which makes the choice reproducible.
+    The field must be Q(2cos(2*pi/m)) for an odd prime conductor m = 2d + 1,
+    given by real_subfield_minpoly(m); degree one is the trivial group.  The
+    automorphism sigma_g sends the generator 2cos(2*pi/m) to c_g of it, and
+    it generates the cyclic group of order d exactly when g generates
+    (Z/m)^x / {+-1}.  Among those images the one with lexicographically
+    smallest coordinates is returned, which makes the choice reproducible.
     """
     d = field.degree
-    alpha = field.gen()
     if d == 1:
-        return GaloisMap(field, alpha)
-    conj = conjugates_in_field(field)
-    candidates = [c for c in conj if c != alpha]
-    if not candidates:
-        raise NotNormalError(
-            "no conjugate of the generator lies in the field; the field is "
-            "not normal over Q"
+        return GaloisMap(field, field.gen())
+    m = 2 * d + 1
+    if not is_prime(m) or field.minpoly != real_subfield_minpoly(m):
+        raise InputError(
+            "Galois generators are only available for real cyclotomic "
+            "subfields of prime conductor; %r is not one" % field.minpoly
         )
-    generators = []
-    for image in candidates:
-        tau = GaloisMap(field, image)
-        seen = alpha
-        size = 0
-        for _ in range(d):
-            seen = tau.apply(seen)
-            size += 1
-            if seen == alpha:
-                break
-        if size == d and seen == alpha:
-            generators.append(tau)
-    if not generators:
-        raise NotCyclicError(
-            "conjugates exist but none generates a full orbit; the Galois "
-            "group is not cyclic of order %d over this field" % d
-        )
-    generators.sort(key=lambda t: tuple(t.image.coords))
-    return generators[0]
+    images = [
+        field.from_int_poly(trace_poly(g))
+        for g in range(2, d + 1)
+        if _order_mod_sign(g, m) == d
+    ]
+    return GaloisMap(field, min(images, key=lambda image: image.coords))
+
+
+def _order_mod_sign(g: int, m: int) -> int:
+    """Order of the class of g in (Z/m)^x / {+-1}."""
+    k, power = 1, g % m
+    while power not in (1, m - 1):
+        k += 1
+        power = power * g % m
+    return k
 
 
 def dirichlet_rank_bound(field: NumberField) -> int:

@@ -14,6 +14,10 @@ the rank check at 128 and 512 bits:
 - kourganoff_q2_128: ``kourganoff --q 2 --matrix "0,0,1;1,0,1;0,1,0"``
 - ot_x3-x-1_128, ot_x3-x-1_512: ``ot --minpoly "x^3-x-1" --units "0,1,0"``
 - ot_lck_x4-x-1_128: ``ot --minpoly "x^4-x-1" --units "0,1,0,0;-1,1,0,0" --lck``
+
+The field report data/reports/dmatrix_n8.json (``dmatrix --n 8``) is kept
+apart from the certificates; it has no verify path, so it is reproduced by
+re-running the command and comparing bytes.
 """
 
 from pathlib import Path
@@ -21,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from lcpforge.certio import load_certificate
+from lcpforge.cli import main
 from lcpforge.constructions import verify_certificate
 
 CORPUS = sorted((Path(__file__).parent / "data").glob("*.json"))
@@ -36,3 +41,14 @@ def test_stored_certificate_verifies_bit_identically(path):
     assert report["mismatches"] == []
     assert report["bit_identical"] is True
     assert report["reproduced"] is True
+
+
+REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+def test_stored_dmatrix_report_is_reproduced(tmp_path):
+    # m = 19, d = 9: the units are a prefix of the orbit of the Galois
+    # generator, so these bytes pin the generator chosen for this field.
+    out = tmp_path / "dmatrix_n8.json"
+    assert main(["dmatrix", "--n", "8", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPORTS / "dmatrix_n8.json").read_bytes()

@@ -12,7 +12,6 @@ from mpmath import mp
 from lcpforge._backend import QQ
 from lcpforge.embeddings import (
     EmbeddingSet,
-    all_roots_numeric,
     default_precision,
     embeddings,
     log_vector,
@@ -237,20 +236,6 @@ class TestVerifyRatioWitness:
         emb = embeddings(m7, 128)
         with pytest.raises(InputError):
             verify_ratio_witness(emb, m7.gen(), 0, mp.mpf(1), exponent=0)
-
-
-class TestRootListing:
-    def test_pairing_real_field(self, m7):
-        roots, pairing = all_roots_numeric(m7, 128)
-        assert len(roots) == 3
-        assert pairing == {0: 0, 1: 1, 2: 2}
-
-    def test_pairing_mixed_field(self, plastic):
-        roots, pairing = all_roots_numeric(plastic, 128)
-        assert len(roots) == 3
-        assert pairing == {0: 0, 1: 2, 2: 1}
-        with mp.workprec(400):
-            assert roots[1].conjugate() == roots[2]
 
 
 class TestPrecisionControls:

@@ -11,8 +11,9 @@ from mpmath import mp
 
 from lcpforge._backend import QQ
 from lcpforge.embeddings import embeddings, tolerance
-from lcpforge.errors import CheckFailureError, InputError, StructureError
-from lcpforge.intlinalg import IntMatrix, companion, matrix_from_string, poly_apply
+from lcpforge.constructions import _match_block_embeddings, _witness_table
+from lcpforge.errors import CheckFailureError, InputError, PrecisionError, StructureError
+from lcpforge.intlinalg import IntMatrix, char_poly, companion, matrix_from_string, poly_apply
 from lcpforge.lcpcore import (
     AffineFunctional,
     SimilarityGenerator,
@@ -34,6 +35,7 @@ from lcpforge.polynomials import IntPoly, real_subfield_minpoly
 
 M7 = real_subfield_minpoly(7)
 PLASTIC = IntPoly((-1, -1, 0, 1))
+SALEM = IntPoly((1, -1, -1, -1, 1))  # x^4 - x^3 - x^2 - x + 1
 
 
 def _cos_roots(prec=240):
@@ -55,6 +57,18 @@ def rank2_setup(rank2_matrices):
     decomp = find_block_decomposition([a1, a2], 128)
     ratios = check_J1(decomp, [a1, a2])
     return decomp, ratios
+
+
+@pytest.fixture(scope="module")
+def rank2_tagged(rank2_setup):
+    # block k of the descending order matches ascending embedding 2 - k
+    _, ratios = rank2_setup
+    field = field_new(M7)
+    alpha = field.gen()
+    sigma_alpha = field.from_coords((-2, 0, 1))
+    w0 = [UnitWitness(alpha, 2 - k) for k in range(3)]
+    w1 = [UnitWitness(sigma_alpha, 2 - k) for k in range(3)]
+    return ratios.with_witnesses([w0, w1])
 
 
 @pytest.fixture(scope="module")
@@ -187,23 +201,64 @@ class TestJ1:
                 assert abs(cube[k] - want) < 16 * tol
 
 
+def _tagged(matrices, units):
+    # ratios of the family, with each block matched to the embedding that
+    # witnesses it, as the pipelines do
+    decomp = find_block_decomposition(matrices, 128)
+    ratios = check_J1(decomp, matrices)
+    emb = embeddings(units[0].field, 128)
+    block_emb = _match_block_embeddings(emb, units, ratios)
+    return ratios.with_witnesses(_witness_table(units, block_emb)), decomp
+
+
+def _plane_block(decomp):
+    return next(k for k, (_, size) in enumerate(decomp.blocks) if size == 2)
+
+
 class TestJ2:
-    def test_rank2_flat_is_not_isometric(self, rank2_setup):
-        _, ratios = rank2_setup
-        assert check_J2(ratios, 0) is True
+    def test_rank2_flat_is_not_isometric(self, rank2_tagged):
+        assert check_J2(rank2_tagged, 0) is True
 
     def test_isometric_flat_block(self):
-        # diag(1, -1) acts with ratio exactly one on both eigenlines
+        # diag(1, -1) acts with ratio exactly one on both eigenlines; its
+        # witnesses are +-1 in the rationals
         m = matrix_from_string("1,0;0,-1")
         decomp = find_block_decomposition([m], 128)
         ratios = check_J1(decomp, [m])
+        one = field_new(IntPoly((-1, 1))).one()
+        ratios = ratios.with_witnesses([[UnitWitness(one, 0), UnitWitness(-one, 0)]])
         assert check_J2(ratios, 0) is False
         assert check_J2(ratios, 1) is False
 
-    def test_flat_index_validated(self, rank2_setup):
+    def test_complex_place_decided_by_enclosure(self):
+        # kourganoff --q 2: the contracted complement is a rotation plane
+        m = matrix_from_string("0,0,1;1,0,1;0,1,0")
+        ratios, decomp = _tagged([m], [field_new(char_poly(m)).gen()])
+        assert check_J2(ratios, _plane_block(decomp)) is True
+
+    def test_salem_rotation_plane_is_undecided(self):
+        # a Salem unit has modulus exactly one at its complex place, which
+        # no enclosure can tell apart from a non-isometry
+        ratios, decomp = _tagged([companion(SALEM)], [field_new(SALEM).gen()])
+        with pytest.raises(PrecisionError):
+            check_J2(ratios, _plane_block(decomp))
+
+    def test_one_non_isometric_row_decides(self):
+        # alpha - 1 is a unit (its norm is SALEM(1) = -1) whose modulus at
+        # the complex place is |e^(i theta) - 1| != 1
+        c = companion(SALEM)
+        alpha = field_new(SALEM).gen()
+        ratios, decomp = _tagged([c, c - IntMatrix.identity(4)], [alpha, alpha - 1])
+        assert check_J2(ratios, _plane_block(decomp)) is True
+
+    def test_witnesses_required(self, rank2_setup):
         _, ratios = rank2_setup
         with pytest.raises(InputError):
-            check_J2(ratios, 5)
+            check_J2(ratios, 0)
+
+    def test_flat_index_validated(self, rank2_tagged):
+        with pytest.raises(InputError):
+            check_J2(rank2_tagged, 5)
 
 
 class TestFunctionalSolver:
@@ -383,17 +438,9 @@ class TestExtension:
 
 
 class TestRankAndWitnesses:
-    def test_lcp_rank_two(self, rank2_setup):
-        decomp, ratios = rank2_setup
-        field = field_new(M7)
-        alpha = field.gen()
-        sigma_alpha = field.from_coords((-2, 0, 1))
-        # block k of the descending order matches ascending embedding 2 - k
-        w0 = [UnitWitness(alpha, 2 - k) for k in range(3)]
-        w1 = [UnitWitness(sigma_alpha, 2 - k) for k in range(3)]
-        tagged = ratios.with_witnesses([w0, w1])
-        assert lcp_rank(tagged, 0) == 2
-        assert lcp_rank(tagged, 1) == 2
+    def test_lcp_rank_two(self, rank2_tagged):
+        assert lcp_rank(rank2_tagged, 0) == 2
+        assert lcp_rank(rank2_tagged, 1) == 2
 
     def test_witnesses_match_embeddings(self, rank2_setup):
         from lcpforge.embeddings import verify_ratio_witness

@@ -16,13 +16,10 @@ from lcpforge.errors import (
     InconclusiveIrreducibilityError,
     InputError,
     NonUnitError,
-    NotCyclicError,
-    NotNormalError,
     ReduciblePolynomialError,
 )
 from lcpforge.numberfield import (
     GaloisMap,
-    conjugates_in_field,
     dirichlet_rank_bound,
     elem_arith,
     elem_from_json,
@@ -33,7 +30,7 @@ from lcpforge.numberfield import (
     minimal_polynomial,
     require_unit,
 )
-from lcpforge.polynomials import IntPoly, RatPoly
+from lcpforge.polynomials import IntPoly, RatPoly, is_prime, real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))  # x^3 + x^2 - 2x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -236,40 +233,43 @@ class TestGalois:
         assert second.coords == (1, -1, -1)
         assert tau.apply(second) == m7.gen()
 
-    def test_conjugates_cubic(self, m7):
-        conj = conjugates_in_field(m7)
-        assert len(conj) == 3
-        assert m7.gen() in conj
-
     def test_quadratic_shortcut(self):
         field = field_new(GOLDEN)
         tau = galois_generator(field)
         assert tau.image.coords == (-1, -1)
         assert tau.order() == 2
 
-    def test_quadratic_search_path(self):
-        # x^2 - 2 is not a trace-polynomial field, so the numeric
-        # reconstruction runs; the only conjugate is -alpha
-        field = field_new(IntPoly((-2, 0, 1)))
-        tau = galois_generator(field)
-        assert tau.image == -field.gen()
-        assert tau.order() == 2
-
-    def test_not_normal(self):
-        with pytest.raises(NotNormalError):
-            galois_generator(field_new(PLASTIC))
-
-    def test_not_normal_complex_quartic(self):
-        field = field_new(IntPoly((1, 1, 0, 0, 1)))  # x^4 + x + 1
-        with pytest.raises(NotNormalError):
+    @pytest.mark.parametrize(
+        "minpoly",
+        [
+            IntPoly((-2, 0, 1)),  # x^2 - 2: normal, not cyclotomic
+            PLASTIC,  # not normal
+            IntPoly((1, 1, 0, 0, 1)),  # x^4 + x + 1: not normal, not real
+            IntPoly((1, 0, -10, 0, 1)),  # Q(sqrt 2, sqrt 3): not cyclic
+        ],
+        ids=["x2-2", "plastic", "x4+x+1", "x4-10x2+1"],
+    )
+    def test_only_real_cyclotomic_subfields(self, minpoly):
+        field = field_new(minpoly, force=True)
+        with pytest.raises(InputError):
             galois_generator(field)
 
-    def test_not_cyclic(self):
-        # x^4 - 10x^2 + 1 generates the compositum of sqrt(2) and sqrt(3);
-        # every automorphism has order 2
-        field = field_new(IntPoly((1, 0, -10, 0, 1)), force=True)
-        with pytest.raises(NotCyclicError):
-            galois_generator(field)
+    @pytest.mark.parametrize("m", [m for m in range(5, 32) if is_prime(m)])
+    def test_generator_matches_orbit_oracle(self, m):
+        # every conjugate of alpha = 2cos(2pi/m) is c_g(alpha), built here
+        # from the recurrence c_{k+1} = alpha c_k - c_{k-1}; the generators
+        # are the conjugates whose map has full order d
+        field = field_new(real_subfield_minpoly(m))
+        d = field.degree
+        alpha = field.gen()
+        traces = [field.from_rational(2), alpha]
+        while len(traces) <= d:
+            traces.append(alpha * traces[-1] - traces[-2])
+        generators = [
+            c for c in traces[2:] if GaloisMap(field, c).order() == d
+        ]
+        want = min(generators, key=lambda c: c.coords)
+        assert galois_generator(field).image == want
 
     def test_degree_one_identity(self):
         field = field_new(IntPoly((-2, 1)))  # x - 2, the rationals
@@ -278,7 +278,6 @@ class TestGalois:
         tau = galois_generator(field)
         assert tau.is_identity()
         assert tau.order() == 1
-        assert conjugates_in_field(field) == [field.gen()]
 
     def test_map_validation(self, m7):
         with pytest.raises(InputError):
