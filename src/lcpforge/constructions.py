@@ -27,6 +27,7 @@ from .certio import (
 from .embeddings import (
     MAX_PRECISION,
     _at_prec,
+    _ratio_witnessed,
     default_precision,
     embeddings,
     log_vector,
@@ -34,7 +35,6 @@ from .embeddings import (
     projected_log_rank,
     tolerance,
     validate_precision,
-    verify_ratio_witness,
 )
 from .errors import (
     CheckFailureError,
@@ -197,7 +197,8 @@ def _match_block_embeddings(emb, units, ratios):
 
     Block k matches embedding i when every generator's ratio on block k
     is witnessed by the corresponding unit at embedding i; the match must
-    be a bijection with real embeddings on 1-dimensional blocks.
+    be a bijection with real embeddings on 1-dimensional blocks.  Callers
+    have checked that the units are units.
     """
     decomp = ratios.decomposition
     matches = []
@@ -206,7 +207,7 @@ def _match_block_embeddings(emb, units, ratios):
             i
             for i in range(emb.count)
             if all(
-                verify_ratio_witness(emb, u, i, ratios.entries[j][k])
+                _ratio_witnessed(emb, u, i, ratios.entries[j][k])
                 for j, u in enumerate(units)
             )
         ]
@@ -369,20 +370,23 @@ def _matrix_family_check(matrices):
     }
 
 
-def _unit_ratio_check(emb, ratios, bits):
+def _unit_ratio_check(emb, ratios):
     """Exact unit-ness of every ratio witness plus the numeric agreement
-    between each ratio and its witnessed embedding modulus."""
+    between each ratio and its witnessed embedding modulus; one minimal
+    polynomial per distinct element, and a non-unit is recorded, not raised."""
     if ratios.witnesses is None:
         raise InputError("ratio matrix carries no witnesses")
+    elements = {w.element for row in ratios.witnesses for w in row}
+    minpolys = {e: minimal_polynomial(e) for e in elements}
     rows = []
     overall = True
     for j, row in enumerate(ratios.witnesses):
         entries = []
         for k, w in enumerate(row):
-            mpoly = minimal_polynomial(w.element)
+            mpoly = minpolys[w.element]
             const = mpoly.coeff(0)
-            unit_ok = const.denominator == 1 and abs(const.numerator) == 1
-            witnessed = verify_ratio_witness(
+            unit_ok = mpoly.is_integral() and abs(const) == 1
+            witnessed = _ratio_witnessed(
                 emb, w.element, w.embedding_index, ratios.entries[j][k], w.exponent
             )
             overall = overall and unit_ok and witnessed
@@ -483,7 +487,7 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
     flat = block_emb.index(emb.count - 1)
     j2 = check_J2(ratios, flat)
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(emb, ratios, bits))
+    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
     builder.check("dirichlet", _dirichlet_check(field, n))
     builder.check("rank", _rank_check(ratios, flat, bits, n))
 
@@ -676,7 +680,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
 
     j2 = check_J2(ratios, flat)
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(emb, ratios, bits))
+    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
     builder.check("dirichlet", _dirichlet_check(field, 1))
     builder.check("rank", _rank_check(ratios, flat, bits, 1))
 
@@ -905,7 +909,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
         flat = block_emb.index(0)
     j2 = check_J2(ratios, flat)
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(emb, ratios, bits))
+    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
     builder.check("dirichlet", _dirichlet_check(field, len(units)))
     builder.check("rank", _rank_check(ratios, flat, bits, s))
 

@@ -288,9 +288,8 @@ def certified_poly_roots(poly: IntPoly, bits: int):
         raise InputError("root isolation needs a squarefree polynomial")
     s = count_real_roots(poly)
     t = (poly.degree - s) // 2
-    attempt_bits = bits
     last_error = None
-    for _ in range(3):
+    for attempt_bits in (bits, 2 * bits, 4 * bits):
         workbits = attempt_bits + GUARD_BITS
         try:
             with _at_prec(workbits):
@@ -299,7 +298,6 @@ def certified_poly_roots(poly: IntPoly, bits: int):
             return real_roots, complex_disks, workbits
         except NeedsEscalation as exc:
             last_error = exc
-            attempt_bits *= 2
     raise PrecisionError(
         "root certification failed up to %d bits: %s" % (attempt_bits, last_error)
     )
@@ -502,6 +500,11 @@ def verify_ratio_witness(
     root that the field does not contain).
     """
     require_unit(elem, "ratio witness")
+    return _ratio_witnessed(emb, elem, index, ratio, exponent, tol)
+
+
+def _ratio_witnessed(emb, elem, index, ratio, exponent=1, tol=None) -> bool:
+    """verify_ratio_witness without the unit check, for callers that have made it."""
     if exponent < 1:
         raise InputError("witness exponent must be a positive integer")
     with _at_prec(emb.workbits):

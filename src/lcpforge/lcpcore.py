@@ -67,10 +67,11 @@ def _iv_identity(n):
     return [[iv.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def _iv_matmul(a, b):
+def _iv_matmul(a, b, zero):
+    """a * b; each entry sums from zero in increasing index order."""
     n, k, m = len(a), len(b), len(b[0])
     return [
-        [sum((a[i][l] * b[l][j] for l in range(k)), iv.mpf(0)) for j in range(m)]
+        [sum((a[i][l] * b[l][j] for l in range(k)), zero) for j in range(m)]
         for i in range(n)
     ]
 
@@ -257,14 +258,12 @@ def find_block_decomposition(
     splitter = _pick_splitter(gens)
     chi = char_poly(splitter)
 
-    attempt = precision
     last_error = None
-    for _ in range(2):
+    for attempt in (precision, 2 * precision):
         try:
             return _decompose_at(splitter, chi, p, precision, attempt)
         except NeedsEscalation as exc:
             last_error = exc
-            attempt *= 2
     raise PrecisionError(
         "block decomposition failed up to %d bits: %s" % (attempt, last_error)
     )
@@ -312,7 +311,10 @@ def restricted_blocks(decomp: BlockDecomposition, a: IntMatrix):
         raise InputError("matrix dimension does not match the decomposition")
     with _at_prec(decomp.workbits):
         am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
-        return _iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis)))
+        zero = iv.mpf(0)
+        return _iv_matmul(
+            decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis), zero), zero
+        )
 
 
 def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):
@@ -1091,6 +1093,7 @@ def verify_equivariance(spec: MetricSpec, gen: SimilarityGenerator,
     workbits = max(decomp.workbits, precision + GUARD_BITS)
     tol = tolerance(precision)
     c = conjugated_numeric(decomp, gen.linear)
+    c_t = list(zip(*c))
     total = spec.total_dim
     flat_idx = spec.flat_block
     pts = _sample_points(spec, samples, seed, workbits)
@@ -1098,42 +1101,23 @@ def verify_equivariance(spec: MetricSpec, gen: SimilarityGenerator,
         lam1 = mp.mpf(gen.ratio_row[flat_idx])
         lam1_sq = lam1 * lam1
         v = [_to_mpf(t) for t in gen.base_translation]
-        max_residual = mp.mpf(0)
+        zero = max_residual = mp.mpf(0)
         for x in pts:
             here = [mp.mpf(0)] * p + list(x)
             there = [mp.mpf(0)] * p + [xi + vi for xi, vi in zip(x, v)]
             h_here = evaluate_metric(spec, here)
             h_there = evaluate_metric(spec, there)
-            # J^T H(gamma P) J with J = C on the fiber, identity elsewhere
-            pulled = [[mp.mpf(0)] * total for _ in range(total)]
+            # J^T H(gamma P) J with J = diag(C, I): only the fiber block
+            # moves, to C^T H_F C; every sum runs from zero in index order
+            h_fiber = [row[:p] for row in h_there[:p]]
+            fiber = _iv_matmul(c_t, _iv_matmul(h_fiber, c, zero), zero)
+            pulled = [f + list(h[p:]) for f, h in zip(fiber, h_there)]
+            pulled += h_there[p:]
+            target = [[lam1_sq * hij for hij in row] for row in h_here]
+            scale = max(abs(t) for row in target for t in row) or mp.mpf(1)
             for i in range(total):
                 for j in range(total):
-                    acc = mp.mpf(0)
-                    for a in range(total):
-                        ja = c[a][i] if (a < p and i < p) else mp.mpf(1 if a == i else 0)
-                        if not ja:
-                            continue
-                        inner = mp.mpf(0)
-                        for b in range(total):
-                            jb = (
-                                c[b][j]
-                                if (b < p and j < p)
-                                else mp.mpf(1 if b == j else 0)
-                            )
-                            if jb:
-                                inner += h_there[a][b] * jb
-                        acc += ja * inner
-                    pulled[i][j] = acc
-            scale = max(
-                (abs(lam1_sq * h_here[i][j]) for i in range(total) for j in range(total)),
-                default=mp.mpf(0),
-            )
-            if scale == 0:
-                scale = mp.mpf(1)
-            for i in range(total):
-                for j in range(total):
-                    diff = abs(pulled[i][j] - lam1_sq * h_here[i][j])
-                    rel = diff / scale
+                    rel = abs(pulled[i][j] - target[i][j]) / scale
                     if rel > max_residual:
                         max_residual = rel
         verdict = max_residual < tol

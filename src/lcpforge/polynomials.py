@@ -7,9 +7,8 @@ arithmetic forces denominators (Sturm chains, monic gcds, minimal
 polynomials).
 
 Real roots are handled by the classical exact pipeline: a Sturm chain counts
-roots in an interval, bisection separates them, and Newton steps with exact
-dyadic arithmetic accelerate the final refinement while the sign-change
-bracket keeps every enclosure certified.
+roots in an interval, bisection separates them, and refinement bisects the
+sign-change bracket (one bit per pass) so that every enclosure is certified.
 """
 
 from __future__ import annotations
@@ -762,10 +761,12 @@ def _exclusion_radius(p: IntPoly, root):
 def refine_root(p, lo, hi, bits: int) -> Tuple:
     """Shrink an isolating interval to width <= 2**-bits.
 
-    Exact arithmetic throughout: bisection guarantees progress, and a Newton
-    step from the midpoint (rounded to a dyadic rational so numbers stay
-    small) is accepted whenever it lands strictly inside the bracket, which
-    restores quadratic convergence near the root.
+    Exact arithmetic throughout.  Each pass moves one endpoint to a Newton
+    step from the midpoint (rounded to a dyadic rational) when it lands
+    inside the bracket, then bisects.  Without an inflection point in the
+    bracket the Newton step always lands on the same side of the root, so
+    convergence is linear: one bisection per bit.  Certificates seal these
+    endpoints, so the trajectory is part of the output.
     """
     sf = squarefree_part(p)
     lo, hi = QQ(lo), QQ(hi)
@@ -790,7 +791,6 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
     while hi - lo > target:
         # Newton from the midpoint, rounded to twice the current precision
         mid = (lo + hi) / 2
-        accepted = False
         fpm = dsf(mid)
         if fpm != 0:
             fm = sf(mid)
@@ -807,10 +807,8 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
                     if sc == 0:
                         return cand, cand
                     if sc == slo:
-                        accepted = cand != lo
                         lo = cand
                     else:
-                        accepted = cand != hi
                         hi = cand
         # bisection keeps guaranteed progress regardless of Newton
         mid = (lo + hi) / 2

@@ -1,0 +1,48 @@
+"""The benchmark's tracer wraps lcpforge functions by name.
+
+perfbench/layers.py lists, per layer, the functions `--trace 1` replaces
+in every loaded lcpforge module.  A rename or deletion of one of them
+would only show as a crash of a traced benchmark run, so these tests read
+that list (the file is imported, never changed) and require every name to
+resolve, together with the embedding cache whose counters the trace reads.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+LAYERS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:  # leave no bytecode cache next to the benchmark's files
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+LAYERS = _load_layers().LAYERS
+
+
+@pytest.mark.parametrize(
+    "layer, name",
+    [(layer, name) for layer, names in LAYERS.items() for name in names],
+    ids=lambda value: value,
+)
+def test_traced_function_exists(layer, name):
+    module = importlib.import_module("lcpforge." + layer)
+    assert callable(getattr(module, name, None))
+
+
+def test_embedding_cache_counters_exist():
+    from lcpforge import embeddings
+
+    info = embeddings._embeddings_cached.cache_info()
+    assert info.hits >= 0 and info.misses >= 0

@@ -15,6 +15,9 @@ from lcpforge.certio import canonical_json
 from lcpforge.constructions import (
     DMatrixData,
     OtData,
+    _match_block_embeddings,
+    _unit_ratio_check,
+    _witness_table,
     make_dmatrix,
     make_exfield,
     make_kourganoff,
@@ -30,7 +33,9 @@ from lcpforge.errors import (
     NonUnitError,
     StructureError,
 )
+from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
+from lcpforge.lcpcore import check_J1, find_block_decomposition
 from lcpforge.numberfield import field_new
 from lcpforge.polynomials import IntPoly
 
@@ -352,6 +357,25 @@ def test_ot_rejects_non_units_and_foreign_elements():
         make_ot(PLASTIC, [field_new(QUARTIC).gen()], 128)
     with pytest.raises(InputError):
         make_ot(PLASTIC, [], 128)
+
+
+def test_unit_ratio_check_records_a_non_unit_witness():
+    dm = make_dmatrix(2)
+    decomp = find_block_decomposition(list(dm.matrices), 128)
+    ratios = check_J1(decomp, list(dm.matrices))
+    emb = embeddings(dm.field, 128)
+    block_emb = _match_block_embeddings(emb, dm.units, ratios)
+    units = list(dm.units)
+    good = _unit_ratio_check(emb, ratios.with_witnesses(_witness_table(units, block_emb)))
+    assert good["verdict"] is True
+    units[0] = 2 * units[0]  # minimal polynomial x^3 + 2x^2 - 8x - 8
+    payload = _unit_ratio_check(emb, ratios.with_witnesses(_witness_table(units, block_emb)))
+    assert payload["verdict"] is False
+    for entry in payload["entries"][0]:
+        assert entry["unit"] is False
+        assert entry["minpoly_constant"] == "-8"
+        assert entry["verdict"] is False
+    assert payload["entries"][1] == good["entries"][1]
 
 
 def test_ot_lck_quartic_passes(quartic_lck):

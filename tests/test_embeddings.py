@@ -10,8 +10,11 @@ import pytest
 from mpmath import mp
 
 from lcpforge._backend import QQ
+import lcpforge.embeddings as embeddings_module
 from lcpforge.embeddings import (
+    GUARD_BITS,
     EmbeddingSet,
+    certified_poly_roots,
     default_precision,
     embeddings,
     log_vector,
@@ -20,7 +23,7 @@ from lcpforge.embeddings import (
     validate_precision,
     verify_ratio_witness,
 )
-from lcpforge.errors import InputError, NonUnitError
+from lcpforge.errors import InputError, NeedsEscalation, NonUnitError, PrecisionError
 from lcpforge.numberfield import field_new, galois_generator
 from lcpforge.polynomials import IntPoly
 
@@ -269,3 +272,15 @@ class TestPrecisionControls:
         assert isinstance(emb, EmbeddingSet)
         with pytest.raises(AttributeError):
             emb.bits = 0
+
+    def test_escalation_error_names_the_last_precision_tried(self, monkeypatch):
+        tried = []
+
+        def refuse(poly, workbits):
+            tried.append(workbits)
+            raise NeedsEscalation("refused at %d" % workbits)
+
+        monkeypatch.setattr(embeddings_module, "_refined_real_roots", refuse)
+        with pytest.raises(PrecisionError, match=r"failed up to 512 bits: refused at 544"):
+            certified_poly_roots(PLASTIC, 128)
+        assert tried == [b + GUARD_BITS for b in (128, 256, 512)]

@@ -9,19 +9,35 @@ frozen from hand derivations.
 import pytest
 from mpmath import mp
 
+import lcpforge.lcpcore as lcpcore_module
 from lcpforge._backend import QQ
-from lcpforge.embeddings import embeddings, tolerance
-from lcpforge.constructions import _match_block_embeddings, _witness_table
-from lcpforge.errors import CheckFailureError, InputError, PrecisionError, StructureError
+import lcpforge.constructions as constructions_module
+from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
+from lcpforge.constructions import (
+    _match_block_embeddings,
+    _witness_table,
+    make_kourganoff,
+    make_ot,
+)
+from lcpforge.errors import (
+    CheckFailureError,
+    InputError,
+    NeedsEscalation,
+    PrecisionError,
+    StructureError,
+)
 from lcpforge.intlinalg import IntMatrix, char_poly, companion, matrix_from_string, poly_apply
 from lcpforge.lcpcore import (
     AffineFunctional,
     SimilarityGenerator,
     UnitWitness,
     add_cross_terms,
+    _sample_points,
+    _to_mpf,
     build_metric_spec,
     check_J1,
     check_J2,
+    conjugated_numeric,
     evaluate_metric,
     extend,
     find_block_decomposition,
@@ -35,6 +51,7 @@ from lcpforge.polynomials import IntPoly, real_subfield_minpoly
 
 M7 = real_subfield_minpoly(7)
 PLASTIC = IntPoly((-1, -1, 0, 1))
+QUARTIC = IntPoly((-1, -1, 0, 0, 1))
 SALEM = IntPoly((1, -1, -1, -1, 1))  # x^4 - x^3 - x^2 - x + 1
 
 
@@ -172,6 +189,18 @@ class TestBlockDecomposition:
     def test_non_lattice_map_rejected(self):
         with pytest.raises(InputError):
             find_block_decomposition([matrix_from_string("2,0;0,1")], 128)
+
+    def test_escalation_error_names_the_last_precision_tried(self, monkeypatch, rank2_matrices):
+        tried = []
+
+        def refuse(splitter, chi, p, precision, attempt):
+            tried.append(attempt)
+            raise NeedsEscalation("refused at %d" % attempt)
+
+        monkeypatch.setattr(lcpcore_module, "_decompose_at", refuse)
+        with pytest.raises(PrecisionError, match=r"failed up to 256 bits: refused at 256"):
+            find_block_decomposition(list(rank2_matrices), 128)
+        assert tried == [128, 256]
 
     def test_dimension_one_rejected(self):
         with pytest.raises(StructureError):
@@ -369,6 +398,125 @@ class TestEquivariance:
         assert r1.max_residual == r2.max_residual
         r3 = verify_equivariance(spec, gens[0], samples=25, precision=128, seed=43)
         assert r3.max_residual != r1.max_residual
+
+
+def _dense_max_residual(spec, gen, samples, precision, seed):
+    """Reference pullback: J^T H J entry by entry over the full Jacobian
+    J = diag(C, I), as an O(dim^4) loop; same samples and scaling as
+    verify_equivariance."""
+    decomp = spec.decomposition
+    p, total = decomp.p, spec.total_dim
+    workbits = max(decomp.workbits, precision + GUARD_BITS)
+    c = conjugated_numeric(decomp, gen.linear)
+    pts = _sample_points(spec, samples, seed, workbits)
+
+    def jac(a, i):
+        return c[a][i] if (a < p and i < p) else mp.mpf(1 if a == i else 0)
+
+    with _at_prec(workbits):
+        lam1 = mp.mpf(gen.ratio_row[spec.flat_block])
+        lam1_sq = lam1 * lam1
+        v = [_to_mpf(t) for t in gen.base_translation]
+        max_residual = mp.mpf(0)
+        for x in pts:
+            h_here = evaluate_metric(spec, [mp.mpf(0)] * p + list(x))
+            h_there = evaluate_metric(
+                spec, [mp.mpf(0)] * p + [xi + vi for xi, vi in zip(x, v)]
+            )
+            pulled = [[mp.mpf(0)] * total for _ in range(total)]
+            for i in range(total):
+                for j in range(total):
+                    acc = mp.mpf(0)
+                    for a in range(total):
+                        ja = jac(a, i)
+                        if not ja:
+                            continue
+                        inner = mp.mpf(0)
+                        for b in range(total):
+                            jb = jac(b, j)
+                            if jb:
+                                inner += h_there[a][b] * jb
+                        acc += ja * inner
+                    pulled[i][j] = acc
+            scale = max(
+                (abs(lam1_sq * h_here[i][j]) for i in range(total) for j in range(total)),
+                default=mp.mpf(0),
+            )
+            if scale == 0:
+                scale = mp.mpf(1)
+            for i in range(total):
+                for j in range(total):
+                    rel = abs(pulled[i][j] - lam1_sq * h_here[i][j]) / scale
+                    if rel > max_residual:
+                        max_residual = rel
+    return max_residual
+
+
+def _pipeline_equivariance_inputs(build):
+    """Every (spec, generator) pair a pipeline hands to verify_equivariance."""
+    calls = []
+
+    def record(spec, gen, *args, **kwargs):
+        calls.append((spec, gen))
+        return verify_equivariance(spec, gen, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions_module, "verify_equivariance", record)
+        build()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def kourganoff_q2_inputs():
+    return _pipeline_equivariance_inputs(
+        lambda: make_kourganoff(2, companion(PLASTIC), 128, seed=0)
+    )
+
+
+@pytest.fixture(scope="module")
+def ot_lck_inputs():
+    def build():
+        field = field_new(QUARTIC)
+        a = field.gen()
+        make_ot(QUARTIC, [a, a - field.one()], 128, seed=0, lck=True)
+
+    return _pipeline_equivariance_inputs(build)
+
+
+class TestPullbackAgainstDenseReference:
+    """The fiber-block pullback gives the dense loop's residual exactly."""
+
+    def _check(self, cases, samples=10, seed=3):
+        for spec, gen in cases:
+            report = verify_equivariance(spec, gen, samples=samples, precision=128, seed=seed)
+            dense = _dense_max_residual(spec, gen, samples, 128, seed)
+            assert report.max_residual == dense
+        return report
+
+    def test_rank2(self, rank2_metric):
+        spec, gens = rank2_metric
+        self._check([(spec, gen) for gen in gens])
+
+    def test_kourganoff_q2_complex_block(self, kourganoff_q2_inputs):
+        assert any(size == 2 for _, size in kourganoff_q2_inputs[0][0].decomposition.blocks)
+        self._check(kourganoff_q2_inputs)
+
+    def test_ot_lck_cross_terms(self, ot_lck_inputs):
+        assert ot_lck_inputs[0][0].cross_terms
+        self._check(ot_lck_inputs)
+
+    def test_extended_spec(self, squared_metric):
+        spec, gens = squared_metric
+        bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
+        self._check([(bigger, gen) for gen in gens])
+
+    def test_identity_generator(self, rank2_metric):
+        spec, _ = rank2_metric
+        identity = SimilarityGenerator(
+            "id", IntMatrix.identity(3), (0, 0, 0), (0, 0), (1, 1, 1)
+        )
+        report = self._check([(spec, identity)])
+        assert report.max_residual == 0
 
 
 class TestCrossTerms:

@@ -5,6 +5,9 @@ mpmath supplies high-precision numeric roots.  Expected values are frozen as
 literals; the oracle assertions document where they came from.
 """
 
+import json
+from pathlib import Path
+
 import mpmath
 import pytest
 import sympy
@@ -26,6 +29,7 @@ from lcpforge.polynomials import (
     poly_gcd,
     poly_to_json,
     poly_to_string,
+    rat_from_json,
     real_subfield_minpoly,
     refine_root,
     sign_at,
@@ -301,6 +305,26 @@ def test_refine_root_sqrt2(bits):
     lo, hi = refine_root(p, lo, hi, bits)
     assert hi - lo <= QQ(1, ZZ(1) << bits)
     assert lo * lo <= 2 <= hi * hi
+
+
+# Written by an earlier version of refine_root and never regenerated: the
+# enclosures are sealed in certificates (at 128 + 32 and 1024 + 32 working
+# bits), so a change to the refinement trajectory must bump the schema.
+REFINE_DATA = Path(__file__).parent / "data" / "roots" / "refine_root.json"
+REFINE_CASES = json.loads(REFINE_DATA.read_text())["cases"]
+
+
+@pytest.mark.parametrize(
+    "case", REFINE_CASES, ids=lambda c: "%s-%d" % (c["label"], c["bits"])
+)
+def test_refine_root_endpoints_are_pinned(case):
+    p = poly_from_json(case["minpoly"])
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == len(case["roots"])
+    for (a, b), root in zip(intervals, case["roots"]):
+        assert [a, b] == [rat_from_json(t) for t in root["isolating"]]
+        lo, hi = refine_root(p, a, b, bits=case["bits"])
+        assert [lo, hi] == [rat_from_json(t) for t in root["enclosure"]]
 
 
 def test_refine_root_dyadic_roots():
