@@ -275,12 +275,16 @@ def _embeddings_cached(field: NumberField, bits: int) -> EmbeddingSet:
     return EmbeddingSet(field, bits, workbits, real_roots, complex_disks)
 
 
+@lru_cache(maxsize=64)
 def certified_poly_roots(poly: IntPoly, bits: int):
     """Certified roots of a squarefree integer polynomial.
 
     Returns (real root enclosures as ascending dyadic pairs, upper-half
-    complex Weierstrass disks, working precision).  Escalates the working
-    precision up to two times before giving up.
+    complex Weierstrass disks, working precision), the pairs and disks as
+    tuples.  Escalates the working precision up to two times before giving
+    up.  Cached per (polynomial, bits): the block decomposition and the
+    embeddings of a field whose minimal polynomial is the splitter's
+    characteristic polynomial share one certification.
     """
     if poly.degree < 1:
         raise InputError("root isolation needs a nonconstant polynomial")
@@ -295,7 +299,7 @@ def certified_poly_roots(poly: IntPoly, bits: int):
             with _at_prec(workbits):
                 real_roots = _refined_real_roots(poly, workbits)
                 complex_disks = _certified_complex_disks(poly, s, t, workbits) if t else []
-            return real_roots, complex_disks, workbits
+            return tuple(real_roots), tuple(complex_disks), workbits
         except NeedsEscalation as exc:
             last_error = exc
     raise PrecisionError(

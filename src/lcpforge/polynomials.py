@@ -600,23 +600,28 @@ def _dyadic_parts(q) -> Tuple:
     return ZZ(q.numerator), k
 
 
+def _scaled_horner(coeffs, n, k: int):
+    """p(n / 2**k) * 2**(k*deg) for integer n: Horner on integers only."""
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    shift = 0
+    for c in reversed(coeffs[:-1]):
+        shift += k
+        acc = acc * n + (c << shift)
+    return acc
+
+
 def sign_at(p: IntPoly, q) -> int:
     """Exact sign of p at a rational point.
 
-    Dyadic points go through an all-integer scaled Horner evaluation of
-    p(n / 2**k) * 2**(k*deg); everything else falls back to rational Horner.
+    Dyadic points go through the all-integer ``_scaled_horner``; everything
+    else falls back to rational Horner.
     """
     q = QQ(q)
     den = ZZ(q.denominator)
     if den & (den - 1) == 0:
-        n, k = _dyadic_parts(q)
-        d = p.degree
-        if d < 0:
-            return 0
-        acc = p.coeffs[-1]
-        for i in range(d - 1, -1, -1):
-            acc = acc * n + (p.coeffs[i] << (k * (d - i)))
-        return sign(acc)
+        return sign(_scaled_horner(p.coeffs, *_dyadic_parts(q)))
     return sign(p(q))
 
 
@@ -759,64 +764,75 @@ def _exclusion_radius(p: IntPoly, root):
 
 
 def refine_root(p, lo, hi, bits: int) -> Tuple:
-    """Shrink an isolating interval to width <= 2**-bits.
+    """Shrink an isolating interval with dyadic endpoints to width <= 2**-bits.
 
-    Exact arithmetic throughout.  Each pass moves one endpoint to a Newton
-    step from the midpoint (rounded to a dyadic rational) when it lands
-    inside the bracket, then bisects.  Without an inflection point in the
-    bracket the Newton step always lands on the same side of the root, so
-    convergence is linear: one bisection per bit.  Certificates seal these
-    endpoints, so the trajectory is part of the output.
+    The bracket is kept as integers (L, H, e) with lo = L/2**e and
+    hi = H/2**e, and every step runs on integer values of p and p' from
+    ``_scaled_horner``; rationals appear only at entry and exit.  Each pass
+    moves one endpoint to a Newton step from the midpoint (rounded to the
+    nearest point of the 2**-k grid, k about twice the correct bits) when it
+    lands inside the bracket, then bisects.  Without an inflection point in
+    the bracket the Newton step always lands on the same side of the root,
+    so convergence is linear: one bisection per bit.  Certificates seal
+    these endpoints, so the trajectory is part of the output.
     """
     sf = squarefree_part(p)
     lo, hi = QQ(lo), QQ(hi)
     if lo == hi:
         return lo, hi
-    target = QQ(1, ZZ(1) << bits)
-    slo = sign_at(sf, lo)
-    shi = sign_at(sf, hi)
+    (L, el), (H, eh) = _dyadic_parts(lo), _dyadic_parts(hi)
+    e = max(el, eh)
+    L, H = L << (e - el), H << (e - eh)
+    f, df = sf.coeffs, sf.derivative().coeffs
+    slo = sign(_scaled_horner(f, L, e))
+    shi = sign(_scaled_horner(f, H, e))
     if slo == 0:
         return lo, lo
     if shi == 0:
         return hi, hi
     if slo == shi:
         raise InputError("interval endpoints do not bracket a sign change")
-    dsf = sf.derivative()
 
-    def width_bits(w):
-        # number of correct bits, roughly -log2(width)
-        num, den = ZZ(w.numerator), ZZ(w.denominator)
-        return int(den).bit_length() - int(num).bit_length()
-
-    while hi - lo > target:
-        # Newton from the midpoint, rounded to twice the current precision
-        mid = (lo + hi) / 2
-        fpm = dsf(mid)
-        if fpm != 0:
-            fm = sf(mid)
-            step = QQ(fm) / QQ(fpm)
-            cand = mid - step
-            if lo < cand < hi:
-                k = max(8, 2 * max(1, width_bits(hi - lo)) + 8)
-                scaled = cand * (ZZ(1) << k)
-                # round to nearest on the 2**-k grid
-                n, d = ZZ(scaled.numerator), ZZ(scaled.denominator)
-                cand = QQ((2 * n + d) // (2 * d), ZZ(1) << k)
-                if lo < cand < hi:
-                    sc = sign_at(sf, cand)
+    while (H - L) << bits > 1 << e:
+        # Newton from the midpoint M/2**em.  With P = p'(mid)*2**(em*(d-1))
+        # and F = p(mid)*2**(em*d), d = deg p, the candidate
+        # M/2**em - p(mid)/p'(mid) is (M*P - F) / (P*2**em)
+        M, em = L + H, e + 1
+        P = _scaled_horner(df, M, em)
+        if P != 0:
+            F = _scaled_horner(f, M, em)
+            N, D = M * P - F, P << em
+            if D < 0:
+                N, D = -N, -D
+            if L * D < N << e < H * D:
+                # round to nearest on the 2**-k grid, k about twice the
+                # number of correct bits
+                width_bits = e + 1 - (H - L).bit_length()
+                k = max(8, 2 * max(1, width_bits) + 8)
+                R = ((N << (k + 1)) + D) // (2 * D)
+                if L << k < R << e < H << k:
+                    sc = sign(_scaled_horner(f, R, k))
                     if sc == 0:
+                        cand = QQ(R, 1 << k)
                         return cand, cand
+                    if k > e:
+                        L, H, e = L << (k - e), H << (k - e), k
+                    R <<= e - k
                     if sc == slo:
-                        lo = cand
+                        L = R
                     else:
-                        hi = cand
+                        H = R
         # bisection keeps guaranteed progress regardless of Newton
-        mid = (lo + hi) / 2
-        sm = sign_at(sf, mid)
+        M, e = L + H, e + 1
+        sm = sign(_scaled_horner(f, M, e))
         if sm == 0:
+            mid = QQ(M, 1 << e)
             return mid, mid
         if sm == slo:
-            lo = mid
+            L, H = M, H << 1
         else:
-            hi = mid
-    return lo, hi
+            L, H = L << 1, M
+        # drop the trailing zero bits L and H share
+        z = min(e, ((L | H) & -(L | H)).bit_length() - 1)
+        L, H, e = L >> z, H >> z, e - z
+    return QQ(L, 1 << e), QQ(H, 1 << e)

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from lcpforge.embeddings import certified_poly_roots
 
 settings.register_profile(
     "ci",
@@ -8,3 +11,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True)
+def _fresh_root_certification():
+    # certified_poly_roots caches per (polynomial, bits) for the whole
+    # process; each test starts empty, so a test that patches the
+    # refinement reaches its patch instead of an earlier test's result
+    certified_poly_roots.cache_clear()

@@ -33,6 +33,7 @@ from lcpforge.errors import (
     NonUnitError,
     StructureError,
 )
+import lcpforge.embeddings as embeddings_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
@@ -258,6 +259,26 @@ def test_kourganoff_q2_passes():
     assert warp["power"] == 6
     with mp.workprec(200):
         assert abs(mp.mpf(warp["functional_coeff"][0]) - 3) < mp.mpf(2) ** -100
+
+
+def test_each_root_certification_is_refined_once(monkeypatch):
+    # the splitter's characteristic polynomial is the field's minimal
+    # polynomial here, so the block decomposition and the embeddings share
+    # one certification per (polynomial, working bits)
+    refined = []
+    original = embeddings_module._refined_real_roots
+
+    def counting(poly, workbits):
+        refined.append((poly, workbits))
+        return original(poly, workbits)
+
+    monkeypatch.setattr(embeddings_module, "_refined_real_roots", counting)
+    embeddings_module._embeddings_cached.cache_clear()
+    make_kourganoff(1, B_HYPERBOLIC, 128, seed=0)
+    make_rank_n_lcp(2, 128, seed=0)
+    assert (IntPoly((1, -3, 1)), 160) in refined
+    assert (IntPoly((-1, -2, 1, 1)), 160) in refined
+    assert len(refined) == len(set(refined))
 
 
 def test_kourganoff_rejects_inadmissible_power():

@@ -6,11 +6,11 @@ at the stored precision has to reproduce it byte for byte; a change that
 alters certificate bytes must bump the schema version instead.
 
 The corpus covers the real and complex eigenvector paths, cross terms and
-the rank check at 128 and 512 bits:
+the rank check at 128, 512 and 1024 bits:
 
 - ranklcp_n1_128, ranklcp_n2_128, ranklcp_n1_512: ``ranklcp --n N``
 - worked_example_128: ``worked-example``
-- kourganoff_q1_128: ``kourganoff --q 1 --matrix "2,1;1,1"``
+- kourganoff_q1_128, kourganoff_q1_1024: ``kourganoff --q 1 --matrix "2,1;1,1"``
 - kourganoff_q2_128: ``kourganoff --q 2 --matrix "0,0,1;1,0,1;0,1,0"``
 - ot_x3-x-1_128, ot_x3-x-1_512: ``ot --minpoly "x^3-x-1" --units "0,1,0"``
 - ot_lck_x4-x-1_128: ``ot --minpoly "x^4-x-1" --units "0,1,0,0;-1,1,0,0" --lck``
@@ -32,7 +32,7 @@ CORPUS = sorted((Path(__file__).parent / "data").glob("*.json"))
 
 
 def test_corpus_is_present():
-    assert len(CORPUS) == 9
+    assert len(CORPUS) == 10
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

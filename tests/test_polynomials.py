@@ -11,13 +11,14 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lcpforge._backend import QQ, ZZ
 from lcpforge.errors import InputError
 from lcpforge.polynomials import (
     IntPoly,
+    _scaled_horner,
     SturmChain,
     cauchy_root_bound,
     count_real_roots,
@@ -213,6 +214,17 @@ def test_poly_gcd():
 # Sturm counting and isolation
 
 
+@example(IntPoly((3, -2, 0, 5)), -7, 0)
+@example(IntPoly((3, -2, 0, 5)), -1, 3)
+@example(IntPoly((4,)), -9, 5)
+@example(IntPoly(()), 3, 2)
+@given(small_polys, st.integers(-(10 ** 6), 10 ** 6), st.integers(0, 40))
+def test_scaled_horner_matches_rational_horner(p, n, k):
+    # p(n / 2**k) * 2**(k*deg), negative n and k = 0 included
+    want = p(QQ(n, ZZ(1) << k)) * (ZZ(1) << (k * max(p.degree, 0)))
+    assert _scaled_horner(p.coeffs, n, k) == want
+
+
 def test_sign_at_dyadic_matches_rational():
     p = IntPoly((-1, -2, 1, 1))
     for q in (QQ(0), QQ(1, 2), QQ(-3, 4), QQ(5), QQ(-2), QQ(1, 3), QQ(7, 3)):
@@ -336,3 +348,92 @@ def test_refine_root_dyadic_roots():
         assert b - a <= QQ(1, ZZ(1) << 50)
         root = QQ(1, 2) if b > 0 else QQ(-1, 2)
         assert a <= root <= b
+
+
+def _fraction_refine_root(p, lo, hi, bits):
+    """refine_root as it was before the integer rewrite, in Fraction
+    arithmetic: the reference for the refinement trajectory."""
+    sf = squarefree_part(p)
+    lo, hi = QQ(lo), QQ(hi)
+    if lo == hi:
+        return lo, hi
+    target = QQ(1, ZZ(1) << bits)
+    slo = sign_at(sf, lo)
+    shi = sign_at(sf, hi)
+    if slo == 0:
+        return lo, lo
+    if shi == 0:
+        return hi, hi
+    if slo == shi:
+        raise InputError("interval endpoints do not bracket a sign change")
+    dsf = sf.derivative()
+
+    def width_bits(w):
+        num, den = ZZ(w.numerator), ZZ(w.denominator)
+        return int(den).bit_length() - int(num).bit_length()
+
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        fpm = dsf(mid)
+        if fpm != 0:
+            fm = sf(mid)
+            step = QQ(fm) / QQ(fpm)
+            cand = mid - step
+            if lo < cand < hi:
+                k = max(8, 2 * max(1, width_bits(hi - lo)) + 8)
+                scaled = cand * (ZZ(1) << k)
+                n, d = ZZ(scaled.numerator), ZZ(scaled.denominator)
+                cand = QQ((2 * n + d) // (2 * d), ZZ(1) << k)
+                if lo < cand < hi:
+                    sc = sign_at(sf, cand)
+                    if sc == 0:
+                        return cand, cand
+                    if sc == slo:
+                        lo = cand
+                    else:
+                        hi = cand
+        mid = (lo + hi) / 2
+        sm = sign_at(sf, mid)
+        if sm == 0:
+            return mid, mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+nonmonic_polys = st.tuples(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=7),
+    st.integers(2, 12),
+    st.sampled_from((1, -1)),
+).map(lambda t: IntPoly(t[0] + [t[1] * t[2]]))
+
+
+@given(nonmonic_polys, st.integers(8, 600), st.integers(0, 6))
+def test_refine_root_follows_the_fraction_trajectory(p, bits, pick):
+    # non-monic, degree 1..7: every endpoint equals the Fraction reference
+    assume(poly_gcd(p, p.derivative()).degree == 0)
+    intervals = isolate_real_roots(p)
+    assume(intervals)
+    lo, hi = intervals[pick % len(intervals)]
+    assert refine_root(p, lo, hi, bits) == _fraction_refine_root(p, lo, hi, bits)
+
+
+@pytest.mark.parametrize(
+    "coeffs,lo,hi,root",
+    [
+        # an endpoint is the root: returned before the loop
+        ((-1, 2), QQ(1, 2), QQ(1), QQ(1, 2)),
+        ((-1, 2), QQ(0), QQ(1, 2), QQ(1, 2)),
+        # the Newton candidate from the midpoint 0 is the root -7/2
+        ((7, 2), QQ(-5), QQ(5), QQ(-7, 2)),
+        # (2x + 1)(x^2 + x + 1): in the second pass the bracket is
+        # [-683/1024, -341/1024] after Newton, and its midpoint is -1/2
+        ((1, 3, 3, 2), QQ(-3), QQ(3), QQ(-1, 2)),
+    ],
+)
+def test_refine_root_exact_roots(coeffs, lo, hi, root):
+    p = IntPoly(coeffs)
+    assert refine_root(p, lo, hi, 20) == (root, root)
+    assert _fraction_refine_root(p, lo, hi, 20) == (root, root)
