@@ -28,10 +28,10 @@ from .embeddings import (
     MAX_PRECISION,
     _at_prec,
     _ratio_witnessed,
+    _stable_rank,
     default_precision,
     embeddings,
     log_vector,
-    multiplicative_rank,
     projected_log_rank,
     tolerance,
     validate_precision,
@@ -179,7 +179,8 @@ def make_dmatrix(n: int) -> DMatrixData:
         for j in range(i + 1, len(matrices)):
             if not commute(matrices[i], matrices[j]):
                 raise StructureError("unit matrices do not commute")
-    rank = multiplicative_rank(field, units)
+    # every unit passed require_unit above
+    rank = _stable_rank(field, units, default_precision(), None)
     if rank != int(n):
         raise StructureError(
             "independent units not found: the Galois orbit prefix has "
@@ -403,8 +404,9 @@ def _unit_ratio_check(emb, ratios):
 
 
 def _rank_check(ratios, flat_block, bits, expected):
-    # one stability pass decides the rank at bits and re-verifies it at
-    # 2*bits; the value it returns is the one measured at 2*bits
+    # the rank is proven at bits by a certified log minor, or else decided
+    # by the stability pass; value_at_doubled_precision and doubled_bits
+    # keep their schema-1 names and bytes and repeat that value
     value = lcp_rank(ratios, flat_block, bits)
     return {
         "expected": int(expected),

@@ -9,8 +9,9 @@ tolerance.
 
 Precision protocol: a request at B bits works internally at B + 32 guard
 bits and decisions use the tolerance 2**(-B/2).  Quantities that fail to
-certify raise NeedsEscalation.  A rank is decided at B bits and re-verified
-at 2B bits in one pass; only when the two disagree, or B bits does not
+certify raise NeedsEscalation.  A full rank is proven at B bits by one
+certified interval minor; otherwise the rank is decided at B bits and
+re-verified at 2B bits, and only when the two disagree, or B bits does not
 certify, is 4B bits tried before giving up with PrecisionError.
 """
 
@@ -112,6 +113,39 @@ def full_pivot_eliminate(a, cutoff):
             for j in range(step, ncols):
                 row[col_perm[j]] -= factor * pivot_row[col_perm[j]]
     return min(nrows, ncols), row_perm, col_perm
+
+
+def _iv_identity(n):
+    return [[iv.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def _iv_inverse(rows):
+    """Interval Gauss-Jordan inverse; pivots must exclude zero."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    inv = _iv_identity(n)
+    for col in range(n):
+        pivot_row = max(
+            range(col, n), key=lambda r: abs(mp.mpf(a[r][col].mid))
+        )
+        piv = a[pivot_row][col]
+        if mp.mpf(abs(piv).a) <= 0:
+            raise NeedsEscalation("interval pivot touches zero during inversion")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        piv = a[col][col]
+        for j in range(n):
+            a[col][j] = a[col][j] / piv
+            inv[col][j] = inv[col][j] / piv
+        for r in range(n):
+            if r == col:
+                continue
+            factor = a[r][col]
+            for j in range(n):
+                a[r][j] = a[r][j] - factor * a[col][j]
+                inv[r][j] = inv[r][j] - factor * inv[col][j]
+    return inv
 
 
 # ----------------------------------------------------------------------
@@ -386,20 +420,36 @@ def log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
 
 def _log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
     """log_vector without the unit check, for callers that have made it."""
-    s = emb.field.signature[0]
-    out = []
     with _at_prec(emb.workbits):
-        width_cap = tolerance(emb.bits) / 256
-        for index in range(emb.count):
-            enc = emb.log_abs_enclosure(elem, index)
+        return tuple(_capped_midpoints(emb, _log_rows(emb, [elem], None))[0])
+
+
+def _log_rows(emb: EmbeddingSet, units, coords):
+    """Enclosures of the log vectors of units, one row per unit.
+
+    Complex places carry weight 2, as in log_vector; coords, when given,
+    keeps only those places.  Call at emb.workbits.
+    """
+    s = emb.field.signature[0]
+    places = range(emb.count) if coords is None else coords
+    return [
+        [emb.log_abs_enclosure(u, i) * (1 if i < s else 2) for i in places]
+        for u in units
+    ]
+
+
+def _capped_midpoints(emb: EmbeddingSet, rows):
+    """Midpoints of log rows; NeedsEscalation when an entry is too wide
+    to support decisions at the set's tolerance."""
+    width_cap = tolerance(emb.bits) / 256
+    for row in rows:
+        for index, enc in enumerate(row):
             if mp.mpf(enc.delta) > width_cap:
                 raise NeedsEscalation(
-                    "log enclosure too wide at embedding %d" % index,
+                    "log enclosure too wide at log coordinate %d" % index,
                     precision_bits=2 * emb.bits,
                 )
-            value = mp.mpf(enc.mid)
-            out.append(value if index < s else 2 * value)
-    return tuple(out)
+    return [[mp.mpf(enc.mid) for enc in row] for row in rows]
 
 
 def _rank_at(
@@ -409,11 +459,34 @@ def _rank_at(
     coords: Optional[Sequence[int]] = None,
 ) -> int:
     emb = embeddings(field, bits)
-    rows = [list(_log_vector(emb, u)) for u in units]
-    if coords is not None:
-        rows = [[row[i] for i in coords] for row in rows]
     with _at_prec(emb.workbits):
+        rows = _capped_midpoints(emb, _log_rows(emb, units, coords))
         return full_pivot_eliminate(rows, tolerance(bits))[0]
+
+
+def _proved_full_rank(field, units, bits, coords) -> Optional[int]:
+    """Full rank of the log-embedding matrix, proven at bits, or None.
+
+    The matrix has one row per unit and one column per place, so its rank
+    is at most r = min(#units, #places); an r x r minor that is nonzero
+    proves it is r.  full_pivot_eliminate picks the minor on the midpoints
+    of the log enclosures, and _iv_inverse certifies it on the enclosures
+    themselves.  None when the midpoint rank is below r or an interval
+    pivot touches zero.
+    """
+    emb = embeddings(field, bits)
+    try:
+        with _at_prec(emb.workbits):
+            logs = _log_rows(emb, units, coords)
+            r = min(len(logs), len(logs[0]))
+            mids = [[mp.mpf(x.mid) for x in row] for row in logs]
+            rank, rows, cols = full_pivot_eliminate(mids, tolerance(bits))
+            if rank < r:
+                return None
+            _iv_inverse([[logs[i][j] for j in cols[:r]] for i in rows[:r]])
+    except NeedsEscalation:
+        return None
+    return r
 
 
 def multiplicative_rank(
@@ -421,14 +494,17 @@ def multiplicative_rank(
 ) -> int:
     """Rank of the subgroup generated by the given units.
 
-    Decided numerically on the logarithmic embedding at the requested
-    precision, then re-verified at doubled precision; one further
-    escalation is attempted before PrecisionError.  Unit-ness itself is
-    checked exactly first.
+    Unit-ness is checked exactly first.  A full rank is then proven at the
+    requested precision by one certified minor of the logarithmic
+    embedding; failing that, the rank is decided numerically and
+    re-verified at doubled precision, with one further escalation before
+    PrecisionError.
     """
     if bits is None:
         bits = default_precision()
     validate_precision(bits)
+    for u in units:
+        require_unit(u, "rank input")
     return _stable_rank(field, units, bits, None)
 
 
@@ -440,8 +516,8 @@ def projected_log_rank(
 ) -> int:
     """Rank of the logarithmic embeddings restricted to selected places.
 
-    Same escalation discipline as multiplicative_rank; coords index into
-    the log vector (real places first, then complex ones).
+    Same unit check and proof discipline as multiplicative_rank; coords
+    index into the log vector (real places first, then complex ones).
     """
     if bits is None:
         bits = default_precision()
@@ -453,22 +529,25 @@ def projected_log_rank(
             raise InputError("log coordinate %d out of range [0, %d)" % (i, s + t))
     if not coords:
         return 0
+    for u in units:
+        require_unit(u, "rank input")
     return _stable_rank(field, units, bits, coords)
 
 
 def _stable_rank(field, units, bits, coords):
-    """One stability pass of the log-embedding rank.
+    """Log-embedding rank of elements already checked to be units.
 
-    The rank is decided at bits and re-verified at 2*bits.  When bits does
-    not certify or the two disagree, one escalation to 4*bits must agree
-    with 2*bits; otherwise PrecisionError.  So the rank returned is always
-    the one measured at 2*bits.  coords, when given, restricts the log
-    vectors to those places.
+    A full rank is proven at bits by _proved_full_rank.  Otherwise one
+    stability pass decides: the rank at bits is re-verified at 2*bits, and
+    when bits does not certify or the two disagree, one escalation to
+    4*bits must agree with 2*bits; else PrecisionError.  coords, when
+    given, restricts the log vectors to those places.
     """
-    for u in units:
-        require_unit(u, "rank input")
     if not units:
         return 0
+    proved = _proved_full_rank(field, units, bits, coords)
+    if proved is not None:
+        return proved
     results = []
     for level in (bits, 2 * bits, 4 * bits):
         try:

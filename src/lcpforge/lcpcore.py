@@ -36,6 +36,7 @@ from .polynomials import poly_gcd
 from .embeddings import (
     GUARD_BITS,
     _at_prec,
+    _iv_inverse,
     certified_poly_roots,
     default_precision,
     embeddings,
@@ -63,10 +64,6 @@ def _iv_matrix(rows):
     return [[iv.mpf(x) for x in row] for row in rows]
 
 
-def _iv_identity(n):
-    return [[iv.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def _iv_matmul(a, b, zero):
     """a * b; each entry sums from zero in increasing index order."""
     n, k, m = len(a), len(b), len(b[0])
@@ -74,35 +71,6 @@ def _iv_matmul(a, b, zero):
         [sum((a[i][l] * b[l][j] for l in range(k)), zero) for j in range(m)]
         for i in range(n)
     ]
-
-
-def _iv_inverse(rows):
-    """Interval Gauss-Jordan inverse; pivots must exclude zero."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    inv = _iv_identity(n)
-    for col in range(n):
-        pivot_row = max(
-            range(col, n), key=lambda r: abs(mp.mpf(a[r][col].mid))
-        )
-        piv = a[pivot_row][col]
-        if mp.mpf(abs(piv).a) <= 0:
-            raise NeedsEscalation("interval pivot touches zero during inversion")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        piv = a[col][col]
-        for j in range(n):
-            a[col][j] = a[col][j] / piv
-            inv[col][j] = inv[col][j] / piv
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            for j in range(n):
-                a[r][j] = a[r][j] - factor * a[col][j]
-                inv[r][j] = inv[r][j] - factor * inv[col][j]
-    return inv
 
 
 def _mid(x):

@@ -775,15 +775,17 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
     the bracket the Newton step always lands on the same side of the root,
     so convergence is linear: one bisection per bit.  Certificates seal
     these endpoints, so the trajectory is part of the output.
+
+    p must be a squarefree IntPoly, as certified_poly_roots checks; the
+    trajectory depends on p only up to a constant factor.
     """
-    sf = squarefree_part(p)
     lo, hi = QQ(lo), QQ(hi)
     if lo == hi:
         return lo, hi
     (L, el), (H, eh) = _dyadic_parts(lo), _dyadic_parts(hi)
     e = max(el, eh)
     L, H = L << (e - el), H << (e - eh)
-    f, df = sf.coeffs, sf.derivative().coeffs
+    f, df = p.coeffs, p.derivative().coeffs
     slo = sign(_scaled_horner(f, L, e))
     shi = sign(_scaled_horner(f, H, e))
     if slo == 0:

@@ -37,6 +37,7 @@ import lcpforge.embeddings as embeddings_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
+import lcpforge.numberfield as numberfield_module
 from lcpforge.numberfield import field_new
 from lcpforge.polynomials import IntPoly
 
@@ -123,6 +124,22 @@ def test_dmatrix_units_are_galois_orbit_prefix():
     assert len(dm.units) == 3
     for l in range(1, 3):
         assert dm.units[l] == dm.exfield.sigma(dm.units[l - 1])
+
+
+def test_dmatrix_checks_each_unit_once(monkeypatch):
+    # require_unit derives one minimal polynomial per unit; the rank check
+    # that follows it does not derive them again
+    calls = []
+    original = numberfield_module.minimal_polynomial
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(numberfield_module, "minimal_polynomial", counting)
+    dm = make_dmatrix(8)
+    assert len(dm.units) == 8
+    assert len(calls) == 8
 
 
 def test_dmatrix_matrices_commute_in_gl():
@@ -279,6 +296,13 @@ def test_each_root_certification_is_refined_once(monkeypatch):
     assert (IntPoly((1, -3, 1)), 160) in refined
     assert (IntPoly((-1, -2, 1, 1)), 160) in refined
     assert len(refined) == len(set(refined))
+
+
+def test_kourganoff_rank_is_proven_without_refining_at_doubled_precision(refined_bits):
+    cert = make_kourganoff(1, B_HYPERBOLIC, 1024, seed=0)
+    assert cert.verdict == "PASS"
+    assert cert.checks["rank"]["value"] == 1
+    assert set(refined_bits) == {1024 + embeddings_module.GUARD_BITS}
 
 
 def test_kourganoff_rejects_inadmissible_power():

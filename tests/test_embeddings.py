@@ -7,7 +7,7 @@ formulas, not by the module under test.
 """
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from lcpforge._backend import QQ
 import lcpforge.embeddings as embeddings_module
@@ -19,6 +19,7 @@ from lcpforge.embeddings import (
     embeddings,
     log_vector,
     multiplicative_rank,
+    projected_log_rank,
     tolerance,
     validate_precision,
     verify_ratio_witness,
@@ -213,6 +214,64 @@ class TestMultiplicativeRank:
         assert multiplicative_rank(m7, [alpha.inverse(), sigma_alpha], 128) == base
         assert multiplicative_rank(m7, [alpha, sigma_alpha * alpha], 128) == base
         assert multiplicative_rank(m7, [alpha * sigma_alpha ** 2, sigma_alpha], 128) == base
+
+
+class TestRankProof:
+    """A full rank is proven by one interval minor at the requested bits;
+    anything else falls back to the stability pass at bits and 2*bits."""
+
+    def test_full_rank_is_proven_at_the_requested_precision(self, m7, refined_bits):
+        units = [m7.gen(), m7.from_coords((-2, 0, 1))]
+        assert multiplicative_rank(m7, units, 256) == 2
+        assert refined_bits == [256 + GUARD_BITS]
+
+    def test_projected_full_rank_with_more_units_than_coords(self, m7, refined_bits):
+        # three conjugates span rank 2; any two places see all of it
+        tau = galois_generator(m7)
+        alpha = m7.gen()
+        units = [alpha, tau.apply(alpha), tau.power(2).apply(alpha)]
+        assert projected_log_rank(m7, units, (0, 1), 128) == 2
+        assert refined_bits == [128 + GUARD_BITS]
+
+    @pytest.mark.parametrize(
+        "make_units, coords",
+        [
+            (lambda a: [a, a ** 2], None),
+            (lambda a: [a, -a], None),
+            (lambda a: [a, a ** 2, -a], (0, 1)),
+        ],
+        ids=["u-u2", "u-minus-u", "projected-3-units-2-coords"],
+    )
+    def test_rank_deficient_units_fall_back(self, m7, refined_bits, make_units, coords):
+        units = make_units(m7.gen())
+        assert embeddings_module._proved_full_rank(m7, units, 128, coords) is None
+        if coords is None:
+            assert multiplicative_rank(m7, units, 128) == 1
+        else:
+            assert projected_log_rank(m7, units, coords, 128) == 1
+        # the stability pass re-verifies at doubled precision
+        assert refined_bits == [128 + GUARD_BITS, 256 + GUARD_BITS]
+
+    def test_minor_with_a_pivot_touching_zero_is_refused(self, m7, monkeypatch):
+        units = [m7.gen(), m7.from_coords((-2, 0, 1))]
+        assert embeddings_module._proved_full_rank(m7, units, 128, None) == 2
+        original = EmbeddingSet.log_abs_enclosure
+
+        def widened(self, elem, index):
+            # same midpoints, so the midpoint rank is still 2; the first
+            # pivot, about -0.81 +- 0.5, excludes zero and the second
+            # touches it
+            return original(self, elem, index) + iv.mpf([-0.5, 0.5])
+
+        monkeypatch.setattr(EmbeddingSet, "log_abs_enclosure", widened)
+        assert embeddings_module._proved_full_rank(m7, units, 128, None) is None
+        # the fallback's log vectors are too wide at every level
+        with pytest.raises(PrecisionError):
+            multiplicative_rank(m7, units, 128)
+
+    def test_projected_rank_rejects_non_units(self, m7):
+        with pytest.raises(NonUnitError):
+            projected_log_rank(m7, [m7.gen(), m7.from_rational(2)], (0,), 128)
 
 
 class TestVerifyRatioWitness:

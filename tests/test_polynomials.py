@@ -420,6 +420,16 @@ def test_refine_root_follows_the_fraction_trajectory(p, bits, pick):
     assert refine_root(p, lo, hi, bits) == _fraction_refine_root(p, lo, hi, bits)
 
 
+@given(nonmonic_polys, st.integers(8, 600), st.integers(0, 6), st.sampled_from((-1, 3, -6)))
+def test_refine_root_ignores_a_constant_factor(p, bits, pick, c):
+    # -p and the non-primitive c*p follow the trajectory of p
+    assume(poly_gcd(p, p.derivative()).degree == 0)
+    intervals = isolate_real_roots(p)
+    assume(intervals)
+    lo, hi = intervals[pick % len(intervals)]
+    assert refine_root(IntPoly((c,)) * p, lo, hi, bits) == refine_root(p, lo, hi, bits)
+
+
 @pytest.mark.parametrize(
     "coeffs,lo,hi,root",
     [
