@@ -1,46 +1,8 @@
 """Integer and rational arithmetic backend.
 
-All exact arithmetic in this package runs on big integers and big rationals.
-gmpy2 provides compiled implementations (mpz, mpq); the fallback uses the
-interpreter's own int and fractions.Fraction, which expose the same operator
-surface and the same str() forms ("3", "-7/2").  The choice is made once at
-import time.  Set LCPFORGE_BACKEND=python to force the fallback, e.g. when
-benchmarking one against the other.
+All exact arithmetic in this package runs on the interpreter's own int and
+fractions.Fraction.  perfbench/op.py's facts() reads BACKEND into every
+benchmark record.
 """
 
-import os
-
-_choice = os.environ.get("LCPFORGE_BACKEND", "auto").lower()
-if _choice not in ("auto", "gmpy2", "python"):
-    raise RuntimeError(
-        "LCPFORGE_BACKEND must be one of auto, gmpy2, python; got %r" % _choice
-    )
-
 BACKEND = "python"
-if _choice in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as QQ, mpz as ZZ  # noqa: F401
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-
-if BACKEND == "python":
-    from fractions import Fraction as QQ  # noqa: F401
-
-    ZZ = int
-
-
-def qq_from_string(text):
-    """Parse "n" or "n/d" (decimal integers) into a backend rational."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return QQ(ZZ(num.strip()), ZZ(den.strip()))
-    return QQ(ZZ(text))
-
-
-def qq_to_string(q):
-    """Render a backend rational as "n" or "n/d".  Both backends agree."""
-    return str(q)

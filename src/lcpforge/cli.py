@@ -8,11 +8,9 @@ usage errors.
 
 import argparse
 import os
-import re
 import sys
 import tempfile
 
-from ._backend import QQ
 from .certio import SCHEMA_VERSION, canonical_json, load_certificate
 from .constructions import (
     make_dmatrix,
@@ -32,67 +30,17 @@ from .errors import (
     PrecisionError,
     StructureError,
 )
-from .intlinalg import IntMatrix, matrix_to_json
+from .intlinalg import matrix_from_string, matrix_to_json
 from .numberfield import field_new
-from .polynomials import IntPoly, poly_to_json, rat_to_json
+from .polynomials import poly_from_string, poly_to_json, rat_from_json, rat_to_json
 from . import __version__
-
-_TERM = re.compile(r"^([+-]?)(\d+)?(?:([xX])(?:\^(\d+))?)?$")
-
-
-def parse_poly(text: str) -> IntPoly:
-    """Polynomial grammar: integer terms in x, e.g. "x^3+x^2-2x-1"."""
-    compact = "".join(text.split())
-    if not compact:
-        raise InputError("empty polynomial text")
-    terms = re.findall(r"[+-]?[^+-]+|[+-]", compact)
-    coeffs = {}
-    for term in terms:
-        m = _TERM.match(term)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise InputError("cannot parse polynomial term %r" % term)
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = sign * int(m.group(2) if m.group(2) is not None else 1)
-        if m.group(3) is None:
-            power = 0
-        else:
-            power = int(m.group(4)) if m.group(4) is not None else 1
-        coeffs[power] = coeffs.get(power, 0) + coeff
-    degree = max(coeffs)
-    return IntPoly(tuple(coeffs.get(k, 0) for k in range(degree + 1)))
-
-
-def parse_matrix(text: str) -> IntMatrix:
-    """Matrix grammar: row-major integer entries, "a,b;c,d"."""
-    try:
-        rows = tuple(
-            tuple(int(entry.strip()) for entry in row.split(","))
-            for row in text.split(";")
-        )
-    except ValueError:
-        raise InputError("cannot parse matrix text %r" % text) from None
-    try:
-        return IntMatrix(rows)
-    except (InputError, ValueError) as exc:
-        raise InputError("bad matrix %r: %s" % (text, exc)) from None
-
-
-def _parse_rational(text: str):
-    text = text.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return QQ(int(num), int(den))
-        return QQ(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise InputError("cannot parse rational %r" % text) from None
 
 
 def parse_units(text: str):
     """Unit grammar: one power-basis coordinate row per unit,
     "0,1,0;-1,1,0" with rational entries."""
     return [
-        [_parse_rational(entry) for entry in row.split(",")]
+        [rat_from_json(entry) for entry in row.split(",")]
         for row in text.split(";")
     ]
 
@@ -282,10 +230,10 @@ def _dispatch(args) -> int:
         cert = make_rank_n_lcp(args.n, bits, args.seed)
         return _emit(cert.document, args)
     if args.command == "kourganoff":
-        cert = make_kourganoff(args.q, parse_matrix(args.matrix), bits, args.seed)
+        cert = make_kourganoff(args.q, matrix_from_string(args.matrix), bits, args.seed)
         return _emit(cert.document, args)
     if args.command == "ot":
-        minpoly = parse_poly(args.minpoly)
+        minpoly = poly_from_string(args.minpoly)
         field = field_new(minpoly)
         units = [field.from_coords(row) for row in parse_units(args.units)]
         _, cert = make_ot(minpoly, units, bits, args.seed, lck=args.lck)

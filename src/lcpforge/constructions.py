@@ -10,11 +10,11 @@ specified as a hard failure.
 """
 
 import itertools
+from fractions import Fraction
 
 from mpmath import mp
 
 from . import __version__
-from ._backend import QQ
 from .certio import (
     LcpCertificate,
     SCHEMA_VERSION,
@@ -146,13 +146,15 @@ class DMatrixData:
         return self.exfield.field.degree
 
 
-def make_dmatrix(n: int) -> DMatrixData:
+def make_dmatrix(n: int, precision=None) -> DMatrixData:
     """n commuting matrices in GL_p(Z) whose common eigenvector carries a
     multiplicatively independent family of unit eigenvalues.
 
     The units are the Galois orbit prefix of the field generator; each is
     read off exactly in the power basis and turned into a polynomial of
-    the companion matrix.
+    the companion matrix.  Their rank is decided at precision bits
+    (default: default_precision()), so a pipeline passes its own bits and
+    certifies the field's roots once.
     """
     ex = make_exfield(int(n))
     field = ex.field
@@ -180,7 +182,8 @@ def make_dmatrix(n: int) -> DMatrixData:
             if not commute(matrices[i], matrices[j]):
                 raise StructureError("unit matrices do not commute")
     # every unit passed require_unit above
-    rank = _stable_rank(field, units, default_precision(), None)
+    bits = default_precision() if precision is None else precision
+    rank = _stable_rank(field, units, bits, None)
     if rank != int(n):
         raise StructureError(
             "independent units not found: the Galois orbit prefix has "
@@ -341,7 +344,7 @@ def _metric_section(spec):
         "cross_terms": [
             {
                 "blocks": [term.k, term.k2],
-                "table": [[rat_to_json(QQ(x)) for x in row] for row in term.table],
+                "table": [[rat_to_json(x) for x in row] for row in term.table],
                 "functional": _functional_payload(term.functional, workbits),
                 "epsilon": enc_float(term.epsilon, workbits),
             }
@@ -350,7 +353,7 @@ def _metric_section(spec):
         "extensions": [
             {
                 "functional": _functional_payload(ext.functional, workbits),
-                "gram": [[rat_to_json(QQ(x)) for x in row] for row in ext.gram],
+                "gram": [[rat_to_json(x) for x in row] for row in ext.gram],
             }
             for ext in spec.extensions
         ],
@@ -461,7 +464,7 @@ def make_rank_n_lcp(n: int, precision=None, seed: int = 0) -> LcpCertificate:
     n = int(n)
     bits = validate_precision(default_precision() if precision is None else precision)
     builder = _Builder("ranklcp", {"n": n}, bits, int(seed))
-    dm = make_dmatrix(n)
+    dm = make_dmatrix(n, bits)
     return _assemble_rank_certificate(builder, dm, n, bits, int(seed))
 
 
@@ -548,7 +551,7 @@ def worked_rank2_example(precision=None, seed: int = 0) -> LcpCertificate:
     """
     bits = validate_precision(default_precision() if precision is None else precision)
     builder = _Builder("worked-example", {}, bits, int(seed))
-    dm = make_dmatrix(2)
+    dm = make_dmatrix(2, bits)
     if dm.matrices[0] != _RANK2_A1:
         raise CheckFailureError("golden comparison failed for the first unit matrix")
     if dm.matrices[1] != _RANK2_A2:
@@ -675,7 +678,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     lam_power = lam_elem ** power
     exact_ok = True
     for i in range(1, WARP_SAMPLE_POINTS + 1):
-        t = field.from_rational(QQ(i, 7) + 1)
+        t = field.from_rational(Fraction(i, 7) + 1)
         if (lam_elem * t) ** power != lam_power * t ** power:
             exact_ok = False
             break

@@ -24,7 +24,6 @@ from typing import Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
-from ._backend import QQ
 from .errors import InputError, NeedsEscalation, PrecisionError
 from .numberfield import FieldElem, NumberField, require_unit
 from .polynomials import (
@@ -153,12 +152,12 @@ def _iv_inverse(rows):
 
 
 def _iv_from_rational(q):
-    return iv.mpf(int(q.numerator)) / iv.mpf(int(q.denominator))
+    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
 def _iv_from_dyadic_pair(lo, hi):
-    a = _iv_from_rational(QQ(lo))
-    b = _iv_from_rational(QQ(hi))
+    a = _iv_from_rational(lo)
+    b = _iv_from_rational(hi)
     return iv.mpf([a.a, b.b])
 
 
@@ -189,14 +188,14 @@ def _box_horner(coeffs: Sequence, z):
     acc = _box(zero, zero)
     for c in reversed(coeffs):
         acc = _box_mul(acc, z)
-        acc = _box_add(acc, _box(_iv_from_rational(QQ(c)), zero))
+        acc = _box_add(acc, _box(_iv_from_rational(c), zero))
     return acc
 
 
 def _iv_horner(coeffs: Sequence, x):
     acc = iv.mpf(0)
     for c in reversed(coeffs):
-        acc = acc * x + _iv_from_rational(QQ(c))
+        acc = acc * x + _iv_from_rational(c)
     return acc
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable, List, Sequence, Tuple
 
-from ._backend import ZZ
 from .errors import InputError
-from .polynomials import IntPoly, int_poly_exact_div
+from .polynomials import IntPoly, as_int, int_poly_exact_div
 
 
 class IntMatrix:
@@ -23,7 +22,7 @@ class IntMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(ZZ(x) for x in row) for row in rows)
+        rows = tuple(tuple(x if type(x) is int else as_int(x) for x in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InputError("matrix must be square and non-empty")
@@ -35,7 +34,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(ZZ(1) if i == j else ZZ(0) for j in range(n)) for i in range(n))
+        return cls(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
     def __getitem__(self, ij: Tuple[int, int]):
         i, j = ij
@@ -64,12 +63,12 @@ class IntMatrix:
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.rows
             )
-        if isinstance(other, int) or type(other) is type(ZZ(0)):
+        if isinstance(other, int):
             return IntMatrix(tuple(a * other for a in row) for row in self.rows)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, int) or type(other) is type(ZZ(0)):
+        if isinstance(other, int):
             return self * other
         return NotImplemented
 
@@ -101,7 +100,7 @@ class IntMatrix:
         return self.rows == other.rows
 
     def __hash__(self):
-        return hash(tuple(tuple(int(x) for x in row) for row in self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in row) for row in self.rows)
@@ -117,9 +116,9 @@ def companion(p: IntPoly) -> IntMatrix:
     if not p.is_monic() or p.degree < 1:
         raise InputError("companion matrix needs a monic polynomial of degree >= 1")
     d = p.degree
-    rows = [[ZZ(0)] * d for _ in range(d)]
+    rows = [[0] * d for _ in range(d)]
     for i in range(1, d):
-        rows[i][i - 1] = ZZ(1)
+        rows[i][i - 1] = 1
     for i in range(d):
         rows[i][d - 1] = -p.coeffs[i]
     return IntMatrix(rows)
@@ -151,7 +150,7 @@ def _bareiss(m, one, exact_div):
 
 def det(a: IntMatrix):
     """Bareiss determinant over Z."""
-    return _bareiss([list(row) for row in a.rows], ZZ(1), operator.floordiv)
+    return _bareiss([list(row) for row in a.rows], 1, operator.floordiv)
 
 
 def is_gl_z(a: IntMatrix) -> bool:
@@ -165,7 +164,7 @@ def char_poly(a: IntMatrix) -> IntPoly:
     n = a.n
     x = IntPoly((0, 1))
     m = [
-        [x - ZZ(a.rows[i][j]) if i == j else IntPoly((-a.rows[i][j],)) for j in range(n)]
+        [x - a.rows[i][j] if i == j else IntPoly((-a.rows[i][j],)) for j in range(n)]
         for i in range(n)
     ]
     return _bareiss(m, IntPoly((1,)), int_poly_exact_div)
@@ -269,7 +268,7 @@ def matrix_to_json(a: IntMatrix) -> List[List[str]]:
 
 def matrix_from_json(data) -> IntMatrix:
     try:
-        return IntMatrix(tuple(ZZ(str(x)) for x in row) for row in data)
+        return IntMatrix(tuple(int(str(x)) for x in row) for row in data)
     except (ValueError, TypeError) as exc:
         raise InputError("bad matrix JSON: %s" % exc) from None
 
@@ -282,7 +281,7 @@ def matrix_from_string(text: str) -> IntMatrix:
         if not entries or any(not e for e in entries):
             raise InputError("bad matrix text %r" % text)
         try:
-            rows.append(tuple(ZZ(e) for e in entries))
+            rows.append(tuple(int(e) for e in entries))
         except ValueError:
             raise InputError("non-integer matrix entry in %r" % text) from None
     return IntMatrix(rows)

@@ -18,11 +18,11 @@ behind each flat-block ratio.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import iv, mp
 
-from ._backend import QQ
 from .errors import (
     CheckFailureError,
     InputError,
@@ -31,7 +31,7 @@ from .errors import (
     StructureError,
 )
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
-from .numberfield import FieldElem, is_unit
+from .numberfield import FieldElem
 from .polynomials import poly_gcd
 from .embeddings import (
     GUARD_BITS,
@@ -78,13 +78,12 @@ def _mid(x):
 
 
 def _mpf_from_rational(q):
-    q = QQ(q)
-    return mp.mpf(int(q.numerator)) / mp.mpf(int(q.denominator))
+    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
 
 
 def _to_mpf(x):
     """Convert a scalar (mpf, int, float, or exact rational) to mpf."""
-    if hasattr(x, "numerator") and not isinstance(x, int):
+    if isinstance(x, Fraction):
         return _mpf_from_rational(x)
     return mp.mpf(x)
 
@@ -244,7 +243,7 @@ def _decompose_at(splitter, chi, p, precision, attempt) -> BlockDecomposition:
         blocks: List[Tuple[int, int]] = []
         # descending real eigenvalues, then complex pairs
         for lo, hi in reversed(real_roots):
-            lam = _mpf_from_rational((QQ(lo) + QQ(hi)) / 2)
+            lam = _mpf_from_rational((lo + hi) / 2)
             rows = [
                 [mp.mpf(int(splitter[i, j])) - (lam if i == j else 0) for j in range(p)]
                 for i in range(p)
@@ -515,7 +514,7 @@ class SimilarityGenerator:
             raise InputError("linear part must be in GL(p, Z)")
         self.label = str(label)
         self.linear = linear
-        self.translation = tuple(QQ(t) for t in translation)
+        self.translation = tuple(Fraction(t) for t in translation)
         if len(self.translation) != linear.n:
             raise InputError("translation length must match the linear part")
         self.base_translation = tuple(base_translation)
@@ -553,11 +552,6 @@ def lcp_rank(ratios: RatioMatrix, flat_block: int,
         units.append(w.element)
         field = w.element.field
     return multiplicative_rank(field, units, bits)
-
-
-def verify_unit_ratio(lam: FieldElem) -> bool:
-    """True iff the ratio witness is an algebraic unit (exact check)."""
-    return is_unit(lam)
 
 
 # ----------------------------------------------------------------------

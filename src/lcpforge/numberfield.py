@@ -15,9 +15,9 @@ too.  Anything else is reported as inconclusive rather than assumed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from ._backend import QQ, ZZ, qq_from_string, qq_to_string
 from .errors import (
     InconclusiveIrreducibilityError,
     InputError,
@@ -32,6 +32,7 @@ from .polynomials import (
     count_real_roots,
     is_prime,
     poly_gcd,
+    rat_from_json,
     real_subfield_minpoly,
     trace_poly,
 )
@@ -53,7 +54,7 @@ class NumberField:
         raise AttributeError("NumberField is immutable")
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, (QQ(0),) * self.degree)
+        return FieldElem(self, (0,) * self.degree)
 
     def one(self) -> "FieldElem":
         return self.from_rational(1)
@@ -62,17 +63,17 @@ class NumberField:
         if self.degree == 1:
             # the root of x - c is the rational c itself
             return self.from_rational(-self.minpoly.coeff(0))
-        coords = [QQ(0)] * self.degree
-        coords[1] = QQ(1)
+        coords = [0] * self.degree
+        coords[1] = 1
         return FieldElem(self, coords)
 
     def from_rational(self, q) -> "FieldElem":
-        coords = [QQ(0)] * self.degree
-        coords[0] = QQ(q)
+        coords = [0] * self.degree
+        coords[0] = q
         return FieldElem(self, coords)
 
     def from_coords(self, coords: Sequence) -> "FieldElem":
-        coords = tuple(QQ(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != self.degree:
             raise InputError(
                 "expected %d coordinates, got %d" % (self.degree, len(coords))
@@ -105,7 +106,7 @@ class FieldElem:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: NumberField, coords: Sequence):
-        coords = tuple(QQ(c) for c in coords)
+        coords = tuple(Fraction(c) for c in coords)
         if len(coords) != field.degree:
             raise InputError("coordinate length mismatch")
         object.__setattr__(self, "field", field)
@@ -126,7 +127,7 @@ class FieldElem:
     def as_int_poly(self) -> IntPoly:
         if not self.is_integral_coords():
             raise InputError("element has non-integer coordinates")
-        return IntPoly(ZZ(c.numerator) for c in self.coords)
+        return IntPoly(c.numerator for c in self.coords)
 
     # ------------------------------------------------------------------
     def _coerce(self, other) -> Optional["FieldElem"]:
@@ -134,7 +135,7 @@ class FieldElem:
             if other.field != self.field:
                 raise InputError("elements live in different fields")
             return other
-        if isinstance(other, int) or type(other) is type(ZZ(0)) or type(other) is type(QQ(0)):
+        if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return None
 
@@ -159,8 +160,8 @@ class FieldElem:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int) or type(other) is type(ZZ(0)) or type(other) is type(QQ(0)):
-            return FieldElem(self.field, tuple(a * QQ(other) for a in self.coords))
+        if isinstance(other, (int, Fraction)):
+            return FieldElem(self.field, tuple(a * other for a in self.coords))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -177,7 +178,7 @@ class FieldElem:
         b = self.field.minpoly.to_rat()
         # track u with u*a == gcd modulo minpoly
         r0, r1 = a, b
-        u0, u1 = RatPoly((QQ(1),)), RatPoly(())
+        u0, u1 = RatPoly((1,)), RatPoly(())
         while not r1.is_zero():
             q, r = r0.divmod(r1)
             r0, r1 = r1, r
@@ -187,7 +188,7 @@ class FieldElem:
             raise ReduciblePolynomialError(
                 "field polynomial shares a factor with an element; field is broken"
             )
-        inv_poly = u0 * (QQ(1) / r0.constant())
+        inv_poly = u0 * (1 / r0.constant())
         return self.field.from_rat_poly(inv_poly)
 
     def __truediv__(self, other):
@@ -215,14 +216,14 @@ class FieldElem:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(ZZ(0)), type(QQ(0)))):
+        if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
         return self.field == other.field and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.field, tuple((int(c.numerator), int(c.denominator)) for c in self.coords)))
+        return hash((self.field, tuple((c.numerator, c.denominator) for c in self.coords)))
 
     def __repr__(self):
         from .polynomials import poly_to_string
@@ -231,32 +232,11 @@ class FieldElem:
         return "FieldElem(%s)" % body
 
     def to_json(self) -> List[str]:
-        return [qq_to_string(c) for c in self.coords]
+        return [str(c) for c in self.coords]
 
 
 def elem_from_json(field: NumberField, data: Sequence[str]) -> FieldElem:
-    try:
-        return field.from_coords([qq_from_string(str(c)) for c in data])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad element JSON: %s" % exc) from None
-
-
-def elem_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    """String-dispatched arithmetic surface: add, sub, mul, div, pow."""
-    if op == "pow":
-        # exponent must be a rational integer element
-        if any(c for c in b.coords[1:]) or b.coords[0].denominator != 1:
-            raise InputError("pow exponent must be a rational integer")
-        return a ** int(b.coords[0])
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InputError("unknown field operation %r" % op)
+    return field.from_coords([rat_from_json(c) for c in data])
 
 
 # ----------------------------------------------------------------------
@@ -335,19 +315,19 @@ def _trial_divisors(n: int, limit: int = 10 ** 6) -> Tuple[List[int], bool]:
 def _rational_roots(p: IntPoly) -> Tuple[List, bool]:
     """Rational roots via the integer root theorem; flag says 'complete'."""
     if p.constant() == 0:
-        return [QQ(0)], True
+        return [Fraction(0)], True
     nums, cn = _trial_divisors(p.constant())
     dens, cd = _trial_divisors(p.leading())
     roots = []
     for a in nums:
         for b in dens:
-            for cand in (QQ(a, b), QQ(-a, b)):
+            for cand in (Fraction(a, b), Fraction(-a, b)):
                 if p(cand) == 0 and cand not in roots:
                     roots.append(cand)
     return roots, cn and cd
 
 def _poly_mod(p: IntPoly, q: int) -> List[int]:
-    return [int(c) % q for c in p.coeffs]
+    return [c % q for c in p.coeffs]
 
 
 def _pm_trim(a: List[int]) -> List[int]:
@@ -474,7 +454,7 @@ def irreducibility_heuristic(p: IntPoly) -> Tuple[str, str]:
         return "reducible", "repeated factor (gcd with derivative is nonconstant)"
     roots, complete = _rational_roots(p)
     if roots:
-        return "reducible", "rational root %s" % qq_to_string(roots[0])
+        return "reducible", "rational root %s" % roots[0]
     if d <= 3 and complete:
         return "irreducible", "degree <= 3 with no rational root"
     patterns = []

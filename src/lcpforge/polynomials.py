@@ -14,9 +14,9 @@ sign-change bracket (one bit per pass) so that every enclosure is certified.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from ._backend import QQ, ZZ, qq_from_string, qq_to_string
 from .errors import InputError
 
 
@@ -27,13 +27,26 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
+def as_int(c) -> int:
+    """c as an int.  An int or a Fraction with denominator 1 converts;
+    anything else, such as 1/2 or a float, raises InputError rather than
+    being truncated."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    raise InputError("expected an integer, got %r" % (c,))
+
+
 class IntPoly:
     """Dense polynomial with integer coefficients, lowest degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", _strip(ZZ(c) for c in coeffs))
+        object.__setattr__(
+            self, "coeffs", _strip(c if type(c) is int else as_int(c) for c in coeffs)
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -53,18 +66,18 @@ class IntPoly:
 
     def leading(self):
         if not self.coeffs:
-            return ZZ(0)
+            return 0
         return self.coeffs[-1]
 
     def constant(self):
         if not self.coeffs:
-            return ZZ(0)
+            return 0
         return self.coeffs[0]
 
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return ZZ(0)
+        return 0
 
     # ------------------------------------------------------------------
     # ring operations
@@ -95,7 +108,7 @@ class IntPoly:
         return _as_int_poly(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int) or type(other) is type(ZZ(0)):
+        if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
         other = _as_int_poly(other)
         if other is NotImplemented:
@@ -103,7 +116,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly(())
-        out = [ZZ(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
@@ -139,14 +152,14 @@ class IntPoly:
         """Multiply by x**k."""
         if self.is_zero():
             return self
-        return IntPoly((ZZ(0),) * k + self.coeffs)
+        return IntPoly((0,) * k + self.coeffs)
 
     def reverse(self) -> "IntPoly":
         """x**deg * p(1/x).  Roots map to their inverses."""
         return IntPoly(reversed(self.coeffs))
 
     def content(self):
-        g = ZZ(0)
+        g = 0
         for c in self.coeffs:
             g = _gcd(g, c)
         return g
@@ -161,7 +174,7 @@ class IntPoly:
         return IntPoly(c // g for c in self.coeffs)
 
     def to_rat(self) -> "RatPoly":
-        return RatPoly(QQ(c) for c in self.coeffs)
+        return RatPoly(self.coeffs)
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
@@ -171,7 +184,7 @@ class IntPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("IntPoly",) + tuple(int(c) for c in self.coeffs))
+        return hash(("IntPoly",) + self.coeffs)
 
     def __repr__(self):
         return "IntPoly(%s)" % poly_to_string(self)
@@ -180,7 +193,7 @@ class IntPoly:
 def _as_int_poly(x):
     if isinstance(x, IntPoly):
         return x
-    if isinstance(x, int) or type(x) is type(ZZ(0)):
+    if isinstance(x, int):
         return IntPoly((x,))
     return NotImplemented
 
@@ -198,7 +211,7 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", _strip(QQ(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _strip(Fraction(c) for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -215,18 +228,18 @@ class RatPoly:
 
     def leading(self):
         if not self.coeffs:
-            return QQ(0)
+            return Fraction(0)
         return self.coeffs[-1]
 
     def constant(self):
         if not self.coeffs:
-            return QQ(0)
+            return Fraction(0)
         return self.coeffs[0]
 
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return QQ(0)
+        return Fraction(0)
 
     def __add__(self, other):
         other = _as_rat_poly(other)
@@ -256,14 +269,14 @@ class RatPoly:
 
     def __mul__(self, other):
         if _is_rational_scalar(other):
-            return RatPoly(c * QQ(other) for c in self.coeffs)
+            return RatPoly(c * Fraction(other) for c in self.coeffs)
         other = _as_rat_poly(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return RatPoly(())
-        out = [QQ(0)] * (len(a) + len(b) - 1)
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
@@ -292,7 +305,7 @@ class RatPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [QQ(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
         dlead = other.leading()
         dd = other.degree
         while len(rem) - 1 >= dd and any(c != 0 for c in rem):
@@ -310,11 +323,11 @@ class RatPoly:
 
     def clear_denominators(self) -> IntPoly:
         """Smallest positive integer multiple with integer coefficients."""
-        lcm = ZZ(1)
+        lcm = 1
         for c in self.coeffs:
-            den = ZZ(c.denominator)
+            den = c.denominator
             lcm = lcm // _gcd(lcm, den) * den
-        return IntPoly(ZZ(c * lcm) for c in self.coeffs)
+        return IntPoly(c.numerator * (lcm // c.denominator) for c in self.coeffs)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -322,7 +335,7 @@ class RatPoly:
     def to_int(self) -> IntPoly:
         if not self.is_integral():
             raise InputError("polynomial has non-integer coefficients")
-        return IntPoly(ZZ(c.numerator) for c in self.coeffs)
+        return IntPoly(c.numerator for c in self.coeffs)
 
     def __eq__(self, other):
         other = _as_rat_poly(other)
@@ -331,14 +344,14 @@ class RatPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("RatPoly",) + tuple((int(c.numerator), int(c.denominator)) for c in self.coeffs))
+        return hash(("RatPoly",) + tuple((c.numerator, c.denominator) for c in self.coeffs))
 
     def __repr__(self):
         return "RatPoly(%s)" % poly_to_string(self)
 
 
 def _is_rational_scalar(x):
-    return isinstance(x, int) or type(x) is type(ZZ(0)) or type(x) is type(QQ(0))
+    return isinstance(x, (int, Fraction))
 
 
 def _as_rat_poly(x):
@@ -347,7 +360,7 @@ def _as_rat_poly(x):
     if isinstance(x, IntPoly):
         return x.to_rat()
     if _is_rational_scalar(x):
-        return RatPoly((QQ(x),))
+        return RatPoly((x,))
     return NotImplemented
 
 
@@ -385,30 +398,6 @@ def squarefree_part(p) -> IntPoly:
         return p.clear_denominators().primitive()
     q, _ = p.divmod(g)
     return q.clear_denominators().primitive()
-
-
-def squarefree_decomposition(p) -> List[Tuple[IntPoly, int]]:
-    """Yun's algorithm: [(factor_i, multiplicity_i)] with squarefree,
-    pairwise coprime factors whose weighted product rebuilds p/lc."""
-    p = _as_rat_poly(p).monic()
-    out: List[Tuple[IntPoly, int]] = []
-    if p.degree <= 0:
-        return out
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b, _ = p.divmod(a)
-    c, _ = dp.divmod(a)
-    d = c - b.derivative()
-    k = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            out.append((g.clear_denominators().primitive(), k))
-        b, _ = b.divmod(g)
-        c, _ = d.divmod(g)
-        d = c - b.derivative()
-        k += 1
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -487,47 +476,35 @@ def real_subfield_minpoly(m: int) -> IntPoly:
 
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
-    r"(?:(?P<var>[a-zA-Z])\s*(?:\^\s*(?P<exp>\d+))?)?"
+    r"(?P<sign>[+-])?\s*(?P<coeff>\d+)?\s*(?P<star>\*)?\s*"
+    r"(?:(?P<var>[xX])\s*(?:\^\s*(?P<exp>\d+))?)?\s*"
 )
 
 
 def poly_from_string(text: str) -> IntPoly:
-    """Parse forms like "x^3+x^2-2x-1", "3", "-x", "2*x^2 - 7"."""
+    """Parse integer polynomials in x or X: "x^3+x^2-2x-1", "3", "-x",
+    "2*x^2 - 7".  A "*" may sit only between a coefficient and x."""
     s = text.strip()
     if not s:
         raise InputError("empty polynomial text")
     pos = 0
     terms = {}
-    varname = None
-    first = True
     while pos < len(s):
         mo = _TERM_RE.match(s, pos)
-        if not mo or mo.end() == pos:
+        sign, coeff, star, var, exp = mo.group("sign", "coeff", "star", "var", "exp")
+        if (coeff is None and var is None) or (star and (coeff is None or var is None)):
             raise InputError("cannot parse polynomial text at %r" % s[pos:])
-        sign, coeff, var, exp = mo.group("sign", "coeff", "var", "exp")
-        if coeff is None and var is None:
-            raise InputError("cannot parse polynomial text at %r" % s[pos:])
-        if sign is None and not first:
+        if sign is None and pos > 0:
             raise InputError("missing sign between terms in %r" % text)
-        if var is not None:
-            if varname is None:
-                varname = var.lower()
-            elif var.lower() != varname:
-                raise InputError("mixed variable names in %r" % text)
-        c = ZZ(coeff) if coeff is not None else ZZ(1)
+        c = int(coeff) if coeff is not None else 1
         if sign == "-":
             c = -c
         k = 0
         if var is not None:
             k = int(exp) if exp is not None else 1
-        terms[k] = terms.get(k, ZZ(0)) + c
+        terms[k] = terms.get(k, 0) + c
         pos = mo.end()
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-        first = False
-    deg = max(terms) if terms else 0
-    return IntPoly(terms.get(k, ZZ(0)) for k in range(deg + 1))
+    return IntPoly(terms.get(k, 0) for k in range(max(terms) + 1))
 
 
 def poly_to_string(p, var: str = "x") -> str:
@@ -563,18 +540,24 @@ def poly_to_json(p: IntPoly) -> List[str]:
 
 def poly_from_json(data: Sequence[str]) -> IntPoly:
     try:
-        return IntPoly(ZZ(str(c)) for c in data)
+        return IntPoly(int(str(c)) for c in data)
     except (ValueError, TypeError) as exc:
         raise InputError("bad polynomial JSON: %s" % exc) from None
 
 
 def rat_to_json(q) -> str:
-    return qq_to_string(QQ(q))
+    """JSON form of a rational: "n" or "n/d"."""
+    return str(Fraction(q))
 
 
-def rat_from_json(text: str):
+def rat_from_json(text: str) -> Fraction:
+    """Parse "n" or "n/d" (decimal integers) into a Fraction."""
+    text = str(text)
     try:
-        return qq_from_string(str(text))
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError("bad rational string %r: %s" % (text, exc)) from None
 
@@ -593,11 +576,11 @@ def sign(x) -> int:
 
 def _dyadic_parts(q) -> Tuple:
     """Split a rational with power-of-two denominator into (num, k)."""
-    den = ZZ(q.denominator)
-    k = int(den).bit_length() - 1
-    if ZZ(1) << k != den:
+    den = q.denominator
+    k = den.bit_length() - 1
+    if 1 << k != den:
         raise InputError("expected a dyadic rational, got %s" % q)
-    return ZZ(q.numerator), k
+    return q.numerator, k
 
 
 def _scaled_horner(coeffs, n, k: int):
@@ -618,8 +601,8 @@ def sign_at(p: IntPoly, q) -> int:
     Dyadic points go through the all-integer ``_scaled_horner``; everything
     else falls back to rational Horner.
     """
-    q = QQ(q)
-    den = ZZ(q.denominator)
+    q = Fraction(q)
+    den = q.denominator
     if den & (den - 1) == 0:
         return sign(_scaled_horner(p.coeffs, *_dyadic_parts(q)))
     return sign(p(q))
@@ -701,10 +684,10 @@ def count_real_roots(p) -> int:
 def cauchy_root_bound(p: IntPoly):
     """Integer B with every real root strictly inside (-B, B)."""
     if p.degree < 1:
-        return ZZ(1)
+        return 1
     lead = abs(p.leading())
-    big = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else ZZ(0)
-    return ZZ(1) + (big + lead - 1) // lead
+    big = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else 0
+    return 1 + (big + lead - 1) // lead
 
 
 def isolate_real_roots(p) -> List[Tuple]:
@@ -719,7 +702,7 @@ def isolate_real_roots(p) -> List[Tuple]:
         return []
     chain = SturmChain(sf)
     bound = cauchy_root_bound(sf)
-    lo, hi = QQ(-bound), QQ(bound)
+    lo, hi = Fraction(-bound), Fraction(bound)
     total = chain.count_in(lo, hi)
     out: List[Tuple] = []
 
@@ -753,12 +736,12 @@ def isolate_real_roots(p) -> List[Tuple]:
 
 def _exclusion_radius(p: IntPoly, root):
     """A dyadic radius around an exact rational root free of other roots."""
-    q, _ = p.to_rat().divmod(RatPoly((-QQ(root), QQ(1))))
+    q, _ = p.to_rat().divmod(RatPoly((-root, 1)))
     rest = q.clear_denominators().primitive()
-    eps = QQ(1, 2)
+    eps = Fraction(1, 2)
     while True:
         chain = SturmChain(rest)
-        if chain.count_in(QQ(root) - eps, QQ(root) + eps) == 0:
+        if chain.count_in(root - eps, root + eps) == 0:
             return eps
         eps = eps / 2
 
@@ -779,7 +762,7 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
     p must be a squarefree IntPoly, as certified_poly_roots checks; the
     trajectory depends on p only up to a constant factor.
     """
-    lo, hi = QQ(lo), QQ(hi)
+    lo, hi = Fraction(lo), Fraction(hi)
     if lo == hi:
         return lo, hi
     (L, el), (H, eh) = _dyadic_parts(lo), _dyadic_parts(hi)
@@ -815,7 +798,7 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
                 if L << k < R << e < H << k:
                     sc = sign(_scaled_horner(f, R, k))
                     if sc == 0:
-                        cand = QQ(R, 1 << k)
+                        cand = Fraction(R, 1 << k)
                         return cand, cand
                     if k > e:
                         L, H, e = L << (k - e), H << (k - e), k
@@ -828,7 +811,7 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
         M, e = L + H, e + 1
         sm = sign(_scaled_horner(f, M, e))
         if sm == 0:
-            mid = QQ(M, 1 << e)
+            mid = Fraction(M, 1 << e)
             return mid, mid
         if sm == slo:
             L, H = M, H << 1
@@ -837,4 +820,4 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
         # drop the trailing zero bits L and H share
         z = min(e, ((L | H) & -(L | H)).bit_length() - 1)
         L, H, e = L >> z, H >> z, e - z
-    return QQ(L, 1 << e), QQ(H, 1 << e)
+    return Fraction(L, 1 << e), Fraction(H, 1 << e)

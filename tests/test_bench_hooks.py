@@ -4,7 +4,8 @@ perfbench/layers.py lists, per layer, the functions `--trace 1` replaces
 in every loaded lcpforge module.  A rename or deletion of one of them
 would only show as a crash of a traced benchmark run, so these tests read
 that list (the file is imported, never changed) and require every name to
-resolve, together with the embedding cache whose counters the trace reads.
+resolve, together with the embedding cache whose counters the trace reads
+and the backend name that perfbench/op.py's facts() records.
 """
 
 import importlib
@@ -39,6 +40,12 @@ LAYERS = _load_layers().LAYERS
 def test_traced_function_exists(layer, name):
     module = importlib.import_module("lcpforge." + layer)
     assert callable(getattr(module, name, None))
+
+
+def test_backend_name_exists():
+    from lcpforge import _backend
+
+    assert _backend.BACKEND == "python"
 
 
 def test_embedding_cache_counters_exist():

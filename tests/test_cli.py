@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from lcpforge._backend import QQ
-from lcpforge.cli import main, parse_matrix, parse_poly, parse_units
+from fractions import Fraction as QQ
+
+from lcpforge.cli import main, parse_units
 from lcpforge.errors import InputError
-from lcpforge.intlinalg import IntMatrix
-from lcpforge.polynomials import IntPoly
+from lcpforge.intlinalg import IntMatrix, matrix_from_string as parse_matrix
+from lcpforge.polynomials import IntPoly, poly_from_string as parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,14 @@ def test_kourganoff_and_ot_commands(capsys):
     assert json.loads(out)["verdict"] == "PASS"
 
 
+def test_minpoly_star_between_coefficient_and_x(capsys):
+    code, plain, _ = run_cli(capsys, "ot", "--minpoly", "x^3-x-1", "--units", "0,1,0")
+    assert code == 0
+    code, starred, _ = run_cli(capsys, "ot", "--minpoly", "x^3-1*x-1", "--units", "0,1,0")
+    assert code == 0
+    assert starred == plain
+
+
 def test_out_writes_canonical_json(tmp_path, capsys):
     path = tmp_path / "cert.json"
     code, out, _ = run_cli(
@@ -186,6 +195,9 @@ def test_bad_grammar_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "ot", "--minpoly", "x**3", "--units", "0,1")
     assert code == 2
+    for minpoly in ("y^3-y-1", "1 2x^3-x-1"):
+        code, _, err = run_cli(capsys, "ot", "--minpoly", minpoly, "--units", "0,1,0")
+        assert code == 2
 
 
 def test_bad_precision_exits_2(capsys):

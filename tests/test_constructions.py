@@ -298,6 +298,12 @@ def test_each_root_certification_is_refined_once(monkeypatch):
     assert len(refined) == len(set(refined))
 
 
+def test_rank_pipeline_refines_only_at_its_own_precision(refined_bits):
+    cert = make_rank_n_lcp(2, 512, seed=0)
+    assert cert.verdict == "PASS"
+    assert refined_bits == [512 + embeddings_module.GUARD_BITS]
+
+
 def test_kourganoff_rank_is_proven_without_refining_at_doubled_precision(refined_bits):
     cert = make_kourganoff(1, B_HYPERBOLIC, 1024, seed=0)
     assert cert.verdict == "PASS"

@@ -6,10 +6,11 @@ pair is backed by an explicit 2x2 minor bound computed from the cosine
 formulas, not by the module under test.
 """
 
+from fractions import Fraction as QQ
+
 import pytest
 from mpmath import iv, mp
 
-from lcpforge._backend import QQ
 import lcpforge.embeddings as embeddings_module
 from lcpforge.embeddings import (
     GUARD_BITS,

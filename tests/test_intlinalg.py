@@ -5,6 +5,8 @@ on random matrices before any frozen values are trusted; the eigenvector
 solve is checked on a cubic field where the answer is known in closed form.
 """
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given
@@ -84,6 +86,13 @@ class TestIntMatrix:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             IntMatrix([[1]]) + IntMatrix([[1, 0], [0, 1]])
+
+    def test_entries_must_be_integral(self):
+        assert IntMatrix([[Fraction(4, 2), 0], [0, 1]]).rows == ((2, 0), (0, 1))
+        with pytest.raises(InputError):
+            IntMatrix(((1.5, 2), (3, 4)))
+        with pytest.raises(InputError):
+            IntMatrix([[Fraction(1, 2), 0], [0, 1]])
 
 
 class TestDeterminant:

@@ -6,11 +6,12 @@ expectations (block shapes, exact zeros, functional coefficients) are
 frozen from hand derivations.
 """
 
+from fractions import Fraction as QQ
+
 import pytest
 from mpmath import mp
 
 import lcpforge.lcpcore as lcpcore_module
-from lcpforge._backend import QQ
 import lcpforge.constructions as constructions_module
 from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
 from lcpforge.constructions import (
@@ -44,7 +45,6 @@ from lcpforge.lcpcore import (
     lcp_rank,
     solve_equivariant_functional,
     verify_equivariance,
-    verify_unit_ratio,
 )
 from lcpforge.numberfield import field_new
 from lcpforge.polynomials import IntPoly, real_subfield_minpoly
@@ -612,11 +612,6 @@ class TestRankAndWitnesses:
         field = field_new(M7)
         with pytest.raises(InputError):
             ratios.with_witnesses([[UnitWitness(field.gen(), 0)]])
-
-    def test_verify_unit_ratio_exact(self):
-        field = field_new(M7)
-        assert verify_unit_ratio(field.gen()) is True
-        assert verify_unit_ratio(2 * field.gen()) is False
 
     def test_witness_exponent_validated(self):
         field = field_new(M7)

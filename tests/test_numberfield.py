@@ -6,12 +6,13 @@ exact resubstitution identities that do not depend on this module's own
 arithmetic being right.
 """
 
+from fractions import Fraction as QQ
+
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lcpforge._backend import QQ
 from lcpforge.errors import (
     InconclusiveIrreducibilityError,
     InputError,
@@ -21,7 +22,6 @@ from lcpforge.errors import (
 from lcpforge.numberfield import (
     GaloisMap,
     dirichlet_rank_bound,
-    elem_arith,
     elem_from_json,
     field_new,
     galois_generator,
@@ -157,21 +157,6 @@ class TestElementArithmetic:
         other = field_new(GOLDEN)
         with pytest.raises(InputError):
             m7.gen() + other.gen()
-
-    def test_elem_arith_dispatch(self, m7):
-        a, b = m7.gen(), m7.from_rational(2)
-        assert elem_arith(a, b, "add") == a + b
-        assert elem_arith(a, b, "sub") == a - b
-        assert elem_arith(a, b, "mul") == a * b
-        assert elem_arith(a, b, "div") == a * b.inverse()
-        assert elem_arith(a, b, "pow") == a ** 2
-        assert elem_arith(a, m7.from_rational(-3), "pow") == a.inverse() ** 3
-        with pytest.raises(InputError):
-            elem_arith(a, b, "rem")
-        with pytest.raises(InputError):
-            elem_arith(a, a, "pow")
-        with pytest.raises(InputError):
-            elem_arith(a, m7.from_rational(QQ(1, 2)), "pow")
 
     def test_json_round_trip(self, m7):
         a = m7.from_coords((QQ(1, 2), QQ(-3), QQ(7, 5)))
