@@ -127,18 +127,21 @@ class LcpCertificate:
         return canonical_json(self.document)
 
     def save(self, path: str) -> None:
-        """Write atomically: temp file in the target directory, then rename."""
-        text = self.to_json()
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cert-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, self.to_json())
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text atomically: temp file in the target directory, then rename."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lcpforge-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def certificate_from_json(text: str) -> LcpCertificate:

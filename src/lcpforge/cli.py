@@ -9,10 +9,10 @@ usage errors.
 import argparse
 import os
 import sys
-import tempfile
 
-from .certio import SCHEMA_VERSION, canonical_json, load_certificate
+from .certio import SCHEMA_VERSION, canonical_json, load_certificate, write_atomic
 from .constructions import (
+    _field_section,
     make_dmatrix,
     make_exfield,
     make_kourganoff,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .intlinalg import matrix_from_string, matrix_to_json
 from .numberfield import field_new
-from .polynomials import poly_from_string, poly_to_json, rat_from_json, rat_to_json
+from .polynomials import poly_from_string, rat_from_json, rat_to_json
 from . import __version__
 
 
@@ -63,12 +63,7 @@ def _exfield_report(n, seed):
         "pipeline": "exfield",
         "parameters": {"n": int(n)},
         "seed": int(seed),
-        "field": {
-            "minpoly": poly_to_json(ex.field.minpoly),
-            "degree": ex.field.degree,
-            "signature": list(ex.field.signature),
-            "modulus": ex.modulus,
-        },
+        "field": _field_section(ex.field, ex.modulus),
         "verdict": "PASS",
     }
 
@@ -81,12 +76,7 @@ def _dmatrix_report(n, seed):
         "pipeline": "dmatrix",
         "parameters": {"n": int(n)},
         "seed": int(seed),
-        "field": {
-            "minpoly": poly_to_json(dm.field.minpoly),
-            "degree": dm.field.degree,
-            "signature": list(dm.field.signature),
-            "modulus": dm.exfield.modulus,
-        },
+        "field": _field_section(dm.field, dm.exfield.modulus),
         "units": [[rat_to_json(c) for c in u.coords] for u in dm.units],
         "matrices": [matrix_to_json(m) for m in dm.matrices],
         "multiplicative_rank": len(dm.units),
@@ -115,10 +105,11 @@ def _render_text(doc):
     return "\n".join(lines) + "\n"
 
 
-def _render_verify_text(report):
+def _render_verify_text(doc):
+    report = doc["report"]
     lines = [
-        "precision: %d bits" % report["precision_bits"],
-        "re-run verdict: %s" % report["verdict"],
+        "precision: %d bits" % doc["precision_bits"],
+        "re-run verdict: %s" % report["rerun_verdict"],
     ]
     if report["bit_identical"] is not None:
         lines.append(
@@ -127,29 +118,16 @@ def _render_verify_text(report):
         )
     for path in report["mismatches"]:
         lines.append("  mismatch: %s" % path)
-    lines.append("reproduced: %s" % ("yes" if report["reproduced"] else "NO"))
+    lines.append("reproduced: %s" % ("yes" if doc["verdict"] == "PASS" else "NO"))
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _emit(doc, args):
+def _emit(doc, args, render_text=_render_text):
     payload = canonical_json(doc)
     if args.out:
-        _atomic_write(args.out, payload)
+        write_atomic(args.out, payload)
     if args.format == "text":
-        sys.stdout.write(_render_text(doc))
+        sys.stdout.write(render_text(doc))
     elif not args.out:
         sys.stdout.write(payload)
     return 0 if doc["verdict"] == "PASS" else 1
@@ -259,14 +237,7 @@ def _dispatch(args) -> int:
             },
             "verdict": "PASS" if report["reproduced"] else "FAILED",
         }
-        payload = canonical_json(doc)
-        if args.out:
-            _atomic_write(args.out, payload)
-        if args.format == "text":
-            sys.stdout.write(_render_verify_text(report))
-        elif not args.out:
-            sys.stdout.write(payload)
-        return 0 if report["reproduced"] else 1
+        return _emit(doc, args, _render_verify_text)
     raise InputError("unknown command %r" % args.command)
 
 

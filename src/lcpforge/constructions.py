@@ -27,14 +27,14 @@ from .certio import (
 from .embeddings import (
     MAX_PRECISION,
     _at_prec,
-    _ratio_witnessed,
-    _stable_rank,
     default_precision,
     embeddings,
     log_vector,
+    multiplicative_rank,
     projected_log_rank,
     tolerance,
     validate_precision,
+    verify_ratio_witness,
 )
 from .errors import (
     CheckFailureError,
@@ -72,6 +72,7 @@ from .numberfield import (
     dirichlet_rank_bound,
     field_new,
     galois_generator,
+    is_unit,
     minimal_polynomial,
     require_unit,
 )
@@ -152,9 +153,10 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
 
     The units are the Galois orbit prefix of the field generator; each is
     read off exactly in the power basis and turned into a polynomial of
-    the companion matrix.  Their rank is decided at precision bits
-    (default: default_precision()), so a pipeline passes its own bits and
-    certifies the field's roots once.
+    the companion matrix.  multiplicative_rank checks that they are units
+    and decides their rank at precision bits (default:
+    default_precision()), so a pipeline passes its own bits and certifies
+    the field's roots once.
     """
     ex = make_exfield(int(n))
     field = ex.field
@@ -162,11 +164,9 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
     units = [alpha]
     for _ in range(int(n) - 1):
         units.append(ex.sigma(units[-1]))
-    for u in units:
-        require_unit(u, "eigenvalue family")
     unit_polys = []
     for u in units:
-        if any(c.denominator != 1 for c in u.coords):
+        if not u.is_integral_coords():
             raise NonIntegralError(
                 "unit has non-integer power-basis coordinates; cannot read "
                 "an integer polynomial off it"
@@ -181,9 +181,7 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
         for j in range(i + 1, len(matrices)):
             if not commute(matrices[i], matrices[j]):
                 raise StructureError("unit matrices do not commute")
-    # every unit passed require_unit above
-    bits = default_precision() if precision is None else precision
-    rank = _stable_rank(field, units, bits, None)
+    rank = multiplicative_rank(field, units, precision)
     if rank != int(n):
         raise StructureError(
             "independent units not found: the Galois orbit prefix has "
@@ -201,8 +199,7 @@ def _match_block_embeddings(emb, units, ratios):
 
     Block k matches embedding i when every generator's ratio on block k
     is witnessed by the corresponding unit at embedding i; the match must
-    be a bijection with real embeddings on 1-dimensional blocks.  Callers
-    have checked that the units are units.
+    be a bijection with real embeddings on 1-dimensional blocks.
     """
     decomp = ratios.decomposition
     matches = []
@@ -211,7 +208,7 @@ def _match_block_embeddings(emb, units, ratios):
             i
             for i in range(emb.count)
             if all(
-                _ratio_witnessed(emb, u, i, ratios.entries[j][k])
+                verify_ratio_witness(emb, u, i, ratios.entries[j][k])
                 for j, u in enumerate(units)
             )
         ]
@@ -376,30 +373,28 @@ def _matrix_family_check(matrices):
 
 def _unit_ratio_check(emb, ratios):
     """Exact unit-ness of every ratio witness plus the numeric agreement
-    between each ratio and its witnessed embedding modulus; one minimal
-    polynomial per distinct element, and a non-unit is recorded, not raised."""
+    between each ratio and its witnessed embedding modulus; a non-unit is
+    recorded as neither a unit nor witnessed, not raised."""
     if ratios.witnesses is None:
         raise InputError("ratio matrix carries no witnesses")
-    elements = {w.element for row in ratios.witnesses for w in row}
-    minpolys = {e: minimal_polynomial(e) for e in elements}
     rows = []
     overall = True
     for j, row in enumerate(ratios.witnesses):
         entries = []
         for k, w in enumerate(row):
-            mpoly = minpolys[w.element]
-            const = mpoly.coeff(0)
-            unit_ok = mpoly.is_integral() and abs(const) == 1
-            witnessed = _ratio_witnessed(
+            unit_ok = is_unit(w.element)
+            witnessed = unit_ok and verify_ratio_witness(
                 emb, w.element, w.embedding_index, ratios.entries[j][k], w.exponent
             )
-            overall = overall and unit_ok and witnessed
+            overall = overall and witnessed
             entries.append(
                 {
-                    "minpoly_constant": rat_to_json(const),
-                    "unit": bool(unit_ok),
+                    "minpoly_constant": rat_to_json(
+                        minimal_polynomial(w.element).coeff(0)
+                    ),
+                    "unit": unit_ok,
                     "witnessed": bool(witnessed),
-                    "verdict": bool(unit_ok and witnessed),
+                    "verdict": bool(witnessed),
                 }
             )
         rows.append(entries)
@@ -769,7 +764,7 @@ def _mult_matrix(u: FieldElem) -> IntMatrix:
     cur = u
     alpha = field.gen()
     for _ in range(d):
-        if any(c.denominator != 1 for c in cur.coords):
+        if not cur.is_integral_coords():
             raise NonIntegralError(
                 "multiplication image leaves the integer span of the "
                 "power basis"

@@ -414,11 +414,6 @@ def log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
     an enclosure is too wide to support decisions at the set's tolerance.
     """
     require_unit(elem, "logarithmic embedding")
-    return _log_vector(emb, elem)
-
-
-def _log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
-    """log_vector without the unit check, for callers that have made it."""
     with _at_prec(emb.workbits):
         return tuple(_capped_midpoints(emb, _log_rows(emb, [elem], None))[0])
 
@@ -502,8 +497,6 @@ def multiplicative_rank(
     if bits is None:
         bits = default_precision()
     validate_precision(bits)
-    for u in units:
-        require_unit(u, "rank input")
     return _stable_rank(field, units, bits, None)
 
 
@@ -528,13 +521,11 @@ def projected_log_rank(
             raise InputError("log coordinate %d out of range [0, %d)" % (i, s + t))
     if not coords:
         return 0
-    for u in units:
-        require_unit(u, "rank input")
     return _stable_rank(field, units, bits, coords)
 
 
 def _stable_rank(field, units, bits, coords):
-    """Log-embedding rank of elements already checked to be units.
+    """Log-embedding rank of units, each checked exactly first.
 
     A full rank is proven at bits by _proved_full_rank.  Otherwise one
     stability pass decides: the rank at bits is re-verified at 2*bits, and
@@ -542,6 +533,8 @@ def _stable_rank(field, units, bits, coords):
     4*bits must agree with 2*bits; else PrecisionError.  coords, when
     given, restricts the log vectors to those places.
     """
+    for u in units:
+        require_unit(u, "rank input")
     if not units:
         return 0
     proved = _proved_full_rank(field, units, bits, coords)
@@ -571,7 +564,6 @@ def verify_ratio_witness(
     index: int,
     ratio,
     exponent: int = 1,
-    tol=None,
 ) -> bool:
     """Check that ratio**exponent equals |embedding(elem)|.
 
@@ -582,16 +574,10 @@ def verify_ratio_witness(
     root that the field does not contain).
     """
     require_unit(elem, "ratio witness")
-    return _ratio_witnessed(emb, elem, index, ratio, exponent, tol)
-
-
-def _ratio_witnessed(emb, elem, index, ratio, exponent=1, tol=None) -> bool:
-    """verify_ratio_witness without the unit check, for callers that have made it."""
     if exponent < 1:
         raise InputError("witness exponent must be a positive integer")
     with _at_prec(emb.workbits):
-        if tol is None:
-            tol = tolerance(emb.bits)
+        tol = tolerance(emb.bits)
         enc = emb.abs_enclosure(elem, index)
         powered = mp.mpf(ratio) ** exponent
         lo = mp.mpf(enc.a) - tol

@@ -352,9 +352,6 @@ class RatioMatrix:
     def delta(self):
         return self.decomposition.delta
 
-    def entry(self, gen_index: int, block_index: int):
-        return self.entries[gen_index][block_index]
-
     def with_witnesses(self, witnesses) -> "RatioMatrix":
         witnesses = tuple(tuple(row) for row in witnesses)
         if len(witnesses) != self.n_gens or any(

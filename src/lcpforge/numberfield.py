@@ -16,6 +16,7 @@ too.  Anything else is reported as inconclusive rather than assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -29,6 +30,7 @@ from .intlinalg import field_kernel_basis
 from .polynomials import (
     IntPoly,
     RatPoly,
+    as_rat,
     count_real_roots,
     is_prime,
     poly_gcd,
@@ -106,7 +108,7 @@ class FieldElem:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: NumberField, coords: Sequence):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else as_rat(c) for c in coords)
         if len(coords) != field.degree:
             raise InputError("coordinate length mismatch")
         object.__setattr__(self, "field", field)
@@ -123,11 +125,6 @@ class FieldElem:
 
     def as_rat_poly(self) -> RatPoly:
         return RatPoly(self.coords)
-
-    def as_int_poly(self) -> IntPoly:
-        if not self.is_integral_coords():
-            raise InputError("element has non-integer coordinates")
-        return IntPoly(c.numerator for c in self.coords)
 
     # ------------------------------------------------------------------
     def _coerce(self, other) -> Optional["FieldElem"]:
@@ -243,6 +240,7 @@ def elem_from_json(field: NumberField, data: Sequence[str]) -> FieldElem:
 # minimal polynomials and units
 
 
+@lru_cache(maxsize=64)
 def minimal_polynomial(a: FieldElem) -> RatPoly:
     """Monic minimal polynomial over Q of a power-basis element.
 
@@ -250,6 +248,10 @@ def minimal_polynomial(a: FieldElem) -> RatPoly:
     powers is the first free column of the coordinate matrix of 1, a, ...,
     a^d; its kernel vector, with that coordinate one, holds the coefficients.
     The result is irreducible because the ambient ring is a field.
+
+    Cached per element: FieldElem is immutable and hashes on (field
+    minpoly, coords), so is_unit, require_unit and every check that reads
+    the polynomial share one derivation per element.
     """
     d = a.field.degree
     powers = [a.field.one()]

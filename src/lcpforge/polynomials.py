@@ -38,6 +38,15 @@ def as_int(c) -> int:
     raise InputError("expected an integer, got %r" % (c,))
 
 
+def as_rat(c) -> Fraction:
+    """c as a Fraction.  An int or a Fraction converts; anything else,
+    such as the float 0.1 or an mpf, raises InputError rather than being
+    read as its binary expansion."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise InputError("expected a rational, got %r" % (c,))
+
+
 class IntPoly:
     """Dense polynomial with integer coefficients, lowest degree first."""
 
@@ -154,10 +163,6 @@ class IntPoly:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
-    def reverse(self) -> "IntPoly":
-        """x**deg * p(1/x).  Roots map to their inverses."""
-        return IntPoly(reversed(self.coeffs))
-
     def content(self):
         g = 0
         for c in self.coeffs:
@@ -211,7 +216,8 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", _strip(Fraction(c) for c in coeffs))
+        coeffs = (c if type(c) is Fraction else as_rat(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", _strip(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -364,19 +370,13 @@ def _as_rat_poly(x):
     return NotImplemented
 
 
-def int_poly_divmod(num: IntPoly, den: IntPoly) -> Tuple[IntPoly, IntPoly]:
-    """Division over Z; raises if the quotient would need denominators."""
-    q, r = num.to_rat().divmod(den.to_rat())
-    if not (q.is_integral() and r.is_integral()):
-        raise InputError("division not exact over the integers")
-    return q.to_int(), r.to_int()
-
-
 def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    q, r = int_poly_divmod(num, den)
+    """Exact division over Z; raises if it leaves a remainder or the
+    quotient would need denominators."""
+    q, r = num.to_rat().divmod(den.to_rat())
     if not r.is_zero():
         raise InputError("polynomial division left a remainder")
-    return q
+    return q.to_int()
 
 
 def poly_gcd(a, b) -> RatPoly:
@@ -608,6 +608,19 @@ def sign_at(p: IntPoly, q) -> int:
     return sign(p(q))
 
 
+def _sign_changes(signs) -> int:
+    """Sign changes along a sequence of signs, zeros skipped."""
+    count = 0
+    last = 0
+    for s in signs:
+        if s == 0:
+            continue
+        if last != 0 and s != last:
+            count += 1
+        last = s
+    return count
+
+
 class SturmChain:
     """Sturm chain of the squarefree part, stored as primitive IntPolys."""
 
@@ -630,40 +643,15 @@ class SturmChain:
         object.__setattr__(self, "polys", fixed)
 
     def variations_at(self, x) -> int:
-        count = 0
-        last = 0
-        for p in self.polys:
-            s = sign_at(p, x)
-            if s == 0:
-                continue
-            if last != 0 and s != last:
-                count += 1
-            last = s
-        return count
+        return _sign_changes(sign_at(p, x) for p in self.polys)
 
     def variations_at_pos_inf(self) -> int:
-        count = 0
-        last = 0
-        for p in self.polys:
-            s = sign(p.leading())
-            if s == 0:
-                continue
-            if last != 0 and s != last:
-                count += 1
-            last = s
-        return count
+        return _sign_changes(sign(p.leading()) for p in self.polys)
 
     def variations_at_neg_inf(self) -> int:
-        count = 0
-        last = 0
-        for p in self.polys:
-            s = sign(p.leading()) * (-1 if p.degree % 2 else 1)
-            if s == 0:
-                continue
-            if last != 0 and s != last:
-                count += 1
-            last = s
-        return count
+        return _sign_changes(
+            sign(p.leading()) * (-1 if p.degree % 2 else 1) for p in self.polys
+        )
 
     def count_in(self, lo, hi) -> int:
         """Number of distinct real roots in (lo, hi]."""

@@ -37,7 +37,6 @@ import lcpforge.embeddings as embeddings_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
-import lcpforge.numberfield as numberfield_module
 from lcpforge.numberfield import field_new
 from lcpforge.polynomials import IntPoly
 
@@ -126,20 +125,12 @@ def test_dmatrix_units_are_galois_orbit_prefix():
         assert dm.units[l] == dm.exfield.sigma(dm.units[l - 1])
 
 
-def test_dmatrix_checks_each_unit_once(monkeypatch):
-    # require_unit derives one minimal polynomial per unit; the rank check
-    # that follows it does not derive them again
-    calls = []
-    original = numberfield_module.minimal_polynomial
-
-    def counting(a):
-        calls.append(a)
-        return original(a)
-
-    monkeypatch.setattr(numberfield_module, "minimal_polynomial", counting)
+def test_dmatrix_checks_each_unit_once(minpoly_derivations):
+    # the rank check derives one minimal polynomial per unit to decide
+    # that it is a unit, and nothing derives them again
     dm = make_dmatrix(8)
     assert len(dm.units) == 8
-    assert len(calls) == 8
+    assert len(minpoly_derivations) == 8
 
 
 def test_dmatrix_matrices_commute_in_gl():
@@ -302,6 +293,14 @@ def test_rank_pipeline_refines_only_at_its_own_precision(refined_bits):
     cert = make_rank_n_lcp(2, 512, seed=0)
     assert cert.verdict == "PASS"
     assert refined_bits == [512 + embeddings_module.GUARD_BITS]
+
+
+def test_rank_pipeline_derives_each_unit_minimal_polynomial_once(minpoly_derivations):
+    # make_dmatrix, the ratio witness check and lcp_rank all decide that
+    # the two units are units; they share one derivation per unit
+    cert = make_rank_n_lcp(2, 512, seed=0)
+    assert cert.verdict == "PASS"
+    assert minpoly_derivations == [3, 3]
 
 
 def test_kourganoff_rank_is_proven_without_refining_at_doubled_precision(refined_bits):

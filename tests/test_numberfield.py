@@ -8,6 +8,7 @@ arithmetic being right.
 
 from fractions import Fraction as QQ
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given
@@ -158,6 +159,13 @@ class TestElementArithmetic:
         with pytest.raises(InputError):
             m7.gen() + other.gen()
 
+    def test_coordinates_reject_floats(self, m7):
+        for bad in (0.1, mpmath.mpf(1)):
+            with pytest.raises(InputError):
+                m7.from_coords((bad, 0, 0))
+            with pytest.raises(InputError):
+                m7.from_rational(bad)
+
     def test_json_round_trip(self, m7):
         a = m7.from_coords((QQ(1, 2), QQ(-3), QQ(7, 5)))
         data = a.to_json()
@@ -185,6 +193,20 @@ class TestMinimalPolynomial:
         root = 2 * sympy.cos(2 * sympy.pi / 7)
         expected = sympy.minimal_polynomial(root + root ** 2, x)
         assert sympy.Poly(expected, x).all_coeffs() == [1, -4, 3, 1]
+
+
+    def test_derived_once_per_element_across_equal_fields(self, minpoly_derivations):
+        # equal elements of two separately built fields share one result
+        a = field_new(IntPoly((-2, 0, 1))).from_coords((1, 1))
+        b = field_new(IntPoly((-2, 0, 1))).from_coords((1, 1))
+        assert a.field is not b.field
+        assert minimal_polynomial(a) is minimal_polynomial(b)
+        assert minimal_polynomial(a) == RatPoly((-1, -2, 1))
+        assert len(minpoly_derivations) == 1
+        # the same coordinates over x^2 - 3 are a different element
+        c = field_new(IntPoly((-3, 0, 1))).from_coords((1, 1))
+        assert minimal_polynomial(c) == RatPoly((-2, -2, 1))
+        assert len(minpoly_derivations) == 2
 
 
 class TestUnits:

@@ -19,6 +19,7 @@ from fractions import Fraction as QQ
 from lcpforge.errors import InputError
 from lcpforge.polynomials import (
     IntPoly,
+    RatPoly,
     _scaled_horner,
     SturmChain,
     cauchy_root_bound,
@@ -69,6 +70,13 @@ def test_coefficients_must_be_integral():
         IntPoly((QQ(1, 2), 1))
     with pytest.raises(InputError):
         IntPoly((-1.9, 0, 1))
+
+
+def test_rational_coefficients_reject_floats():
+    assert RatPoly((QQ(1, 2), 3, True)) == RatPoly((QQ(1, 2), QQ(3), QQ(1)))
+    for bad in (0.1, 0.5, mpmath.mpf(1)):
+        with pytest.raises(InputError):
+            RatPoly((bad, 1))
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
