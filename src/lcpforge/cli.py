@@ -32,7 +32,7 @@ from .errors import (
 )
 from .intlinalg import matrix_from_string, matrix_to_json
 from .numberfield import field_new
-from .polynomials import poly_from_string, rat_from_json, rat_to_json
+from .polynomials import poly_from_string, rat_from_json
 from . import __version__
 
 
@@ -77,7 +77,7 @@ def _dmatrix_report(n, seed):
         "parameters": {"n": int(n)},
         "seed": int(seed),
         "field": _field_section(dm.field, dm.exfield.modulus),
-        "units": [[rat_to_json(c) for c in u.coords] for u in dm.units],
+        "units": [u.to_json() for u in dm.units],
         "matrices": [matrix_to_json(m) for m in dm.matrices],
         "multiplicative_rank": len(dm.units),
         "verdict": "PASS",

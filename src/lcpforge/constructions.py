@@ -70,6 +70,7 @@ from .numberfield import (
     FieldElem,
     NumberField,
     dirichlet_rank_bound,
+    elem_from_json,
     field_new,
     galois_generator,
     is_unit,
@@ -81,7 +82,6 @@ from .polynomials import (
     is_prime,
     poly_from_json,
     poly_to_json,
-    rat_from_json,
     rat_to_json,
     real_subfield_minpoly,
 )
@@ -281,10 +281,6 @@ def _functional_payload(f, bits):
     }
 
 
-def _elem_payload(elem):
-    return [rat_to_json(c) for c in elem.coords]
-
-
 def _field_section(field, modulus=None):
     payload = {
         "minpoly": poly_to_json(field.minpoly),
@@ -319,7 +315,7 @@ def _generators_section(gens, ratios, workbits):
         if ratios.witnesses is not None:
             entry["witnesses"] = [
                 {
-                    "element": _elem_payload(w.element),
+                    "element": w.element.to_json(),
                     "embedding": w.embedding_index,
                     "exponent": w.exponent,
                 }
@@ -444,6 +440,40 @@ def _equivariance_check(spec, gens, bits, seed):
     return {"verdict": bool(overall), "reports": reports}
 
 
+def _witnessed_ratios(builder, decomp, emb, units, ratios):
+    """Match blocks to embeddings, record the decomposition section and
+    attach one unit witness per (unit, block); returns (ratios,
+    block_embeddings)."""
+    block_emb = _match_block_embeddings(emb, units, ratios)
+    builder.section("decomposition", _decomposition_section(decomp, block_emb))
+    return ratios.with_witnesses(_witness_table(units, block_emb)), block_emb
+
+
+def _flat_block_checks(builder, emb, ratios, flat, bits, tested_rank, expected_rank):
+    """J2, unit_ratios, dirichlet and rank, in that order."""
+    j2 = check_J2(ratios, flat)
+    builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
+    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
+    builder.check("dirichlet", _dirichlet_check(emb.field, tested_rank))
+    builder.check("rank", _rank_check(ratios, flat, bits, expected_rank))
+
+
+def _seal_metric(builder, spec, ratios, labels, matrices, translations, bits, seed):
+    """One similarity generator per label, the generators and metric
+    sections, the equivariance check, then the sealed certificate."""
+    decomp = spec.decomposition
+    gens = [
+        SimilarityGenerator(
+            label, matrices[l], (0,) * decomp.p, translations[l], ratios.entries[l]
+        )
+        for l, label in enumerate(labels)
+    ]
+    builder.section("generators", _generators_section(gens, ratios, decomp.workbits))
+    builder.section("metric", _metric_section(spec))
+    builder.check("equivariance", _equivariance_check(spec, gens, bits, seed))
+    return builder.seal()
+
+
 # --------------------------------------------------------------------------
 # rank pipeline
 
@@ -477,19 +507,13 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
             "decomposition", _decomposition_section(decomp, [])
         )
         return builder.fail("J1", exc)
-    block_emb = _match_block_embeddings(emb, dm.units, ratios)
-    ratios = ratios.with_witnesses(_witness_table(dm.units, block_emb))
-    builder.section("decomposition", _decomposition_section(decomp, block_emb))
+    ratios, block_emb = _witnessed_ratios(builder, decomp, emb, dm.units, ratios)
     builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     # distinguished block: the one carrying the defining embedding of the
     # generator (the largest real root)
     flat = block_emb.index(emb.count - 1)
-    j2 = check_J2(ratios, flat)
-    builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
-    builder.check("dirichlet", _dirichlet_check(field, n))
-    builder.check("rank", _rank_check(ratios, flat, bits, n))
+    _flat_block_checks(builder, emb, ratios, flat, bits, n, n)
 
     with _at_prec(decomp.workbits):
         translations = []
@@ -498,22 +522,12 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
             v[l] = mp.log(ratios.entries[l][flat])
             translations.append(tuple(v))
     spec = build_metric_spec(decomp, ratios, flat, translations)
-    gens = [
-        SimilarityGenerator(
-            "g%d" % (l + 1),
-            dm.matrices[l],
-            (0,) * decomp.p,
-            translations[l],
-            ratios.entries[l],
-        )
-        for l in range(n)
-    ]
-    builder.section("generators", _generators_section(gens, ratios, decomp.workbits))
-    builder.section("metric", _metric_section(spec))
     if notes:
         builder.section("notes", notes)
-    builder.check("equivariance", _equivariance_check(spec, gens, bits, seed))
-    return builder.seal()
+    labels = ["g%d" % (l + 1) for l in range(n)]
+    return _seal_metric(
+        builder, spec, ratios, labels, dm.matrices, translations, bits, seed
+    )
 
 
 # --------------------------------------------------------------------------
@@ -652,10 +666,8 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     lam_elem = field.gen()
     require_unit(lam_elem, "eigenvalue")
     emb = embeddings(field, bits)
-    block_emb = _match_block_embeddings(emb, [lam_elem], ratios)
-    ratios = ratios.with_witnesses(_witness_table([lam_elem], block_emb))
     builder.section("field", _field_section(field))
-    builder.section("decomposition", _decomposition_section(decomp, block_emb))
+    ratios, _ = _witnessed_ratios(builder, decomp, emb, [lam_elem], ratios)
 
     builder.check(
         "spectral",
@@ -678,11 +690,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
             exact_ok = False
             break
 
-    j2 = check_J2(ratios, flat)
-    builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
-    builder.check("dirichlet", _dirichlet_check(field, 1))
-    builder.check("rank", _rank_check(ratios, flat, bits, 1))
+    _flat_block_checks(builder, emb, ratios, flat, bits, 1, 1)
 
     with _at_prec(decomp.workbits):
         translations = [(mp.log(lam),)]
@@ -702,13 +710,9 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
         },
     )
 
-    gen = SimilarityGenerator(
-        "kourganoff", a, (0,) * a.n, translations[0], entries
+    return _seal_metric(
+        builder, spec, ratios, ["kourganoff"], [a], translations, bits, seed
     )
-    builder.section("generators", _generators_section([gen], ratios, decomp.workbits))
-    builder.section("metric", _metric_section(spec))
-    builder.check("equivariance", _equivariance_check(spec, [gen], bits, seed))
-    return builder.seal()
 
 
 # --------------------------------------------------------------------------
@@ -810,7 +814,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
         "ot",
         {
             "minpoly": poly_to_json(minpoly),
-            "units": [_elem_payload(u) for u in units_in],
+            "units": [u.to_json() for u in units_in],
             "lck": bool(lck),
         },
         bits,
@@ -862,9 +866,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     except CheckFailureError as exc:
         builder.section("decomposition", _decomposition_section(decomp, []))
         return None, builder.fail("J1", exc)
-    block_emb = _match_block_embeddings(emb, units, ratios)
-    ratios = ratios.with_witnesses(_witness_table(units, block_emb))
-    builder.section("decomposition", _decomposition_section(decomp, block_emb))
+    ratios, block_emb = _witnessed_ratios(builder, decomp, emb, units, ratios)
     builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     sizes = [size for _, size in decomp.blocks]
@@ -907,11 +909,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
         flat = block_emb.index(s)
     else:
         flat = block_emb.index(0)
-    j2 = check_J2(ratios, flat)
-    builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(emb, ratios))
-    builder.check("dirichlet", _dirichlet_check(field, len(units)))
-    builder.check("rank", _rank_check(ratios, flat, bits, s))
+    _flat_block_checks(builder, emb, ratios, flat, bits, len(units), s)
 
     translations = [tuple(row[:s]) for row in log_rows]
     spec = build_metric_spec(decomp, ratios, flat, translations)
@@ -919,19 +917,10 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
         pairs = list(itertools.combinations(real_blocks, 2))
         if pairs:
             spec = add_cross_terms(spec, pairs)
-    gens = [
-        SimilarityGenerator(
-            "u%d" % (idx + 1),
-            matrices[idx],
-            (0,) * decomp.p,
-            translations[idx],
-            ratios.entries[idx],
-        )
-        for idx in range(len(units))
-    ]
-    builder.section("generators", _generators_section(gens, ratios, decomp.workbits))
-    builder.section("metric", _metric_section(spec))
-    builder.check("equivariance", _equivariance_check(spec, gens, bits, seed))
+    labels = ["u%d" % (idx + 1) for idx in range(len(units))]
+    cert = _seal_metric(
+        builder, spec, ratios, labels, matrices, translations, bits, seed
+    )
 
     data = OtData(
         field,
@@ -942,7 +931,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
         matrices,
         block_form,
     )
-    return data, builder.seal()
+    return data, cert
 
 
 # --------------------------------------------------------------------------
@@ -964,10 +953,7 @@ def run_pipeline(name: str, parameters: dict, precision=None,
     if name == "ot":
         minpoly = poly_from_json(parameters["minpoly"])
         field = field_new(minpoly)
-        units = [
-            field.from_coords([rat_from_json(c) for c in coords])
-            for coords in parameters["units"]
-        ]
+        units = [elem_from_json(field, coords) for coords in parameters["units"]]
         _, cert = make_ot(
             minpoly, units, precision, seed, lck=bool(parameters.get("lck"))
         )

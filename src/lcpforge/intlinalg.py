@@ -13,7 +13,7 @@ import operator
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
-from .polynomials import IntPoly, as_int, int_poly_exact_div
+from .polynomials import IntPoly, as_int, binary_power, int_poly_exact_div
 
 
 class IntMatrix:
@@ -75,14 +75,7 @@ class IntMatrix:
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
             raise InputError("negative matrix power")
-        result = IntMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, IntMatrix.identity(self.n))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows))

@@ -31,6 +31,7 @@ from .polynomials import (
     IntPoly,
     RatPoly,
     as_rat,
+    binary_power,
     count_real_roots,
     is_prime,
     poly_gcd,
@@ -203,14 +204,7 @@ class FieldElem:
             raise InputError("field element powers must be integers")
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return binary_power(self, k, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -344,28 +338,31 @@ def _pm_mulmod(a: List[int], b: List[int], f: List[int], q: int) -> List[int]:
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % q
-    return _pm_rem(out, f, q)
+    return _pm_divmod(out, f, q)[1]
 
 
-def _pm_rem(a: List[int], f: List[int], q: int) -> List[int]:
+def _pm_divmod(a: List[int], f: List[int], q: int) -> Tuple[List[int], List[int]]:
+    """Long division of a by f modulo the prime q: (quotient, remainder),
+    both trimmed, with deg remainder < deg f."""
     a = _pm_trim(list(a))
     df = len(f) - 1
+    quo = [0] * max(1, len(a) - df)
     inv_lead = pow(f[-1], -1, q)
     while len(a) - 1 >= df:
         k = len(a) - 1 - df
         factor = a[-1] * inv_lead % q
+        quo[k] = factor
         for i, c in enumerate(f):
             a[k + i] = (a[k + i] - factor * c) % q
         a.pop()
         _pm_trim(a)
-    return a
+    return _pm_trim(quo), a
 
 
 def _pm_gcd(a: List[int], b: List[int], q: int) -> List[int]:
     a, b = _pm_trim(list(a)), _pm_trim(list(b))
     while b:
-        r = _pm_rem(a, b, q)
-        a, b = b, r
+        a, b = b, _pm_divmod(a, b, q)[1]
     if a:
         inv = pow(a[-1], -1, q)
         a = [x * inv % q for x in a]
@@ -373,15 +370,9 @@ def _pm_gcd(a: List[int], b: List[int], q: int) -> List[int]:
 
 
 def _pm_pow_x(e: int, f: List[int], q: int) -> List[int]:
-    """x**e modulo (f, q) by square and multiply on the exponent bits."""
-    result = [1]
-    base = _pm_rem([0, 1], f, q)
-    while e:
-        if e & 1:
-            result = _pm_mulmod(result, base, f, q)
-        base = _pm_mulmod(base, base, f, q)
-        e >>= 1
-    return result
+    """x**e modulo (f, q)."""
+    x = _pm_divmod([0, 1], f, q)[1]
+    return binary_power(x, e, [1], lambda a, b: _pm_mulmod(a, b, f, q))
 
 
 def _factor_degree_pattern(p: IntPoly, q: int) -> Optional[List[int]]:
@@ -413,23 +404,8 @@ def _factor_degree_pattern(p: IntPoly, q: int) -> Optional[List[int]]:
         if dg > 0:
             pattern.extend([k] * (dg // k))
             # divide work by g
-            work = _pm_divide(work, g, q)
+            work = _pm_divmod(work, g, q)[0]
     return sorted(pattern)
-
-
-def _pm_divide(a: List[int], b: List[int], q: int) -> List[int]:
-    a = _pm_trim(list(a))
-    out = [0] * max(1, len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, q)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        factor = a[-1] * inv % q
-        out[k] = factor
-        for i, c in enumerate(b):
-            a[k + i] = (a[k + i] - factor * c) % q
-        a.pop()
-        _pm_trim(a)
-    return _pm_trim(out)
 
 
 def _subset_sums(pattern: List[int]) -> set:
@@ -542,14 +518,9 @@ class GaloisMap:
     def power(self, k: int) -> "GaloisMap":
         if k < 0:
             raise InputError("negative powers of a Galois map are not needed")
-        result = GaloisMap(self.field, self.field.gen())
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return result
+        return binary_power(
+            self, k, GaloisMap(self.field, self.field.gen()), GaloisMap.compose
+        )
 
     def is_identity(self) -> bool:
         return self.image == self.field.gen()

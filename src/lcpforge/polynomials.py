@@ -4,7 +4,11 @@ Coefficients are stored lowest degree first, so ``p.coeffs[k]`` is the
 coefficient of x**k.  IntPoly carries integer coefficients and is the type
 attached to matrices and number fields; RatPoly appears wherever intermediate
 arithmetic forces denominators (Sturm chains, monic gcds, minimal
-polynomials).
+polynomials).  Both subclass one private ring, _Poly, which holds the
+storage, the structure queries, +, -, *, Horner evaluation, the derivative,
+== and repr.  IntPoly adds content, primitive, to_rat, shift_degree and
+powers; RatPoly adds monic, divmod, clear_denominators, is_integral and
+to_int.  binary_power is the one square-and-multiply loop of the package.
 
 Real roots are handled by the classical exact pipeline: a Sturm chain counts
 roots in an interval, bisection separates them, and refinement bisects the
@@ -13,6 +17,7 @@ sign-change bracket (one bit per pass) so that every enclosure is certified.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
@@ -47,18 +52,35 @@ def as_rat(c) -> Fraction:
     raise InputError("expected a rational, got %r" % (c,))
 
 
-class IntPoly:
-    """Dense polynomial with integer coefficients, lowest degree first."""
+def binary_power(base, k: int, one, mul=operator.mul):
+    """base**k for an integer k >= 0 by square and multiply on the bits of
+    k, starting from the identity one; mul is the ring product."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+class _Poly:
+    """Dense immutable polynomial, lowest degree first: the storage, the
+    structure queries and the ring operations IntPoly and RatPoly share.
+
+    A subclass constructs itself from coefficients and sets three class
+    attributes: _ZERO, its zero coefficient; _SCALARS, the types it
+    multiplies by coefficient-wise; and _lift, which returns an operand as
+    a polynomial of the subclass or NotImplemented.  A result has the
+    class of self, whose _lift accepted the other operand, so a mix of
+    IntPoly and RatPoly reaches RatPoly through Python's reflected operator.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(
-            self, "coeffs", _strip(c if type(c) is int else as_int(c) for c in coeffs)
-        )
-
     def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     # ------------------------------------------------------------------
     # structure
@@ -75,23 +97,23 @@ class IntPoly:
 
     def leading(self):
         if not self.coeffs:
-            return 0
+            return self._ZERO
         return self.coeffs[-1]
 
     def constant(self):
         if not self.coeffs:
-            return 0
+            return self._ZERO
         return self.coeffs[0]
 
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return 0
+        return self._ZERO
 
     # ------------------------------------------------------------------
     # ring operations
     def __add__(self, other):
-        other = _as_int_poly(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -100,50 +122,38 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return IntPoly(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
+        return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        other = _as_int_poly(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_int_poly(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        other = _as_int_poly(other)
+        if isinstance(other, self._SCALARS):
+            return type(self)(c * other for c in self.coeffs)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
+            return type(self)(())
+        out = [self._ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return IntPoly(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative polynomial power")
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, x):
         """Horner evaluation; works for any ring element with + and *."""
@@ -154,8 +164,60 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+    def derivative(self):
+        return type(self)(k * c for k, c in enumerate(self.coeffs) if k > 0)
+
+    # ------------------------------------------------------------------
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        # == compares coefficients across IntPoly and RatPoly, and a Fraction
+        # hashes like the int it equals, so equal polynomials hash equal
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, poly_to_string(self))
+
+
+def _as_int_poly(x):
+    if isinstance(x, IntPoly):
+        return x
+    if isinstance(x, int):
+        return IntPoly((x,))
+    return NotImplemented
+
+
+def _as_rat_poly(x):
+    if isinstance(x, RatPoly):
+        return x
+    if isinstance(x, IntPoly):
+        return x.to_rat()
+    if isinstance(x, (int, Fraction)):
+        return RatPoly((x,))
+    return NotImplemented
+
+
+class IntPoly(_Poly):
+    """Dense polynomial with integer coefficients, lowest degree first."""
+
+    __slots__ = ()
+    _ZERO = 0
+    _SCALARS = int
+    _lift = staticmethod(_as_int_poly)
+
+    def __init__(self, coeffs: Iterable[int]):
+        object.__setattr__(
+            self, "coeffs", _strip(c if type(c) is int else as_int(c) for c in coeffs)
+        )
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise InputError("negative polynomial power")
+        return binary_power(self, n, IntPoly((1,)))
 
     def shift_degree(self, k: int) -> "IntPoly":
         """Multiply by x**k."""
@@ -181,27 +243,6 @@ class IntPoly:
     def to_rat(self) -> "RatPoly":
         return RatPoly(self.coeffs)
 
-    # ------------------------------------------------------------------
-    def __eq__(self, other):
-        other = _as_int_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("IntPoly",) + self.coeffs)
-
-    def __repr__(self):
-        return "IntPoly(%s)" % poly_to_string(self)
-
-
-def _as_int_poly(x):
-    if isinstance(x, IntPoly):
-        return x
-    if isinstance(x, int):
-        return IntPoly((x,))
-    return NotImplemented
-
 
 def _gcd(a, b):
     a, b = abs(a), abs(b)
@@ -210,96 +251,17 @@ def _gcd(a, b):
     return a
 
 
-class RatPoly:
+class RatPoly(_Poly):
     """Dense polynomial with rational coefficients, lowest degree first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _ZERO = Fraction(0)
+    _SCALARS = (int, Fraction)
+    _lift = staticmethod(_as_rat_poly)
 
     def __init__(self, coeffs: Iterable):
         coeffs = (c if type(c) is Fraction else as_rat(c) for c in coeffs)
         object.__setattr__(self, "coeffs", _strip(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self):
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def constant(self):
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[0]
-
-    def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __add__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return RatPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_rat_poly(other) + (-self)
-
-    def __mul__(self, other):
-        if _is_rational_scalar(other):
-            return RatPoly(c * Fraction(other) for c in self.coeffs)
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        if not self.coeffs:
-            return x * 0
-        acc = x * 0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
@@ -342,32 +304,6 @@ class RatPoly:
         if not self.is_integral():
             raise InputError("polynomial has non-integer coefficients")
         return IntPoly(c.numerator for c in self.coeffs)
-
-    def __eq__(self, other):
-        other = _as_rat_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("RatPoly",) + tuple((c.numerator, c.denominator) for c in self.coeffs))
-
-    def __repr__(self):
-        return "RatPoly(%s)" % poly_to_string(self)
-
-
-def _is_rational_scalar(x):
-    return isinstance(x, (int, Fraction))
-
-
-def _as_rat_poly(x):
-    if isinstance(x, RatPoly):
-        return x
-    if isinstance(x, IntPoly):
-        return x.to_rat()
-    if _is_rational_scalar(x):
-        return RatPoly((x,))
-    return NotImplemented
 
 
 def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -599,9 +535,10 @@ def sign_at(p: IntPoly, q) -> int:
     """Exact sign of p at a rational point.
 
     Dyadic points go through the all-integer ``_scaled_horner``; everything
-    else falls back to rational Horner.
+    else falls back to rational Horner.  q goes through as_rat, so a float
+    raises InputError rather than being read as its binary expansion.
     """
-    q = Fraction(q)
+    q = as_rat(q)
     den = q.denominator
     if den & (den - 1) == 0:
         return sign(_scaled_horner(p.coeffs, *_dyadic_parts(q)))
@@ -748,9 +685,10 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
     these endpoints, so the trajectory is part of the output.
 
     p must be a squarefree IntPoly, as certified_poly_roots checks; the
-    trajectory depends on p only up to a constant factor.
+    trajectory depends on p only up to a constant factor.  lo and hi go
+    through as_rat, so floats raise InputError.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_rat(lo), as_rat(hi)
     if lo == hi:
         return lo, hi
     (L, el), (H, eh) = _dyadic_parts(lo), _dyadic_parts(hi)

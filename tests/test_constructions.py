@@ -11,6 +11,7 @@ import itertools
 import pytest
 from mpmath import mp
 
+import lcpforge.constructions as constructions_module
 from lcpforge.certio import canonical_json
 from lcpforge.constructions import (
     DMatrixData,
@@ -515,3 +516,22 @@ def test_verify_certificate_detects_tampering(rank2_cert):
     assert report["reproduced"] is False
     assert "checks.rank" in report["mismatches"]
     assert "verdict" in report["mismatches"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_rank_n_lcp(1, 128, seed=0),
+        lambda: make_kourganoff(1, B_HYPERBOLIC, 128, seed=0),
+        lambda: make_ot(PLASTIC, [field_new(PLASTIC).gen()], 128, seed=0)[1],
+    ],
+    ids=["ranklcp", "kourganoff", "ot"],
+)
+def test_J2_is_the_first_flat_block_check(monkeypatch, build):
+    # every pipeline runs J2, unit_ratios, dirichlet and rank in that order
+    # after its own earlier checks, so a failing J2 names the certificate
+    monkeypatch.setattr(constructions_module, "check_J2", lambda ratios, flat: False)
+    cert = build()
+    assert cert.verdict == "FAILED"
+    assert cert.document["failed_check"] == "J2"
+    assert list(cert.checks).index("J2") + 3 == list(cert.checks).index("rank")

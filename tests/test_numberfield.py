@@ -22,6 +22,8 @@ from lcpforge.errors import (
 )
 from lcpforge.numberfield import (
     GaloisMap,
+    _pm_divmod,
+    _pm_trim,
     dirichlet_rank_bound,
     elem_from_json,
     field_new,
@@ -101,6 +103,22 @@ class TestIrreducibilityHeuristic:
         assert irreducibility_heuristic(IntPoly((1, 0, 0, 0, 1)))[0] == "inconclusive"
         # x^4 - 10x^2 + 1 is irreducible but splits modulo every prime
         assert irreducibility_heuristic(IntPoly((1, 0, -10, 0, 1)))[0] == "inconclusive"
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 13)),
+    st.lists(st.integers(-40, 40), max_size=9),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=5),
+)
+def test_pm_divmod_identity(q, a, f):
+    f = _pm_trim([c % q for c in f])
+    if not f:
+        return
+    quo, rem = _pm_divmod(a, f, q)
+    # quo*f + rem == a over Z after reduction mod q, with deg rem < deg f
+    residue = IntPoly(quo) * IntPoly(f) + IntPoly(rem) - IntPoly(a)
+    assert all(c % q == 0 for c in residue.coeffs)
+    assert len(rem) < len(f)
 
 
 class TestElementArithmetic:

@@ -104,6 +104,46 @@ def test_evaluation_is_ring_hom(a, b, x):
     assert (a + b)(x) == a(x) + b(x)
 
 
+A_INT = IntPoly((1, 2))  # 1 + 2x
+B_RAT = RatPoly((QQ(1, 2), 0, 3))  # 1/2 + 3x^2
+
+
+@pytest.mark.parametrize(
+    "expr,want",
+    [
+        (lambda: A_INT + B_RAT, RatPoly((QQ(3, 2), 2, 3))),
+        (lambda: B_RAT + A_INT, RatPoly((QQ(3, 2), 2, 3))),
+        (lambda: A_INT - B_RAT, RatPoly((QQ(1, 2), 2, -3))),
+        (lambda: B_RAT - A_INT, RatPoly((QQ(-1, 2), -2, 3))),
+        (lambda: B_RAT * A_INT, RatPoly((QQ(1, 2), 1, 3, 6))),
+        (lambda: A_INT * B_RAT, RatPoly((QQ(1, 2), 1, 3, 6))),
+        (lambda: A_INT * 3 - 1, IntPoly((2, 6))),
+        (lambda: 1 - A_INT, IntPoly((0, -2))),
+        (lambda: B_RAT * QQ(2) + 1, RatPoly((2, 0, 6))),
+        (lambda: A_INT.derivative(), IntPoly((2,))),
+        (lambda: B_RAT.derivative(), RatPoly((0, 6))),
+        (lambda: RatPoly((1, 2)) == A_INT, True),
+        (lambda: A_INT == RatPoly((1, 2)), True),
+        (lambda: A_INT == B_RAT, False),
+        (lambda: hash(RatPoly((1, 2))) == hash(A_INT), True),
+        (lambda: A_INT * QQ(1, 2), TypeError),
+        (lambda: QQ(1, 2) * A_INT, TypeError),
+        (lambda: 0.5 - A_INT, TypeError),
+    ],
+)
+def test_int_and_rat_polys_mix_by_one_rule(expr, want):
+    # IntPoly and RatPoly share one ring: a mixed operation widens to
+    # RatPoly, == compares coefficients across the two, and an IntPoly
+    # refuses a Fraction scalar instead of truncating it
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            expr()
+        return
+    got = expr()
+    assert type(got) is type(want)
+    assert getattr(got, "coeffs", got) == getattr(want, "coeffs", want)
+
+
 def test_exact_division_errors():
     with pytest.raises(InputError):
         int_poly_exact_div(IntPoly((1, 1)), IntPoly((0, 2)))
@@ -243,6 +283,15 @@ def test_sign_at_dyadic_matches_rational():
     for q in (QQ(0), QQ(1, 2), QQ(-3, 4), QQ(5), QQ(-2), QQ(1, 3), QQ(7, 3)):
         want = 0 if p(q) == 0 else (1 if p(q) > 0 else -1)
         assert sign_at(p, q) == want
+
+
+def test_root_functions_reject_floats():
+    # a float would be read as its binary expansion: 0.1 is not 1/10
+    p = IntPoly((-2, 0, 1))
+    with pytest.raises(InputError):
+        sign_at(p, 0.1)
+    with pytest.raises(InputError):
+        refine_root(p, 1.1, 2.0, bits=20)
 
 
 @pytest.mark.parametrize(
