@@ -421,23 +421,22 @@ def _dirichlet_check(field, tested_rank):
 
 
 def _equivariance_check(spec, gens, bits, seed):
-    reports = []
-    overall = True
-    for gen in gens:
-        rep = verify_equivariance(
-            spec, gen, samples=EQUIVARIANCE_SAMPLES, precision=bits, seed=seed
-        )
-        overall = overall and rep.verdict
-        reports.append(
+    reports = verify_equivariance(
+        spec, gens, samples=EQUIVARIANCE_SAMPLES, precision=bits, seed=seed
+    )
+    return {
+        "verdict": all(rep.verdict for rep in reports),
+        "reports": [
             {
                 "generator": rep.generator_label,
                 "samples": rep.samples,
                 "seed": rep.seed,
                 "max_residual": enc_float(rep.max_residual, rep.precision_bits + 32),
-                "verdict": bool(rep.verdict),
+                "verdict": rep.verdict,
             }
-        )
-    return {"verdict": bool(overall), "reports": reports}
+            for rep in reports
+        ],
+    }
 
 
 def _witnessed_ratios(builder, decomp, emb, units, ratios):

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .numberfield import FieldElem
-from .polynomials import poly_gcd
+from .polynomials import as_rat, poly_gcd
 from .embeddings import (
     GUARD_BITS,
     _at_prec,
@@ -762,19 +762,32 @@ def build_metric_spec(decomp: BlockDecomposition, ratios: RatioMatrix,
 
 
 def _sylvester_positive_definite(rows, tol) -> bool:
-    """Leading-principal-minor test on a symmetric numeric matrix."""
+    """Leading-principal-minor test on a symmetric matrix of mpf entries
+    at the working precision."""
     n = len(rows)
-    a = [[mp.mpf(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     for k in range(n):
-        # in-place LDL-style elimination keeps this O(n^3) overall
+        # in-place LDL-style elimination keeps this O(n^3) overall; a row
+        # whose entry in column k is an exact zero is skipped, since every
+        # entry is at the working precision and a - 0*b is a
         piv = a[k][k]
         if not piv > tol:
             return False
         for i in range(k + 1, n):
+            if not a[i][k]:
+                continue
             f = a[i][k] / piv
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
     return True
+
+
+def _check_rational(rows):
+    """Reject a float or an mpf entry (polynomials.as_rat); ints and
+    Fractions are kept as given, so a stored int stays an int."""
+    for row in rows:
+        for x in row:
+            as_rat(x)
 
 
 def _cross_covariance_check(spec: MetricSpec, k, k2, table, tol):
@@ -794,10 +807,10 @@ def _cross_covariance_check(spec: MetricSpec, k, k2, table, tol):
                         for j in range(len(idx2)):
                             acc += (
                                 c[idx1[i]][idx1[a]]
-                                * iv.mpf(table[i][j])
+                                * iv.mpf(_to_mpf(table[i][j]))
                                 * c[idx2[j]][idx2[b]]
                             )
-                    want = lk * lk2 * mp.mpf(table[a][b])
+                    want = lk * lk2 * _to_mpf(table[a][b])
                     if mp.mpf(abs(acc - iv.mpf(want)).b) > 8 * tol:
                         raise CheckFailureError(
                             "cross-term table between blocks %d and %d is not "
@@ -828,10 +841,14 @@ def _grid_points(spec: MetricSpec):
 def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
     """Couple pairs of non-flat blocks with equivariant off-diagonal terms.
 
-    Each pair (k, k') receives a coupling table (all-ones by default),
-    the functional with increments ln(L1/sqrt(Lk Lk')), and one common
-    scale found by bisection so the sampled metric stays positive
-    definite.
+    Each pair (k, k') receives a coupling table of ints or Fractions
+    (all-ones by default), the functional f_c with increments
+    ln(L1/sqrt(Lk Lk')), and one common scale eps found by bisection so
+    the metric stays positive definite on the fundamental-domain grid.
+    The grid grams of spec and the factors exp(2 f_c) are evaluated once;
+    each bisection step adds eps times them in evaluate_metric's order, so
+    every tested matrix is evaluate_metric's gram of the coupled metric,
+    bit for bit.
     """
     pairs = [tuple(pair) for pair in pairs]
     if not pairs:
@@ -853,13 +870,14 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
             tables.append([[1] * cols for _ in range(rows)])
     if len(tables) != len(pairs):
         raise InputError("need one coupling table per pair")
-    new_terms = []
+    couplings = []
     with _at_prec(decomp.workbits):
         for (k, k2), table in zip(pairs, tables):
             rows = len(decomp.block_indices(k))
             cols = len(decomp.block_indices(k2))
             if len(table) != rows or any(len(r) != cols for r in table):
                 raise InputError("coupling table shape must match the blocks")
+            _check_rational(table)
             _cross_covariance_check(spec, k, k2, table, tol)
             lam1 = [row[spec.flat_block] for row in spec.ratios.entries]
             targets = [
@@ -870,17 +888,33 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
             functional = solve_equivariant_functional(
                 spec.translations, targets, spec.precision_bits
             )
-            new_terms.append(CrossTerm(k, k2, table, functional, mp.mpf(1)))
+            couplings.append((k, k2, table, functional))
 
-        candidate = spec.replace(cross_terms=spec.cross_terms + tuple(new_terms))
-        grid = _grid_points(spec)
+        # per grid point: the nonzero entries of spec's gram and the
+        # factor exp(2 f_c(x)) of each new term
+        zero = mp.mpf(0)
+        total = spec.total_dim
+        grid = []
+        for x in _grid_points(spec):
+            gram = evaluate_metric(spec, [zero] * decomp.p + list(x))
+            nonzero = [
+                (i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g
+            ]
+            factors = [mp.exp(2 * f(x)) for _, _, _, f in couplings]
+            grid.append((nonzero, factors))
 
         def scaled_ok(eps):
-            for term in new_terms:
-                term.epsilon = eps
-            for x in grid:
-                point = [mp.mpf(0)] * decomp.p + list(x)
-                gram = evaluate_metric(candidate, point)
+            for nonzero, factors in grid:
+                gram = [[zero] * total for _ in range(total)]
+                for i, j, g in nonzero:
+                    gram[i][j] = g
+                for (k, k2, table, _), factor in zip(couplings, factors):
+                    scale = eps * factor
+                    for a, i in enumerate(decomp.block_indices(k)):
+                        for b, j in enumerate(decomp.block_indices(k2)):
+                            value = scale * _to_mpf(table[a][b])
+                            gram[i][j] += value
+                            gram[j][i] += value
                 if not _sylvester_positive_definite(gram, tol):
                     return False
             return True
@@ -902,9 +936,11 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
                     "positive definite"
                 )
             epsilon = lo / 2
-        for term in new_terms:
-            term.epsilon = epsilon
-    return spec.replace(cross_terms=spec.cross_terms + tuple(new_terms))
+    new_terms = tuple(
+        CrossTerm(k, k2, table, functional, epsilon)
+        for k, k2, table, functional in couplings
+    )
+    return spec.replace(cross_terms=spec.cross_terms + new_terms)
 
 
 def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
@@ -938,7 +974,7 @@ def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
             idx2 = list(decomp.block_indices(term.k2))
             for a, i in enumerate(idx1):
                 for b, j in enumerate(idx2):
-                    value = scale * mp.mpf(term.table[a][b])
+                    value = scale * _to_mpf(term.table[a][b])
                     gram[i][j] += value
                     gram[j][i] += value
         offset = p + n
@@ -947,7 +983,7 @@ def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
             m = len(ext.gram)
             for i in range(m):
                 for j in range(m):
-                    gram[offset + i][offset + j] = scale * mp.mpf(ext.gram[i][j])
+                    gram[offset + i][offset + j] = scale * _to_mpf(ext.gram[i][j])
             offset += m
         return _freeze(gram)
 
@@ -955,9 +991,10 @@ def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
 def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
     """Glue a conformally-scaled constant factor onto the metric.
 
-    The scaling functional must have the same increments as the base
-    conformal factor along every stored translation, otherwise the glued
-    metric would break equivariance.
+    The gram matrix is symmetric positive definite with int or Fraction
+    entries.  The scaling functional must have the same increments as the
+    base conformal factor along every stored translation, otherwise the
+    glued metric would break equivariance.
     """
     gram = [list(row) for row in gram]
     m = len(gram)
@@ -965,13 +1002,13 @@ def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
         return spec
     if any(len(row) != m for row in gram):
         raise InputError("extension gram matrix must be square")
+    _check_rational(gram)
+    if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i + 1, m)):
+        raise InputError("extension gram matrix must be symmetric")
     tol = tolerance(spec.precision_bits)
     with _at_prec(spec.decomposition.workbits):
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(mp.mpf(gram[i][j]) - mp.mpf(gram[j][i])) > tol:
-                    raise InputError("extension gram matrix must be symmetric")
-        if not _sylvester_positive_definite(gram, tol):
+        rows = [[_to_mpf(x) for x in row] for row in gram]
+        if not _sylvester_positive_definite(rows, tol):
             raise InputError("extension gram matrix must be positive definite")
         for v in spec.translations:
             want = spec.base_conformal.shift(v)
@@ -1034,52 +1071,73 @@ def _sample_points(spec: MetricSpec, samples: int, seed: int, workbits: int):
     return pts
 
 
-def verify_equivariance(spec: MetricSpec, gen: SimilarityGenerator,
+def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
                         samples: int = 100, precision: Optional[int] = None,
-                        seed: int = 0) -> EquivarianceReport:
-    """Check gamma*h = L1^2 h at seeded sample points.
+                        seed: int = 0) -> List[EquivarianceReport]:
+    """Check gamma*h = L1^2 h at seeded sample points, for each generator.
 
-    The pullback uses the exact affine Jacobian of the action: the linear
-    part in block coordinates on the fiber, identity on base and extension
-    coordinates.  Reports the maximum relative residual and the verdict
-    against the precision tolerance.
+    The sample points do not depend on the generator, so h(x) is evaluated
+    once per point and h(x + v) once per point and generator.  The
+    pullback uses the exact affine Jacobian of the action: the linear part
+    in block coordinates on the fiber, identity on base and extension
+    coordinates.  Returns one report per generator, in order, with the
+    maximum relative residual and the verdict against the precision
+    tolerance.
     """
+    if samples < 1:
+        raise InputError("the equivariance check needs at least one sample point")
     if precision is None:
         precision = spec.precision_bits
     precision = validate_precision(precision)
     decomp = spec.decomposition
-    p, n = decomp.p, spec.n
+    p = decomp.p
     workbits = max(decomp.workbits, precision + GUARD_BITS)
     tol = tolerance(precision)
-    c = conjugated_numeric(decomp, gen.linear)
-    c_t = list(zip(*c))
-    total = spec.total_dim
-    flat_idx = spec.flat_block
+    blocks = [conjugated_numeric(decomp, gen.linear) for gen in gens]
     pts = _sample_points(spec, samples, seed, workbits)
     with _at_prec(workbits):
-        lam1 = mp.mpf(gen.ratio_row[flat_idx])
-        lam1_sq = lam1 * lam1
-        v = [_to_mpf(t) for t in gen.base_translation]
-        zero = max_residual = mp.mpf(0)
+        zero = mp.mpf(0)
+        actions = []
+        for gen, c in zip(gens, blocks):
+            lam1 = mp.mpf(gen.ratio_row[spec.flat_block])
+            v = [_to_mpf(t) for t in gen.base_translation]
+            actions.append((c, list(zip(*c)), lam1 * lam1, v))
+        residuals = [zero] * len(actions)
         for x in pts:
-            here = [mp.mpf(0)] * p + list(x)
-            there = [mp.mpf(0)] * p + [xi + vi for xi, vi in zip(x, v)]
-            h_here = evaluate_metric(spec, here)
-            h_there = evaluate_metric(spec, there)
-            # J^T H(gamma P) J with J = diag(C, I): only the fiber block
-            # moves, to C^T H_F C; every sum runs from zero in index order
-            h_fiber = [row[:p] for row in h_there[:p]]
-            fiber = _iv_matmul(c_t, _iv_matmul(h_fiber, c, zero), zero)
-            pulled = [f + list(h[p:]) for f, h in zip(fiber, h_there)]
-            pulled += h_there[p:]
-            target = [[lam1_sq * hij for hij in row] for row in h_here]
-            scale = max(abs(t) for row in target for t in row) or mp.mpf(1)
-            for i in range(total):
-                for j in range(total):
-                    rel = abs(pulled[i][j] - target[i][j]) / scale
-                    if rel > max_residual:
-                        max_residual = rel
-        verdict = max_residual < tol
-    return EquivarianceReport(
-        gen.label, samples, seed, max_residual, precision, verdict
-    )
+            h_here = evaluate_metric(spec, [zero] * p + list(x))
+            for g, (c, c_t, lam1_sq, v) in enumerate(actions):
+                there = [zero] * p + [xi + vi for xi, vi in zip(x, v)]
+                h_there = evaluate_metric(spec, there)
+                # J^T H(gamma P) J with J = diag(C, I): only the fiber block
+                # moves, to C^T (H_F C).  Every sum runs from zero in index
+                # order; H_F C skips the exact zeros of the block-scalar H_F,
+                # which add nothing to a sum
+                h_fiber_c = []
+                for row in h_there[:p]:
+                    nonzero = [(l, h) for l, h in enumerate(row[:p]) if h]
+                    h_fiber_c.append(
+                        [sum((h * c[l][j] for l, h in nonzero), zero) for j in range(p)]
+                    )
+                fiber = _iv_matmul(c_t, h_fiber_c, zero)
+                pulled = [f + list(h[p:]) for f, h in zip(fiber, h_there)]
+                pulled += h_there[p:]
+                target = [[lam1_sq * hij for hij in row] for row in h_here]
+                scale = max(abs(t) for row in target for t in row) or mp.mpf(1)
+                # rounded division by scale is monotone, so the largest
+                # relative residual is the largest difference divided once
+                diff = max(
+                    (
+                        abs(pij - tij)
+                        for prow, trow in zip(pulled, target)
+                        for pij, tij in zip(prow, trow)
+                        if pij or tij
+                    ),
+                    default=zero,
+                )
+                rel = diff / scale
+                if rel > residuals[g]:
+                    residuals[g] = rel
+    return [
+        EquivarianceReport(gen.label, samples, seed, r, precision, r < tol)
+        for gen, r in zip(gens, residuals)
+    ]

@@ -482,8 +482,8 @@ def poly_from_json(data: Sequence[str]) -> IntPoly:
 
 
 def rat_to_json(q) -> str:
-    """JSON form of a rational: "n" or "n/d"."""
-    return str(Fraction(q))
+    """JSON form of an int or a Fraction: "n" or "n/d"."""
+    return str(as_rat(q))
 
 
 def rat_from_json(text: str) -> Fraction:

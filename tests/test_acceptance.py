@@ -159,7 +159,7 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
     gen = SimilarityGenerator(
         "g1", dm.matrices[0], (0, 0, 0), translations[0], ratios.entries[0]
     )
-    assert verify_equivariance(spec, gen, 100, 128, seed=0).verdict is True
+    assert verify_equivariance(spec, [gen], 100, 128, seed=0)[0].verdict is True
     k = next(i for i in range(decomp.delta) if i != flat)
     bumped = list(spec.functionals)
     with mp.workprec(decomp.workbits):
@@ -168,7 +168,7 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
             (old.coeffs[0] + mp.mpf("0.001"),) + old.coeffs[1:], old.constant
         )
     perturbed = spec.replace(functionals=tuple(bumped))
-    assert verify_equivariance(perturbed, gen, 100, 128, seed=0).verdict is False
+    assert verify_equivariance(perturbed, [gen], 100, 128, seed=0)[0].verdict is False
 
 
 def test_criterion_6_warped_product_family():

@@ -9,6 +9,8 @@ frozen from hand derivations.
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 import lcpforge.lcpcore as lcpcore_module
@@ -16,9 +18,11 @@ import lcpforge.constructions as constructions_module
 from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
 from lcpforge.constructions import (
     _match_block_embeddings,
+    _metric_section,
     _witness_table,
     make_kourganoff,
     make_ot,
+    make_rank_n_lcp,
 )
 from lcpforge.errors import (
     CheckFailureError,
@@ -29,11 +33,15 @@ from lcpforge.errors import (
 )
 from lcpforge.intlinalg import IntMatrix, char_poly, companion, matrix_from_string, poly_apply
 from lcpforge.lcpcore import (
+    _CROSS_BISECT_STEPS,
     AffineFunctional,
+    CrossTerm,
     SimilarityGenerator,
     UnitWitness,
     add_cross_terms,
+    _grid_points,
     _sample_points,
+    _sylvester_positive_definite,
     _to_mpf,
     build_metric_spec,
     check_J1,
@@ -361,8 +369,9 @@ class TestMetricAssembly:
 class TestEquivariance:
     def test_rank2_residuals(self, rank2_metric):
         spec, gens = rank2_metric
-        for gen in gens:
-            report = verify_equivariance(spec, gen, samples=100, precision=128, seed=0)
+        reports = verify_equivariance(spec, gens, samples=100, precision=128, seed=0)
+        assert [report.generator_label for report in reports] == ["g0", "g1"]
+        for report in reports:
             assert report.verdict is True
             assert report.samples == 100
             with mp.workprec(200):
@@ -374,7 +383,7 @@ class TestEquivariance:
         identity = SimilarityGenerator(
             "id", IntMatrix.identity(3), (0, 0, 0), (0, 0), (1, 1, 1)
         )
-        report = verify_equivariance(spec, identity, samples=10, precision=128, seed=0)
+        (report,) = verify_equivariance(spec, [identity], samples=10, precision=128, seed=0)
         assert report.verdict is True
         assert report.max_residual == 0
 
@@ -388,16 +397,51 @@ class TestEquivariance:
         bad = spec.replace(
             functionals=(spec.functionals[0], bumped, spec.functionals[2])
         )
-        report = verify_equivariance(bad, gens[0], samples=20, precision=128, seed=0)
+        (report,) = verify_equivariance(bad, gens[:1], samples=20, precision=128, seed=0)
         assert report.verdict is False
 
     def test_seeded_samples_reproduce(self, rank2_metric):
         spec, gens = rank2_metric
-        r1 = verify_equivariance(spec, gens[0], samples=25, precision=128, seed=42)
-        r2 = verify_equivariance(spec, gens[0], samples=25, precision=128, seed=42)
+        (r1,) = verify_equivariance(spec, gens[:1], samples=25, precision=128, seed=42)
+        (r2,) = verify_equivariance(spec, gens[:1], samples=25, precision=128, seed=42)
         assert r1.max_residual == r2.max_residual
-        r3 = verify_equivariance(spec, gens[0], samples=25, precision=128, seed=43)
+        (r3,) = verify_equivariance(spec, gens[:1], samples=25, precision=128, seed=43)
         assert r3.max_residual != r1.max_residual
+
+
+@pytest.fixture
+def metric_evaluations(monkeypatch):
+    """One entry per evaluate_metric call the test makes."""
+    calls = []
+    original = lcpcore_module.evaluate_metric
+
+    def counting(spec, point):
+        calls.append(len(point))
+        return original(spec, point)
+
+    monkeypatch.setattr(lcpcore_module, "evaluate_metric", counting)
+    return calls
+
+
+class TestEquivarianceInputs:
+    def test_no_sample_points_is_refused(self):
+        # without the base conformal factor the metric is not equivariant,
+        # which 100 samples see; no samples at all must not read as a pass
+        (spec, gens), = _pipeline_equivariance_inputs(
+            lambda: make_rank_n_lcp(2, 128, seed=0)
+        )
+        bad = spec.replace(base_conformal=AffineFunctional([0] * spec.n))
+        reports = verify_equivariance(bad, gens, samples=100, precision=128, seed=0)
+        assert not all(report.verdict for report in reports)
+        for samples in (0, -5):
+            with pytest.raises(InputError):
+                verify_equivariance(bad, gens, samples=samples, precision=128, seed=0)
+
+    def test_one_metric_evaluation_per_point_and_generator(self, metric_evaluations):
+        # h(x) once per sample point for all generators, h(x + v) once per
+        # point and generator: 100 * (4 + 1) for the four rank-4 generators
+        make_rank_n_lcp(4, 128, seed=0)
+        assert len(metric_evaluations) == 100 * (4 + 1)
 
 
 def _dense_max_residual(spec, gen, samples, precision, seed):
@@ -453,12 +497,12 @@ def _dense_max_residual(spec, gen, samples, precision, seed):
 
 
 def _pipeline_equivariance_inputs(build):
-    """Every (spec, generator) pair a pipeline hands to verify_equivariance."""
+    """Every (spec, generators) pair a pipeline hands to verify_equivariance."""
     calls = []
 
-    def record(spec, gen, *args, **kwargs):
-        calls.append((spec, gen))
-        return verify_equivariance(spec, gen, *args, **kwargs)
+    def record(spec, gens, *args, **kwargs):
+        calls.append((spec, list(gens)))
+        return verify_equivariance(spec, gens, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(constructions_module, "verify_equivariance", record)
@@ -487,15 +531,16 @@ class TestPullbackAgainstDenseReference:
     """The fiber-block pullback gives the dense loop's residual exactly."""
 
     def _check(self, cases, samples=10, seed=3):
-        for spec, gen in cases:
-            report = verify_equivariance(spec, gen, samples=samples, precision=128, seed=seed)
-            dense = _dense_max_residual(spec, gen, samples, 128, seed)
-            assert report.max_residual == dense
+        for spec, gens in cases:
+            reports = verify_equivariance(spec, gens, samples=samples, precision=128, seed=seed)
+            assert len(reports) == len(gens)
+            for gen, report in zip(gens, reports):
+                dense = _dense_max_residual(spec, gen, samples, 128, seed)
+                assert report.max_residual == dense
         return report
 
     def test_rank2(self, rank2_metric):
-        spec, gens = rank2_metric
-        self._check([(spec, gen) for gen in gens])
+        self._check([rank2_metric])
 
     def test_kourganoff_q2_complex_block(self, kourganoff_q2_inputs):
         assert any(size == 2 for _, size in kourganoff_q2_inputs[0][0].decomposition.blocks)
@@ -508,15 +553,25 @@ class TestPullbackAgainstDenseReference:
     def test_extended_spec(self, squared_metric):
         spec, gens = squared_metric
         bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
-        self._check([(bigger, gen) for gen in gens])
+        self._check([(bigger, gens)])
 
     def test_identity_generator(self, rank2_metric):
         spec, _ = rank2_metric
         identity = SimilarityGenerator(
             "id", IntMatrix.identity(3), (0, 0, 0), (0, 0), (1, 1, 1)
         )
-        report = self._check([(spec, identity)])
+        report = self._check([(spec, [identity])])
         assert report.max_residual == 0
+
+    def test_generator_mixing_the_blocks(self, rank2_metric):
+        # this lattice map preserves no block: its largest residual sits at
+        # an off-block entry of C^T H_F C, where the target is an exact zero
+        spec, _ = rank2_metric
+        mixing = SimilarityGenerator(
+            "mix", matrix_from_string("-1,-1,0;-1,0,-1;0,-1,0"), (0, 0, 0), (0, 0), (1, 1, 1)
+        )
+        report = self._check([(spec, [mixing])])
+        assert report.verdict is False
 
 
 class TestCrossTerms:
@@ -531,8 +586,7 @@ class TestCrossTerms:
         assert gram[1][2] != 0
         assert gram[1][2] == gram[2][1]
         assert gram[0][1] == 0
-        for gen in gens:
-            report = verify_equivariance(coupled, gen, samples=50, precision=128, seed=5)
+        for report in verify_equivariance(coupled, gens, samples=50, precision=128, seed=5):
             assert report.verdict is True
 
     def test_sign_indefinite_action_rejected(self, rank2_metric):
@@ -558,6 +612,157 @@ class TestCrossTerms:
         assert add_cross_terms(spec, []) is spec
 
 
+def _dense_sylvester(rows, tol):
+    """Reference leading-principal-minor test: the elimination without the
+    exact-zero skip, converting every entry with mp.mpf."""
+    n = len(rows)
+    a = [[mp.mpf(x) for x in row] for row in rows]
+    for k in range(n):
+        piv = a[k][k]
+        if not piv > tol:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A symmetric int matrix of size 1..6 with mostly zero off-diagonal
+    entries and diagonals that may be small, zero or negative."""
+    n = draw(st.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(-2, 12))
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 2)) == 0:
+                rows[i][j] = rows[j][i] = draw(st.integers(-6, 6))
+    return rows
+
+
+class TestSylvesterAgainstDenseReference:
+    """Skipping exact zeros in the elimination gives the dense verdict."""
+
+    @given(sparse_symmetric())
+    def test_int_entries(self, rows):
+        # the extend path: int entries converted at the working precision
+        with _at_prec(128 + GUARD_BITS):
+            tol = tolerance(128)
+            converted = [[_to_mpf(x) for x in row] for row in rows]
+            assert _sylvester_positive_definite(converted, tol) == _dense_sylvester(rows, tol)
+
+    @given(sparse_symmetric(), st.integers(3, 97))
+    def test_mpf_entries_at_workbits(self, rows, divisor):
+        # the scale-search path: full-length mpf entries at the working
+        # precision, with the exact zeros left as they are
+        with _at_prec(128 + GUARD_BITS):
+            tol = tolerance(128)
+            scaled = [[mp.mpf(x) / divisor for x in row] for row in rows]
+            assert _sylvester_positive_definite(scaled, tol) == _dense_sylvester(scaled, tol)
+
+
+def _reference_epsilon(spec, coupled):
+    """The scale search as a dense loop: every bisection step couples spec
+    with the new terms of coupled at the trial scale, evaluates the whole
+    metric at every grid point and tests it with _dense_sylvester."""
+    decomp = spec.decomposition
+    tol = tolerance(spec.precision_bits)
+    new_terms = coupled.cross_terms[len(spec.cross_terms):]
+    with _at_prec(decomp.workbits):
+        grid = _grid_points(spec)
+
+        def scaled_ok(eps):
+            terms = tuple(
+                CrossTerm(t.k, t.k2, t.table, t.functional, eps) for t in new_terms
+            )
+            candidate = spec.replace(cross_terms=spec.cross_terms + terms)
+            return all(
+                _dense_sylvester(
+                    evaluate_metric(candidate, [mp.mpf(0)] * decomp.p + list(x)), tol
+                )
+                for x in grid
+            )
+
+        one = mp.mpf(1)
+        if scaled_ok(one):
+            return one
+        lo, hi = mp.mpf(0), one
+        for _ in range(_CROSS_BISECT_STEPS):
+            midpoint = (lo + hi) / 2
+            if scaled_ok(midpoint):
+                lo = midpoint
+            else:
+                hi = midpoint
+        return lo / 2
+
+
+@pytest.fixture(scope="module")
+def ot_lck_uncoupled(ot_lck_inputs):
+    """The ot --lck spec before its cross terms, and the coupled pairs."""
+    spec = ot_lck_inputs[0][0]
+    pairs = [(term.k, term.k2) for term in spec.cross_terms]
+    return spec.replace(cross_terms=()), pairs
+
+
+class TestScaleSearchAgainstDenseReference:
+    """The scale search on cached grid data finds the dense loop's scale."""
+
+    def _check(self, spec, pairs):
+        coupled = add_cross_terms(spec, pairs)
+        want = _reference_epsilon(spec, coupled)
+        for term in coupled.cross_terms[len(spec.cross_terms):]:
+            assert term.epsilon == want
+        return want
+
+    def test_squared_metric(self, squared_metric):
+        spec, _ = squared_metric
+        assert self._check(spec, [(1, 2)]) < 1
+
+    def test_ot_lck(self, ot_lck_uncoupled, ot_lck_inputs):
+        spec, pairs = ot_lck_uncoupled
+        epsilon = self._check(spec, pairs)
+        assert epsilon == ot_lck_inputs[0][0].cross_terms[0].epsilon
+
+    def test_second_term_on_the_same_pair(self, squared_metric):
+        spec, _ = squared_metric
+        once = add_cross_terms(spec, [(1, 2)])
+        assert self._check(once, [(1, 2)]) < once.cross_terms[0].epsilon
+
+    def test_extended_spec(self, squared_metric):
+        spec, _ = squared_metric
+        bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
+        self._check(bigger, [(1, 2)])
+
+    def test_one_metric_evaluation_per_grid_point(self, ot_lck_uncoupled, metric_evaluations):
+        spec, pairs = ot_lck_uncoupled
+        add_cross_terms(spec, pairs)
+        assert len(metric_evaluations) == len(_grid_points(spec)) == 100
+
+
+class TestRationalEntries:
+    def test_float_coupling_table_rejected(self, squared_metric):
+        spec, _ = squared_metric
+        with pytest.raises(InputError):
+            add_cross_terms(spec, [(1, 2)], tables=[[[0.1]]])
+
+    def test_fraction_coupling_table_sealed_exactly(self, squared_metric):
+        spec, _ = squared_metric
+        coupled = add_cross_terms(spec, [(1, 2)], tables=[[[QQ(1, 2)]]])
+        assert _metric_section(coupled)["cross_terms"][0]["table"] == [["1/2"]]
+
+    def test_float_extension_gram_rejected(self, squared_metric):
+        spec, _ = squared_metric
+        with pytest.raises(InputError):
+            extend(spec, spec.base_conformal, [[2.5, 0.1], [0.1, 2.5]])
+
+    def test_fraction_extension_gram_sealed_exactly(self, squared_metric):
+        spec, _ = squared_metric
+        bigger = extend(spec, spec.base_conformal, [[QQ(3, 2), QQ(1, 3)], [QQ(1, 3), 2]])
+        assert _metric_section(bigger)["extensions"][0]["gram"] == [["3/2", "1/3"], ["1/3", "2"]]
+
+
 class TestExtension:
     def test_extension_keeps_equivariance(self, squared_metric):
         spec, gens = squared_metric
@@ -565,8 +770,7 @@ class TestExtension:
         assert bigger.total_dim == spec.total_dim + 2
         gram = evaluate_metric(bigger, [0, 0, 0, QQ(1, 7), QQ(1, 9)])
         assert gram[5][6] == gram[6][5] != 0
-        for gen in gens:
-            report = verify_equivariance(bigger, gen, samples=30, precision=128, seed=2)
+        for report in verify_equivariance(bigger, gens, samples=30, precision=128, seed=2):
             assert report.verdict is True
 
     def test_mismatched_functional_rejected(self, squared_metric):

@@ -33,6 +33,7 @@ from lcpforge.polynomials import (
     poly_to_json,
     poly_to_string,
     rat_from_json,
+    rat_to_json,
     real_subfield_minpoly,
     refine_root,
     sign_at,
@@ -77,6 +78,14 @@ def test_rational_coefficients_reject_floats():
     for bad in (0.1, 0.5, mpmath.mpf(1)):
         with pytest.raises(InputError):
             RatPoly((bad, 1))
+
+
+def test_rat_to_json_rejects_floats():
+    # 0.1 would be sealed as its binary expansion, 3602879701896397/2^55
+    assert [rat_to_json(3), rat_to_json(QQ(-1, 2))] == ["3", "-1/2"]
+    for bad in (0.1, 2.5, mpmath.mpf(1)):
+        with pytest.raises(InputError):
+            rat_to_json(bad)
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPoly)
