@@ -39,7 +39,6 @@ from .embeddings import (
 from .errors import (
     CheckFailureError,
     InputError,
-    NonIntegralError,
     PrecisionError,
     StructureError,
 )
@@ -47,13 +46,11 @@ from .intlinalg import (
     IntMatrix,
     char_poly,
     commute,
-    companion,
     det,
     eigen_solve,
     is_gl_z,
     matrix_from_json,
     matrix_to_json,
-    poly_apply,
 )
 from .lcpcore import (
     SimilarityGenerator,
@@ -75,6 +72,7 @@ from .numberfield import (
     galois_generator,
     is_unit,
     minimal_polynomial,
+    mult_matrix,
     require_unit,
 )
 from .polynomials import (
@@ -127,15 +125,14 @@ def make_exfield(n: int) -> ExField:
 
 
 class DMatrixData:
-    """Commuting unit-multiplication matrices acting through one companion
-    matrix, together with the exact units they represent."""
+    """Commuting unit-multiplication matrices in the power basis, together
+    with the exact units they represent."""
 
-    __slots__ = ("exfield", "units", "unit_polys", "matrices")
+    __slots__ = ("exfield", "units", "matrices")
 
-    def __init__(self, exfield, units, unit_polys, matrices):
+    def __init__(self, exfield, units, matrices):
         self.exfield = exfield
         self.units = tuple(units)
-        self.unit_polys = tuple(unit_polys)
         self.matrices = tuple(matrices)
 
     @property
@@ -151,9 +148,9 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
     """n commuting matrices in GL_p(Z) whose common eigenvector carries a
     multiplicatively independent family of unit eigenvalues.
 
-    The units are the Galois orbit prefix of the field generator; each is
-    read off exactly in the power basis and turned into a polynomial of
-    the companion matrix.  multiplicative_rank checks that they are units
+    The units are the Galois orbit prefix of the field generator; each
+    becomes its exact multiplication matrix in the power basis
+    (numberfield.mult_matrix).  multiplicative_rank checks that they are units
     and decides their rank at precision bits (default:
     default_precision()), so a pipeline passes its own bits and certifies
     the field's roots once.
@@ -164,16 +161,7 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
     units = [alpha]
     for _ in range(int(n) - 1):
         units.append(ex.sigma(units[-1]))
-    unit_polys = []
-    for u in units:
-        if not u.is_integral_coords():
-            raise NonIntegralError(
-                "unit has non-integer power-basis coordinates; cannot read "
-                "an integer polynomial off it"
-            )
-        unit_polys.append(IntPoly(tuple(int(c) for c in u.coords)))
-    a = companion(field.minpoly)
-    matrices = [poly_apply(p, a) for p in unit_polys]
+    matrices = [mult_matrix(u) for u in units]
     for m in matrices:
         if not is_gl_z(m):
             raise StructureError("unit matrix fell outside GL(p, Z)")
@@ -187,7 +175,7 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
             "independent units not found: the Galois orbit prefix has "
             "multiplicative rank %d, need %d" % (rank, int(n))
         )
-    return DMatrixData(ex, units, unit_polys, matrices)
+    return DMatrixData(ex, units, matrices)
 
 
 # --------------------------------------------------------------------------
@@ -759,26 +747,6 @@ def _certified_real_sign(field, u, index, bits):
     )
 
 
-def _mult_matrix(u: FieldElem) -> IntMatrix:
-    """Matrix of multiplication by u in the power basis."""
-    field = u.field
-    d = field.degree
-    cols = []
-    cur = u
-    alpha = field.gen()
-    for _ in range(d):
-        if not cur.is_integral_coords():
-            raise NonIntegralError(
-                "multiplication image leaves the integer span of the "
-                "power basis"
-            )
-        cols.append([int(c) for c in cur.coords])
-        cur = cur * alpha
-    return IntMatrix(tuple(
-        tuple(cols[j][i] for j in range(d)) for i in range(d)
-    ))
-
-
 def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
             lck: bool = False):
     """Unit-lattice pipeline for a field with signature (s, t), s, t >= 1.
@@ -840,7 +808,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
         },
     )
 
-    matrices = [_mult_matrix(u) for u in units]
+    matrices = [mult_matrix(u) for u in units]
     for m in matrices:
         if not is_gl_z(m):
             raise StructureError("unit multiplication matrix is not in GL(Z)")

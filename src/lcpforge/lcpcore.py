@@ -7,7 +7,9 @@ generator acts by a similarity (ratio times orthogonal), and the ratio on
 the designated flat block is not identically one.  On top of a certified
 decomposition the module assembles translation-equivariant metrics whose
 conformal behaviour under the group is checked numerically on seeded
-sample points.
+sample points.  That sampled check and the metric evaluation behind it run
+in rawmetric on raw libmp values, with the precision and rounding of the
+mpf operators, so their values are the mpf values bit for bit.
 
 All numeric work runs at the requested precision plus guard bits, and
 similarity decisions are taken against the tolerance 2**(-bits/2).  The
@@ -33,6 +35,8 @@ from .errors import (
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .numberfield import FieldElem
 from .polynomials import as_rat, poly_gcd
+from . import rawmetric
+from .rawmetric import _mpf_from_rational, _to_mpf
 from .embeddings import (
     GUARD_BITS,
     _at_prec,
@@ -64,9 +68,10 @@ def _iv_matrix(rows):
     return [[iv.mpf(x) for x in row] for row in rows]
 
 
-def _iv_matmul(a, b, zero):
+def _iv_matmul(a, b):
     """a * b; each entry sums from zero in increasing index order."""
     n, k, m = len(a), len(b), len(b[0])
+    zero = iv.mpf(0)
     return [
         [sum((a[i][l] * b[l][j] for l in range(k)), zero) for j in range(m)]
         for i in range(n)
@@ -75,17 +80,6 @@ def _iv_matmul(a, b, zero):
 
 def _mid(x):
     return (mp.mpf(x.a) + mp.mpf(x.b)) / 2
-
-
-def _mpf_from_rational(q):
-    return mp.mpf(q.numerator) / mp.mpf(q.denominator)
-
-
-def _to_mpf(x):
-    """Convert a scalar (mpf, int, float, or exact rational) to mpf."""
-    if isinstance(x, Fraction):
-        return _mpf_from_rational(x)
-    return mp.mpf(x)
 
 
 def _freeze(rows):
@@ -278,10 +272,7 @@ def restricted_blocks(decomp: BlockDecomposition, a: IntMatrix):
         raise InputError("matrix dimension does not match the decomposition")
     with _at_prec(decomp.workbits):
         am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
-        zero = iv.mpf(0)
-        return _iv_matmul(
-            decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis), zero), zero
-        )
+        return _iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis)))
 
 
 def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):
@@ -824,16 +815,17 @@ def _grid_points(spec: MetricSpec):
     n = spec.n
     if g == 0 or n == 0:
         return [tuple([mp.mpf(0)] * n)]
+    translations = [[_to_mpf(c) for c in v] for v in spec.translations]
     pts = []
     for flat in range(_CROSS_GRID ** g):
         rem = flat
         x = [mp.mpf(0)] * n
-        for j in range(g):
+        for v in translations:
             cell = rem % _CROSS_GRID
             rem //= _CROSS_GRID
             t = mp.mpf(2 * cell + 1) / (2 * _CROSS_GRID)
             for i in range(n):
-                x[i] += t * _to_mpf(spec.translations[j][i])
+                x[i] += t * v[i]
         pts.append(tuple(x))
     return pts
 
@@ -948,44 +940,17 @@ def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
 
     The point is fiber coordinates followed by base log-coordinates (and
     extension coordinates, which the metric does not read).  Off-block
-    entries are exact zeros unless a cross term couples the blocks.
+    entries are exact zeros unless a cross term couples the blocks.  The
+    entries are rawmetric.metric_gram's values as mpf.
     """
     decomp = spec.decomposition
     p, n = decomp.p, spec.n
     if len(point) < p + n:
         raise InputError("point has %d coordinates, need %d" % (len(point), p + n))
-    total = spec.total_dim
     with _at_prec(decomp.workbits):
-        x = [_to_mpf(t) for t in point[p:p + n]]
-        gram = [[mp.mpf(0) for _ in range(total)] for _ in range(total)]
-        for k in range(decomp.delta):
-            if k == spec.flat_block:
-                scale = mp.mpf(1)
-            else:
-                scale = mp.exp(2 * spec.functionals[k](x))
-            for i in decomp.block_indices(k):
-                gram[i][i] = scale
-        base_scale = mp.exp(2 * spec.base_conformal(x))
-        for i in range(n):
-            gram[p + i][p + i] = base_scale
-        for term in spec.cross_terms:
-            scale = term.epsilon * mp.exp(2 * term.functional(x))
-            idx1 = list(decomp.block_indices(term.k))
-            idx2 = list(decomp.block_indices(term.k2))
-            for a, i in enumerate(idx1):
-                for b, j in enumerate(idx2):
-                    value = scale * _to_mpf(term.table[a][b])
-                    gram[i][j] += value
-                    gram[j][i] += value
-        offset = p + n
-        for ext in spec.extensions:
-            scale = mp.exp(2 * ext.functional(x))
-            m = len(ext.gram)
-            for i in range(m):
-                for j in range(m):
-                    gram[offset + i][offset + j] = scale * _to_mpf(ext.gram[i][j])
-            offset += m
-        return _freeze(gram)
+        x = [_to_mpf(t)._mpf_ for t in point[p:p + n]]
+    gram = rawmetric.metric_gram(rawmetric.MetricTerms(spec), x)
+    return tuple(tuple(mp.make_mpf(g) for g in row) for row in gram)
 
 
 def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
@@ -1061,12 +1026,13 @@ def _sample_points(spec: MetricSpec, samples: int, seed: int, workbits: int):
     n = spec.n
     pts = []
     with _at_prec(workbits):
+        translations = [[_to_mpf(c) for c in v] for v in spec.translations]
         for _ in range(samples):
             x = [mp.mpf(0)] * n
-            for v in spec.translations:
+            for v in translations:
                 t = mp.mpf(rng.getrandbits(48)) / mp.mpf(2 ** 48)
                 for i in range(n):
-                    x[i] += t * _to_mpf(v[i])
+                    x[i] += t * v[i]
             pts.append(tuple(x))
     return pts
 
@@ -1090,53 +1056,26 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
         precision = spec.precision_bits
     precision = validate_precision(precision)
     decomp = spec.decomposition
-    p = decomp.p
     workbits = max(decomp.workbits, precision + GUARD_BITS)
     tol = tolerance(precision)
     blocks = [conjugated_numeric(decomp, gen.linear) for gen in gens]
     pts = _sample_points(spec, samples, seed, workbits)
+    actions = []
     with _at_prec(workbits):
-        zero = mp.mpf(0)
-        actions = []
         for gen, c in zip(gens, blocks):
-            lam1 = mp.mpf(gen.ratio_row[spec.flat_block])
-            v = [_to_mpf(t) for t in gen.base_translation]
-            actions.append((c, list(zip(*c)), lam1 * lam1, v))
-        residuals = [zero] * len(actions)
-        for x in pts:
-            h_here = evaluate_metric(spec, [zero] * p + list(x))
-            for g, (c, c_t, lam1_sq, v) in enumerate(actions):
-                there = [zero] * p + [xi + vi for xi, vi in zip(x, v)]
-                h_there = evaluate_metric(spec, there)
-                # J^T H(gamma P) J with J = diag(C, I): only the fiber block
-                # moves, to C^T (H_F C).  Every sum runs from zero in index
-                # order; H_F C skips the exact zeros of the block-scalar H_F,
-                # which add nothing to a sum
-                h_fiber_c = []
-                for row in h_there[:p]:
-                    nonzero = [(l, h) for l, h in enumerate(row[:p]) if h]
-                    h_fiber_c.append(
-                        [sum((h * c[l][j] for l, h in nonzero), zero) for j in range(p)]
-                    )
-                fiber = _iv_matmul(c_t, h_fiber_c, zero)
-                pulled = [f + list(h[p:]) for f, h in zip(fiber, h_there)]
-                pulled += h_there[p:]
-                target = [[lam1_sq * hij for hij in row] for row in h_here]
-                scale = max(abs(t) for row in target for t in row) or mp.mpf(1)
-                # rounded division by scale is monotone, so the largest
-                # relative residual is the largest difference divided once
-                diff = max(
-                    (
-                        abs(pij - tij)
-                        for prow, trow in zip(pulled, target)
-                        for pij, tij in zip(prow, trow)
-                        if pij or tij
-                    ),
-                    default=zero,
+            if len(gen.base_translation) < spec.n:
+                raise InputError(
+                    "generator %r has %d base coordinates, need %d"
+                    % (gen.label, len(gen.base_translation), spec.n)
                 )
-                rel = diff / scale
-                if rel > residuals[g]:
-                    residuals[g] = rel
+            lam1 = mp.mpf(gen.ratio_row[spec.flat_block])
+            c_t = [[e._mpf_ for e in col] for col in zip(*c)]
+            v = [_to_mpf(t)._mpf_ for t in gen.base_translation]
+            actions.append((c_t, (lam1 * lam1)._mpf_, v))
+    raw = rawmetric.pullback_residuals(
+        rawmetric.MetricTerms(spec), actions, [[t._mpf_ for t in x] for x in pts], workbits
+    )
+    residuals = [mp.make_mpf(r) for r in raw]
     return [
         EquivarianceReport(gen.label, samples, seed, r, precision, r < tol)
         for gen, r in zip(gens, residuals)

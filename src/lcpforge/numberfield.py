@@ -22,11 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (
     InconclusiveIrreducibilityError,
     InputError,
+    NonIntegralError,
     NonUnitError,
     NotCyclicError,
     ReduciblePolynomialError,
 )
-from .intlinalg import field_kernel_basis
+from .intlinalg import IntMatrix, field_kernel_basis
 from .polynomials import (
     IntPoly,
     RatPoly,
@@ -255,6 +256,30 @@ def minimal_polynomial(a: FieldElem) -> RatPoly:
         [[p.coords[r] for p in powers] for r in range(d)]
     )[0]
     return RatPoly(first)
+
+
+def mult_matrix(u: FieldElem) -> IntMatrix:
+    """Matrix of multiplication by u in the power basis: column j holds the
+    coordinates of u * x^j.
+
+    Each column is the previous one times x, reduced by the monic integral
+    minimal polynomial, so integer coordinates of u give an integer matrix;
+    other elements raise NonIntegralError.
+    """
+    if not u.is_integral_coords():
+        raise NonIntegralError(
+            "element has non-integer power-basis coordinates; its "
+            "multiplication matrix is not integral"
+        )
+    m = u.field.minpoly.coeffs
+    d = u.field.degree
+    col = [int(c) for c in u.coords]
+    cols = [col]
+    for _ in range(d - 1):
+        top = col[-1]
+        col = [(col[i - 1] if i else 0) - top * m[i] for i in range(d)]
+        cols.append(col)
+    return IntMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
 
 
 def is_unit(a: FieldElem) -> bool:

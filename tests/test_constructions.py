@@ -115,8 +115,8 @@ def test_dmatrix_rank2_golden_matrices():
     assert isinstance(dm, DMatrixData)
     assert dm.matrices[0] == A1
     assert dm.matrices[1] == A2
-    assert dm.unit_polys[0].coeffs == (0, 1)
-    assert dm.unit_polys[1].coeffs == (-2, 0, 1)
+    assert dm.units[0].coords == (0, 1, 0)
+    assert dm.units[1].coords == (-2, 0, 1)
 
 
 def test_dmatrix_units_are_galois_orbit_prefix():

@@ -13,8 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+import mpmath.ctx_mp_python
 import lcpforge.lcpcore as lcpcore_module
 import lcpforge.constructions as constructions_module
+import lcpforge.rawmetric as rawmetric_module
 from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
 from lcpforge.constructions import (
     _match_block_embeddings,
@@ -411,15 +413,17 @@ class TestEquivariance:
 
 @pytest.fixture
 def metric_evaluations(monkeypatch):
-    """One entry per evaluate_metric call the test makes."""
+    """One entry per metric evaluation the test makes: rawmetric.metric_gram
+    is the one evaluator, behind both evaluate_metric and the sampled
+    check."""
     calls = []
-    original = lcpcore_module.evaluate_metric
+    original = rawmetric_module.metric_gram
 
-    def counting(spec, point):
-        calls.append(len(point))
-        return original(spec, point)
+    def counting(terms, x):
+        calls.append(len(x))
+        return original(terms, x)
 
-    monkeypatch.setattr(lcpcore_module, "evaluate_metric", counting)
+    monkeypatch.setattr(rawmetric_module, "metric_gram", counting)
     return calls
 
 
@@ -437,6 +441,12 @@ class TestEquivarianceInputs:
             with pytest.raises(InputError):
                 verify_equivariance(bad, gens, samples=samples, precision=128, seed=0)
 
+    def test_short_base_translation_is_refused(self, rank2_metric):
+        spec, gens = rank2_metric
+        short = SimilarityGenerator("short", gens[0].linear, (0, 0, 0), (1,), gens[0].ratio_row)
+        with pytest.raises(InputError):
+            verify_equivariance(spec, [short], samples=3, precision=128, seed=0)
+
     def test_one_metric_evaluation_per_point_and_generator(self, metric_evaluations):
         # h(x) once per sample point for all generators, h(x + v) once per
         # point and generator: 100 * (4 + 1) for the four rank-4 generators
@@ -444,10 +454,46 @@ class TestEquivarianceInputs:
         assert len(metric_evaluations) == 100 * (4 + 1)
 
 
+def _mpf_evaluate_metric(spec, point):
+    """Reference metric: evaluate_metric's gram as a loop of mp.mpf
+    operators, converting every coefficient and table entry on each use."""
+    decomp = spec.decomposition
+    p, n, total = decomp.p, spec.n, spec.total_dim
+    with _at_prec(decomp.workbits):
+        x = [_to_mpf(t) for t in point[p:p + n]]
+        gram = [[mp.mpf(0) for _ in range(total)] for _ in range(total)]
+        for k in range(decomp.delta):
+            if k == spec.flat_block:
+                scale = mp.mpf(1)
+            else:
+                scale = mp.exp(2 * spec.functionals[k](x))
+            for i in decomp.block_indices(k):
+                gram[i][i] = scale
+        base_scale = mp.exp(2 * spec.base_conformal(x))
+        for i in range(n):
+            gram[p + i][p + i] = base_scale
+        for term in spec.cross_terms:
+            scale = term.epsilon * mp.exp(2 * term.functional(x))
+            for a, i in enumerate(decomp.block_indices(term.k)):
+                for b, j in enumerate(decomp.block_indices(term.k2)):
+                    value = scale * _to_mpf(term.table[a][b])
+                    gram[i][j] += value
+                    gram[j][i] += value
+        offset = p + n
+        for ext in spec.extensions:
+            scale = mp.exp(2 * ext.functional(x))
+            m = len(ext.gram)
+            for i in range(m):
+                for j in range(m):
+                    gram[offset + i][offset + j] = scale * _to_mpf(ext.gram[i][j])
+            offset += m
+        return gram
+
+
 def _dense_max_residual(spec, gen, samples, precision, seed):
     """Reference pullback: J^T H J entry by entry over the full Jacobian
-    J = diag(C, I), as an O(dim^4) loop; same samples and scaling as
-    verify_equivariance."""
+    J = diag(C, I), as an O(dim^4) loop of mp.mpf operators on the
+    reference metric; same samples and scaling as verify_equivariance."""
     decomp = spec.decomposition
     p, total = decomp.p, spec.total_dim
     workbits = max(decomp.workbits, precision + GUARD_BITS)
@@ -463,8 +509,8 @@ def _dense_max_residual(spec, gen, samples, precision, seed):
         v = [_to_mpf(t) for t in gen.base_translation]
         max_residual = mp.mpf(0)
         for x in pts:
-            h_here = evaluate_metric(spec, [mp.mpf(0)] * p + list(x))
-            h_there = evaluate_metric(
+            h_here = _mpf_evaluate_metric(spec, [mp.mpf(0)] * p + list(x))
+            h_there = _mpf_evaluate_metric(
                 spec, [mp.mpf(0)] * p + [xi + vi for xi, vi in zip(x, v)]
             )
             pulled = [[mp.mpf(0)] * total for _ in range(total)]
@@ -528,15 +574,19 @@ def ot_lck_inputs():
 
 
 class TestPullbackAgainstDenseReference:
-    """The fiber-block pullback gives the dense loop's residual exactly."""
+    """The fiber-block pullback on raw libmp values gives the dense mp.mpf
+    loop's residual exactly."""
 
-    def _check(self, cases, samples=10, seed=3):
+    def _check(self, cases, samples=10, seed=3, precision=128):
         for spec, gens in cases:
-            reports = verify_equivariance(spec, gens, samples=samples, precision=128, seed=seed)
+            reports = verify_equivariance(
+                spec, gens, samples=samples, precision=precision, seed=seed
+            )
             assert len(reports) == len(gens)
             for gen, report in zip(gens, reports):
-                dense = _dense_max_residual(spec, gen, samples, 128, seed)
-                assert report.max_residual == dense
+                dense = _dense_max_residual(spec, gen, samples, precision, seed)
+                assert isinstance(report.max_residual, mp.mpf)
+                assert report.max_residual._mpf_ == dense._mpf_
         return report
 
     def test_rank2(self, rank2_metric):
@@ -555,6 +605,13 @@ class TestPullbackAgainstDenseReference:
         bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
         self._check([(bigger, gens)])
 
+    def test_check_above_the_spec_precision(self, ot_lck_inputs):
+        # verify --precision 256 of a 128-bit certificate: the points and
+        # the pullback run at more bits than the metric, which rounds them
+        spec, gens = ot_lck_inputs[0]
+        assert 256 + GUARD_BITS > spec.decomposition.workbits
+        self._check([(spec, gens)], precision=256)
+
     def test_identity_generator(self, rank2_metric):
         spec, _ = rank2_metric
         identity = SimilarityGenerator(
@@ -572,6 +629,50 @@ class TestPullbackAgainstDenseReference:
         )
         report = self._check([(spec, [mixing])])
         assert report.verdict is False
+
+
+class TestMetricAgainstMpfReference:
+    """evaluate_metric returns the mp.mpf loop's gram, entry for entry."""
+
+    def _check(self, spec, points):
+        for point in points:
+            gram = evaluate_metric(spec, point)
+            want = _mpf_evaluate_metric(spec, point)
+            assert len(gram) == len(want) == spec.total_dim
+            for row, want_row in zip(gram, want):
+                assert all(isinstance(g, mp.mpf) for g in row)
+                assert [g._mpf_ for g in row] == [w._mpf_ for w in want_row]
+
+    def test_cross_terms(self, ot_lck_inputs):
+        spec = ot_lck_inputs[0][0]
+        assert spec.cross_terms
+        pts = _sample_points(spec, 5, 7, spec.decomposition.workbits + 64)
+        self._check(spec, [[0] * spec.decomposition.p + list(x) for x in pts])
+
+    def test_extension_at_rational_points(self, squared_metric):
+        spec, _ = squared_metric
+        bigger = add_cross_terms(
+            extend(spec, spec.base_conformal, [[2, QQ(1, 3)], [QQ(1, 3), 2]]), [(1, 2)]
+        )
+        points = [[0, 0, 0, QQ(1, 3), QQ(-2, 7)], [1, 2, 3, 5, QQ(1, 10), 9, 9]]
+        self._check(bigger, points)
+        gram = evaluate_metric(bigger, points[0])
+        exact_zero = mp.mpf(0)._mpf_
+        assert gram[0][1]._mpf_ == gram[3][5]._mpf_ == exact_zero
+        assert gram[1][2] != 0
+
+
+def test_raw_kernel_calls_the_mpf_operators_libmp_functions():
+    # a backend or mpmath release that rebinds an operator must fail here,
+    # not drift the sealed residuals
+    operators = vars(mpmath.ctx_mp_python)
+    for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div",
+                 "mpf_abs", "mpf_gt", "mpf_pos"):
+        assert getattr(rawmetric_module, name) is operators[name], name
+    for op in (mp.mpf.__add__, mp.mpf.__sub__, mp.mpf.__mul__, mp.mpf.__truediv__):
+        assert op.__globals__ is operators
+    exp_bindings = [cell.cell_contents for cell in mp.exp.__closure__]
+    assert any(f is rawmetric_module.mpf_exp for f in exp_bindings)
 
 
 class TestCrossTerms:

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from lcpforge.errors import (
     InconclusiveIrreducibilityError,
     InputError,
+    NonIntegralError,
     NonUnitError,
     ReduciblePolynomialError,
 )
+from lcpforge.intlinalg import companion, poly_apply
 from lcpforge.numberfield import (
     GaloisMap,
     _pm_divmod,
@@ -31,6 +33,7 @@ from lcpforge.numberfield import (
     irreducibility_heuristic,
     is_unit,
     minimal_polynomial,
+    mult_matrix,
     require_unit,
 )
 from lcpforge.polynomials import IntPoly, RatPoly, is_prime, real_subfield_minpoly
@@ -150,6 +153,20 @@ class TestElementArithmetic:
             assert a * a.inverse() == field.one()
             assert a ** -1 == a.inverse()
             assert 1 / a == a.inverse()
+
+    @given(_coords(st.integers(-9, 9)), _coords(st.integers(-9, 9)))
+    def test_mult_matrix_multiplies(self, ca, cb):
+        # the matrix of u is u evaluated at the companion matrix, and applied
+        # to the coordinates of b it gives the coordinates of u * b
+        field = field_new(M7)
+        u, b = field.from_coords(ca), field.from_coords(cb)
+        m = mult_matrix(u)
+        assert m == poly_apply(IntPoly(tuple(ca)), companion(M7))
+        assert tuple(sum(m[i, j] * cb[j] for j in range(3)) for i in range(3)) == (u * b).coords
+
+    def test_mult_matrix_needs_integer_coordinates(self, m7):
+        with pytest.raises(NonIntegralError):
+            mult_matrix(m7.gen() * QQ(1, 2))
 
     @given(_coords(rationals))
     def test_minimal_polynomial_annihilates(self, ca):
