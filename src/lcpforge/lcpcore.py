@@ -8,8 +8,8 @@ the designated flat block is not identically one.  On top of a certified
 decomposition the module assembles translation-equivariant metrics whose
 conformal behaviour under the group is checked numerically on seeded
 sample points.  That sampled check and the metric evaluation behind it run
-in rawmetric on raw libmp values, with the precision and rounding of the
-mpf operators, so their values are the mpf values bit for bit.
+in rawmetric on Python-int dyadics, rounded to nearest like the mpf
+operators, so their values are the mpf values bit for bit.
 
 All numeric work runs at the requested precision plus guard bits, and
 similarity decisions are taken against the tolerance 2**(-bits/2).  The
@@ -948,9 +948,9 @@ def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
     if len(point) < p + n:
         raise InputError("point has %d coordinates, need %d" % (len(point), p + n))
     with _at_prec(decomp.workbits):
-        x = [_to_mpf(t)._mpf_ for t in point[p:p + n]]
+        x = [rawmetric.to_dyadic(t) for t in point[p:p + n]]
     gram = rawmetric.metric_gram(rawmetric.MetricTerms(spec), x)
-    return tuple(tuple(mp.make_mpf(g) for g in row) for row in gram)
+    return tuple(tuple(rawmetric.from_dyadic(g) for g in row) for row in gram)
 
 
 def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
@@ -1046,9 +1046,12 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
     once per point and h(x + v) once per point and generator.  The
     pullback uses the exact affine Jacobian of the action: the linear part
     in block coordinates on the fiber, identity on base and extension
-    coordinates.  Returns one report per generator, in order, with the
-    maximum relative residual and the verdict against the precision
-    tolerance.
+    coordinates.  The arithmetic runs in rawmetric on (m, e) pairs
+    m * 2**e, each sum and product rounded to nearest, ties to even, in
+    the order the mpf expressions evaluate, so the residual is the mpf
+    loop's bit for bit.  Returns one report per generator, in order, with
+    the maximum relative residual and the verdict against the precision
+    tolerance.  An inf or nan coordinate or translation raises InputError.
     """
     if samples < 1:
         raise InputError("the equivariance check needs at least one sample point")
@@ -1069,14 +1072,12 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
                     % (gen.label, len(gen.base_translation), spec.n)
                 )
             lam1 = mp.mpf(gen.ratio_row[spec.flat_block])
-            c_t = [[e._mpf_ for e in col] for col in zip(*c)]
-            v = [_to_mpf(t)._mpf_ for t in gen.base_translation]
-            actions.append((c_t, (lam1 * lam1)._mpf_, v))
-    raw = rawmetric.pullback_residuals(
-        rawmetric.MetricTerms(spec), actions, [[t._mpf_ for t in x] for x in pts], workbits
-    )
-    residuals = [mp.make_mpf(r) for r in raw]
+            c_t = [[rawmetric.to_dyadic(e) for e in col] for col in zip(*c)]
+            v = [rawmetric.to_dyadic(t) for t in gen.base_translation]
+            actions.append((c_t, rawmetric.to_dyadic(lam1 * lam1), v))
+        pts = [[rawmetric.to_dyadic(t) for t in x] for x in pts]
+    residuals = rawmetric.pullback_residuals(rawmetric.MetricTerms(spec), actions, pts, workbits)
     return [
         EquivarianceReport(gen.label, samples, seed, r, precision, r < tol)
-        for gen, r in zip(gens, residuals)
+        for gen, r in zip(gens, map(rawmetric.from_dyadic, residuals))
     ]

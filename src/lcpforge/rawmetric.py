@@ -1,12 +1,14 @@
-"""The metric and the sampled pullback residual on raw mpmath values.
+"""The metric and the sampled pullback residual on Python-int dyadics.
 
-Every arithmetic operation of mp.mpf wraps one libmp call in a new Python
-object, and in the sampled equivariance check that overhead, not the
-arithmetic, is most of the time.  This module runs the same libmp
-functions on the raw (sign, man, exp, bc) tuples, each with the precision
-and round-to-nearest rounding the mpf operator passes, in the order the
-mpf expressions evaluate.  Every value is therefore the mpf value bit for
-bit; a test pins these functions to the ones mpmath's operators call.
+Every value here is a signed pair (m, e) of ints standing for m * 2**e.
+Each sum and product is formed exactly on ints and rounded once to the
+working precision, round half to even, by _round.  mpmath's mpf_add and
+mpf_mul return that correctly rounded value whenever the operands have at
+most prec bits, which every value here has, and a normalized mpf is
+unique; so doing the mpf expressions' operations in the same order gives
+the mpf values bit for bit.  Only exp and the one division per point and
+generator still go through libmp (mpf_exp, mpf_div), converted at the
+boundary with from_man_exp.
 """
 
 from __future__ import annotations
@@ -14,24 +16,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_exp,
-    mpf_gt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pos,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
 
 from .embeddings import _at_prec
+from .errors import InputError
 
-_RND = round_nearest
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 
 def _mpf_from_rational(q):
@@ -45,16 +36,86 @@ def _to_mpf(x):
     return mp.mpf(x)
 
 
-def _raw(x):
-    return _to_mpf(x)._mpf_
+def _from_raw(raw):
+    sign, man, exp, _ = raw
+    if not man and exp:
+        raise InputError("the metric needs finite numbers, not inf or nan")
+    return (-man if sign else man), exp
 
 
-def _raw_functional(f):
-    return _raw(f.constant), [_raw(c) for c in f.coeffs]
+def to_dyadic(x):
+    """A scalar (mpf, int, float, or exact rational) as (m, e), rounded to
+    the current mp precision like mp.mpf(x).  inf and nan raise InputError:
+    their libmp mantissa is 0, so they would otherwise read as zero."""
+    return _from_raw(_to_mpf(x)._mpf_)
+
+
+def from_dyadic(value):
+    """The mpf equal to a pair (m, e)."""
+    return mp.make_mpf(from_man_exp(*value))
+
+
+def _round(m, e, prec):
+    """m * 2**e rounded to prec bits, half to even, as a pair."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    a = -m if m < 0 else m
+    t = a >> (n - 1)
+    if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+        t += 2
+    t >>= 1
+    return (-t if m < 0 else t), e + n
+
+
+def _add(a, b, prec):
+    """a + b rounded to prec bits, for operands of any width."""
+    am, ae = a
+    bm, be = b
+    if not am:
+        return _round(bm, be, prec)
+    if not bm:
+        return _round(am, ae, prec)
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    d = ae - be
+    if d > 2 * prec:
+        # when |b| < 2**g, no rounding boundary lies strictly between a
+        # and a +- 2**g, so a sticky unit of b's sign below 2**g rounds
+        # like b, and a is not shifted across the whole gap
+        g = min(ae, ae + am.bit_length() - prec - 2)
+        if be + bm.bit_length() <= g:
+            return _round((am << (ae - g + 1)) + (1 if bm > 0 else -1), g - 1, prec)
+    return _round((am << d) + bm, be, prec)
+
+
+def _mul(a, b, prec):
+    """a * b rounded to prec bits."""
+    return _round(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _abs_gt(a, b):
+    """|a| > |b|."""
+    am, ae = a
+    bm, be = b
+    if not bm:
+        return am != 0
+    if not am:
+        return False
+    top_a, top_b = ae + am.bit_length(), be + bm.bit_length()
+    if top_a != top_b:
+        return top_a > top_b
+    if ae >= be:
+        return abs(am) << (ae - be) > abs(bm)
+    return abs(am) > abs(bm) << (be - ae)
+
+
+def _functional(f):
+    return to_dyadic(f.constant), [to_dyadic(c) for c in f.coeffs]
 
 
 class MetricTerms:
-    """The constant data of a MetricSpec as raw values at its working
+    """The constant data of a MetricSpec as pairs at its working
     precision: functional coefficients, cross-term scales and tables,
     extension grams.  Converted once, read by every metric_gram call."""
 
@@ -68,127 +129,147 @@ class MetricTerms:
             # the flat block carries the identity form: no functional
             self.blocks = [
                 (
-                    None if k == spec.flat_block else _raw_functional(spec.functionals[k]),
+                    None if k == spec.flat_block else _functional(spec.functionals[k]),
                     decomp.block_indices(k),
                 )
                 for k in range(decomp.delta)
             ]
-            self.base = _raw_functional(spec.base_conformal)
+            self.base = _functional(spec.base_conformal)
             self.cross = [
                 (
-                    _raw(term.epsilon),
-                    _raw_functional(term.functional),
+                    to_dyadic(term.epsilon),
+                    _functional(term.functional),
                     list(decomp.block_indices(term.k)),
                     list(decomp.block_indices(term.k2)),
-                    [[_raw(t) for t in row] for row in term.table],
+                    [[to_dyadic(t) for t in row] for row in term.table],
                 )
                 for term in spec.cross_terms
             ]
             self.extensions = [
-                (_raw_functional(ext.functional), [[_raw(g) for g in row] for row in ext.gram])
+                (_functional(ext.functional), [[to_dyadic(g) for g in row] for row in ext.gram])
                 for ext in spec.extensions
             ]
 
 
 def _dot(acc, a, b, prec):
-    """acc + a . b, adding each rounded product a[i] * b[i] in index order."""
-    for ai, bi in zip(a, b):
-        acc = mpf_add(acc, mpf_mul(ai, bi, prec, _RND), prec, _RND)
-    return acc
+    """acc + a . b, adding each rounded product a[i] * b[i] in index order.
+
+    The loop does _add's aligned case itself, which is most of the terms.
+    """
+    m, e = acc
+    for (am, ae), (bm, be) in zip(a, b):
+        pm, pe = _round(am * bm, ae + be, prec)
+        d = e - pe
+        if not m:
+            m, e = pm, pe
+        elif 0 <= d <= 2 * prec:
+            m, e = _round((m << d) + pm, pe, prec)
+        elif -2 * prec <= d < 0:
+            m, e = _round(m + (pm << -d), e, prec)
+        else:
+            m, e = _add((m, e), (pm, pe), prec)
+    return m, e
 
 
 def _exp_twice(functional, x, prec):
     """exp(2 f(x)) for a functional c . x + d, summed from d."""
     constant, coeffs = functional
-    return mpf_exp(mpf_mul_int(_dot(constant, coeffs, x, prec), 2, prec, _RND), prec, _RND)
+    m, e = _dot(constant, coeffs, x, prec)
+    # doubling a value of at most prec bits is exact
+    return _from_raw(mpf_exp(from_man_exp(m, e + 1), prec, round_nearest))
 
 
 def metric_gram(terms: MetricTerms, x):
-    """Gram matrix, as lists of raw values, at base log-coordinates x.
+    """Gram matrix, as lists of pairs, at base log-coordinates x.
 
-    x is raw values at any precision; each is rounded to the metric's
-    working precision first.  Entries no term sets are exact zeros.
+    x is pairs at any precision; each is rounded to the metric's working
+    precision first.  Entries no term sets are exact zeros.
     """
     prec, p, total = terms.prec, terms.p, terms.total
-    x = [mpf_pos(t, prec, _RND) for t in x]
-    gram = [[fzero] * total for _ in range(total)]
+    x = [_round(m, e, prec) for m, e in x]
+    gram = [[_ZERO] * total for _ in range(total)]
     for functional, indices in terms.blocks:
-        scale = fone if functional is None else _exp_twice(functional, x, prec)
+        scale = _ONE if functional is None else _exp_twice(functional, x, prec)
         for i in indices:
             gram[i][i] = scale
     base_scale = _exp_twice(terms.base, x, prec)
     for i in range(p, p + terms.n):
         gram[i][i] = base_scale
     for epsilon, functional, idx1, idx2, table in terms.cross:
-        scale = mpf_mul(epsilon, _exp_twice(functional, x, prec), prec, _RND)
+        scale = _mul(epsilon, _exp_twice(functional, x, prec), prec)
         for a, i in enumerate(idx1):
             for b, j in enumerate(idx2):
-                value = mpf_mul(scale, table[a][b], prec, _RND)
-                gram[i][j] = mpf_add(gram[i][j], value, prec, _RND)
-                gram[j][i] = mpf_add(gram[j][i], value, prec, _RND)
+                value = _mul(scale, table[a][b], prec)
+                gram[i][j] = _add(gram[i][j], value, prec)
+                gram[j][i] = _add(gram[j][i], value, prec)
     offset = p + terms.n
     for functional, ext in terms.extensions:
         scale = _exp_twice(functional, x, prec)
         for i, row in enumerate(ext):
             for j, g in enumerate(row):
-                gram[offset + i][offset + j] = mpf_mul(scale, g, prec, _RND)
+                gram[offset + i][offset + j] = _mul(scale, g, prec)
         offset += len(ext)
     return gram
 
 
 def pullback_residuals(terms: MetricTerms, actions, points, prec):
     """Largest relative residual |J^T h(x + v) J - L1^2 h(x)| / max|L1^2 h(x)|
-    over the points, for each action, at prec bits.
+    over the points, for each action, at prec bits, as pairs.
 
     Each action is (C^T, L1^2, v): the transpose of the block-coordinate
     linear part, the squared flat-block ratio and the base translation, as
-    raw values.  J = diag(C, I), so only the fiber block of the pullback
-    moves, to C^T (H_F C).  h(x) is evaluated once per point, h(x + v) once
-    per point and action.
+    pairs of at most prec bits, like the points.  J = diag(C, I), so only
+    the fiber block of the pullback moves, to C^T (H_F C).  h(x) is
+    evaluated once per point, h(x + v) once per point and action.
     """
     p = terms.p
-    residuals = [fzero] * len(actions)
+    residuals = [_ZERO] * len(actions)
     for x in points:
         h_here = metric_gram(terms, x)
         for g, (c_t, lam1_sq, v) in enumerate(actions):
-            h_there = metric_gram(
-                terms, [mpf_add(xi, vi, prec, _RND) for xi, vi in zip(x, v)]
-            )
+            h_there = metric_gram(terms, [_add(xi, vi, prec) for xi, vi in zip(x, v)])
             # every sum runs from zero in index order.  Column j of H_F C
             # has the entries H_F[l] . C[:, j], which leave out the exact
             # zeros of the block-scalar H_F: they add nothing to a sum
             h_rows = []
             for row in h_there[:p]:
-                nonzero = [l for l in range(p) if row[l] != fzero]
+                nonzero = [l for l in range(p) if row[l][0]]
                 h_rows.append(([row[l] for l in nonzero], nonzero))
             hc_cols = [
-                [_dot(fzero, h, [c_col[l] for l in nonzero], prec) for h, nonzero in h_rows]
+                [_dot(_ZERO, h, [c_col[l] for l in nonzero], prec) for h, nonzero in h_rows]
                 for c_col in c_t
             ]
             pulled = [
-                [_dot(fzero, c_col, hc_col, prec) for hc_col in hc_cols] + h_row[p:]
+                [_dot(_ZERO, c_col, hc_col, prec) for hc_col in hc_cols] + h_row[p:]
                 for c_col, h_row in zip(c_t, h_there)
             ]
             pulled += h_there[p:]
-            target = [[mpf_mul(lam1_sq, h, prec, _RND) for h in row] for row in h_here]
-            scale = None
-            for row in target:
-                for t in row:
-                    t = mpf_abs(t, prec, _RND)
-                    if scale is None or mpf_gt(t, scale):
-                        scale = t
-            if scale == fzero:
-                scale = fone
+            # the target L1^2 h(x) is exactly zero where h(x) is, and there
+            # the difference is the pulled entry itself
+            scale = diff = _ZERO
+            for p_row, h_row in zip(pulled, h_here):
+                for pij, h in zip(p_row, h_row):
+                    if h[0]:
+                        tm, te = _mul(lam1_sq, h, prec)
+                        if _abs_gt((tm, te), scale):
+                            scale = tm, te
+                        d = _add(pij, (-tm, te), prec)
+                    elif pij[0]:
+                        d = pij
+                    else:
+                        continue
+                    if _abs_gt(d, diff):
+                        diff = d
+            if not scale[0]:
+                scale = _ONE
             # rounded division by scale is monotone, so the largest
             # relative residual is the largest difference divided once
-            diff = fzero
-            for p_row, t_row in zip(pulled, target):
-                for pij, tij in zip(p_row, t_row):
-                    if pij != fzero or tij != fzero:
-                        d = mpf_abs(mpf_sub(pij, tij, prec, _RND), prec, _RND)
-                        if mpf_gt(d, diff):
-                            diff = d
-            rel = mpf_div(diff, scale, prec, _RND)
-            if mpf_gt(rel, residuals[g]):
+            rel = _from_raw(mpf_div(
+                from_man_exp(abs(diff[0]), diff[1]),
+                from_man_exp(abs(scale[0]), scale[1]),
+                prec,
+                round_nearest,
+            ))
+            if _abs_gt(rel, residuals[g]):
                 residuals[g] = rel
     return residuals

@@ -447,6 +447,19 @@ class TestEquivarianceInputs:
         with pytest.raises(InputError):
             verify_equivariance(spec, [short], samples=3, precision=128, seed=0)
 
+    @pytest.mark.parametrize("special", [mp.inf, -mp.inf, mp.nan])
+    def test_special_values_are_refused(self, rank2_metric, special):
+        # inf and nan have libmp mantissa 0; the kernel must not read them
+        # as zero
+        spec, gens = rank2_metric
+        bad = SimilarityGenerator(
+            "bad", gens[0].linear, (0, 0, 0), (special, 0), gens[0].ratio_row
+        )
+        with pytest.raises(InputError):
+            verify_equivariance(spec, [bad], samples=3, precision=128, seed=0)
+        with pytest.raises(InputError):
+            evaluate_metric(spec, [0] * spec.decomposition.p + [special, 0])
+
     def test_one_metric_evaluation_per_point_and_generator(self, metric_evaluations):
         # h(x) once per sample point for all generators, h(x + v) once per
         # point and generator: 100 * (4 + 1) for the four rank-4 generators
@@ -630,6 +643,29 @@ class TestPullbackAgainstDenseReference:
         report = self._check([(spec, [mixing])])
         assert report.verdict is False
 
+    def test_summation_order(self, ot_lck_inputs):
+        # H_F C and C^T (H_F C) sum in index order, as the mpf expressions
+        # do.  Coupling a one-dimensional block to the two-dimensional one
+        # (the flat block here: add_cross_terms would refuse it, the kernel
+        # evaluates it like any coupling) gives rows of H_F with three
+        # nonzero entries, and the shear mixes fiber coordinates, so both
+        # products add three or more terms whose rounding depends on the
+        # order: summed in reverse, either product moves a residual here
+        spec, gens = ot_lck_inputs[0]
+        decomp = spec.decomposition
+        small = next(k for k, (_, size) in enumerate(decomp.blocks) if size == 1)
+        large = next(k for k, (_, size) in enumerate(decomp.blocks) if size == 2)
+        coupling = CrossTerm(small, large, [[QQ(1, 3), QQ(-2, 5)]], spec.base_conformal, QQ(1, 7))
+        coupled = spec.replace(cross_terms=spec.cross_terms + (coupling,))
+        shear = [[int(i == j) for j in range(decomp.p)] for i in range(decomp.p)]
+        shear[0][3] = 1
+        sheared = SimilarityGenerator(
+            "shear", IntMatrix(shear), (0,) * decomp.p, gens[0].base_translation,
+            (1,) * decomp.delta,
+        )
+        for seed in (0, 1, 2):
+            self._check([(coupled, gens + [sheared])], seed=seed)
+
 
 class TestMetricAgainstMpfReference:
     """evaluate_metric returns the mp.mpf loop's gram, entry for entry."""
@@ -663,12 +699,12 @@ class TestMetricAgainstMpfReference:
 
 
 def test_raw_kernel_calls_the_mpf_operators_libmp_functions():
-    # a backend or mpmath release that rebinds an operator must fail here,
-    # not drift the sealed residuals
+    # the kernel's own add and mul are checked against the operators'
+    # mpf_add and mpf_mul in test_rawmetric; division and exp still run in
+    # libmp, and a backend or mpmath release that rebinds them must fail
+    # here, not drift the sealed residuals
     operators = vars(mpmath.ctx_mp_python)
-    for name in ("mpf_add", "mpf_sub", "mpf_mul", "mpf_mul_int", "mpf_div",
-                 "mpf_abs", "mpf_gt", "mpf_pos"):
-        assert getattr(rawmetric_module, name) is operators[name], name
+    assert rawmetric_module.mpf_div is operators["mpf_div"]
     for op in (mp.mpf.__add__, mp.mpf.__sub__, mp.mpf.__mul__, mp.mpf.__truediv__):
         assert op.__globals__ is operators
     exp_bindings = [cell.cell_contents for cell in mp.exp.__closure__]
