@@ -7,9 +7,9 @@ generator acts by a similarity (ratio times orthogonal), and the ratio on
 the designated flat block is not identically one.  On top of a certified
 decomposition the module assembles translation-equivariant metrics whose
 conformal behaviour under the group is checked numerically on seeded
-sample points.  That sampled check and the metric evaluation behind it run
-in rawmetric on Python-int dyadics, rounded to nearest like the mpf
-operators, so their values are the mpf values bit for bit.
+sample points.  All arithmetic on metric values (the metric, its points,
+the cross-term scale search and the sampled check) runs in rawmetric on
+Python-int dyadics, rounded like the mpf operators, bit for bit.
 
 All numeric work runs at the requested precision plus guard bits, and
 similarity decisions are taken against the tolerance 2**(-bits/2).  The
@@ -502,7 +502,7 @@ class SimilarityGenerator:
             raise InputError("linear part must be in GL(p, Z)")
         self.label = str(label)
         self.linear = linear
-        self.translation = tuple(Fraction(t) for t in translation)
+        self.translation = tuple(as_rat(t) for t in translation)
         if len(self.translation) != linear.n:
             raise InputError("translation length must match the linear part")
         self.base_translation = tuple(base_translation)
@@ -554,12 +554,6 @@ class AffineFunctional:
     def __init__(self, coeffs, constant=0):
         self.coeffs = tuple(coeffs)
         self.constant = constant
-
-    def __call__(self, x):
-        acc = _to_mpf(self.constant)
-        for c, xi in zip(self.coeffs, x):
-            acc += _to_mpf(c) * _to_mpf(xi)
-        return acc
 
     def shift(self, v):
         """Increment of the functional along a translation vector."""
@@ -752,27 +746,6 @@ def build_metric_spec(decomp: BlockDecomposition, ratios: RatioMatrix,
     )
 
 
-def _sylvester_positive_definite(rows, tol) -> bool:
-    """Leading-principal-minor test on a symmetric matrix of mpf entries
-    at the working precision."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    for k in range(n):
-        # in-place LDL-style elimination keeps this O(n^3) overall; a row
-        # whose entry in column k is an exact zero is skipped, since every
-        # entry is at the working precision and a - 0*b is a
-        piv = a[k][k]
-        if not piv > tol:
-            return False
-        for i in range(k + 1, n):
-            if not a[i][k]:
-                continue
-            f = a[i][k] / piv
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
-
-
 def _check_rational(rows):
     """Reject a float or an mpf entry (polynomials.as_rat); ints and
     Fractions are kept as given, so a stored int stays an int."""
@@ -810,24 +783,20 @@ def _cross_covariance_check(spec: MetricSpec, k, k2, table, tol):
 
 
 def _grid_points(spec: MetricSpec):
-    """Deterministic fundamental-domain grid, 10 cells per translation."""
-    g = len(spec.translations)
-    n = spec.n
-    if g == 0 or n == 0:
-        return [tuple([mp.mpf(0)] * n)]
-    translations = [[_to_mpf(c) for c in v] for v in spec.translations]
-    pts = []
-    for flat in range(_CROSS_GRID ** g):
-        rem = flat
-        x = [mp.mpf(0)] * n
-        for v in translations:
-            cell = rem % _CROSS_GRID
-            rem //= _CROSS_GRID
-            t = mp.mpf(2 * cell + 1) / (2 * _CROSS_GRID)
-            for i in range(n):
-                x[i] += t * v[i]
-        pts.append(tuple(x))
-    return pts
+    """Deterministic fundamental-domain grid, 10 cells per translation, as
+    pairs at the metric's working precision.  Translation j takes digit j
+    of the cell number, least significant first, and cell c the weight
+    (2c + 1) / 20 rounded to that precision."""
+    g, workbits = len(spec.translations), spec.decomposition.workbits
+    with _at_prec(workbits):
+        cells = [
+            rawmetric.to_dyadic(Fraction(2 * c + 1, 2 * _CROSS_GRID)) for c in range(_CROSS_GRID)
+        ]
+    weights = [
+        [cells[flat // _CROSS_GRID ** j % _CROSS_GRID] for j in range(g)]
+        for flat in range(_CROSS_GRID ** g)
+    ]
+    return rawmetric.span(weights, spec.translations, workbits)
 
 
 def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
@@ -837,10 +806,9 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
     (all-ones by default), the functional f_c with increments
     ln(L1/sqrt(Lk Lk')), and one common scale eps found by bisection so
     the metric stays positive definite on the fundamental-domain grid.
-    The grid grams of spec and the factors exp(2 f_c) are evaluated once;
-    each bisection step adds eps times them in evaluate_metric's order, so
-    every tested matrix is evaluate_metric's gram of the coupled metric,
-    bit for bit.
+    rawmetric.cross_scale runs the search: it adds the new terms to spec's
+    grid grams with the helper metric_gram uses, so every tested matrix is
+    the coupled metric's gram, bit for bit.
     """
     pairs = [tuple(pair) for pair in pairs]
     if not pairs:
@@ -880,58 +848,21 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
             functional = solve_equivariant_functional(
                 spec.translations, targets, spec.precision_bits
             )
-            couplings.append((k, k2, table, functional))
-
-        # per grid point: the nonzero entries of spec's gram and the
-        # factor exp(2 f_c(x)) of each new term
-        zero = mp.mpf(0)
-        total = spec.total_dim
-        grid = []
-        for x in _grid_points(spec):
-            gram = evaluate_metric(spec, [zero] * decomp.p + list(x))
-            nonzero = [
-                (i, j, g) for i, row in enumerate(gram) for j, g in enumerate(row) if g
-            ]
-            factors = [mp.exp(2 * f(x)) for _, _, _, f in couplings]
-            grid.append((nonzero, factors))
-
-        def scaled_ok(eps):
-            for nonzero, factors in grid:
-                gram = [[zero] * total for _ in range(total)]
-                for i, j, g in nonzero:
-                    gram[i][j] = g
-                for (k, k2, table, _), factor in zip(couplings, factors):
-                    scale = eps * factor
-                    for a, i in enumerate(decomp.block_indices(k)):
-                        for b, j in enumerate(decomp.block_indices(k2)):
-                            value = scale * _to_mpf(table[a][b])
-                            gram[i][j] += value
-                            gram[j][i] += value
-                if not _sylvester_positive_definite(gram, tol):
-                    return False
-            return True
-
-        one = mp.mpf(1)
-        if scaled_ok(one):
-            epsilon = one
-        else:
-            lo, hi = mp.mpf(0), one
-            for _ in range(_CROSS_BISECT_STEPS):
-                midpoint = (lo + hi) / 2
-                if scaled_ok(midpoint):
-                    lo = midpoint
-                else:
-                    hi = midpoint
-            if lo <= 0:
-                raise CheckFailureError(
-                    "no positive cross-term scale keeps the sampled metric "
-                    "positive definite"
-                )
-            epsilon = lo / 2
-    new_terms = tuple(
-        CrossTerm(k, k2, table, functional, epsilon)
-        for k, k2, table, functional in couplings
+            couplings.append(CrossTerm(k, k2, table, functional, 1))
+    at_one = spec.replace(cross_terms=spec.cross_terms + tuple(couplings))
+    epsilon = rawmetric.cross_scale(
+        rawmetric.MetricTerms(spec),
+        rawmetric.MetricTerms(at_one).cross[len(spec.cross_terms):],
+        _grid_points(spec),
+        rawmetric.to_dyadic(tol),
+        _CROSS_BISECT_STEPS,
     )
+    if not epsilon[0]:
+        raise CheckFailureError(
+            "no positive cross-term scale keeps the sampled metric positive definite"
+        )
+    epsilon = rawmetric.from_dyadic(epsilon)
+    new_terms = tuple(CrossTerm(t.k, t.k2, t.table, t.functional, epsilon) for t in couplings)
     return spec.replace(cross_terms=spec.cross_terms + new_terms)
 
 
@@ -961,6 +892,8 @@ def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
     base conformal factor along every stored translation, otherwise the
     glued metric would break equivariance.
     """
+    if len(functional.coeffs) != spec.n:
+        raise InputError("the extension functional needs %d coefficients" % spec.n)
     gram = [list(row) for row in gram]
     m = len(gram)
     if m == 0:
@@ -971,9 +904,10 @@ def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
     if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i + 1, m)):
         raise InputError("extension gram matrix must be symmetric")
     tol = tolerance(spec.precision_bits)
-    with _at_prec(spec.decomposition.workbits):
-        rows = [[_to_mpf(x) for x in row] for row in gram]
-        if not _sylvester_positive_definite(rows, tol):
+    workbits = spec.decomposition.workbits
+    with _at_prec(workbits):
+        rows = [[rawmetric.to_dyadic(x) for x in row] for row in gram]
+        if not rawmetric.positive_definite(rows, rawmetric.to_dyadic(tol), workbits):
             raise InputError("extension gram matrix must be positive definite")
         for v in spec.translations:
             want = spec.base_conformal.shift(v)
@@ -1021,20 +955,12 @@ class EquivarianceReport:
 
 
 def _sample_points(spec: MetricSpec, samples: int, seed: int, workbits: int):
-    """Seeded dyadic points in the span of the stored base translations."""
+    """Seeded points in the span of the stored base translations, as pairs
+    at workbits: each translation takes a 48-bit random dyadic weight."""
     rng = random.Random(seed)
-    n = spec.n
-    pts = []
-    with _at_prec(workbits):
-        translations = [[_to_mpf(c) for c in v] for v in spec.translations]
-        for _ in range(samples):
-            x = [mp.mpf(0)] * n
-            for v in translations:
-                t = mp.mpf(rng.getrandbits(48)) / mp.mpf(2 ** 48)
-                for i in range(n):
-                    x[i] += t * v[i]
-            pts.append(tuple(x))
-    return pts
+    g = len(spec.translations)
+    weights = [[(rng.getrandbits(48), -48) for _ in range(g)] for _ in range(samples)]
+    return rawmetric.span(weights, spec.translations, workbits)
 
 
 def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
@@ -1075,7 +1001,6 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
             c_t = [[rawmetric.to_dyadic(e) for e in col] for col in zip(*c)]
             v = [rawmetric.to_dyadic(t) for t in gen.base_translation]
             actions.append((c_t, rawmetric.to_dyadic(lam1 * lam1), v))
-        pts = [[rawmetric.to_dyadic(t) for t in x] for x in pts]
     residuals = rawmetric.pullback_residuals(rawmetric.MetricTerms(spec), actions, pts, workbits)
     return [
         EquivarianceReport(gen.label, samples, seed, r, precision, r < tol)

@@ -1,4 +1,5 @@
-"""The metric and the sampled pullback residual on Python-int dyadics.
+"""All arithmetic on metric values: the metric, its points, the cross-term
+scale search and the sampled pullback residual, on Python-int dyadics.
 
 Every value here is a signed pair (m, e) of ints standing for m * 2**e.
 Each sum and product is formed exactly on ints and rounded once to the
@@ -6,9 +7,9 @@ working precision, round half to even, by _round.  mpmath's mpf_add and
 mpf_mul return that correctly rounded value whenever the operands have at
 most prec bits, which every value here has, and a normalized mpf is
 unique; so doing the mpf expressions' operations in the same order gives
-the mpf values bit for bit.  Only exp and the one division per point and
-generator still go through libmp (mpf_exp, mpf_div), converted at the
-boundary with from_man_exp.
+the mpf values bit for bit.  Only exp and division (_div: one per point
+and generator, one per elimination row step) go through libmp, converted
+at the boundary with from_man_exp.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def _mul(a, b, prec):
     return _round(a[0] * b[0], a[1] + b[1], prec)
 
 
+def _div(a, b, prec):
+    """a / b rounded to prec bits, for b nonzero."""
+    return _from_raw(mpf_div(from_man_exp(*a), from_man_exp(*b), prec, round_nearest))
+
+
 def _abs_gt(a, b):
     """|a| > |b|."""
     am, ae = a
@@ -171,12 +177,30 @@ def _dot(acc, a, b, prec):
     return m, e
 
 
+def span(weights, vectors, prec):
+    """The points sum_j t[j] * vectors[j] for the rows t of weights (pairs),
+    each coordinate summed from zero in order; vectors hold scalars."""
+    with _at_prec(prec):
+        columns = [[to_dyadic(c) for c in column] for column in zip(*vectors)]
+    return [[_dot(_ZERO, t, column, prec) for column in columns] for t in weights]
+
+
 def _exp_twice(functional, x, prec):
     """exp(2 f(x)) for a functional c . x + d, summed from d."""
     constant, coeffs = functional
     m, e = _dot(constant, coeffs, x, prec)
     # doubling a value of at most prec bits is exact
     return _from_raw(mpf_exp(from_man_exp(m, e + 1), prec, round_nearest))
+
+
+def _add_cross(gram, scale, idx1, idx2, table, prec):
+    """Add scale * table[a][b] to the entries (idx1[a], idx2[b]) and
+    (idx2[b], idx1[a]) of gram, in place, row by row."""
+    for a, i in enumerate(idx1):
+        for b, j in enumerate(idx2):
+            value = _mul(scale, table[a][b], prec)
+            gram[i][j] = _add(gram[i][j], value, prec)
+            gram[j][i] = _add(gram[j][i], value, prec)
 
 
 def metric_gram(terms: MetricTerms, x):
@@ -197,11 +221,7 @@ def metric_gram(terms: MetricTerms, x):
         gram[i][i] = base_scale
     for epsilon, functional, idx1, idx2, table in terms.cross:
         scale = _mul(epsilon, _exp_twice(functional, x, prec), prec)
-        for a, i in enumerate(idx1):
-            for b, j in enumerate(idx2):
-                value = _mul(scale, table[a][b], prec)
-                gram[i][j] = _add(gram[i][j], value, prec)
-                gram[j][i] = _add(gram[j][i], value, prec)
+        _add_cross(gram, scale, idx1, idx2, table, prec)
     offset = p + terms.n
     for functional, ext in terms.extensions:
         scale = _exp_twice(functional, x, prec)
@@ -210,6 +230,62 @@ def metric_gram(terms: MetricTerms, x):
                 gram[offset + i][offset + j] = _mul(scale, g, prec)
         offset += len(ext)
     return gram
+
+
+def positive_definite(a, tol, prec):
+    """Leading-principal-minor test of a symmetric matrix of pairs: every
+    pivot of the elimination must exceed tol.  Eliminates a in place; a row
+    whose entry in the pivot column is an exact zero is skipped, since
+    x - 0 * y is x for x of at most prec bits."""
+    n = len(a)
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if not (pivot[0] > 0 and _abs_gt(pivot, tol)):
+            return False
+        for row in a[k + 1:]:
+            if not row[k][0]:
+                continue
+            fm, fe = _div(row[k], pivot, prec)
+            # rounding is symmetric, so round(-f * y) is -round(f * y)
+            minus_f = -fm, fe
+            for j in range(k, n):
+                row[j] = _add(row[j], _mul(minus_f, pivot_row[j], prec), prec)
+    return True
+
+
+def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
+    """The scale eps of new_terms (MetricTerms.cross entries at eps = 1)
+    that keeps the gram positive definite at every point: 1 if that passes,
+    else half the largest passing k / 2**steps, (0, 0) if none does.  Each
+    step adds eps * exp(2 f_c) to the gram of terms with _add_cross, as
+    metric_gram does, so every tested matrix is the coupled metric's gram.
+    """
+    prec = terms.prec
+    grid = [
+        (metric_gram(terms, x), [_exp_twice(f, x, prec) for _, f, _, _, _ in new_terms])
+        for x in points
+    ]
+
+    def scaled_ok(eps):
+        for gram, factors in grid:
+            a = [list(row) for row in gram]
+            for (_, _, idx1, idx2, table), factor in zip(new_terms, factors):
+                _add_cross(a, _mul(eps, factor, prec), idx1, idx2, table, prec)
+            if not positive_definite(a, tol, prec):
+                return False
+        return True
+
+    if scaled_ok(_ONE):
+        return _ONE
+    lo, hi = 0, 1 << steps
+    for _ in range(steps):
+        mid = (lo + hi) >> 1
+        if scaled_ok((mid, -steps)):
+            lo = mid
+        else:
+            hi = mid
+    return lo, -steps - 1
 
 
 def pullback_residuals(terms: MetricTerms, actions, points, prec):
@@ -264,12 +340,7 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
                 scale = _ONE
             # rounded division by scale is monotone, so the largest
             # relative residual is the largest difference divided once
-            rel = _from_raw(mpf_div(
-                from_man_exp(abs(diff[0]), diff[1]),
-                from_man_exp(abs(scale[0]), scale[1]),
-                prec,
-                round_nearest,
-            ))
+            rel = _div((abs(diff[0]), diff[1]), (abs(scale[0]), scale[1]), prec)
             if _abs_gt(rel, residuals[g]):
                 residuals[g] = rel
     return residuals

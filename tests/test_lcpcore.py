@@ -6,6 +6,7 @@ expectations (block shapes, exact zeros, functional coefficients) are
 frozen from hand derivations.
 """
 
+import random
 from fractions import Fraction as QQ
 
 import pytest
@@ -36,6 +37,7 @@ from lcpforge.errors import (
 from lcpforge.intlinalg import IntMatrix, char_poly, companion, matrix_from_string, poly_apply
 from lcpforge.lcpcore import (
     _CROSS_BISECT_STEPS,
+    _CROSS_GRID,
     AffineFunctional,
     CrossTerm,
     SimilarityGenerator,
@@ -43,7 +45,6 @@ from lcpforge.lcpcore import (
     add_cross_terms,
     _grid_points,
     _sample_points,
-    _sylvester_positive_definite,
     _to_mpf,
     build_metric_spec,
     check_J1,
@@ -467,6 +468,55 @@ class TestEquivarianceInputs:
         assert len(metric_evaluations) == 100 * (4 + 1)
 
 
+def _mpf_functional(f, x):
+    """Reference functional evaluation: c . x + d as a loop of mp.mpf
+    operators, summed from the constant."""
+    acc = _to_mpf(f.constant)
+    for c, xi in zip(f.coeffs, x):
+        acc += _to_mpf(c) * _to_mpf(xi)
+    return acc
+
+
+def _mpf_grid_points(spec):
+    """Reference grid: _grid_points as a loop of mp.mpf operators at the
+    current precision."""
+    g = len(spec.translations)
+    n = spec.n
+    if g == 0 or n == 0:
+        return [tuple([mp.mpf(0)] * n)]
+    translations = [[_to_mpf(c) for c in v] for v in spec.translations]
+    pts = []
+    for flat in range(_CROSS_GRID ** g):
+        rem = flat
+        x = [mp.mpf(0)] * n
+        for v in translations:
+            cell = rem % _CROSS_GRID
+            rem //= _CROSS_GRID
+            t = mp.mpf(2 * cell + 1) / (2 * _CROSS_GRID)
+            for i in range(n):
+                x[i] += t * v[i]
+        pts.append(tuple(x))
+    return pts
+
+
+def _mpf_sample_points(spec, samples, seed, workbits):
+    """Reference sample points: _sample_points as a loop of mp.mpf
+    operators, drawing the same seeded 48-bit weights."""
+    rng = random.Random(seed)
+    n = spec.n
+    pts = []
+    with _at_prec(workbits):
+        translations = [[_to_mpf(c) for c in v] for v in spec.translations]
+        for _ in range(samples):
+            x = [mp.mpf(0)] * n
+            for v in translations:
+                t = mp.mpf(rng.getrandbits(48)) / mp.mpf(2 ** 48)
+                for i in range(n):
+                    x[i] += t * v[i]
+            pts.append(tuple(x))
+    return pts
+
+
 def _mpf_evaluate_metric(spec, point):
     """Reference metric: evaluate_metric's gram as a loop of mp.mpf
     operators, converting every coefficient and table entry on each use."""
@@ -479,14 +529,14 @@ def _mpf_evaluate_metric(spec, point):
             if k == spec.flat_block:
                 scale = mp.mpf(1)
             else:
-                scale = mp.exp(2 * spec.functionals[k](x))
+                scale = mp.exp(2 * _mpf_functional(spec.functionals[k], x))
             for i in decomp.block_indices(k):
                 gram[i][i] = scale
-        base_scale = mp.exp(2 * spec.base_conformal(x))
+        base_scale = mp.exp(2 * _mpf_functional(spec.base_conformal, x))
         for i in range(n):
             gram[p + i][p + i] = base_scale
         for term in spec.cross_terms:
-            scale = term.epsilon * mp.exp(2 * term.functional(x))
+            scale = term.epsilon * mp.exp(2 * _mpf_functional(term.functional, x))
             for a, i in enumerate(decomp.block_indices(term.k)):
                 for b, j in enumerate(decomp.block_indices(term.k2)):
                     value = scale * _to_mpf(term.table[a][b])
@@ -494,7 +544,7 @@ def _mpf_evaluate_metric(spec, point):
                     gram[j][i] += value
         offset = p + n
         for ext in spec.extensions:
-            scale = mp.exp(2 * ext.functional(x))
+            scale = mp.exp(2 * _mpf_functional(ext.functional, x))
             m = len(ext.gram)
             for i in range(m):
                 for j in range(m):
@@ -511,7 +561,7 @@ def _dense_max_residual(spec, gen, samples, precision, seed):
     p, total = decomp.p, spec.total_dim
     workbits = max(decomp.workbits, precision + GUARD_BITS)
     c = conjugated_numeric(decomp, gen.linear)
-    pts = _sample_points(spec, samples, seed, workbits)
+    pts = _mpf_sample_points(spec, samples, seed, workbits)
 
     def jac(a, i):
         return c[a][i] if (a < p and i < p) else mp.mpf(1 if a == i else 0)
@@ -667,6 +717,33 @@ class TestPullbackAgainstDenseReference:
             self._check([(coupled, gens + [sheared])], seed=seed)
 
 
+class TestPointsAgainstMpfReference:
+    """The grid and sample points, built as pairs, are the mp.mpf loops'
+    points bit for bit; a grid weight (2c + 1)/20 is rounded once, like
+    mp.mpf(2c + 1) / 20."""
+
+    def _same(self, pairs, want):
+        assert len(pairs) == len(want)
+        for x, w in zip(pairs, want):
+            assert [rawmetric_module.from_dyadic(t)._mpf_ for t in x] == [t._mpf_ for t in w]
+
+    def test_grid_points(self, ot_lck_uncoupled, squared_metric, kourganoff_q2_inputs):
+        for spec in (ot_lck_uncoupled[0], squared_metric[0], kourganoff_q2_inputs[0][0]):
+            with _at_prec(spec.decomposition.workbits):
+                want = _mpf_grid_points(spec)
+            self._same(_grid_points(spec), want)
+
+    def test_sample_points(self, ot_lck_inputs, rank2_metric, kourganoff_q2_inputs):
+        for spec in (ot_lck_inputs[0][0], rank2_metric[0], kourganoff_q2_inputs[0][0]):
+            # verify_equivariance's precision, and 64 bits above it
+            for extra, seed in ((0, 0), (64, 7)):
+                workbits = spec.decomposition.workbits + extra
+                self._same(
+                    _sample_points(spec, 20, seed, workbits),
+                    _mpf_sample_points(spec, 20, seed, workbits),
+                )
+
+
 class TestMetricAgainstMpfReference:
     """evaluate_metric returns the mp.mpf loop's gram, entry for entry."""
 
@@ -682,7 +759,7 @@ class TestMetricAgainstMpfReference:
     def test_cross_terms(self, ot_lck_inputs):
         spec = ot_lck_inputs[0][0]
         assert spec.cross_terms
-        pts = _sample_points(spec, 5, 7, spec.decomposition.workbits + 64)
+        pts = _mpf_sample_points(spec, 5, 7, spec.decomposition.workbits + 64)
         self._check(spec, [[0] * spec.decomposition.p + list(x) for x in pts])
 
     def test_extension_at_rational_points(self, squared_metric):
@@ -780,24 +857,30 @@ def sparse_symmetric(draw):
 
 
 class TestSylvesterAgainstDenseReference:
-    """Skipping exact zeros in the elimination gives the dense verdict."""
+    """Skipping exact zeros in the dyadic elimination gives the dense
+    verdict."""
+
+    def _check(self, rows):
+        workbits = 128 + GUARD_BITS
+        with _at_prec(workbits):
+            tol = tolerance(128)
+            pairs = [[rawmetric_module.to_dyadic(x) for x in row] for row in rows]
+            tol_pair = rawmetric_module.to_dyadic(tol)
+            assert rawmetric_module.positive_definite(pairs, tol_pair, workbits) == (
+                _dense_sylvester(rows, tol)
+            )
 
     @given(sparse_symmetric())
     def test_int_entries(self, rows):
         # the extend path: int entries converted at the working precision
-        with _at_prec(128 + GUARD_BITS):
-            tol = tolerance(128)
-            converted = [[_to_mpf(x) for x in row] for row in rows]
-            assert _sylvester_positive_definite(converted, tol) == _dense_sylvester(rows, tol)
+        self._check(rows)
 
     @given(sparse_symmetric(), st.integers(3, 97))
     def test_mpf_entries_at_workbits(self, rows, divisor):
-        # the scale-search path: full-length mpf entries at the working
+        # the scale-search path: full-length entries at the working
         # precision, with the exact zeros left as they are
         with _at_prec(128 + GUARD_BITS):
-            tol = tolerance(128)
-            scaled = [[mp.mpf(x) / divisor for x in row] for row in rows]
-            assert _sylvester_positive_definite(scaled, tol) == _dense_sylvester(scaled, tol)
+            self._check([[mp.mpf(x) / divisor for x in row] for row in rows])
 
 
 def _reference_epsilon(spec, coupled):
@@ -808,7 +891,7 @@ def _reference_epsilon(spec, coupled):
     tol = tolerance(spec.precision_bits)
     new_terms = coupled.cross_terms[len(spec.cross_terms):]
     with _at_prec(decomp.workbits):
-        grid = _grid_points(spec)
+        grid = _mpf_grid_points(spec)
 
         def scaled_ok(eps):
             terms = tuple(
@@ -915,6 +998,14 @@ class TestExtension:
         with pytest.raises(CheckFailureError):
             extend(spec, spec.functionals[1], [[1]])
 
+    def test_functional_length_validated(self, squared_metric):
+        # a coefficient per base coordinate: an extra or a missing one is
+        # not dropped by zip
+        spec, _ = squared_metric
+        for coeffs in ([0] * (spec.n + 1), [0] * (spec.n - 1)):
+            with pytest.raises(InputError):
+                extend(spec, AffineFunctional(coeffs), [[1]])
+
     def test_gram_validation(self, squared_metric):
         spec, _ = squared_metric
         with pytest.raises(InputError):
@@ -971,3 +1062,10 @@ class TestSimilarityGenerator:
             SimilarityGenerator("bad", a1, (0, 0, 0), (0, 0), (1, -1, 1))
         gen = SimilarityGenerator("ok", a1, (QQ(1, 2), 0, 0), (0, 0), (1, 1, 1))
         assert gen.translation[0] == QQ(1, 2)
+
+    def test_float_translation_rejected(self, rank2_matrices):
+        # 0.1 would be sealed as 3602879701896397/2^55
+        a1, _ = rank2_matrices
+        for bad in (0.1, mp.mpf(1) / 3):
+            with pytest.raises(InputError):
+                SimilarityGenerator("bad", a1, (bad, 0, 0), (0, 0), (1, 1, 1))

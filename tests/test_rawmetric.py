@@ -1,10 +1,13 @@
-"""The dyadic kernel's rounding, add and mul against mpmath's, bit for bit.
+"""The dyadic kernel's rounding, add, mul, division and elimination against
+mpmath's, bit for bit.
 
 The mp.mpf operators call the libmp functions bound in
 mpmath.ctx_mp_python; the kernel must return the same normalized value for
 every operand it can meet: at most prec bits each, any signs, exact
 half-way ties, exact cancellation and exponent gaps past libmp's
-sticky-bit shortcut in mpf_add (more than prec + 4 bits apart).
+sticky-bit shortcut in mpf_add (more than prec + 4 bits apart).  The
+positive-definiteness elimination is compared, entry by entry, with the
+loop of mp.mpf operators it replaced.
 """
 
 import pytest
@@ -15,10 +18,21 @@ from mpmath.libmp import finf, fnan, fninf, from_man_exp, round_nearest
 
 import mpmath.ctx_mp_python
 from lcpforge.errors import InputError
-from lcpforge.rawmetric import _abs_gt, _add, _dot, _mul, _round, from_dyadic, to_dyadic
+from lcpforge.rawmetric import (
+    _abs_gt,
+    _add,
+    _div,
+    _dot,
+    _mul,
+    _round,
+    from_dyadic,
+    positive_definite,
+    to_dyadic,
+)
 
 _OPS = vars(mpmath.ctx_mp_python)
 mpf_add, mpf_mul, mpf_pos = _OPS["mpf_add"], _OPS["mpf_mul"], _OPS["mpf_pos"]
+mpf_div = _OPS["mpf_div"]
 mpf_abs, mpf_cmp = _OPS["mpf_abs"], _OPS["mpf_cmp"]
 
 PRECS = st.sampled_from([53, 160, 544, 1056])
@@ -153,6 +167,87 @@ def test_dot_matches_the_mpf_loop(case):
     for x, y in zip(a, b):
         want = mpf_add(want, mpf_mul(_raw(x), _raw(y), prec, round_nearest), prec, round_nearest)
     assert _same(_dot(acc, a, b, prec), want)
+
+
+@settings(max_examples=400)
+@given(_prec_and_values(2))
+def test_div_matches_mpf_div(case):
+    prec, (a, b) = case
+    if not b[0]:
+        b = (-3, b[1])
+    assert _same(_div(a, b, prec), mpf_div(_raw(a), _raw(b), prec, round_nearest))
+
+
+@pytest.mark.parametrize("prec", [53, 160, 544, 1056])
+def test_div_rounds_the_quotient(prec):
+    # 1/3 and -2/3 do not terminate in binary: the quotient must be rounded
+    # to prec bits, and a zero numerator of any sign or exponent gives zero
+    for a, b in (((1, 0), (3, 0)), ((-2, 7), (3, 5)), ((2, 0), (-3, -9))):
+        got = _div(a, b, prec)
+        assert _same(got, mpf_div(_raw(a), _raw(b), prec, round_nearest))
+        assert abs(got[0]).bit_length() <= prec
+        assert (got[0] < 0) is ((a[0] < 0) != (b[0] < 0))
+    for a in ((0, 0), (0, -40)):
+        assert _raw(_div(a, (-5, 3), prec)) == _raw((0, 0))
+
+
+def _mpf_sylvester(a, tol):
+    """Reference: the positive-definiteness elimination as a loop of mp.mpf
+    operators at the current precision, in place."""
+    n = len(a)
+    for k in range(n):
+        piv = a[k][k]
+        if not piv > tol:
+            return False
+        for i in range(k + 1, n):
+            if not a[i][k]:
+                continue
+            f = a[i][k] / piv
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+@st.composite
+def _symmetric(draw):
+    """A precision and a symmetric matrix of pairs of size 1..6: small ints
+    with mostly zero off-diagonal entries, or full prec-bit entries of
+    order one.  Diagonals are mostly positive and large enough that the
+    elimination often runs to the end."""
+    prec = draw(PRECS)
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        def entry(diagonal):
+            if diagonal:
+                return draw(st.integers(-2, 12)), 0
+            return (draw(st.integers(-6, 6)) if draw(st.integers(0, 2)) == 0 else 0), 0
+    else:
+        def entry(diagonal):
+            shift = draw(st.integers(1, 4) if diagonal else st.integers(-3, 1))
+            value = draw(_values(prec, bits=prec, exponents=st.just(shift - prec)))
+            if diagonal and draw(st.integers(0, 5)):
+                value = abs(value[0]), value[1]
+            return value
+    rows = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = entry(True)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = entry(False)
+    return prec, rows
+
+
+@settings(max_examples=400)
+@given(_symmetric())
+def test_elimination_matches_the_mpf_loop(case):
+    prec, rows = case
+    tol = (1, -(prec // 2))
+    with mp.workprec(prec):
+        want = [[from_dyadic(x) for x in row] for row in rows]
+        verdict = _mpf_sylvester(want, from_dyadic(tol))
+    got = [list(row) for row in rows]
+    assert positive_definite(got, tol, prec) is verdict
+    for got_row, want_row in zip(got, want):
+        assert [_raw(x) for x in got_row] == [w._mpf_ for w in want_row]
 
 
 @settings(max_examples=300)
