@@ -1,10 +1,14 @@
 """Number fields in the monogenic model Q[x]/(p) with power basis Z[alpha].
 
 Elements are coordinate vectors over the power basis 1, alpha, ...,
-alpha^(d-1) with exact rational entries.  Unit tests of membership go
-through minimal polynomials: an element is an algebraic unit iff its monic
-minimal polynomial has integer coefficients and constant term +-1, which is
-decidable exactly here.
+alpha^(d-1) with exact rational entries.  The defining polynomial is monic
+with integer coefficients, so products reduce by it on integers, over one
+common denominator, and Z[alpha] lies in the ring of integers.  Unit-ness
+is exact: an element with integer coordinates is an algebraic integer, and
+a unit iff its norm, the determinant of its multiplication matrix, is +-1.
+Any other element is a unit iff its monic minimal polynomial has integer
+coefficients and constant term +-1; that polynomial is derived for such
+elements and for the minpoly_constant that certificates seal.
 
 Irreducibility of a defining polynomial is decided by a layered heuristic:
 squarefreeness and rational roots first, then factor-degree patterns modulo
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -27,7 +32,7 @@ from .errors import (
     NotCyclicError,
     ReduciblePolynomialError,
 )
-from .intlinalg import IntMatrix, field_kernel_basis
+from .intlinalg import IntMatrix, field_kernel_basis, is_gl_z
 from .polynomials import (
     IntPoly,
     RatPoly,
@@ -85,12 +90,26 @@ class NumberField:
         return FieldElem(self, coords)
 
     def from_int_poly(self, p: IntPoly) -> "FieldElem":
-        return self.from_rat_poly(p.to_rat())
+        return self._reduce(list(p.coeffs), 1)
 
     def from_rat_poly(self, p: RatPoly) -> "FieldElem":
-        _, rem = p.divmod(self.minpoly.to_rat())
-        coords = [rem.coeff(k) for k in range(self.degree)]
-        return FieldElem(self, coords)
+        return self._reduce(*_over_common_denominator(p.coeffs))
+
+    def _reduce(self, nums: List[int], den: int) -> "FieldElem":
+        """The class of (nums[0] + nums[1] x + nums[2] x^2 + ...) / den.
+
+        The minimal polynomial is monic with integer coefficients, so the
+        reduction from the top degree down stays on integers, and den
+        divides once at the end.
+        """
+        m, d = self.minpoly.coeffs, self.degree
+        for k in range(len(nums) - 1, d - 1, -1):
+            top = nums[k]
+            if top:
+                for i in range(d):
+                    nums[k - d + i] -= top * m[i]
+        nums += [0] * (d - len(nums))
+        return FieldElem(self, [Fraction(c, den) for c in nums[:d]])
 
     def __eq__(self, other):
         if not isinstance(other, NumberField):
@@ -156,7 +175,10 @@ class FieldElem:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,8 +186,14 @@ class FieldElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = self.as_rat_poly() * other.as_rat_poly()
-        return self.field.from_rat_poly(prod)
+        a, da = _over_common_denominator(self.coords)
+        b, db = _over_common_denominator(other.coords)
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self.field._reduce(prod, da * db)
 
     __rmul__ = __mul__
 
@@ -197,8 +225,10 @@ class FieldElem:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        return coerced * self.inverse()
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -225,6 +255,12 @@ class FieldElem:
 
     def to_json(self) -> List[str]:
         return [str(c) for c in self.coords]
+
+
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of rationals over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def elem_from_json(field: NumberField, data: Sequence[str]) -> FieldElem:
@@ -283,17 +319,19 @@ def mult_matrix(u: FieldElem) -> IntMatrix:
 
 
 def is_unit(a: FieldElem) -> bool:
-    """True iff the element is an algebraic unit.
+    """True iff the element is an algebraic unit.  Exact; no tolerance.
 
-    Criterion: the monic minimal polynomial has integer coefficients and
-    constant term +-1.  Exact; no tolerance is involved.
+    The defining polynomial is monic and integral, so Z[alpha] lies in the
+    ring of integers: an element with integer coordinates is an algebraic
+    integer, and it is a unit iff its norm det(mult_matrix(a)) is +-1.
+    Other elements are units iff their monic minimal polynomial has integer
+    coefficients and constant term +-1 (the golden ratio (1 + a)/2 over
+    x^2 - 5 is one).
     """
-    if not a:
-        return False
+    if a.is_integral_coords():
+        return is_gl_z(mult_matrix(a))
     mp = minimal_polynomial(a)
-    if not mp.is_integral():
-        return False
-    return abs(mp.constant()) == 1
+    return mp.is_integral() and abs(mp.constant()) == 1
 
 
 def require_unit(a: FieldElem, what: str = "element") -> None:

@@ -828,18 +828,19 @@ class TestCrossTerms:
 
 def _dense_sylvester(rows, tol):
     """Reference leading-principal-minor test: the elimination without the
-    exact-zero skip, converting every entry with mp.mpf."""
+    exact-zero skip, converting every entry with mp.mpf.  Returns the
+    verdict and the matrix as the elimination left it."""
     n = len(rows)
     a = [[mp.mpf(x) for x in row] for row in rows]
     for k in range(n):
         piv = a[k][k]
         if not piv > tol:
-            return False
+            return False, a
         for i in range(k + 1, n):
             f = a[i][k] / piv
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
-    return True
+    return True, a
 
 
 @st.composite
@@ -867,7 +868,7 @@ class TestSylvesterAgainstDenseReference:
             pairs = [[rawmetric_module.to_dyadic(x) for x in row] for row in rows]
             tol_pair = rawmetric_module.to_dyadic(tol)
             assert rawmetric_module.positive_definite(pairs, tol_pair, workbits) == (
-                _dense_sylvester(rows, tol)
+                _dense_sylvester(rows, tol)[0]
             )
 
     @given(sparse_symmetric())
@@ -883,10 +884,12 @@ class TestSylvesterAgainstDenseReference:
             self._check([[mp.mpf(x) / divisor for x in row] for row in rows])
 
 
-def _reference_epsilon(spec, coupled):
-    """The scale search as a dense loop: every bisection step couples spec
-    with the new terms of coupled at the trial scale, evaluates the whole
-    metric at every grid point and tests it with _dense_sylvester."""
+def _reference_epsilon(spec, coupled, tested=None):
+    """The scale search as a dense loop of mp.mpf operators: every bisection
+    step couples spec with the new terms of coupled at the trial scale,
+    evaluates the whole metric at every grid point with _mpf_evaluate_metric
+    and tests it with _dense_sylvester.  tested, when given, receives
+    (gram, eliminated matrix, verdict) for every matrix tested, in order."""
     decomp = spec.decomposition
     tol = tolerance(spec.precision_bits)
     new_terms = coupled.cross_terms[len(spec.cross_terms):]
@@ -898,12 +901,14 @@ def _reference_epsilon(spec, coupled):
                 CrossTerm(t.k, t.k2, t.table, t.functional, eps) for t in new_terms
             )
             candidate = spec.replace(cross_terms=spec.cross_terms + terms)
-            return all(
-                _dense_sylvester(
-                    evaluate_metric(candidate, [mp.mpf(0)] * decomp.p + list(x)), tol
-                )
-                for x in grid
-            )
+            for x in grid:
+                gram = _mpf_evaluate_metric(candidate, [mp.mpf(0)] * decomp.p + list(x))
+                verdict, eliminated = _dense_sylvester(gram, tol)
+                if tested is not None:
+                    tested.append((gram, eliminated, verdict))
+                if not verdict:
+                    return False
+            return True
 
         one = mp.mpf(1)
         if scaled_ok(one):
@@ -954,6 +959,39 @@ class TestScaleSearchAgainstDenseReference:
         spec, _ = squared_metric
         bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
         self._check(bigger, [(1, 2)])
+
+    @pytest.mark.parametrize("which", ["squared", "ot_lck"])
+    def test_tested_matrices_match_the_mpf_loop(
+        self, which, squared_metric, ot_lck_uncoupled, monkeypatch
+    ):
+        # every coupled grid gram the search tests, and the matrix its
+        # elimination leaves, equal the dense mpf loop's, bit for bit
+        if which == "squared":
+            spec, pairs = squared_metric[0], [(1, 2)]
+        else:
+            spec, pairs = ot_lck_uncoupled
+        tested = []
+        original = rawmetric_module.positive_definite
+
+        def recording(a, tol, prec):
+            gram = [list(row) for row in a]
+            verdict = original(a, tol, prec)
+            tested.append((gram, a, verdict))
+            return verdict
+
+        monkeypatch.setattr(rawmetric_module, "positive_definite", recording)
+        coupled = add_cross_terms(spec, pairs)
+        want = []
+        _reference_epsilon(spec, coupled, want)
+        assert len(tested) == len(want) > len(_grid_points(spec))
+        assert any(not verdict for _, _, verdict in want)
+        as_mpf = rawmetric_module.from_dyadic
+        for got, ref in zip(tested, want):
+            assert got[2] == ref[2]
+            for got_matrix, ref_matrix in zip(got[:2], ref[:2]):
+                assert [[as_mpf(x)._mpf_ for x in row] for row in got_matrix] == [
+                    [x._mpf_ for x in row] for row in ref_matrix
+                ]
 
     def test_one_metric_evaluation_per_grid_point(self, ot_lck_uncoupled, metric_evaluations):
         spec, pairs = ot_lck_uncoupled

@@ -7,6 +7,7 @@ arithmetic being right.
 """
 
 from fractions import Fraction as QQ
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -14,6 +15,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lcpforge.numberfield as numberfield_module
 from lcpforge.errors import (
     InconclusiveIrreducibilityError,
     InputError,
@@ -189,6 +191,13 @@ class TestElementArithmetic:
         assert alpha ** 3 == m7.from_coords((1, 2, -1))
         assert alpha ** 0 == m7.one()
 
+    def test_unsupported_left_operands_name_their_operator(self, m7):
+        for other in (1.5, mpmath.mpf(1.5)):
+            with pytest.raises(TypeError, match="for /:"):
+                other / m7.gen()
+            with pytest.raises(TypeError, match="for -:"):
+                other - m7.gen()
+
     def test_cross_field_mixing_rejected(self, m7):
         other = field_new(GOLDEN)
         with pytest.raises(InputError):
@@ -208,6 +217,77 @@ class TestElementArithmetic:
         assert elem_from_json(m7, data) == a
         with pytest.raises(InputError):
             elem_from_json(m7, ["1", "2", "x"])
+
+
+@lru_cache(maxsize=None)
+def _reduction_field(degree):
+    # degree 1, the cubic M7, and the degree-14 real subfield of conductor 29
+    minpoly = {1: IntPoly((-3, 1)), 3: M7, 14: real_subfield_minpoly(29)}[degree]
+    return field_new(minpoly)
+
+
+def _divmod_coords(field, p):
+    """Reference reduction: the remainder of p by the minimal polynomial,
+    by RatPoly.divmod on Fractions."""
+    _, rem = p.divmod(field.minpoly.to_rat())
+    return [rem.coeff(k) for k in range(field.degree)]
+
+
+def _exact(coords):
+    assert all(type(c) is QQ for c in coords)
+    return [(c.numerator, c.denominator) for c in coords]
+
+
+_ENTRIES = {
+    "zero": st.just(0),
+    "integral": st.integers(-10 ** 6, 10 ** 6),
+    "rational": st.fractions(min_value=-50, max_value=50, max_denominator=12),
+}
+
+
+@st.composite
+def _entries(draw, min_size, max_size):
+    # all zero, all integers, or rationals that may have denominators
+    kind = draw(st.sampled_from(sorted(_ENTRIES)))
+    return draw(st.lists(_ENTRIES[kind], min_size=min_size, max_size=max_size))
+
+
+class TestIntegerReduction:
+    """Products and from_rat_poly reduce on ints; the RatPoly.divmod route
+    on Fractions is the reference, coordinate for coordinate."""
+
+    @pytest.mark.parametrize("degree", [1, 3, 14])
+    @given(data=st.data())
+    def test_product_matches_divmod(self, degree, data):
+        field = _reduction_field(degree)
+        a, b = (
+            field.from_coords(data.draw(_entries(degree, degree))) for _ in range(2)
+        )
+        want = _divmod_coords(field, a.as_rat_poly() * b.as_rat_poly())
+        assert _exact((a * b).coords) == _exact(want)
+
+    @pytest.mark.parametrize("degree", [1, 3, 14])
+    @given(data=st.data())
+    def test_from_rat_poly_matches_divmod(self, degree, data):
+        field = _reduction_field(degree)
+        coeffs = data.draw(_entries(0, 2 * degree + 2))
+        got = field.from_rat_poly(RatPoly(coeffs))
+        assert _exact(got.coords) == _exact(_divmod_coords(field, RatPoly(coeffs)))
+        if all(QQ(c).denominator == 1 for c in coeffs):
+            assert field.from_int_poly(IntPoly(int(c) for c in coeffs)) == got
+
+    def test_no_polynomial_division(self, monkeypatch):
+        field = _reduction_field(14)
+        a = field.from_coords(range(14)) * QQ(1, 3)
+        b = field.gen() + 2
+
+        def forbidden(*args):
+            raise AssertionError("RatPoly.divmod called")
+
+        monkeypatch.setattr(RatPoly, "divmod", forbidden)
+        assert a * b == b * a
+        assert field.from_rat_poly((a * b).as_rat_poly() * RatPoly((0, 1))) == a * b * field.gen()
+        assert field.from_int_poly(IntPoly((0,) * 20 + (1,))) == field.gen() ** 20
 
 
 class TestMinimalPolynomial:
@@ -257,6 +337,40 @@ class TestUnits:
         assert not is_unit(m7.gen() * QQ(1, 2))
         with pytest.raises(NonUnitError):
             require_unit(m7.from_rational(3))
+
+    def test_determinant_agrees_with_minimal_polynomial(self, m7, monkeypatch):
+        # integral coordinates are decided by |det| = 1 without a minimal
+        # polynomial; phi = (1 + a)/2 over x^2 - 5 is a unit that is not
+        alpha = m7.gen()
+        phi = field_new(IntPoly((-5, 0, 1))).from_coords((QQ(1, 2), QQ(1, 2)))
+        cases = {
+            alpha: True,
+            alpha + 1: True,
+            alpha ** -3: True,
+            phi: True,
+            m7.from_rational(2): False,
+            3 * alpha: False,
+            m7.zero(): False,
+            alpha * QQ(1, 2): False,
+        }
+        for a, unit in cases.items():
+            mp = minimal_polynomial(a)
+            assert (mp.is_integral() and abs(mp.constant()) == 1) == unit
+        derived = []
+
+        def recording(a):
+            derived.append(a)
+            return minimal_polynomial(a)
+
+        monkeypatch.setattr(numberfield_module, "minimal_polynomial", recording)
+        assert {a: is_unit(a) for a in cases} == cases
+        assert derived == [phi, alpha * QQ(1, 2)]
+
+    @given(_coords(st.integers(-2, 2)))
+    def test_determinant_agrees_on_integral_elements(self, ca):
+        a = field_new(M7).from_coords(ca)
+        mp = minimal_polynomial(a)
+        assert is_unit(a) == (mp.is_integral() and abs(mp.constant()) == 1)
 
     def test_unit_closure(self, m7):
         alpha = m7.gen()
