@@ -211,7 +211,8 @@ class EmbeddingSet:
     ordered by (real part, imaginary part) of the upper-half root.
     """
 
-    __slots__ = ("field", "bits", "workbits", "real_roots", "complex_disks")
+    __slots__ = ("field", "bits", "workbits", "real_roots", "complex_disks",
+                 "_enclosures")
 
     def __init__(self, field, bits, workbits, real_roots, complex_disks):
         object.__setattr__(self, "field", field)
@@ -219,6 +220,9 @@ class EmbeddingSet:
         object.__setattr__(self, "workbits", workbits)
         object.__setattr__(self, "real_roots", tuple(real_roots))
         object.__setattr__(self, "complex_disks", tuple(complex_disks))
+        # embed_enclosure's values per (element, index): the set is shared
+        # through _embeddings_cached, so every check reads one enclosure
+        object.__setattr__(self, "_enclosures", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddingSet is immutable")
@@ -249,15 +253,24 @@ class EmbeddingSet:
             return _box_from_disk(center, radius)
 
     def embed_enclosure(self, elem: FieldElem, index: int):
+        """Interval (real) or box (complex) containing the image of elem;
+        computed once per (element, index)."""
+        key = elem, index
+        enc = self._enclosures.get(key)
+        if enc is not None:
+            return enc
         if elem.field != self.field:
             raise InputError("element lives in a different field")
         self._check_index(index)
         with _at_prec(self.workbits):
             if index < len(self.real_roots):
                 lo, hi = self.real_roots[index]
-                return _iv_horner(elem.coords, _iv_from_dyadic_pair(lo, hi))
-            center, radius = self.complex_disks[index - len(self.real_roots)]
-            return _box_horner(elem.coords, _box_from_disk(center, radius))
+                enc = _iv_horner(elem.coords, _iv_from_dyadic_pair(lo, hi))
+            else:
+                center, radius = self.complex_disks[index - len(self.real_roots)]
+                enc = _box_horner(elem.coords, _box_from_disk(center, radius))
+        self._enclosures[key] = enc
+        return enc
 
     def embed(self, elem: FieldElem, index: int):
         """Midpoint numeric value of the embedding (mpf or mpc)."""
@@ -497,7 +510,7 @@ def multiplicative_rank(
     if bits is None:
         bits = default_precision()
     validate_precision(bits)
-    return _stable_rank(field, units, bits, None)
+    return _stable_rank(field, tuple(units), bits, None)
 
 
 def projected_log_rank(
@@ -521,9 +534,10 @@ def projected_log_rank(
             raise InputError("log coordinate %d out of range [0, %d)" % (i, s + t))
     if not coords:
         return 0
-    return _stable_rank(field, units, bits, coords)
+    return _stable_rank(field, tuple(units), bits, coords)
 
 
+@lru_cache(maxsize=64)
 def _stable_rank(field, units, bits, coords):
     """Log-embedding rank of units, each checked exactly first.
 
@@ -531,7 +545,10 @@ def _stable_rank(field, units, bits, coords):
     stability pass decides: the rank at bits is re-verified at 2*bits, and
     when bits does not certify or the two disagree, one escalation to
     4*bits must agree with 2*bits; else PrecisionError.  coords, when
-    given, restricts the log vectors to those places.
+    given, restricts the log vectors to those places.  Cached per (field,
+    units, bits, coords), all hashable and immutable, so a pipeline that
+    checks its units' rank and later seals the rank of the same units
+    decides it once.
     """
     for u in units:
         require_unit(u, "rank input")

@@ -101,7 +101,7 @@ class BlockDecomposition:
     """
 
     __slots__ = ("p", "delta", "blocks", "basis", "inverse", "precision_bits",
-                 "workbits")
+                 "workbits", "_conjugates")
 
     def __init__(self, p, delta, blocks, basis, inverse, precision_bits, workbits):
         self.p = p
@@ -111,6 +111,8 @@ class BlockDecomposition:
         self.inverse = _freeze(inverse)
         self.precision_bits = precision_bits
         self.workbits = workbits
+        # restricted_blocks' frozen products per matrix
+        self._conjugates = {}
 
     def block_indices(self, k: int) -> range:
         start, size = self.blocks[k]
@@ -267,12 +269,18 @@ def _decompose_at(splitter, chi, p, precision, attempt) -> BlockDecomposition:
 
 
 def restricted_blocks(decomp: BlockDecomposition, a: IntMatrix):
-    """Interval form of basis^-1 * a * basis, as one full matrix."""
+    """Interval form of basis^-1 * a * basis, as one full matrix of row
+    tuples.  Computed once per (decomposition, matrix): J1, the cross-term
+    covariance check and the equivariance check read the same product."""
     if a.n != decomp.p:
         raise InputError("matrix dimension does not match the decomposition")
-    with _at_prec(decomp.workbits):
-        am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
-        return _iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis)))
+    c = decomp._conjugates.get(a)
+    if c is None:
+        with _at_prec(decomp.workbits):
+            am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
+            c = _freeze(_iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis))))
+        decomp._conjugates[a] = c
+    return c
 
 
 def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):

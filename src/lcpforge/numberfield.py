@@ -318,6 +318,7 @@ def mult_matrix(u: FieldElem) -> IntMatrix:
     return IntMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
 
 
+@lru_cache(maxsize=64)
 def is_unit(a: FieldElem) -> bool:
     """True iff the element is an algebraic unit.  Exact; no tolerance.
 
@@ -326,7 +327,8 @@ def is_unit(a: FieldElem) -> bool:
     integer, and it is a unit iff its norm det(mult_matrix(a)) is +-1.
     Other elements are units iff their monic minimal polynomial has integer
     coefficients and constant term +-1 (the golden ratio (1 + a)/2 over
-    x^2 - 5 is one).
+    x^2 - 5 is one).  Cached per element, like minimal_polynomial, so the
+    checks that require a unit share one decision.
     """
     if a.is_integral_coords():
         return is_gl_z(mult_matrix(a))

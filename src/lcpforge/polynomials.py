@@ -316,15 +316,39 @@ def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
 
 
 def poly_gcd(a, b) -> RatPoly:
-    """Monic gcd over Q via the Euclidean algorithm."""
-    a = _as_rat_poly(a)
-    b = _as_rat_poly(b)
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd over Q, by a primitive pseudo-remainder Euclid on integers.
+
+    Rational multiples of a and b have the same monic gcd, so both lose
+    their denominators and every remainder its content; only the final
+    monic step divides.
+    """
+    a, b = (
+        (p if isinstance(p, IntPoly) else _as_rat_poly(p).clear_denominators())
+        .primitive().coeffs
+        for p in (a, b)
+    )
+    while b:
+        a, b = b, IntPoly(_pseudo_remainder(a, b)).primitive().coeffs
+    return RatPoly(a).monic()
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of the remainder of a mod b, for integer
+    coefficient sequences with b nonzero: each step scales the remainder by
+    lead(b) over its gcd with the top coefficient, so no step divides."""
+    rem = list(a)
+    lead, db = b[-1], len(b) - 1
+    while len(rem) > db:
+        top = rem.pop()
+        if top:
+            g = _gcd(top, lead)
+            scale, top = lead // g, top // g
+            k = len(rem) - db
+            if scale != 1:
+                rem = [c * scale for c in rem]
+            for i in range(db):
+                rem[k + i] -= top * b[i]
+    return rem
 
 
 def squarefree_part(p) -> IntPoly:

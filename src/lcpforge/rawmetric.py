@@ -160,20 +160,44 @@ class MetricTerms:
 def _dot(acc, a, b, prec):
     """acc + a . b, adding each rounded product a[i] * b[i] in index order.
 
-    The loop does _add's aligned case itself, which is most of the terms.
+    The loop does _add's aligned case itself, which is most of the terms,
+    and writes _round's half-to-even step out for the product and for the
+    aligned sum, on the signed value: with t = floor(x / 2**(n - 1)), the
+    half bit is t & 1 and the sticky bits are those of x below it, so one
+    step serves both signs.  Rounding half to even is symmetric, so each
+    value it forms is _round's; tests/test_rawmetric.py checks that.
     """
     m, e = acc
+    gap = 2 * prec
     for (am, ae), (bm, be) in zip(a, b):
-        pm, pe = _round(am * bm, ae + be, prec)
-        d = e - pe
+        pm = am * bm
+        pe = ae + be
+        n = pm.bit_length() - prec
+        if n > 0:
+            t = pm >> (n - 1)
+            if t & 1 and (t & 2 or pm & ((1 << (n - 1)) - 1)):
+                t += 2
+            pm = t >> 1
+            pe += n
         if not m:
             m, e = pm, pe
-        elif 0 <= d <= 2 * prec:
-            m, e = _round((m << d) + pm, pe, prec)
-        elif -2 * prec <= d < 0:
-            m, e = _round(m + (pm << -d), e, prec)
+            continue
+        d = e - pe
+        if 0 <= d <= gap:
+            m = (m << d) + pm
+            e = pe
+        elif -gap <= d < 0:
+            m += pm << -d
         else:
             m, e = _add((m, e), (pm, pe), prec)
+            continue
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                t += 2
+            m = t >> 1
+            e += n
     return m, e
 
 

@@ -1,9 +1,29 @@
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+import lcpforge
 import lcpforge.embeddings as embeddings_module
 import lcpforge.numberfield as numberfield_module
-from lcpforge.embeddings import certified_poly_roots
+
+
+def _package_caches():
+    """Every functools cache that a module of lcpforge defines and binds,
+    found by scanning the modules for cache_clear."""
+    caches = {}
+    for info in pkgutil.iter_modules(lcpforge.__path__):
+        module = importlib.import_module("lcpforge." + info.name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and getattr(
+                value, "__module__", ""
+            ).startswith("lcpforge"):
+                caches[id(value)] = value
+    return tuple(caches.values())
+
+
+PACKAGE_CACHES = _package_caches()
 
 settings.register_profile(
     "ci",
@@ -16,13 +36,20 @@ settings.load_profile("ci")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_root_certification():
-    # certified_poly_roots caches per (polynomial, bits) and
-    # minimal_polynomial per element for the whole process; each test
-    # starts empty, so a test that patches the refinement or counts
-    # derivations reaches its patch instead of an earlier test's result
-    certified_poly_roots.cache_clear()
-    numberfield_module.minimal_polynomial.cache_clear()
+def _fresh_caches():
+    # the certified values (root enclosures, embedding sets and their
+    # enclosures, minimal polynomials, unit decisions, rank decisions) are
+    # cached for the whole process; each test starts empty, so a test that
+    # patches a computation or counts it reaches its patch instead of an
+    # earlier test's result
+    for cache in PACKAGE_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def package_caches():
+    """The caches the autouse fixture clears before every test."""
+    return PACKAGE_CACHES
 
 
 @pytest.fixture
@@ -36,7 +63,6 @@ def refined_bits(monkeypatch):
         return original(poly, workbits)
 
     monkeypatch.setattr(embeddings_module, "_refined_real_roots", recording)
-    embeddings_module._embeddings_cached.cache_clear()
     return refined
 
 

@@ -6,6 +6,9 @@ linear solve of the equivariance increment system performed outside the
 pipeline; field/matrix data are checked entrywise as integers.
 """
 
+import collections
+import functools
+import gc
 import itertools
 
 import pytest
@@ -35,6 +38,8 @@ from lcpforge.errors import (
     StructureError,
 )
 import lcpforge.embeddings as embeddings_module
+import lcpforge.lcpcore as lcpcore_module
+import lcpforge.numberfield as numberfield_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
@@ -303,6 +308,63 @@ def test_rank_pipeline_derives_each_unit_minimal_polynomial_once(minpoly_derivat
     cert = make_rank_n_lcp(2, 512, seed=0)
     assert cert.verdict == "PASS"
     assert minpoly_derivations == [3, 3]
+
+
+def test_rank_pipeline_decides_the_rank_once(monkeypatch):
+    # make_dmatrix checks the units' rank and the rank check seals the rank
+    # of the same units at the same bits: one decision serves both
+    proved = []
+    original = embeddings_module._proved_full_rank
+
+    def counting(field, units, bits, coords):
+        proved.append(bits)
+        return original(field, units, bits, coords)
+
+    monkeypatch.setattr(embeddings_module, "_proved_full_rank", counting)
+    assert make_rank_n_lcp(2, 512, seed=0).verdict == "PASS"
+    assert proved == [512]
+
+
+def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch):
+    # n = 4: four units with integer coordinates at the five real places of
+    # a quintic field, so 20 enclosures (each one Horner evaluation) and 4
+    # unit determinants; J1 conjugates the 4 generators and 3 of their
+    # products (two interval products each), and the equivariance check
+    # reads the generators' conjugates again
+    counts = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(embeddings_module, "_iv_horner")
+    count(numberfield_module, "is_gl_z")
+    count(lcpcore_module, "_iv_matmul")
+    assert make_rank_n_lcp(4, 128, seed=0).verdict == "PASS"
+    assert counts == {"_iv_horner": 20, "is_gl_z": 4, "_iv_matmul": 2 * 7}
+
+
+def test_every_package_cache_is_cleared_between_tests(package_caches):
+    # the autouse fixture finds its caches by scanning the modules; here
+    # every functools cache of lcpforge alive on the heap is found on its
+    # own, so a cache the scan misses fails the test
+    make_rank_n_lcp(2, 128, seed=0)
+    cache_type = type(functools.lru_cache(maxsize=1)(abs))
+    live = [
+        obj
+        for obj in gc.get_objects()
+        if type(obj) is cache_type and obj.__module__.startswith("lcpforge")
+    ]
+    assert {"_stable_rank", "is_unit", "_embeddings_cached"} <= {c.__name__ for c in live}
+    assert {id(c) for c in live} <= {id(c) for c in package_caches}
+    for cache in package_caches:
+        cache.cache_clear()
+    assert all(c.cache_info().currsize == 0 for c in live)
 
 
 def test_kourganoff_rank_is_proven_without_refining_at_doubled_precision(refined_bits):

@@ -272,6 +272,39 @@ def test_poly_gcd():
     assert poly_gcd(a, IntPoly((1, 0, 1))).degree == 0
 
 
+def _fraction_gcd(a, b):
+    """poly_gcd as it was before the integer rewrite: the Euclidean
+    algorithm on RatPoly.divmod, the reference for the monic gcd."""
+    a, b = RatPoly(a.coeffs), RatPoly(b.coeffs)
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a if a.is_zero() else a.monic()
+
+
+@example(IntPoly(()), IntPoly(()), IntPoly((3,)), QQ(1))
+@example(IntPoly((2, -3)), IntPoly(()), IntPoly((0, 0, 7)), QQ(-2, 9))
+@given(small_polys, small_polys, small_polys, st.fractions().filter(bool))
+def test_poly_gcd_matches_the_fraction_euclid(f, a, b, scale):
+    # a common factor f, zero operands, constants, non-monic and non-primitive
+    # inputs, and a rational multiple of one side
+    x, y = f * a, f * b
+    want = _fraction_gcd(x, y)
+    for got in (poly_gcd(x, y), poly_gcd(y, x), poly_gcd(x.to_rat() * scale, y)):
+        assert got == want
+        assert isinstance(got, RatPoly)
+
+
+def test_poly_gcd_does_not_divide_polynomials(monkeypatch):
+    def forbidden(self, other):
+        raise AssertionError("RatPoly.divmod called")
+
+    monkeypatch.setattr(RatPoly, "divmod", forbidden)
+    p = real_subfield_minpoly(41)
+    assert poly_gcd(p, p.derivative()).degree == 0
+    assert poly_gcd(p * p, p.derivative() * p) == p.to_rat().monic()
+
+
 # ----------------------------------------------------------------------
 # Sturm counting and isolation
 

@@ -169,6 +169,59 @@ def test_dot_matches_the_mpf_loop(case):
     assert _same(_dot(acc, a, b, prec), want)
 
 
+def _two_step_dot(acc, a, b, prec):
+    """_dot's reference: each product rounded by _round, then added by _add."""
+    for (am, ae), (bm, be) in zip(a, b):
+        acc = _add(acc, _round(am * bm, ae + be, prec), prec)
+    return acc
+
+
+@st.composite
+def _dot_cases(draw):
+    """A precision, an accumulator (zero or not) and up to six terms, each
+    random or made to hit one case of _dot's inline rounding: a product
+    that is an exact tie, a product of half an ulp of the running sum (a
+    tie in the aligned sum), a product that cancels the running sum, a zero
+    factor, or a product more than 2 * prec bits above or below the
+    running sum (_add's far-gap path)."""
+    prec = draw(PRECS)
+    near = st.integers(-prec, prec)
+    acc = draw(st.one_of(EXPONENTS.map(lambda e: (0, e)), _values(prec, exponents=near)))
+    a, b, ref = [], [], acc
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "tie", "half", "cancel", "zero", "far"]))
+        x = draw(_values(prec, exponents=near))
+        y = draw(_values(prec, exponents=near))
+        if kind == "tie":
+            # 3 * y for odd y of prec - 1 bits: a tie whenever it does not fit
+            x = (draw(SIGNS) * 3, x[1])
+            y = draw(_values(prec - 1, bits=prec - 1, exponents=near))
+            y = (y[0] | 1, y[1])
+        elif kind == "half" and ref[0]:
+            x, y = (draw(SIGNS), 0), (1, ref[1] + ref[0].bit_length() - prec - 1)
+        elif kind == "cancel":
+            x, y = (1, 0), (-ref[0], ref[1])
+        elif kind == "zero":
+            x = (0, x[1])
+            if draw(st.booleans()):
+                x, y = y, x
+        elif kind == "far":
+            top = ref[1] + ref[0].bit_length()
+            gap = draw(SIGNS) * draw(st.integers(3 * prec + 1, 3 * prec + 200))
+            y = (y[0], top + gap - x[1] - y[0].bit_length())
+        a.append(x)
+        b.append(y)
+        ref = _two_step_dot(ref, [x], [y], prec)
+    return prec, acc, a, b, ref
+
+
+@settings(max_examples=600)
+@given(_dot_cases())
+def test_dot_matches_the_two_step_reference(case):
+    prec, acc, a, b, ref = case
+    assert _raw(_dot(acc, a, b, prec)) == _raw(ref)
+
+
 @settings(max_examples=400)
 @given(_prec_and_values(2))
 def test_div_matches_mpf_div(case):
