@@ -1,9 +1,9 @@
 """Exact integer matrix operations.
 
-Everything here is fraction-free or runs over an exact field: Bareiss
-elimination for determinants, the same elimination over Z[X] for
-characteristic polynomials, companion matrices whose coefficient column sits
-last, and kernel solves over a number field for exact eigenvectors.
+Everything here is fraction-free or runs over an exact field: one Bareiss
+elimination on ints, exact at every division, for determinants over Z and
+characteristic polynomials over Z[X]; companion matrices whose coefficient
+column sits last; kernel solves over a number field for exact eigenvectors.
 Dimensions are desk scale; nothing here is tuned beyond that.
 """
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .numberfield import FieldElem
-from .polynomials import as_rat, poly_gcd
+from .polynomials import IntPoly, as_rat, poly_gcd
 from . import rawmetric
 from .rawmetric import _mpf_from_rational, _to_mpf
 from .embeddings import (
@@ -159,32 +159,27 @@ def _kernel_vector(rows, workbits, scalar):
     return [v / lead for v in x]
 
 
-def _matrix_min_poly_squarefree(a: IntMatrix) -> bool:
-    chi = char_poly(a)
-    return poly_gcd(chi, chi.derivative()).degree == 0
-
-
-def _pick_splitter(gens: Sequence[IntMatrix]) -> IntMatrix:
-    """A commuting-family member with squarefree characteristic polynomial.
+def _pick_splitter(gens: Sequence[IntMatrix]) -> Tuple[IntMatrix, IntPoly]:
+    """A commuting-family member with squarefree characteristic polynomial,
+    returned with that polynomial.
 
     Distinct eigenvalues on one member force every commuting member to
     preserve its eigenlines, so a single such splitter diagonalizes the
     whole family.  Falls back to seeded integer combinations.
     """
-    for g in gens:
-        if _matrix_min_poly_squarefree(g):
-            return g
-    rng = random.Random(_SPLITTER_SEED)
-    for _ in range(_SPLITTER_TRIALS):
-        coeffs = [rng.randrange(-3, 4) for _ in gens]
-        if not any(coeffs):
-            continue
-        combo = None
-        for c, g in zip(coeffs, gens):
-            term = g * c
-            combo = term if combo is None else combo + term
-        if _matrix_min_poly_squarefree(combo):
-            return combo
+
+    def candidates():
+        yield from gens
+        rng = random.Random(_SPLITTER_SEED)
+        for _ in range(_SPLITTER_TRIALS):
+            coeffs = [rng.randrange(-3, 4) for _ in gens]
+            if any(coeffs):
+                yield sum((g * c for c, g in zip(coeffs, gens)), gens[0] * 0)
+
+    for m in candidates():
+        chi = char_poly(m)
+        if poly_gcd(chi, chi.derivative()).degree == 0:
+            return m, chi
     raise StructureError(
         "no generator or seeded combination has distinct eigenvalues; the "
         "family does not certify a one/two-dimensional block decomposition"
@@ -218,8 +213,7 @@ def find_block_decomposition(
         for j in range(i + 1, len(gens)):
             if not commute(gens[i], gens[j]):
                 raise InputError("generators %d and %d do not commute" % (i, j))
-    splitter = _pick_splitter(gens)
-    chi = char_poly(splitter)
+    splitter, chi = _pick_splitter(gens)
 
     last_error = None
     for attempt in (precision, 2 * precision):

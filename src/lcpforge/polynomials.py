@@ -7,8 +7,8 @@ arithmetic forces denominators (Sturm chains, monic gcds, minimal
 polynomials).  Both subclass one private ring, _Poly, which holds the
 storage, the structure queries, +, -, *, Horner evaluation, the derivative,
 == and repr.  IntPoly adds content, primitive, to_rat, shift_degree and
-powers; RatPoly adds monic, divmod, clear_denominators, is_integral and
-to_int.  binary_power is the one square-and-multiply loop of the package.
+powers; RatPoly adds monic, divmod, clear_denominators and is_integral.
+binary_power is the one square-and-multiply loop of the package.
 
 Real roots are handled by the classical exact pipeline: a Sturm chain counts
 roots in an interval, bisection separates them, and refinement bisects the
@@ -300,19 +300,24 @@ class RatPoly(_Poly):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def to_int(self) -> IntPoly:
-        if not self.is_integral():
-            raise InputError("polynomial has non-integer coefficients")
-        return IntPoly(c.numerator for c in self.coeffs)
-
 
 def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Exact division over Z; raises if it leaves a remainder or the
-    quotient would need denominators."""
-    q, r = num.to_rat().divmod(den.to_rat())
-    if not r.is_zero():
+    """Exact division over Z by integer long division; raises InputError if
+    a quotient coefficient needs a denominator or a remainder is left."""
+    rem, d = list(num.coeffs), den.coeffs
+    if not d:
+        raise ZeroDivisionError("polynomial division by zero")
+    quo = [0] * max(0, len(rem) - len(d) + 1)
+    for k in reversed(range(len(quo))):
+        q, r = divmod(rem.pop(), d[-1])
+        if r:
+            raise InputError("polynomial quotient needs denominators")
+        quo[k] = q
+        for i, c in enumerate(d[:-1]):
+            rem[k + i] -= q * c
+    if any(rem):
         raise InputError("polynomial division left a remainder")
-    return q.to_int()
+    return IntPoly(quo)
 
 
 def poly_gcd(a, b) -> RatPoly:
@@ -322,14 +327,16 @@ def poly_gcd(a, b) -> RatPoly:
     their denominators and every remainder its content; only the final
     monic step divides.
     """
-    a, b = (
-        (p if isinstance(p, IntPoly) else _as_rat_poly(p).clear_denominators())
-        .primitive().coeffs
-        for p in (a, b)
-    )
+    a, b = (_primitive_int(p).coeffs for p in (a, b))
     while b:
         a, b = b, IntPoly(_pseudo_remainder(a, b)).primitive().coeffs
     return RatPoly(a).monic()
+
+
+def _primitive_int(p) -> IntPoly:
+    """The primitive integer multiple of p, with positive leading term."""
+    ip = p if isinstance(p, IntPoly) else _as_rat_poly(p).clear_denominators()
+    return ip.primitive()
 
 
 def _pseudo_remainder(a, b):
@@ -352,12 +359,12 @@ def _pseudo_remainder(a, b):
 
 
 def squarefree_part(p) -> IntPoly:
-    p = _as_rat_poly(p)
+    """Primitive p / gcd(p, p'), divided over Z by Gauss's lemma."""
+    p = _primitive_int(p)
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
-        return p.clear_denominators().primitive()
-    q, _ = p.divmod(g)
-    return q.clear_denominators().primitive()
+        return p
+    return int_poly_exact_div(p, _primitive_int(g))
 
 
 # ----------------------------------------------------------------------
@@ -597,7 +604,7 @@ class SturmChain:
         # rescaling by a positive constant keeps signs and tames growth
         fixed = []
         for q in chain:
-            ip = q.clear_denominators().primitive()
+            ip = _primitive_int(q)
             if sign(ip.leading()) != sign(q.leading()):
                 ip = -ip
             fixed.append(ip)
@@ -685,8 +692,8 @@ def isolate_real_roots(p) -> List[Tuple]:
 
 def _exclusion_radius(p: IntPoly, root):
     """A dyadic radius around an exact rational root free of other roots."""
-    q, _ = p.to_rat().divmod(RatPoly((-root, 1)))
-    rest = q.clear_denominators().primitive()
+    # the root's primitive linear factor divides p over Z (Gauss's lemma)
+    rest = int_poly_exact_div(p, IntPoly((-root.numerator, root.denominator)))
     eps = Fraction(1, 2)
     while True:
         chain = SturmChain(rest)

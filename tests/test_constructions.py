@@ -9,11 +9,14 @@ pipeline; field/matrix data are checked entrywise as integers.
 import collections
 import functools
 import gc
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from mpmath import mp
 
+import lcpforge
 import lcpforge.constructions as constructions_module
 from lcpforge.certio import canonical_json
 from lcpforge.constructions import (
@@ -38,6 +41,7 @@ from lcpforge.errors import (
     StructureError,
 )
 import lcpforge.embeddings as embeddings_module
+import lcpforge.intlinalg as intlinalg_module
 import lcpforge.lcpcore as lcpcore_module
 import lcpforge.numberfield as numberfield_module
 from lcpforge.embeddings import embeddings
@@ -330,7 +334,10 @@ def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch):
     # a quintic field, so 20 enclosures (each one Horner evaluation) and 4
     # unit determinants; J1 conjugates the 4 generators and 3 of their
     # products (two interval products each), and the equivariance check
-    # reads the generators' conjugates again
+    # reads the generators' conjugates again.  The block decomposition
+    # decides the 6 commuting pairs and takes one characteristic
+    # polynomial, of the splitter; the matrix family check seals
+    # determinants and decides neither again
     counts = collections.Counter()
 
     def count(module, name):
@@ -345,8 +352,43 @@ def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch):
     count(embeddings_module, "_iv_horner")
     count(numberfield_module, "is_gl_z")
     count(lcpcore_module, "_iv_matmul")
+    for name in ("char_poly", "commute"):
+        original = getattr(intlinalg_module, name)
+        for info in pkgutil.iter_modules(lcpforge.__path__):
+            module = importlib.import_module("lcpforge." + info.name)
+            if getattr(module, name, None) is original:
+                count(module, name)
     assert make_rank_n_lcp(4, 128, seed=0).verdict == "PASS"
-    assert counts == {"_iv_horner": 20, "is_gl_z": 4, "_iv_matmul": 2 * 7}
+    assert counts == {
+        "_iv_horner": 20,
+        "is_gl_z": 4,
+        "_iv_matmul": 2 * 7,
+        "char_poly": 1,
+        "commute": 6,
+    }
+
+
+def test_rank_pipeline_refuses_a_non_commuting_family_before_sealing(monkeypatch):
+    # the matrix family check no longer tests commutation; the block
+    # decomposition does, and it must raise before any certificate exists
+    sealed = []
+    original = constructions_module._Builder.seal
+
+    def recording(self):
+        sealed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(constructions_module._Builder, "seal", recording)
+    dm = make_dmatrix(2, 128)
+    shear = IntMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    assert is_gl_z(shear) and not commute(dm.matrices[0], shear)
+    family = DMatrixData(dm.exfield, dm.units, (dm.matrices[0], shear))
+    builder = constructions_module._Builder("ranklcp", {"n": 2}, 128, 0)
+    with pytest.raises(InputError, match="do not commute"):
+        constructions_module._assemble_rank_certificate(builder, family, 2, 128, 0)
+    # both determinants are +-1, so the family check alone would pass
+    assert builder.doc["checks"]["matrix_family"]["verdict"] is True
+    assert sealed == []
 
 
 def test_every_package_cache_is_cleared_between_tests(package_caches):

@@ -184,6 +184,19 @@ class TestBlockDecomposition:
             prod = ratios.entries[0][0] * ratios.entries[0][1] ** 2
             assert abs(prod - 1) < mp.mpf(2) ** -64
 
+    def test_splitter_falls_back_to_a_seeded_combination(self):
+        # diag(A, I) and diag(I, B) each repeat the eigenvalue 1, so the
+        # splitter is the first seeded integer combination with distinct
+        # eigenvalues, returned with its characteristic polynomial
+        gens = [
+            matrix_from_string("2,1,0,0;1,1,0,0;0,0,1,0;0,0,0,1"),
+            matrix_from_string("1,0,0,0;0,1,0,0;0,0,3,1;0,0,2,1"),
+        ]
+        splitter, chi = lcpcore_module._pick_splitter(gens)
+        assert splitter == matrix_from_string("-1,-2,0,0;-2,1,0,0;0,0,7,3;0,0,6,1")
+        assert chi == char_poly(splitter) == IntPoly((55, 40, -16, -8, 1))
+        assert find_block_decomposition(gens, 128).blocks == tuple((k, 1) for k in range(4))
+
     def test_identity_family_rejected(self):
         with pytest.raises(StructureError):
             find_block_decomposition([IntMatrix.identity(2)], 128)

@@ -156,6 +156,15 @@ def test_int_and_rat_polys_mix_by_one_rule(expr, want):
 def test_exact_division_errors():
     with pytest.raises(InputError):
         int_poly_exact_div(IntPoly((1, 1)), IntPoly((0, 2)))
+    # a non-monic divisor with an integer quotient divides exactly
+    den = IntPoly((2, 2))
+    assert int_poly_exact_div(den * IntPoly((1, 3)), den) == IntPoly((1, 3))
+    # (x + 1) / (2x + 2) = 1/2 leaves no remainder but needs a denominator
+    with pytest.raises(InputError, match="denominators"):
+        int_poly_exact_div(IntPoly((1, 1)), den)
+    # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(InputError, match="remainder"):
+        int_poly_exact_div(IntPoly((1, 0, 1)), IntPoly((1, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +312,8 @@ def test_poly_gcd_does_not_divide_polynomials(monkeypatch):
     p = real_subfield_minpoly(41)
     assert poly_gcd(p, p.derivative()).degree == 0
     assert poly_gcd(p * p, p.derivative() * p) == p.to_rat().monic()
+    q = IntPoly((1, 3)) * p
+    assert squarefree_part(q * q * IntPoly((2, 2))) == q * IntPoly((1, 1))
 
 
 # ----------------------------------------------------------------------
