@@ -71,6 +71,7 @@ from .numberfield import (
     is_unit,
     minimal_polynomial,
     mult_matrix,
+    order_mod_sign,
     require_unit,
 )
 from .polynomials import (
@@ -109,17 +110,41 @@ def make_exfield(n: int) -> ExField:
     largest real root of the m-th cyclotomic polynomial; the degree is
     (m - 1) / 2.
     """
+    return _exfield(_conductor(n))
+
+
+def _conductor(n, rank: int = 0) -> int:
+    """The first prime m >= 2n + 3 whose Galois orbit has rank >= rank;
+    the real subfield then has degree (m - 1)/2 >= n + 1."""
     n = int(n)
     if n < 1:
         raise InputError("rank parameter must be a positive integer")
     m = 2 * n + 3
-    while not is_prime(m):
+    while not (is_prime(m) and _orbit_rank(m) >= rank):
         m += 1
-    minpoly = real_subfield_minpoly(m)
-    field = field_new(minpoly)
-    # (m-1)/2 >= n+1 holds for every prime m >= 2n+3
-    sigma = galois_generator(field)
-    return ExField(field, m, sigma)
+    return m
+
+
+def _exfield(m: int) -> ExField:
+    field = field_new(real_subfield_minpoly(m))
+    return ExField(field, m, galois_generator(field))
+
+
+def _orbit_rank(m: int) -> int:
+    """Multiplicative rank of the full Galois orbit of 2cos(2*pi/m), m an
+    odd prime: d - d/k with d = (m - 1)/2 and k the order of 2 in
+    (Z/m)^x / {+-1}.
+
+    The generator is zeta^-1 (1 - zeta^4) / (1 - zeta^2), so on an even
+    character chi its log vector has the coefficient
+    (chi(4) - chi(2)) * sum_a chi(a) log|1 - zeta^a| (conjugates dropped),
+    whose sum is nonzero for chi != 1 because L(1, chi) != 0 (Washington,
+    Introduction to Cyclotomic Fields, Lemma 8.1 and Thm 8.2).  The d - 1
+    nontrivial even characters span the log space, and the coefficient
+    vanishes on the d/k - 1 of them with chi(2) = 1.
+    """
+    d = (m - 1) // 2
+    return d - d // order_mod_sign(2, m)
 
 
 class DMatrixData:
@@ -146,15 +171,19 @@ def make_dmatrix(n: int, precision=None) -> DMatrixData:
     """n commuting matrices in GL_p(Z) whose common eigenvector carries a
     multiplicatively independent family of unit eigenvalues.
 
-    The units are the Galois orbit prefix of the field generator; each
-    becomes its exact multiplication matrix in the power basis
-    (numberfield.mult_matrix); these commute because M_u M_v = M_uv.
-    multiplicative_rank checks that they are units, which for integral
-    elements is |det| = 1 of these matrices, so they lie in GL(p, Z); it
-    decides their rank at precision bits (default: default_precision()), so
-    a pipeline passes its own bits and certifies the field's roots once.
+    The field is that of make_exfield, except that the conductor is the
+    first prime m >= 2n + 3 whose full Galois orbit has rank at least n
+    (_orbit_rank), an exact test made before any numeric work; for every n
+    whose first prime passes, that is the first prime.  The units are the
+    Galois orbit prefix of the field generator; each becomes its exact
+    multiplication matrix in the power basis (numberfield.mult_matrix);
+    these commute because M_u M_v = M_uv.  multiplicative_rank checks that
+    they are units, which for integral elements is |det| = 1 of these
+    matrices, so they lie in GL(p, Z); it decides their rank at precision
+    bits (default: default_precision()), so a pipeline passes its own bits
+    and certifies the field's roots once.
     """
-    ex = make_exfield(int(n))
+    ex = _exfield(_conductor(n, int(n)))
     field = ex.field
     alpha = field.gen()
     units = [alpha]

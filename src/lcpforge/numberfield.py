@@ -43,7 +43,7 @@ from .polynomials import (
     poly_gcd,
     rat_from_json,
     real_subfield_minpoly,
-    trace_poly,
+    trace_polys,
 )
 
 
@@ -629,15 +629,16 @@ def galois_generator(field: NumberField) -> GaloisMap:
             "Galois generators are only available for real cyclotomic "
             "subfields of prime conductor; %r is not one" % field.minpoly
         )
+    cs = trace_polys(d)
     images = [
-        field.from_int_poly(trace_poly(g))
+        field.from_int_poly(cs[g])
         for g in range(2, d + 1)
-        if _order_mod_sign(g, m) == d
+        if order_mod_sign(g, m) == d
     ]
     return GaloisMap(field, min(images, key=lambda image: image.coords))
 
 
-def _order_mod_sign(g: int, m: int) -> int:
+def order_mod_sign(g: int, m: int) -> int:
     """Order of the class of g in (Z/m)^x / {+-1}."""
     k, power = 1, g % m
     while power not in (1, m - 1):

@@ -388,21 +388,18 @@ def cyclotomic_poly(m: int) -> IntPoly:
     return num
 
 
-def trace_poly(k: int) -> IntPoly:
-    """c_k with c_k(z + 1/z) = z**k + z**-k.
+def trace_polys(n: int) -> List[IntPoly]:
+    """[c_0, ..., c_n] with c_k(z + 1/z) = z**k + z**-k, in one pass.
 
     Recurrence c_0 = 2, c_1 = y, c_{k+1} = y*c_k - c_{k-1}; these are the
     rescaled Chebyshev polynomials 2*T_k(y/2).
     """
-    if k < 0:
+    if n < 0:
         raise InputError("trace polynomial index must be >= 0")
-    prev, cur = IntPoly((2,)), IntPoly((0, 1))
-    if k == 0:
-        return prev
-    y = IntPoly((0, 1))
-    for _ in range(k - 1):
-        prev, cur = cur, y * cur - prev
-    return cur
+    cs = [IntPoly((2,)), IntPoly((0, 1))]
+    while len(cs) <= n:
+        cs.append(cs[-1].shift_degree(1) - cs[-2])
+    return cs[: n + 1]
 
 
 def is_prime(m: int) -> bool:
@@ -431,11 +428,8 @@ def real_subfield_minpoly(m: int) -> IntPoly:
     """
     if m % 2 == 0 or not is_prime(m):
         raise InputError("index must be an odd prime, got %d" % m)
-    d = (m - 1) // 2
-    acc = IntPoly((1,))
-    for k in range(1, d + 1):
-        acc = acc + trace_poly(k)
-    return acc
+    # c_0 = 2 is in the sum, so the constant term starts at -1
+    return sum(trace_polys((m - 1) // 2), IntPoly((-1,)))
 
 
 # ----------------------------------------------------------------------
@@ -702,6 +696,48 @@ def _exclusion_radius(p: IntPoly, root):
         eps = eps / 2
 
 
+def _narrow_enclosure(f, df, L, H, e, slo, K):
+    """Integers (A, B) with L/2**e <= A/2**K < B/2**K <= H/2**e, p of sign
+    slo at A/2**K and -slo at B/2**K, for a bracket (L/2**e, H/2**e] of one
+    root whose endpoints have signs slo and -slo; None if not certified.
+
+    Newton runs from the bracket midpoint, each step one exact p and one
+    exact p' rounded to the 2**-q grid, q twice the correct bits (read off
+    the last step's size) and at most K, until a step at 2**-K moves the
+    point by less than 2**16 grid steps.  The point is widened by that much
+    each way and both signs are evaluated exactly, so a wild Newton step
+    costs speed, never correctness.
+    """
+    a = e + 1 - (H - L).bit_length()
+    X, s = L + H, e + 1
+    for _ in range(K.bit_length() + 4):
+        q = min(K, 2 * a)
+        P = _scaled_horner(df, X, s)
+        if P == 0:
+            return None
+        # X/2**s - p/p' is (X*P - F) / (P*2**s); round it on the 2**-q grid
+        N, D = (X * P - _scaled_horner(f, X, s)) << q, P << s
+        if D < 0:
+            N, D = -N, -D
+        Xq = (2 * N + D) // (2 * D)
+        # the step's size on the 2**-q grid estimates the error of X
+        step = abs((Xq << s) - (X << q)) >> s
+        X, s, a = Xq, q, max(16, 2 * (q - step.bit_length()))
+        if q == K and step < 1 << 16:
+            break
+    else:
+        return None
+    A, B = X - (1 << 16), X + (1 << 16)
+    if (
+        L << K <= A << e
+        and B << e <= H << K
+        and sign(_scaled_horner(f, A, K)) == slo
+        and sign(_scaled_horner(f, B, K)) == -slo
+    ):
+        return A, B
+    return None
+
+
 def refine_root(p, lo, hi, bits: int) -> Tuple:
     """Shrink an isolating interval with dyadic endpoints to width <= 2**-bits.
 
@@ -712,8 +748,26 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
     nearest point of the 2**-k grid, k about twice the correct bits) when it
     lands inside the bracket, then bisects.  Without an inflection point in
     the bracket the Newton step always lands on the same side of the root,
-    so convergence is linear: one bisection per bit.  Certificates seal
-    these endpoints, so the trajectory is part of the output.
+    so convergence is linear: one bisection per bit.  Schema-1 certificates
+    seal these endpoints, so the trajectory is part of their output and is
+    kept bit for bit; only the cost of a pass may change.
+
+    Two of a pass's four exact evaluations only decide a sign.  Once the
+    bracket is 2**-16 wide, ``_narrow_enclosure`` certifies (A, B) around
+    the root at scale 2**-K, K = 2*bits + 64: p has sign slo at A and -slo
+    at B.  The root is the only one in the bracket, so p has sign slo at
+    every bracket point up to A and -slo from B on, and a point is
+    evaluated exactly only when it lies strictly between A and B.  Until
+    then, or when the enclosure is not certified, (A, B) is the bracket
+    itself and every point is evaluated: there is one loop either way.
+    p and p' at the midpoint stay exact, since the Newton candidate N/D is
+    made from them; its part M*2**(k-em) splits off exactly, so that only
+    F/P, a quotient of about width_bits bits rather than k, is divided.
+
+    The candidate N/D is kept only strictly inside the bracket.  When its
+    grid 2**-k is at least as fine as the bracket's (k >= e), L and H lie
+    on it and rounding to nearest is monotone, so the rounded candidate is
+    strictly inside only if N/D is; N/D itself is tested only when k < e.
 
     p must be a squarefree IntPoly, as certified_poly_roots checks; the
     trajectory depends on p only up to a constant factor.  lo and hi go
@@ -734,8 +788,23 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
         return hi, hi
     if slo == shi:
         raise InputError("interval endpoints do not bracket a sign change")
+    A, B, s = L, H, e
+    enclosed = False
+
+    def sign_inside(X, k):
+        # the sign of p at X/2**k, a point strictly inside the bracket
+        if X << s <= A << k:
+            return slo
+        if X << s >= B << k:
+            return shi
+        return sign(_scaled_horner(f, X, k))
 
     while (H - L) << bits > 1 << e:
+        if not enclosed and (H - L) << 16 <= 1 << e:
+            enclosed, K = True, 2 * bits + 64
+            narrow = _narrow_enclosure(f, df, L, H, e, slo, K)
+            if narrow:
+                (A, B), s = narrow, K
         # Newton from the midpoint M/2**em.  With P = p'(mid)*2**(em*(d-1))
         # and F = p(mid)*2**(em*d), d = deg p, the candidate
         # M/2**em - p(mid)/p'(mid) is (M*P - F) / (P*2**em)
@@ -743,17 +812,22 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
         P = _scaled_horner(df, M, em)
         if P != 0:
             F = _scaled_horner(f, M, em)
-            N, D = M * P - F, P << em
-            if D < 0:
-                N, D = -N, -D
-            if L * D < N << e < H * D:
-                # round to nearest on the 2**-k grid, k about twice the
-                # number of correct bits
-                width_bits = e + 1 - (H - L).bit_length()
-                k = max(8, 2 * max(1, width_bits) + 8)
-                R = ((N << (k + 1)) + D) // (2 * D)
+            if P < 0:
+                P, F = -P, -F
+            # round to nearest on the 2**-k grid, k about twice the number
+            # of correct bits
+            width_bits = e + 1 - (H - L).bit_length()
+            k = max(8, 2 * max(1, width_bits) + 8)
+            if k >= e or 2 * L * P < M * P - F < 2 * H * P:
+                # the candidate times 2**k is M*2**(k-em) - F*2**(k-em)/P,
+                # with Mi the integral part of the first term
+                a, b = max(0, k - em), max(0, em - k)
+                Ma = M << a
+                Mi = Ma >> b
+                num = ((Ma - (Mi << b)) * P - (F << a)) * 2 + (P << b)
+                R = Mi + num // (P << (b + 1))
                 if L << k < R << e < H << k:
-                    sc = sign(_scaled_horner(f, R, k))
+                    sc = sign_inside(R, k)
                     if sc == 0:
                         cand = Fraction(R, 1 << k)
                         return cand, cand
@@ -766,7 +840,7 @@ def refine_root(p, lo, hi, bits: int) -> Tuple:
                         H = R
         # bisection keeps guaranteed progress regardless of Newton
         M, e = L + H, e + 1
-        sm = sign(_scaled_horner(f, M, e))
+        sm = sign_inside(M, e)
         if sm == 0:
             mid = Fraction(M, 1 << e)
             return mid, mid

@@ -91,6 +91,28 @@ def test_exfield_and_dmatrix_reports(capsys):
     assert len(doc["matrices"]) == 2
 
 
+@pytest.mark.parametrize("n,modulus", [(7, 19), (14, 37), (19, 47), (20, 47)])
+def test_dmatrix_takes_a_larger_conductor_where_the_first_falls_short(
+    capsys, n, modulus
+):
+    # the first prime m >= 2n + 3 gives an orbit of too small a rank
+    code, out, _ = run_cli(capsys, "dmatrix", "--n", str(n))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["field"]["modulus"] == modulus
+    assert doc["multiplicative_rank"] == n
+
+
+def test_ranklcp_rank7_passes_and_reverifies(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "ranklcp", "--n", "7", "--out", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["verdict"] == "PASS"
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["report"]["bit_identical"] is True
+
+
 def test_kourganoff_and_ot_commands(capsys):
     code, out, _ = run_cli(
         capsys, "kourganoff", "--q", "1", "--matrix", "2,1;1,1"

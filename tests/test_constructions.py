@@ -119,6 +119,17 @@ def test_exfield_rejects_nonpositive_rank():
         make_exfield(0)
 
 
+def test_dmatrix_keeps_the_first_prime_wherever_it_passed():
+    # with the first prime m >= 2n + 3, n = 7, 14, 19 and 20 are the only
+    # n <= 30 whose orbit prefix fell short of rank n (ranks 6, 12, 18, 18)
+    for n in range(1, 31):
+        first = constructions_module._conductor(n)
+        if n in (7, 14, 19, 20):
+            assert constructions_module._orbit_rank(first) < n
+        else:
+            assert constructions_module._conductor(n, n) == first
+
+
 def test_dmatrix_rank2_golden_matrices():
     dm = make_dmatrix(2)
     assert isinstance(dm, DMatrixData)

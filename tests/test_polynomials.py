@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from fractions import Fraction as QQ
 
+import lcpforge.polynomials as polynomials_module
 from lcpforge.errors import InputError
 from lcpforge.polynomials import (
     IntPoly,
     RatPoly,
+    _dyadic_parts,
     _scaled_horner,
     SturmChain,
     cauchy_root_bound,
@@ -36,9 +38,10 @@ from lcpforge.polynomials import (
     rat_to_json,
     real_subfield_minpoly,
     refine_root,
+    sign,
     sign_at,
     squarefree_part,
-    trace_poly,
+    trace_polys,
 )
 
 ZZ = int
@@ -225,7 +228,7 @@ def test_real_subfield_rejects_bad_index():
 def test_trace_poly_identity(k, z_num):
     # c_k(z + 1/z) == z^k + z^-k checked at rational points z = z_num
     z = QQ(z_num)
-    lhs = trace_poly(k)(z + 1 / z)
+    lhs = trace_polys(k)[k](z + 1 / z)
     assert lhs == z ** k + z ** (-k)
 
 
@@ -518,6 +521,71 @@ def _fraction_refine_root(p, lo, hi, bits):
     return lo, hi
 
 
+def _integer_refine_root(p, lo, hi, bits):
+    """refine_root's integer loop as it was before the narrow enclosure,
+    frozen verbatim: four exact evaluations per pass and the L*D, H*D test
+    on every Newton candidate.  The reference for the trajectory."""
+    lo, hi = QQ(lo), QQ(hi)
+    if lo == hi:
+        return lo, hi
+    (L, el), (H, eh) = _dyadic_parts(lo), _dyadic_parts(hi)
+    e = max(el, eh)
+    L, H = L << (e - el), H << (e - eh)
+    f, df = p.coeffs, p.derivative().coeffs
+    slo = sign(_scaled_horner(f, L, e))
+    shi = sign(_scaled_horner(f, H, e))
+    if slo == 0:
+        return lo, lo
+    if shi == 0:
+        return hi, hi
+    if slo == shi:
+        raise InputError("interval endpoints do not bracket a sign change")
+
+    while (H - L) << bits > 1 << e:
+        # Newton from the midpoint M/2**em.  With P = p'(mid)*2**(em*(d-1))
+        # and F = p(mid)*2**(em*d), d = deg p, the candidate
+        # M/2**em - p(mid)/p'(mid) is (M*P - F) / (P*2**em)
+        M, em = L + H, e + 1
+        P = _scaled_horner(df, M, em)
+        if P != 0:
+            F = _scaled_horner(f, M, em)
+            N, D = M * P - F, P << em
+            if D < 0:
+                N, D = -N, -D
+            if L * D < N << e < H * D:
+                # round to nearest on the 2**-k grid, k about twice the
+                # number of correct bits
+                width_bits = e + 1 - (H - L).bit_length()
+                k = max(8, 2 * max(1, width_bits) + 8)
+                R = ((N << (k + 1)) + D) // (2 * D)
+                if L << k < R << e < H << k:
+                    sc = sign(_scaled_horner(f, R, k))
+                    if sc == 0:
+                        cand = QQ(R, 1 << k)
+                        return cand, cand
+                    if k > e:
+                        L, H, e = L << (k - e), H << (k - e), k
+                    R <<= e - k
+                    if sc == slo:
+                        L = R
+                    else:
+                        H = R
+        # bisection keeps guaranteed progress regardless of Newton
+        M, e = L + H, e + 1
+        sm = sign(_scaled_horner(f, M, e))
+        if sm == 0:
+            mid = QQ(M, 1 << e)
+            return mid, mid
+        if sm == slo:
+            L, H = M, H << 1
+        else:
+            L, H = L << 1, M
+        # drop the trailing zero bits L and H share
+        z = min(e, ((L | H) & -(L | H)).bit_length() - 1)
+        L, H, e = L >> z, H >> z, e - z
+    return QQ(L, 1 << e), QQ(H, 1 << e)
+
+
 nonmonic_polys = st.tuples(
     st.lists(st.integers(-30, 30), min_size=1, max_size=7),
     st.integers(2, 12),
@@ -533,6 +601,117 @@ def test_refine_root_follows_the_fraction_trajectory(p, bits, pick):
     assume(intervals)
     lo, hi = intervals[pick % len(intervals)]
     assert refine_root(p, lo, hi, bits) == _fraction_refine_root(p, lo, hi, bits)
+
+
+def _linear_factor_product(roots):
+    # prod (d*x - n) over the distinct rationals n/d
+    p = IntPoly((1,))
+    for r in set(roots):
+        p = p * IntPoly((-r.numerator, r.denominator))
+    return p
+
+
+squarefree_polys = st.one_of(
+    st.tuples(
+        st.lists(st.integers(-40, 40), min_size=1, max_size=9),
+        st.integers(1, 9),
+        st.sampled_from((1, -1)),
+    ).map(lambda t: IntPoly(t[0] + [t[1] * t[2]])),
+    # dyadic and non-dyadic rational roots
+    st.lists(
+        st.builds(
+            QQ, st.integers(-60, 60), st.sampled_from((1, 2, 3, 4, 5, 7, 8, 16))
+        ),
+        min_size=1,
+        max_size=9,
+    ).map(_linear_factor_product),
+)
+
+
+@example(
+    _linear_factor_product([QQ(3, 8), QQ(1, 3), QQ(-5, 7), QQ(2), QQ(-9, 16)]), 1056, 1
+)
+@example(real_subfield_minpoly(19), 1056, 4)
+@given(squarefree_polys, st.integers(64, 1056), st.integers(0, 8))
+def test_refine_root_follows_the_integer_trajectory(p, bits, pick):
+    # degree 1..9 up to 1056 bits: every endpoint equals the frozen loop
+    assume(poly_gcd(p, p.derivative()).degree == 0)
+    intervals = isolate_real_roots(p)
+    assume(intervals)
+    lo, hi = intervals[pick % len(intervals)]
+    assert refine_root(p, lo, hi, bits) == _integer_refine_root(p, lo, hi, bits)
+
+
+@pytest.mark.parametrize(
+    "coeffs,lo,hi",
+    [
+        (
+            (-7, 0, 2),
+            QQ(-571122831799375801, 1 << 58),
+            QQ(-48633515955044997, 1 << 56),
+        ),
+        (
+            (3, 9, 3),
+            QQ(-143029325770021443, 1 << 57),
+            QQ(-26753833493954101, 1 << 56),
+        ),
+    ],
+)
+def test_refine_root_tests_a_coarse_candidate_against_the_bracket(coeffs, lo, hi):
+    # endpoints on a grid finer than the Newton grid (k < e): a candidate
+    # N/D outside the bracket rounds to a grid point inside it, and only the
+    # L*D, H*D test keeps it out
+    p = IntPoly(coeffs)
+    want = _fraction_refine_root(p, lo, hi, 40)
+    assert _integer_refine_root(p, lo, hi, 40) == want
+    assert refine_root(p, lo, hi, 40) == want
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _scaled_horner(*args)
+
+    monkeypatch.setattr(polynomials_module, "_scaled_horner", counted)
+    return calls
+
+
+def test_refine_root_without_an_enclosure_evaluates_every_point(monkeypatch):
+    # an uncertified enclosure leaves (A, B) at the bracket: the same loop
+    # then evaluates every sign exactly, four evaluations a pass as before
+    monkeypatch.setattr(
+        polynomials_module, "_narrow_enclosure", lambda *args: None
+    )
+    calls = _count_evaluations(monkeypatch)
+    p = IntPoly((-1, -1, 0, 1))
+    want = _integer_refine_root(p, QQ(-2), QQ(2), 544)
+    assert refine_root(p, QQ(-2), QQ(2), 544) == want
+    assert len(calls) == 2180
+    (lo, hi), = isolate_real_roots(p)
+    assert refine_root(p, lo, hi, 300) == _integer_refine_root(p, lo, hi, 300)
+
+
+@pytest.mark.parametrize(
+    "coeffs,lo,hi,bits,before",
+    [
+        ((1, -3, 1), 0, 2, 1056, 4228),  # x^2 - 3x + 1
+        ((-1, -1, 0, 1), -2, 2, 544, 2180),  # x^3 - x - 1
+    ],
+)
+def test_refine_root_evaluates_twice_per_pass(
+    monkeypatch, coeffs, lo, hi, bits, before
+):
+    # p and p' at the midpoint stay exact; the Newton point's and the
+    # bisection point's signs are comparisons against the enclosure
+    # (the loop without it made `before` evaluations)
+    calls = _count_evaluations(monkeypatch)
+    p = IntPoly(coeffs)
+    assert refine_root(p, QQ(lo), QQ(hi), bits) == _integer_refine_root(
+        p, QQ(lo), QQ(hi), bits
+    )
+    assert len(calls) <= 2 * bits + 64 < before
 
 
 @given(nonmonic_polys, st.integers(8, 600), st.integers(0, 6), st.sampled_from((-1, 3, -6)))
