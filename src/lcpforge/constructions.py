@@ -391,10 +391,12 @@ def _unit_ratio_check(emb, ratios):
                 emb, w.element, w.embedding_index, ratios.entries[j][k], w.exponent
             )
             overall = overall and witnessed
+            # the constant of the monic minimal polynomial
+            mpoly = minimal_polynomial(w.element)
             entries.append(
                 {
                     "minpoly_constant": rat_to_json(
-                        minimal_polynomial(w.element).coeff(0)
+                        Fraction(mpoly.constant(), mpoly.leading())
                     ),
                     "unit": unit_ok,
                     "witnessed": bool(witnessed),

@@ -28,7 +28,6 @@ from .errors import InputError, NeedsEscalation, PrecisionError
 from .numberfield import FieldElem, NumberField, require_unit
 from .polynomials import (
     IntPoly,
-    count_real_roots,
     isolate_real_roots,
     poly_gcd,
     refine_root,
@@ -336,14 +335,16 @@ def certified_poly_roots(poly: IntPoly, bits: int):
         raise InputError("root isolation needs a nonconstant polynomial")
     if poly_gcd(poly, poly.derivative()).degree > 0:
         raise InputError("root isolation needs a squarefree polynomial")
-    s = count_real_roots(poly)
+    # one isolation serves every attempt: s is its number of intervals
+    intervals = isolate_real_roots(poly)
+    s = len(intervals)
     t = (poly.degree - s) // 2
     last_error = None
     for attempt_bits in (bits, 2 * bits, 4 * bits):
         workbits = attempt_bits + GUARD_BITS
         try:
             with _at_prec(workbits):
-                real_roots = _refined_real_roots(poly, workbits)
+                real_roots = _refined_real_roots(poly, intervals, workbits)
                 complex_disks = _certified_complex_disks(poly, s, t, workbits) if t else []
             return tuple(real_roots), tuple(complex_disks), workbits
         except NeedsEscalation as exc:
@@ -353,12 +354,8 @@ def certified_poly_roots(poly: IntPoly, bits: int):
     )
 
 
-def _refined_real_roots(poly, workbits):
-    out = []
-    for a, b in isolate_real_roots(poly):
-        lo, hi = refine_root(poly, a, b, bits=workbits)
-        out.append((lo, hi))
-    return out
+def _refined_real_roots(poly, intervals, workbits):
+    return [refine_root(poly, a, b, bits=workbits) for a, b in intervals]
 
 
 def _certified_complex_disks(p, s, t, workbits):

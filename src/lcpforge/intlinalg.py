@@ -10,6 +10,7 @@ Dimensions are desk scale; nothing here is tuned beyond that.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
@@ -141,8 +142,11 @@ def _bareiss(m, one, exact_div):
     return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
 
 
-def det(a: IntMatrix):
-    """Bareiss determinant over Z."""
+@lru_cache(maxsize=64)
+def det(a: IntMatrix) -> int:
+    """Bareiss determinant over Z.  Cached per matrix: IntMatrix is
+    immutable and hashes on its rows, so the unit, matrix-family, block
+    and similarity checks share one elimination per matrix."""
     return _bareiss([list(row) for row in a.rows], 1, operator.floordiv)
 
 

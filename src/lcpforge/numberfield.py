@@ -6,9 +6,10 @@ with integer coefficients, so products reduce by it on integers, over one
 common denominator, and Z[alpha] lies in the ring of integers.  Unit-ness
 is exact: an element with integer coordinates is an algebraic integer, and
 a unit iff its norm, the determinant of its multiplication matrix, is +-1.
-Any other element is a unit iff its monic minimal polynomial has integer
-coefficients and constant term +-1; that polynomial is derived for such
-elements and for the minpoly_constant that certificates seal.
+Any other element is a unit iff its minimal polynomial, kept as the
+primitive integer multiple, is monic with constant term +-1; that
+polynomial is derived for such elements, for inverses and for the
+minpoly_constant that certificates seal.
 
 Irreducibility of a defining polynomial is decided by a layered heuristic:
 squarefreeness and rational roots first, then factor-degree patterns modulo
@@ -35,7 +36,6 @@ from .errors import (
 from .intlinalg import IntMatrix, field_kernel_basis, is_gl_z
 from .polynomials import (
     IntPoly,
-    RatPoly,
     as_rat,
     binary_power,
     count_real_roots,
@@ -92,9 +92,6 @@ class NumberField:
     def from_int_poly(self, p: IntPoly) -> "FieldElem":
         return self._reduce(list(p.coeffs), 1)
 
-    def from_rat_poly(self, p: RatPoly) -> "FieldElem":
-        return self._reduce(*_over_common_denominator(p.coeffs))
-
     def _reduce(self, nums: List[int], den: int) -> "FieldElem":
         """The class of (nums[0] + nums[1] x + nums[2] x^2 + ...) / den.
 
@@ -143,9 +140,6 @@ class FieldElem:
 
     def is_integral_coords(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
-
-    def as_rat_poly(self) -> RatPoly:
-        return RatPoly(self.coords)
 
     # ------------------------------------------------------------------
     def _coerce(self, other) -> Optional["FieldElem"]:
@@ -198,25 +192,20 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        """Extended Euclid against the minimal polynomial of the field."""
+        """a**-1 = -(P1 + P2 a + ... + Pk a**(k-1)) / P0, read off the
+        minimal polynomial P0 + P1 x + ... + Pk x**k of a by Horner."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        a = self.as_rat_poly()
-        b = self.field.minpoly.to_rat()
-        # track u with u*a == gcd modulo minpoly
-        r0, r1 = a, b
-        u0, u1 = RatPoly((1,)), RatPoly(())
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-        if r0.degree != 0:
-            # the minimal polynomial is irreducible, so gcd must be constant
+        mp = minimal_polynomial(self).coeffs
+        if not mp[0]:
+            # only a zero divisor, which a field has none of, has P0 = 0
             raise ReduciblePolynomialError(
                 "field polynomial shares a factor with an element; field is broken"
             )
-        inv_poly = u0 * (1 / r0.constant())
-        return self.field.from_rat_poly(inv_poly)
+        acc = self.field.from_rational(mp[-1])
+        for c in reversed(mp[1:-1]):
+            acc = acc * self + c
+        return acc * Fraction(-1, mp[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -250,7 +239,7 @@ class FieldElem:
     def __repr__(self):
         from .polynomials import poly_to_string
 
-        body = poly_to_string(self.as_rat_poly(), var="a") if self else "0"
+        body = poly_to_string(self.coords, var="a") if self else "0"
         return "FieldElem(%s)" % body
 
     def to_json(self) -> List[str]:
@@ -272,13 +261,15 @@ def elem_from_json(field: NumberField, data: Sequence[str]) -> FieldElem:
 
 
 @lru_cache(maxsize=64)
-def minimal_polynomial(a: FieldElem) -> RatPoly:
-    """Monic minimal polynomial over Q of a power-basis element.
+def minimal_polynomial(a: FieldElem) -> IntPoly:
+    """Minimal polynomial over Q of a power-basis element, as its primitive
+    integer multiple with positive leading coefficient.
 
     The first power of the element that depends rationally on the lower
     powers is the first free column of the coordinate matrix of 1, a, ...,
-    a^d; its kernel vector, with that coordinate one, holds the coefficients.
-    The result is irreducible because the ambient ring is a field.
+    a^d; its kernel vector, with that coordinate one, holds the monic
+    coefficients, which are cleared of their common denominator.  The
+    result is irreducible because the ambient ring is a field.
 
     Cached per element: FieldElem is immutable and hashes on (field
     minpoly, coords), so is_unit, require_unit and every check that reads
@@ -291,7 +282,7 @@ def minimal_polynomial(a: FieldElem) -> RatPoly:
     first = field_kernel_basis(
         [[p.coords[r] for p in powers] for r in range(d)]
     )[0]
-    return RatPoly(first)
+    return IntPoly(_over_common_denominator(first)[0]).primitive()
 
 
 def mult_matrix(u: FieldElem) -> IntMatrix:
@@ -327,13 +318,15 @@ def is_unit(a: FieldElem) -> bool:
     integer, and it is a unit iff its norm det(mult_matrix(a)) is +-1.
     Other elements are units iff their monic minimal polynomial has integer
     coefficients and constant term +-1 (the golden ratio (1 + a)/2 over
-    x^2 - 5 is one).  Cached per element, like minimal_polynomial, so the
-    checks that require a unit share one decision.
+    x^2 - 5 is one), that is iff their primitive integer minimal
+    polynomial is monic with constant term +-1.  Cached per element, like
+    minimal_polynomial, so the checks that require a unit share one
+    decision.
     """
     if a.is_integral_coords():
         return is_gl_z(mult_matrix(a))
     mp = minimal_polynomial(a)
-    return mp.is_integral() and abs(mp.constant()) == 1
+    return mp.is_monic() and abs(mp.constant()) == 1
 
 
 def require_unit(a: FieldElem, what: str = "element") -> None:
@@ -572,7 +565,12 @@ class GaloisMap:
     def apply(self, elem: FieldElem) -> FieldElem:
         if elem.field != self.field:
             raise InputError("element lives in a different field")
-        return elem.as_rat_poly()(self.image)
+        # Horner on the coordinates at the image of the generator
+        coords = elem.coords
+        acc = self.field.from_rational(coords[-1])
+        for c in reversed(coords[:-1]):
+            acc = acc * self.image + c
+        return acc
 
     def __call__(self, elem: FieldElem) -> FieldElem:
         return self.apply(elem)

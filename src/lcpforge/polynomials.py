@@ -1,13 +1,14 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Z.
 
 Coefficients are stored lowest degree first, so ``p.coeffs[k]`` is the
-coefficient of x**k.  IntPoly carries integer coefficients and is the type
-attached to matrices and number fields; RatPoly appears wherever intermediate
-arithmetic forces denominators (Sturm chains, monic gcds, minimal
-polynomials).  Both subclass one private ring, _Poly, which holds the
-storage, the structure queries, +, -, *, Horner evaluation, the derivative,
-== and repr.  IntPoly adds content, primitive, to_rat, shift_degree and
-powers; RatPoly adds monic, divmod, clear_denominators and is_integral.
+coefficient of x**k.  IntPoly is the one polynomial class: its coefficients
+are Python ints, an int operand lifts to a constant polynomial, and any
+other operand, a Fraction included, is refused.  Every derived polynomial
+stays on integers too: gcds, squarefree parts and Sturm chains come from a
+primitive pseudo-remainder sequence, which scales a remainder by the
+divisor's leading coefficient instead of dividing, and each result is the
+primitive integer multiple of its rational counterpart.  Rationals appear
+only at the boundaries: as evaluation points, interval endpoints and JSON.
 binary_power is the one square-and-multiply loop of the package.
 
 Real roots are handled by the classical exact pipeline: a Sturm chain counts
@@ -20,6 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
@@ -65,22 +67,21 @@ def binary_power(base, k: int, one, mul=operator.mul):
     return result
 
 
-class _Poly:
-    """Dense immutable polynomial, lowest degree first: the storage, the
-    structure queries and the ring operations IntPoly and RatPoly share.
-
-    A subclass constructs itself from coefficients and sets three class
-    attributes: _ZERO, its zero coefficient; _SCALARS, the types it
-    multiplies by coefficient-wise; and _lift, which returns an operand as
-    a polynomial of the subclass or NotImplemented.  A result has the
-    class of self, whose _lift accepted the other operand, so a mix of
-    IntPoly and RatPoly reaches RatPoly through Python's reflected operator.
-    """
+class IntPoly:
+    """Dense immutable polynomial with integer coefficients, lowest degree
+    first.  An int operand lifts to a constant polynomial; any other
+    operand, such as a Fraction, is refused with TypeError rather than
+    truncated."""
 
     __slots__ = ("coeffs",)
 
+    def __init__(self, coeffs: Iterable[int]):
+        object.__setattr__(
+            self, "coeffs", _strip(c if type(c) is int else as_int(c) for c in coeffs)
+        )
+
     def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+        raise AttributeError("IntPoly is immutable")
 
     # ------------------------------------------------------------------
     # structure
@@ -95,25 +96,21 @@ class _Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def leading(self):
-        if not self.coeffs:
-            return self._ZERO
-        return self.coeffs[-1]
+    def leading(self) -> int:
+        return self.coeffs[-1] if self.coeffs else 0
 
-    def constant(self):
-        if not self.coeffs:
-            return self._ZERO
-        return self.coeffs[0]
+    def constant(self) -> int:
+        return self.coeffs[0] if self.coeffs else 0
 
-    def coeff(self, k: int):
+    def coeff(self, k: int) -> int:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self._ZERO
+        return 0
 
     # ------------------------------------------------------------------
     # ring operations
     def __add__(self, other):
-        other = self._lift(other)
+        other = _as_int_poly(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -122,15 +119,15 @@ class _Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return type(self)(out)
+        return IntPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(-c for c in self.coeffs)
+        return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = _as_int_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -139,21 +136,25 @@ class _Poly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
-            return type(self)(c * other for c in self.coeffs)
-        other = self._lift(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            return IntPoly(c * other for c in self.coeffs)
+        if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return type(self)(())
-        out = [self._ZERO] * (len(a) + len(b) - 1)
+            return IntPoly(())
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return type(self)(out)
+        return IntPoly(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise InputError("negative polynomial power")
+        return binary_power(self, n, IntPoly((1,)))
 
     def __call__(self, x):
         """Horner evaluation; works for any ring element with + and *."""
@@ -164,23 +165,39 @@ class _Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return type(self)(k * c for k, c in enumerate(self.coeffs) if k > 0)
+    def derivative(self) -> "IntPoly":
+        return IntPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+
+    def shift_degree(self, k: int) -> "IntPoly":
+        """Multiply by x**k."""
+        if self.is_zero():
+            return self
+        return IntPoly((0,) * k + self.coeffs)
+
+    def content(self) -> int:
+        return gcd(*self.coeffs)
+
+    def primitive(self) -> "IntPoly":
+        """Divide out the content and make the leading term positive."""
+        g = self.content()
+        if g == 0:
+            return self
+        if self.leading() < 0:
+            g = -g
+        return IntPoly(c // g for c in self.coeffs)
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
-        other = self._lift(other)
+        other = _as_int_poly(other)
         if other is NotImplemented:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # == compares coefficients across IntPoly and RatPoly, and a Fraction
-        # hashes like the int it equals, so equal polynomials hash equal
         return hash(self.coeffs)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, poly_to_string(self))
+        return "IntPoly(%s)" % poly_to_string(self)
 
 
 def _as_int_poly(x):
@@ -189,116 +206,6 @@ def _as_int_poly(x):
     if isinstance(x, int):
         return IntPoly((x,))
     return NotImplemented
-
-
-def _as_rat_poly(x):
-    if isinstance(x, RatPoly):
-        return x
-    if isinstance(x, IntPoly):
-        return x.to_rat()
-    if isinstance(x, (int, Fraction)):
-        return RatPoly((x,))
-    return NotImplemented
-
-
-class IntPoly(_Poly):
-    """Dense polynomial with integer coefficients, lowest degree first."""
-
-    __slots__ = ()
-    _ZERO = 0
-    _SCALARS = int
-    _lift = staticmethod(_as_int_poly)
-
-    def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(
-            self, "coeffs", _strip(c if type(c) is int else as_int(c) for c in coeffs)
-        )
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative polynomial power")
-        return binary_power(self, n, IntPoly((1,)))
-
-    def shift_degree(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = _gcd(g, c)
-        return g
-
-    def primitive(self) -> "IntPoly":
-        """Divide out the content, keeping the sign of the leading term."""
-        g = self.content()
-        if g == 0:
-            return self
-        if self.leading() < 0:
-            g = -g
-        return IntPoly(c // g for c in self.coeffs)
-
-    def to_rat(self) -> "RatPoly":
-        return RatPoly(self.coeffs)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-class RatPoly(_Poly):
-    """Dense polynomial with rational coefficients, lowest degree first."""
-
-    __slots__ = ()
-    _ZERO = Fraction(0)
-    _SCALARS = (int, Fraction)
-    _lift = staticmethod(_as_rat_poly)
-
-    def __init__(self, coeffs: Iterable):
-        coeffs = (c if type(c) is Fraction else as_rat(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", _strip(coeffs))
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return RatPoly(c / lead for c in self.coeffs)
-
-    def divmod(self, other: "RatPoly") -> Tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.leading()
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
-            quo[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return RatPoly(quo), RatPoly(rem)
-
-    def clear_denominators(self) -> IntPoly:
-        """Smallest positive integer multiple with integer coefficients."""
-        lcm = 1
-        for c in self.coeffs:
-            den = c.denominator
-            lcm = lcm // _gcd(lcm, den) * den
-        return IntPoly(c.numerator * (lcm // c.denominator) for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
 
 def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -320,35 +227,27 @@ def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     return IntPoly(quo)
 
 
-def poly_gcd(a, b) -> RatPoly:
-    """Monic gcd over Q, by a primitive pseudo-remainder Euclid on integers.
-
-    Rational multiples of a and b have the same monic gcd, so both lose
-    their denominators and every remainder its content; only the final
-    monic step divides.
-    """
-    a, b = (_primitive_int(p).coeffs for p in (a, b))
+def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The primitive gcd over Z, with positive leading term, by a primitive
+    pseudo-remainder Euclid: every remainder loses its content, and no step
+    divides a polynomial."""
+    a, b = a.primitive().coeffs, b.primitive().coeffs
     while b:
         a, b = b, IntPoly(_pseudo_remainder(a, b)).primitive().coeffs
-    return RatPoly(a).monic()
-
-
-def _primitive_int(p) -> IntPoly:
-    """The primitive integer multiple of p, with positive leading term."""
-    ip = p if isinstance(p, IntPoly) else _as_rat_poly(p).clear_denominators()
-    return ip.primitive()
+    return IntPoly(a)
 
 
 def _pseudo_remainder(a, b):
     """A nonzero integer multiple of the remainder of a mod b, for integer
     coefficient sequences with b nonzero: each step scales the remainder by
-    lead(b) over its gcd with the top coefficient, so no step divides."""
+    lead(b) over its gcd with the top coefficient, so no step divides.  The
+    multiple is positive when lead(b) is."""
     rem = list(a)
     lead, db = b[-1], len(b) - 1
     while len(rem) > db:
         top = rem.pop()
         if top:
-            g = _gcd(top, lead)
+            g = gcd(top, lead)
             scale, top = lead // g, top // g
             k = len(rem) - db
             if scale != 1:
@@ -358,34 +257,17 @@ def _pseudo_remainder(a, b):
     return rem
 
 
-def squarefree_part(p) -> IntPoly:
+def squarefree_part(p: IntPoly) -> IntPoly:
     """Primitive p / gcd(p, p'), divided over Z by Gauss's lemma."""
-    p = _primitive_int(p)
+    p = p.primitive()
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p
-    return int_poly_exact_div(p, _primitive_int(g))
+    return int_poly_exact_div(p, g)
 
 
 # ----------------------------------------------------------------------
 # domain constructions
-
-
-_CYCLOTOMIC_CACHE = {1: IntPoly((-1, 1))}
-
-
-def cyclotomic_poly(m: int) -> IntPoly:
-    """m-th cyclotomic polynomial by exact division of x**m - 1."""
-    if m < 1:
-        raise InputError("cyclotomic index must be positive")
-    if m in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[m]
-    num = IntPoly((-1,) + (0,) * (m - 1) + (1,))  # x**m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num = int_poly_exact_div(num, cyclotomic_poly(d))
-    _CYCLOTOMIC_CACHE[m] = num
-    return num
 
 
 def trace_polys(n: int) -> List[IntPoly]:
@@ -469,7 +351,9 @@ def poly_from_string(text: str) -> IntPoly:
 
 
 def poly_to_string(p, var: str = "x") -> str:
-    coeffs = p.coeffs
+    """Text form of an IntPoly, or of rational coefficients lowest degree
+    first, such as a field element's coordinates."""
+    coeffs = p.coeffs if isinstance(p, IntPoly) else tuple(p)
     if not coeffs:
         return "0"
     parts = []
@@ -570,6 +454,13 @@ def sign_at(p: IntPoly, q) -> int:
     return sign(p(q))
 
 
+def _without_content(coeffs) -> Tuple[int, ...]:
+    """An integer coefficient sequence, stripped, over its positive content."""
+    coeffs = _strip(coeffs)
+    g = gcd(*coeffs)
+    return tuple(c // g for c in coeffs) if g else ()
+
+
 def _sign_changes(signs) -> int:
     """Sign changes along a sequence of signs, zeros skipped."""
     count = 0
@@ -584,25 +475,27 @@ def _sign_changes(signs) -> int:
 
 
 class SturmChain:
-    """Sturm chain of the squarefree part, stored as primitive IntPolys."""
+    """Sturm chain of the squarefree part, stored as primitive IntPolys.
+
+    The chain is p0 = squarefree_part(p), p1 = p0' and p(k+1) = -(p(k-1)
+    mod p(k)), each scaled by a positive rational so that it is primitive
+    over Z.  A remainder depends on its divisor only up to a constant, so
+    it is taken as a pseudo-remainder by p(k) made positive-leading: a
+    positive multiple of the true one, whose content divides out without
+    changing any sign.
+    """
 
     __slots__ = ("polys",)
 
-    def __init__(self, p):
-        p0 = squarefree_part(p)
-        chain = [p0.to_rat(), p0.derivative().to_rat()]
-        while not chain[-1].is_zero():
-            _, r = chain[-2].divmod(chain[-1])
-            chain.append(-r)
-        chain.pop()  # the zero terminator
-        # rescaling by a positive constant keeps signs and tames growth
-        fixed = []
-        for q in chain:
-            ip = _primitive_int(q)
-            if sign(ip.leading()) != sign(q.leading()):
-                ip = -ip
-            fixed.append(ip)
-        object.__setattr__(self, "polys", fixed)
+    def __init__(self, p: IntPoly):
+        sf = squarefree_part(p)
+        a, b = sf.coeffs, _without_content(sf.derivative().coeffs)
+        chain = [a]
+        while b:
+            chain.append(b)
+            r = _pseudo_remainder(a, b if b[-1] > 0 else [-c for c in b])
+            a, b = b, _without_content([-c for c in r])
+        object.__setattr__(self, "polys", [IntPoly(c) for c in chain])
 
     def variations_at(self, x) -> int:
         return _sign_changes(sign_at(p, x) for p in self.polys)
@@ -623,12 +516,9 @@ class SturmChain:
         return self.variations_at_neg_inf() - self.variations_at_pos_inf()
 
 
-def count_real_roots(p) -> int:
+def count_real_roots(p: IntPoly) -> int:
     """Number of distinct real roots, exact."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    return SturmChain(sf).count_all()
+    return SturmChain(p).count_all()
 
 
 def cauchy_root_bound(p: IntPoly):
@@ -647,10 +537,10 @@ def isolate_real_roots(p) -> List[Tuple]:
     is that exact rational, or the unique root lies in the open-closed
     interval (lo, hi] and p is nonzero at both endpoints' sign evaluations.
     """
-    sf = squarefree_part(p)
+    chain = SturmChain(p)
+    sf = chain.polys[0]
     if sf.degree <= 0:
         return []
-    chain = SturmChain(sf)
     bound = cauchy_root_bound(sf)
     lo, hi = Fraction(-bound), Fraction(bound)
     total = chain.count_in(lo, hi)

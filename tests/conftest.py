@@ -1,11 +1,13 @@
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import lcpforge
 import lcpforge.embeddings as embeddings_module
+import lcpforge.intlinalg as intlinalg_module
 import lcpforge.numberfield as numberfield_module
 
 
@@ -38,10 +40,10 @@ settings.load_profile("ci")
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     # the certified values (root enclosures, embedding sets and their
-    # enclosures, minimal polynomials, unit decisions, rank decisions) are
-    # cached for the whole process; each test starts empty, so a test that
-    # patches a computation or counts it reaches its patch instead of an
-    # earlier test's result
+    # enclosures, minimal polynomials, unit decisions, rank decisions,
+    # determinants) are cached for the whole process; each test starts
+    # empty, so a test that patches a computation or counts it reaches its
+    # patch instead of an earlier test's result
     for cache in PACKAGE_CACHES:
         cache.cache_clear()
 
@@ -58,9 +60,9 @@ def refined_bits(monkeypatch):
     refined = []
     original = embeddings_module._refined_real_roots
 
-    def recording(poly, workbits):
+    def recording(poly, intervals, workbits):
         refined.append(workbits)
-        return original(poly, workbits)
+        return original(poly, intervals, workbits)
 
     monkeypatch.setattr(embeddings_module, "_refined_real_roots", recording)
     return refined
@@ -79,3 +81,29 @@ def minpoly_derivations(monkeypatch):
 
     monkeypatch.setattr(numberfield_module, "field_kernel_basis", recording)
     return derived
+
+
+@pytest.fixture
+def det_derivations(monkeypatch):
+    """One entry per integer determinant the test derives, cache hits aside:
+    the Bareiss elimination over Z is the derivation."""
+    derived = []
+    original = intlinalg_module._bareiss
+
+    def recording(m, one, exact_div):
+        if type(one) is int:
+            derived.append(len(m))
+        return original(m, one, exact_div)
+
+    monkeypatch.setattr(intlinalg_module, "_bareiss", recording)
+    return derived
+
+
+@pytest.fixture
+def forbid_fractions(monkeypatch):
+    """For the rest of the test, constructing a Fraction raises."""
+
+    def forbidden(cls, *args, **kwargs):
+        raise AssertionError("Fraction constructed")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)

@@ -110,11 +110,11 @@ def test_criterion_4_all_certificate_ratios_are_units(suite_certificates):
                 elem = field.from_coords(
                     [_rat(c) for c in witness["element"]]
                 )
+                # the primitive integer minimal polynomial of a unit is
+                # monic with constant term +-1
                 mpoly = minimal_polynomial(elem)
-                constant = mpoly.coeff(0)
-                assert constant.denominator == 1
-                assert abs(constant.numerator) == 1
-                assert all(c.denominator == 1 for c in mpoly.coeffs)
+                assert mpoly.is_monic()
+                assert abs(mpoly.constant()) == 1
 
 
 def _rat(text):

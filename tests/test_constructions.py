@@ -298,9 +298,9 @@ def test_each_root_certification_is_refined_once(monkeypatch):
     refined = []
     original = embeddings_module._refined_real_roots
 
-    def counting(poly, workbits):
+    def counting(poly, intervals, workbits):
         refined.append((poly, workbits))
-        return original(poly, workbits)
+        return original(poly, intervals, workbits)
 
     monkeypatch.setattr(embeddings_module, "_refined_real_roots", counting)
     embeddings_module._embeddings_cached.cache_clear()
@@ -377,6 +377,15 @@ def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch):
         "char_poly": 1,
         "commute": 6,
     }
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_rank_pipeline_derives_each_determinant_once(det_derivations, n):
+    # the unit decision, the matrix family check, the block decomposition's
+    # GL(Z) test and the similarity generator read the determinants of the
+    # same n matrices: one elimination each
+    assert make_rank_n_lcp(n, 128, seed=0).verdict == "PASS"
+    assert det_derivations == [n + 1] * n
 
 
 def test_rank_pipeline_refuses_a_non_commuting_family_before_sealing(monkeypatch):

@@ -15,9 +15,10 @@ the rank check at 128, 512 and 1024 bits:
 - ot_x3-x-1_128, ot_x3-x-1_512: ``ot --minpoly "x^3-x-1" --units "0,1,0"``
 - ot_lck_x4-x-1_128: ``ot --minpoly "x^4-x-1" --units "0,1,0,0;-1,1,0,0" --lck``
 
-The field report data/reports/dmatrix_n8.json (``dmatrix --n 8``) is kept
-apart from the certificates; it has no verify path, so it is reproduced by
-re-running the command and comparing bytes.
+The field reports under data/reports (``dmatrix --n 8`` and ``exfield --n
+16``, ``--n 20``, ``--n 40``) are kept apart from the certificates; they
+have no verify path, so each is reproduced by re-running its command and
+comparing bytes.
 """
 
 from pathlib import Path
@@ -52,3 +53,13 @@ def test_stored_dmatrix_report_is_reproduced(tmp_path):
     out = tmp_path / "dmatrix_n8.json"
     assert main(["dmatrix", "--n", "8", "--out", str(out)]) == 0
     assert out.read_bytes() == (REPORTS / "dmatrix_n8.json").read_bytes()
+
+
+@pytest.mark.parametrize("n", [16, 20, 40])
+def test_stored_exfield_report_is_reproduced(tmp_path, n):
+    # m = 37, 43, 83: the field's minimal polynomial and its signature,
+    # counted by a Sturm chain, are in these bytes
+    name = "exfield_n%d.json" % n
+    out = tmp_path / name
+    assert main(["exfield", "--n", str(n), "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPORTS / name).read_bytes()

@@ -148,14 +148,18 @@ X = sympy.Symbol("x")
 
 
 def _sympy_minpoly(coords):
+    # sympy's minimal polynomial made primitive, with positive leading term
     expr = sum(sympy.Rational(c) * ALPHA ** i for i, c in enumerate(coords))
-    poly = sympy.Poly(sympy.minimal_polynomial(expr, X), X).monic()
-    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    _, poly = sympy.Poly(sympy.minimal_polynomial(expr, X), X).primitive()
+    if poly.LC() < 0:
+        poly = -poly
+    return [int(c) for c in reversed(poly.all_coeffs())]
 
 
 def _ours(coords):
     poly = minimal_polynomial(BIQUADRATIC.from_coords(coords))
-    return [Fraction(c) for c in poly.coeffs]
+    assert all(type(c) is int for c in poly.coeffs)
+    return list(poly.coeffs)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from mpmath import iv, mp
 
 import lcpforge.embeddings as embeddings_module
+import lcpforge.polynomials as polynomials_module
 from lcpforge.embeddings import (
     GUARD_BITS,
     EmbeddingSet,
@@ -336,7 +337,7 @@ class TestPrecisionControls:
     def test_escalation_error_names_the_last_precision_tried(self, monkeypatch):
         tried = []
 
-        def refuse(poly, workbits):
+        def refuse(poly, intervals, workbits):
             tried.append(workbits)
             raise NeedsEscalation("refused at %d" % workbits)
 
@@ -344,3 +345,30 @@ class TestPrecisionControls:
         with pytest.raises(PrecisionError, match=r"failed up to 512 bits: refused at 544"):
             certified_poly_roots(PLASTIC, 128)
         assert tried == [b + GUARD_BITS for b in (128, 256, 512)]
+
+    def test_one_sturm_chain_serves_every_attempt(self, monkeypatch):
+        # the real roots are counted as the isolating intervals, and each
+        # escalation refines those same intervals at its own precision
+        chains, attempts = [], []
+
+        class CountedChain(polynomials_module.SturmChain):
+            __slots__ = ()
+
+            def __init__(self, p):
+                chains.append(p)
+                super().__init__(p)
+
+        original = embeddings_module._refined_real_roots
+
+        def escalate_twice(poly, intervals, workbits):
+            attempts.append(intervals)
+            if len(attempts) < 3:
+                raise NeedsEscalation("refused at %d" % workbits)
+            return original(poly, intervals, workbits)
+
+        monkeypatch.setattr(polynomials_module, "SturmChain", CountedChain)
+        monkeypatch.setattr(embeddings_module, "_refined_real_roots", escalate_twice)
+        real, disks, workbits = certified_poly_roots(PLASTIC, 128)
+        assert chains == [PLASTIC]
+        assert len(real) == 1 and len(disks) == 1 and workbits == 512 + GUARD_BITS
+        assert attempts[0] is attempts[1] is attempts[2]

@@ -12,7 +12,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import lcpforge.numberfield as numberfield_module
@@ -38,7 +38,8 @@ from lcpforge.numberfield import (
     mult_matrix,
     require_unit,
 )
-from lcpforge.polynomials import IntPoly, RatPoly, is_prime, real_subfield_minpoly
+import lcpforge.polynomials as polynomials_module
+from lcpforge.polynomials import IntPoly, is_prime, real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))  # x^3 + x^2 - 2x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -156,6 +157,15 @@ class TestElementArithmetic:
             assert a ** -1 == a.inverse()
             assert 1 / a == a.inverse()
 
+    def test_inverse_of_a_zero_divisor_names_the_broken_field(self):
+        # (x^2 + 1)(x^2 + 2) passes only by force; x^2 + 1 is a zero divisor
+        # there, so its minimal polynomial has constant term zero
+        ring = field_new(IntPoly((2, 0, 3, 0, 1)), force=True)
+        with pytest.raises(ReduciblePolynomialError):
+            ring.from_coords((1, 0, 1, 0)).inverse()
+        a = ring.from_coords((1, 1, 0, 0))
+        assert a * a.inverse() == 1
+
     @given(_coords(st.integers(-9, 9)), _coords(st.integers(-9, 9)))
     def test_mult_matrix_multiplies(self, ca, cb):
         # the matrix of u is u evaluated at the companion matrix, and applied
@@ -175,7 +185,7 @@ class TestElementArithmetic:
         field = field_new(M7)
         a = field.from_coords(ca)
         mp = minimal_polynomial(a)
-        assert mp.is_monic()
+        assert mp.leading() > 0 and mp == mp.primitive()
         assert not mp(a)
 
     def test_scalar_mixing(self, m7):
@@ -226,11 +236,32 @@ def _reduction_field(degree):
     return field_new(minpoly)
 
 
-def _divmod_coords(field, p):
-    """Reference reduction: the remainder of p by the minimal polynomial,
-    by RatPoly.divmod on Fractions."""
-    _, rem = p.divmod(field.minpoly.to_rat())
-    return [rem.coeff(k) for k in range(field.degree)]
+def _fraction_divmod(a, b):
+    """Long division of Fraction coefficient lists (lowest degree first,
+    b with a nonzero top): the reference for every integer route."""
+    rem, q = [QQ(c) for c in a], []
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        q.append(factor)
+        for i, c in enumerate(b):
+            rem[len(rem) - len(b) + i] -= factor * c
+        rem.pop()
+    return q[::-1], rem
+
+
+def _fraction_product(a, b):
+    out = [QQ(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divmod_coords(field, coeffs):
+    """Reference reduction: the remainder of a coefficient list by the
+    minimal polynomial, by long division on Fractions."""
+    rem = _fraction_divmod(coeffs, field.minpoly.coeffs)[1]
+    return rem + [QQ(0)] * (field.degree - len(rem))
 
 
 def _exact(coords):
@@ -253,8 +284,8 @@ def _entries(draw, min_size, max_size):
 
 
 class TestIntegerReduction:
-    """Products and from_rat_poly reduce on ints; the RatPoly.divmod route
-    on Fractions is the reference, coordinate for coordinate."""
+    """Products and from_int_poly reduce on ints; long division on
+    Fractions is the reference, coordinate for coordinate."""
 
     @pytest.mark.parametrize("degree", [1, 3, 14])
     @given(data=st.data())
@@ -263,46 +294,109 @@ class TestIntegerReduction:
         a, b = (
             field.from_coords(data.draw(_entries(degree, degree))) for _ in range(2)
         )
-        want = _divmod_coords(field, a.as_rat_poly() * b.as_rat_poly())
+        want = _divmod_coords(field, _fraction_product(a.coords, b.coords))
         assert _exact((a * b).coords) == _exact(want)
 
     @pytest.mark.parametrize("degree", [1, 3, 14])
-    @given(data=st.data())
-    def test_from_rat_poly_matches_divmod(self, degree, data):
+    @given(coeffs=st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=30))
+    def test_from_int_poly_matches_divmod(self, degree, coeffs):
         field = _reduction_field(degree)
-        coeffs = data.draw(_entries(0, 2 * degree + 2))
-        got = field.from_rat_poly(RatPoly(coeffs))
-        assert _exact(got.coords) == _exact(_divmod_coords(field, RatPoly(coeffs)))
-        if all(QQ(c).denominator == 1 for c in coeffs):
-            assert field.from_int_poly(IntPoly(int(c) for c in coeffs)) == got
+        got = field.from_int_poly(IntPoly(coeffs))
+        assert _exact(got.coords) == _exact(_divmod_coords(field, coeffs))
 
     def test_no_polynomial_division(self, monkeypatch):
+        # products, inverses and Galois images reduce coordinates; none of
+        # them divides one polynomial by another
         field = _reduction_field(14)
         a = field.from_coords(range(14)) * QQ(1, 3)
         b = field.gen() + 2
+        tau = galois_generator(field)
 
         def forbidden(*args):
-            raise AssertionError("RatPoly.divmod called")
+            raise AssertionError("polynomial division")
 
-        monkeypatch.setattr(RatPoly, "divmod", forbidden)
+        for name in ("int_poly_exact_div", "_pseudo_remainder"):
+            monkeypatch.setattr(polynomials_module, name, forbidden)
         assert a * b == b * a
-        assert field.from_rat_poly((a * b).as_rat_poly() * RatPoly((0, 1))) == a * b * field.gen()
+        assert a * a.inverse() == field.one()
+        assert tau.apply(a * b) == tau.apply(a) * tau.apply(b)
         assert field.from_int_poly(IntPoly((0,) * 20 + (1,))) == field.gen() ** 20
+
+
+def _fraction_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _euclid_inverse(field, coords):
+    """FieldElem.inverse as it was before it read the minimal polynomial,
+    frozen: the extended Euclid of the coordinates against the field
+    polynomial on Fractions, tracking u with u*a == gcd modulo minpoly."""
+    r0, r1 = _fraction_trim(coords), [QQ(c) for c in field.minpoly.coeffs]
+    u0, u1 = [QQ(1)], []
+    while r1:
+        q, r = _fraction_divmod(r0, r1)
+        r0, r1 = r1, _fraction_trim(r)
+        qu = _fraction_product(q, u1) if q and u1 else []
+        n = max(len(u0), len(qu))
+        u0, u1 = u1, _fraction_trim(
+            (u0[i] if i < len(u0) else 0) - (qu[i] if i < len(qu) else 0)
+            for i in range(n)
+        )
+    assert len(r0) == 1
+    return _divmod_coords(field, [c / r0[0] for c in u0])
+
+
+@lru_cache(maxsize=None)
+def _inverse_field(name):
+    return field_new(
+        {
+            "x3-x-1": PLASTIC,
+            "x2-5": IntPoly((-5, 0, 1)),
+            "x4-x-1": IntPoly((-1, -1, 0, 0, 1)),
+            "m19": real_subfield_minpoly(19),
+        }[name]
+    )
+
+
+@pytest.mark.parametrize("name", ["x3-x-1", "x2-5", "x4-x-1", "m19"])
+@given(data=st.data())
+def test_inverse_matches_the_fraction_euclid(name, data):
+    # the inverse read off the minimal polynomial is the one the extended
+    # Euclid found, coordinate for coordinate
+    field = _inverse_field(name)
+    coords = data.draw(_entries(field.degree, field.degree))
+    a = field.from_coords(coords)
+    assume(a)
+    inv = a.inverse()
+    assert a * inv == 1
+    assert _exact(inv.coords) == _exact(_euclid_inverse(field, a.coords))
 
 
 class TestMinimalPolynomial:
     def test_generator(self, m7):
-        assert minimal_polynomial(m7.gen()) == M7.to_rat()
+        assert minimal_polynomial(m7.gen()) == M7
 
     def test_rational(self, m7):
-        assert minimal_polynomial(m7.from_rational(QQ(5))) == RatPoly((-5, 1))
+        assert minimal_polynomial(m7.from_rational(QQ(5))) == IntPoly((-5, 1))
+        assert minimal_polynomial(m7.from_rational(QQ(-5, 3))) == IntPoly((5, 3))
+
+    def test_primitive_integer_multiple(self, m7):
+        # alpha/2 is a root of (2x)^3 + (2x)^2 - 2(2x) - 1, already primitive
+        assert minimal_polynomial(m7.gen() * QQ(1, 2)) == IntPoly((-1, -4, 4, 8))
+        # 1/2 - alpha/4 over x^2 + x - 1 is (5 - sqrt5)/8: 16x^2 - 20x + 5
+        golden = field_new(GOLDEN)
+        b = golden.from_coords((QQ(1, 2), QQ(-1, 4)))
+        assert minimal_polynomial(b) == IntPoly((5, -20, 16))
 
     def test_frozen_quadratic_sum(self, m7):
         # beta = alpha + alpha^2 has minimal polynomial x^3 - 4x^2 + 3x + 1
         alpha = m7.gen()
         beta = alpha + alpha ** 2
         got = minimal_polynomial(beta)
-        assert got == RatPoly((1, 3, -4, 1))
+        assert got == IntPoly((1, 3, -4, 1))
         # independent oracle from the defining real number
         x = sympy.Symbol("x")
         root = 2 * sympy.cos(2 * sympy.pi / 7)
@@ -316,11 +410,11 @@ class TestMinimalPolynomial:
         b = field_new(IntPoly((-2, 0, 1))).from_coords((1, 1))
         assert a.field is not b.field
         assert minimal_polynomial(a) is minimal_polynomial(b)
-        assert minimal_polynomial(a) == RatPoly((-1, -2, 1))
+        assert minimal_polynomial(a) == IntPoly((-1, -2, 1))
         assert len(minpoly_derivations) == 1
         # the same coordinates over x^2 - 3 are a different element
         c = field_new(IntPoly((-3, 0, 1))).from_coords((1, 1))
-        assert minimal_polynomial(c) == RatPoly((-2, -2, 1))
+        assert minimal_polynomial(c) == IntPoly((-2, -2, 1))
         assert len(minpoly_derivations) == 2
 
 
@@ -355,7 +449,7 @@ class TestUnits:
         }
         for a, unit in cases.items():
             mp = minimal_polynomial(a)
-            assert (mp.is_integral() and abs(mp.constant()) == 1) == unit
+            assert (mp.is_monic() and abs(mp.constant()) == 1) == unit
         derived = []
 
         def recording(a):
@@ -370,7 +464,7 @@ class TestUnits:
     def test_determinant_agrees_on_integral_elements(self, ca):
         a = field_new(M7).from_coords(ca)
         mp = minimal_polynomial(a)
-        assert is_unit(a) == (mp.is_integral() and abs(mp.constant()) == 1)
+        assert is_unit(a) == (mp.is_monic() and abs(mp.constant()) == 1)
 
     def test_unit_closure(self, m7):
         alpha = m7.gen()

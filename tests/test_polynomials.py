@@ -6,6 +6,7 @@ literals; the oracle assertions document where they came from.
 """
 
 import json
+import math
 from pathlib import Path
 
 import mpmath
@@ -20,14 +21,14 @@ import lcpforge.polynomials as polynomials_module
 from lcpforge.errors import InputError
 from lcpforge.polynomials import (
     IntPoly,
-    RatPoly,
     _dyadic_parts,
     _scaled_horner,
     SturmChain,
     cauchy_root_bound,
     count_real_roots,
-    cyclotomic_poly,
+    as_rat,
     int_poly_exact_div,
+    is_prime,
     isolate_real_roots,
     poly_from_json,
     poly_from_string,
@@ -77,10 +78,13 @@ def test_coefficients_must_be_integral():
 
 
 def test_rational_coefficients_reject_floats():
-    assert RatPoly((QQ(1, 2), 3, True)) == RatPoly((QQ(1, 2), QQ(3), QQ(1)))
+    # as_rat admits the rational coordinates of field elements and sealed
+    # rationals: ints, bools and Fractions, never a binary float
+    assert [as_rat(True), as_rat(3), as_rat(QQ(1, 2))] == [QQ(1), QQ(3), QQ(1, 2)]
+    assert type(as_rat(3)) is QQ
     for bad in (0.1, 0.5, mpmath.mpf(1)):
         with pytest.raises(InputError):
-            RatPoly((bad, 1))
+            as_rat(bad)
 
 
 def test_rat_to_json_rejects_floats():
@@ -101,15 +105,6 @@ def test_ring_axioms(a, b, c):
     assert (a - b) + b == a
 
 
-@given(small_polys, small_polys)
-def test_rat_divmod_identity(a, b):
-    if b.is_zero():
-        return
-    q, r = a.to_rat().divmod(b.to_rat())
-    assert q * b.to_rat() + r == a.to_rat()
-    assert r.degree < b.degree
-
-
 @given(small_polys, small_polys, st.integers(-4, 4))
 def test_evaluation_is_ring_hom(a, b, x):
     assert (a * b)(x) == a(x) * b(x)
@@ -117,36 +112,38 @@ def test_evaluation_is_ring_hom(a, b, x):
 
 
 A_INT = IntPoly((1, 2))  # 1 + 2x
-B_RAT = RatPoly((QQ(1, 2), 0, 3))  # 1/2 + 3x^2
+B_INT = IntPoly((1, 0, 3))  # 1 + 3x^2
 
 
 @pytest.mark.parametrize(
     "expr,want",
     [
-        (lambda: A_INT + B_RAT, RatPoly((QQ(3, 2), 2, 3))),
-        (lambda: B_RAT + A_INT, RatPoly((QQ(3, 2), 2, 3))),
-        (lambda: A_INT - B_RAT, RatPoly((QQ(1, 2), 2, -3))),
-        (lambda: B_RAT - A_INT, RatPoly((QQ(-1, 2), -2, 3))),
-        (lambda: B_RAT * A_INT, RatPoly((QQ(1, 2), 1, 3, 6))),
-        (lambda: A_INT * B_RAT, RatPoly((QQ(1, 2), 1, 3, 6))),
+        (lambda: A_INT + B_INT, IntPoly((2, 2, 3))),
+        (lambda: B_INT + A_INT, IntPoly((2, 2, 3))),
+        (lambda: A_INT - B_INT, IntPoly((0, 2, -3))),
+        (lambda: B_INT - A_INT, IntPoly((0, -2, 3))),
+        (lambda: B_INT * A_INT, IntPoly((1, 2, 3, 6))),
+        (lambda: A_INT * B_INT, IntPoly((1, 2, 3, 6))),
         (lambda: A_INT * 3 - 1, IntPoly((2, 6))),
         (lambda: 1 - A_INT, IntPoly((0, -2))),
-        (lambda: B_RAT * QQ(2) + 1, RatPoly((2, 0, 6))),
+        (lambda: 2 * B_INT + True, IntPoly((3, 0, 6))),
         (lambda: A_INT.derivative(), IntPoly((2,))),
-        (lambda: B_RAT.derivative(), RatPoly((0, 6))),
-        (lambda: RatPoly((1, 2)) == A_INT, True),
-        (lambda: A_INT == RatPoly((1, 2)), True),
-        (lambda: A_INT == B_RAT, False),
-        (lambda: hash(RatPoly((1, 2))) == hash(A_INT), True),
+        (lambda: B_INT.derivative(), IntPoly((0, 6))),
+        (lambda: IntPoly((1, 2)) == A_INT, True),
+        (lambda: IntPoly((5,)) == 5, True),
+        (lambda: A_INT == B_INT, False),
+        (lambda: hash(IntPoly((1, 2))) == hash(A_INT), True),
         (lambda: A_INT * QQ(1, 2), TypeError),
         (lambda: QQ(1, 2) * A_INT, TypeError),
         (lambda: 0.5 - A_INT, TypeError),
+        (lambda: A_INT + QQ(2), TypeError),
     ],
 )
 def test_int_and_rat_polys_mix_by_one_rule(expr, want):
-    # IntPoly and RatPoly share one ring: a mixed operation widens to
-    # RatPoly, == compares coefficients across the two, and an IntPoly
-    # refuses a Fraction scalar instead of truncating it
+    # IntPoly is the one polynomial class, and one rule decides an operand:
+    # an int lifts to a constant polynomial, while a rational operand, a
+    # Fraction equal to an integer included, or a float is refused rather
+    # than truncated
     if want is TypeError:
         with pytest.raises(TypeError):
             expr()
@@ -174,23 +171,6 @@ def test_exact_division_errors():
 # cyclotomic and real subfield constructions
 
 
-def test_cyclotomic_small():
-    # frozen: Phi_4 = x^2 + 1, from dividing x^4 - 1 by Phi_1 * Phi_2
-    assert cyclotomic_poly(4) == IntPoly((1, 0, 1))
-    assert cyclotomic_poly(1) == IntPoly((-1, 1))
-    assert cyclotomic_poly(2) == IntPoly((1, 1))
-    # prime index: all-ones polynomial of degree m-1
-    assert cyclotomic_poly(7) == IntPoly((1,) * 7)
-
-
-@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 12, 15])
-def test_cyclotomic_vs_sympy(m):
-    x = sympy.Symbol("x")
-    want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
-    got = [int(c) for c in reversed(cyclotomic_poly(m).coeffs)]
-    assert got == want
-
-
 def test_real_subfield_minpoly_frozen():
     # degree (m-1)/2 minimal polynomials of 2*cos(2*pi/m)
     assert real_subfield_minpoly(5) == IntPoly((-1, 1, 1))  # x^2 + x - 1
@@ -215,7 +195,9 @@ def test_real_subfield_resubstitution(m):
     x2p1 = IntPoly((1, 0, 1))  # x^2 + 1, since (x + 1/x)^k x^k = (x^2+1)^k
     for k, c in enumerate(psi.coeffs):
         acc = acc + (x2p1 ** k * int(c)).shift_degree(d - k)
-    assert acc == cyclotomic_poly(m)
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+    assert [int(c) for c in reversed(acc.coeffs)] == want
 
 
 def test_real_subfield_rejects_bad_index():
@@ -279,19 +261,52 @@ def test_squarefree_part():
 
 def test_poly_gcd():
     a = IntPoly((-1, 0, 1))  # x^2 - 1
-    b = IntPoly((1, 1))  # x + 1
-    assert poly_gcd(a, b) == b.to_rat().monic()
-    assert poly_gcd(a, IntPoly((1, 0, 1))).degree == 0
+    b = IntPoly((2, 2))  # 2x + 2
+    assert poly_gcd(a, b) == IntPoly((1, 1))
+    assert poly_gcd(-b, a) == IntPoly((1, 1))
+    assert poly_gcd(a, IntPoly((1, 0, 1))) == IntPoly((1,))
+    assert poly_gcd(IntPoly(()), IntPoly(())) == IntPoly(())
+
+
+def _fraction_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fraction_divmod(a, b):
+    """Long division of Fraction coefficient lists, lowest degree first,
+    b trimmed and nonzero: the test-local reference for every integer
+    pseudo-remainder."""
+    rem, q = [QQ(c) for c in a], []
+    while len(rem) >= len(b):
+        factor = rem[-1] / b[-1]
+        q.append(factor)
+        for i, c in enumerate(b):
+            rem[len(rem) - len(b) + i] -= factor * c
+        rem.pop()
+    return q[::-1], _fraction_trim(rem)
+
+
+def _primitive_of(coeffs):
+    """The primitive integer multiple of Fraction coefficients, with the
+    sign of their leading term."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    p = IntPoly(int(c * den) for c in coeffs).primitive()
+    return -p if coeffs and coeffs[-1] < 0 else p
 
 
 def _fraction_gcd(a, b):
-    """poly_gcd as it was before the integer rewrite: the Euclidean
-    algorithm on RatPoly.divmod, the reference for the monic gcd."""
-    a, b = RatPoly(a.coeffs), RatPoly(b.coeffs)
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a if a.is_zero() else a.monic()
+    """poly_gcd before the integer rewrite: the Euclidean algorithm by
+    long division on Fractions.  Its gcd, made primitive with positive
+    leading term, is the reference."""
+    a, b = _fraction_trim(map(QQ, a.coeffs)), _fraction_trim(map(QQ, b.coeffs))
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return _primitive_of(a).primitive()
 
 
 @example(IntPoly(()), IntPoly(()), IntPoly((3,)), QQ(1))
@@ -299,24 +314,76 @@ def _fraction_gcd(a, b):
 @given(small_polys, small_polys, small_polys, st.fractions().filter(bool))
 def test_poly_gcd_matches_the_fraction_euclid(f, a, b, scale):
     # a common factor f, zero operands, constants, non-monic and non-primitive
-    # inputs, and a rational multiple of one side
+    # inputs, and integer multiples of both sides
     x, y = f * a, f * b
     want = _fraction_gcd(x, y)
-    for got in (poly_gcd(x, y), poly_gcd(y, x), poly_gcd(x.to_rat() * scale, y)):
+    n, d = scale.numerator, scale.denominator
+    for got in (poly_gcd(x, y), poly_gcd(y, x), poly_gcd(x * n, y * d)):
         assert got == want
-        assert isinstance(got, RatPoly)
+        assert got.is_zero() or got.leading() > 0
 
 
-def test_poly_gcd_does_not_divide_polynomials(monkeypatch):
-    def forbidden(self, other):
-        raise AssertionError("RatPoly.divmod called")
-
-    monkeypatch.setattr(RatPoly, "divmod", forbidden)
-    p = real_subfield_minpoly(41)
-    assert poly_gcd(p, p.derivative()).degree == 0
-    assert poly_gcd(p * p, p.derivative() * p) == p.to_rat().monic()
-    q = IntPoly((1, 3)) * p
+def test_poly_gcd_does_not_divide_polynomials(forbid_fractions):
+    # gcds, squarefree parts and Sturm chains run on ints alone: no
+    # Fraction, so no division over Q, even at degree 41
+    p = real_subfield_minpoly(83)
+    assert poly_gcd(p, p.derivative()) == IntPoly((1,))
+    assert poly_gcd(p * p, p.derivative() * p) == p
+    assert squarefree_part(p * p * IntPoly((3,))) == p
+    assert len(SturmChain(p).polys) == 42
+    assert count_real_roots(p * p) == 41
+    q = IntPoly((1, 3)) * real_subfield_minpoly(41)
     assert squarefree_part(q * q * IntPoly((2, 2))) == q * IntPoly((1, 1))
+
+
+def _fraction_sturm_chain(p):
+    """SturmChain before the integer rewrite, frozen: the chain of the
+    squarefree part by long division on Fractions, each member then made
+    primitive over Z with the sign of its leading term."""
+    p0 = squarefree_part(p)
+    chain = [
+        _fraction_trim(map(QQ, p0.coeffs)),
+        _fraction_trim(map(QQ, p0.derivative().coeffs)),
+    ]
+    while chain[-1]:
+        chain.append([-c for c in _fraction_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()  # the zero terminator
+    return [_primitive_of(q) for q in chain]
+
+
+sturm_polys = st.one_of(
+    # dense and sparse, non-monic, degree 1..12; a sparse one skips degrees
+    # in its chain, where a pseudo-remainder takes an odd number of steps
+    st.lists(
+        st.one_of(st.integers(-40, 40), st.just(0)), min_size=2, max_size=13
+    )
+    .filter(lambda c: c[-1] != 0)
+    .map(IntPoly),
+    # repeated factors
+    st.tuples(small_polys, small_polys)
+    .map(lambda t: t[0] * t[0] * t[1])
+    .filter(lambda p: 1 <= p.degree <= 12),
+)
+
+
+@example(IntPoly((0, 0, 0, 5)))
+# x^3 + x: the chain's -x divides 3x^2 + 1 in one scaled step, so a
+# pseudo-remainder by a negative-leading divisor would flip the last sign
+@example(IntPoly((0, 1, 0, 1)))
+@example(IntPoly((0, -3, 0, 0, 0, 2)))
+@example(IntPoly((-4, 0, 1)) ** 2 * IntPoly((1, -3)))
+@given(sturm_polys)
+def test_sturm_chain_matches_the_fraction_chain(p):
+    assert SturmChain(p).polys == _fraction_sturm_chain(p)
+
+
+@pytest.mark.parametrize("m", [m for m in range(3, 84) if is_prime(m)])
+def test_sturm_chain_of_real_subfields_matches_the_fraction_chain(m):
+    p = real_subfield_minpoly(m)
+    chain = SturmChain(p).polys
+    assert chain == _fraction_sturm_chain(p)
+    assert chain[0] == p and chain[-1].degree == 0
+    assert count_real_roots(p) == p.degree
 
 
 # ----------------------------------------------------------------------
