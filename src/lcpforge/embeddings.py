@@ -29,8 +29,8 @@ from .numberfield import FieldElem, NumberField, require_unit
 from .polynomials import (
     IntPoly,
     isolate_real_roots,
-    poly_gcd,
     refine_root,
+    sturm_chain,
 )
 
 DEFAULT_PRECISION = 128
@@ -295,8 +295,7 @@ class EmbeddingSet:
         with _at_prec(self.workbits):
             if mp.mpf(a.a) <= 0:
                 raise NeedsEscalation(
-                    "absolute value enclosure touches zero at embedding %d" % index,
-                    precision_bits=2 * self.bits,
+                    "absolute value enclosure touches zero at embedding %d" % index
                 )
             return iv.log(a)
 
@@ -333,7 +332,7 @@ def certified_poly_roots(poly: IntPoly, bits: int):
     """
     if poly.degree < 1:
         raise InputError("root isolation needs a nonconstant polynomial")
-    if poly_gcd(poly, poly.derivative()).degree > 0:
+    if not sturm_chain(poly).squarefree:
         raise InputError("root isolation needs a squarefree polynomial")
     # one isolation serves every attempt: s is its number of intervals
     intervals = isolate_real_roots(poly)
@@ -450,8 +449,7 @@ def _capped_midpoints(emb: EmbeddingSet, rows):
         for index, enc in enumerate(row):
             if mp.mpf(enc.delta) > width_cap:
                 raise NeedsEscalation(
-                    "log enclosure too wide at log coordinate %d" % index,
-                    precision_bits=2 * emb.bits,
+                    "log enclosure too wide at log coordinate %d" % index
                 )
     return [[mp.mpf(enc.mid) for enc in row] for row in rows]
 

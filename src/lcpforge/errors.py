@@ -40,12 +40,8 @@ class PrecisionError(LcpError):
 class NeedsEscalation(LcpError):
     """Internal signal: enclosures too wide at this precision, retry higher.
 
-    Carries the precision that failed; callers double it and rebuild.
+    Each escalation loop chooses its own next precision.
     """
-
-    def __init__(self, message, precision_bits=None):
-        super().__init__(message)
-        self.precision_bits = precision_bits
 
 
 class StructureError(LcpError):

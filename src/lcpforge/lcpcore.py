@@ -34,7 +34,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .numberfield import FieldElem
-from .polynomials import IntPoly, as_rat, poly_gcd
+from .polynomials import IntPoly, as_rat, sturm_chain
 from . import rawmetric
 from .rawmetric import _mpf_from_rational, _to_mpf
 from .embeddings import (
@@ -178,7 +178,7 @@ def _pick_splitter(gens: Sequence[IntMatrix]) -> Tuple[IntMatrix, IntPoly]:
 
     for m in candidates():
         chi = char_poly(m)
-        if poly_gcd(chi, chi.derivative()).degree == 0:
+        if sturm_chain(chi).squarefree:
             return m, chi
     raise StructureError(
         "no generator or seeded combination has distinct eigenvalues; the "

@@ -38,11 +38,10 @@ from .polynomials import (
     IntPoly,
     as_rat,
     binary_power,
-    count_real_roots,
     is_prime,
-    poly_gcd,
     rat_from_json,
     real_subfield_minpoly,
+    sturm_chain,
     trace_polys,
 )
 
@@ -55,7 +54,7 @@ class NumberField:
     def __init__(self, minpoly: IntPoly, irreducibility: str):
         object.__setattr__(self, "minpoly", minpoly)
         object.__setattr__(self, "degree", minpoly.degree)
-        s = count_real_roots(minpoly)
+        s = sturm_chain(minpoly).count_all()
         object.__setattr__(self, "signature", (s, (minpoly.degree - s) // 2))
         object.__setattr__(self, "irreducibility", irreducibility)
 
@@ -486,7 +485,7 @@ def irreducibility_heuristic(p: IntPoly) -> Tuple[str, str]:
         return "reducible", "constant polynomial"
     if d == 1:
         return "irreducible", "degree 1"
-    if poly_gcd(p, p.derivative()).degree > 0:
+    if not sturm_chain(p).squarefree:
         return "reducible", "repeated factor (gcd with derivative is nonconstant)"
     roots, complete = _rational_roots(p)
     if roots:

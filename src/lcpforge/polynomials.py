@@ -4,16 +4,16 @@ Coefficients are stored lowest degree first, so ``p.coeffs[k]`` is the
 coefficient of x**k.  IntPoly is the one polynomial class: its coefficients
 are Python ints, an int operand lifts to a constant polynomial, and any
 other operand, a Fraction included, is refused.  Every derived polynomial
-stays on integers too: gcds, squarefree parts and Sturm chains come from a
-primitive pseudo-remainder sequence, which scales a remainder by the
-divisor's leading coefficient instead of dividing, and each result is the
-primitive integer multiple of its rational counterpart.  Rationals appear
-only at the boundaries: as evaluation points, interval endpoints and JSON.
-binary_power is the one square-and-multiply loop of the package.
+stays on integers: _prs, the one primitive pseudo-remainder loop, scales a
+remainder by the divisor's leading coefficient instead of dividing, and
+each member is the primitive integer multiple of its rational counterpart.
+Rationals appear only at the boundaries: as evaluation points, interval
+endpoints and JSON.  binary_power is the one square-and-multiply loop.
 
-Real roots are handled by the classical exact pipeline: a Sturm chain counts
-roots in an interval, bisection separates them, and refinement bisects the
-sign-change bracket (one bit per pass) so that every enclosure is certified.
+Real roots: sturm_chain(p) runs that sequence on p and p' once per process,
+and gcd, squarefree part, squarefreeness, signature and isolation all come
+from it.  Bisection on the chain's counts separates roots, and refinement
+bisects the sign-change bracket so that every enclosure is certified.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
@@ -228,13 +229,24 @@ def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """The primitive gcd over Z, with positive leading term, by a primitive
-    pseudo-remainder Euclid: every remainder loses its content, and no step
-    divides a polynomial."""
-    a, b = a.primitive().coeffs, b.primitive().coeffs
+    """The primitive gcd over Z, with positive leading term: the last
+    member of the pseudo-remainder sequence of a and b, so no step divides
+    a polynomial."""
+    return IntPoly(_prs(a.coeffs, b.coeffs)[-1]).primitive()
+
+
+def _prs(a, b):
+    """The primitive pseudo-remainder sequence a, b, r2, ... of integer
+    coefficient sequences, r(k+1) = -(r(k-1) mod r(k)) over its positive
+    content until it is zero, so the last member is a gcd of a and b.  Each
+    remainder is a pseudo-remainder by r(k) made positive-leading: a
+    positive multiple of the true one, so no sign changes."""
+    seq = [a]
     while b:
-        a, b = b, IntPoly(_pseudo_remainder(a, b)).primitive().coeffs
-    return IntPoly(a)
+        seq.append(b)
+        r = _pseudo_remainder(a, b if b[-1] > 0 else [-c for c in b])
+        a, b = b, _without_content([-c for c in r])
+    return seq
 
 
 def _pseudo_remainder(a, b):
@@ -258,12 +270,8 @@ def _pseudo_remainder(a, b):
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
-    """Primitive p / gcd(p, p'), divided over Z by Gauss's lemma."""
-    p = p.primitive()
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return int_poly_exact_div(p, g)
+    """Primitive p / gcd(p, p'): the first member of p's Sturm chain."""
+    return sturm_chain(p).polys[0]
 
 
 # ----------------------------------------------------------------------
@@ -475,27 +483,28 @@ def _sign_changes(signs) -> int:
 
 
 class SturmChain:
-    """Sturm chain of the squarefree part, stored as primitive IntPolys.
+    """Sturm chain of the squarefree part as a tuple of primitive IntPolys,
+    with the verdict whether p itself is squarefree.
 
     The chain is p0 = squarefree_part(p), p1 = p0' and p(k+1) = -(p(k-1)
-    mod p(k)), each scaled by a positive rational so that it is primitive
-    over Z.  A remainder depends on its divisor only up to a constant, so
-    it is taken as a pseudo-remainder by p(k) made positive-leading: a
-    positive multiple of the true one, whose content divides out without
-    changing any sign.
+    mod p(k)), each primitive over Z: the sequence _prs of p0 and p0'.  It
+    runs first on p and p', ending at gcd(p, p'); only when that is not a
+    constant does a second sequence run, on p0 = p / gcd(p, p').
     """
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "squarefree")
 
     def __init__(self, p: IntPoly):
-        sf = squarefree_part(p)
-        a, b = sf.coeffs, _without_content(sf.derivative().coeffs)
-        chain = [a]
-        while b:
-            chain.append(b)
-            r = _pseudo_remainder(a, b if b[-1] > 0 else [-c for c in b])
-            a, b = b, _without_content([-c for c in r])
-        object.__setattr__(self, "polys", [IntPoly(c) for c in chain])
+        p = p.primitive()
+        seq = _prs(p.coeffs, _without_content(p.derivative().coeffs))
+        object.__setattr__(self, "squarefree", len(seq[-1]) == 1)
+        if len(seq[-1]) > 1:
+            p = int_poly_exact_div(p, IntPoly(seq[-1]).primitive())
+            seq = _prs(p.coeffs, _without_content(p.derivative().coeffs))
+        object.__setattr__(self, "polys", tuple(IntPoly(c) for c in seq))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SturmChain is immutable")
 
     def variations_at(self, x) -> int:
         return _sign_changes(sign_at(p, x) for p in self.polys)
@@ -516,9 +525,10 @@ class SturmChain:
         return self.variations_at_neg_inf() - self.variations_at_pos_inf()
 
 
-def count_real_roots(p: IntPoly) -> int:
-    """Number of distinct real roots, exact."""
-    return SturmChain(p).count_all()
+@lru_cache(maxsize=64)
+def sturm_chain(p: IntPoly) -> SturmChain:
+    """The SturmChain of p, derived once per process."""
+    return SturmChain(p)
 
 
 def cauchy_root_bound(p: IntPoly):
@@ -526,7 +536,7 @@ def cauchy_root_bound(p: IntPoly):
     if p.degree < 1:
         return 1
     lead = abs(p.leading())
-    big = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else 0
+    big = max(abs(c) for c in p.coeffs[:-1])
     return 1 + (big + lead - 1) // lead
 
 
@@ -537,13 +547,11 @@ def isolate_real_roots(p) -> List[Tuple]:
     is that exact rational, or the unique root lies in the open-closed
     interval (lo, hi] and p is nonzero at both endpoints' sign evaluations.
     """
-    chain = SturmChain(p)
+    chain = sturm_chain(p)
     sf = chain.polys[0]
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    total = chain.count_in(lo, hi)
     out: List[Tuple] = []
 
     def split(a, b, count):
@@ -557,7 +565,7 @@ def isolate_real_roots(p) -> List[Tuple]:
             # exact dyadic root: record the point and recurse on shrunk
             # intervals that exclude it
             out.append((mid, mid))
-            eps = _exclusion_radius(sf, mid)
+            eps = _exclusion_radius(chain, mid)
             la, lb = a, max(a, mid - eps)
             ra, rb = min(b, mid + eps), b
             if lb > la:
@@ -569,21 +577,19 @@ def isolate_real_roots(p) -> List[Tuple]:
         split(a, mid, left)
         split(mid, b, count - left)
 
-    split(lo, hi, total)
+    # every root lies inside the Cauchy bound, so count_all counts them
+    split(Fraction(-bound), Fraction(bound), chain.count_all())
     out.sort(key=lambda iv: (iv[0], iv[1]))
     return out
 
 
-def _exclusion_radius(p: IntPoly, root):
-    """A dyadic radius around an exact rational root free of other roots."""
-    # the root's primitive linear factor divides p over Z (Gauss's lemma)
-    rest = int_poly_exact_div(p, IntPoly((-root.numerator, root.denominator)))
+def _exclusion_radius(chain: SturmChain, root):
+    """A dyadic radius eps such that the exact rational root is the only
+    root of the chain's polynomial in (root - eps, root + eps]."""
     eps = Fraction(1, 2)
-    while True:
-        chain = SturmChain(rest)
-        if chain.count_in(root - eps, root + eps) == 0:
-            return eps
+    while chain.count_in(root - eps, root + eps) != 1:
         eps = eps / 2
+    return eps
 
 
 def _narrow_enclosure(f, df, L, H, e, slo, K):

@@ -39,11 +39,11 @@ settings.load_profile("ci")
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    # the certified values (root enclosures, embedding sets and their
-    # enclosures, minimal polynomials, unit decisions, rank decisions,
-    # determinants) are cached for the whole process; each test starts
-    # empty, so a test that patches a computation or counts it reaches its
-    # patch instead of an earlier test's result
+    # the certified values (Sturm chains, root enclosures, embedding sets
+    # and their enclosures, minimal polynomials, unit decisions, rank
+    # decisions, determinants) are cached for the whole process; each test
+    # starts empty, so a test that patches a computation or counts it
+    # reaches its patch instead of an earlier test's result
     for cache in PACKAGE_CACHES:
         cache.cache_clear()
 

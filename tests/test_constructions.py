@@ -44,6 +44,7 @@ import lcpforge.embeddings as embeddings_module
 import lcpforge.intlinalg as intlinalg_module
 import lcpforge.lcpcore as lcpcore_module
 import lcpforge.numberfield as numberfield_module
+import lcpforge.polynomials as polynomials_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
@@ -386,6 +387,42 @@ def test_rank_pipeline_derives_each_determinant_once(det_derivations, n):
     # same n matrices: one elimination each
     assert make_rank_n_lcp(n, 128, seed=0).verdict == "PASS"
     assert det_derivations == [n + 1] * n
+
+
+@pytest.mark.parametrize(
+    "build, degree",
+    [
+        (lambda: make_exfield(40), 41),
+        (lambda: make_rank_n_lcp(4, 128, seed=0), 5),
+    ],
+    ids=["exfield-40", "ranklcp-4"],
+)
+def test_each_polynomial_takes_one_pseudo_remainder_sequence(monkeypatch, build, degree):
+    # the squarefree tests, the signature and the real-root isolation of
+    # the one field polynomial read one Sturm chain, whose single sequence
+    # takes degree-many pseudo-remainders (three sequences and more before:
+    # 123 and 35 calls)
+    built, calls = [], []
+
+    class CountedChain(polynomials_module.SturmChain):
+        __slots__ = ()
+
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    original = polynomials_module._pseudo_remainder
+
+    def counting(a, b):
+        calls.append(len(a))
+        return original(a, b)
+
+    monkeypatch.setattr(polynomials_module, "SturmChain", CountedChain)
+    monkeypatch.setattr(polynomials_module, "_pseudo_remainder", counting)
+    build()
+    assert polynomials_module.sturm_chain.cache_info().misses == len(built) == 1
+    assert [p.degree for p in built] == [degree]
+    assert len(calls) == degree
 
 
 def test_rank_pipeline_refuses_a_non_commuting_family_before_sealing(monkeypatch):

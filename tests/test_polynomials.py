@@ -22,10 +22,12 @@ from lcpforge.errors import InputError
 from lcpforge.polynomials import (
     IntPoly,
     _dyadic_parts,
+    _pseudo_remainder,
     _scaled_horner,
+    _sign_changes,
+    _without_content,
     SturmChain,
     cauchy_root_bound,
-    count_real_roots,
     as_rat,
     int_poly_exact_div,
     is_prime,
@@ -42,6 +44,7 @@ from lcpforge.polynomials import (
     sign,
     sign_at,
     squarefree_part,
+    sturm_chain,
     trace_polys,
 )
 
@@ -331,7 +334,7 @@ def test_poly_gcd_does_not_divide_polynomials(forbid_fractions):
     assert poly_gcd(p * p, p.derivative() * p) == p
     assert squarefree_part(p * p * IntPoly((3,))) == p
     assert len(SturmChain(p).polys) == 42
-    assert count_real_roots(p * p) == 41
+    assert sturm_chain(p * p).count_all() == 41
     q = IntPoly((1, 3)) * real_subfield_minpoly(41)
     assert squarefree_part(q * q * IntPoly((2, 2))) == q * IntPoly((1, 1))
 
@@ -339,7 +342,7 @@ def test_poly_gcd_does_not_divide_polynomials(forbid_fractions):
 def _fraction_sturm_chain(p):
     """SturmChain before the integer rewrite, frozen: the chain of the
     squarefree part by long division on Fractions, each member then made
-    primitive over Z with the sign of its leading term."""
+    primitive over Z with the sign of its leading term, as a tuple."""
     p0 = squarefree_part(p)
     chain = [
         _fraction_trim(map(QQ, p0.coeffs)),
@@ -348,7 +351,7 @@ def _fraction_sturm_chain(p):
     while chain[-1]:
         chain.append([-c for c in _fraction_divmod(chain[-2], chain[-1])[1]])
     chain.pop()  # the zero terminator
-    return [_primitive_of(q) for q in chain]
+    return tuple(_primitive_of(q) for q in chain)
 
 
 sturm_polys = st.one_of(
@@ -383,7 +386,7 @@ def test_sturm_chain_of_real_subfields_matches_the_fraction_chain(m):
     chain = SturmChain(p).polys
     assert chain == _fraction_sturm_chain(p)
     assert chain[0] == p and chain[-1].degree == 0
-    assert count_real_roots(p) == p.degree
+    assert sturm_chain(p).count_all() == p.degree
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +432,7 @@ def test_root_functions_reject_floats():
 )
 def test_count_real_roots(coeffs, count):
     p = IntPoly(coeffs)
-    assert count_real_roots(p) == count
+    assert sturm_chain(p).count_all() == count
     # sympy oracle
     assert len(sympy_poly(p).real_roots()) == len(set(sympy_poly(p).real_roots()))
     assert count == len(set(sympy_poly(p).real_roots()))
@@ -477,6 +480,138 @@ def test_isolation_handles_multiplicities():
     p = IntPoly((-1, 1)) ** 3 * IntPoly((-2, 0, 1))
     intervals = isolate_real_roots(p)
     assert len(intervals) == 3  # distinct roots 1, +-sqrt(2)
+
+
+def _parent_sturm_chain(p):
+    """SturmChain and squarefree_part before the chain read one sequence,
+    frozen: a primitive pseudo-remainder gcd with p', an exact division
+    when it is not constant, then a third sequence for the chain.  Returns
+    (chain as a tuple, whether gcd(p, p') is constant)."""
+
+    def gcd_of(a, b):
+        a, b = a.primitive().coeffs, b.primitive().coeffs
+        while b:
+            a, b = b, IntPoly(_pseudo_remainder(a, b)).primitive().coeffs
+        return IntPoly(a)
+
+    sf = p.primitive()
+    g = gcd_of(sf, sf.derivative())
+    if g.degree > 0:
+        sf = int_poly_exact_div(sf, g)
+    a, b = sf.coeffs, _without_content(sf.derivative().coeffs)
+    chain = [a]
+    while b:
+        chain.append(b)
+        r = _pseudo_remainder(a, b if b[-1] > 0 else [-c for c in b])
+        a, b = b, _without_content([-c for c in r])
+    return tuple(IntPoly(c) for c in chain), g.degree == 0
+
+
+def _parent_count_in(chain, lo, hi):
+    def variations(x):
+        return _sign_changes(sign_at(q, x) for q in chain)
+
+    return variations(lo) - variations(hi)
+
+
+def _parent_exclusion_radius(p, root):
+    """_exclusion_radius before it read the chain of p, frozen: divide out
+    the root's linear factor and halve eps until the quotient's own chain
+    has no root in (root - eps, root + eps]."""
+    rest = int_poly_exact_div(p, IntPoly((-root.numerator, root.denominator)))
+    eps = QQ(1, 2)
+    while True:
+        chain = _parent_sturm_chain(rest)[0]
+        if _parent_count_in(chain, root - eps, root + eps) == 0:
+            return eps
+        eps = eps / 2
+
+
+def _parent_isolate_real_roots(p):
+    """isolate_real_roots before the chain was shared, frozen."""
+    chain = _parent_sturm_chain(p)[0]
+    sf = chain[0]
+    if sf.degree <= 0:
+        return []
+    bound = cauchy_root_bound(sf)
+    lo, hi = QQ(-bound), QQ(bound)
+    total = _parent_count_in(chain, lo, hi)
+    out = []
+
+    def split(a, b, count):
+        if count == 0:
+            return
+        if count == 1:
+            out.append((a, b))
+            return
+        mid = (a + b) / 2
+        if sign_at(sf, mid) == 0:
+            out.append((mid, mid))
+            eps = _parent_exclusion_radius(sf, mid)
+            la, lb = a, max(a, mid - eps)
+            ra, rb = min(b, mid + eps), b
+            if lb > la:
+                split(la, lb, _parent_count_in(chain, la, lb))
+            if rb > ra:
+                split(ra, rb, _parent_count_in(chain, ra, rb))
+            return
+        left = _parent_count_in(chain, a, mid)
+        split(a, mid, left)
+        split(mid, b, count - left)
+
+    split(lo, hi, total)
+    out.sort(key=lambda iv: (iv[0], iv[1]))
+    return out
+
+
+def _dyadic_product(factors, cofactor, squared):
+    # prod (2**k * x - a) * cofactor, times the first `squared` factors
+    # again, so that some inputs are not squarefree
+    p = cofactor
+    for a, k in factors + factors[:squared]:
+        p = p * IntPoly((-a, 1 << k))
+    return p
+
+
+dyadic_root_polys = st.builds(
+    _dyadic_product,
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 4)), min_size=1, max_size=6),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4)
+    .filter(any)
+    .map(IntPoly),
+    st.integers(0, 2),
+)
+
+
+# root 0 is the first midpoint and -1/4 lies inside its first window
+# (-1/2, 1/2] but not in (0, 1/2]; then roots on a window's edges: 1/2 on
+# the right edge of (-1/2, 1/2], -1/2 on its open left edge, and a squared
+# factor with a root at the edge of the halved window
+@example(_dyadic_product([(0, 0), (-1, 2)], IntPoly((1,)), 0))
+@example(_dyadic_product([(0, 0), (1, 1), (-1, 1)], IntPoly((1,)), 0))
+@example(_dyadic_product([(0, 0), (1, 2), (3, 3)], IntPoly((1, 0, 1)), 2))
+@example(_dyadic_product([(3, 2), (1, 1), (0, 0)], IntPoly((-2, 0, 1)), 1))
+@given(dyadic_root_polys)
+def test_isolation_matches_the_parent_design(p):
+    # one chain per polynomial: the same chain, squarefree part, verdict
+    # and isolating intervals as the three-sequence design with a divided
+    # quotient chain per exclusion radius
+    chain, squarefree = _parent_sturm_chain(p)
+    got = SturmChain(p)
+    assert got.polys == chain
+    assert got.squarefree == squarefree
+    assert squarefree_part(p) == chain[0]
+    assert isolate_real_roots(p) == _parent_isolate_real_roots(p)
+
+
+def test_sturm_chain_is_immutable_and_cached():
+    p = IntPoly((-1, 0, 1)) ** 2
+    chain = sturm_chain(p)
+    assert sturm_chain(IntPoly((-1, 0, 1)) ** 2) is chain
+    assert not chain.squarefree
+    assert chain.polys == (IntPoly((-1, 0, 1)), IntPoly((0, 1)), IntPoly((1,)))
+    with pytest.raises(AttributeError):
+        chain.squarefree = True
 
 
 def test_refine_root_width_and_containment():
