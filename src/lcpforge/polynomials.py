@@ -228,13 +228,6 @@ def int_poly_exact_div(num: IntPoly, den: IntPoly) -> IntPoly:
     return IntPoly(quo)
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """The primitive gcd over Z, with positive leading term: the last
-    member of the pseudo-remainder sequence of a and b, so no step divides
-    a polynomial."""
-    return IntPoly(_prs(a.coeffs, b.coeffs)[-1]).primitive()
-
-
 def _prs(a, b):
     """The primitive pseudo-remainder sequence a, b, r2, ... of integer
     coefficient sequences, r(k+1) = -(r(k-1) mod r(k)) over its positive
@@ -267,11 +260,6 @@ def _pseudo_remainder(a, b):
             for i in range(db):
                 rem[k + i] -= top * b[i]
     return rem
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """Primitive p / gcd(p, p'): the first member of p's Sturm chain."""
-    return sturm_chain(p).polys[0]
 
 
 # ----------------------------------------------------------------------
@@ -486,8 +474,8 @@ class SturmChain:
     """Sturm chain of the squarefree part as a tuple of primitive IntPolys,
     with the verdict whether p itself is squarefree.
 
-    The chain is p0 = squarefree_part(p), p1 = p0' and p(k+1) = -(p(k-1)
-    mod p(k)), each primitive over Z: the sequence _prs of p0 and p0'.  It
+    The chain is p0 = p / gcd(p, p'), primitive, p1 = p0' and
+    p(k+1) = -(p(k-1) mod p(k)), each primitive over Z: the sequence _prs of p0 and p0'.  It
     runs first on p and p', ending at gcd(p, p'); only when that is not a
     constant does a second sequence run, on p0 = p / gcd(p, p').
     """

@@ -341,15 +341,15 @@ def test_rank_pipeline_decides_the_rank_once(monkeypatch):
     assert proved == [512]
 
 
-def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch):
+def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch, package_caches):
     # n = 4: four units with integer coordinates at the five real places of
     # a quintic field, so 20 enclosures (each one Horner evaluation) and 4
-    # unit determinants; J1 conjugates the 4 generators and 3 of their
-    # products (two interval products each), and the equivariance check
-    # reads the generators' conjugates again.  The block decomposition
-    # decides the 6 commuting pairs and takes one characteristic
-    # polynomial, of the splitter; the matrix family check seals
-    # determinants and decides neither again
+    # unit determinants; J1 conjugates the 4 generators (two interval
+    # products each), and the equivariance check reads the same conjugates.
+    # The block decomposition takes one characteristic polynomial, of the
+    # splitter, and tests each generator once for commuting with it; the
+    # matrix family check seals determinants and decides neither again.
+    # n = 8 reads 8 units at the 9 real places of a degree-9 field
     counts = collections.Counter()
 
     def count(module, name):
@@ -370,14 +370,18 @@ def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch):
             module = importlib.import_module("lcpforge." + info.name)
             if getattr(module, name, None) is original:
                 count(module, name)
-    assert make_rank_n_lcp(4, 128, seed=0).verdict == "PASS"
-    assert counts == {
-        "_iv_horner": 20,
-        "is_gl_z": 4,
-        "_iv_matmul": 2 * 7,
-        "char_poly": 1,
-        "commute": 6,
-    }
+    for n, places in ((4, 5), (8, 9)):
+        for cache in package_caches:
+            cache.cache_clear()
+        counts.clear()
+        assert make_rank_n_lcp(n, 128, seed=0).verdict == "PASS"
+        assert counts == {
+            "_iv_horner": n * places,
+            "is_gl_z": n,
+            "_iv_matmul": 2 * n,
+            "char_poly": 1,
+            "commute": n,
+        }
 
 
 @pytest.mark.parametrize("n", [4, 8])

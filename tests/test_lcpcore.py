@@ -12,7 +12,7 @@ from fractions import Fraction as QQ
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 import mpmath.ctx_mp_python
 import lcpforge.lcpcore as lcpcore_module
@@ -210,6 +210,19 @@ class TestBlockDecomposition:
         with pytest.raises(InputError):
             find_block_decomposition([a1, matrix_from_string("1,0,0;1,1,0;0,0,1")], 128)
 
+    def test_non_commuting_family_with_a_combined_splitter_rejected(self):
+        # neither member has distinct eigenvalues, so the splitter is a
+        # seeded combination of both; the swap of coordinates 0 and 2 does
+        # not commute with diag(A, I), and neither commutes with the splitter
+        gens = [
+            matrix_from_string("2,1,0,0;1,1,0,0;0,0,1,0;0,0,0,1"),
+            matrix_from_string("0,0,1,0;0,1,0,0;1,0,0,0;0,0,0,1"),
+        ]
+        splitter, _ = lcpcore_module._pick_splitter(gens)
+        assert splitter not in gens
+        with pytest.raises(InputError, match="do not commute"):
+            find_block_decomposition(gens, 128)
+
     def test_non_lattice_map_rejected(self):
         with pytest.raises(InputError):
             find_block_decomposition([matrix_from_string("2,0;0,1")], 128)
@@ -217,7 +230,7 @@ class TestBlockDecomposition:
     def test_escalation_error_names_the_last_precision_tried(self, monkeypatch, rank2_matrices):
         tried = []
 
-        def refuse(splitter, chi, p, precision, attempt):
+        def refuse(family, splitter, chi, precision, attempt):
             tried.append(attempt)
             raise NeedsEscalation("refused at %d" % attempt)
 
@@ -237,7 +250,10 @@ class TestJ1:
         # a lattice map that does not commute with the family cannot
         # preserve the eigenblocks
         stranger = matrix_from_string("1,1,0;0,1,0;0,0,1")
-        with pytest.raises(CheckFailureError):
+        with pytest.raises(
+            CheckFailureError,
+            match="generator 0 does not commute with the splitter; blocks are not invariant",
+        ):
             check_J1(decomp, [stranger])
 
     def test_ratio_rows_multiplicative(self, rank2_setup, rank2_matrices):
@@ -252,6 +268,106 @@ class TestJ1:
             for k in range(decomp.delta):
                 want = ratios.entries[0][k] ** 2 * ratios.entries[1][k]
                 assert abs(cube[k] - want) < 16 * tol
+
+
+def _frozen_block_ratio(c, idx, tol, gen_index, block_index):
+    """_block_ratio of the tolerance design, frozen: the reference for the
+    ratios the exact J1 reads."""
+    if len(idx) == 1:
+        i = idx[0]
+        enc = abs(c[i][i])
+        if mp.mpf(enc.a) <= 0:
+            raise CheckFailureError(
+                "generator %d block %d: ratio not certified positive"
+                % (gen_index, block_index)
+            )
+        return lcpcore_module._mid(enc)
+    i, j = idx
+    m = [[c[i][i], c[i][j]], [c[j][i], c[j][j]]]
+    g00 = m[0][0] * m[0][0] + m[1][0] * m[1][0]
+    g11 = m[0][1] * m[0][1] + m[1][1] * m[1][1]
+    g01 = m[0][0] * m[0][1] + m[1][0] * m[1][1]
+    if mp.mpf(abs(g01).b) > tol:
+        raise CheckFailureError(
+            "generator %d block %d: action is not conformal (skew residual)"
+            % (gen_index, block_index)
+        )
+    if mp.mpf(abs(g00 - g11).b) > tol:
+        raise CheckFailureError(
+            "generator %d block %d: action is not a similarity (unequal "
+            "column norms)" % (gen_index, block_index)
+        )
+    lo = min(mp.mpf(g00.a), mp.mpf(g11.a))
+    hi = max(mp.mpf(g00.b), mp.mpf(g11.b))
+    if lo <= 0:
+        raise CheckFailureError(
+            "generator %d block %d: ratio not certified positive"
+            % (gen_index, block_index)
+        )
+    hull = iv.mpf([lo, hi])
+    return lcpcore_module._mid(iv.sqrt(hull))
+
+
+def _frozen_ratios_of_matrix(decomp, a, tol, gen_index):
+    """_ratios_of_matrix of the tolerance design, frozen, with its
+    off-block scan."""
+    c = lcpcore_module.restricted_blocks(decomp, a)
+    with _at_prec(decomp.workbits):
+        block_of = {}
+        for k in range(decomp.delta):
+            for i in decomp.block_indices(k):
+                block_of[i] = k
+        for i in range(decomp.p):
+            for j in range(decomp.p):
+                if block_of[i] != block_of[j] and mp.mpf(abs(c[i][j]).b) > tol:
+                    raise CheckFailureError(
+                        "generator %d: off-block entry (%d, %d) exceeds "
+                        "tolerance; blocks are not invariant" % (gen_index, i, j)
+                    )
+        return [
+            _frozen_block_ratio(c, list(decomp.block_indices(k)), tol, gen_index, k)
+            for k in range(decomp.delta)
+        ]
+
+
+class _StopAfterJ1(Exception):
+    pass
+
+
+def _quartic_lck(bits):
+    field = field_new(QUARTIC)
+    units = [field.from_coords((0, 1, 0, 0)), field.from_coords((-1, 1, 0, 0))]
+    return make_ot(QUARTIC, units, bits, lck=True)
+
+
+J1_PIPELINES = {
+    **{"ranklcp-%d" % n: (lambda bits, n=n: make_rank_n_lcp(n, bits)) for n in range(1, 9)},
+    "kourganoff-q1": lambda bits: make_kourganoff(1, matrix_from_string("2,1;1,1"), bits),
+    "kourganoff-q2": lambda bits: make_kourganoff(
+        2, matrix_from_string("0,0,1;1,0,1;0,1,0"), bits
+    ),
+    "ot-plastic": lambda bits: make_ot(PLASTIC, [field_new(PLASTIC).gen()], bits),
+    "ot-lck-quartic": _quartic_lck,
+}
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("pipeline", list(J1_PIPELINES))
+def test_exact_J1_reads_the_ratios_of_the_tolerance_design(monkeypatch, pipeline, bits):
+    # each pipeline stops after J1; its ratios equal, bit for bit, the
+    # frozen tolerance design's on the same decomposition and generators
+    def compare(decomp, gens):
+        got = check_J1(decomp, gens).entries
+        tol = tolerance(decomp.precision_bits)
+        want = [_frozen_ratios_of_matrix(decomp, g, tol, i) for i, g in enumerate(gens)]
+        assert [[x._mpf_ for x in row] for row in got] == [
+            [x._mpf_ for x in row] for row in want
+        ]
+        raise _StopAfterJ1
+
+    monkeypatch.setattr(constructions_module, "check_J1", compare)
+    with pytest.raises(_StopAfterJ1):
+        J1_PIPELINES[pipeline](bits)
 
 
 def _tagged(matrices, units):

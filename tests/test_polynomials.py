@@ -22,6 +22,7 @@ from lcpforge.errors import InputError
 from lcpforge.polynomials import (
     IntPoly,
     _dyadic_parts,
+    _prs,
     _pseudo_remainder,
     _scaled_horner,
     _sign_changes,
@@ -34,7 +35,6 @@ from lcpforge.polynomials import (
     isolate_real_roots,
     poly_from_json,
     poly_from_string,
-    poly_gcd,
     poly_to_json,
     poly_to_string,
     rat_from_json,
@@ -43,7 +43,6 @@ from lcpforge.polynomials import (
     refine_root,
     sign,
     sign_at,
-    squarefree_part,
     sturm_chain,
     trace_polys,
 )
@@ -256,19 +255,25 @@ def test_poly_json_layout():
 # squarefree machinery
 
 
+def _prs_gcd(a, b):
+    """The primitive gcd with positive leading term: the last member of the
+    pseudo-remainder sequence of a and b."""
+    return IntPoly(_prs(a.coeffs, b.coeffs)[-1]).primitive()
+
+
 def test_squarefree_part():
     p = IntPoly((0, 1)) ** 2 * IntPoly((-1, 1)) ** 3 * IntPoly((1, 0, 1))
-    sf = squarefree_part(p)
+    sf = sturm_chain(p).polys[0]
     assert sf == (IntPoly((0, 1)) * IntPoly((-1, 1)) * IntPoly((1, 0, 1))).primitive()
 
 
 def test_poly_gcd():
     a = IntPoly((-1, 0, 1))  # x^2 - 1
     b = IntPoly((2, 2))  # 2x + 2
-    assert poly_gcd(a, b) == IntPoly((1, 1))
-    assert poly_gcd(-b, a) == IntPoly((1, 1))
-    assert poly_gcd(a, IntPoly((1, 0, 1))) == IntPoly((1,))
-    assert poly_gcd(IntPoly(()), IntPoly(())) == IntPoly(())
+    assert _prs_gcd(a, b) == IntPoly((1, 1))
+    assert _prs_gcd(-b, a) == IntPoly((1, 1))
+    assert _prs_gcd(a, IntPoly((1, 0, 1))) == IntPoly((1,))
+    assert _prs_gcd(IntPoly(()), IntPoly(())) == IntPoly(())
 
 
 def _fraction_trim(a):
@@ -303,7 +308,7 @@ def _primitive_of(coeffs):
 
 
 def _fraction_gcd(a, b):
-    """poly_gcd before the integer rewrite: the Euclidean algorithm by
+    """The polynomial gcd before the integer rewrite: the Euclidean algorithm by
     long division on Fractions.  Its gcd, made primitive with positive
     leading term, is the reference."""
     a, b = _fraction_trim(map(QQ, a.coeffs)), _fraction_trim(map(QQ, b.coeffs))
@@ -321,7 +326,7 @@ def test_poly_gcd_matches_the_fraction_euclid(f, a, b, scale):
     x, y = f * a, f * b
     want = _fraction_gcd(x, y)
     n, d = scale.numerator, scale.denominator
-    for got in (poly_gcd(x, y), poly_gcd(y, x), poly_gcd(x * n, y * d)):
+    for got in (_prs_gcd(x, y), _prs_gcd(y, x), _prs_gcd(x * n, y * d)):
         assert got == want
         assert got.is_zero() or got.leading() > 0
 
@@ -330,20 +335,20 @@ def test_poly_gcd_does_not_divide_polynomials(forbid_fractions):
     # gcds, squarefree parts and Sturm chains run on ints alone: no
     # Fraction, so no division over Q, even at degree 41
     p = real_subfield_minpoly(83)
-    assert poly_gcd(p, p.derivative()) == IntPoly((1,))
-    assert poly_gcd(p * p, p.derivative() * p) == p
-    assert squarefree_part(p * p * IntPoly((3,))) == p
+    assert _prs_gcd(p, p.derivative()) == IntPoly((1,))
+    assert _prs_gcd(p * p, p.derivative() * p) == p
+    assert sturm_chain(p * p * IntPoly((3,))).polys[0] == p
     assert len(SturmChain(p).polys) == 42
     assert sturm_chain(p * p).count_all() == 41
     q = IntPoly((1, 3)) * real_subfield_minpoly(41)
-    assert squarefree_part(q * q * IntPoly((2, 2))) == q * IntPoly((1, 1))
+    assert sturm_chain(q * q * IntPoly((2, 2))).polys[0] == q * IntPoly((1, 1))
 
 
 def _fraction_sturm_chain(p):
     """SturmChain before the integer rewrite, frozen: the chain of the
     squarefree part by long division on Fractions, each member then made
     primitive over Z with the sign of its leading term, as a tuple."""
-    p0 = squarefree_part(p)
+    p0 = sturm_chain(p).polys[0]
     chain = [
         _fraction_trim(map(QQ, p0.coeffs)),
         _fraction_trim(map(QQ, p0.derivative().coeffs)),
@@ -483,7 +488,7 @@ def test_isolation_handles_multiplicities():
 
 
 def _parent_sturm_chain(p):
-    """SturmChain and squarefree_part before the chain read one sequence,
+    """SturmChain and the squarefree part before the chain read one sequence,
     frozen: a primitive pseudo-remainder gcd with p', an exact division
     when it is not constant, then a third sequence for the chain.  Returns
     (chain as a tuple, whether gcd(p, p') is constant)."""
@@ -600,7 +605,7 @@ def test_isolation_matches_the_parent_design(p):
     got = SturmChain(p)
     assert got.polys == chain
     assert got.squarefree == squarefree
-    assert squarefree_part(p) == chain[0]
+    assert sturm_chain(p).polys[0] == chain[0]
     assert isolate_real_roots(p) == _parent_isolate_real_roots(p)
 
 
@@ -673,7 +678,7 @@ def test_refine_root_dyadic_roots():
 def _fraction_refine_root(p, lo, hi, bits):
     """refine_root as it was before the integer rewrite, in Fraction
     arithmetic: the reference for the refinement trajectory."""
-    sf = squarefree_part(p)
+    sf = sturm_chain(p).polys[0]
     lo, hi = QQ(lo), QQ(hi)
     if lo == hi:
         return lo, hi
@@ -798,7 +803,7 @@ nonmonic_polys = st.tuples(
 @given(nonmonic_polys, st.integers(8, 600), st.integers(0, 6))
 def test_refine_root_follows_the_fraction_trajectory(p, bits, pick):
     # non-monic, degree 1..7: every endpoint equals the Fraction reference
-    assume(poly_gcd(p, p.derivative()).degree == 0)
+    assume(sturm_chain(p).squarefree)
     intervals = isolate_real_roots(p)
     assume(intervals)
     lo, hi = intervals[pick % len(intervals)]
@@ -837,7 +842,7 @@ squarefree_polys = st.one_of(
 @given(squarefree_polys, st.integers(64, 1056), st.integers(0, 8))
 def test_refine_root_follows_the_integer_trajectory(p, bits, pick):
     # degree 1..9 up to 1056 bits: every endpoint equals the frozen loop
-    assume(poly_gcd(p, p.derivative()).degree == 0)
+    assume(sturm_chain(p).squarefree)
     intervals = isolate_real_roots(p)
     assume(intervals)
     lo, hi = intervals[pick % len(intervals)]
@@ -919,7 +924,7 @@ def test_refine_root_evaluates_twice_per_pass(
 @given(nonmonic_polys, st.integers(8, 600), st.integers(0, 6), st.sampled_from((-1, 3, -6)))
 def test_refine_root_ignores_a_constant_factor(p, bits, pick, c):
     # -p and the non-primitive c*p follow the trajectory of p
-    assume(poly_gcd(p, p.derivative()).degree == 0)
+    assume(sturm_chain(p).squarefree)
     intervals = isolate_real_roots(p)
     assume(intervals)
     lo, hi = intervals[pick % len(intervals)]
