@@ -162,10 +162,6 @@ class DMatrixData:
     def field(self) -> NumberField:
         return self.exfield.field
 
-    @property
-    def p(self) -> int:
-        return self.exfield.field.degree
-
 
 def make_dmatrix(n: int, precision=None) -> DMatrixData:
     """n commuting matrices in GL_p(Z) whose common eigenvector carries a
@@ -322,11 +318,13 @@ def _generators_section(gens, ratios, workbits):
             "ratio_row": enc_float_vector(ratios.entries[j], workbits),
         }
         if ratios.witnesses is not None:
+            # every witness is the ratio itself; "exponent": 1 keeps the
+            # schema-1 bytes
             entry["witnesses"] = [
                 {
                     "element": w.element.to_json(),
                     "embedding": w.embedding_index,
-                    "exponent": w.exponent,
+                    "exponent": 1,
                 }
                 for w in ratios.witnesses[j]
             ]
@@ -388,7 +386,7 @@ def _unit_ratio_check(emb, ratios):
         for k, w in enumerate(row):
             unit_ok = is_unit(w.element)
             witnessed = unit_ok and verify_ratio_witness(
-                emb, w.element, w.embedding_index, ratios.entries[j][k], w.exponent
+                emb, w.element, w.embedding_index, ratios.entries[j][k]
             )
             overall = overall and witnessed
             # the constant of the monic minimal polynomial
@@ -583,7 +581,8 @@ def worked_rank2_example(precision=None, seed: int = 0) -> LcpCertificate:
     expected = (field.one(), alpha + alpha * alpha, alpha)
     if scaled != expected:
         raise CheckFailureError("golden comparison failed for the eigenvector")
-    cert = _assemble_rank_certificate(
+    builder.check("golden", {"verdict": True, "items": ["A1", "A2", "x1"]})
+    return _assemble_rank_certificate(
         builder,
         dm,
         2,
@@ -592,14 +591,6 @@ def worked_rank2_example(precision=None, seed: int = 0) -> LcpCertificate:
         notes={"base_translation_absolute_value": _NOTE_ABS,
                "warp_coefficients": _NOTE_WARP},
     )
-    # golden verdict goes in post-hoc: insert before sealing is cleaner,
-    # but the comparisons above raise on mismatch, so reaching this point
-    # certifies them
-    cert.document["checks"]["golden"] = {
-        "verdict": True,
-        "items": ["A1", "A2", "x1"],
-    }
-    return cert
 
 
 # --------------------------------------------------------------------------
@@ -757,6 +748,7 @@ def _certified_real_sign(field, u, index, bits):
     for level in (bits, 2 * bits):
         if level > MAX_PRECISION:
             break
+        tried = level
         emb = embeddings(field, level)
         enc = emb.embed_enclosure(u, index)
         with _at_prec(emb.workbits):
@@ -765,7 +757,7 @@ def _certified_real_sign(field, u, index, bits):
             if mp.mpf(enc.a) > 0:
                 return 1
     raise PrecisionError(
-        "could not certify the sign of a real embedding at %d bits" % bits
+        "could not certify the sign of a real embedding at %d bits" % tried
     )
 
 
@@ -924,22 +916,42 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
 # dispatch and re-verification
 
 
+def _stored(mapping, key, read, prefix=""):
+    """read(mapping[key]), the stored certificate field prefix + key; a
+    missing or unreadable value raises InputError naming the field."""
+    name = prefix + key
+    if key not in mapping:
+        raise InputError("certificate field %s is missing" % name)
+    try:
+        return read(mapping[key])
+    except (TypeError, ValueError) as exc:
+        raise InputError("certificate field %s is malformed: %s" % (name, exc)) from None
+
+
 def run_pipeline(name: str, parameters: dict, precision=None,
                  seed: int = 0) -> LcpCertificate:
-    """Run a named pipeline from its JSON-ready parameter mapping."""
+    """Run a named pipeline from its JSON-ready parameter mapping.
+
+    Every parameter is read before the pipeline starts; a missing or
+    malformed one raises InputError naming it.
+    """
+    if not isinstance(parameters, dict):
+        raise InputError("certificate field parameters is not an object")
+
+    def param(key, read):
+        return _stored(parameters, key, read, "parameters.")
+
     if name == "ranklcp":
-        return make_rank_n_lcp(int(parameters["n"]), precision, seed)
+        return make_rank_n_lcp(param("n", int), precision, seed)
     if name == "worked-example":
         return worked_rank2_example(precision, seed)
     if name == "kourganoff":
-        return make_kourganoff(
-            int(parameters["q"]), matrix_from_json(parameters["matrix"]),
-            precision, seed,
-        )
+        q, matrix = param("q", int), param("matrix", matrix_from_json)
+        return make_kourganoff(q, matrix, precision, seed)
     if name == "ot":
-        minpoly = poly_from_json(parameters["minpoly"])
+        minpoly = param("minpoly", poly_from_json)
         field = field_new(minpoly)
-        units = [elem_from_json(field, coords) for coords in parameters["units"]]
+        units = param("units", lambda rows: [elem_from_json(field, c) for c in rows])
         _, cert = make_ot(
             minpoly, units, precision, seed, lck=bool(parameters.get("lck"))
         )
@@ -954,9 +966,10 @@ def verify_certificate(cert: LcpCertificate, precision=None) -> dict:
     identical; at any other precision only the verdicts are compared.
     """
     doc = cert.document
-    stored_bits = int(doc["precision_bits"])
+    stored_bits = _stored(doc, "precision_bits", int)
+    seed = _stored(doc, "seed", int)
     bits = stored_bits if precision is None else validate_precision(precision)
-    fresh = run_pipeline(doc["pipeline"], doc["parameters"], bits, doc["seed"])
+    fresh = run_pipeline(doc["pipeline"], doc["parameters"], bits, seed)
     stored_verdicts = collect_verdicts(doc["checks"])
     fresh_verdicts = collect_verdicts(fresh.checks)
     mismatches = [

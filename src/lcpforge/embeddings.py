@@ -240,17 +240,6 @@ class EmbeddingSet:
                 "embedding index %d out of range [0, %d)" % (index, self.count)
             )
 
-    def root_enclosure(self, index: int):
-        """Interval (real) or box (complex) containing the image of the
-        field generator."""
-        self._check_index(index)
-        with _at_prec(self.workbits):
-            if index < len(self.real_roots):
-                lo, hi = self.real_roots[index]
-                return _iv_from_dyadic_pair(lo, hi)
-            center, radius = self.complex_disks[index - len(self.real_roots)]
-            return _box_from_disk(center, radius)
-
     def embed_enclosure(self, elem: FieldElem, index: int):
         """Interval (real) or box (complex) containing the image of elem;
         computed once per (element, index)."""
@@ -270,18 +259,6 @@ class EmbeddingSet:
                 enc = _box_horner(elem.coords, _box_from_disk(center, radius))
         self._enclosures[key] = enc
         return enc
-
-    def embed(self, elem: FieldElem, index: int):
-        """Midpoint numeric value of the embedding (mpf or mpc)."""
-        enc = self.embed_enclosure(elem, index)
-        with _at_prec(self.workbits):
-            if self.is_real(index):
-                return mp.mpf(enc.mid)
-            return mp.mpc(mp.mpf(enc[0].mid), mp.mpf(enc[1].mid))
-
-    def embed_all(self, elem: FieldElem) -> Tuple:
-        """Values at every archimedean place, real first then upper-half."""
-        return tuple(self.embed(elem, index) for index in range(self.count))
 
     def abs_enclosure(self, elem: FieldElem, index: int):
         enc = self.embed_enclosure(elem, index)
@@ -575,23 +552,16 @@ def verify_ratio_witness(
     elem: FieldElem,
     index: int,
     ratio,
-    exponent: int = 1,
 ) -> bool:
-    """Check that ratio**exponent equals |embedding(elem)|.
+    """Check that ratio equals |embedding(elem)|.
 
     The element must be an exact algebraic unit; the numeric comparison is
-    certified against the enclosure widened by the tolerance.  An exponent
-    above 1 records that the claimed ratio is only a root of the witnessed
-    modulus (for instance when the honest ratio witness would need a square
-    root that the field does not contain).
+    certified against the enclosure widened by the tolerance.
     """
     require_unit(elem, "ratio witness")
-    if exponent < 1:
-        raise InputError("witness exponent must be a positive integer")
     with _at_prec(emb.workbits):
         tol = tolerance(emb.bits)
         enc = emb.abs_enclosure(elem, index)
-        powered = mp.mpf(ratio) ** exponent
         lo = mp.mpf(enc.a) - tol
         hi = mp.mpf(enc.b) + tol
-        return lo <= powered <= hi
+        return lo <= mp.mpf(ratio) <= hi

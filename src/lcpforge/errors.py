@@ -21,10 +21,6 @@ class InconclusiveIrreducibilityError(LcpError):
     """
 
 
-class NotCyclicError(LcpError):
-    """A field map does not return to the identity within the field degree."""
-
-
 class NonUnitError(LcpError, ValueError):
     """An element required to be an algebraic unit is not one."""
 

@@ -2,8 +2,8 @@
 
 Everything here is fraction-free or runs over an exact field: one Bareiss
 elimination on ints, exact at every division, for determinants over Z and
-characteristic polynomials over Z[X]; companion matrices whose coefficient
-column sits last; kernel solves over a number field for exact eigenvectors.
+characteristic polynomials over Z[X]; kernel solves over a number field for
+exact eigenvectors.
 Dimensions are desk scale; nothing here is tuned beyond that.
 """
 
@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
-from .polynomials import IntPoly, as_int, binary_power, int_poly_exact_div
+from .polynomials import IntPoly, as_int, int_poly_exact_div
 
 
 class IntMatrix:
@@ -47,15 +47,6 @@ class IntMatrix:
             tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_size(other)
-        return IntMatrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(-a for a in row) for row in self.rows)
-
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             self._check_same_size(other)
@@ -67,22 +58,6 @@ class IntMatrix:
         if isinstance(other, int):
             return IntMatrix(tuple(a * other for a in row) for row in self.rows)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise InputError("negative matrix power")
-        return binary_power(self, k, IntMatrix.identity(self.n))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n))
 
     def _check_same_size(self, other: "IntMatrix"):
         if self.n != other.n:
@@ -99,23 +74,6 @@ class IntMatrix:
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in row) for row in self.rows)
         return "IntMatrix(%s)" % body
-
-
-def companion(p: IntPoly) -> IntMatrix:
-    """Companion matrix with the negated coefficients in the last column.
-
-    For monic p = x^d + c_{d-1} x^{d-1} + ... + c_0 the matrix has ones on
-    the first subdiagonal and column d-1 equal to (-c_0, ..., -c_{d-1}).
-    """
-    if not p.is_monic() or p.degree < 1:
-        raise InputError("companion matrix needs a monic polynomial of degree >= 1")
-    d = p.degree
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = -p.coeffs[i]
-    return IntMatrix(rows)
 
 
 def _bareiss(m, one, exact_div):
@@ -165,17 +123,6 @@ def char_poly(a: IntMatrix) -> IntPoly:
         for i in range(n)
     ]
     return _bareiss(m, IntPoly((1,)), int_poly_exact_div)
-
-
-def poly_apply(p: IntPoly, a: IntMatrix) -> IntMatrix:
-    """Evaluate an integer polynomial at a matrix by Horner's scheme."""
-    n = a.n
-    if p.is_zero():
-        return IntMatrix.identity(n) * 0
-    acc = IntMatrix.identity(n) * p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * a + IntMatrix.identity(n) * c
-    return acc
 
 
 def commute(a: IntMatrix, b: IntMatrix) -> bool:
@@ -229,18 +176,12 @@ def field_kernel_basis(rows: Sequence[Sequence]) -> List[List]:
     return basis
 
 
-class EigenVector(tuple):
-    """Eigenvector coordinates with the eigenspace dimension attached."""
-
-    multiplicity = 1
-
-
-def eigen_solve(a: IntMatrix, lam) -> EigenVector:
+def eigen_solve(a: IntMatrix, lam) -> Tuple:
     """Exact eigenvector of an integer matrix for a field-element eigenvalue.
 
     Solves (A - lam*I) v = 0 over the number field of lam and normalizes the
     first nonzero coordinate to one.  For a degenerate eigenspace the first
-    basis vector is returned and the dimension is recorded on the result.
+    basis vector is returned.
     """
     field = lam.field
     n = a.n
@@ -254,9 +195,7 @@ def eigen_solve(a: IntMatrix, lam) -> EigenVector:
     vec = basis[0]
     lead = next(x for x in vec if x)
     inv = lead.inverse()
-    out = EigenVector(x * inv for x in vec)
-    out.multiplicity = len(basis)
-    return out
+    return tuple(x * inv for x in vec)
 
 
 def matrix_to_json(a: IntMatrix) -> List[List[str]]:
@@ -282,7 +221,3 @@ def matrix_from_string(text: str) -> IntMatrix:
         except ValueError:
             raise InputError("non-integer matrix entry in %r" % text) from None
     return IntMatrix(rows)
-
-
-def matrix_to_string(a: IntMatrix) -> str:
-    return ";".join(",".join(str(x) for x in row) for row in a.rows)

@@ -308,21 +308,14 @@ def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):
 
 
 class UnitWitness:
-    """Exact algebraic certificate for one similarity ratio.
+    """Exact algebraic certificate for one similarity ratio: the ratio
+    equals |embedding(element)|."""
 
-    The ratio equals |embedding(element)|**(1/exponent); exponents above
-    one record square-root ratios whose honest witness is the squared
-    quantity.
-    """
+    __slots__ = ("element", "embedding_index")
 
-    __slots__ = ("element", "embedding_index", "exponent")
-
-    def __init__(self, element: FieldElem, embedding_index: int, exponent: int = 1):
-        if exponent < 1:
-            raise InputError("witness exponent must be a positive integer")
+    def __init__(self, element: FieldElem, embedding_index: int):
         self.element = element
         self.embedding_index = int(embedding_index)
-        self.exponent = int(exponent)
 
 
 class RatioMatrix:
@@ -855,24 +848,6 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
     epsilon = rawmetric.from_dyadic(epsilon)
     new_terms = tuple(CrossTerm(t.k, t.k2, t.table, t.functional, epsilon) for t in couplings)
     return spec.replace(cross_terms=spec.cross_terms + new_terms)
-
-
-def evaluate_metric(spec: MetricSpec, point) -> Tuple[Tuple, ...]:
-    """Gram matrix of the metric at one point, in block coordinates.
-
-    The point is fiber coordinates followed by base log-coordinates (and
-    extension coordinates, which the metric does not read).  Off-block
-    entries are exact zeros unless a cross term couples the blocks.  The
-    entries are rawmetric.metric_gram's values as mpf.
-    """
-    decomp = spec.decomposition
-    p, n = decomp.p, spec.n
-    if len(point) < p + n:
-        raise InputError("point has %d coordinates, need %d" % (len(point), p + n))
-    with _at_prec(decomp.workbits):
-        x = [rawmetric.to_dyadic(t) for t in point[p:p + n]]
-    gram = rawmetric.metric_gram(rawmetric.MetricTerms(spec), x)
-    return tuple(tuple(rawmetric.from_dyadic(g) for g in row) for row in gram)
 
 
 def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:

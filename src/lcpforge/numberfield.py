@@ -30,7 +30,6 @@ from .errors import (
     InputError,
     NonIntegralError,
     NonUnitError,
-    NotCyclicError,
     ReduciblePolynomialError,
 )
 from .intlinalg import IntMatrix, field_kernel_basis, is_gl_z
@@ -573,27 +572,6 @@ class GaloisMap:
 
     def __call__(self, elem: FieldElem) -> FieldElem:
         return self.apply(elem)
-
-    def compose(self, other: "GaloisMap") -> "GaloisMap":
-        return GaloisMap(self.field, self.apply(other.image))
-
-    def power(self, k: int) -> "GaloisMap":
-        if k < 0:
-            raise InputError("negative powers of a Galois map are not needed")
-        return binary_power(
-            self, k, GaloisMap(self.field, self.field.gen()), GaloisMap.compose
-        )
-
-    def is_identity(self) -> bool:
-        return self.image == self.field.gen()
-
-    def order(self) -> int:
-        current = self
-        for k in range(1, self.field.degree + 1):
-            if current.is_identity():
-                return k
-            current = self.compose(current)
-        raise NotCyclicError("map order exceeds the field degree")
 
     def __eq__(self, other):
         if not isinstance(other, GaloisMap):

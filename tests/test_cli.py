@@ -2,6 +2,7 @@
 deterministic output, and the environment precision override."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +239,34 @@ def test_malformed_certificate_exits_2(tmp_path, capsys):
     path.write_text("{broken")
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "stored, edit, field",
+    [
+        ("ranklcp_n1_128", lambda d: d.update(parameters={}), "parameters.n"),
+        ("ranklcp_n1_128", lambda d: d.update(parameters=[1]), "parameters"),
+        ("ranklcp_n1_128", lambda d: d["parameters"].update(n="x"), "parameters.n"),
+        ("ranklcp_n1_128", lambda d: d.update(seed="abc"), "seed"),
+        ("ranklcp_n1_128", lambda d: d.update(precision_bits="abc"), "precision_bits"),
+        ("kourganoff_q1_128", lambda d: d["parameters"].pop("matrix"), "parameters.matrix"),
+    ],
+    ids=["parameters-empty", "parameters-list", "n-text", "seed-text",
+         "precision-text", "kourganoff-without-matrix"],
+)
+def test_malformed_stored_field_exits_2(tmp_path, capsys, stored, edit, field):
+    # a certificate whose stored fields cannot be read is a malformed file,
+    # refused before any pipeline runs and named in the message
+    doc = json.loads((DATA / (stored + ".json")).read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: certificate field %s " % field)
 
 
 def test_unknown_command_exits_2(capsys):

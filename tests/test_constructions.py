@@ -12,9 +12,11 @@ import gc
 import importlib
 import itertools
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 import lcpforge
 import lcpforge.constructions as constructions_module
@@ -38,6 +40,7 @@ from lcpforge.errors import (
     CheckFailureError,
     InputError,
     NonUnitError,
+    PrecisionError,
     StructureError,
 )
 import lcpforge.embeddings as embeddings_module
@@ -46,9 +49,9 @@ import lcpforge.lcpcore as lcpcore_module
 import lcpforge.numberfield as numberfield_module
 import lcpforge.polynomials as polynomials_module
 from lcpforge.embeddings import embeddings
-from lcpforge.intlinalg import IntMatrix, commute, companion, det, is_gl_z
+from lcpforge.intlinalg import IntMatrix, commute, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
-from lcpforge.numberfield import field_new
+from lcpforge.numberfield import field_new, mult_matrix
 from lcpforge.polynomials import IntPoly
 
 M7 = IntPoly((-1, -2, 1, 1))
@@ -282,7 +285,7 @@ def test_kourganoff_q1_spectral_structure(kourganoff_cert):
 
 
 def test_kourganoff_q2_passes():
-    a = companion(PLASTIC)
+    a = mult_matrix(field_new(PLASTIC).gen())
     assert det(a) == 1
     cert = make_kourganoff(2, a, 128, seed=0)
     assert cert.verdict == "PASS"
@@ -488,7 +491,7 @@ def test_kourganoff_rejects_bad_matrices():
     with pytest.raises(InputError, match="SL"):
         make_kourganoff(1, IntMatrix(((2, 0), (0, 1))), 128)
     with pytest.raises(InputError, match="2 x 2"):
-        make_kourganoff(1, companion(PLASTIC), 128)
+        make_kourganoff(1, mult_matrix(field_new(PLASTIC).gen()), 128)
     with pytest.raises(InputError):
         make_kourganoff(1, "2,1;1,1", 128)
 
@@ -542,6 +545,22 @@ def test_ot_translations_are_real_place_logs(plastic_ot):
         rho = mp.polyroots([1, 0, -1, -1])[0]
         got = mp.mpf(cert.document["generators"][0]["base_translation"][0][0])
         assert abs(got - mp.log(rho)) < mp.mpf(2) ** -100
+
+
+@pytest.mark.parametrize("bits, tried", [(128, [128, 256]), (4096, [4096])])
+def test_real_sign_error_names_the_last_precision_tried(monkeypatch, bits, tried):
+    # the sign escalates once, to twice the bits unless that passes the cap
+    levels = []
+
+    def straddle(self, elem, index):
+        levels.append(self.bits)
+        return iv.mpf([-1, 1])
+
+    monkeypatch.setattr(embeddings_module.EmbeddingSet, "embed_enclosure", straddle)
+    field = field_new(PLASTIC)
+    with pytest.raises(PrecisionError, match=r"at %d bits$" % tried[-1]):
+        constructions_module._certified_real_sign(field, field.gen(), 0, bits)
+    assert levels == tried
 
 
 def test_ot_rejects_wrong_signature():
@@ -701,3 +720,14 @@ def test_J2_is_the_first_flat_block_check(monkeypatch, build):
     assert cert.verdict == "FAILED"
     assert cert.document["failed_check"] == "J2"
     assert list(cert.checks).index("J2") + 3 == list(cert.checks).index("rank")
+
+
+def test_readme_python_api_block_runs_as_written(tmp_path, monkeypatch):
+    # README's Python API section is the documented surface; it must run
+    # unchanged, so the block is read from README.md and executed
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "rank2.json").exists()

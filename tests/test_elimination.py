@@ -22,9 +22,9 @@ from mpmath.libmp import to_rational
 
 from lcpforge.embeddings import _at_prec, full_pivot_eliminate, tolerance
 from lcpforge.errors import NeedsEscalation
-from lcpforge.intlinalg import IntMatrix, char_poly, companion
+from lcpforge.intlinalg import IntMatrix, char_poly
 from lcpforge.lcpcore import _iv_inverse, _iv_matrix, _kernel_vector
-from lcpforge.numberfield import field_new, minimal_polynomial
+from lcpforge.numberfield import field_new, minimal_polynomial, mult_matrix
 from lcpforge.polynomials import IntPoly
 
 WORKBITS = 160
@@ -87,8 +87,8 @@ def _eigen_residual(a, lam, scalar):
 @pytest.mark.parametrize(
     "matrix",
     [
-        companion(IntPoly((-1, -1, 0, 1))),  # x^3 - x - 1: one real, one pair
-        companion(IntPoly((-1, -1, 0, 0, 1))),  # x^4 - x - 1: two real, one pair
+        mult_matrix(field_new(IntPoly((-1, -1, 0, 1))).gen()),  # x^3 - x - 1: one real, one pair
+        mult_matrix(field_new(IntPoly((-1, -1, 0, 0, 1))).gen()),  # x^4 - x - 1: two real, one pair
         IntMatrix([[2, 1, 0], [1, 1, 1], [0, 1, 3]]),
     ],
 )

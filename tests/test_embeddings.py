@@ -16,6 +16,7 @@ import lcpforge.polynomials as polynomials_module
 from lcpforge.embeddings import (
     GUARD_BITS,
     EmbeddingSet,
+    _at_prec,
     certified_poly_roots,
     default_precision,
     embeddings,
@@ -44,6 +45,29 @@ def plastic():
     return field_new(PLASTIC)
 
 
+def _holds(enc, value, width):
+    """The enclosure of a real place (an interval) or a complex place (a
+    real, imaginary box) contains value and is narrower than width; the
+    endpoints are read above their own precision, so nothing rounds."""
+    with mp.workprec(1024):
+        parts = enc if isinstance(enc, tuple) else (enc,)
+        values = (mp.re(value), mp.im(value)) if isinstance(enc, tuple) else (value,)
+        return all(
+            mp.mpf(part.a) <= v <= mp.mpf(part.b) and mp.mpf(part.delta) < width
+            for part, v in zip(parts, values)
+        )
+
+
+def _mid(emb, elem, index):
+    """Midpoint of elem's enclosure at a place, at the working precision:
+    an mpf at a real place, an mpc at a complex one."""
+    enc = emb.embed_enclosure(elem, index)
+    with _at_prec(emb.workbits):
+        if emb.is_real(index):
+            return mp.mpf(enc.mid)
+        return mp.mpc(mp.mpf(enc[0].mid), mp.mpf(enc[1].mid))
+
+
 def _cos_roots(prec=240):
     # ascending order: k = 3, 2, 1
     with mp.workprec(prec):
@@ -55,49 +79,47 @@ class TestRealEmbeddings:
         emb = embeddings(m7, 128)
         assert emb.count == 3
         alpha = m7.gen()
-        with mp.workprec(220):
-            for index, oracle in enumerate(_cos_roots()):
-                assert emb.is_real(index)
-                got = emb.embed(alpha, index)
-                assert abs(got - oracle) < mp.mpf(2) ** -120
+        for index, oracle in enumerate(_cos_roots()):
+            assert emb.is_real(index)
+            assert _holds(emb.embed_enclosure(alpha, index), oracle, mp.mpf(2) ** -120)
 
     def test_enclosures_contain_oracle(self, m7):
+        # the refined isolating intervals are exact dyadic pairs
         emb = embeddings(m7, 128)
-        for index, oracle in enumerate(_cos_roots()):
-            enc = emb.root_enclosure(index)
-            # convert endpoints above their own precision so nothing rounds
+        for index, oracle in enumerate(_cos_roots(1024)):
             with mp.workprec(4 * emb.workbits):
-                lo, hi = mp.mpf(enc.a), mp.mpf(enc.b)
+                lo, hi = (mp.mpf(x.numerator) / x.denominator for x in emb.real_roots[index])
             assert lo <= oracle <= hi
 
     def test_polynomial_element(self, m7):
         # alpha^2 - 2 maps each root r to r^2 - 2
         emb = embeddings(m7, 128)
         sigma_alpha = m7.from_coords((-2, 0, 1))
-        with mp.workprec(220):
-            for index, r in enumerate(_cos_roots()):
-                got = emb.embed(sigma_alpha, index)
-                assert abs(got - (r ** 2 - 2)) < mp.mpf(2) ** -118
+        with mp.workprec(240):
+            images = [r ** 2 - 2 for r in _cos_roots()]
+        for index, image in enumerate(images):
+            enc = emb.embed_enclosure(sigma_alpha, index)
+            assert _holds(enc, image, mp.mpf(2) ** -118)
 
     def test_index_validation(self, m7):
         emb = embeddings(m7, 128)
         with pytest.raises(InputError):
-            emb.embed(m7.gen(), 3)
+            emb.embed_enclosure(m7.gen(), 3)
 
     def test_embed_respects_multiplication(self, m7, plastic):
         for field in (m7, plastic):
             emb = embeddings(field, 128)
             a = field.gen() + field.from_rational(QQ(1, 3))
             b = field.gen() ** 2 - field.from_rational(2)
-            lhs = emb.embed_all(a * b)
             with mp.workprec(220):
                 for index in range(emb.count):
-                    rhs = emb.embed(a, index) * emb.embed(b, index)
-                    assert abs(lhs[index] - rhs) < mp.mpf(2) ** -100
+                    lhs = _mid(emb, a * b, index)
+                    rhs = _mid(emb, a, index) * _mid(emb, b, index)
+                    assert abs(lhs - rhs) < mp.mpf(2) ** -100
 
     def test_frozen_plastic_number(self, plastic):
         emb = embeddings(plastic, 128)
-        got = emb.embed(plastic.gen(), 0)
+        got = _mid(emb, plastic.gen(), 0)
         with mp.workprec(200):
             assert abs(got - mp.mpf("1.3247179572447460259609088")) < mp.mpf("1e-24")
 
@@ -107,8 +129,8 @@ class TestComplexEmbeddings:
         emb = embeddings(plastic, 128)
         assert emb.count == 2
         assert not emb.is_real(1)
-        z = emb.embed(plastic.gen(), 1)
-        assert z.imag > 0
+        assert mp.mpf(emb.embed_enclosure(plastic.gen(), 1)[1].a) > 0
+        z = _mid(emb, plastic.gen(), 1)
         # residual of the defining polynomial at the midpoint
         with mp.workprec(emb.workbits):
             residual = abs(z ** 3 - z - 1)
@@ -116,19 +138,19 @@ class TestComplexEmbeddings:
 
     def test_matches_polyroots_oracle(self, plastic):
         emb = embeddings(plastic, 128)
-        z = emb.embed(plastic.gen(), 1)
+        box = emb.embed_enclosure(plastic.gen(), 1)
         with mp.workprec(300):
             roots = mp.polyroots([1, 0, -1, -1], extraprec=200)
             upper = [r for r in roots if mp.im(r) > 0.1]
         assert len(upper) == 1
-        assert abs(z - upper[0]) < mp.mpf(2) ** -100
+        assert _holds(box, upper[0], mp.mpf(2) ** -100)
 
     def test_norm_product_is_one(self, plastic):
         # |s1(a)| * |s2(a)|^2 = |N(a)| = 1 for the defining unit
         emb = embeddings(plastic, 128)
         alpha = plastic.gen()
         with mp.workprec(emb.workbits):
-            product = abs(emb.embed(alpha, 0)) * abs(emb.embed(alpha, 1)) ** 2
+            product = abs(_mid(emb, alpha, 0)) * abs(_mid(emb, alpha, 1)) ** 2
             assert abs(product - 1) < mp.mpf(2) ** -64
 
     def test_quartic_signature(self):
@@ -136,10 +158,11 @@ class TestComplexEmbeddings:
         emb = embeddings(field, 128)
         assert field.signature == (0, 2)
         assert emb.count == 2
-        z0 = emb.embed(field.gen(), 0)
-        z1 = emb.embed(field.gen(), 1)
-        assert z0.imag > 0 and z1.imag > 0
-        assert abs(z0 - z1) > mp.mpf("0.1")
+        box0 = emb.embed_enclosure(field.gen(), 0)
+        box1 = emb.embed_enclosure(field.gen(), 1)
+        assert mp.mpf(box0[1].a) > 0 and mp.mpf(box1[1].a) > 0
+        # ordered by real part, about -0.73 and 0.73
+        assert mp.mpf(box1[0].a) - mp.mpf(box0[0].b) > mp.mpf("0.1")
 
 
 class TestLogVectors:
@@ -197,7 +220,7 @@ class TestMultiplicativeRank:
         # three conjugates only span a rank-2 lattice
         tau = galois_generator(m7)
         alpha = m7.gen()
-        units = [alpha, tau.apply(alpha), tau.power(2).apply(alpha)]
+        units = [alpha, tau.apply(alpha), tau.apply(tau.apply(alpha))]
         assert multiplicative_rank(m7, units, 128) == 2
 
     def test_rejects_non_units(self, m7):
@@ -231,7 +254,7 @@ class TestRankProof:
         # three conjugates span rank 2; any two places see all of it
         tau = galois_generator(m7)
         alpha = m7.gen()
-        units = [alpha, tau.apply(alpha), tau.power(2).apply(alpha)]
+        units = [alpha, tau.apply(alpha), tau.apply(tau.apply(alpha))]
         assert projected_log_rank(m7, units, (0, 1), 128) == 2
         assert refined_bits == [128 + GUARD_BITS]
 
@@ -279,13 +302,8 @@ class TestRankProof:
 class TestVerifyRatioWitness:
     def test_accepts_true_ratio(self, m7):
         emb = embeddings(m7, 128)
-        with mp.workprec(200):
-            ratio = _cos_roots()[2]  # largest root, embedding index 2
-            ratio_sqrt = mp.sqrt(ratio)
+        ratio = _cos_roots()[2]  # largest root, embedding index 2
         assert verify_ratio_witness(emb, m7.gen(), 2, ratio)
-        # an exponent-2 witness certifies a square root of the modulus
-        assert verify_ratio_witness(emb, m7.gen(), 2, ratio_sqrt, exponent=2)
-        assert not verify_ratio_witness(emb, m7.gen(), 2, ratio, exponent=2)
 
     def test_rejects_wrong_ratio(self, m7):
         emb = embeddings(m7, 128)
@@ -295,11 +313,6 @@ class TestVerifyRatioWitness:
         emb = embeddings(m7, 128)
         with pytest.raises(NonUnitError):
             verify_ratio_witness(emb, m7.from_rational(2), 0, mp.mpf(2))
-
-    def test_rejects_bad_exponent(self, m7):
-        emb = embeddings(m7, 128)
-        with pytest.raises(InputError):
-            verify_ratio_witness(emb, m7.gen(), 0, mp.mpf(1), exponent=0)
 
 
 class TestPrecisionControls:

@@ -17,7 +17,6 @@ from lcpforge.intlinalg import (
     IntMatrix,
     char_poly,
     commute,
-    companion,
     det,
     eigen_solve,
     field_kernel_basis,
@@ -25,10 +24,8 @@ from lcpforge.intlinalg import (
     matrix_from_json,
     matrix_from_string,
     matrix_to_json,
-    matrix_to_string,
-    poly_apply,
 )
-from lcpforge.numberfield import field_new
+from lcpforge.numberfield import field_new, mult_matrix
 from lcpforge.polynomials import IntPoly
 
 # x^3 + x^2 - 2x - 1, the minimal polynomial of 2cos(2*pi/7)
@@ -53,6 +50,16 @@ monic_polys = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
+def _companion(p):
+    """Companion matrix of monic p: ones on the subdiagonal, the negated
+    coefficients in the last column."""
+    d = p.degree
+    return IntMatrix(
+        [int(i == j + 1) if j < d - 1 else -p.coeffs[i] for j in range(d)]
+        for i in range(d)
+    )
+
+
 def _sympy_matrix(a):
     return sympy.Matrix([[int(x) for x in row] for row in a.rows])
 
@@ -68,20 +75,9 @@ class TestIntMatrix:
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
         assert (a + b).rows == ((1, 3), (4, 4))
-        assert (a - b).rows == ((1, 1), (2, 4))
-        assert (-a).rows == ((-1, -2), (-3, -4))
         assert (a * b).rows == ((2, 1), (4, 3))
-        assert (a * 3).rows == (3 * a).rows == ((3, 6), (9, 12))
+        assert (a * 3).rows == ((3, 6), (9, 12))
         assert a[1, 0] == 3
-        assert a.transpose().rows == ((1, 3), (2, 4))
-        assert a.trace() == 5
-
-    def test_powers(self):
-        a = IntMatrix([[1, 1], [0, 1]])
-        assert a ** 0 == IntMatrix.identity(2)
-        assert a ** 5 == IntMatrix([[1, 5], [0, 1]])
-        with pytest.raises(InputError):
-            a ** -1
 
     def test_size_mismatch(self):
         with pytest.raises(InputError):
@@ -119,7 +115,7 @@ class TestCharPoly:
 
     @given(monic_polys)
     def test_companion_recovers_polynomial(self, p):
-        assert char_poly(companion(p)) == p
+        assert char_poly(_companion(p)) == p
 
     def test_runs_on_integers(self, forbid_fractions):
         # every Bareiss division is exact over Z and Z[X], so neither the
@@ -131,26 +127,27 @@ class TestCharPoly:
 
 
 class TestCompanion:
+    """The multiplication matrix of a field generator is the companion
+    matrix of its minimal polynomial, coefficient column last."""
+
     def test_quadratic(self):
         # x^2 + x - 1
-        c = companion(IntPoly((-1, 1, 1)))
+        c = mult_matrix(field_new(IntPoly((-1, 1, 1))).gen())
         assert c.rows == ((0, 1), (1, -1))
 
     def test_cubic_golden(self):
-        c = companion(M7)
+        c = mult_matrix(field_new(M7).gen())
         assert c.rows == ((0, 0, 1), (1, 0, 2), (0, 1, -1))
-
-    def test_rejects_non_monic(self):
-        with pytest.raises(InputError):
-            companion(IntPoly((1, 2)))
-        with pytest.raises(InputError):
-            companion(IntPoly((3,)))
 
 
 class TestPolyApply:
+    """A polynomial q applied to the generator's matrix is the
+    multiplication matrix of q(alpha)."""
+
     def test_golden_second_generator(self):
-        a1 = companion(M7)
-        a2 = poly_apply(IntPoly((-2, 0, 1)), a1)
+        field = field_new(M7)
+        a1 = mult_matrix(field.gen())
+        a2 = mult_matrix(field.from_int_poly(IntPoly((-2, 0, 1))))
         assert a2.rows == ((-2, 1, -1), (0, 0, -1), (1, -1, 1))
         assert commute(a1, a2)
         assert is_gl_z(a1) and is_gl_z(a2)
@@ -159,32 +156,34 @@ class TestPolyApply:
 
     @given(monic_polys, monic_polys)
     def test_evaluation_is_multiplicative(self, p, q):
-        a = companion(IntPoly((-1, -1, 0, 1)))
-        assert poly_apply(p * q, a) == poly_apply(p, a) * poly_apply(q, a)
+        field = field_new(IntPoly((-1, -1, 0, 1)))
+
+        def at(r):
+            return mult_matrix(field.from_int_poly(r))
+
+        assert at(p * q) == at(p) * at(q)
 
     def test_zero_polynomial(self):
-        a = IntMatrix([[1, 2], [3, 4]])
-        assert poly_apply(IntPoly(()), a) == IntMatrix([[0, 0], [0, 0]])
+        field = field_new(IntPoly((-1, 1, 1)))
+        assert mult_matrix(field.from_int_poly(IntPoly(()))) == IntMatrix([[0, 0], [0, 0]])
 
 
 class TestEigenSolve:
     def test_golden_cubic_eigenvector(self):
         field = field_new(M7)
         alpha = field.gen()
-        a1 = companion(M7)
-        vec = eigen_solve(a1, alpha)
+        vec = eigen_solve(mult_matrix(alpha), alpha)
         beta = alpha + alpha ** 2
         assert vec == (field.one(), beta, alpha)
         # the commuting generator keeps the same eigenvector at the
         # conjugated eigenvalue
-        a2 = poly_apply(IntPoly((-2, 0, 1)), a1)
         sigma_alpha = field.from_coords((-2, 0, 1))
-        assert eigen_solve(a2, sigma_alpha) == vec
+        assert eigen_solve(mult_matrix(sigma_alpha), sigma_alpha) == vec
 
     def test_eigenvector_property(self):
         field = field_new(M7)
         alpha = field.gen()
-        a1 = companion(M7)
+        a1 = mult_matrix(alpha)
         vec = eigen_solve(a1, alpha)
         for i in range(3):
             image = sum(
@@ -196,16 +195,12 @@ class TestEigenSolve:
     def test_non_eigenvalue_rejected(self):
         field = field_new(M7)
         with pytest.raises(InputError):
-            eigen_solve(companion(M7), field.from_rational(1))
+            eigen_solve(mult_matrix(field.gen()), field.from_rational(1))
 
-    def test_degenerate_eigenspace_flagged(self):
+    def test_degenerate_eigenspace_gives_the_first_basis_vector(self):
         field = field_new(M7)
-        identity = IntMatrix.identity(2)
-        vec = eigen_solve(identity, field.one())
+        vec = eigen_solve(IntMatrix.identity(2), field.one())
         assert vec == (field.one(), field.zero())
-        assert vec.multiplicity == 2
-        simple = eigen_solve(companion(M7), field.gen())
-        assert simple.multiplicity == 1
 
 
 class TestFieldKernel:
@@ -230,8 +225,9 @@ class TestFieldKernel:
 class TestSerialization:
     def test_string_round_trip(self):
         a = IntMatrix([[0, 0, 1], [1, 0, 2], [0, 1, -1]])
-        assert matrix_from_string(matrix_to_string(a)) == a
-        assert matrix_to_string(a) == "0,0,1;1,0,2;0,1,-1"
+        text = ";".join(",".join(str(x) for x in row) for row in a.rows)
+        assert text == "0,0,1;1,0,2;0,1,-1"
+        assert matrix_from_string(text) == a
 
     def test_json_round_trip(self):
         a = IntMatrix([[12, -7], [3, 5]])

@@ -23,7 +23,7 @@ from lcpforge.errors import (
     NonUnitError,
     ReduciblePolynomialError,
 )
-from lcpforge.intlinalg import companion, poly_apply
+from lcpforge.intlinalg import IntMatrix
 from lcpforge.numberfield import (
     GaloisMap,
     _pm_divmod,
@@ -49,6 +49,33 @@ GOLDEN = IntPoly((-1, 1, 1))  # x^2 + x - 1
 @pytest.fixture(scope="module")
 def m7():
     return field_new(M7)
+
+
+def _at_companion(coeffs, p):
+    """The polynomial with these coefficients evaluated, by Horner, at the
+    companion matrix of monic p (negated coefficients in the last column)."""
+    d = p.degree
+    c = IntMatrix(
+        [int(i == j + 1) if j < d - 1 else -p.coeffs[i] for j in range(d)]
+        for i in range(d)
+    )
+    identity = IntMatrix.identity(d)
+    acc = identity * 0
+    for a in reversed(coeffs):
+        acc = acc * c + identity * a
+    return acc
+
+
+def _order(tau):
+    """Order of a field map, by applying it until the generator returns;
+    None past the field degree."""
+    alpha = tau.field.gen()
+    image = tau.image
+    for k in range(1, tau.field.degree + 1):
+        if image == alpha:
+            return k
+        image = tau.apply(image)
+    return None
 
 
 def _coords(elems):
@@ -173,7 +200,7 @@ class TestElementArithmetic:
         field = field_new(M7)
         u, b = field.from_coords(ca), field.from_coords(cb)
         m = mult_matrix(u)
-        assert m == poly_apply(IntPoly(tuple(ca)), companion(M7))
+        assert m == _at_companion(ca, M7)
         assert tuple(sum(m[i, j] * cb[j] for j in range(3)) for i in range(3)) == (u * b).coords
 
     def test_mult_matrix_needs_integer_coordinates(self, m7):
@@ -476,8 +503,6 @@ class TestGalois:
     def test_cubic_generator_golden(self, m7):
         tau = galois_generator(m7)
         assert tau.image.coords == (-2, 0, 1)
-        assert tau.order() == 3
-        assert tau.power(3).is_identity()
         # orbit of the generator: alpha -> alpha^2 - 2 -> -alpha^2 - alpha + 1
         second = tau.apply(tau.image)
         assert second.coords == (1, -1, -1)
@@ -487,7 +512,7 @@ class TestGalois:
         field = field_new(GOLDEN)
         tau = galois_generator(field)
         assert tau.image.coords == (-1, -1)
-        assert tau.order() == 2
+        assert _order(tau) == 2
 
     @pytest.mark.parametrize(
         "minpoly",
@@ -516,7 +541,7 @@ class TestGalois:
         while len(traces) <= d:
             traces.append(alpha * traces[-1] - traces[-2])
         generators = [
-            c for c in traces[2:] if GaloisMap(field, c).order() == d
+            c for c in traces[2:] if _order(GaloisMap(field, c)) == d
         ]
         want = min(generators, key=lambda c: c.coords)
         assert galois_generator(field).image == want
@@ -526,8 +551,8 @@ class TestGalois:
         assert field.signature == (1, 0)
         assert field.gen() == field.from_rational(2)
         tau = galois_generator(field)
-        assert tau.is_identity()
-        assert tau.order() == 1
+        assert tau.image == field.gen()
+        assert _order(tau) == 1
 
     def test_map_validation(self, m7):
         with pytest.raises(InputError):
@@ -539,11 +564,6 @@ class TestGalois:
         b = m7.from_coords((0, QQ(5), QQ(1, 3)))
         assert tau.apply(a * b) == tau.apply(a) * tau.apply(b)
         assert tau.apply(a + b) == tau.apply(a) + tau.apply(b)
-
-    def test_compose(self, m7):
-        tau = galois_generator(m7)
-        assert tau.compose(tau) == tau.power(2)
-        assert tau.compose(tau.power(2)).is_identity()
 
 
 class TestRankBound:
