@@ -6,9 +6,9 @@ certificate (or re-verification) passes, 1 when verification fails, 2 on
 usage errors.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .certio import SCHEMA_VERSION, canonical_json, load_certificate, write_atomic
 from .constructions import (
@@ -22,14 +22,7 @@ from .constructions import (
     worked_rank2_example,
 )
 from .embeddings import default_precision, validate_precision
-from .errors import (
-    CheckFailureError,
-    InputError,
-    LcpError,
-    NonIntegralError,
-    PrecisionError,
-    StructureError,
-)
+from .errors import CheckFailureError, InputError, LcpError, PrecisionError
 from .intlinalg import matrix_from_string, matrix_to_json
 from .numberfield import field_new
 from .polynomials import poly_from_string, rat_from_json
@@ -134,68 +127,98 @@ def _emit(doc, args, render_text=_render_text):
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one table, read by parse_args and by the help text
+
+REQUIRED = object()  # the default of a flag that must be given
+# flag -> (type, default, help): a tuple type lists the allowed values, a
+# bool flag takes no value, and a name without dashes is positional
+COMMON_FLAGS = {
+    "--precision": (int, None, "working precision in bits, 64..4096"),
+    "--seed": (int, 0, "seed for equivariance sample points"),
+    "--out": (str, None, "write canonical JSON here"),
+    "--format": (("json", "text"), "json", "json (the default) or text"),
+}
+_RANK = {"--n": (int, REQUIRED, "rank, a positive integer")}
+# command -> (help, its own flags); a flag set to None withdraws a common one
+COMMANDS = {
+    "exfield": ("cyclic totally real field of rank n", _RANK),
+    "dmatrix": ("commuting unit matrices of rank n", _RANK),
+    "ranklcp": ("rank-n structure certificate", _RANK),
+    "kourganoff": ("warped product over one expanding eigenline", {
+        "--q": (int, REQUIRED, "base power, 1 or 2"),
+        "--matrix": (str, REQUIRED, 'row-major "a,b;c,d"')}),
+    "ot": ("unit lattice quotient of a mixed-signature field", {
+        "--minpoly": (str, REQUIRED, 'e.g. "x^3-x-1"'),
+        "--units": (str, REQUIRED, 'power-basis coordinate rows, e.g. "0,1,0;-1,1,0"'),
+        "--lck": (bool, False, "flat rotation plane with coupled real blocks")}),
+    "worked-example": ("frozen rank-2 certificate", {}),
+    # verify re-runs the certificate with its stored seed
+    "verify": ("re-run a stored certificate", {
+        "certificate": (str, REQUIRED, "path to a certificate JSON file"), "--seed": None}),
+}
 
 
-def _common_flags(sub):
-    sub.add_argument("--precision", type=int, default=None,
-                     help="working precision in bits, 64..4096")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for equivariance sample points")
-    sub.add_argument("--out", default=None, help="write canonical JSON here")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+def _flags(command):
+    own = COMMANDS[command][1]  # listed first, and overriding a common flag
+    return {f: s for f, s in {**own, **COMMON_FLAGS, **own}.items() if s}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lcpforge",
-        description="construct and verify certified locally conformally "
-        "product structures",
-    )
-    parser.add_argument("--version", action="version",
-                        version="lcpforge %s" % __version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+def _usage(command):
+    if command is None:
+        return "usage: lcpforge [-h] [--version] {%s} ..." % ",".join(COMMANDS)
+    words = [command, "[-h]"]
+    for flag, (kind, default, _) in _flags(command).items():
+        word = flag if kind is bool or flag[0] != "-" else "%s %s" % (flag, flag[2:].upper())
+        words.append(word if default is REQUIRED else "[%s]" % word)
+    return "usage: lcpforge " + " ".join(words)
 
-    sub = subs.add_parser("exfield", help="cyclic totally real field of rank n")
-    sub.add_argument("--n", type=int, required=True)
-    _common_flags(sub)
 
-    sub = subs.add_parser("dmatrix", help="commuting unit matrices of rank n")
-    sub.add_argument("--n", type=int, required=True)
-    _common_flags(sub)
+def _help(command):
+    names = [command] if command else list(COMMANDS)
+    lines = ["%s\n    %s" % (_usage(name), COMMANDS[name][0]) for name in names]
+    flags = {f: s for name in names for f, s in _flags(name).items()}
+    lines += [""] + ["  %-12s %s" % (f, s[2]) for f, s in flags.items()]
+    return "\n".join(([] if command else [_usage(None), ""]) + lines) + "\n"
 
-    sub = subs.add_parser("ranklcp", help="rank-n structure certificate")
-    sub.add_argument("--n", type=int, required=True)
-    _common_flags(sub)
 
-    sub = subs.add_parser(
-        "kourganoff", help="warped product over one expanding eigenline"
-    )
-    sub.add_argument("--q", type=int, required=True, help="base power, 1 or 2")
-    sub.add_argument("--matrix", required=True, help='row-major "a,b;c,d"')
-    _common_flags(sub)
+def _fail(command, reason):
+    sys.stderr.write("%s\nlcpforge: error: %s\n" % (_usage(command), reason))
+    raise SystemExit(2)
 
-    sub = subs.add_parser(
-        "ot", help="unit lattice quotient of a mixed-signature field"
-    )
-    sub.add_argument("--minpoly", required=True, help='e.g. "x^3-x-1"')
-    sub.add_argument(
-        "--units",
-        required=True,
-        help='power-basis coordinate rows, e.g. "0,1,0;-1,1,0"',
-    )
-    sub.add_argument("--lck", action="store_true",
-                     help="flat rotation plane with coupled real blocks")
-    _common_flags(sub)
 
-    sub = subs.add_parser("worked-example", help="frozen rank-2 certificate")
-    _common_flags(sub)
-
-    sub = subs.add_parser("verify", help="re-run a stored certificate")
-    sub.add_argument("certificate", help="path to a certificate JSON file")
-    _common_flags(sub)
-
-    return parser
+def parse_args(argv):
+    """Parse a command line by the COMMANDS table; exit 2 on a usage error."""
+    head = argv[0] if argv else None
+    if head == "--version" or {"-h", "--help"} & set(argv):
+        sys.stdout.write("lcpforge %s\n" % __version__ if head == "--version"
+                         else _help(head if head in COMMANDS else None))
+        raise SystemExit(0)
+    if head not in COMMANDS:
+        _fail(None, "invalid command %r" % head if argv else "a command is required")
+    flags = _flags(head)
+    args = SimpleNamespace(command=head, **{f.lstrip("-"): s[1] for f, s in flags.items()})
+    positionals = [f for f in flags if f[0] != "-"]
+    # "--flag=value" reads as "--flag value", so "--lck=1" leaves "1" unrecognized
+    tokens = [part for t in argv[1:] for part in (t.split("=", 1) if t[:2] == "--" else [t])]
+    while tokens:
+        token = tokens.pop(0)
+        if token[:2] != "--" and positionals:
+            setattr(args, positionals.pop(0), token)
+        elif token[:2] != "--" or token not in flags:
+            _fail(head, "unrecognized arguments: %s" % token)
+        elif flags[token][0] is not bool and (not tokens or tokens[0][:2] == "--"):
+            _fail(head, "argument %s: expected one argument" % token)
+        else:
+            kind = flags[token][0]
+            value = True if kind is bool else tokens.pop(0)
+            if kind is int and not value.lstrip("-").isdecimal() or (
+                    isinstance(kind, tuple) and value not in kind):
+                _fail(head, "argument %s: invalid value: %r" % (token, value))
+            setattr(args, token[2:], int(value) if kind is int else value)
+    missing = [f for f in flags if getattr(args, f.lstrip("-")) is REQUIRED]
+    if missing:
+        _fail(head, "the following arguments are required: %s" % ", ".join(missing))
+    return args
 
 
 def _dispatch(args) -> int:
@@ -242,20 +265,13 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args)
-    except (InputError, NonIntegralError, StructureError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except (CheckFailureError, PrecisionError) as exc:
         sys.stderr.write("verification failed: %s\n" % exc)
         return 1
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except LcpError as exc:
+    except (LcpError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

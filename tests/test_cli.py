@@ -1,14 +1,21 @@
 """Tests for the command-line front end: exit codes, text grammars,
-deterministic output, and the environment precision override."""
+deterministic output, the environment precision override, and the
+command-line parser against the argparse parser it replaced."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fractions import Fraction as QQ
 
-from lcpforge.cli import main, parse_units
+import lcpforge
+from lcpforge import __version__
+from lcpforge.cli import COMMANDS, main, parse_args, parse_units
 from lcpforge.errors import InputError
 from lcpforge.intlinalg import IntMatrix, matrix_from_string as parse_matrix
 from lcpforge.polynomials import IntPoly, poly_from_string as parse_poly
@@ -281,3 +288,255 @@ def test_totally_real_ot_field_exits_2(capsys):
     )
     assert code == 2
     assert "every embedding is real" in err
+
+
+# --------------------------------------------------------------------------
+# the command-line parser against the argparse parser it replaced
+
+
+def _common_flags(sub):
+    sub.add_argument("--precision", type=int, default=None,
+                     help="working precision in bits, 64..4096")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed for equivariance sample points")
+    sub.add_argument("--out", default=None, help="write canonical JSON here")
+    sub.add_argument("--format", choices=("json", "text"), default="json")
+
+
+# the argparse parser the CLI had before its table, verbatim, as the reference
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lcpforge",
+        description="construct and verify certified locally conformally "
+        "product structures",
+    )
+    parser.add_argument("--version", action="version",
+                        version="lcpforge %s" % __version__)
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    sub = subs.add_parser("exfield", help="cyclic totally real field of rank n")
+    sub.add_argument("--n", type=int, required=True)
+    _common_flags(sub)
+
+    sub = subs.add_parser("dmatrix", help="commuting unit matrices of rank n")
+    sub.add_argument("--n", type=int, required=True)
+    _common_flags(sub)
+
+    sub = subs.add_parser("ranklcp", help="rank-n structure certificate")
+    sub.add_argument("--n", type=int, required=True)
+    _common_flags(sub)
+
+    sub = subs.add_parser(
+        "kourganoff", help="warped product over one expanding eigenline"
+    )
+    sub.add_argument("--q", type=int, required=True, help="base power, 1 or 2")
+    sub.add_argument("--matrix", required=True, help='row-major "a,b;c,d"')
+    _common_flags(sub)
+
+    sub = subs.add_parser(
+        "ot", help="unit lattice quotient of a mixed-signature field"
+    )
+    sub.add_argument("--minpoly", required=True, help='e.g. "x^3-x-1"')
+    sub.add_argument(
+        "--units",
+        required=True,
+        help='power-basis coordinate rows, e.g. "0,1,0;-1,1,0"',
+    )
+    sub.add_argument("--lck", action="store_true",
+                     help="flat rotation plane with coupled real blocks")
+    _common_flags(sub)
+
+    sub = subs.add_parser("worked-example", help="frozen rank-2 certificate")
+    _common_flags(sub)
+
+    sub = subs.add_parser("verify", help="re-run a stored certificate")
+    sub.add_argument("certificate", help="path to a certificate JSON file")
+    _common_flags(sub)
+
+    return parser
+
+
+README_ARGV = [
+    ["ranklcp", "--n", "2", "--precision", "128"],
+    ["worked-example", "--format", "text"],
+    ["kourganoff", "--q", "1", "--matrix", "2,1;1,1"],
+    ["ot", "--minpoly", "x^3-x-1", "--units", "0,1,0"],
+    ["ot", "--minpoly", "x^4-x-1", "--units", "0,1,0,0;-1,1,0,0", "--lck"],
+    ["exfield", "--n", "3"],
+    ["dmatrix", "--n", "3"],
+    ["verify", "cert.json", "--precision", "256"],
+]
+# the CLI operations of perfbench/run.py, built the way it builds them
+_SUITE = [
+    ["ranklcp", "--n", "1"],
+    ["ranklcp", "--n", "2"],
+    ["ranklcp", "--n", "3"],
+    ["ranklcp", "--n", "4"],
+    ["worked-example"],
+    ["kourganoff", "--q", "1", "--matrix", "2,1;1,1"],
+    ["kourganoff", "--q", "2", "--matrix", "0,0,1;1,0,1;0,1,0"],
+    ["ot", "--minpoly", "x^3-x-1", "--units", "0,1,0"],
+    ["ot", "--minpoly", "x^4-x-1", "--units", "0,1,0,0;-1,1,0,0", "--lck"],
+]
+_CONTROLS = [
+    ["kourganoff", "--q", "3", "--matrix", "2,1;1,1"],
+    ["ot", "--minpoly", "x^3+x^2-2x-1", "--units", "0,1,0"],
+]
+_LADDER = [
+    (["ranklcp", "--n", "1"], 512),
+    (["ranklcp", "--n", "2"], 512),
+    (["ot", "--minpoly", "x^3-x-1", "--units", "0,1,0"], 512),
+    (["kourganoff", "--q", "1", "--matrix", "2,1;1,1"], 1024),
+]
+_REPORTS = [["exfield", "--n", "16"], ["exfield", "--n", "20"], ["dmatrix", "--n", "8"]]
+PERFBENCH_ARGV = (
+    [a + ["--precision", "128", "--seed", "3", "--out", "work/c.json"] for a in _SUITE]
+    + [["verify", "work/c.json"]]
+    + [a + ["--precision", "128", "--seed", "1"] for a in _CONTROLS]
+    + [a + ["--precision", str(bits), "--seed", "2"] for a, bits in _LADDER]
+    + [a + ["--seed", "0"] for a in _REPORTS]
+)
+
+
+def _equals_form(argv):
+    """Every "--flag value" pair of argv written as "--flag=value"."""
+    out, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        takes_value = token.startswith("--") and token != "--lck"
+        out.append(token + "=" + rest.pop(0) if takes_value else token)
+    return out
+
+
+VALID_ARGV = (
+    README_ARGV
+    + PERFBENCH_ARGV
+    + [_equals_form(a) for a in README_ARGV + PERFBENCH_ARGV]
+    + [
+        ["verify", "--precision", "256", "--format", "text", "cert.json"],
+        ["verify", "--out", "report.json", "cert.json"],
+        ["ranklcp", "--seed", "-1", "--n", "2", "--format", "json"],
+        ["kourganoff", "--matrix", "2,1;1,1", "--q", "1", "--seed", "7"],
+        ["ranklcp", "--n", "1", "--n", "2"],
+        ["ot", "--lck", "--units", "0,1,0", "--minpoly", "x^3-x-1", "--out="],
+        ["kourganoff", "--q", "1", "--matrix=-1,0;0,-1"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids="_".join)
+def test_parse_args_matches_argparse(argv):
+    expected = vars(build_parser().parse_args(argv))
+    if argv[0] == "verify":
+        del expected["seed"]  # verify takes no --seed: it re-runs the stored seed
+    assert vars(parse_args(argv)) == expected
+
+
+BAD_ARGV = [
+    [],
+    ["frobnicate"],
+    ["ranklcp"],
+    ["kourganoff", "--q", "1"],
+    ["verify"],
+    ["ranklcp", "--n", "1", "--bogus", "2"],
+    ["ranklcp", "--n"],
+    ["ranklcp", "--n", "--precision", "128"],
+    ["kourganoff", "--q", "1", "--matrix"],
+    ["ranklcp", "--n", "x"],
+    ["ranklcp", "--n", "1.5"],
+    ["ranklcp", "--n=", "--precision", "128"],
+    ["ranklcp", "--n", "1", "--precision", "x"],
+    ["ranklcp", "--n", "1", "--seed", "1e3"],
+    ["exfield", "--n", "3", "--format", "xml"],
+    ["ranklcp", "--n", "1", "extra"],
+    ["verify", "a.json", "b.json"],
+    ["ot", "--minpoly", "x^3-x-1", "--units", "0,1,0", "--lck=1"],
+    ["worked-example", "-p", "128"],
+    ["--bogus", "ranklcp", "--n", "1"],
+    ["ranklcp", "--version"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda a: "_".join(a) or "empty")
+def test_bad_argv_exits_2_as_argparse_does(argv, capsys):
+    with pytest.raises(SystemExit) as reference:
+        build_parser().parse_args(argv)
+    assert reference.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lcpforge ")
+    assert "\nlcpforge: error: " in err
+
+
+def test_value_may_begin_with_one_dash():
+    # argparse read "-1,0;0,-1" as an unknown flag and wanted "--matrix=-1,0;0,-1"
+    argv = ["kourganoff", "--q", "1", "--matrix", "-1,0;0,-1", "--seed", "-2"]
+    args = parse_args(argv)
+    assert (args.matrix, args.seed) == ("-1,0;0,-1", -2)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+
+
+def test_abbreviated_flag_exits_2(capsys):
+    # argparse took a unique prefix of a flag; flags are now spelled out in full
+    argv = ["ranklcp", "--n", "1", "--prec", "128"]
+    assert build_parser().parse_args(argv).precision == 128
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --prec" in capsys.readouterr().err
+
+
+def test_verify_refuses_seed(capsys):
+    # verify re-runs the certificate with its stored seed, so a --seed was
+    # silently ignored; it is now a usage error
+    for argv in (["verify", "cert.json", "--seed", "5"], ["verify", "--seed=5", "cert.json"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def _exit_output(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_names_every_command_and_flag(capsys):
+    for flag in ("--help", "-h"):
+        out = _exit_output(capsys, flag)
+        for command, (help_line, own) in COMMANDS.items():
+            assert "lcpforge %s " % command in out
+            assert help_line in out
+            assert all(name in out for name in own)
+        for name in ("--precision", "--seed", "--out", "--format"):
+            assert name in out
+
+
+def test_command_help_names_its_flags(capsys):
+    out = _exit_output(capsys, "ranklcp", "-h")
+    assert out.startswith("usage: lcpforge ranklcp ")
+    for name in ("--n", "--precision", "--seed", "--out", "--format"):
+        assert name in out
+    out = _exit_output(capsys, "verify", "cert.json", "--help")
+    assert "certificate" in out and "--seed" not in out
+
+
+def test_version(capsys):
+    assert _exit_output(capsys, "--version") == "lcpforge 0.1.0\n"
+
+
+def test_import_loads_no_argparse():
+    # argparse and the gettext it imports are most of a short cold call
+    src = str(Path(lcpforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, lcpforge.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
