@@ -16,9 +16,11 @@ from fractions import Fraction as QQ
 import lcpforge
 from lcpforge import __version__
 from lcpforge.cli import COMMANDS, main, parse_args, parse_units
+from lcpforge.embeddings import multiplicative_rank
 from lcpforge.errors import InputError
 from lcpforge.intlinalg import IntMatrix, matrix_from_string as parse_matrix
-from lcpforge.polynomials import IntPoly, poly_from_string as parse_poly
+from lcpforge.numberfield import elem_from_json, field_new
+from lcpforge.polynomials import IntPoly, poly_from_json, poly_from_string as parse_poly
 
 
 def run_cli(capsys, *argv):
@@ -103,12 +105,17 @@ def test_exfield_and_dmatrix_reports(capsys):
 def test_dmatrix_takes_a_larger_conductor_where_the_first_falls_short(
     capsys, n, modulus
 ):
-    # the first prime m >= 2n + 3 gives an orbit of too small a rank
+    # the first prime m >= 2n + 3 gives an orbit of too small a rank; the
+    # report states the rank without proving it, so the certified log
+    # minor proves it here from the reported units
     code, out, _ = run_cli(capsys, "dmatrix", "--n", str(n))
     assert code == 0
     doc = json.loads(out)
     assert doc["field"]["modulus"] == modulus
     assert doc["multiplicative_rank"] == n
+    field = field_new(poly_from_json(doc["field"]["minpoly"]))
+    units = [elem_from_json(field, c) for c in doc["units"]]
+    assert multiplicative_rank(field, units, 128) == n
 
 
 def test_ranklcp_rank7_passes_and_reverifies(tmp_path, capsys):

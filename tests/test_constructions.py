@@ -150,10 +150,10 @@ def test_dmatrix_units_are_galois_orbit_prefix():
         assert dm.units[l] == dm.exfield.sigma(dm.units[l - 1])
 
 
-def test_dmatrix_checks_each_unit_once(minpoly_derivations):
-    # the units have integer coordinates, so the rank check decides that
-    # each is a unit from the determinant of its multiplication matrix,
-    # once, and no minimal polynomial is derived
+def test_dmatrix_derives_no_minimal_polynomial(minpoly_derivations):
+    # the units are cyclotomic units with integer coordinates; make_dmatrix
+    # decides nothing about them, and the pipelines that use them decide
+    # unit-ness from the determinant of each multiplication matrix
     dm = make_dmatrix(8)
     assert len(dm.units) == 8
     assert len(minpoly_derivations) == 0
@@ -165,6 +165,49 @@ def test_dmatrix_matrices_commute_in_gl():
         assert is_gl_z(m)
     for a, b in itertools.combinations(dm.matrices, 2):
         assert commute(a, b)
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [14, 19, 20])
+def test_dmatrix_orbit_prefix_has_certified_rank_n(n):
+    # oracle for the Krylov argument make_dmatrix relies on: the certified
+    # log minor proves the rank of the orbit prefix; 7, 14, 19 and 20 take a
+    # larger conductor than the first prime
+    dm = make_dmatrix(n)
+    assert embeddings_module.multiplicative_rank(dm.field, dm.units, 128) == n
+
+
+def _count_calls(monkeypatch, targets):
+    counts = collections.Counter()
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_dmatrix_makes_no_numeric_or_heuristic_decision(monkeypatch):
+    counts = _count_calls(
+        monkeypatch,
+        [
+            (embeddings_module, "certified_poly_roots"),
+            (embeddings_module, "_proved_full_rank"),
+            (numberfield_module, "irreducibility_heuristic"),
+        ],
+    )
+    assert len(make_dmatrix(12).units) == 12
+    assert counts == {}
+
+
+def test_exfield_runs_no_irreducibility_heuristic(monkeypatch):
+    counts = _count_calls(
+        monkeypatch, [(numberfield_module, "irreducibility_heuristic")]
+    )
+    assert make_exfield(20).field.degree == 21
+    assert counts == {}
 
 
 # --------------------------------------------------------------------------
@@ -322,16 +365,17 @@ def test_rank_pipeline_refines_only_at_its_own_precision(refined_bits):
 
 
 def test_rank_pipeline_derives_each_unit_minimal_polynomial_once(minpoly_derivations):
-    # make_dmatrix, the ratio witness check and lcp_rank all decide that
-    # the two units are units; they share one derivation per unit
+    # the block matching, the ratio witness check and lcp_rank all decide
+    # that the two units are units; they share one derivation per unit
     cert = make_rank_n_lcp(2, 512, seed=0)
     assert cert.verdict == "PASS"
     assert minpoly_derivations == [3, 3]
 
 
 def test_rank_pipeline_decides_the_rank_once(monkeypatch):
-    # make_dmatrix checks the units' rank and the rank check seals the rank
-    # of the same units at the same bits: one decision serves both
+    # make_dmatrix reads the rank off the orbit rank and proves nothing;
+    # the rank check alone proves the rank, by one certified minor at the
+    # pipeline's bits
     proved = []
     original = embeddings_module._proved_full_rank
 
@@ -443,7 +487,7 @@ def test_rank_pipeline_refuses_a_non_commuting_family_before_sealing(monkeypatch
         return original(self)
 
     monkeypatch.setattr(constructions_module._Builder, "seal", recording)
-    dm = make_dmatrix(2, 128)
+    dm = make_dmatrix(2)
     shear = IntMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     assert is_gl_z(shear) and not commute(dm.matrices[0], shear)
     family = DMatrixData(dm.exfield, dm.units, (dm.matrices[0], shear))
@@ -602,10 +646,10 @@ def test_unit_ratio_check_records_a_non_unit_witness():
     emb = embeddings(dm.field, 128)
     block_emb = _match_block_embeddings(emb, dm.units, ratios)
     units = list(dm.units)
-    good = _unit_ratio_check(emb, ratios.with_witnesses(_witness_table(units, block_emb)))
+    good = _unit_ratio_check(ratios.with_witnesses(_witness_table(units, block_emb)))
     assert good["verdict"] is True
     units[0] = 2 * units[0]  # minimal polynomial x^3 + 2x^2 - 8x - 8
-    payload = _unit_ratio_check(emb, ratios.with_witnesses(_witness_table(units, block_emb)))
+    payload = _unit_ratio_check(ratios.with_witnesses(_witness_table(units, block_emb)))
     assert payload["verdict"] is False
     for entry in payload["entries"][0]:
         assert entry["unit"] is False

@@ -15,8 +15,8 @@ the rank check at 128, 512 and 1024 bits:
 - ot_x3-x-1_128, ot_x3-x-1_512: ``ot --minpoly "x^3-x-1" --units "0,1,0"``
 - ot_lck_x4-x-1_128: ``ot --minpoly "x^4-x-1" --units "0,1,0,0;-1,1,0,0" --lck``
 
-The field reports under data/reports (``dmatrix --n 8`` and ``exfield --n
-16``, ``--n 20``, ``--n 40``) are kept apart from the certificates; they
+The field reports under data/reports (``dmatrix --n 7``, ``--n 8`` and
+``exfield --n 16``, ``--n 20``, ``--n 40``) are kept apart from the certificates; they
 have no verify path, so each is reproduced by re-running its command and
 comparing bytes.
 """
@@ -53,6 +53,14 @@ def test_stored_dmatrix_report_is_reproduced(tmp_path):
     out = tmp_path / "dmatrix_n8.json"
     assert main(["dmatrix", "--n", "8", "--out", str(out)]) == 0
     assert out.read_bytes() == (REPORTS / "dmatrix_n8.json").read_bytes()
+
+
+def test_stored_dmatrix_n7_report_is_reproduced(tmp_path):
+    # n = 7 is the first n whose conductor is not the least prime m with
+    # (m - 1)/2 >= n: the orbit at m = 17 has rank 4 < 7, so m = 19.
+    out = tmp_path / "dmatrix_n7.json"
+    assert main(["dmatrix", "--n", "7", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPORTS / "dmatrix_n7.json").read_bytes()
 
 
 @pytest.mark.parametrize("n", [16, 20, 40])

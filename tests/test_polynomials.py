@@ -19,6 +19,7 @@ from fractions import Fraction as QQ
 
 import lcpforge.polynomials as polynomials_module
 from lcpforge.errors import InputError
+from lcpforge.numberfield import irreducibility_heuristic
 from lcpforge.polynomials import (
     IntPoly,
     _dyadic_parts,
@@ -186,6 +187,19 @@ def test_real_subfield_minpoly_vs_sympy(m):
     want = sympy.Poly(sympy.minimal_polynomial(alpha, x), x).all_coeffs()
     got = [int(c) for c in reversed(real_subfield_minpoly(m).coeffs)]
     assert got == want
+
+
+@pytest.mark.parametrize("m", [m for m in range(5, 62) if is_prime(m)])
+def test_real_subfield_minpoly_is_an_irreducible_unit_polynomial(m):
+    # exfield and dmatrix build their field from this polynomial without
+    # the modular heuristic, on the theorem that it is the minimal
+    # polynomial of 2cos(2*pi/m); sympy and the heuristic both agree, and
+    # the constant term +-1 makes its root a unit
+    p = real_subfield_minpoly(m)
+    assert p.degree == (m - 1) // 2
+    assert sympy_poly(p).is_irreducible
+    assert irreducibility_heuristic(p)[0] == "irreducible"
+    assert abs(p.coeff(0)) == 1
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 11, 13])
