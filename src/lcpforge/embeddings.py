@@ -9,20 +9,22 @@ tolerance.
 
 Precision protocol: a request at B bits works internally at B + 32 guard
 bits and decisions use the tolerance 2**(-B/2).  Quantities that fail to
-certify raise NeedsEscalation.  A full rank is proven at B bits by one
-certified interval minor; otherwise the rank is decided at B bits and
-re-verified at 2B bits, and only when the two disagree, or B bits does not
-certify, is 4B bits tried before giving up with PrecisionError.
+certify raise NeedsEscalation.  A rank k is proven at B bits alone: at
+least k by one certified interval minor, at most k by exact unit relations
+checked in field arithmetic; when either proof fails, PrecisionError.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from mpmath import iv, mp
+from mpmath.libmp import to_rational
 
 from .errors import InputError, NeedsEscalation, PrecisionError
 from .numberfield import FieldElem, NumberField, require_unit
@@ -400,8 +402,15 @@ def log_vector(emb: EmbeddingSet, elem: FieldElem) -> Tuple:
     an enclosure is too wide to support decisions at the set's tolerance.
     """
     require_unit(elem, "logarithmic embedding")
+    width_cap = tolerance(emb.bits) / 256
     with _at_prec(emb.workbits):
-        return tuple(_capped_midpoints(emb, _log_rows(emb, [elem], None))[0])
+        row = _log_rows(emb, [elem], None)[0]
+        for index, enc in enumerate(row):
+            if mp.mpf(enc.delta) > width_cap:
+                raise NeedsEscalation(
+                    "log enclosure too wide at log coordinate %d" % index
+                )
+        return tuple(mp.mpf(enc.mid) for enc in row)
 
 
 def _log_rows(emb: EmbeddingSet, units, coords):
@@ -418,66 +427,15 @@ def _log_rows(emb: EmbeddingSet, units, coords):
     ]
 
 
-def _capped_midpoints(emb: EmbeddingSet, rows):
-    """Midpoints of log rows; NeedsEscalation when an entry is too wide
-    to support decisions at the set's tolerance."""
-    width_cap = tolerance(emb.bits) / 256
-    for row in rows:
-        for index, enc in enumerate(row):
-            if mp.mpf(enc.delta) > width_cap:
-                raise NeedsEscalation(
-                    "log enclosure too wide at log coordinate %d" % index
-                )
-    return [[mp.mpf(enc.mid) for enc in row] for row in rows]
-
-
-def _rank_at(
-    field: NumberField,
-    units: Sequence[FieldElem],
-    bits: int,
-    coords: Optional[Sequence[int]] = None,
-) -> int:
-    emb = embeddings(field, bits)
-    with _at_prec(emb.workbits):
-        rows = _capped_midpoints(emb, _log_rows(emb, units, coords))
-        return full_pivot_eliminate(rows, tolerance(bits))[0]
-
-
-def _proved_full_rank(field, units, bits, coords) -> Optional[int]:
-    """Full rank of the log-embedding matrix, proven at bits, or None.
-
-    The matrix has one row per unit and one column per place, so its rank
-    is at most r = min(#units, #places); an r x r minor that is nonzero
-    proves it is r.  full_pivot_eliminate picks the minor on the midpoints
-    of the log enclosures, and _iv_inverse certifies it on the enclosures
-    themselves.  None when the midpoint rank is below r or an interval
-    pivot touches zero.
-    """
-    emb = embeddings(field, bits)
-    try:
-        with _at_prec(emb.workbits):
-            logs = _log_rows(emb, units, coords)
-            r = min(len(logs), len(logs[0]))
-            mids = [[mp.mpf(x.mid) for x in row] for row in logs]
-            rank, rows, cols = full_pivot_eliminate(mids, tolerance(bits))
-            if rank < r:
-                return None
-            _iv_inverse([[logs[i][j] for j in cols[:r]] for i in rows[:r]])
-    except NeedsEscalation:
-        return None
-    return r
-
-
 def multiplicative_rank(
     field: NumberField, units: Sequence[FieldElem], bits: Optional[int] = None
 ) -> int:
     """Rank of the subgroup generated by the given units.
 
-    Unit-ness is checked exactly first.  A full rank is then proven at the
-    requested precision by one certified minor of the logarithmic
-    embedding; failing that, the rank is decided numerically and
-    re-verified at doubled precision, with one further escalation before
-    PrecisionError.
+    Unit-ness is checked exactly first.  The rank is then proven at the
+    requested precision: at least k by one certified k x k minor of the
+    logarithmic embedding, at most k by an exact relation for every other
+    unit; PrecisionError when either proof fails.
     """
     if bits is None:
         bits = default_precision()
@@ -493,8 +451,11 @@ def projected_log_rank(
 ) -> int:
     """Rank of the logarithmic embeddings restricted to selected places.
 
-    Same unit check and proof discipline as multiplicative_rank; coords
-    index into the log vector (real places first, then complex ones).
+    Same unit check and proof as multiplicative_rank; coords index into the
+    log vector (real places first, then complex ones).  A rank below both
+    the unit count and the place count is proven only by exact relations
+    among the units, so a projection that loses the rank of independent
+    units raises PrecisionError.
     """
     if bits is None:
         bits = default_precision()
@@ -511,40 +472,82 @@ def projected_log_rank(
 
 @lru_cache(maxsize=64)
 def _stable_rank(field, units, bits, coords):
-    """Log-embedding rank of units, each checked exactly first.
+    """Log-embedding rank of units, each checked exactly first, proven at
+    bits in both directions.
 
-    A full rank is proven at bits by _proved_full_rank.  Otherwise one
-    stability pass decides: the rank at bits is re-verified at 2*bits, and
-    when bits does not certify or the two disagree, one escalation to
-    4*bits must agree with 2*bits; else PrecisionError.  coords, when
-    given, restricts the log vectors to those places.  Cached per (field,
-    units, bits, coords), all hashable and immutable, so a pipeline that
-    checks its units' rank and later seals the rank of the same units
-    decides it once.
+    full_pivot_eliminate on the midpoints of the log enclosures picks k
+    pivot units and k places, and _iv_inverse certifies that k x k minor on
+    the enclosures themselves: the rank is at least k.  It is at most the
+    unit and the place count; below both, every other unit u_j gets an
+    exact relation u_j^a = w * prod p_i^b_i over the pivots p_i, with w a
+    root of unity and a > 0: the rank is at most k.  Either proof failing
+    raises PrecisionError.  coords, when given, restricts the log vectors
+    to those places.  Cached per (field, units, bits, coords), all hashable
+    and immutable, so a pipeline that checks its units' rank and later
+    seals the rank of the same units decides it once.
     """
     for u in units:
         require_unit(u, "rank input")
     if not units:
         return 0
-    proved = _proved_full_rank(field, units, bits, coords)
-    if proved is not None:
-        return proved
-    results = []
-    for level in (bits, 2 * bits, 4 * bits):
+    emb = embeddings(field, bits)
+    with _at_prec(emb.workbits):
         try:
-            results.append(_rank_at(field, units, level, coords))
-        except NeedsEscalation:
-            results.append(None)
-        if (
-            len(results) >= 2
-            and results[-1] is not None
-            and results[-1] == results[-2]
-        ):
-            return results[-1]
-    raise PrecisionError(
-        "multiplicative rank did not stabilize under escalation "
-        "(levels %s gave %s)" % ([bits, 2 * bits, 4 * bits], results)
-    )
+            logs = _log_rows(emb, units, coords)
+            mids = [[mp.mpf(x.mid) for x in row] for row in logs]
+            k, rows, cols = full_pivot_eliminate(
+                [list(row) for row in mids], tolerance(bits)
+            )
+            _iv_inverse([[logs[i][j] for j in cols[:k]] for i in rows[:k]])
+        except NeedsEscalation as exc:
+            raise PrecisionError(
+                "log-embedding rank not certified at %d bits: %s" % (bits, exc)
+            ) from None
+        pivots, places = rows[:k], cols[:k]
+        for j in rows[k:] if k < len(cols) else ():
+            # the certified minor makes the coefficients of log u_j over the
+            # pivot logs unique: solve them on the pivot places and take the
+            # nearest fractions of denominator at most 2^16.  Two such
+            # fractions lie at least 2^-32 apart, the tolerance at the
+            # lowest precision; the exact check alone proves the relation,
+            # and a wrong candidate's powers take some 17 squarings each
+            solved = mp.lu_solve(
+                [[mids[i][c] for i in pivots] for c in places],
+                [mids[j][c] for c in places],
+            ) if k else ()
+            coeffs = [
+                Fraction(*to_rational(x._mpf_)).limit_denominator(2 ** 16)
+                for x in solved
+            ]
+            a = math.lcm(1, *(q.denominator for q in coeffs))
+            w = units[j] ** a
+            for i, q in zip(pivots, coeffs):
+                w = w * units[i] ** -int(q * a)
+            if not _is_torsion(w):
+                raise PrecisionError(
+                    "rank deficiency not proven: unit %d has no exact "
+                    "relation over the %d pivot units" % (j, k)
+                )
+    return k
+
+
+def _is_torsion(w: FieldElem) -> bool:
+    """Whether w is a root of unity.
+
+    A field with a real place has only +-1.  Otherwise a root of unity of
+    order N has phi(N) <= degree and phi(N) >= sqrt(N/2), so its order is
+    at most 2 * degree^2.
+    """
+    if w == 1 or w == -1:
+        return True
+    if w.field.signature[0]:
+        return False
+    power = w
+    for _ in range(2 * w.field.degree ** 2):
+        power = power * w
+        if power == 1:
+            return True
+    return False
 
 
 def verify_ratio_witness(

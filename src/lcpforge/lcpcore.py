@@ -370,28 +370,22 @@ class RatioMatrix:
 def _block_ratio(c, idx, gen_index, block_index):
     """Similarity ratio of one diagonal block of an interval matrix: the
     midpoint of |c_ii|, or of sqrt(hull(g00, g11)) over the squared column
-    norms of a plane."""
+    norms of a plane.  A GL(p, Z) matrix acts on an invariant block by
+    |nu| > 0, so an enclosure that touches 0 means the precision ran out."""
     if len(idx) == 1:
-        i = idx[0]
-        enc = abs(c[i][i])
-        if mp.mpf(enc.a) <= 0:
-            raise CheckFailureError(
-                "generator %d block %d: ratio not certified positive"
-                % (gen_index, block_index)
-            )
-        return _mid(enc)
-    i, j = idx
-    g00 = c[i][i] * c[i][i] + c[j][i] * c[j][i]
-    g11 = c[i][j] * c[i][j] + c[j][j] * c[j][j]
-    lo = min(mp.mpf(g00.a), mp.mpf(g11.a))
-    hi = max(mp.mpf(g00.b), mp.mpf(g11.b))
-    if lo <= 0:
-        raise CheckFailureError(
-            "generator %d block %d: ratio not certified positive"
+        enc = abs(c[idx[0]][idx[0]])
+    else:
+        i, j = idx
+        g00 = c[i][i] * c[i][i] + c[j][i] * c[j][i]
+        g11 = c[i][j] * c[i][j] + c[j][j] * c[j][j]
+        enc = iv.mpf([min(mp.mpf(g00.a), mp.mpf(g11.a)),
+                      max(mp.mpf(g00.b), mp.mpf(g11.b))])
+    if mp.mpf(enc.a) <= 0:
+        raise PrecisionError(
+            "J1: generator %d block %d: ratio enclosure touches 0"
             % (gen_index, block_index)
         )
-    hull = iv.mpf([lo, hi])
-    return _mid(iv.sqrt(hull))
+    return _mid(enc) if len(idx) == 1 else _mid(iv.sqrt(enc))
 
 
 def _ratios_of_matrix(decomp, a, gen_index):

@@ -544,11 +544,12 @@ def field_new(minpoly: IntPoly, force: bool = False) -> NumberField:
 
 
 class GaloisMap:
-    """Field endomorphism determined by the image of the generator."""
+    """Field endomorphism determined by the image of the generator; residue
+    is the g with image c_g(alpha) when galois_generator chose it."""
 
-    __slots__ = ("field", "image")
+    __slots__ = ("field", "image", "residue")
 
-    def __init__(self, field: NumberField, image: FieldElem):
+    def __init__(self, field: NumberField, image: FieldElem, residue=None):
         if image.field != field:
             raise InputError("image lives in a different field")
         check = field.minpoly(image)
@@ -556,6 +557,7 @@ class GaloisMap:
             raise InputError("image is not a root of the defining polynomial")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "image", image)
+        object.__setattr__(self, "residue", residue)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaloisMap is immutable")
@@ -597,7 +599,7 @@ def galois_generator(field: NumberField) -> GaloisMap:
     """
     d = field.degree
     if d == 1:
-        return GaloisMap(field, field.gen())
+        return GaloisMap(field, field.gen(), 1)
     m = 2 * d + 1
     if not is_prime(m) or field.minpoly != real_subfield_minpoly(m):
         raise InputError(
@@ -605,12 +607,15 @@ def galois_generator(field: NumberField) -> GaloisMap:
             "subfields of prime conductor; %r is not one" % field.minpoly
         )
     cs = trace_polys(d)
-    images = [
-        field.from_int_poly(cs[g])
-        for g in range(2, d + 1)
-        if order_mod_sign(g, m) == d
-    ]
-    return GaloisMap(field, min(images, key=lambda image: image.coords))
+    image, g = min(
+        (
+            (field.from_int_poly(cs[g]), g)
+            for g in range(2, d + 1)
+            if order_mod_sign(g, m) == d
+        ),
+        key=lambda pair: pair[0].coords,
+    )
+    return GaloisMap(field, image, g)
 
 
 def order_mod_sign(g: int, m: int) -> int:

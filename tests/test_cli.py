@@ -289,6 +289,17 @@ def test_unknown_command_exits_2(capsys):
     assert info.value.code == 2
 
 
+def test_ot_with_dependent_units_exits_1(capsys):
+    # alpha^4 = alpha + 1, so the units span a rank-1 lattice; the
+    # deficiency is proven by that exact relation
+    code, out, err = run_cli(
+        capsys, "ot", "--minpoly", "x^4-x-1", "--units", "0,1,0,0;1,1,0,0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "not a full lattice" in err
+
+
 def test_totally_real_ot_field_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "ot", "--minpoly", "x^3+x^2-2x-1", "--units", "0,1,0"

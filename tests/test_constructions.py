@@ -144,10 +144,18 @@ def test_dmatrix_rank2_golden_matrices():
 
 
 def test_dmatrix_units_are_galois_orbit_prefix():
-    dm = make_dmatrix(3)
-    assert len(dm.units) == 3
-    for l in range(1, 3):
-        assert dm.units[l] == dm.exfield.sigma(dm.units[l - 1])
+    for n in (3, 8):
+        dm = make_dmatrix(n)
+        assert len(dm.units) == n
+        for l in range(1, n):
+            assert dm.units[l] == dm.exfield.sigma(dm.units[l - 1])
+
+
+def test_dmatrix_reads_the_orbit_off_the_trace_polynomials(monkeypatch):
+    # sigma^k(alpha) = c_(g^k mod m)(alpha): no Galois map is applied
+    counts = _count_calls(monkeypatch, [(numberfield_module.GaloisMap, "apply")])
+    assert len(make_dmatrix(12).units) == 12
+    assert counts == {}
 
 
 def test_dmatrix_derives_no_minimal_polynomial(minpoly_derivations):
@@ -194,7 +202,7 @@ def test_dmatrix_makes_no_numeric_or_heuristic_decision(monkeypatch):
         monkeypatch,
         [
             (embeddings_module, "certified_poly_roots"),
-            (embeddings_module, "_proved_full_rank"),
+            (embeddings_module, "_stable_rank"),
             (numberfield_module, "irreducibility_heuristic"),
         ],
     )
@@ -374,18 +382,18 @@ def test_rank_pipeline_derives_each_unit_minimal_polynomial_once(minpoly_derivat
 
 def test_rank_pipeline_decides_the_rank_once(monkeypatch):
     # make_dmatrix reads the rank off the orbit rank and proves nothing;
-    # the rank check alone proves the rank, by one certified minor at the
-    # pipeline's bits
+    # the rank check alone proves the rank, by one certified 2 x 2 minor at
+    # the pipeline's working bits
     proved = []
-    original = embeddings_module._proved_full_rank
+    original = embeddings_module._iv_inverse
 
-    def counting(field, units, bits, coords):
-        proved.append(bits)
-        return original(field, units, bits, coords)
+    def counting(rows):
+        proved.append((len(rows), iv.prec))
+        return original(rows)
 
-    monkeypatch.setattr(embeddings_module, "_proved_full_rank", counting)
+    monkeypatch.setattr(embeddings_module, "_iv_inverse", counting)
     assert make_rank_n_lcp(2, 512, seed=0).verdict == "PASS"
-    assert proved == [512]
+    assert proved == [(2, 512 + embeddings_module.GUARD_BITS)]
 
 
 def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch, package_caches):

@@ -242,8 +242,8 @@ class TestMultiplicativeRank:
 
 
 class TestRankProof:
-    """A full rank is proven by one interval minor at the requested bits;
-    anything else falls back to the stability pass at bits and 2*bits."""
+    """A rank k is proven at the requested bits alone: at least k by one
+    interval minor, at most k by an exact relation for every other unit."""
 
     def test_full_rank_is_proven_at_the_requested_precision(self, m7, refined_bits):
         units = [m7.gen(), m7.from_coords((-2, 0, 1))]
@@ -267,19 +267,50 @@ class TestRankProof:
         ],
         ids=["u-u2", "u-minus-u", "projected-3-units-2-coords"],
     )
-    def test_rank_deficient_units_fall_back(self, m7, refined_bits, make_units, coords):
+    def test_deficient_ranks_are_proven_by_relations(
+        self, m7, refined_bits, make_units, coords
+    ):
         units = make_units(m7.gen())
-        assert embeddings_module._proved_full_rank(m7, units, 128, coords) is None
         if coords is None:
             assert multiplicative_rank(m7, units, 128) == 1
         else:
             assert projected_log_rank(m7, units, coords, 128) == 1
-        # the stability pass re-verifies at doubled precision
-        assert refined_bits == [128 + GUARD_BITS, 256 + GUARD_BITS]
+        # the relations are exact, so nothing is re-decided at more bits
+        assert refined_bits == [128 + GUARD_BITS]
 
-    def test_minor_with_a_pivot_touching_zero_is_refused(self, m7, monkeypatch):
+    def test_a_midpoint_rank_below_the_true_rank_is_refused(self, m7, monkeypatch):
+        # alpha and its conjugate are independent; a midpoint elimination
+        # that stops at rank 1 leaves a unit with no exact relation over
+        # the pivot, so the rank is refused rather than read as 1
+        units = [m7.gen(), galois_generator(m7).apply(m7.gen())]
+        original = embeddings_module.full_pivot_eliminate
+
+        def stops_early(a, cutoff):
+            rank, rows, cols = original(a, cutoff)
+            return min(rank, 1), rows, cols
+
+        monkeypatch.setattr(embeddings_module, "full_pivot_eliminate", stops_early)
+        with pytest.raises(PrecisionError, match="no exact relation"):
+            multiplicative_rank(m7, units, 128)
+
+    def test_roots_of_unity_have_rank_zero(self):
+        eisenstein = field_new(IntPoly((1, 1, 1)))
+        zeta = eisenstein.gen()
+        assert multiplicative_rank(eisenstein, [zeta], 128) == 0
+        assert multiplicative_rank(eisenstein, [zeta, -eisenstein.one()], 128) == 0
+
+    def test_relation_up_to_a_root_of_unity_of_order_eight(self):
+        # Q(zeta_8) has no real place; 1 + sqrt 2 = 1 + zeta - zeta^3 is a
+        # unit of infinite order and zeta times it differs by torsion only
+        field = field_new(IntPoly((1, 0, 0, 0, 1)), force=True)
+        zeta = field.gen()
+        unit = 1 + zeta - zeta ** 3
+        assert multiplicative_rank(field, [zeta], 128) == 0
+        assert multiplicative_rank(field, [unit, zeta * unit], 128) == 1
+        assert multiplicative_rank(field, [zeta * unit, unit ** 2], 128) == 1
+
+    def test_minor_with_a_pivot_touching_zero_is_refused(self, m7, monkeypatch, refined_bits):
         units = [m7.gen(), m7.from_coords((-2, 0, 1))]
-        assert embeddings_module._proved_full_rank(m7, units, 128, None) == 2
         original = EmbeddingSet.log_abs_enclosure
 
         def widened(self, elem, index):
@@ -289,10 +320,10 @@ class TestRankProof:
             return original(self, elem, index) + iv.mpf([-0.5, 0.5])
 
         monkeypatch.setattr(EmbeddingSet, "log_abs_enclosure", widened)
-        assert embeddings_module._proved_full_rank(m7, units, 128, None) is None
-        # the fallback's log vectors are too wide at every level
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match="not certified"):
             multiplicative_rank(m7, units, 128)
+        # no other precision is tried
+        assert refined_bits == [128 + GUARD_BITS]
 
     def test_projected_rank_rejects_non_units(self, m7):
         with pytest.raises(NonUnitError):

@@ -280,6 +280,21 @@ class TestJ1:
                 assert abs(cube[k] - want) < 16 * tol
 
 
+@pytest.mark.parametrize(
+    "c, idx",
+    [
+        ([[iv.mpf([-0.5, 0.5])]], [0]),
+        ([[iv.mpf([-0.5, 0.5]), iv.mpf(0)], [iv.mpf(0), iv.mpf(1)]], [0, 1]),
+    ],
+    ids=["real-block", "plane"],
+)
+def test_a_ratio_enclosure_touching_zero_is_a_precision_shortfall(c, idx):
+    # a GL(p, Z) matrix acts on an invariant block by |nu| > 0, so J1 does
+    # not seal a FAILED certificate here: it asks for more precision
+    with mp.workprec(64), pytest.raises(PrecisionError, match="J1"):
+        lcpcore_module._block_ratio(c, idx, 0, 0)
+
+
 def _frozen_block_ratio(c, idx, tol, gen_index, block_index):
     """_block_ratio of the tolerance design, frozen: the reference for the
     ratios the exact J1 reads."""

@@ -544,7 +544,10 @@ class TestGalois:
             c for c in traces[2:] if _order(GaloisMap(field, c)) == d
         ]
         want = min(generators, key=lambda c: c.coords)
-        assert galois_generator(field).image == want
+        tau = galois_generator(field)
+        assert tau.image == want
+        # the recorded residue g names the image: c_g(alpha)
+        assert traces[tau.residue] == want
 
     def test_degree_one_identity(self):
         field = field_new(IntPoly((-2, 1)))  # x - 2, the rationals
