@@ -10,6 +10,7 @@ equality is meaningful for determinism and tamper checks.
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from mpmath import mp
 from mpmath.libmp import repr_dps
@@ -17,8 +18,6 @@ from mpmath.libmp import repr_dps
 from .errors import InputError
 
 SCHEMA_VERSION = 1
-
-_JSON_SCALARS = (str, int, bool, type(None))
 
 
 def enc_float(x, bits: int):
@@ -53,24 +52,88 @@ def enc_float_matrix(rows, bits: int):
 
 
 def canonical_json(document) -> str:
-    """Deterministic rendering: sorted keys, two-space indent, newline."""
-    _validate_tree(document, "$")
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering: sorted keys, two-space indent, newline.
+
+    One pass writes and validates: the bytes equal
+    json.dumps(document, sort_keys=True, indent=2) + "\n", with ASCII
+    escapes, and a key that is not a str or a leaf that is not a str, int,
+    bool or None raises InputError naming its path ($.a.b[3]).
+    """
+    out = []
+    try:
+        _write(document, out, "\n")
+    except _Fault as fault:
+        path = "$" + "".join(reversed(fault.where))
+        raise InputError(fault.template % path) from None
+    out.append("\n")
+    return "".join(out)
 
 
-def _validate_tree(node, path):
-    if isinstance(node, dict):
-        for key, value in node.items():
+class _Fault(Exception):
+    """A non-JSON node; each enclosing container adds its step to where."""
+
+    def __init__(self, template):
+        super().__init__(template)
+        self.template = template
+        self.where = []
+
+
+def _write(node, out, indent):
+    """Append node's rendering to out; indent is a newline and the spaces
+    of node's depth, which open the line of its closing bracket."""
+    if isinstance(node, str):
+        out.append(_encode_str(node))
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        for key in node:
             if not isinstance(key, str):
-                raise InputError("non-string key at %s" % path)
-            _validate_tree(value, path + "." + key)
+                raise _Fault("non-string key at %s")
+        inner = indent + "  "
+        lead = "{" + inner
+        for key in sorted(node):
+            out.append(lead + _encode_str(key) + ": ")
+            try:
+                _write(node[key], out, inner)
+            except _Fault as fault:
+                fault.where.append("." + key)
+                raise
+            lead = "," + inner
+        out.append(indent + "}")
     elif isinstance(node, (list, tuple)):
-        for i, value in enumerate(node):
-            _validate_tree(value, "%s[%d]" % (path, i))
-    elif not isinstance(node, _JSON_SCALARS):
-        raise InputError(
-            "certificate trees hold only JSON scalars, found %r at %s"
-            % (type(node).__name__, path)
+        if not node:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        try:  # the string encoder raises TypeError at the first non-str item
+            out.append("[" + inner + sep.join(map(_encode_str, node)) + indent + "]")
+            return
+        except TypeError:
+            pass
+        lead = "[" + inner
+        for i, item in enumerate(node):
+            out.append(lead)
+            try:
+                _write(item, out, inner)
+            except _Fault as fault:
+                fault.where.append("[%d]" % i)
+                raise
+            lead = sep
+        out.append(indent + "]")
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    else:
+        raise _Fault(
+            "certificate trees hold only JSON scalars, found %r at %%s"
+            % type(node).__name__
         )
 
 

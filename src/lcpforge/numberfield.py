@@ -552,9 +552,19 @@ class GaloisMap:
     def __init__(self, field: NumberField, image: FieldElem, residue=None):
         if image.field != field:
             raise InputError("image lives in a different field")
-        check = field.minpoly(image)
-        if check:
+        if field.minpoly(image):
             raise InputError("image is not a root of the defining polynomial")
+        self._seal(field, image, residue)
+
+    @classmethod
+    def _conjugate(cls, field: NumberField, image: FieldElem, residue: int):
+        """The map alpha -> image for an image that is a conjugate of alpha
+        by construction, so no root check runs: galois_generator's."""
+        gmap = object.__new__(cls)
+        gmap._seal(field, image, residue)
+        return gmap
+
+    def _seal(self, field, image, residue):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "image", image)
         object.__setattr__(self, "residue", residue)
@@ -596,10 +606,17 @@ def galois_generator(field: NumberField) -> GaloisMap:
     it generates the cyclic group of order d exactly when g generates
     (Z/m)^x / {+-1}.  Among those images the one with lexicographically
     smallest coordinates is returned, which makes the choice reproducible.
+
+    The image c_g(alpha) is a root of the defining polynomial by
+    construction: the field's polynomial is real_subfield_minpoly(m), whose
+    roots are the 2cos(2*pi*k/m), and c_g(z + 1/z) = z^g + z^-g, so
+    c_g(alpha) = sigma_g(alpha) is a conjugate of alpha.  The map is
+    therefore built without GaloisMap's root check, which every other
+    caller keeps.
     """
     d = field.degree
     if d == 1:
-        return GaloisMap(field, field.gen(), 1)
+        return GaloisMap._conjugate(field, field.gen(), 1)
     m = 2 * d + 1
     if not is_prime(m) or field.minpoly != real_subfield_minpoly(m):
         raise InputError(
@@ -615,7 +632,7 @@ def galois_generator(field: NumberField) -> GaloisMap:
         ),
         key=lambda pair: pair[0].coords,
     )
-    return GaloisMap(field, image, g)
+    return GaloisMap._conjugate(field, image, g)
 
 
 def order_mod_sign(g: int, m: int) -> int:

@@ -1,8 +1,10 @@
 """Tests for certificate serialization: float encoding round-trips,
 canonical JSON determinism, document validation, and atomic save/load."""
 
+import enum
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,8 @@ from lcpforge.certio import (
     load_certificate,
 )
 from lcpforge.errors import InputError
+
+DATA = Path(__file__).parent / "data"
 
 
 def _minimal_doc(**overrides):
@@ -95,13 +99,133 @@ def test_canonical_json_deterministic():
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
 
 
+def _reference_json(document) -> str:
+    """The rendering canonical_json reproduces, frozen here."""
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+_SCALAR_FAULT = "certificate trees hold only JSON scalars, found %r at %s"
+_KEY_FAULT = "non-string key at %s"
+
+# each fault, and the message template it raises with its path
+_FAULTS = [
+    pytest.param(1.5, _SCALAR_FAULT % ("float", "%s"), id="float"),
+    pytest.param(mp.mpf(1), _SCALAR_FAULT % ("mpf", "%s"), id="mpf"),
+    pytest.param({1, 2}, _SCALAR_FAULT % ("set", "%s"), id="set"),
+    pytest.param(b"bytes", _SCALAR_FAULT % ("bytes", "%s"), id="bytes"),
+    pytest.param({"a": 0, 1: "x"}, _KEY_FAULT, id="int-key"),
+    pytest.param({(1, 2): "x"}, _KEY_FAULT, id="tuple-key"),
+]
+
+# each place a fault can sit: a function that puts it there, and its path
+_PLACES = [
+    pytest.param(lambda f: f, "$", id="root"),
+    pytest.param(lambda f: {"x": f}, "$.x", id="dict"),
+    pytest.param(lambda f: [0, "a", f], "$[2]", id="list"),
+    pytest.param(lambda f: ("a", f), "$[1]", id="tuple"),
+    pytest.param(
+        lambda f: {"checks": {"rank": {"value": [0, 1, f], "verdict": True}},
+                   "pipeline": "ranklcp"},
+        "$.checks.rank.value[2]",
+        id="nested",
+    ),
+    pytest.param(
+        lambda f: {"generators": [{"witness": ["1", "2"]}, {"witness": [f]}]},
+        "$.generators[1].witness[0]",
+        id="list-of-dicts",
+    ),
+]
+
+
 def test_canonical_json_rejects_floats_and_objects():
-    with pytest.raises(InputError):
-        canonical_json({"x": 1.5})
-    with pytest.raises(InputError):
-        canonical_json({"x": mp.mpf(1)})
-    with pytest.raises(InputError):
-        canonical_json({1: "non-string key"})
+    for document, message in [
+        ({"x": 1.5}, _SCALAR_FAULT % ("float", "$.x")),
+        ({"x": mp.mpf(1)}, _SCALAR_FAULT % ("mpf", "$.x")),
+        ({1: "non-string key"}, _KEY_FAULT % "$"),
+    ]:
+        with pytest.raises(InputError) as info:
+            canonical_json(document)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("place, path", _PLACES)
+@pytest.mark.parametrize("fault, template", _FAULTS)
+def test_canonical_json_names_the_fault_and_its_path(fault, template, place, path):
+    with pytest.raises(InputError) as info:
+        canonical_json(place(fault))
+    assert str(info.value) == template % path
+
+
+def test_canonical_json_names_the_first_fault_in_sorted_key_order():
+    # "b" is inserted first, but "a" sorts first and is written first
+    document = {"b": {1: "x"}, "a": [1.5]}
+    with pytest.raises(InputError) as info:
+        canonical_json(document)
+    assert str(info.value) == _SCALAR_FAULT % ("float", "$.a[0]")
+    # within one dict a non-string key is named before any faulty value
+    with pytest.raises(InputError) as info:
+        canonical_json({"a": 1.5, 2: "x"})
+    assert str(info.value) == _KEY_FAULT % "$"
+
+
+def test_canonical_json_renders_int_and_str_subclasses_as_their_values():
+    class Level(enum.IntEnum):
+        HIGH = 7
+
+    class Name(str):
+        pass
+
+    document = {Name("k"): [Level.HIGH, Name('q"\\'), True, 1]}
+    assert canonical_json(document) == _reference_json(document)
+    assert json.loads(canonical_json(document)) == {"k": [7, 'q"\\', True, 1]}
+
+
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+     "\udfff", "\U0001f600", "/", "\n", "\t"]
+)
+_STRINGS = st.text(st.characters(exclude_categories=()) | _TRICKY, max_size=12)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | _STRINGS
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.lists(_STRINGS, max_size=5)
+    | st.dictionaries(_STRINGS, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_TREES)
+def test_canonical_json_matches_the_reference_rendering(document):
+    assert canonical_json(document) == _reference_json(document)
+
+
+_STORED = sorted(DATA.glob("*.json")) + sorted((DATA / "reports").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _STORED, ids=lambda p: p.parent.name + "/" + p.stem)
+def test_canonical_json_reproduces_every_stored_file(path):
+    text = path.read_text()
+    document = json.loads(text)
+    assert canonical_json(document) == _reference_json(document) == text
+
+
+def test_canonical_json_never_calls_json_dumps(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", forbidden)
+    monkeypatch.setattr(json.JSONEncoder, "encode", forbidden)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", forbidden)
+    document = json.loads((DATA / "reports" / "dmatrix_n8.json").read_text())
+    assert canonical_json(document).startswith('{\n  "field": {\n')
 
 
 # --------------------------------------------------------------------------

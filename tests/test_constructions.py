@@ -51,7 +51,7 @@ import lcpforge.polynomials as polynomials_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
-from lcpforge.numberfield import field_new, mult_matrix
+from lcpforge.numberfield import FieldElem, field_new, mult_matrix
 from lcpforge.polynomials import IntPoly
 
 M7 = IntPoly((-1, -2, 1, 1))
@@ -216,6 +216,22 @@ def test_exfield_runs_no_irreducibility_heuristic(monkeypatch):
     )
     assert make_exfield(20).field.degree == 21
     assert counts == {}
+
+
+def test_exfield_evaluates_no_polynomial_at_a_field_element(monkeypatch):
+    # the Galois generator's image is a root by construction (numberfield's
+    # test_generator_image_is_a_root), so no minimal polynomial is evaluated
+    # at it
+    arguments = []
+    original = IntPoly.__call__
+
+    def recording(self, x):
+        arguments.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(IntPoly, "__call__", recording)
+    assert make_exfield(20).field.degree == 21
+    assert not any(isinstance(x, FieldElem) for x in arguments)
 
 
 # --------------------------------------------------------------------------

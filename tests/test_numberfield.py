@@ -26,6 +26,7 @@ from lcpforge.errors import (
 from lcpforge.intlinalg import IntMatrix
 from lcpforge.numberfield import (
     GaloisMap,
+    NumberField,
     _pm_divmod,
     _pm_trim,
     dirichlet_rank_bound,
@@ -560,6 +561,19 @@ class TestGalois:
     def test_map_validation(self, m7):
         with pytest.raises(InputError):
             GaloisMap(m7, m7.from_rational(1))
+
+    # the conductors of the stored exfield --n 16/20/40 and dmatrix --n 7/8
+    # reports, 37, 43, 83 and 19, are among these
+    @pytest.mark.parametrize("m", [m for m in range(5, 44) if is_prime(m)] + [83])
+    def test_generator_image_is_a_root(self, m):
+        # galois_generator skips GaloisMap's root check because c_g(alpha)
+        # is a conjugate of alpha; the FieldElem Horner it skips agrees
+        field = NumberField(real_subfield_minpoly(m), "real cyclotomic subfield")
+        tau = galois_generator(field)
+        assert field.minpoly(tau.image) == field.zero()
+        # a map built by hand is still checked, residue or not
+        with pytest.raises(InputError, match="not a root"):
+            GaloisMap(field, tau.image + 1, tau.residue)
 
     def test_apply_is_homomorphism(self, m7):
         tau = galois_generator(m7)
