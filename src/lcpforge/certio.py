@@ -83,6 +83,14 @@ def _write(node, out, indent):
     of node's depth, which open the line of its closing bracket."""
     if isinstance(node, str):
         out.append(_encode_str(node))
+    elif node is None:
+        out.append("null")
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
     elif isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -107,11 +115,14 @@ def _write(node, out, indent):
             return
         inner = indent + "  "
         sep = "," + inner
-        try:  # the string encoder raises TypeError at the first non-str item
-            out.append("[" + inner + sep.join(map(_encode_str, node)) + indent + "]")
-            return
-        except TypeError:
-            pass
+        # A list ending in a str (a row of "n/d" entries) is tried as one
+        # join; [text, bits] float pairs and int rows skip the attempt.
+        if isinstance(node[-1], str):
+            try:  # the string encoder raises TypeError at a non-str item
+                out.append("[" + inner + sep.join(map(_encode_str, node)) + indent + "]")
+                return
+            except TypeError:
+                pass
         lead = "[" + inner
         for i, item in enumerate(node):
             out.append(lead)
@@ -122,14 +133,6 @@ def _write(node, out, indent):
                 raise
             lead = sep
         out.append(indent + "]")
-    elif node is None:
-        out.append("null")
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif isinstance(node, int):
-        out.append(int.__repr__(node))
     else:
         raise _Fault(
             "certificate trees hold only JSON scalars, found %r at %%s"

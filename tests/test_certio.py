@@ -123,6 +123,7 @@ _PLACES = [
     pytest.param(lambda f: {"x": f}, "$.x", id="dict"),
     pytest.param(lambda f: [0, "a", f], "$[2]", id="list"),
     pytest.param(lambda f: ("a", f), "$[1]", id="tuple"),
+    pytest.param(lambda f: [f, "a"], "$[0]", id="list-ending-in-str"),
     pytest.param(
         lambda f: {"checks": {"rank": {"value": [0, 1, f], "verdict": True}},
                    "pipeline": "ranklcp"},
@@ -178,6 +179,12 @@ def test_canonical_json_renders_int_and_str_subclasses_as_their_values():
     document = {Name("k"): [Level.HIGH, Name('q"\\'), True, 1]}
     assert canonical_json(document) == _reference_json(document)
     assert json.loads(canonical_json(document)) == {"k": [7, 'q"\\', True, 1]}
+
+
+def test_canonical_json_writes_lists_of_mixed_items():
+    for document in (["a", 1], [1, "a"], ["a", None, "b"], ("a", True, "b"),
+                     [["x"], "y"], [{"k": "v"}, "w"], ["1/2", "-3"], ("a",)):
+        assert canonical_json(document) == _reference_json(document)
 
 
 _TRICKY = st.sampled_from(
