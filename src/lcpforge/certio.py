@@ -9,7 +9,6 @@ equality is meaningful for determinism and tamper checks.
 
 import json
 import os
-import tempfile
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from mpmath import mp
@@ -197,16 +196,24 @@ class LcpCertificate:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text atomically: temp file in the target directory, then rename."""
+    """Write text atomically: temp file in the target directory, then rename.
+
+    The temp file is created as open(path, "w") creates a file, with mode
+    0o666 less the umask, and an OSError names path, not the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lcpforge-", suffix=".tmp")
+    tmp = os.path.join(directory, ".lcpforge-%s.tmp" % os.urandom(8).hex())
+    created = False
     try:
-        with os.fdopen(fd, "w") as handle:
+        with open(tmp, "x") as handle:
+            created = True
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if created:
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -66,7 +66,7 @@ from .numberfield import (
     dirichlet_rank_bound,
     elem_from_json,
     field_new,
-    galois_generator,
+    generator_from_traces,
     is_unit,
     minimal_polynomial,
     mult_matrix,
@@ -76,10 +76,10 @@ from .numberfield import (
 from .polynomials import (
     IntPoly,
     is_prime,
+    minpoly_from_traces,
     poly_from_json,
     poly_to_json,
     rat_to_json,
-    real_subfield_minpoly,
     trace_polys,
 )
 
@@ -93,14 +93,16 @@ WARP_SAMPLE_POINTS = 50
 
 class ExField:
     """Cyclic totally real field built from a prime modulus, with a
-    generator of its Galois group."""
+    generator of its Galois group and the trace polynomials
+    trace_polys(degree) that both were read off."""
 
-    __slots__ = ("field", "modulus", "sigma")
+    __slots__ = ("field", "modulus", "sigma", "traces")
 
-    def __init__(self, field: NumberField, modulus: int, sigma):
+    def __init__(self, field: NumberField, modulus: int, sigma, traces):
         self.field = field
         self.modulus = modulus
         self.sigma = sigma
+        self.traces = traces
 
 
 def make_exfield(n: int) -> ExField:
@@ -126,12 +128,19 @@ def _conductor(n, rank: int = 0) -> int:
 
 
 def _exfield(m: int) -> ExField:
-    # irreducible by construction, so field_new's heuristic is not run
-    field = NumberField(
-        real_subfield_minpoly(m),
+    """The field and Galois generator of make_exfield, from one
+    trace-polynomial pass.
+
+    The polynomial is irreducible, so field_new's heuristic is not run, and
+    its roots 2cos(2*pi*k/m), k = 1..d, are real and distinct, so the
+    signature is (d, 0) with no Sturm chain.
+    """
+    cs = trace_polys((m - 1) // 2)
+    field = NumberField._totally_real(
+        minpoly_from_traces(cs),
         "minimal polynomial of 2cos(2*pi/%d): degree [Q(zeta_m)^+ : Q]" % m,
     )
-    return ExField(field, m, galois_generator(field))
+    return ExField(field, m, generator_from_traces(field, cs), cs)
 
 
 def _orbit_rank(m: int) -> int:
@@ -182,7 +191,8 @@ def make_dmatrix(n: int) -> DMatrixData:
     (_orbit_rank); for every n whose first prime passes, that is the first
     prime.  The units are the Galois orbit prefix alpha, sigma(alpha), ...,
     sigma^(n-1)(alpha) of the field generator alpha = 2cos(2*pi/m), a
-    cyclotomic unit, read off the trace polynomials: for sigma = sigma_g,
+    cyclotomic unit, read off the trace polynomials that the field was
+    built from (ExField.traces): for sigma = sigma_g,
     sigma^k(alpha) = c_r(alpha) with r = g^k mod m, and c_r = c_(m-r).
     sigma permutes the real places, so their log vectors
     span a Krylov space of the place permutation, and a prefix of n of them
@@ -193,7 +203,7 @@ def make_dmatrix(n: int) -> DMatrixData:
     the pipelines decide exactly that they lie in GL(p, Z).
     """
     ex = _exfield(_conductor(n, int(n)))
-    m, cs = ex.modulus, trace_polys(ex.field.degree)
+    m, cs = ex.modulus, ex.traces
     residues = [pow(ex.sigma.residue, k, m) for k in range(int(n))]
     units = [ex.field.from_int_poly(cs[min(r, m - r)]) for r in residues]
     return DMatrixData(ex, units, [mult_matrix(u) for u in units])

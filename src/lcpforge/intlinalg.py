@@ -27,8 +27,20 @@ class IntMatrix:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InputError("matrix must be square and non-empty")
+        self._seal(rows)
+
+    @classmethod
+    def _of_ints(cls, rows: Tuple[Tuple[int, ...], ...]) -> "IntMatrix":
+        """The matrix of a non-empty square tuple of int tuples, taken as it
+        is: numberfield.mult_matrix's, whose entries are ints by
+        construction."""
+        matrix = object.__new__(cls)
+        matrix._seal(rows)
+        return matrix
+
+    def _seal(self, rows):
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -199,7 +211,7 @@ def eigen_solve(a: IntMatrix, lam) -> Tuple:
 
 
 def matrix_to_json(a: IntMatrix) -> List[List[str]]:
-    return [[str(x) for x in row] for row in a.rows]
+    return [list(map(str, row)) for row in a.rows]
 
 
 def matrix_from_json(data) -> IntMatrix:

@@ -11,6 +11,13 @@ primitive integer multiple, is monic with constant term +-1; that
 polynomial is derived for such elements, for inverses and for the
 minpoly_constant that certificates seal.
 
+The real cyclotomic subfields Q(2cos(2*pi/m)), m an odd prime, are built
+from one trace_polys(d) list, d = (m - 1)/2: the field polynomial is
+minpoly_from_traces of it, the signature is (d, 0) by construction, as the
+roots 2cos(2*pi*k/m) are real and distinct, and the Galois generator is
+read off the same list by generator_from_traces.  Every other field takes
+its signature from a Sturm chain.
+
 Irreducibility of a defining polynomial is decided by a layered heuristic:
 squarefreeness and rational roots first, then factor-degree patterns modulo
 small primes.  A pattern equal to {d} proves irreducibility outright; an
@@ -38,8 +45,8 @@ from .polynomials import (
     as_rat,
     binary_power,
     is_prime,
+    minpoly_from_traces,
     rat_from_json,
-    real_subfield_minpoly,
     sturm_chain,
     trace_polys,
 )
@@ -51,10 +58,22 @@ class NumberField:
     __slots__ = ("minpoly", "degree", "signature", "irreducibility")
 
     def __init__(self, minpoly: IntPoly, irreducibility: str):
+        s = sturm_chain(minpoly).count_all()
+        self._seal(minpoly, (s, (minpoly.degree - s) // 2), irreducibility)
+
+    @classmethod
+    def _totally_real(cls, minpoly: IntPoly, irreducibility: str):
+        """The field of a polynomial whose degree-many roots are real and
+        distinct by construction, signature (degree, 0) with no Sturm
+        chain: the real cyclotomic subfields of constructions._exfield."""
+        field = object.__new__(cls)
+        field._seal(minpoly, (minpoly.degree, 0), irreducibility)
+        return field
+
+    def _seal(self, minpoly, signature, irreducibility):
         object.__setattr__(self, "minpoly", minpoly)
         object.__setattr__(self, "degree", minpoly.degree)
-        s = sturm_chain(minpoly).count_all()
-        object.__setattr__(self, "signature", (s, (minpoly.degree - s) // 2))
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "irreducibility", irreducibility)
 
     def __setattr__(self, name, value):
@@ -297,14 +316,16 @@ def mult_matrix(u: FieldElem) -> IntMatrix:
             "multiplication matrix is not integral"
         )
     m = u.field.minpoly.coeffs
-    d = u.field.degree
-    col = [int(c) for c in u.coords]
+    m0, upper = m[0], m[1:-1]
+    col = [c.numerator for c in u.coords]
     cols = [col]
-    for _ in range(d - 1):
+    for _ in range(u.field.degree - 1):
         top = col[-1]
-        col = [(col[i - 1] if i else 0) - top * m[i] for i in range(d)]
+        col = [-top * m0, *[c - top * b for c, b in zip(col, upper)]]
         cols.append(col)
-    return IntMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
+    # every entry is an int by construction, so the rows skip IntMatrix's
+    # per-entry check
+    return IntMatrix._of_ints(tuple(zip(*cols)))
 
 
 @lru_cache(maxsize=64)
@@ -601,38 +622,53 @@ def galois_generator(field: NumberField) -> GaloisMap:
     """A generator of the automorphism group of a real cyclotomic subfield.
 
     The field must be Q(2cos(2*pi/m)) for an odd prime conductor m = 2d + 1,
-    given by real_subfield_minpoly(m); degree one is the trivial group.  The
-    automorphism sigma_g sends the generator 2cos(2*pi/m) to c_g of it, and
-    it generates the cyclic group of order d exactly when g generates
+    given by real_subfield_minpoly(m); degree one is the trivial group.
+    That is checked here, and generator_from_traces makes the choice.
+    """
+    d = field.degree
+    if d == 1:
+        return GaloisMap._conjugate(field, field.gen(), 1)
+    cs = trace_polys(d)
+    if not is_prime(2 * d + 1) or field.minpoly != minpoly_from_traces(cs):
+        raise InputError(
+            "Galois generators are only available for real cyclotomic "
+            "subfields of prime conductor; %r is not one" % field.minpoly
+        )
+    return generator_from_traces(field, cs)
+
+
+def generator_from_traces(field: NumberField, cs: Sequence[IntPoly]) -> GaloisMap:
+    """galois_generator of a field whose polynomial is minpoly_from_traces(cs),
+    for cs = trace_polys(d), d >= 2 and m = 2d + 1 prime, read off cs.
+
+    The automorphism sigma_g sends the generator 2cos(2*pi/m) to c_g of it,
+    and it generates the cyclic group of order d exactly when g generates
     (Z/m)^x / {+-1}.  Among those images the one with lexicographically
     smallest coordinates is returned, which makes the choice reproducible.
+    The coordinates of c_g(alpha) are those of c_g for g < d; c_d is monic
+    of degree d, like the field polynomial, and one subtraction reduces it.
+    Only the chosen image becomes a FieldElem.
 
     The image c_g(alpha) is a root of the defining polynomial by
-    construction: the field's polynomial is real_subfield_minpoly(m), whose
-    roots are the 2cos(2*pi*k/m), and c_g(z + 1/z) = z^g + z^-g, so
+    construction: that polynomial is real_subfield_minpoly(m), whose roots
+    are the 2cos(2*pi*k/m), and c_g(z + 1/z) = z^g + z^-g, so
     c_g(alpha) = sigma_g(alpha) is a conjugate of alpha.  The map is
     therefore built without GaloisMap's root check, which every other
     caller keeps.
     """
     d = field.degree
-    if d == 1:
-        return GaloisMap._conjugate(field, field.gen(), 1)
-    m = 2 * d + 1
-    if not is_prime(m) or field.minpoly != real_subfield_minpoly(m):
-        raise InputError(
-            "Galois generators are only available for real cyclotomic "
-            "subfields of prime conductor; %r is not one" % field.minpoly
-        )
-    cs = trace_polys(d)
+    m, f = 2 * d + 1, field.minpoly.coeffs
+
+    def coords(g):
+        c = cs[g].coeffs
+        if g < d:
+            return c + (0,) * (d - 1 - g)
+        return tuple(a - b for a, b in zip(c[:-1], f))
+
     image, g = min(
-        (
-            (field.from_int_poly(cs[g]), g)
-            for g in range(2, d + 1)
-            if order_mod_sign(g, m) == d
-        ),
-        key=lambda pair: pair[0].coords,
+        (coords(g), g) for g in range(2, d + 1) if order_mod_sign(g, m) == d
     )
-    return GaloisMap._conjugate(field, image, g)
+    return GaloisMap._conjugate(field, FieldElem(field, image), g)
 
 
 def order_mod_sign(g: int, m: int) -> int:

@@ -169,12 +169,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
-    def shift_degree(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def content(self) -> int:
         return gcd(*self.coeffs)
 
@@ -274,10 +268,13 @@ def trace_polys(n: int) -> List[IntPoly]:
     """
     if n < 0:
         raise InputError("trace polynomial index must be >= 0")
-    cs = [IntPoly((2,)), IntPoly((0, 1))]
+    cs = [[2], [0, 1]]
     while len(cs) <= n:
-        cs.append(cs[-1].shift_degree(1) - cs[-2])
-    return cs[: n + 1]
+        c = [0, *cs[-1]]
+        for i, x in enumerate(cs[-2]):
+            c[i] -= x
+        cs.append(c)
+    return [IntPoly(c) for c in cs[: n + 1]]
 
 
 def is_prime(m: int) -> bool:
@@ -306,8 +303,18 @@ def real_subfield_minpoly(m: int) -> IntPoly:
     """
     if m % 2 == 0 or not is_prime(m):
         raise InputError("index must be an odd prime, got %d" % m)
+    return minpoly_from_traces(trace_polys((m - 1) // 2))
+
+
+def minpoly_from_traces(cs: Sequence[IntPoly]) -> IntPoly:
+    """sum(c_k) - 1 for cs = trace_polys(d): real_subfield_minpoly(2d + 1)
+    read off a trace-polynomial list that a caller already holds."""
     # c_0 = 2 is in the sum, so the constant term starts at -1
-    return sum(trace_polys((m - 1) // 2), IntPoly((-1,)))
+    out = [-1] + [0] * (len(cs) - 1)
+    for c in cs:
+        for i, x in enumerate(c.coeffs):
+            out[i] += x
+    return IntPoly(out)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 canonical JSON determinism, document validation, and atomic save/load."""
 
 import enum
+import errno
 import json
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from lcpforge.certio import (
     enc_float_matrix,
     enc_float_vector,
     load_certificate,
+    write_atomic,
 )
 from lcpforge.errors import InputError
 
@@ -286,6 +289,41 @@ def test_save_and_load_roundtrip(tmp_path):
     assert loaded.to_json() == cert.to_json()
     # the write is atomic: no stray temp files remain
     assert os.listdir(str(tmp_path)) == ["cert.json"]
+
+
+@pytest.mark.parametrize(
+    "umask", [0o022, 0o077, 0o002, 0o000], ids=["022", "077", "002", "000"]
+)
+def test_save_gives_the_file_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_atomic(str(tmp_path / "cert.json"), "{}\n")
+        with open(str(tmp_path / "plain.json"), "w") as handle:
+            handle.write("{}\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(str(tmp_path / "cert.json")).st_mode)
+    assert mode == 0o666 & ~umask
+    assert mode == stat.S_IMODE(os.stat(str(tmp_path / "plain.json")).st_mode)
+
+
+def test_save_error_names_the_target_and_leaves_no_temp_file(tmp_path):
+    missing = str(tmp_path / "missing" / "cert.json")
+    with pytest.raises(FileNotFoundError) as raised:
+        write_atomic(missing, "{}\n")
+    assert raised.value.filename == missing
+    assert str(raised.value) == "[Errno %d] %s: %r" % (
+        errno.ENOENT, os.strerror(errno.ENOENT), missing
+    )
+    # the rename onto a directory fails after the temp file was written
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        write_atomic(str(target), "{}\n")
+    assert raised.value.filename == str(target)
+    assert raised.value.filename2 is None
+    assert sorted(os.listdir(str(tmp_path))) == ["taken"]
+    assert os.listdir(str(target)) == []
 
 
 def test_load_certificate_missing_file(tmp_path):

@@ -160,6 +160,15 @@ def test_out_writes_canonical_json(tmp_path, capsys):
     assert doc["verdict"] == "PASS"
 
 
+def test_out_that_cannot_be_written_is_named_in_the_error(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, "exfield", "--n", "2", "--out", target)
+    assert code == 2
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: %r\n" % target
+    assert os.listdir(str(tmp_path)) == []
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     run_cli(capsys, "ranklcp", "--n", "1", "--seed", "3", "--out", str(p1))

@@ -51,8 +51,21 @@ import lcpforge.polynomials as polynomials_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
-from lcpforge.numberfield import FieldElem, field_new, mult_matrix
-from lcpforge.polynomials import IntPoly
+from lcpforge.numberfield import (
+    FieldElem,
+    NumberField,
+    field_new,
+    galois_generator,
+    mult_matrix,
+    order_mod_sign,
+)
+from lcpforge.polynomials import (
+    IntPoly,
+    is_prime,
+    real_subfield_minpoly,
+    sturm_chain,
+    trace_polys,
+)
 
 M7 = IntPoly((-1, -2, 1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -232,6 +245,87 @@ def test_exfield_evaluates_no_polynomial_at_a_field_element(monkeypatch):
     monkeypatch.setattr(IntPoly, "__call__", recording)
     assert make_exfield(20).field.degree == 21
     assert not any(isinstance(x, FieldElem) for x in arguments)
+
+
+def test_exfield_reads_everything_off_one_trace_polynomial_pass(monkeypatch):
+    # the field polynomial, its signature and the Galois generator come
+    # from one trace_polys list: no second real_subfield_minpoly to compare
+    # with, and no Sturm chain for a signature that is (d, 0) by
+    # construction (three passes, two real_subfield_minpoly calls and one
+    # chain before)
+    modules = (constructions_module, numberfield_module, polynomials_module)
+    counts = _count_calls(
+        monkeypatch,
+        [(module, name) for module in modules
+         for name in ("trace_polys", "real_subfield_minpoly")
+         if hasattr(module, name)],
+    )
+    ex = make_exfield(40)
+    assert ex.field.signature == (41, 0)
+    assert counts == {"trace_polys": 1}
+    assert polynomials_module.sturm_chain.cache_info().misses == 0
+
+
+def test_dmatrix_reads_the_trace_polynomials_its_field_was_built_from(monkeypatch):
+    modules = (constructions_module, numberfield_module, polynomials_module)
+    counts = _count_calls(monkeypatch, [(m, "trace_polys") for m in modules])
+    assert len(make_dmatrix(8).units) == 8
+    assert counts == {"trace_polys": 1}
+
+
+def _frozen_galois_choice(field, m):
+    """(image coordinates, residue) of galois_generator as it was derived
+    before the images were compared as integer tuples: every candidate
+    c_g(alpha) reduced as a FieldElem by the field polynomial, the least
+    coordinates kept."""
+    d = field.degree
+    cs = trace_polys(d)
+    image, g = min(
+        (
+            (field.from_int_poly(cs[g]), g)
+            for g in range(2, d + 1)
+            if order_mod_sign(g, m) == d
+        ),
+        key=lambda pair: pair[0].coords,
+    )
+    return image.coords, g
+
+
+def _frozen_mult_matrix(u):
+    """mult_matrix as it was derived before the transpose went to zip: the
+    columns by the index recurrence, the rows through the validating
+    IntMatrix constructor."""
+    m, d = u.field.minpoly.coeffs, u.field.degree
+    col = [int(c) for c in u.coords]
+    cols = [col]
+    for _ in range(d - 1):
+        top = col[-1]
+        col = [(col[i - 1] if i else 0) - top * m[i] for i in range(d)]
+        cols.append(col)
+    return IntMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
+
+
+@pytest.mark.parametrize("m", [m for m in range(5, 212) if is_prime(m)])
+def test_exfield_construction_matches_the_derivations_it_replaces(m):
+    # _exfield takes the signature, the polynomial and the Galois generator
+    # as proved by construction; each is compared here with the derivation
+    # it replaces
+    ex = constructions_module._exfield(m)
+    field, d = ex.field, (m - 1) // 2
+    f = field.minpoly
+    assert sturm_chain(f).count_all() == d
+    assert field.signature == (d, 0) == NumberField(f, "checked").signature
+    assert f == sum(trace_polys(d), IntPoly((-1,))) == real_subfield_minpoly(m)
+    assert ex.traces == trace_polys(d)
+    expected = _frozen_galois_choice(field, m)
+    assert (ex.sigma.image.coords, ex.sigma.residue) == expected
+    public = galois_generator(field)
+    assert (public.image.coords, public.residue) == expected
+    # alpha, sigma(alpha) and c_d(alpha), the one image that needs reducing
+    for u in (field.gen(), ex.sigma.image, field.from_int_poly(ex.traces[d])):
+        built, frozen = mult_matrix(u), _frozen_mult_matrix(u)
+        assert built == frozen
+        assert hash(built) == hash(frozen)
 
 
 # --------------------------------------------------------------------------
@@ -465,18 +559,19 @@ def test_rank_pipeline_derives_each_determinant_once(det_derivations, n):
 
 
 @pytest.mark.parametrize(
-    "build, degree",
+    "build, degrees",
     [
-        (lambda: make_exfield(40), 41),
-        (lambda: make_rank_n_lcp(4, 128, seed=0), 5),
+        (lambda: make_exfield(40), []),
+        (lambda: make_rank_n_lcp(4, 128, seed=0), [5]),
     ],
     ids=["exfield-40", "ranklcp-4"],
 )
-def test_each_polynomial_takes_one_pseudo_remainder_sequence(monkeypatch, build, degree):
+def test_each_polynomial_takes_one_pseudo_remainder_sequence(monkeypatch, build, degrees):
     # the squarefree tests, the signature and the real-root isolation of
     # the one field polynomial read one Sturm chain, whose single sequence
     # takes degree-many pseudo-remainders (three sequences and more before:
-    # 123 and 35 calls)
+    # 123 and 35 calls); exfield's signature is (d, 0) by construction and
+    # it isolates no root, so it builds no chain (one before)
     built, calls = [], []
 
     class CountedChain(polynomials_module.SturmChain):
@@ -495,9 +590,9 @@ def test_each_polynomial_takes_one_pseudo_remainder_sequence(monkeypatch, build,
     monkeypatch.setattr(polynomials_module, "SturmChain", CountedChain)
     monkeypatch.setattr(polynomials_module, "_pseudo_remainder", counting)
     build()
-    assert polynomials_module.sturm_chain.cache_info().misses == len(built) == 1
-    assert [p.degree for p in built] == [degree]
-    assert len(calls) == degree
+    assert polynomials_module.sturm_chain.cache_info().misses == len(built)
+    assert [p.degree for p in built] == degrees
+    assert len(calls) == sum(degrees)
 
 
 def test_rank_pipeline_refuses_a_non_commuting_family_before_sealing(monkeypatch):

@@ -208,6 +208,32 @@ class TestElementArithmetic:
         with pytest.raises(NonIntegralError):
             mult_matrix(m7.gen() * QQ(1, 2))
 
+    def test_mult_matrix_rows_skip_the_per_entry_check(self, m7, monkeypatch):
+        # the entries are ints by construction, so neither the validating
+        # IntMatrix constructor nor as_int runs; a matrix built by hand is
+        # still checked entry by entry
+        import lcpforge.intlinalg as intlinalg_module
+
+        calls = []
+        original_init, original_as_int = IntMatrix.__init__, intlinalg_module.as_int
+
+        def counting_init(self, rows):
+            calls.append("IntMatrix")
+            original_init(self, rows)
+
+        def counting_as_int(x):
+            calls.append("as_int")
+            return original_as_int(x)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+        monkeypatch.setattr(intlinalg_module, "as_int", counting_as_int)
+        m = mult_matrix(m7.from_coords((2, -1, 3)))
+        assert m.rows == ((2, 3, -4), (-1, 8, -5), (3, -4, 12))
+        assert calls == []
+        with pytest.raises(InputError):
+            IntMatrix(((1, QQ(1, 2)), (0, 1)))
+        assert calls == ["IntMatrix", "as_int"]
+
     @given(_coords(rationals))
     def test_minimal_polynomial_annihilates(self, ca):
         field = field_new(M7)
