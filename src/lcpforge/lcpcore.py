@@ -613,16 +613,6 @@ class CrossTerm:
         self.epsilon = epsilon
 
 
-class Extension:
-    """A conformally-scaled extra factor glued onto the metric."""
-
-    __slots__ = ("functional", "gram")
-
-    def __init__(self, functional, gram):
-        self.functional = functional
-        self.gram = _freeze(gram)
-
-
 class MetricSpec:
     """Assembled translation-equivariant metric in block coordinates.
 
@@ -639,14 +629,12 @@ class MetricSpec:
         "base_conformal",
         "translations",
         "cross_terms",
-        "extensions",
         "n",
         "precision_bits",
     )
 
     def __init__(self, decomposition, ratios, flat_block, functionals,
-                 base_conformal, translations, cross_terms=(), extensions=(),
-                 precision_bits=None):
+                 base_conformal, translations, cross_terms=(), precision_bits=None):
         self.decomposition = decomposition
         self.ratios = ratios
         self.flat_block = int(flat_block)
@@ -654,7 +642,6 @@ class MetricSpec:
         self.base_conformal = base_conformal
         self.translations = tuple(tuple(v) for v in translations)
         self.cross_terms = tuple(cross_terms)
-        self.extensions = tuple(extensions)
         self.n = len(self.translations[0]) if self.translations else 0
         self.precision_bits = (
             decomposition.precision_bits if precision_bits is None else precision_bits
@@ -662,8 +649,7 @@ class MetricSpec:
 
     @property
     def total_dim(self):
-        extra = sum(len(e.gram) for e in self.extensions)
-        return self.decomposition.p + self.n + extra
+        return self.decomposition.p + self.n
 
     def replace(self, **kwargs) -> "MetricSpec":
         fields = {
@@ -674,7 +660,6 @@ class MetricSpec:
             "base_conformal": self.base_conformal,
             "translations": self.translations,
             "cross_terms": self.cross_terms,
-            "extensions": self.extensions,
             "precision_bits": self.precision_bits,
         }
         fields.update(kwargs)
@@ -844,43 +829,6 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
     return spec.replace(cross_terms=spec.cross_terms + new_terms)
 
 
-def extend(spec: MetricSpec, functional: AffineFunctional, gram) -> MetricSpec:
-    """Glue a conformally-scaled constant factor onto the metric.
-
-    The gram matrix is symmetric positive definite with int or Fraction
-    entries.  The scaling functional must have the same increments as the
-    base conformal factor along every stored translation, otherwise the
-    glued metric would break equivariance.
-    """
-    if len(functional.coeffs) != spec.n:
-        raise InputError("the extension functional needs %d coefficients" % spec.n)
-    gram = [list(row) for row in gram]
-    m = len(gram)
-    if m == 0:
-        return spec
-    if any(len(row) != m for row in gram):
-        raise InputError("extension gram matrix must be square")
-    _check_rational(gram)
-    if any(gram[i][j] != gram[j][i] for i in range(m) for j in range(i + 1, m)):
-        raise InputError("extension gram matrix must be symmetric")
-    tol = tolerance(spec.precision_bits)
-    workbits = spec.decomposition.workbits
-    with _at_prec(workbits):
-        rows = [[rawmetric.to_dyadic(x) for x in row] for row in gram]
-        if not rawmetric.positive_definite(rows, rawmetric.to_dyadic(tol), workbits):
-            raise InputError("extension gram matrix must be positive definite")
-        for v in spec.translations:
-            want = spec.base_conformal.shift(v)
-            got = functional.shift(v)
-            if abs(want - got) > tol:
-                raise CheckFailureError(
-                    "extension functional does not match the base conformal "
-                    "increments; the glued metric would not be equivariant"
-                )
-    ext = Extension(functional, gram)
-    return spec.replace(extensions=spec.extensions + (ext,))
-
-
 # ----------------------------------------------------------------------
 # equivariance verification
 
@@ -931,9 +879,8 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
     The sample points do not depend on the generator, so h(x) is evaluated
     once per point and h(x + v) once per point and generator.  The
     pullback uses the exact affine Jacobian of the action: the linear part
-    in block coordinates on the fiber, identity on base and extension
-    coordinates.  The arithmetic runs in rawmetric on (m, e) pairs
-    m * 2**e, each sum and product rounded to nearest, ties to even, in
+    in block coordinates on the fiber, identity on base coordinates.  The
+    arithmetic runs in rawmetric on (m, e) pairs m * 2**e, each sum and product rounded to nearest, ties to even, in
     the order the mpf expressions evaluate, so the residual is the mpf
     loop's bit for bit.  Returns one report per generator, in order, with
     the maximum relative residual and the verdict against the precision

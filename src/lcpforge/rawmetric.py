@@ -122,10 +122,10 @@ def _functional(f):
 
 class MetricTerms:
     """The constant data of a MetricSpec as pairs at its working
-    precision: functional coefficients, cross-term scales and tables,
-    extension grams.  Converted once, read by every metric_gram call."""
+    precision: functional coefficients, cross-term scales and tables.
+    Converted once, read by every metric_gram call."""
 
-    __slots__ = ("prec", "p", "n", "total", "blocks", "base", "cross", "extensions")
+    __slots__ = ("prec", "p", "n", "total", "blocks", "base", "cross")
 
     def __init__(self, spec):
         decomp = spec.decomposition
@@ -150,10 +150,6 @@ class MetricTerms:
                     [[to_dyadic(t) for t in row] for row in term.table],
                 )
                 for term in spec.cross_terms
-            ]
-            self.extensions = [
-                (_functional(ext.functional), [[to_dyadic(g) for g in row] for row in ext.gram])
-                for ext in spec.extensions
             ]
 
 
@@ -246,13 +242,6 @@ def metric_gram(terms: MetricTerms, x):
     for epsilon, functional, idx1, idx2, table in terms.cross:
         scale = _mul(epsilon, _exp_twice(functional, x, prec), prec)
         _add_cross(gram, scale, idx1, idx2, table, prec)
-    offset = p + terms.n
-    for functional, ext in terms.extensions:
-        scale = _exp_twice(functional, x, prec)
-        for i, row in enumerate(ext):
-            for j, g in enumerate(row):
-                gram[offset + i][offset + j] = _mul(scale, g, prec)
-        offset += len(ext)
     return gram
 
 

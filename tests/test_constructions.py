@@ -11,8 +11,11 @@ import functools
 import gc
 import importlib
 import itertools
+import json
 import pkgutil
+import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,7 +43,6 @@ from lcpforge.errors import (
     CheckFailureError,
     InputError,
     NonUnitError,
-    PrecisionError,
     StructureError,
 )
 import lcpforge.embeddings as embeddings_module
@@ -671,6 +673,84 @@ def test_kourganoff_rejects_shear():
         make_kourganoff(1, IntMatrix(((1, 1), (0, 1))), 128)
 
 
+def _spectral_sweep(q):
+    """Every det-1 matrix with squarefree characteristic polynomial in
+    SL(2, Z) with entries in [-2, 2] (q = 1), or a seeded sample of 200 of
+    those in SL(3, Z) with entries in {-1, 0, 1} (q = 2)."""
+    if q == 1:
+        return [
+            IntMatrix(((a, b), (c, d)))
+            for a, b, c, d in itertools.product(range(-2, 3), repeat=4)
+            if a * d - b * c == 1 and (a + d) ** 2 != 4
+        ]
+    sl3 = []
+    for e in itertools.product((-1, 0, 1), repeat=9):
+        a = IntMatrix((e[0:3], e[3:6], e[6:9]))
+        # x^3 - t x^2 + m x - 1 is squarefree iff its discriminant is not 0
+        if det(a) == 1 and _cubic_discriminant(-(e[0] + e[4] + e[8]), _minor_sum(e), -1) != 0:
+            sl3.append(a)
+    return random.Random(2024).sample(sl3, 200)
+
+
+def _minor_sum(e):
+    return (e[0] * e[4] - e[1] * e[3]) + (e[0] * e[8] - e[2] * e[6]) + (e[4] * e[8] - e[5] * e[7])
+
+
+def _cubic_discriminant(b, c, d):
+    """Discriminant of x^3 + b x^2 + c x + d."""
+    return b * b * c * c - 4 * c ** 3 - 4 * b ** 3 * d - 27 * d * d + 18 * b * c * d
+
+
+def _expected_expanding_block(q, a):
+    """The expanding block by hand, or None where the hypothesis fails.
+
+    q = 1: x^2 - t x + 1 has two real roots r, 1/r exactly when |t| > 2;
+    they are positive for t > 2, so the expanding root comes first in
+    descending order, and negative for t < -2, where it comes last.
+    q = 2: x^3 - t x^2 + m x - 1 needs one real root mu (a negative
+    discriminant) with mu > 1, which for a monic cubic with one real root
+    is chi(1) = m - t < 0; mu is the only real root, block 0.
+    """
+    t = sum(a[i, i] for i in range(a.n))
+    if q == 1:
+        return None if abs(t) <= 2 else (0 if t > 2 else 1)
+    e = [a[i, j] for i in range(3) for j in range(3)]
+    m = _minor_sum(e)
+    one_real = _cubic_discriminant(-t, m, -1) < 0
+    return 0 if one_real and m - t < 0 else None
+
+
+@pytest.mark.parametrize("q, passed, refused", [(1, 8, 18), (2, 46, 154)])
+def test_kourganoff_spectral_hypothesis_is_the_exact_predicate(q, passed, refused):
+    cases = collections.Counter()
+    for a in _spectral_sweep(q):
+        up = _expected_expanding_block(q, a)
+        if up is None:
+            with pytest.raises(StructureError):
+                make_kourganoff(q, a, 128)
+            cases["refused"] += 1
+            continue
+        cert = make_kourganoff(q, a, 128)
+        assert cert.verdict == "PASS"
+        spectral = cert.checks["spectral"]
+        assert spectral["expanding_block"] == up
+        # two blocks: two real roots, or a real root and a complex pair
+        assert spectral["contracting_blocks"] == [1 - up]
+        cases["passed"] += 1
+    assert cases == {"passed": passed, "refused": refused}
+
+
+@pytest.mark.parametrize("name, q", [
+    ("kourganoff_q1_128", 1), ("kourganoff_q1_1024", 1), ("kourganoff_q2_128", 2),
+])
+def test_sealed_warp_coefficient_is_q_plus_one(name, q):
+    # the coefficient the warp check once compared with q + 1 at runtime
+    doc = json.loads((Path(__file__).parent / "data" / (name + ".json")).read_text())
+    coeff, bits = doc["checks"]["warp"]["functional_coeff"]
+    with mp.workprec(bits + 64):
+        assert abs(mp.mpf(coeff) - (q + 1)) <= mp.mpf(2) ** -100
+
+
 # --------------------------------------------------------------------------
 # unit-lattice quotients
 
@@ -710,20 +790,26 @@ def test_ot_translations_are_real_place_logs(plastic_ot):
         assert abs(got - mp.log(rho)) < mp.mpf(2) ** -100
 
 
-@pytest.mark.parametrize("bits, tried", [(128, [128, 256]), (4096, [4096])])
-def test_real_sign_error_names_the_last_precision_tried(monkeypatch, bits, tried):
-    # the sign escalates once, to twice the bits unless that passes the cap
-    levels = []
+# a dyadic 2^-40 below the larger real root of x^4 - x - 1, near 1.2207
+_BELOW = Fraction(1342222315562, 2 ** 40)
 
-    def straddle(self, elem, index):
-        levels.append(self.bits)
-        return iv.mpf([-1, 1])
 
-    monkeypatch.setattr(embeddings_module.EmbeddingSet, "embed_enclosure", straddle)
-    field = field_new(PLASTIC)
-    with pytest.raises(PrecisionError, match=r"at %d bits$" % tried[-1]):
-        constructions_module._certified_real_sign(field, field.gen(), 0, bits)
-    assert levels == tried
+@pytest.mark.parametrize("coords", [
+    (0, 1, 0, 0), (0, -1, 0, 0), (-1, 0, 1, 0), (-1, 1, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0),
+    # a root of g inside the isolating interval, either side of the real
+    # root, so the interval has to be bisected
+    (-_BELOW, 1, 0, 0), (-_BELOW - Fraction(1, 2 ** 40), 1, 0, 0), (-_BELOW / 3, Fraction(1, 3), 0, 0),
+], ids=["alpha", "-alpha", "alpha^2-1", "alpha-1", "1", "-1", "alpha-c", "alpha-c'", "(alpha-c)/3"])
+def test_real_sign_is_decided_exactly(coords):
+    # the unit alpha of x^4 - x - 1 is negative at the first real place
+    # (near -0.7245) and positive at the second
+    u = FieldElem(field_new(QUARTIC), coords)
+    intervals = polynomials_module.isolate_real_roots(QUARTIC)
+    got = [constructions_module._real_sign(QUARTIC, r, u) for r in intervals]
+    with mp.workprec(256):
+        roots = sorted(r.real for r in mp.polyroots([1, 0, 0, -1, -1]) if abs(r.imag) < 1e-60)
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(u.coords)]
+        assert got == [int(mp.sign(mp.polyval(coeffs, r))) for r in roots]
 
 
 def test_ot_rejects_wrong_signature():

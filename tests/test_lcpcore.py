@@ -50,7 +50,6 @@ from lcpforge.lcpcore import (
     check_J1,
     check_J2,
     conjugated_numeric,
-    extend,
     find_block_decomposition,
     lcp_rank,
     solve_equivariant_functional,
@@ -692,14 +691,6 @@ def _mpf_gram(spec, point):
                     value = scale * _to_mpf(term.table[a][b])
                     gram[i][j] += value
                     gram[j][i] += value
-        offset = p + n
-        for ext in spec.extensions:
-            scale = mp.exp(2 * _mpf_functional(ext.functional, x))
-            m = len(ext.gram)
-            for i in range(m):
-                for j in range(m):
-                    gram[offset + i][offset + j] = scale * _to_mpf(ext.gram[i][j])
-            offset += m
         return gram
 
 
@@ -813,11 +804,6 @@ class TestPullbackAgainstDenseReference:
         assert ot_lck_inputs[0][0].cross_terms
         self._check(ot_lck_inputs)
 
-    def test_extended_spec(self, squared_metric):
-        spec, gens = squared_metric
-        bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
-        self._check([(bigger, gens)])
-
     def test_check_above_the_spec_precision(self, ot_lck_inputs):
         # verify --precision 256 of a 128-bit certificate: the points and
         # the pullback run at more bits than the metric, which rounds them
@@ -914,16 +900,14 @@ class TestMetricAgainstMpfReference:
         pts = _mpf_sample_points(spec, 5, 7, spec.decomposition.workbits + 64)
         self._check(spec, [[0] * spec.decomposition.p + list(x) for x in pts])
 
-    def test_extension_at_rational_points(self, squared_metric):
+    def test_cross_terms_at_rational_points(self, squared_metric):
         spec, _ = squared_metric
-        bigger = add_cross_terms(
-            extend(spec, spec.base_conformal, [[2, QQ(1, 3)], [QQ(1, 3), 2]]), [(1, 2)]
-        )
-        points = [[0, 0, 0, QQ(1, 3), QQ(-2, 7)], [1, 2, 3, 5, QQ(1, 10), 9, 9]]
-        self._check(bigger, points)
-        gram = _gram(bigger, points[0][3:5])
+        coupled = add_cross_terms(spec, [(1, 2)])
+        points = [[0, 0, 0, QQ(1, 3), QQ(-2, 7)], [1, 2, 3, 5, QQ(1, 10)]]
+        self._check(coupled, points)
+        gram = _gram(coupled, points[0][3:5])
         exact_zero = mp.mpf(0)._mpf_
-        assert gram[0][1]._mpf_ == gram[3][5]._mpf_ == exact_zero
+        assert gram[0][1]._mpf_ == gram[0][3]._mpf_ == gram[3][4]._mpf_ == exact_zero
         assert gram[1][2] != 0
 
 
@@ -1025,7 +1009,7 @@ class TestSylvesterAgainstDenseReference:
 
     @given(sparse_symmetric())
     def test_int_entries(self, rows):
-        # the extend path: int entries converted at the working precision
+        # small exact entries converted at the working precision
         self._check(rows)
 
     @given(sparse_symmetric(), st.integers(3, 97))
@@ -1107,11 +1091,6 @@ class TestScaleSearchAgainstDenseReference:
         once = add_cross_terms(spec, [(1, 2)])
         assert self._check(once, [(1, 2)]) < once.cross_terms[0].epsilon
 
-    def test_extended_spec(self, squared_metric):
-        spec, _ = squared_metric
-        bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
-        self._check(bigger, [(1, 2)])
-
     @pytest.mark.parametrize("which", ["squared", "ot_lck"])
     def test_tested_matrices_match_the_mpf_loop(
         self, which, squared_metric, ot_lck_uncoupled, monkeypatch
@@ -1161,50 +1140,6 @@ class TestRationalEntries:
         spec, _ = squared_metric
         coupled = add_cross_terms(spec, [(1, 2)], tables=[[[QQ(1, 2)]]])
         assert _metric_section(coupled)["cross_terms"][0]["table"] == [["1/2"]]
-
-    def test_float_extension_gram_rejected(self, squared_metric):
-        spec, _ = squared_metric
-        with pytest.raises(InputError):
-            extend(spec, spec.base_conformal, [[2.5, 0.1], [0.1, 2.5]])
-
-    def test_fraction_extension_gram_sealed_exactly(self, squared_metric):
-        spec, _ = squared_metric
-        bigger = extend(spec, spec.base_conformal, [[QQ(3, 2), QQ(1, 3)], [QQ(1, 3), 2]])
-        assert _metric_section(bigger)["extensions"][0]["gram"] == [["3/2", "1/3"], ["1/3", "2"]]
-
-
-class TestExtension:
-    def test_extension_keeps_equivariance(self, squared_metric):
-        spec, gens = squared_metric
-        bigger = extend(spec, spec.base_conformal, [[2, 1], [1, 2]])
-        assert bigger.total_dim == spec.total_dim + 2
-        gram = _gram(bigger, [QQ(1, 7), QQ(1, 9)])
-        assert gram[5][6] == gram[6][5] != 0
-        for report in verify_equivariance(bigger, gens, samples=30, precision=128, seed=2):
-            assert report.verdict is True
-
-    def test_mismatched_functional_rejected(self, squared_metric):
-        spec, _ = squared_metric
-        with pytest.raises(CheckFailureError):
-            extend(spec, spec.functionals[1], [[1]])
-
-    def test_functional_length_validated(self, squared_metric):
-        # a coefficient per base coordinate: an extra or a missing one is
-        # not dropped by zip
-        spec, _ = squared_metric
-        for coeffs in ([0] * (spec.n + 1), [0] * (spec.n - 1)):
-            with pytest.raises(InputError):
-                extend(spec, AffineFunctional(coeffs), [[1]])
-
-    def test_gram_validation(self, squared_metric):
-        spec, _ = squared_metric
-        with pytest.raises(InputError):
-            extend(spec, spec.base_conformal, [[1, 2], [2, 1]])  # not PD
-        with pytest.raises(InputError):
-            extend(spec, spec.base_conformal, [[1, 0], [1, 1]])  # not symmetric
-        with pytest.raises(InputError):
-            extend(spec, spec.base_conformal, [[1, 0]])  # not square
-        assert extend(spec, spec.base_conformal, []) is spec
 
 
 class TestRankAndWitnesses:
