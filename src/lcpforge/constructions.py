@@ -94,16 +94,15 @@ EQUIVARIANCE_SAMPLES = 100
 
 
 class ExField:
-    """Cyclic totally real field built from a prime modulus, with a
-    generator of its Galois group and the trace polynomials
-    trace_polys(degree) that both were read off."""
+    """Cyclic totally real field built from a prime modulus, and the trace
+    polynomials trace_polys(degree) it was read off; no Galois generator:
+    make_dmatrix reads sigma's residue off them (generator_from_traces)."""
 
-    __slots__ = ("field", "modulus", "sigma", "traces")
+    __slots__ = ("field", "modulus", "traces")
 
-    def __init__(self, field: NumberField, modulus: int, sigma, traces):
+    def __init__(self, field: NumberField, modulus: int, traces):
         self.field = field
         self.modulus = modulus
-        self.sigma = sigma
         self.traces = traces
 
 
@@ -124,14 +123,14 @@ def _conductor(n, rank: int = 0) -> int:
     if n < 1:
         raise InputError("rank parameter must be a positive integer")
     m = 2 * n + 3
-    while not (is_prime(m) and _orbit_rank(m) >= rank):
+    while not (is_prime(m) and (not rank or _orbit_rank(m) >= rank)):
         m += 1
     return m
 
 
 def _exfield(m: int) -> ExField:
-    """The field and Galois generator of make_exfield, from one
-    trace-polynomial pass.
+    """The field of make_exfield and its trace polynomials, from one
+    trace-polynomial pass; no Galois generator is derived.
 
     The polynomial is irreducible, so field_new's heuristic is not run, and
     its roots 2cos(2*pi*k/m), k = 1..d, are real and distinct, so the
@@ -142,7 +141,7 @@ def _exfield(m: int) -> ExField:
         minpoly_from_traces(cs),
         "minimal polynomial of 2cos(2*pi/%d): degree [Q(zeta_m)^+ : Q]" % m,
     )
-    return ExField(field, m, generator_from_traces(field, cs), cs)
+    return ExField(field, m, cs)
 
 
 def _orbit_rank(m: int) -> int:
@@ -194,7 +193,7 @@ def make_dmatrix(n: int) -> DMatrixData:
     prime.  The units are the Galois orbit prefix alpha, sigma(alpha), ...,
     sigma^(n-1)(alpha) of the field generator alpha = 2cos(2*pi/m), a
     cyclotomic unit, read off the trace polynomials that the field was
-    built from (ExField.traces): for sigma = sigma_g,
+    built from (ExField.traces), sigma = sigma_g carried as its residue g:
     sigma^k(alpha) = c_r(alpha) with r = g^k mod m, and c_r = c_(m-r).
     sigma permutes the real places, so their log vectors
     span a Krylov space of the place permutation, and a prefix of n of them
@@ -206,7 +205,8 @@ def make_dmatrix(n: int) -> DMatrixData:
     """
     ex = _exfield(_conductor(n, int(n)))
     m, cs = ex.modulus, ex.traces
-    residues = [pow(ex.sigma.residue, k, m) for k in range(int(n))]
+    g = generator_from_traces(ex.field, cs)
+    residues = [pow(g, k, m) for k in range(int(n))]
     units = [ex.field.from_int_poly(cs[min(r, m - r)]) for r in residues]
     return DMatrixData(ex, units, [mult_matrix(u) for u in units])
 

@@ -16,8 +16,8 @@ class ReduciblePolynomialError(LcpError, ValueError):
 class InconclusiveIrreducibilityError(LcpError):
     """Irreducibility could be neither proven nor refuted by the heuristics.
 
-    Callers may retry with force=True, which records the gap in the field's
-    irreducibility witness instead of silently assuming the answer.
+    field_new refuses such a polynomial; a caller that knows it irreducible
+    builds NumberField(poly, witness) and names the reason in the witness.
     """
 
 

@@ -14,9 +14,9 @@ minpoly_constant that certificates seal.
 The real cyclotomic subfields Q(2cos(2*pi/m)), m an odd prime, are built
 from one trace_polys(d) list, d = (m - 1)/2: the field polynomial is
 minpoly_from_traces of it, the signature is (d, 0) by construction, as the
-roots 2cos(2*pi*k/m) are real and distinct, and the Galois generator is
-read off the same list by generator_from_traces.  Every other field takes
-its signature from a Sturm chain.
+roots 2cos(2*pi*k/m) are real and distinct, and the residue g of the Galois
+generator sigma_g is read off the same list by generator_from_traces.  Every
+other field takes its signature from a Sturm chain.
 
 Irreducibility of a defining polynomial is decided by a layered heuristic:
 squarefreeness and rational roots first, then factor-degree patterns modulo
@@ -540,7 +540,7 @@ def irreducibility_heuristic(p: IntPoly) -> Tuple[str, str]:
     )
 
 
-def field_new(minpoly: IntPoly, force: bool = False) -> NumberField:
+def field_new(minpoly: IntPoly) -> NumberField:
     """Construct a number field after vetting the defining polynomial."""
     if not minpoly.is_monic():
         raise InputError("defining polynomial must be monic")
@@ -552,11 +552,9 @@ def field_new(minpoly: IntPoly, force: bool = False) -> NumberField:
             "defining polynomial is reducible: %s" % witness
         )
     if verdict == "inconclusive":
-        if not force:
-            raise InconclusiveIrreducibilityError(
-                "irreducibility undecided (%s); pass force=True to proceed" % witness
-            )
-        witness = "assumed by caller; heuristics inconclusive (%s)" % witness
+        raise InconclusiveIrreducibilityError(
+            "irreducibility undecided (%s)" % witness
+        )
     return NumberField(minpoly, witness)
 
 
@@ -623,7 +621,8 @@ def galois_generator(field: NumberField) -> GaloisMap:
 
     The field must be Q(2cos(2*pi/m)) for an odd prime conductor m = 2d + 1,
     given by real_subfield_minpoly(m); degree one is the trivial group.
-    That is checked here, and generator_from_traces makes the choice.
+    That is checked here, and the map is built from the residue g that
+    generator_from_traces chooses; the pipelines carry g alone.
     """
     d = field.degree
     if d == 1:
@@ -634,20 +633,21 @@ def galois_generator(field: NumberField) -> GaloisMap:
             "Galois generators are only available for real cyclotomic "
             "subfields of prime conductor; %r is not one" % field.minpoly
         )
-    return generator_from_traces(field, cs)
+    g = generator_from_traces(field, cs)
+    return GaloisMap._conjugate(field, field.from_int_poly(cs[g]), g)
 
 
-def generator_from_traces(field: NumberField, cs: Sequence[IntPoly]) -> GaloisMap:
-    """galois_generator of a field whose polynomial is minpoly_from_traces(cs),
-    for cs = trace_polys(d), d >= 2 and m = 2d + 1 prime, read off cs.
+def generator_from_traces(field: NumberField, cs: Sequence[IntPoly]) -> int:
+    """The residue g of galois_generator's sigma_g for a field whose polynomial
+    is minpoly_from_traces(cs), cs = trace_polys(d), d >= 2, m = 2d + 1 prime.
 
     The automorphism sigma_g sends the generator 2cos(2*pi/m) to c_g of it,
     and it generates the cyclic group of order d exactly when g generates
-    (Z/m)^x / {+-1}.  Among those images the one with lexicographically
-    smallest coordinates is returned, which makes the choice reproducible.
-    The coordinates of c_g(alpha) are those of c_g for g < d; c_d is monic
-    of degree d, like the field polynomial, and one subtraction reduces it.
-    Only the chosen image becomes a FieldElem.
+    (Z/m)^x / {+-1}.  Of those, the g whose image has lexicographically least
+    coordinates is returned, the first of order d in coordinate order, which
+    makes the choice reproducible.  The coordinates of c_g(alpha) are those
+    of c_g for g < d; c_d is monic of degree d, like the field polynomial,
+    and one subtraction reduces it.  No FieldElem is built.
 
     The image c_g(alpha) is a root of the defining polynomial by
     construction: that polynomial is real_subfield_minpoly(m), whose roots
@@ -665,10 +665,9 @@ def generator_from_traces(field: NumberField, cs: Sequence[IntPoly]) -> GaloisMa
             return c + (0,) * (d - 1 - g)
         return tuple(a - b for a, b in zip(c[:-1], f))
 
-    image, g = min(
-        (coords(g), g) for g in range(2, d + 1) if order_mod_sign(g, m) == d
+    return next(
+        g for g in sorted(range(2, d + 1), key=coords) if order_mod_sign(g, m) == d
     )
-    return GaloisMap._conjugate(field, FieldElem(field, image), g)
 
 
 def order_mod_sign(g: int, m: int) -> int:

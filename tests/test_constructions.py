@@ -129,7 +129,7 @@ def test_exfield_moduli_and_degrees():
 def test_exfield_sigma_is_field_automorphism():
     ex = make_exfield(2)
     alpha = ex.field.gen()
-    image = ex.sigma(alpha)
+    image = galois_generator(ex.field)(alpha)
     assert image == alpha * alpha - ex.field.from_rational(2)
 
 
@@ -161,9 +161,10 @@ def test_dmatrix_rank2_golden_matrices():
 def test_dmatrix_units_are_galois_orbit_prefix():
     for n in (3, 8):
         dm = make_dmatrix(n)
+        sigma = galois_generator(dm.field)
         assert len(dm.units) == n
         for l in range(1, n):
-            assert dm.units[l] == dm.exfield.sigma(dm.units[l - 1])
+            assert dm.units[l] == sigma(dm.units[l - 1])
 
 
 def test_dmatrix_reads_the_orbit_off_the_trace_polynomials(monkeypatch):
@@ -234,9 +235,9 @@ def test_exfield_runs_no_irreducibility_heuristic(monkeypatch):
 
 
 def test_exfield_evaluates_no_polynomial_at_a_field_element(monkeypatch):
-    # the Galois generator's image is a root by construction (numberfield's
-    # test_generator_image_is_a_root), so no minimal polynomial is evaluated
-    # at it
+    # exfield derives no Galois generator, and galois_generator's image is a
+    # root by construction (numberfield's test_generator_image_is_a_root), so
+    # no minimal polynomial is evaluated at a field element
     arguments = []
     original = IntPoly.__call__
 
@@ -266,6 +267,23 @@ def test_exfield_reads_everything_off_one_trace_polynomial_pass(monkeypatch):
     assert ex.field.signature == (41, 0)
     assert counts == {"trace_polys": 1}
     assert polynomials_module.sturm_chain.cache_info().misses == 0
+
+
+def test_galois_generator_is_carried_as_its_residue(monkeypatch):
+    # exfield prints only the field and derives no Galois generator, not
+    # even the order of 2 that the orbit rank reads; dmatrix, sigma's one
+    # reader, chooses the residue g once and builds no map from it
+    targets = [
+        (module, name)
+        for module in (constructions_module, numberfield_module)
+        for name in ("generator_from_traces", "order_mod_sign")
+    ] + [(numberfield_module.GaloisMap, "_seal")]
+    counts = _count_calls(monkeypatch, targets)
+    assert make_exfield(40).field.degree == 41
+    assert counts == {}
+    assert len(make_dmatrix(8).units) == 8
+    assert counts["generator_from_traces"] == 1
+    assert counts["_seal"] == 0
 
 
 def test_dmatrix_reads_the_trace_polynomials_its_field_was_built_from(monkeypatch):
@@ -309,9 +327,9 @@ def _frozen_mult_matrix(u):
 
 @pytest.mark.parametrize("m", [m for m in range(5, 212) if is_prime(m)])
 def test_exfield_construction_matches_the_derivations_it_replaces(m):
-    # _exfield takes the signature, the polynomial and the Galois generator
-    # as proved by construction; each is compared here with the derivation
-    # it replaces
+    # _exfield takes the signature and the polynomial as proved by
+    # construction, and generator_from_traces the residue of the Galois
+    # generator; each is compared here with the derivation it replaces
     ex = constructions_module._exfield(m)
     field, d = ex.field, (m - 1) // 2
     f = field.minpoly
@@ -320,11 +338,12 @@ def test_exfield_construction_matches_the_derivations_it_replaces(m):
     assert f == sum(trace_polys(d), IntPoly((-1,))) == real_subfield_minpoly(m)
     assert ex.traces == trace_polys(d)
     expected = _frozen_galois_choice(field, m)
-    assert (ex.sigma.image.coords, ex.sigma.residue) == expected
+    # the residue make_dmatrix carries, and the public map built from it
+    assert numberfield_module.generator_from_traces(field, ex.traces) == expected[1]
     public = galois_generator(field)
     assert (public.image.coords, public.residue) == expected
     # alpha, sigma(alpha) and c_d(alpha), the one image that needs reducing
-    for u in (field.gen(), ex.sigma.image, field.from_int_poly(ex.traces[d])):
+    for u in (field.gen(), public.image, field.from_int_poly(ex.traces[d])):
         built, frozen = mult_matrix(u), _frozen_mult_matrix(u)
         assert built == frozen
         assert hash(built) == hash(frozen)

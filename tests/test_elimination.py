@@ -24,7 +24,12 @@ from lcpforge.embeddings import _at_prec, full_pivot_eliminate, tolerance
 from lcpforge.errors import NeedsEscalation
 from lcpforge.intlinalg import IntMatrix, char_poly
 from lcpforge.lcpcore import _iv_inverse, _iv_matrix, _kernel_vector
-from lcpforge.numberfield import field_new, minimal_polynomial, mult_matrix
+from lcpforge.numberfield import (
+    NumberField,
+    field_new,
+    minimal_polynomial,
+    mult_matrix,
+)
 from lcpforge.polynomials import IntPoly
 
 WORKBITS = 160
@@ -142,7 +147,7 @@ def test_interval_inverse_refuses_singular_matrix():
 
 # x^4 - 10x^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3), factors
 # modulo every prime, so its irreducibility is asserted rather than tested
-BIQUADRATIC = field_new(IntPoly((1, 0, -10, 0, 1)), force=True)
+BIQUADRATIC = NumberField(IntPoly((1, 0, -10, 0, 1)), "asserted irreducible")
 ALPHA = sympy.sqrt(2) + sympy.sqrt(3)
 X = sympy.Symbol("x")
 
