@@ -771,7 +771,9 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
     the metric stays positive definite on the fundamental-domain grid.
     rawmetric.cross_scale runs the search: it adds the new terms to spec's
     grid grams with the helper metric_gram uses, so every tested matrix is
-    the coupled metric's gram, bit for bit.
+    the coupled metric's gram, bit for bit, in the rows and columns a cross
+    term touches; the others hold their diagonal alone, which it tests once
+    per grid point.
     """
     pairs = [tuple(pair) for pair in pairs]
     if not pairs:
@@ -880,11 +882,15 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
     once per point and h(x + v) once per point and generator.  The
     pullback uses the exact affine Jacobian of the action: the linear part
     in block coordinates on the fiber, identity on base coordinates.  The
-    arithmetic runs in rawmetric on (m, e) pairs m * 2**e, each sum and product rounded to nearest, ties to even, in
-    the order the mpf expressions evaluate, so the residual is the mpf
-    loop's bit for bit.  Returns one report per generator, in order, with
-    the maximum relative residual and the verdict against the precision
-    tolerance.  An inf or nan coordinate or translation raises InputError.
+    arithmetic, exp's fixed point included, runs in rawmetric on (m, e)
+    pairs m * 2**e, each sum and product rounded to nearest, ties to even,
+    in the order the mpf expressions evaluate, so the residual is the mpf
+    loop's bit for bit.  A block-scalar row of the fiber metric holds its
+    diagonal alone, so its row of H_F C is one rounded product per entry,
+    and only entries the metric's sparsity lets be nonzero are compared.
+    Returns one report per generator, in order, with the maximum relative
+    residual and the verdict against the precision tolerance.  An inf or
+    nan coordinate or translation raises InputError.
     """
     if samples < 1:
         raise InputError("the equivariance check needs at least one sample point")

@@ -7,9 +7,11 @@ working precision, round half to even, by _round.  mpmath's mpf_add and
 mpf_mul return that correctly rounded value whenever the operands have at
 most prec bits, which every value here has, and a normalized mpf is
 unique; so doing the mpf expressions' operations in the same order gives
-the mpf values bit for bit.  Only exp and division (_div: one per point
-and generator, one per elimination row step) go through libmp, converted
-at the boundary with from_man_exp.
+the mpf values bit for bit.  exp runs libmp's mpf_exp steps on ints
+around libmp's own fixed-point exp_basecase; only division (_div: one per
+point and generator, one per elimination row step) and exp of an integer
+above 600 bits call libmp on mpf values, converted at the boundary with
+from_man_exp.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from .embeddings import _at_prec
 from .errors import InputError
@@ -205,12 +208,45 @@ def span(weights, vectors, prec):
     return [[_dot(_ZERO, t, column, prec) for column in columns] for t in weights]
 
 
+def _exp(m, e, prec):
+    """exp(m * 2**e) rounded to prec bits: libmp's mpf_exp on ints.
+
+    mpf_exp takes x to a fixed point at wp = prec + 14 bits, reduces it by
+    ln 2 when |x| >= 2, runs exp_basecase and rounds once; these are its
+    steps, without the mpf conversions around them.  An integer x above
+    600 bits takes mpf_exp's other branch, a power of e, so it goes to
+    mpf_exp itself.  exp(0) is 1, and so is exp(x) for |x| < 2**-wp, where
+    mpf_exp perturbs 1 and round to nearest leaves it.
+    """
+    if not m:
+        return _ONE
+    # m * 2**e is an integer when e is at least minus m's trailing zeros
+    if prec > 600 and e + (m & -m).bit_length() > 0:
+        return _from_raw(mpf_exp(from_man_exp(m, e), prec, round_nearest))
+    mag = m.bit_length() + e
+    wp = prec + 14
+    if mag < -wp:
+        return _ONE
+    n = 0
+    if mag > 1:
+        # about mag extra bits, taken off again after the reduction
+        shift = e + wp + mag
+        t = m << shift if shift >= 0 else m >> -shift
+        n, t = divmod(t, ln2_fixed(wp + mag))
+        t >>= mag
+    else:
+        shift = e + wp
+        t = m << shift if shift >= 0 else m >> -shift
+    return _round(exp_basecase(t, wp), n - wp, prec)
+
+
 def _exp_twice(functional, x, prec):
-    """exp(2 f(x)) for a functional c . x + d, summed from d."""
+    """exp(2 f(x)) for a functional c . x + d, summed from d, by _exp:
+    mpf_exp's value bit for bit, with no mpf built on the way."""
     constant, coeffs = functional
     m, e = _dot(constant, coeffs, x, prec)
     # doubling a value of at most prec bits is exact
-    return _from_raw(mpf_exp(from_man_exp(m, e + 1), prec, round_nearest))
+    return _exp(m, e + 1, prec)
 
 
 def _add_cross(gram, scale, idx1, idx2, table, prec):
@@ -245,6 +281,23 @@ def metric_gram(terms: MetricTerms, x):
     return gram
 
 
+def _coupled(cross, size):
+    """For each index below size, the indices a cross term couples it
+    with, sorted; empty for an index no term touches."""
+    partners = [set() for _ in range(size)]
+    for _, _, idx1, idx2, _ in cross:
+        for i in idx1:
+            partners[i].update(idx2)
+        for j in idx2:
+            partners[j].update(idx1)
+    return [sorted(s) for s in partners]
+
+
+def _above(pivot, tol):
+    """pivot > tol, for tol >= 0."""
+    return pivot[0] > 0 and _abs_gt(pivot, tol)
+
+
 def positive_definite(a, tol, prec):
     """Leading-principal-minor test of a symmetric matrix of pairs: every
     pivot of the elimination must exceed tol.  Eliminates a in place; a row
@@ -254,7 +307,7 @@ def positive_definite(a, tol, prec):
     for k in range(n):
         pivot_row = a[k]
         pivot = pivot_row[k]
-        if not (pivot[0] > 0 and _abs_gt(pivot, tol)):
+        if not _above(pivot, tol):
             return False
         for row in a[k + 1:]:
             if not row[k][0]:
@@ -273,17 +326,33 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
     else half the largest passing k / 2**steps, (0, 0) if none does.  Each
     step adds eps * exp(2 f_c) to the gram of terms with _add_cross, as
     metric_gram does, so every tested matrix is the coupled metric's gram.
+
+    Only the rows and columns some cross term, old or new, touches are
+    eliminated.  Any other index has exact zeros off the diagonal in its
+    row and column, so the elimination never changes its row, it never
+    changes another row, and its pivot is its diagonal entry, which does
+    not depend on eps: it is tested once per point, not once per step.
     """
     prec = terms.prec
-    grid = [
-        (metric_gram(terms, x), [_exp_twice(f, x, prec) for _, f, _, _, _ in new_terms])
-        for x in points
-    ]
+    coupled = [i for i, s in enumerate(_coupled(terms.cross + new_terms, terms.total)) if s]
+    at = {i: k for k, i in enumerate(coupled)}
+    new = [([at[i] for i in idx1], [at[j] for j in idx2], table)
+           for _, _, idx1, idx2, table in new_terms]
+    grid = []
+    for x in points:
+        gram = metric_gram(terms, x)
+        if not all(_above(gram[i][i], tol) for i in range(terms.total) if i not in at):
+            # no scale passes at this point
+            return 0, -steps - 1
+        grid.append((
+            [[gram[i][j] for j in coupled] for i in coupled],
+            [_exp_twice(f, x, prec) for _, f, _, _, _ in new_terms],
+        ))
 
     def scaled_ok(eps):
         for gram, factors in grid:
             a = [list(row) for row in gram]
-            for (_, _, idx1, idx2, table), factor in zip(new_terms, factors):
+            for (idx1, idx2, table), factor in zip(new, factors):
                 _add_cross(a, _mul(eps, factor, prec), idx1, idx2, table, prec)
             if not positive_definite(a, tol, prec):
                 return False
@@ -310,45 +379,65 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
     pairs of at most prec bits, like the points.  J = diag(C, I), so only
     the fiber block of the pullback moves, to C^T (H_F C).  h(x) is
     evaluated once per point, h(x + v) once per point and action.
+
+    Only the entries the metric's sparsity lets be nonzero are read: the
+    fiber block, whose row l has the diagonal and the indices cross terms
+    couple l with, and the base diagonal.  Every other entry is an exact
+    zero in h(x), h(x + v) and the pullback alike.
     """
-    p = terms.p
+    p, base = terms.p, range(terms.p, terms.total)
+    # a block-scalar row (None) holds its diagonal alone
+    rows = [sorted(s + [l]) if s else None for l, s in enumerate(_coupled(terms.cross, p))]
     residuals = [_ZERO] * len(actions)
     for x in points:
         h_here = metric_gram(terms, x)
+        here = [h for row in h_here[:p] for h in row[:p]] + [h_here[i][i] for i in base]
         for g, (c_t, lam1_sq, v) in enumerate(actions):
             h_there = metric_gram(terms, [_add(xi, vi, prec) for xi, vi in zip(x, v)])
-            # every sum runs from zero in index order.  Column j of H_F C
-            # has the entries H_F[l] . C[:, j], which leave out the exact
-            # zeros of the block-scalar H_F: they add nothing to a sum
-            h_rows = []
-            for row in h_there[:p]:
-                nonzero = [l for l in range(p) if row[l][0]]
-                h_rows.append(([row[l] for l in nonzero], nonzero))
-            hc_cols = [
-                [_dot(_ZERO, h, [c_col[l] for l in nonzero], prec) for h, nonzero in h_rows]
-                for c_col in c_t
+            fiber = [
+                (h_row[l], None) if cols is None else ([h_row[k] for k in cols], cols)
+                for l, (h_row, cols) in enumerate(zip(h_there, rows))
             ]
-            pulled = [
-                [_dot(_ZERO, c_col, hc_col, prec) for hc_col in hc_cols] + h_row[p:]
-                for c_col, h_row in zip(c_t, h_there)
-            ]
-            pulled += h_there[p:]
-            # the target L1^2 h(x) is exactly zero where h(x) is, and there
-            # the difference is the pulled entry itself
-            scale = diff = _ZERO
-            for p_row, h_row in zip(pulled, h_here):
-                for pij, h in zip(p_row, h_row):
-                    if h[0]:
-                        tm, te = _mul(lam1_sq, h, prec)
-                        if _abs_gt((tm, te), scale):
-                            scale = tm, te
-                        d = _add(pij, (-tm, te), prec)
-                    elif pij[0]:
-                        d = pij
-                    else:
+            # every sum runs from zero in index order.  Entry l of column j
+            # of H_F C is H_F[l] . C[:, j] over the entries row l may hold;
+            # the rest are exact zeros and add nothing.  For a block-scalar
+            # row that is one product, rounded as _dot rounds it
+            hc_cols = []
+            for c_col in c_t:
+                hc_col = []
+                for (h, cols), c in zip(fiber, c_col):
+                    if cols is not None:
+                        hc_col.append(_dot(_ZERO, h, [c_col[k] for k in cols], prec))
                         continue
-                    if _abs_gt(d, diff):
-                        diff = d
+                    m = h[0] * c[0]
+                    e = h[1] + c[1]
+                    n = m.bit_length() - prec
+                    if n > 0:
+                        t = m >> (n - 1)
+                        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                            t += 2
+                        m = t >> 1
+                        e += n
+                    hc_col.append((m, e))
+                hc_cols.append(hc_col)
+            pulled = [_dot(_ZERO, c_col, hc_col, prec) for c_col in c_t for hc_col in hc_cols]
+            pulled += [h_there[i][i] for i in base]
+            # the target L1^2 h(x) is exactly zero where h(x) is, and there
+            # the difference is the pulled entry itself.  Tied entries have
+            # equal absolute values, so the maxima do not depend on the order
+            scale = diff = _ZERO
+            for pij, h in zip(pulled, here):
+                if h[0]:
+                    tm, te = _mul(lam1_sq, h, prec)
+                    if _abs_gt((tm, te), scale):
+                        scale = tm, te
+                    d = _add(pij, (-tm, te), prec)
+                elif pij[0]:
+                    d = pij
+                else:
+                    continue
+                if _abs_gt(d, diff):
+                    diff = d
             if not scale[0]:
                 scale = _ONE
             # rounded division by scale is monotone, so the largest

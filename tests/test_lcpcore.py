@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import iv, mp
+from mpmath.libmp import libelefun
 
 import mpmath.ctx_mp_python
 import lcpforge.lcpcore as lcpcore_module
@@ -913,15 +914,20 @@ class TestMetricAgainstMpfReference:
 
 def test_raw_kernel_calls_the_mpf_operators_libmp_functions():
     # the kernel's own add and mul are checked against the operators'
-    # mpf_add and mpf_mul in test_rawmetric; division and exp still run in
-    # libmp, and a backend or mpmath release that rebinds them must fail
-    # here, not drift the sealed residuals
+    # mpf_add and mpf_mul in test_rawmetric; division still runs in libmp,
+    # and exp runs mpf_exp's steps around the exp_basecase and ln2_fixed
+    # that mpf_exp itself calls.  A backend or mpmath release that rebinds
+    # any of them must fail here, not drift the sealed residuals
     operators = vars(mpmath.ctx_mp_python)
     assert rawmetric_module.mpf_div is operators["mpf_div"]
     for op in (mp.mpf.__add__, mp.mpf.__sub__, mp.mpf.__mul__, mp.mpf.__truediv__):
         assert op.__globals__ is operators
     exp_bindings = [cell.cell_contents for cell in mp.exp.__closure__]
     assert any(f is rawmetric_module.mpf_exp for f in exp_bindings)
+    assert rawmetric_module.mpf_exp is libelefun.mpf_exp
+    exp_globals = libelefun.mpf_exp.__globals__
+    assert rawmetric_module.exp_basecase is exp_globals["exp_basecase"]
+    assert rawmetric_module.ln2_fixed is exp_globals["ln2_fixed"]
 
 
 class TestCrossTerms:
@@ -1091,16 +1097,10 @@ class TestScaleSearchAgainstDenseReference:
         once = add_cross_terms(spec, [(1, 2)])
         assert self._check(once, [(1, 2)]) < once.cross_terms[0].epsilon
 
-    @pytest.mark.parametrize("which", ["squared", "ot_lck"])
-    def test_tested_matrices_match_the_mpf_loop(
-        self, which, squared_metric, ot_lck_uncoupled, monkeypatch
-    ):
-        # every coupled grid gram the search tests, and the matrix its
-        # elimination leaves, equal the dense mpf loop's, bit for bit
-        if which == "squared":
-            spec, pairs = squared_metric[0], [(1, 2)]
-        else:
-            spec, pairs = ot_lck_uncoupled
+    @staticmethod
+    def _recorded_eliminations(monkeypatch):
+        """(matrix as passed, matrix as left, verdict) for every
+        positive_definite call, in order."""
         tested = []
         original = rawmetric_module.positive_definite
 
@@ -1111,18 +1111,66 @@ class TestScaleSearchAgainstDenseReference:
             return verdict
 
         monkeypatch.setattr(rawmetric_module, "positive_definite", recording)
+        return tested
+
+    @pytest.mark.parametrize("which", ["squared", "ot_lck"])
+    def test_tested_matrices_match_the_mpf_loop(
+        self, which, squared_metric, ot_lck_uncoupled, monkeypatch
+    ):
+        # every grid gram the search tests, and the matrix its elimination
+        # leaves, equal the dense mpf loop's rows and columns that a cross
+        # term touches, bit for bit; each verdict is the whole matrix's
+        if which == "squared":
+            spec, pairs = squared_metric[0], [(1, 2)]
+        else:
+            spec, pairs = ot_lck_uncoupled
+        tested = self._recorded_eliminations(monkeypatch)
         coupled = add_cross_terms(spec, pairs)
         want = []
         _reference_epsilon(spec, coupled, want)
         assert len(tested) == len(want) > len(_grid_points(spec))
         assert any(not verdict for _, _, verdict in want)
+        decomp = coupled.decomposition
+        touched = sorted({
+            i for t in coupled.cross_terms
+            for i in (*decomp.block_indices(t.k), *decomp.block_indices(t.k2))
+        })
+        assert len(touched) < coupled.total_dim
         as_mpf = rawmetric_module.from_dyadic
         for got, ref in zip(tested, want):
             assert got[2] == ref[2]
             for got_matrix, ref_matrix in zip(got[:2], ref[:2]):
                 assert [[as_mpf(x)._mpf_ for x in row] for row in got_matrix] == [
-                    [x._mpf_ for x in row] for row in ref_matrix
+                    [ref_matrix[i][j]._mpf_ for j in touched] for i in touched
                 ]
+
+    def test_only_coupled_rows_are_eliminated(self, ot_lck_uncoupled, monkeypatch):
+        # ot --lck couples two one-dimensional blocks: of its 6 x 6 grams
+        # the search eliminates the 2 x 2 part the cross term touches
+        spec, pairs = ot_lck_uncoupled
+        assert spec.total_dim == 6 and len(pairs) == 1
+        tested = self._recorded_eliminations(monkeypatch)
+        add_cross_terms(spec, pairs)
+        assert len(tested) > len(_grid_points(spec))
+        assert all(len(gram) == 2 and len(gram[0]) == 2 for gram, _, _ in tested)
+
+    def test_uncoupled_diagonal_below_the_tolerance(self, squared_metric):
+        # a base conformal factor of exp(2 (f_0 - 40)) puts the base
+        # diagonal, which no cross term touches, below 2**-64 at every grid
+        # point: no scale passes, as in the dense loop, and the search
+        # refuses the coupling with the same error
+        spec, _ = squared_metric
+        base = spec.base_conformal
+        low = spec.replace(base_conformal=AffineFunctional(base.coeffs, base.constant - 40))
+        tol = tolerance(low.precision_bits)
+        p = low.decomposition.p
+        with _at_prec(low.decomposition.workbits):
+            for x in _mpf_grid_points(low):
+                gram = _mpf_gram(low, [mp.mpf(0)] * p + list(x))
+                assert gram[p][p] < tol
+                assert not _dense_sylvester(gram, tol)[0]
+        with pytest.raises(CheckFailureError, match="no positive cross-term scale"):
+            add_cross_terms(low, [(1, 2)])
 
     def test_one_metric_evaluation_per_grid_point(self, ot_lck_uncoupled, metric_evaluations):
         spec, pairs = ot_lck_uncoupled

@@ -1,5 +1,5 @@
-"""The dyadic kernel's rounding, add, mul, division and elimination against
-mpmath's, bit for bit.
+"""The dyadic kernel's rounding, add, mul, exp, division and elimination
+against mpmath's, bit for bit.
 
 The mp.mpf operators call the libmp functions bound in
 mpmath.ctx_mp_python; the kernel must return the same normalized value for
@@ -7,14 +7,15 @@ every operand it can meet: at most prec bits each, any signs, exact
 half-way ties, exact cancellation and exponent gaps past libmp's
 sticky-bit shortcut in mpf_add (more than prec + 4 bits apart).  The
 positive-definiteness elimination is compared, entry by entry, with the
-loop of mp.mpf operators it replaced.
+loop of mp.mpf operators it replaced, and exp with libmp's mpf_exp, whose
+steps it takes on ints.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, round_nearest
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_exp, round_nearest
 
 import mpmath.ctx_mp_python
 from lcpforge.errors import InputError
@@ -23,6 +24,7 @@ from lcpforge.rawmetric import (
     _add,
     _div,
     _dot,
+    _exp,
     _mul,
     _round,
     from_dyadic,
@@ -242,6 +244,72 @@ def test_div_rounds_the_quotient(prec):
         assert (got[0] < 0) is ((a[0] < 0) != (b[0] < 0))
     for a in ((0, 0), (0, -40)):
         assert _raw(_div(a, (-5, 3), prec)) == _raw((0, 0))
+
+
+# mpf_exp's branches: exp_basecase's Taylor loop up to 600 bits and its
+# exponential_series above, and the power of e for an integer above 600 bits
+EXP_PRECS = st.sampled_from([53, 160, 544, 600, 601, 1056, 2080])
+
+
+@st.composite
+def _exp_arguments(draw):
+    """A precision and a pair (m, e) for exp: zero; |x| just below or above
+    2**-(prec + 14), where mpf_exp returns 1; |x| < 2; |x| >= 2, where it
+    reduces by ln 2; or an integer.  Mantissas have at most prec bits, any
+    sign, and may end in zeros."""
+    prec = draw(EXP_PRECS)
+    kind = draw(st.sampled_from(["zero", "tiny", "small", "large", "integer"]))
+    if kind == "zero":
+        return prec, (0, draw(EXPONENTS))
+    if kind == "integer":
+        m = draw(SIGNS) * draw(st.integers(1, 3000))
+        shift = draw(st.integers(-4, 12))
+        if shift < 0 and m % (1 << -shift):
+            shift = 0
+        return prec, (m << shift, -shift) if shift >= 0 else (m >> -shift, -shift)
+    zeros = draw(st.sampled_from([0, 0, 1, 17]))
+    m = draw(_values(prec - zeros))[0] << zeros
+    wp = prec + 14
+    top = draw({
+        "tiny": st.integers(-wp - 40, -wp + 2),
+        "small": st.integers(-wp, 1),
+        "large": st.integers(2, 13),
+    }[kind])
+    return prec, (m, top - m.bit_length())
+
+
+@settings(max_examples=500)
+@given(_exp_arguments())
+def test_exp_matches_mpf_exp(case):
+    prec, (m, e) = case
+    assert _same(_exp(m, e, prec), mpf_exp(_raw((m, e)), prec, round_nearest))
+
+
+@pytest.mark.parametrize("prec, m, e", [
+    # exp_basecase's fixed-point value lies exactly half-way between two
+    # prec-bit values whose lower one is even (found by search)
+    (53, -1780928, -60),
+    (53, 44105, -53),
+    (160, -338783110, -162),
+    (160, 178543900202, -161),
+    (544, 578, -545),
+    (544, -3040, -550),
+    (600, 17680040120620273923903530105229028063553313600, -606),
+    (600, 175741190557222148269680922167951447633004464944348112907436965, -600),
+    # integers above 600 bits, where mpf_exp's power of e and its
+    # fixed-point path round differently (found by search); -8 and -53
+    # are written with trailing zeros, as the kernel may hold them
+    (601, -8, 0),
+    (601, -1, 3),
+    (601, -254, 0),
+    (1056, -53, 0),
+    (1056, -106, -1),
+    (1056, -367, 0),
+    (2080, -64, 0),
+    (2080, -217, 0),
+])
+def test_exp_at_ties_and_integer_arguments(prec, m, e):
+    assert _same(_exp(m, e, prec), mpf_exp(_raw((m, e)), prec, round_nearest))
 
 
 def _mpf_sylvester(a, tol):
