@@ -381,11 +381,16 @@ def _matrix_family_check(matrices):
     }
 
 
-def _unit_ratio_check(ratios):
+def _unit_ratio_check(ratios, orbit=()):
     """Exact unit-ness of every ratio witness; a non-unit is recorded as
     neither a unit nor witnessed, not raised.  The witnesses come from
     _match_block_embeddings, which has already certified each ratio against
-    its witnessed embedding modulus, so a unit witness is witnessed."""
+    its witnessed embedding modulus, so a unit witness is witnessed.
+
+    orbit holds Galois conjugates of the field generator.  The minimal
+    polynomial of such a witness is the field polynomial, so its constant
+    and its unit-ness (monic with constant +-1, as is_unit decides) are
+    read off that polynomial; every other witness is derived."""
     if ratios.witnesses is None:
         raise InputError("ratio matrix carries no witnesses")
     rows = []
@@ -393,10 +398,14 @@ def _unit_ratio_check(ratios):
     for row in ratios.witnesses:
         entries = []
         for w in row:
-            witnessed = is_unit(w.element)
+            if w.element in orbit:
+                mpoly = w.element.field.minpoly
+                witnessed = mpoly.is_monic() and abs(mpoly.constant()) == 1
+            else:
+                witnessed = is_unit(w.element)
+                mpoly = minimal_polynomial(w.element)
             overall = overall and witnessed
             # the constant of the monic minimal polynomial
-            mpoly = minimal_polynomial(w.element)
             entries.append(
                 {
                     "minpoly_constant": rat_to_json(
@@ -462,11 +471,13 @@ def _witnessed_ratios(builder, decomp, emb, units, ratios):
     return ratios.with_witnesses(_witness_table(units, block_emb)), block_emb
 
 
-def _flat_block_checks(builder, emb, ratios, flat, bits, tested_rank, expected_rank):
-    """J2, unit_ratios, dirichlet and rank, in that order."""
+def _flat_block_checks(builder, emb, ratios, flat, bits, tested_rank, expected_rank,
+                       orbit=()):
+    """J2, unit_ratios, dirichlet and rank, in that order; orbit is as in
+    _unit_ratio_check."""
     j2 = check_J2(ratios, flat)
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
-    builder.check("unit_ratios", _unit_ratio_check(ratios))
+    builder.check("unit_ratios", _unit_ratio_check(ratios, orbit))
     builder.check("dirichlet", _dirichlet_check(emb.field, tested_rank))
     builder.check("rank", _rank_check(ratios, flat, bits, expected_rank))
 
@@ -520,7 +531,8 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
     # distinguished block: the one carrying the defining embedding of the
     # generator (the largest real root)
     flat = block_emb.index(emb.count - 1)
-    _flat_block_checks(builder, emb, ratios, flat, bits, n, n)
+    # the units are the generator's Galois orbit prefix (make_dmatrix)
+    _flat_block_checks(builder, emb, ratios, flat, bits, n, n, frozenset(dm.units))
 
     with _at_prec(decomp.workbits):
         translations = []

@@ -620,7 +620,8 @@ def galois_generator(field: NumberField) -> GaloisMap:
     """A generator of the automorphism group of a real cyclotomic subfield.
 
     The field must be Q(2cos(2*pi/m)) for an odd prime conductor m = 2d + 1,
-    given by real_subfield_minpoly(m); degree one is the trivial group.
+    given by its minimal polynomial minpoly_from_traces(trace_polys(d));
+    degree one is the trivial group.
     That is checked here, and the map is built from the residue g that
     generator_from_traces chooses; the pipelines carry g alone.
     """
@@ -650,8 +651,8 @@ def generator_from_traces(field: NumberField, cs: Sequence[IntPoly]) -> int:
     and one subtraction reduces it.  No FieldElem is built.
 
     The image c_g(alpha) is a root of the defining polynomial by
-    construction: that polynomial is real_subfield_minpoly(m), whose roots
-    are the 2cos(2*pi*k/m), and c_g(z + 1/z) = z^g + z^-g, so
+    construction: that polynomial is the minimal polynomial of 2cos(2*pi/m),
+    whose roots are the 2cos(2*pi*k/m), and c_g(z + 1/z) = z^g + z^-g, so
     c_g(alpha) = sigma_g(alpha) is a conjugate of alpha.  The map is
     therefore built without GaloisMap's root check, which every other
     caller keeps.

@@ -91,9 +91,6 @@ class IntPoly:
         # degree of the zero polynomial is -1 by convention
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -292,23 +289,17 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def real_subfield_minpoly(m: int) -> IntPoly:
-    """Minimal polynomial of 2*cos(2*pi/m) for odd prime m.
+def minpoly_from_traces(cs: Sequence[IntPoly]) -> IntPoly:
+    """sum(c_k) - 1 for cs = trace_polys(d): the minimal polynomial of
+    2cos(2*pi/m), m = 2d + 1 an odd prime, read off a trace-polynomial list
+    that a caller already holds.
 
-    The cyclotomic polynomial of an odd prime is palindromic of degree m-1,
-    so dividing by x**((m-1)/2) and substituting y = x + 1/x gives a monic
-    integer polynomial of degree (m-1)/2:
+    The cyclotomic polynomial of an odd prime m is palindromic of degree
+    m - 1, so dividing it by x**d and substituting y = x + 1/x gives a
+    monic integer polynomial of degree d:
 
         Phi_m(x) / x**d = 1 + sum_{k=1..d} (x**k + x**-k) = 1 + sum c_k(y).
     """
-    if m % 2 == 0 or not is_prime(m):
-        raise InputError("index must be an odd prime, got %d" % m)
-    return minpoly_from_traces(trace_polys((m - 1) // 2))
-
-
-def minpoly_from_traces(cs: Sequence[IntPoly]) -> IntPoly:
-    """sum(c_k) - 1 for cs = trace_polys(d): real_subfield_minpoly(2d + 1)
-    read off a trace-polynomial list that a caller already holds."""
     # c_0 = 2 is in the sum, so the constant term starts at -1
     out = [-1] + [0] * (len(cs) - 1)
     for c in cs:

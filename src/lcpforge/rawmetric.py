@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
-from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
+from mpmath.libmp.libelefun import EXP_COSH_CUTOFF, exp_basecase, ln2_fixed
 
 from .embeddings import _at_prec
 from .errors import InputError
@@ -126,24 +126,30 @@ def _functional(f):
 class MetricTerms:
     """The constant data of a MetricSpec as pairs at its working
     precision: functional coefficients, cross-term scales and tables.
-    Converted once, read by every metric_gram call."""
+    Converted once, read by every metric_gram call.
 
-    __slots__ = ("prec", "p", "n", "total", "blocks", "base", "cross")
+    functionals lists every functional whose exp(2 f) the gram holds: the
+    blocks' in block order, the base conformal factor's, then the cross
+    terms'.  diagonal pairs each block and the base with the index of its
+    functional, or None for the flat block, which carries the identity.
+    """
+
+    __slots__ = ("prec", "p", "n", "total", "functionals", "diagonal", "cross")
 
     def __init__(self, spec):
         decomp = spec.decomposition
         self.prec = decomp.workbits
         self.p, self.n, self.total = decomp.p, spec.n, spec.total_dim
+        self.functionals, self.diagonal = [], []
         with _at_prec(self.prec):
-            # the flat block carries the identity form: no functional
-            self.blocks = [
-                (
-                    None if k == spec.flat_block else _functional(spec.functionals[k]),
-                    decomp.block_indices(k),
-                )
-                for k in range(decomp.delta)
-            ]
-            self.base = _functional(spec.base_conformal)
+            for k in range(decomp.delta):
+                slot = None
+                if k != spec.flat_block:
+                    slot = len(self.functionals)
+                    self.functionals.append(_functional(spec.functionals[k]))
+                self.diagonal.append((slot, decomp.block_indices(k)))
+            self.diagonal.append((len(self.functionals), range(self.p, self.p + self.n)))
+            self.functionals.append(_functional(spec.base_conformal))
             self.cross = [
                 (
                     to_dyadic(term.epsilon),
@@ -154,6 +160,7 @@ class MetricTerms:
                 )
                 for term in spec.cross_terms
             ]
+        self.functionals += [f for _, f, _, _, _ in self.cross]
 
 
 def _dot(acc, a, b, prec):
@@ -208,25 +215,12 @@ def span(weights, vectors, prec):
     return [[_dot(_ZERO, t, column, prec) for column in columns] for t in weights]
 
 
-def _exp(m, e, prec):
-    """exp(m * 2**e) rounded to prec bits: libmp's mpf_exp on ints.
-
-    mpf_exp takes x to a fixed point at wp = prec + 14 bits, reduces it by
-    ln 2 when |x| >= 2, runs exp_basecase and rounds once; these are its
-    steps, without the mpf conversions around them.  An integer x above
-    600 bits takes mpf_exp's other branch, a power of e, so it goes to
-    mpf_exp itself.  exp(0) is 1, and so is exp(x) for |x| < 2**-wp, where
-    mpf_exp perturbs 1 and round to nearest leaves it.
-    """
-    if not m:
-        return _ONE
-    # m * 2**e is an integer when e is at least minus m's trailing zeros
-    if prec > 600 and e + (m & -m).bit_length() > 0:
-        return _from_raw(mpf_exp(from_man_exp(m, e), prec, round_nearest))
+def _exp_fixed(m, e, wp):
+    """mpf_exp's fixed-point path for exp(m * 2**e) at wp bits, before its
+    rounding: (V, s) with V = exp_basecase(t, wp), so V * 2**s ~ exp(x).
+    It reduces x by ln 2 when |x| >= 2 and truncates it to wp fraction bits
+    as mpf_exp does; x must be nonzero."""
     mag = m.bit_length() + e
-    wp = prec + 14
-    if mag < -wp:
-        return _ONE
     n = 0
     if mag > 1:
         # about mag extra bits, taken off again after the reduction
@@ -237,7 +231,167 @@ def _exp(m, e, prec):
     else:
         shift = e + wp
         t = m << shift if shift >= 0 else m >> -shift
-    return _round(exp_basecase(t, wp), n - wp, prec)
+    return exp_basecase(t, wp), n - wp
+
+
+def _exp(m, e, prec):
+    """exp(m * 2**e) rounded to prec bits: libmp's mpf_exp on ints.
+
+    mpf_exp takes x to a fixed point at wp = prec + 14 bits, reduces it by
+    ln 2 when |x| >= 2, runs exp_basecase and rounds once; _exp_fixed takes
+    these steps without the mpf conversions around them.  An integer x
+    above 600 bits takes mpf_exp's other branch, a power of e, so it goes
+    to mpf_exp itself.  exp(0) is 1, and so is exp(x) for |x| < 2**-wp,
+    where mpf_exp perturbs 1 and round to nearest leaves it.
+
+    Lemma (the error of the fixed-point path, which _exp_near rests on).
+    Let 64 <= wp <= EXP_COSH_CUTOFF, r = floor(sqrt(wp)),
+    I = floor((wp + r) / (2r - 2)) + 1 and L = 3I + 16 (_exp_error_units).
+    For x = m * 2**e with |x| >= 2**-wp let (V, s) = _exp_fixed(m, e, wp)
+    and M = max(1, V * 2**-wp + 2**-20).  Then
+    |V * 2**s - exp(x)| <= (L * M + 1) * 2**s.
+    Proof.  (a) The reduction gives x = n ln 2 + t * 2**-wp + xi with
+    |xi| < 5 * 2**-wp: for |x| < 2 only the floor of t, 0 <= xi < 2**-wp;
+    for |x| >= 2 the floors of the shifted x and of t, and ln2_fixed's
+    error of at most 2 units (machin sums its series at 10 guard bits;
+    tests/test_rawmetric.py checks it) times |n| <= 1.45 * 2**mag + 1.
+    So replacing x by n ln 2 + t * 2**-wp costs at most 6M units of 2**s.
+    (b) exp_basecase works at P = wp + r bits on u = t * 2**-P, |u| <
+    2**(1 - r).  Its series terms are floored from nonnegative values, so
+    each is low by less than 3 units of 2**-P and is 0 once u**(2i) <
+    2**-P, after at most I rounds; the tail is below 2 terms' worth.  So
+    the two sums and their combination are within 3(I + 2) + 2 units of
+    exp(u) * 2**P.  (c) Each of the r squarings doubles the relative error
+    and its floor adds at most max(1, exp(-t * 2**-wp)) * 2**-P; the final
+    shift by r floors once more.  That gives |V - exp(t * 2**-wp) * 2**wp|
+    <= (3(I + 2) + 4) M + 1, and with (a) the bound.
+    Above EXP_COSH_CUTOFF exp_basecase runs exponential_series, whose
+    square root (isqrt_fast) carries no proven error bound, so no such
+    lemma is claimed there.
+    """
+    if not m:
+        return _ONE
+    # m * 2**e is an integer when e is at least minus m's trailing zeros
+    if prec > 600 and e + (m & -m).bit_length() > 0:
+        return _from_raw(mpf_exp(from_man_exp(m, e), prec, round_nearest))
+    wp = prec + 14
+    if m.bit_length() + e < -wp:
+        return _ONE
+    v, s = _exp_fixed(m, e, wp)
+    return _round(v, s, prec)
+
+
+def _exp_error_units(wp):
+    """L of _exp's lemma at wp bits."""
+    r = int(wp ** 0.5)
+    return 3 * ((wp + r) // (2 * r - 2) + 1) + 16
+
+
+def _relative_error(v, wp, units):
+    """An int rho with |V * 2**s - exp(x)| <= rho * 2**-wp * V * 2**s, for
+    the lemma's (V, s) at wp bits and its L, units."""
+    one = 1 << wp
+    bound = (units * max(one, v + (one >> 20)) >> wp) + 2
+    return (bound << wp) // v + 1
+
+
+def _derivable(prec):
+    """Whether exps at prec bits may be derived: _exp's lemma holds at
+    wp = prec + 14, which the exp_basecase Taylor loop computes."""
+    return 64 <= prec + 14 <= EXP_COSH_CUTOFF
+
+
+def _exps_here(twice, prec, units, fixed):
+    """exp(y) as _exp gives it, for each y = 2 f(x) at a sample point x.
+    Appends to fixed, per y, what _exp_near needs to derive exp(y') at
+    x + v from it: (y's mantissa at the scale 2**-(wp + 8), V, s, rho), or
+    None where mpf_exp takes a branch that has no fixed-point value.
+    units is _exp_error_units(prec + 14)."""
+    wp = prec + 14
+    low = -wp - 8
+    values = []
+    for m, e in twice:
+        if not m or m.bit_length() + e < -wp or e < low:
+            values.append(_exp(m, e, prec))
+            fixed.append(None)
+            continue
+        v, s = _exp_fixed(m, e, wp)
+        values.append(_round(v, s, prec))
+        fixed.append((m << (e - low), v, s, _relative_error(v, wp, units)))
+    return values
+
+
+def _increment(functional, v, prec, units):
+    """For the translation v of the base and a functional c . x + d: the
+    exact increment d0 = 2 c . v of 2 f, as the floor of -d0 at the scale
+    2**-(wp + 8), and D ~ exp(d0) on the fixed-point path at
+    min(wp + 64, EXP_COSH_CUTOFF) bits, as (V_D, s_D).  Then _exp_near's
+    bounds in units of 2**-wp: rho_D + L + 6 relative, and rho_D + 4 with
+    L + 1 absolute for -2 < y < 0; units is L at wp = prec + 14."""
+    wp = prec + 14
+    terms = [(cm * vm, ce + ve) for (cm, ce), (vm, ve) in zip(functional[1], v) if cm and vm]
+    low = min((te for _, te in terms), default=0)
+    dm = sum(tm << (te - low) for tm, te in terms)
+    if not dm:
+        return 0, 1 << wp, -wp, units + 6, 4, units + 1
+    de = low + 1
+    shift = de + wp + 8
+    floor_minus = -dm << shift if shift >= 0 else -dm >> -shift
+    wp_d = min(wp + 64, EXP_COSH_CUTOFF)
+    vd, sd = _exp_fixed(dm, de, wp_d)
+    rho = (_relative_error(vd, wp_d, _exp_error_units(wp_d)) >> (wp_d - wp)) + 1
+    return floor_minus, vd, sd, rho + units + 6, rho + 4, units + 1
+
+
+def _exp_near(y, here, increment, prec):
+    """exp(y) as _exp gives it, for y = 2 f(x + v), derived from the
+    sample point's own exponential when that decides the rounding.
+
+    With y0 = 2 f(x), V * 2**s from _exp_here, the exact increment d0 and
+    D ~ exp(d0) from _increment, eta = y - y0 - d0 is exact and tiny, and
+    exp(y) = exp(y0) exp(d0) exp(eta).  W = V * 2**s * D * (1 + eta) is
+    formed on ints and truncated to wp + 8 bits.  U bounds the distance
+    from W to libmp's own unrounded value V' * 2**s' at y: _exp's lemma
+    for V, for D and for V' (the last relative to exp(y) when y >= 0 or
+    |y| >= 2, and absolute below), plus eta**2 and the truncations, all
+    within 4 units of 2**-wp relative.  Rounding to nearest is monotone,
+    so if W - U and W + U round to the same prec-bit value with no
+    half-way point between them, that is _exp(y) bit for bit (Ziv's
+    test).  Otherwise, and where the lemma or the branch does not apply,
+    _exp computes it.
+    """
+    m, e = y
+    wp = prec + 14
+    low = -wp - 8
+    mag = m.bit_length() + e
+    if here is None or not m or mag < -wp or e < low:
+        return _exp(m, e, prec)
+    m0, v, s, rho_v = here
+    floor_minus, vd, sd, rho_rel, rho_abs, abs_units = increment
+    eta = (m << (e - low)) - m0 + floor_minus
+    if eta.bit_length() > (wp >> 1) - 10:
+        return _exp(m, e, prec)
+    w = v * vd
+    k = w.bit_length() - wp - 8
+    w >>= k
+    w += (w * eta) >> (wp + 8)
+    scale = s + sd + k
+    if m < 0 and mag <= 1:
+        # libmp's error at y is absolute there, (L + 1) * 2**-wp
+        shift = -wp - scale
+        u = ((w + 1) * (rho_v + rho_abs) >> wp) + 1
+        u += abs_units << shift if shift >= 0 else (abs_units >> -shift) + 1
+    else:
+        u = ((w + 1) * (rho_v + rho_rel) >> wp) + 1
+    top = w.bit_length()
+    n = top - prec
+    half = 1 << (n - 1)
+    lo, hi = w - u, w + u + 1
+    if lo >> (top - 1) and not hi >> top:
+        q = (hi + half) >> n
+        if (lo - 1 + half) >> n == q:
+            return q, scale + n
+    return _exp(m, e, prec)
 
 
 def _exp_twice(functional, x, prec):
@@ -259,25 +413,30 @@ def _add_cross(gram, scale, idx1, idx2, table, prec):
             gram[j][i] = _add(gram[j][i], value, prec)
 
 
-def metric_gram(terms: MetricTerms, x):
+def metric_gram(terms: MetricTerms, x, exps=None):
     """Gram matrix, as lists of pairs, at base log-coordinates x.
 
     x is pairs at any precision; each is rounded to the metric's working
-    precision first.  Entries no term sets are exact zeros.
+    precision first.  Entries no term sets are exact zeros.  exps, if
+    given, maps the list of 2 f(x) over terms.functionals to their exps,
+    which must be _exp's values; by default _exp computes each.
     """
-    prec, p, total = terms.prec, terms.p, terms.total
+    prec, total = terms.prec, terms.total
     x = [_round(m, e, prec) for m, e in x]
+    twice = []
+    for constant, coeffs in terms.functionals:
+        m, e = _dot(constant, coeffs, x, prec)
+        # doubling a value of at most prec bits is exact
+        twice.append((m, e + 1))
+    scales = [_exp(m, e, prec) for m, e in twice] if exps is None else exps(twice)
     gram = [[_ZERO] * total for _ in range(total)]
-    for functional, indices in terms.blocks:
-        scale = _ONE if functional is None else _exp_twice(functional, x, prec)
+    for slot, indices in terms.diagonal:
+        scale = _ONE if slot is None else scales[slot]
         for i in indices:
             gram[i][i] = scale
-    base_scale = _exp_twice(terms.base, x, prec)
-    for i in range(p, p + terms.n):
-        gram[i][i] = base_scale
-    for epsilon, functional, idx1, idx2, table in terms.cross:
-        scale = _mul(epsilon, _exp_twice(functional, x, prec), prec)
-        _add_cross(gram, scale, idx1, idx2, table, prec)
+    factors = scales[len(scales) - len(terms.cross):]
+    for (epsilon, _, idx1, idx2, table), factor in zip(terms.cross, factors):
+        _add_cross(gram, _mul(epsilon, factor, prec), idx1, idx2, table, prec)
     return gram
 
 
@@ -389,11 +548,26 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
     # a block-scalar row (None) holds its diagonal alone
     rows = [sorted(s + [l]) if s else None for l, s in enumerate(_coupled(terms.cross, p))]
     residuals = [_ZERO] * len(actions)
+    derive = _derivable(terms.prec)
+    if derive:
+        units = _exp_error_units(terms.prec + 14)
+        increments = [[_increment(f, v, terms.prec, units) for f in terms.functionals]
+                      for _, _, v in actions]
     for x in points:
-        h_here = metric_gram(terms, x)
+        if derive:
+            fixed = []
+            h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, terms.prec, units, fixed))
+        else:
+            h_here = metric_gram(terms, x)
         here = [h for row in h_here[:p] for h in row[:p]] + [h_here[i][i] for i in base]
         for g, (c_t, lam1_sq, v) in enumerate(actions):
-            h_there = metric_gram(terms, [_add(xi, vi, prec) for xi, vi in zip(x, v)])
+            x_v = [_add(xi, vi, prec) for xi, vi in zip(x, v)]
+            if derive:
+                near = lambda twice: [_exp_near(y, h, d, terms.prec)  # noqa: E731
+                                      for y, h, d in zip(twice, fixed, increments[g])]
+                h_there = metric_gram(terms, x_v, near)
+            else:
+                h_there = metric_gram(terms, x_v)
             fiber = [
                 (h_row[l], None) if cols is None else ([h_row[k] for k in cols], cols)
                 for l, (h_row, cols) in enumerate(zip(h_there, rows))

@@ -33,7 +33,8 @@ from lcpforge.numberfield import (
     minimal_polynomial,
     mult_matrix,
 )
-from lcpforge.polynomials import IntPoly, real_subfield_minpoly
+from lcpforge.polynomials import IntPoly
+from oracles import real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))

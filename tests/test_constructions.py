@@ -64,10 +64,10 @@ from lcpforge.numberfield import (
 from lcpforge.polynomials import (
     IntPoly,
     is_prime,
-    real_subfield_minpoly,
     sturm_chain,
     trace_polys,
 )
+from oracles import real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -252,16 +252,13 @@ def test_exfield_evaluates_no_polynomial_at_a_field_element(monkeypatch):
 
 def test_exfield_reads_everything_off_one_trace_polynomial_pass(monkeypatch):
     # the field polynomial, its signature and the Galois generator come
-    # from one trace_polys list: no second real_subfield_minpoly to compare
-    # with, and no Sturm chain for a signature that is (d, 0) by
-    # construction (three passes, two real_subfield_minpoly calls and one
-    # chain before)
+    # from one trace_polys list, and no Sturm chain is built for a
+    # signature that is (d, 0) by construction (three passes, two field
+    # polynomial derivations and one chain before)
     modules = (constructions_module, numberfield_module, polynomials_module)
     counts = _count_calls(
         monkeypatch,
-        [(module, name) for module in modules
-         for name in ("trace_polys", "real_subfield_minpoly")
-         if hasattr(module, name)],
+        [(module, "trace_polys") for module in modules if hasattr(module, "trace_polys")],
     )
     ex = make_exfield(40)
     assert ex.field.signature == (41, 0)
@@ -503,12 +500,14 @@ def test_rank_pipeline_refines_only_at_its_own_precision(refined_bits):
     assert refined_bits == [512 + embeddings_module.GUARD_BITS]
 
 
-def test_rank_pipeline_derives_each_unit_minimal_polynomial_once(minpoly_derivations):
+def test_rank_pipeline_derives_no_unit_minimal_polynomial(minpoly_derivations):
     # the block matching, the ratio witness check and lcp_rank all decide
-    # that the two units are units; they share one derivation per unit
+    # that the two units are units: the first two by the determinant, the
+    # witness check by the field polynomial, which is the minimal
+    # polynomial of every Galois conjugate of the generator
     cert = make_rank_n_lcp(2, 512, seed=0)
     assert cert.verdict == "PASS"
-    assert minpoly_derivations == [3, 3]
+    assert minpoly_derivations == []
 
 
 def test_rank_pipeline_decides_the_rank_once(monkeypatch):
@@ -880,6 +879,28 @@ def test_unit_ratio_check_records_a_non_unit_witness():
         assert entry["minpoly_constant"] == "-8"
         assert entry["verdict"] is False
     assert payload["entries"][1] == good["entries"][1]
+
+
+def test_orbit_unit_witnesses_derive_no_minimal_polynomial(monkeypatch):
+    # every ranklcp witness is a Galois conjugate of the field generator,
+    # whose minimal polynomial is the field polynomial
+    derived = []
+    for module in (constructions_module, numberfield_module):
+        original = module.minimal_polynomial
+
+        def recording(a, original=original):
+            derived.append(a)
+            return original(a)
+
+        monkeypatch.setattr(module, "minimal_polynomial", recording)
+    cert = make_rank_n_lcp(4, 128)
+    orbit = set(make_dmatrix(4).units)
+    assert len(orbit) == 4
+    assert not [a for a in derived if a in orbit]
+    entries = cert.document["checks"]["unit_ratios"]["entries"]
+    constant = str(make_dmatrix(4).field.minpoly.constant())
+    assert len(entries) == 4
+    assert all(e["minpoly_constant"] == constant and e["unit"] for row in entries for e in row)
 
 
 def test_ot_lck_quartic_passes(quartic_lck):

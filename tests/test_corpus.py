@@ -27,6 +27,8 @@ comparing bytes.
 
 from pathlib import Path
 
+import mpmath
+import mpmath.libmp
 import pytest
 
 from lcpforge.certio import load_certificate
@@ -38,6 +40,23 @@ CORPUS = sorted((Path(__file__).parent / "data").glob("*.json"))
 
 def test_corpus_is_present():
     assert len(CORPUS) == 12
+
+
+# the mpmath that wrote the corpus: sealed residuals and floats pass
+# through its mpf_div, exp_basecase and nstr, whose results no
+# specification fixes, and rawmetric's error bound for exp is proven for
+# its exp_basecase
+MPMATH_VERSION = "1.3.0"
+MPMATH_BACKEND = "python"
+
+
+def test_mpmath_is_the_one_the_corpus_was_written_with():
+    found = (mpmath.__version__, mpmath.libmp.BACKEND)
+    assert found == (MPMATH_VERSION, MPMATH_BACKEND), (
+        "mpmath %s with the %s backend is installed, but certificate bytes are "
+        "pinned to mpmath %s with the %s backend; another mpmath may change "
+        "sealed bytes" % (found + (MPMATH_VERSION, MPMATH_BACKEND))
+    )
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)

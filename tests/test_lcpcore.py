@@ -57,7 +57,8 @@ from lcpforge.lcpcore import (
     verify_equivariance,
 )
 from lcpforge.numberfield import field_new, mult_matrix
-from lcpforge.polynomials import IntPoly, real_subfield_minpoly
+from lcpforge.polynomials import IntPoly
+from oracles import real_subfield_minpoly
 
 M7 = real_subfield_minpoly(7)
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -570,9 +571,9 @@ def metric_evaluations(monkeypatch):
     calls = []
     original = rawmetric_module.metric_gram
 
-    def counting(terms, x):
+    def counting(terms, x, *exps):
         calls.append(len(x))
-        return original(terms, x)
+        return original(terms, x, *exps)
 
     monkeypatch.setattr(rawmetric_module, "metric_gram", counting)
     return calls
@@ -928,6 +929,11 @@ def test_raw_kernel_calls_the_mpf_operators_libmp_functions():
     exp_globals = libelefun.mpf_exp.__globals__
     assert rawmetric_module.exp_basecase is exp_globals["exp_basecase"]
     assert rawmetric_module.ln2_fixed is exp_globals["ln2_fixed"]
+    # exp_basecase's two algorithms and the precision between them, which
+    # rawmetric's proven bound for the Taylor loop depends on
+    basecase_globals = libelefun.exp_basecase.__globals__
+    assert basecase_globals["exponential_series"] is libelefun.exponential_series
+    assert basecase_globals["EXP_COSH_CUTOFF"] == rawmetric_module.EXP_COSH_CUTOFF == 600
 
 
 class TestCrossTerms:

@@ -41,7 +41,8 @@ from lcpforge.numberfield import (
     require_unit,
 )
 import lcpforge.polynomials as polynomials_module
-from lcpforge.polynomials import IntPoly, is_prime, real_subfield_minpoly
+from lcpforge.polynomials import IntPoly, is_prime
+from oracles import real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))  # x^3 + x^2 - 2x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1

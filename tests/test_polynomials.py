@@ -40,13 +40,13 @@ from lcpforge.polynomials import (
     poly_to_string,
     rat_from_json,
     rat_to_json,
-    real_subfield_minpoly,
     refine_root,
     sign,
     sign_at,
     sturm_chain,
     trace_polys,
 )
+from oracles import real_subfield_minpoly
 
 ZZ = int
 X = IntPoly((0, 1))
@@ -65,7 +65,7 @@ def test_basic_ring_ops():
     p = IntPoly((-1, -2, 1, 1))  # x^3 + x^2 - 2x - 1
     assert p.degree == 3
     assert p.is_monic()
-    assert (p + (-p)).is_zero()
+    assert (p + (-p)).coeffs == ()
     assert p * 1 == p
     assert (p * p).degree == 6
     assert p(2) == 8 + 4 - 4 - 1
@@ -342,7 +342,7 @@ def test_poly_gcd_matches_the_fraction_euclid(f, a, b, scale):
     n, d = scale.numerator, scale.denominator
     for got in (_prs_gcd(x, y), _prs_gcd(y, x), _prs_gcd(x * n, y * d)):
         assert got == want
-        assert got.is_zero() or got.leading() > 0
+        assert not got.coeffs or got.leading() > 0
 
 
 def test_poly_gcd_does_not_divide_polynomials(forbid_fractions):

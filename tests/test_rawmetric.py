@@ -19,12 +19,20 @@ from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_exp, round_nearest
 
 import mpmath.ctx_mp_python
 from lcpforge.errors import InputError
+import lcpforge.rawmetric as rawmetric_module
+from lcpforge.constructions import make_rank_n_lcp
 from lcpforge.rawmetric import (
     _abs_gt,
     _add,
+    _derivable,
     _div,
     _dot,
     _exp,
+    _exp_error_units,
+    _exp_fixed,
+    _exp_near,
+    _exps_here,
+    _increment,
     _mul,
     _round,
     from_dyadic,
@@ -310,6 +318,142 @@ def test_exp_matches_mpf_exp(case):
 ])
 def test_exp_at_ties_and_integer_arguments(prec, m, e):
     assert _same(_exp(m, e, prec), mpf_exp(_raw((m, e)), prec, round_nearest))
+
+
+# _exp's lemma bounds the fixed-point path on exp_basecase's Taylor loop,
+# wp = prec + 14 from 64 to EXP_COSH_CUTOFF = 600; exps above it are never
+# derived
+LEMMA_PRECS = st.sampled_from([50, 53, 96, 160, 288, 400, 544, 575, 586])
+
+
+@st.composite
+def _lemma_arguments(draw):
+    """A precision and a nonzero (m, e): |x| < 2, where no reduction runs, or
+    |x| >= 2 up to 2**40, reduced by ln 2; any sign, mantissas of any
+    width up to prec bits."""
+    prec = draw(LEMMA_PRECS)
+    m = draw(_values(prec))[0]
+    top = draw(st.one_of(st.integers(-prec - 14, 1), st.integers(2, 40)))
+    return prec, (m, top - m.bit_length())
+
+
+def test_derivation_runs_on_exp_basecase_taylor_loop_only():
+    assert [_derivable(prec) for prec in (49, 50, 586, 587, 1024)] == [
+        False, True, True, False, False]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lemma_arguments())
+def test_exp_lemma_bounds_libmp_against_a_wider_exp(case):
+    prec, (m, e) = case
+    wp = prec + 14
+    v, s = _exp_fixed(m, e, wp)
+    top = m.bit_length() + e
+    with mp.workprec(wp + 80 + max(top, 0)):
+        err = abs(mp.mpf(v) - mp.exp(mp.ldexp(m, e)) * mp.ldexp(1, -s))
+        bound = _exp_error_units(wp) * max(1, mp.ldexp(v, -wp) + mp.ldexp(1, -20)) + 1
+        assert err <= bound
+
+
+@pytest.mark.parametrize("w", list(range(64, 700, 17)) + [1000, 4200])
+def test_ln2_fixed_is_within_two_units(w):
+    # the lemma's reduction step reads ln 2 from libmp at wp + mag bits
+    with mp.workprec(w + 40):
+        assert abs(mp.mpf(rawmetric_module.ln2_fixed(w)) - mp.ldexp(mp.ln2, w)) <= 2
+
+
+def _derive(prec, y0, d0, y, fallbacks=None):
+    """_exp_near's value of exp(y) from the point value exp(y0) and the
+    increment d0 = 2 c . v, with c = d0 / 2 and v = 1; each _exp call it
+    falls back to is appended to fallbacks."""
+    units = _exp_error_units(prec + 14)
+    fixed = []
+    (here,) = _exps_here([y0], prec, units, fixed)
+    assert _same(here, mpf_exp(_raw(y0), prec, round_nearest))
+    increment = _increment(((0, 0), [(d0[0], d0[1] - 1)]), [(1, 0)], prec, units)
+    if fallbacks is None:
+        return _exp_near(y, fixed[0], increment, prec)
+    calls = []
+    original = rawmetric_module._exp
+
+    def recording(m, e, p):
+        calls.append((m, e))
+        return original(m, e, p)
+
+    rawmetric_module._exp = recording
+    try:
+        value = _exp_near(y, fixed[0], increment, prec)
+    finally:
+        rawmetric_module._exp = original
+    fallbacks.extend(calls)
+    return value
+
+
+@st.composite
+def _translations(draw):
+    """A derivable precision, a point value y0, an increment d0 and
+    y = y0 + d0 + eta rounded to prec bits, with |eta| far below 1:
+    y0 and y on both sides of 0 and of +-2, as 2 f(x) and 2 f(x + v)."""
+    prec = draw(LEMMA_PRECS.filter(_derivable))
+    y0 = draw(_values(prec, exponents=st.just(0)))[0]
+    y0 = (y0, draw(st.integers(-4, 5)) - y0.bit_length())
+    d0 = draw(_values(prec + 20, exponents=st.just(0)))[0]
+    d0 = (d0, draw(st.integers(-prec, 4)) - d0.bit_length())
+    eta = draw(_values(40, exponents=st.just(0)))[0]
+    eta = (eta, draw(st.integers(-2 * prec, 8 - prec)) - eta.bit_length())
+    y = _add(_add(y0, d0, 2 * prec + 64), eta, prec)
+    return prec, y0, d0, y
+
+
+@settings(max_examples=500, deadline=None)
+@given(_translations())
+def test_derived_exp_is_exp(case):
+    prec, y0, d0, y = case
+    got = _derive(prec, y0, d0, y)
+    assert _same(got, mpf_exp(_raw(y), prec, round_nearest))
+
+
+@pytest.mark.parametrize("prec, m, e", [
+    # exact half-way ties of exp_basecase's value (as in the cases above)
+    (53, -1780928, -60),
+    (53, 44105, -53),
+    (160, -338783110, -162),
+    (160, 178543900202, -161),
+    (544, 578, -545),
+    (544, -3040, -550),
+    # within 40 units of 2**-wp of a half-way point (found by search)
+    (53, -5182964445433316, -55),
+    (53, 8773358431609509, -57),
+    (53, -5662469771549441, -59),
+    (160, -1327726751225912735816681588081904096490369300843, -155),
+    (160, 742489281832896552256856484460010281264878913693, -157),
+    (160, -1376851329317362123235559143763277028691771251300, -157),
+])
+@pytest.mark.parametrize("d0", [(3, -2), (-5, -7), (1, 1)])
+def test_derivation_near_a_rounding_boundary_falls_back(prec, m, e, d0):
+    # y0 = y - d0 exactly, so eta = 0: the bound U alone decides
+    y = (m, e)
+    y0 = _add(y, (-d0[0], d0[1]), 4 * prec)
+    fallbacks = []
+    got = _derive(prec, y0, d0, y, fallbacks)
+    assert fallbacks == [y]
+    assert _same(got, mpf_exp(_raw(y), prec, round_nearest))
+
+
+def test_sampled_check_derives_the_translated_exponentials(monkeypatch):
+    # ranklcp --n 2 at 512 bits: 100 points, 3 functionals, 2 generators.
+    # 300 exps at the points themselves go through exp_basecase, and the
+    # 600 at translated points are derived from them, a few falling back
+    calls = []
+    original = rawmetric_module.exp_basecase
+
+    def counting(t, wp):
+        calls.append(wp)
+        return original(t, wp)
+
+    monkeypatch.setattr(rawmetric_module, "exp_basecase", counting)
+    make_rank_n_lcp(2, 512, seed=1)
+    assert 300 <= len(calls) <= 400
 
 
 def _mpf_sylvester(a, tol):
