@@ -885,7 +885,11 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
     arithmetic, exp's fixed point included, runs in rawmetric on (m, e)
     pairs m * 2**e, each sum and product rounded to nearest, ties to even,
     in the order the mpf expressions evaluate, so the residual is the mpf
-    loop's bit for bit.  A block-scalar row of the fiber metric holds its
+    loop's bit for bit.  libmp's exp_basecase runs at the sample points
+    alone: each exp at x + v is derived from the one at x and is kept
+    where a proven bound shows that libmp rounds it alike, and libmp
+    computes the rest, which are a few per cent, and all of them above
+    586 working bits.  A block-scalar row of the fiber metric holds its
     diagonal alone, so its row of H_F C is one rounded product per entry,
     and only entries the metric's sparsity lets be nonzero are compared.
     Returns one report per generator, in order, with the maximum relative

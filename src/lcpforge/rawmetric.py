@@ -12,6 +12,13 @@ around libmp's own fixed-point exp_basecase; only division (_div: one per
 point and generator, one per elimination row step) and exp of an integer
 above 600 bits call libmp on mpf values, converted at the boundary with
 from_man_exp.
+
+The sampled check calls exp_basecase only at the sample points
+themselves.  At a translated point x + v, _exp_near derives exp(2 f) from
+the point's own unrounded value and exp(2 c . v), and keeps the result
+only where a proven error bound (_exp's lemma) shows that libmp would
+round to the same value; elsewhere, and at working precisions above
+EXP_COSH_CUTOFF - 14 bits, where no bound is proven, _exp computes it.
 """
 
 from __future__ import annotations
@@ -219,7 +226,7 @@ def _exp_fixed(m, e, wp):
     """mpf_exp's fixed-point path for exp(m * 2**e) at wp bits, before its
     rounding: (V, s) with V = exp_basecase(t, wp), so V * 2**s ~ exp(x).
     It reduces x by ln 2 when |x| >= 2 and truncates it to wp fraction bits
-    as mpf_exp does; x must be nonzero."""
+    as mpf_exp does."""
     mag = m.bit_length() + e
     n = 0
     if mag > 1:
@@ -247,9 +254,10 @@ def _exp(m, e, prec):
     Lemma (the error of the fixed-point path, which _exp_near rests on).
     Let 64 <= wp <= EXP_COSH_CUTOFF, r = floor(sqrt(wp)),
     I = floor((wp + r) / (2r - 2)) + 1 and L = 3I + 16 (_exp_error_units).
-    For x = m * 2**e with |x| >= 2**-wp let (V, s) = _exp_fixed(m, e, wp)
-    and M = max(1, V * 2**-wp + 2**-20).  Then
-    |V * 2**s - exp(x)| <= (L * M + 1) * 2**s.
+    For any x = m * 2**e let (V, s) = _exp_fixed(m, e, wp) and
+    M = max(1, V * 2**-wp + 2**-20).  Then
+    |V * 2**s - exp(x)| <= (L * M + 1) * 2**s.  (_relative_error turns
+    this into a bound relative to V * 2**s.)
     Proof.  (a) The reduction gives x = n ln 2 + t * 2**-wp + xi with
     |xi| < 5 * 2**-wp: for |x| < 2 only the floor of t, 0 <= xi < 2**-wp;
     for |x| >= 2 the floors of the shifted x and of t, and ln2_fixed's
@@ -264,7 +272,8 @@ def _exp(m, e, prec):
     exp(u) * 2**P.  (c) Each of the r squarings doubles the relative error
     and its floor adds at most max(1, exp(-t * 2**-wp)) * 2**-P; the final
     shift by r floors once more.  That gives |V - exp(t * 2**-wp) * 2**wp|
-    <= (3(I + 2) + 4) M + 1, and with (a) the bound.
+    <= (3(I + 2) + 4) M + 1 with M >= max(1, exp(t * 2**-wp)), since
+    L * M + 1 < 2**(wp - 20); with (a) that is the bound.
     Above EXP_COSH_CUTOFF exp_basecase runs exponential_series, whose
     square root (isqrt_fast) carries no proven error bound, so no such
     lemma is claimed there.
@@ -289,10 +298,12 @@ def _exp_error_units(wp):
 
 def _relative_error(v, wp, units):
     """An int rho with |V * 2**s - exp(x)| <= rho * 2**-wp * V * 2**s, for
-    the lemma's (V, s) at wp bits and its L, units."""
-    one = 1 << wp
-    bound = (units * max(one, v + (one >> 20)) >> wp) + 2
-    return (bound << wp) // v + 1
+    the lemma's (V, s) at wp bits and its L, units.  The lemma's bound is
+    at most L * V * 2**-wp + 2 units when V >= 2**wp, and at most L + 2
+    below."""
+    if v >> wp:
+        return units + 3
+    return ((units + 2) << wp) // v + 1
 
 
 def _derivable(prec):
@@ -329,9 +340,9 @@ def _increment(functional, v, prec, units):
     bounds in units of 2**-wp: rho_D + L + 6 relative, and rho_D + 4 with
     L + 1 absolute for -2 < y < 0; units is L at wp = prec + 14."""
     wp = prec + 14
-    terms = [(cm * vm, ce + ve) for (cm, ce), (vm, ve) in zip(functional[1], v) if cm and vm]
-    low = min((te for _, te in terms), default=0)
-    dm = sum(tm << (te - low) for tm, te in terms)
+    products = [(cm * vm, ce + ve) for (cm, ce), (vm, ve) in zip(functional[1], v) if cm and vm]
+    low = min((pe for _, pe in products), default=0)
+    dm = sum(pm << (pe - low) for pm, pe in products)
     if not dm:
         return 0, 1 << wp, -wp, units + 6, 4, units + 1
     de = low + 1
@@ -387,11 +398,19 @@ def _exp_near(y, here, increment, prec):
     n = top - prec
     half = 1 << (n - 1)
     lo, hi = w - u, w + u + 1
-    if lo >> (top - 1) and not hi >> top:
+    if lo >> (top - 1) == 1 and not hi >> top:
         q = (hi + half) >> n
         if (lo - 1 + half) >> n == q:
             return q, scale + n
     return _exp(m, e, prec)
+
+
+def _twice(functional, x, prec):
+    """2 f(x) for a functional c . x + d, summed from d; doubling a value
+    of at most prec bits is exact."""
+    constant, coeffs = functional
+    m, e = _dot(constant, coeffs, x, prec)
+    return m, e + 1
 
 
 def _exp_twice(functional, x, prec):
@@ -399,7 +418,6 @@ def _exp_twice(functional, x, prec):
     mpf_exp's value bit for bit, with no mpf built on the way."""
     constant, coeffs = functional
     m, e = _dot(constant, coeffs, x, prec)
-    # doubling a value of at most prec bits is exact
     return _exp(m, e + 1, prec)
 
 
@@ -423,20 +441,19 @@ def metric_gram(terms: MetricTerms, x, exps=None):
     """
     prec, total = terms.prec, terms.total
     x = [_round(m, e, prec) for m, e in x]
-    twice = []
-    for constant, coeffs in terms.functionals:
-        m, e = _dot(constant, coeffs, x, prec)
-        # doubling a value of at most prec bits is exact
-        twice.append((m, e + 1))
-    scales = [_exp(m, e, prec) for m, e in twice] if exps is None else exps(twice)
+    if exps is None:
+        scales = [_exp_twice(f, x, prec) for f in terms.functionals]
+    else:
+        scales = exps([_twice(f, x, prec) for f in terms.functionals])
     gram = [[_ZERO] * total for _ in range(total)]
     for slot, indices in terms.diagonal:
         scale = _ONE if slot is None else scales[slot]
         for i in indices:
             gram[i][i] = scale
-    factors = scales[len(scales) - len(terms.cross):]
-    for (epsilon, _, idx1, idx2, table), factor in zip(terms.cross, factors):
-        _add_cross(gram, _mul(epsilon, factor, prec), idx1, idx2, table, prec)
+    if terms.cross:
+        factors = scales[len(scales) - len(terms.cross):]
+        for (epsilon, _, idx1, idx2, table), factor in zip(terms.cross, factors):
+            _add_cross(gram, _mul(epsilon, factor, prec), idx1, idx2, table, prec)
     return gram
 
 
@@ -537,7 +554,10 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
     linear part, the squared flat-block ratio and the base translation, as
     pairs of at most prec bits, like the points.  J = diag(C, I), so only
     the fiber block of the pullback moves, to C^T (H_F C).  h(x) is
-    evaluated once per point, h(x + v) once per point and action.
+    evaluated once per point, h(x + v) once per point and action.  When
+    _derivable, exp_basecase runs for h(x) alone: the exps of h(x + v) are
+    derived from those of h(x) by _exp_near, with the increments
+    exp(2 c . v) computed once per functional and action.
 
     Only the entries the metric's sparsity lets be nonzero are read: the
     fiber block, whose row l has the diagonal and the indices cross terms
@@ -548,24 +568,25 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
     # a block-scalar row (None) holds its diagonal alone
     rows = [sorted(s + [l]) if s else None for l, s in enumerate(_coupled(terms.cross, p))]
     residuals = [_ZERO] * len(actions)
-    derive = _derivable(terms.prec)
+    exp_prec = terms.prec
+    derive = _derivable(exp_prec)
     if derive:
-        units = _exp_error_units(terms.prec + 14)
-        increments = [[_increment(f, v, terms.prec, units) for f in terms.functionals]
+        units = _exp_error_units(exp_prec + 14)
+        increments = [[_increment(f, v, exp_prec, units) for f in terms.functionals]
                       for _, _, v in actions]
     for x in points:
         if derive:
             fixed = []
-            h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, terms.prec, units, fixed))
+            h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, exp_prec, units, fixed))
         else:
             h_here = metric_gram(terms, x)
         here = [h for row in h_here[:p] for h in row[:p]] + [h_here[i][i] for i in base]
         for g, (c_t, lam1_sq, v) in enumerate(actions):
             x_v = [_add(xi, vi, prec) for xi, vi in zip(x, v)]
             if derive:
-                near = lambda twice: [_exp_near(y, h, d, terms.prec)  # noqa: E731
-                                      for y, h, d in zip(twice, fixed, increments[g])]
-                h_there = metric_gram(terms, x_v, near)
+                h_there = metric_gram(terms, x_v, lambda twice: [
+                    _exp_near(y, h, d, exp_prec) for y, h, d in zip(twice, fixed, increments[g])
+                ])
             else:
                 h_there = metric_gram(terms, x_v)
             fiber = [

@@ -328,12 +328,12 @@ LEMMA_PRECS = st.sampled_from([50, 53, 96, 160, 288, 400, 544, 575, 586])
 
 @st.composite
 def _lemma_arguments(draw):
-    """A precision and a nonzero (m, e): |x| < 2, where no reduction runs, or
-    |x| >= 2 up to 2**40, reduced by ln 2; any sign, mantissas of any
-    width up to prec bits."""
+    """A precision and a nonzero (m, e): |x| < 2, where no reduction runs,
+    down to far below 2**-wp, or |x| >= 2 up to 2**40, reduced by ln 2; any
+    sign, mantissas of any width up to prec bits."""
     prec = draw(LEMMA_PRECS)
     m = draw(_values(prec))[0]
-    top = draw(st.one_of(st.integers(-prec - 14, 1), st.integers(2, 40)))
+    top = draw(st.one_of(st.integers(-prec - 60, 1), st.integers(2, 40)))
     return prec, (m, top - m.bit_length())
 
 
