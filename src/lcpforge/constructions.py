@@ -66,7 +66,7 @@ from .numberfield import (
     dirichlet_rank_bound,
     elem_from_json,
     field_new,
-    generator_from_traces,
+    galois_generator,
     is_unit,
     minimal_polynomial,
     mult_matrix,
@@ -75,6 +75,7 @@ from .numberfield import (
 )
 from .polynomials import (
     IntPoly,
+    as_int,
     is_prime,
     isolate_real_roots,
     minpoly_from_traces,
@@ -96,7 +97,7 @@ EQUIVARIANCE_SAMPLES = 100
 class ExField:
     """Cyclic totally real field built from a prime modulus, and the trace
     polynomials trace_polys(degree) it was read off; no Galois generator:
-    make_dmatrix reads sigma's residue off them (generator_from_traces)."""
+    make_dmatrix reads sigma's residue off them (galois_generator)."""
 
     __slots__ = ("field", "modulus", "traces")
 
@@ -113,13 +114,21 @@ def make_exfield(n: int) -> ExField:
     largest real root of the m-th cyclotomic polynomial; the degree is
     (m - 1) / 2.
     """
-    return _exfield(_conductor(n))
+    return _exfield(_conductor(_int_param("n", n)))
 
 
-def _conductor(n, rank: int = 0) -> int:
+def _int_param(name: str, value) -> int:
+    """value read through as_int; 1.9, "1" and other non-integers raise
+    InputError naming the parameter rather than being truncated."""
+    try:
+        return as_int(value)
+    except InputError:
+        raise InputError("%s must be an integer, got %r" % (name, value)) from None
+
+
+def _conductor(n: int, rank: int = 0) -> int:
     """The first prime m >= 2n + 3 whose Galois orbit has rank >= rank;
     the real subfield then has degree (m - 1)/2 >= n + 1."""
-    n = int(n)
     if n < 1:
         raise InputError("rank parameter must be a positive integer")
     m = 2 * n + 3
@@ -203,10 +212,11 @@ def make_dmatrix(n: int) -> DMatrixData:
     (numberfield.mult_matrix); these commute because M_u M_v = M_uv, and
     the pipelines decide exactly that they lie in GL(p, Z).
     """
-    ex = _exfield(_conductor(n, int(n)))
+    n = _int_param("n", n)
+    ex = _exfield(_conductor(n, n))
     m, cs = ex.modulus, ex.traces
-    g = generator_from_traces(ex.field, cs)
-    residues = [pow(g, k, m) for k in range(int(n))]
+    g = galois_generator(ex.field, cs)
+    residues = [pow(g, k, m) for k in range(n)]
     units = [ex.field.from_int_poly(cs[min(r, m - r)]) for r in residues]
     return DMatrixData(ex, units, [mult_matrix(u) for u in units])
 
@@ -510,11 +520,11 @@ def make_rank_n_lcp(n: int, precision=None, seed: int = 0) -> LcpCertificate:
     assembly over an n-dimensional base, equivariance sampling, and the
     multiplicative rank of the flat-block ratio witnesses.
     """
-    n = int(n)
+    n, seed = _int_param("n", n), _int_param("seed", seed)
     bits = validate_precision(default_precision() if precision is None else precision)
-    builder = _Builder("ranklcp", {"n": n}, bits, int(seed))
+    builder = _Builder("ranklcp", {"n": n}, bits, seed)
     dm = make_dmatrix(n)
-    return _assemble_rank_certificate(builder, dm, n, bits, int(seed))
+    return _assemble_rank_certificate(builder, dm, n, bits, seed)
 
 
 def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
@@ -577,8 +587,9 @@ def worked_rank2_example(precision=None, seed: int = 0) -> LcpCertificate:
     eigenvector against their known closed forms before running the
     generic rank pipeline; any mismatch is a hard failure.
     """
+    seed = _int_param("seed", seed)
     bits = validate_precision(default_precision() if precision is None else precision)
-    builder = _Builder("worked-example", {}, bits, int(seed))
+    builder = _Builder("worked-example", {}, bits, seed)
     dm = make_dmatrix(2)
     if dm.matrices[0] != _RANK2_A1:
         raise CheckFailureError("golden comparison failed for the first unit matrix")
@@ -599,7 +610,7 @@ def worked_rank2_example(precision=None, seed: int = 0) -> LcpCertificate:
         dm,
         2,
         bits,
-        int(seed),
+        seed,
         notes={"base_translation_absolute_value": _NOTE_ABS,
                "warp_coefficients": _NOTE_WARP},
     )
@@ -618,7 +629,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     the warp along the one-dimensional base is t^(2q+2), and the metric
     functional solved from the increment system has coefficient q + 1.
     """
-    q = int(q)
+    q = _int_param("q", q)
     if q not in (1, 2):
         raise InputError(
             "admissible warp powers are q = 1 and q = 2; got q = %d" % q
@@ -630,7 +641,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     if det(a) != 1:
         raise InputError("matrix must lie in SL(%d, Z)" % (q + 1))
     bits = validate_precision(default_precision() if precision is None else precision)
-    seed = int(seed)
+    seed = _int_param("seed", seed)
     builder = _Builder(
         "kourganoff", {"q": q, "matrix": matrix_to_json(a)}, bits, seed
     )
@@ -783,7 +794,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     if lck and t != 1:
         raise InputError("the LCK preset needs exactly one complex place")
     bits = validate_precision(default_precision() if precision is None else precision)
-    seed = int(seed)
+    seed = _int_param("seed", seed)
     builder = _Builder(
         "ot",
         {
@@ -904,6 +915,18 @@ def _stored(mapping, key, read, prefix=""):
         raise InputError("certificate field %s is malformed: %s" % (name, exc)) from None
 
 
+def _exactly(kind):
+    """A reader of stored values of exactly this JSON type: an integer
+    field refuses 1.7, "1" and true, and a boolean one refuses 1."""
+
+    def read(value):
+        if type(value) is not kind:
+            raise ValueError("expected %s, got %r" % (kind.__name__, value))
+        return value
+
+    return read
+
+
 def run_pipeline(name: str, parameters: dict, precision=None,
                  seed: int = 0) -> LcpCertificate:
     """Run a named pipeline from its JSON-ready parameter mapping.
@@ -918,19 +941,18 @@ def run_pipeline(name: str, parameters: dict, precision=None,
         return _stored(parameters, key, read, "parameters.")
 
     if name == "ranklcp":
-        return make_rank_n_lcp(param("n", int), precision, seed)
+        return make_rank_n_lcp(param("n", _exactly(int)), precision, seed)
     if name == "worked-example":
         return worked_rank2_example(precision, seed)
     if name == "kourganoff":
-        q, matrix = param("q", int), param("matrix", matrix_from_json)
+        q, matrix = param("q", _exactly(int)), param("matrix", matrix_from_json)
         return make_kourganoff(q, matrix, precision, seed)
     if name == "ot":
         minpoly = param("minpoly", poly_from_json)
         field = field_new(minpoly)
         units = param("units", lambda rows: [elem_from_json(field, c) for c in rows])
-        _, cert = make_ot(
-            minpoly, units, precision, seed, lck=bool(parameters.get("lck"))
-        )
+        lck = param("lck", _exactly(bool))
+        _, cert = make_ot(minpoly, units, precision, seed, lck=lck)
         return cert
     raise InputError("unknown pipeline %r" % name)
 
@@ -942,8 +964,8 @@ def verify_certificate(cert: LcpCertificate, precision=None) -> dict:
     identical; at any other precision only the verdicts are compared.
     """
     doc = cert.document
-    stored_bits = _stored(doc, "precision_bits", int)
-    seed = _stored(doc, "seed", int)
+    stored_bits = _stored(doc, "precision_bits", _exactly(int))
+    seed = _stored(doc, "seed", _exactly(int))
     bits = stored_bits if precision is None else validate_precision(precision)
     fresh = run_pipeline(doc["pipeline"], doc["parameters"], bits, seed)
     stored_verdicts = collect_verdicts(doc["checks"])

@@ -14,22 +14,25 @@ minpoly_constant that certificates seal.
 The real cyclotomic subfields Q(2cos(2*pi/m)), m an odd prime, are built
 from one trace_polys(d) list, d = (m - 1)/2: the field polynomial is
 minpoly_from_traces of it, the signature is (d, 0) by construction, as the
-roots 2cos(2*pi*k/m) are real and distinct, and the residue g of the Galois
-generator sigma_g is read off the same list by generator_from_traces.  Every
-other field takes its signature from a Sturm chain.
+roots 2cos(2*pi*k/m) are real and distinct, and galois_generator reads the
+residue g of the Galois generator sigma_g off the same list.  Every other
+field takes its signature from a Sturm chain.
 
 Irreducibility of a defining polynomial is decided by a layered heuristic:
 squarefreeness and rational roots first, then factor-degree patterns modulo
-small primes.  A pattern equal to {d} proves irreducibility outright; an
-empty intersection of achievable factor degrees across several primes does
-too.  Anything else is reported as inconclusive rather than assumed.
+small primes.  The polynomial is monic, so its rational roots are integers,
+and each real root's isolating interval, refined to width 1/2, holds at
+most one: that integer is tested, and degree <= 3 with none is
+irreducible.  A pattern equal to {d} proves irreducibility outright; an
+empty intersection of achievable factor degrees across several primes
+does too.  Anything else is reported as inconclusive rather than assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import floor, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -45,10 +48,11 @@ from .polynomials import (
     as_rat,
     binary_power,
     is_prime,
+    isolate_real_roots,
     minpoly_from_traces,
     rat_from_json,
+    refine_root,
     sturm_chain,
-    trace_polys,
 )
 
 
@@ -360,45 +364,6 @@ def require_unit(a: FieldElem, what: str = "element") -> None:
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-def _trial_divisors(n: int, limit: int = 10 ** 6) -> Tuple[List[int], bool]:
-    """Positive divisors of |n| by trial division; flag says 'complete'."""
-    n = abs(int(n))
-    if n == 0:
-        return [], False
-    factors = {}
-    rest = n
-    f = 2
-    while f * f <= rest and f <= limit:
-        while rest % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            rest //= f
-        f += 1 if f == 2 else 2
-    complete = True
-    if rest > 1:
-        if rest <= limit * limit and (rest < limit or is_prime(rest)):
-            factors[rest] = factors.get(rest, 0) + 1
-        else:
-            complete = False
-    divs = [1]
-    for p, e in factors.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(set(divs)), complete
-
-
-def _rational_roots(p: IntPoly) -> Tuple[List, bool]:
-    """Rational roots via the integer root theorem; flag says 'complete'."""
-    if p.constant() == 0:
-        return [Fraction(0)], True
-    nums, cn = _trial_divisors(p.constant())
-    dens, cd = _trial_divisors(p.leading())
-    roots = []
-    for a in nums:
-        for b in dens:
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                if p(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots, cn and cd
-
 def _poly_mod(p: IntPoly, q: int) -> List[int]:
     return [c % q for c in p.coeffs]
 
@@ -496,10 +461,13 @@ def irreducibility_heuristic(p: IntPoly) -> Tuple[str, str]:
     """Classify a monic integer polynomial: returns (verdict, witness).
 
     verdict is "irreducible", "reducible" or "inconclusive".  The witness
-    explains which layer decided: repeated factors, a rational root, the
-    complete low-degree root test, a prime with irreducible reduction, or an
-    empty intersection of factor-degree patterns.
+    explains which layer decided: repeated factors, an integer root (the
+    only rational roots a monic polynomial has), no such root at degree
+    <= 3, a prime with irreducible reduction, or an empty intersection of
+    factor-degree patterns.  A non-monic p raises InputError.
     """
+    if not p.is_monic():
+        raise InputError("irreducibility is decided for monic polynomials only")
     d = p.degree
     if d < 1:
         return "reducible", "constant polynomial"
@@ -507,10 +475,14 @@ def irreducibility_heuristic(p: IntPoly) -> Tuple[str, str]:
         return "irreducible", "degree 1"
     if not sturm_chain(p).squarefree:
         return "reducible", "repeated factor (gcd with derivative is nonconstant)"
-    roots, complete = _rational_roots(p)
-    if roots:
-        return "reducible", "rational root %s" % roots[0]
-    if d <= 3 and complete:
+    for lo, hi in isolate_real_roots(p):
+        # p is monic, so a rational root is an integer, and a root's
+        # interval refined to width 1/2 holds one at most: the floor of its
+        # upper end, as the root lies in (lo, hi] or is lo == hi
+        k = floor(refine_root(p, lo, hi, 1)[1])
+        if p(k) == 0:
+            return "reducible", "rational root %d" % k
+    if d <= 3:
         return "irreducible", "degree <= 3 with no rational root"
     patterns = []
     used = []
@@ -562,103 +534,32 @@ def field_new(minpoly: IntPoly) -> NumberField:
 # Galois structure
 
 
-class GaloisMap:
-    """Field endomorphism determined by the image of the generator; residue
-    is the g with image c_g(alpha) when galois_generator chose it."""
-
-    __slots__ = ("field", "image", "residue")
-
-    def __init__(self, field: NumberField, image: FieldElem, residue=None):
-        if image.field != field:
-            raise InputError("image lives in a different field")
-        if field.minpoly(image):
-            raise InputError("image is not a root of the defining polynomial")
-        self._seal(field, image, residue)
-
-    @classmethod
-    def _conjugate(cls, field: NumberField, image: FieldElem, residue: int):
-        """The map alpha -> image for an image that is a conjugate of alpha
-        by construction, so no root check runs: galois_generator's."""
-        gmap = object.__new__(cls)
-        gmap._seal(field, image, residue)
-        return gmap
-
-    def _seal(self, field, image, residue):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "residue", residue)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaloisMap is immutable")
-
-    def apply(self, elem: FieldElem) -> FieldElem:
-        if elem.field != self.field:
-            raise InputError("element lives in a different field")
-        # Horner on the coordinates at the image of the generator
-        coords = elem.coords
-        acc = self.field.from_rational(coords[-1])
-        for c in reversed(coords[:-1]):
-            acc = acc * self.image + c
-        return acc
-
-    def __call__(self, elem: FieldElem) -> FieldElem:
-        return self.apply(elem)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaloisMap):
-            return NotImplemented
-        return self.field == other.field and self.image == other.image
-
-    def __hash__(self):
-        return hash(("GaloisMap", self.image))
-
-    def __repr__(self):
-        return "GaloisMap(alpha -> %r)" % self.image
-
-
-def galois_generator(field: NumberField) -> GaloisMap:
-    """A generator of the automorphism group of a real cyclotomic subfield.
+def galois_generator(field: NumberField, cs: Sequence[IntPoly]) -> int:
+    """The residue g of a generator sigma_g of the automorphism group of a
+    real cyclotomic subfield, read off its trace polynomials.
 
     The field must be Q(2cos(2*pi/m)) for an odd prime conductor m = 2d + 1,
-    given by its minimal polynomial minpoly_from_traces(trace_polys(d));
-    degree one is the trivial group.
-    That is checked here, and the map is built from the residue g that
-    generator_from_traces chooses; the pipelines carry g alone.
+    given by minpoly_from_traces(cs), cs = trace_polys(d); that is checked
+    here, and degree one, the trivial group, returns 1.
+
+    sigma_g sends the generator alpha = 2cos(2*pi/m) to c_g(alpha), since
+    c_g(z + 1/z) = z^g + z^-g, and it generates the cyclic group of order d
+    exactly when g generates (Z/m)^x / {+-1}.  Of those, the g whose image
+    has lexicographically least coordinates is returned, the first of order
+    d in coordinate order, which makes the choice reproducible.  The
+    coordinates of c_g(alpha) are those of c_g for g < d; c_d is monic of
+    degree d, like the field polynomial, and one subtraction reduces it.
+    No FieldElem is built.
     """
     d = field.degree
     if d == 1:
-        return GaloisMap._conjugate(field, field.gen(), 1)
-    cs = trace_polys(d)
-    if not is_prime(2 * d + 1) or field.minpoly != minpoly_from_traces(cs):
+        return 1
+    m, f = 2 * d + 1, field.minpoly.coeffs
+    if not is_prime(m) or field.minpoly != minpoly_from_traces(cs):
         raise InputError(
             "Galois generators are only available for real cyclotomic "
             "subfields of prime conductor; %r is not one" % field.minpoly
         )
-    g = generator_from_traces(field, cs)
-    return GaloisMap._conjugate(field, field.from_int_poly(cs[g]), g)
-
-
-def generator_from_traces(field: NumberField, cs: Sequence[IntPoly]) -> int:
-    """The residue g of galois_generator's sigma_g for a field whose polynomial
-    is minpoly_from_traces(cs), cs = trace_polys(d), d >= 2, m = 2d + 1 prime.
-
-    The automorphism sigma_g sends the generator 2cos(2*pi/m) to c_g of it,
-    and it generates the cyclic group of order d exactly when g generates
-    (Z/m)^x / {+-1}.  Of those, the g whose image has lexicographically least
-    coordinates is returned, the first of order d in coordinate order, which
-    makes the choice reproducible.  The coordinates of c_g(alpha) are those
-    of c_g for g < d; c_d is monic of degree d, like the field polynomial,
-    and one subtraction reduces it.  No FieldElem is built.
-
-    The image c_g(alpha) is a root of the defining polynomial by
-    construction: that polynomial is the minimal polynomial of 2cos(2*pi/m),
-    whose roots are the 2cos(2*pi*k/m), and c_g(z + 1/z) = z^g + z^-g, so
-    c_g(alpha) = sigma_g(alpha) is a conjugate of alpha.  The map is
-    therefore built without GaloisMap's root check, which every other
-    caller keeps.
-    """
-    d = field.degree
-    m, f = 2 * d + 1, field.minpoly.coeffs
 
     def coords(g):
         c = cs[g].coeffs

@@ -29,12 +29,11 @@ from lcpforge.lcpcore import verify_equivariance
 from lcpforge.numberfield import (
     dirichlet_rank_bound,
     field_new,
-    galois_generator,
     minimal_polynomial,
     mult_matrix,
 )
 from lcpforge.polynomials import IntPoly
-from oracles import real_subfield_minpoly
+from oracles import galois_sigma, real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -116,7 +115,7 @@ def test_criterion_3_dirichlet_bound_holds_and_is_attained(suite_certificates):
     field = field_new(M7)
     assert dirichlet_rank_bound(field) == 2
     alpha = field.gen()
-    sigma = galois_generator(field)
+    sigma = galois_sigma(field)
     assert multiplicative_rank(field, [alpha, sigma(alpha)], 128) == 2
 
 

@@ -70,3 +70,65 @@ def test_traced_arguments_and_results_keep_their_places():
     result = certified_poly_roots(IntPoly((-2, 0, 1)), 64)
     assert len(result) == 3 and result[2] == 64 + GUARD_BITS
     assert isinstance(canonical_json({"bits": 64}), str)
+
+
+# Run in a fresh interpreter: the tracer replaces functions in every loaded
+# lcpforge module, so it must not leak into the other tests, and -B keeps
+# bytecode out of perfbench/.
+_REACH_SCRIPT = r"""
+import contextlib, importlib.util, io, json, sys
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("perfbench_layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+
+import lcpforge.cli
+from lcpforge.embeddings import GUARD_BITS
+
+tracer = layers.Tracer(GUARD_BITS)
+layers.install(tracer)
+
+from lcpforge import certio, cli, constructions
+from lcpforge.intlinalg import IntMatrix
+from lcpforge.numberfield import field_new
+from lcpforge.polynomials import IntPoly
+
+cert = constructions.make_rank_n_lcp(2, 64, seed=0)
+constructions.worked_rank2_example(64)
+constructions.make_kourganoff(1, IntMatrix(((2, 1), (1, 1))), 64)
+quartic = IntPoly((-1, -1, 0, 0, 1))
+a = field_new(quartic).gen()
+constructions.make_ot(quartic, [a, a - 1], 64, lck=True)
+constructions.make_exfield(2)
+constructions.make_dmatrix(2)
+constructions.verify_certificate(cert)
+certio.load_certificate(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["exfield", "--n", "2"]) == 0
+
+calls = {}
+for span in tracer.spans:
+    calls[span[0]] = calls.get(span[0], 0) + 1
+print(json.dumps({name: calls.get(name, 0) for name in layers.CALLS + layers.SECONDS}))
+"""
+
+
+def test_every_traced_metric_is_reached():
+    # a per-layer metric whose function no pipeline calls reads 0 on
+    # working code and shows nothing; small builds of every pipeline, a
+    # verify, a certificate load and the CLI reach each one
+    import json
+    import os
+    import subprocess
+
+    cert = Path(__file__).resolve().parent / "data" / "ranklcp_n1_128.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", _REACH_SCRIPT, str(LAYERS_FILE), str(cert)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    calls = json.loads(out)
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -276,20 +276,31 @@ DATA = Path(__file__).parent / "data"
         ("ranklcp_n1_128", lambda d: d.update(seed="abc"), "seed"),
         ("ranklcp_n1_128", lambda d: d.update(precision_bits="abc"), "precision_bits"),
         ("kourganoff_q1_128", lambda d: d["parameters"].pop("matrix"), "parameters.matrix"),
+        ("ranklcp_n1_128", lambda d: d["parameters"].update(n=1.7), "parameters.n"),
+        ("ranklcp_n1_128", lambda d: d["parameters"].update(n="1"), "parameters.n"),
+        ("ranklcp_n1_128", lambda d: d.update(seed=0.5), "seed"),
+        ("ranklcp_n1_128", lambda d: d.update(precision_bits=128.0), "precision_bits"),
+        ("kourganoff_q1_128", lambda d: d["parameters"].update(q=True), "parameters.q"),
+        ("ot_x3-x-1_128", lambda d: d["parameters"].update(lck=0), "parameters.lck"),
+        ("ot_x3-x-1_128", lambda d: d["parameters"].pop("lck"), "parameters.lck"),
     ],
     ids=["parameters-empty", "parameters-list", "n-text", "seed-text",
-         "precision-text", "kourganoff-without-matrix"],
+         "precision-text", "kourganoff-without-matrix", "n-float", "n-numeral",
+         "seed-float", "precision-float", "q-bool", "lck-int", "ot-without-lck"],
 )
 def test_malformed_stored_field_exits_2(tmp_path, capsys, stored, edit, field):
     # a certificate whose stored fields cannot be read is a malformed file,
-    # refused before any pipeline runs and named in the message
+    # refused before any pipeline runs and named in the message; at another
+    # precision no byte is compared, so a value read loosely (1.7 as 1)
+    # would pass unnoticed there
     doc = json.loads((DATA / (stored + ".json")).read_text())
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "verify", str(path))
-    assert code == 2
-    assert err.startswith("error: certificate field %s " % field)
+    for precision in ([], ["--precision", "256"]):
+        code, _, err = run_cli(capsys, "verify", str(path), *precision)
+        assert code == 2
+        assert err.startswith("error: certificate field %s " % field)
 
 
 def test_unknown_command_exits_2(capsys):

@@ -67,7 +67,7 @@ from lcpforge.polynomials import (
     sturm_chain,
     trace_polys,
 )
-from oracles import real_subfield_minpoly
+from oracles import galois_sigma, real_subfield_minpoly
 
 M7 = IntPoly((-1, -2, 1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -129,7 +129,7 @@ def test_exfield_moduli_and_degrees():
 def test_exfield_sigma_is_field_automorphism():
     ex = make_exfield(2)
     alpha = ex.field.gen()
-    image = galois_generator(ex.field)(alpha)
+    image = galois_sigma(ex.field)(alpha)
     assert image == alpha * alpha - ex.field.from_rational(2)
 
 
@@ -161,15 +161,15 @@ def test_dmatrix_rank2_golden_matrices():
 def test_dmatrix_units_are_galois_orbit_prefix():
     for n in (3, 8):
         dm = make_dmatrix(n)
-        sigma = galois_generator(dm.field)
+        sigma = galois_sigma(dm.field)
         assert len(dm.units) == n
         for l in range(1, n):
             assert dm.units[l] == sigma(dm.units[l - 1])
 
 
 def test_dmatrix_reads_the_orbit_off_the_trace_polynomials(monkeypatch):
-    # sigma^k(alpha) = c_(g^k mod m)(alpha): no Galois map is applied
-    counts = _count_calls(monkeypatch, [(numberfield_module.GaloisMap, "apply")])
+    # sigma^k(alpha) = c_(g^k mod m)(alpha): no field product is taken
+    counts = _count_calls(monkeypatch, [(FieldElem, "__mul__")])
     assert len(make_dmatrix(12).units) == 12
     assert counts == {}
 
@@ -235,9 +235,10 @@ def test_exfield_runs_no_irreducibility_heuristic(monkeypatch):
 
 
 def test_exfield_evaluates_no_polynomial_at_a_field_element(monkeypatch):
-    # exfield derives no Galois generator, and galois_generator's image is a
-    # root by construction (numberfield's test_generator_image_is_a_root), so
-    # no minimal polynomial is evaluated at a field element
+    # exfield derives no Galois generator, and the generator's image
+    # c_g(alpha) is a root by construction (numberfield's
+    # test_generator_image_is_a_root), so no minimal polynomial is
+    # evaluated at a field element
     arguments = []
     original = IntPoly.__call__
 
@@ -269,29 +270,30 @@ def test_exfield_reads_everything_off_one_trace_polynomial_pass(monkeypatch):
 def test_galois_generator_is_carried_as_its_residue(monkeypatch):
     # exfield prints only the field and derives no Galois generator, not
     # even the order of 2 that the orbit rank reads; dmatrix, sigma's one
-    # reader, chooses the residue g once and builds no map from it
+    # reader, chooses the residue g once
     targets = [
         (module, name)
         for module in (constructions_module, numberfield_module)
-        for name in ("generator_from_traces", "order_mod_sign")
-    ] + [(numberfield_module.GaloisMap, "_seal")]
+        for name in ("galois_generator", "order_mod_sign")
+    ]
     counts = _count_calls(monkeypatch, targets)
     assert make_exfield(40).field.degree == 41
     assert counts == {}
     assert len(make_dmatrix(8).units) == 8
-    assert counts["generator_from_traces"] == 1
-    assert counts["_seal"] == 0
+    assert counts["galois_generator"] == 1
 
 
 def test_dmatrix_reads_the_trace_polynomials_its_field_was_built_from(monkeypatch):
     modules = (constructions_module, numberfield_module, polynomials_module)
-    counts = _count_calls(monkeypatch, [(m, "trace_polys") for m in modules])
+    counts = _count_calls(
+        monkeypatch, [(m, "trace_polys") for m in modules if hasattr(m, "trace_polys")]
+    )
     assert len(make_dmatrix(8).units) == 8
     assert counts == {"trace_polys": 1}
 
 
 def _frozen_galois_choice(field, m):
-    """(image coordinates, residue) of galois_generator as it was derived
+    """(image coordinates, residue) of the Galois generator as it was derived
     before the images were compared as integer tuples: every candidate
     c_g(alpha) reduced as a FieldElem by the field polynomial, the least
     coordinates kept."""
@@ -325,7 +327,7 @@ def _frozen_mult_matrix(u):
 @pytest.mark.parametrize("m", [m for m in range(5, 212) if is_prime(m)])
 def test_exfield_construction_matches_the_derivations_it_replaces(m):
     # _exfield takes the signature and the polynomial as proved by
-    # construction, and generator_from_traces the residue of the Galois
+    # construction, and galois_generator the residue of the Galois
     # generator; each is compared here with the derivation it replaces
     ex = constructions_module._exfield(m)
     field, d = ex.field, (m - 1) // 2
@@ -336,11 +338,11 @@ def test_exfield_construction_matches_the_derivations_it_replaces(m):
     assert ex.traces == trace_polys(d)
     expected = _frozen_galois_choice(field, m)
     # the residue make_dmatrix carries, and the public map built from it
-    assert numberfield_module.generator_from_traces(field, ex.traces) == expected[1]
-    public = galois_generator(field)
-    assert (public.image.coords, public.residue) == expected
+    assert galois_generator(field, ex.traces) == expected[1]
+    image = galois_sigma(field)(field.gen())
+    assert image.coords == expected[0]
     # alpha, sigma(alpha) and c_d(alpha), the one image that needs reducing
-    for u in (field.gen(), public.image, field.from_int_poly(ex.traces[d])):
+    for u in (field.gen(), image, field.from_int_poly(ex.traces[d])):
         built, frozen = mult_matrix(u), _frozen_mult_matrix(u)
         assert built == frozen
         assert hash(built) == hash(frozen)
@@ -955,6 +957,30 @@ def test_run_pipeline_round_trips_every_pipeline(
                  quartic_lck[1]):
         fresh = run_pipeline(cert.pipeline, cert.parameters, 128, cert.seed)
         assert canonical_json(fresh.document) == canonical_json(cert.document)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: make_rank_n_lcp(1.9, 128, seed=0), "n"),
+        (lambda: make_rank_n_lcp(1, 128, seed=0.7), "seed"),
+        (lambda: make_exfield(2.5), "n"),
+        (lambda: make_dmatrix("2"), "n"),
+        (lambda: make_kourganoff(1.2, B_HYPERBOLIC, 128), "q"),
+        (lambda: worked_rank2_example(128, seed=Fraction(1, 2)), "seed"),
+        (lambda: make_ot(PLASTIC, [field_new(PLASTIC).gen()], 128, seed="0"), "seed"),
+    ],
+    ids=["rank-n", "rank-seed", "exfield-n", "dmatrix-n", "kourganoff-q",
+         "worked-seed", "ot-seed"],
+)
+def test_builders_refuse_non_integer_parameters(build, name):
+    # 1.9 used to be truncated to 1, and a seed of 0.7 to 0
+    with pytest.raises(InputError, match="^%s must be an integer" % name):
+        build()
+
+
+def test_builders_take_integral_fractions():
+    assert make_exfield(Fraction(2)).modulus == make_exfield(2).modulus
 
 
 def test_run_pipeline_unknown_name():

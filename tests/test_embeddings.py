@@ -28,8 +28,9 @@ from lcpforge.embeddings import (
     verify_ratio_witness,
 )
 from lcpforge.errors import InputError, NeedsEscalation, NonUnitError, PrecisionError
-from lcpforge.numberfield import NumberField, field_new, galois_generator
+from lcpforge.numberfield import NumberField, field_new
 from lcpforge.polynomials import IntPoly
+from oracles import galois_sigma
 
 M7 = IntPoly((-1, -2, 1, 1))
 PLASTIC = IntPoly((-1, -1, 0, 1))
@@ -218,9 +219,9 @@ class TestMultiplicativeRank:
     def test_full_conjugate_set_has_rank_two(self, m7):
         # the product of all conjugates is the norm, a root of unity, so
         # three conjugates only span a rank-2 lattice
-        tau = galois_generator(m7)
+        sigma = galois_sigma(m7)
         alpha = m7.gen()
-        units = [alpha, tau.apply(alpha), tau.apply(tau.apply(alpha))]
+        units = [alpha, sigma(alpha), sigma(sigma(alpha))]
         assert multiplicative_rank(m7, units, 128) == 2
 
     def test_rejects_non_units(self, m7):
@@ -252,9 +253,9 @@ class TestRankProof:
 
     def test_projected_full_rank_with_more_units_than_coords(self, m7, refined_bits):
         # three conjugates span rank 2; any two places see all of it
-        tau = galois_generator(m7)
+        sigma = galois_sigma(m7)
         alpha = m7.gen()
-        units = [alpha, tau.apply(alpha), tau.apply(tau.apply(alpha))]
+        units = [alpha, sigma(alpha), sigma(sigma(alpha))]
         assert projected_log_rank(m7, units, (0, 1), 128) == 2
         assert refined_bits == [128 + GUARD_BITS]
 
@@ -282,7 +283,7 @@ class TestRankProof:
         # alpha and its conjugate are independent; a midpoint elimination
         # that stops at rank 1 leaves a unit with no exact relation over
         # the pivot, so the rank is refused rather than read as 1
-        units = [m7.gen(), galois_generator(m7).apply(m7.gen())]
+        units = [m7.gen(), galois_sigma(m7)(m7.gen())]
         original = embeddings_module.full_pivot_eliminate
 
         def stops_early(a, cutoff):

@@ -26,7 +26,6 @@ from lcpforge.errors import (
 )
 from lcpforge.intlinalg import IntMatrix
 from lcpforge.numberfield import (
-    GaloisMap,
     NumberField,
     _pm_divmod,
     _pm_trim,
@@ -41,8 +40,8 @@ from lcpforge.numberfield import (
     require_unit,
 )
 import lcpforge.polynomials as polynomials_module
-from lcpforge.polynomials import IntPoly, is_prime
-from oracles import real_subfield_minpoly
+from lcpforge.polynomials import IntPoly, is_prime, trace_polys
+from oracles import galois_sigma, real_subfield_minpoly, substitute
 
 M7 = IntPoly((-1, -2, 1, 1))  # x^3 + x^2 - 2x - 1
 PLASTIC = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
@@ -69,15 +68,15 @@ def _at_companion(coeffs, p):
     return acc
 
 
-def _order(tau):
-    """Order of a field map, by applying it until the generator returns;
-    None past the field degree."""
-    alpha = tau.field.gen()
-    image = tau.image
-    for k in range(1, tau.field.degree + 1):
-        if image == alpha:
+def _order(image):
+    """Order of the field map alpha -> image, by applying it until the
+    generator returns; None past the field degree."""
+    field = image.field
+    alpha, x = field.gen(), image
+    for k in range(1, field.degree + 1):
+        if x == alpha:
             return k
-        image = tau.apply(image)
+        x = substitute(x, image)
     return None
 
 
@@ -141,6 +140,48 @@ class TestIrreducibilityHeuristic:
         assert irreducibility_heuristic(IntPoly((1, 0, 0, 0, 1)))[0] == "inconclusive"
         # x^4 - 10x^2 + 1 is irreducible but splits modulo every prime
         assert irreducibility_heuristic(IntPoly((1, 0, -10, 0, 1)))[0] == "inconclusive"
+
+    def test_large_constant_cubic_is_irreducible(self):
+        # the constant is 1000003 * 1000033, past any trial-division bound;
+        # a monic polynomial's rational roots are integers, and none lies
+        # in the refined isolating intervals
+        p = IntPoly((-1000036000099, -2910, 0, 1))
+        assert sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x")).is_irreducible
+        assert irreducibility_heuristic(p) == (
+            "irreducible", "degree <= 3 with no rational root"
+        )
+        assert field_new(p).degree == 3
+
+    def test_large_integer_root_is_found(self):
+        root = 1000036000099
+        p = IntPoly((-root, 1)) * IntPoly((1, 1, 1))
+        verdict, witness = irreducibility_heuristic(p)
+        assert verdict == "reducible" and str(root) in witness
+        with pytest.raises(ReduciblePolynomialError, match=str(root)):
+            field_new(p)
+
+    @given(
+        st.lists(st.integers(-40, 40), min_size=2, max_size=3),
+        st.integers(-10 ** 12, 10 ** 12),
+    )
+    def test_low_degree_verdicts_match_sympy(self, coeffs, shift):
+        # monic quadratics and cubics with their roots moved by a large
+        # shift: at degree <= 3 the verdict is always decided, and it is
+        # sympy's
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(
+            sum(c * x ** i for i, c in enumerate(coeffs + [1])).subs(x, x - shift), x
+        )
+        assume(sympy.gcd(poly, poly.diff(x)).degree() == 0)
+        p = IntPoly(tuple(int(c) for c in reversed(poly.all_coeffs())))
+        verdict, witness = irreducibility_heuristic(p)
+        assert verdict == ("irreducible" if poly.is_irreducible else "reducible")
+        if verdict == "reducible":
+            assert p(int(witness.rsplit(" ", 1)[1])) == 0
+
+    def test_non_monic_polynomial_is_refused(self):
+        with pytest.raises(InputError, match="monic"):
+            irreducibility_heuristic(IntPoly((-1, 0, 2)))
 
 
 @given(
@@ -369,7 +410,7 @@ class TestIntegerReduction:
         field = _reduction_field(14)
         a = field.from_coords(range(14)) * QQ(1, 3)
         b = field.gen() + 2
-        tau = galois_generator(field)
+        sigma = galois_sigma(field)
 
         def forbidden(*args):
             raise AssertionError("polynomial division")
@@ -378,7 +419,7 @@ class TestIntegerReduction:
             monkeypatch.setattr(polynomials_module, name, forbidden)
         assert a * b == b * a
         assert a * a.inverse() == field.one()
-        assert tau.apply(a * b) == tau.apply(a) * tau.apply(b)
+        assert sigma(a * b) == sigma(a) * sigma(b)
         assert field.from_int_poly(IntPoly((0,) * 20 + (1,))) == field.gen() ** 20
 
 
@@ -533,18 +574,19 @@ class TestUnits:
 
 class TestGalois:
     def test_cubic_generator_golden(self, m7):
-        tau = galois_generator(m7)
-        assert tau.image.coords == (-2, 0, 1)
+        sigma = galois_sigma(m7)
+        image = sigma(m7.gen())
+        assert image.coords == (-2, 0, 1)
         # orbit of the generator: alpha -> alpha^2 - 2 -> -alpha^2 - alpha + 1
-        second = tau.apply(tau.image)
+        second = sigma(image)
         assert second.coords == (1, -1, -1)
-        assert tau.apply(second) == m7.gen()
+        assert sigma(second) == m7.gen()
 
     def test_quadratic_shortcut(self):
         field = field_new(GOLDEN)
-        tau = galois_generator(field)
-        assert tau.image.coords == (-1, -1)
-        assert _order(tau) == 2
+        image = galois_sigma(field)(field.gen())
+        assert image.coords == (-1, -1)
+        assert _order(image) == 2
 
     @pytest.mark.parametrize(
         "minpoly",
@@ -559,7 +601,14 @@ class TestGalois:
     def test_only_real_cyclotomic_subfields(self, minpoly):
         field = NumberField(minpoly, "assumed by the test")
         with pytest.raises(InputError):
-            galois_generator(field)
+            galois_generator(field, trace_polys(field.degree))
+
+    def test_traces_must_be_the_fields_own(self, m7):
+        # the field polynomial is checked against the list g is read off
+        with pytest.raises(InputError):
+            galois_generator(m7, trace_polys(4))
+        with pytest.raises(InputError):
+            galois_generator(field_new(GOLDEN), trace_polys(3))
 
     @pytest.mark.parametrize("m", [m for m in range(5, 32) if is_prime(m)])
     def test_generator_matches_orbit_oracle(self, m):
@@ -572,46 +621,30 @@ class TestGalois:
         traces = [field.from_rational(2), alpha]
         while len(traces) <= d:
             traces.append(alpha * traces[-1] - traces[-2])
-        generators = [
-            c for c in traces[2:] if _order(GaloisMap(field, c)) == d
-        ]
+        generators = [c for c in traces[2:] if _order(c) == d]
         want = min(generators, key=lambda c: c.coords)
-        tau = galois_generator(field)
-        assert tau.image == want
-        # the recorded residue g names the image: c_g(alpha)
-        assert traces[tau.residue] == want
+        assert galois_sigma(field)(alpha) == want
+        # the residue g names the image: c_g(alpha)
+        assert traces[galois_generator(field, trace_polys(d))] == want
 
     def test_degree_one_identity(self):
         field = field_new(IntPoly((-2, 1)))  # x - 2, the rationals
         assert field.signature == (1, 0)
         assert field.gen() == field.from_rational(2)
-        tau = galois_generator(field)
-        assert tau.image == field.gen()
-        assert _order(tau) == 1
-
-    def test_map_validation(self, m7):
-        with pytest.raises(InputError):
-            GaloisMap(m7, m7.from_rational(1))
+        assert galois_generator(field, trace_polys(1)) == 1
+        image = galois_sigma(field)(field.gen())
+        assert image == field.gen()
+        assert _order(image) == 1
 
     # the conductors of the stored exfield --n 16/20/40 and dmatrix --n 7/8
     # reports, 37, 43, 83 and 19, are among these
     @pytest.mark.parametrize("m", [m for m in range(5, 44) if is_prime(m)] + [83])
     def test_generator_image_is_a_root(self, m):
-        # galois_generator skips GaloisMap's root check because c_g(alpha)
-        # is a conjugate of alpha; the FieldElem Horner it skips agrees
+        # galois_generator checks no root because c_g(alpha) is a conjugate
+        # of alpha; the FieldElem Horner it skips agrees
         field = NumberField(real_subfield_minpoly(m), "real cyclotomic subfield")
-        tau = galois_generator(field)
-        assert field.minpoly(tau.image) == field.zero()
-        # a map built by hand is still checked, residue or not
-        with pytest.raises(InputError, match="not a root"):
-            GaloisMap(field, tau.image + 1, tau.residue)
-
-    def test_apply_is_homomorphism(self, m7):
-        tau = galois_generator(m7)
-        a = m7.from_coords((QQ(1, 2), 2, -1))
-        b = m7.from_coords((0, QQ(5), QQ(1, 3)))
-        assert tau.apply(a * b) == tau.apply(a) * tau.apply(b)
-        assert tau.apply(a + b) == tau.apply(a) + tau.apply(b)
+        image = galois_sigma(field)(field.gen())
+        assert field.minpoly(image) == field.zero()
 
 
 class TestRankBound:
