@@ -51,7 +51,6 @@ from .intlinalg import (
 )
 from .lcpcore import (
     SimilarityGenerator,
-    UnitWitness,
     add_cross_terms,
     build_metric_spec,
     check_J1,
@@ -260,13 +259,6 @@ def _match_block_embeddings(emb, units, ratios):
     return tuple(matches)
 
 
-def _witness_table(units, block_embeddings):
-    return [
-        [UnitWitness(u, block_embeddings[k]) for k in range(len(block_embeddings))]
-        for u in units
-    ]
-
-
 # --------------------------------------------------------------------------
 # certificate assembly
 
@@ -329,29 +321,24 @@ def _decomposition_section(decomp, block_embeddings):
     }
 
 
-def _generators_section(gens, ratios, workbits):
-    payload = []
-    for j, gen in enumerate(gens):
-        entry = {
+def _generators_section(gens, ratios):
+    # every fiber translation is zero and every witness is the ratio
+    # itself; "translation" and "exponent": 1 keep the schema-1 bytes
+    workbits = ratios.decomposition.workbits
+    return [
+        {
             "label": gen.label,
             "matrix": matrix_to_json(gen.linear),
-            "translation": [rat_to_json(c) for c in gen.translation],
+            "translation": ["0"] * ratios.decomposition.p,
             "base_translation": enc_float_vector(gen.base_translation, workbits),
-            "ratio_row": enc_float_vector(ratios.entries[j], workbits),
+            "ratio_row": enc_float_vector(gen.ratio_row, workbits),
+            "witnesses": [
+                {"element": u.to_json(), "embedding": i, "exponent": 1}
+                for i in ratios.places
+            ],
         }
-        if ratios.witnesses is not None:
-            # every witness is the ratio itself; "exponent": 1 keeps the
-            # schema-1 bytes
-            entry["witnesses"] = [
-                {
-                    "element": w.element.to_json(),
-                    "embedding": w.embedding_index,
-                    "exponent": 1,
-                }
-                for w in ratios.witnesses[j]
-            ]
-        payload.append(entry)
-    return payload
+        for gen, u in zip(gens, ratios.units)
+    ]
 
 
 def _metric_section(spec):
@@ -393,48 +380,42 @@ def _matrix_family_check(matrices):
 
 def _unit_ratio_check(ratios, orbit=()):
     """Exact unit-ness of every ratio witness; a non-unit is recorded as
-    neither a unit nor witnessed, not raised.  The witnesses come from
+    neither a unit nor witnessed, not raised.  The places come from
     _match_block_embeddings, which has already certified each ratio against
-    its witnessed embedding modulus, so a unit witness is witnessed.
+    its witnessed embedding modulus, so a unit witness is witnessed.  The
+    witness of entry (j, k) is (units[j], places[k]), so each generator's
+    unit is decided once and its entry is written for every block.
 
     orbit holds Galois conjugates of the field generator.  The minimal
-    polynomial of such a witness is the field polynomial, so its constant
+    polynomial of such a unit is the field polynomial, so its constant
     and its unit-ness (monic with constant +-1, as is_unit decides) are
-    read off that polynomial; every other witness is derived."""
-    if ratios.witnesses is None:
-        raise InputError("ratio matrix carries no witnesses")
+    read off that polynomial; every other unit is derived."""
     rows = []
-    overall = True
-    for row in ratios.witnesses:
-        entries = []
-        for w in row:
-            if w.element in orbit:
-                mpoly = w.element.field.minpoly
-                witnessed = mpoly.is_monic() and abs(mpoly.constant()) == 1
-            else:
-                witnessed = is_unit(w.element)
-                mpoly = minimal_polynomial(w.element)
-            overall = overall and witnessed
-            # the constant of the monic minimal polynomial
-            entries.append(
-                {
-                    "minpoly_constant": rat_to_json(
-                        Fraction(mpoly.constant(), mpoly.leading())
-                    ),
-                    "unit": witnessed,
-                    "witnessed": witnessed,
-                    "verdict": witnessed,
-                }
-            )
-        rows.append(entries)
-    return {"verdict": bool(overall), "entries": rows}
+    for u in ratios.units:
+        if u in orbit:
+            mpoly = u.field.minpoly
+            witnessed = mpoly.is_monic() and abs(mpoly.constant()) == 1
+        else:
+            witnessed = is_unit(u)
+            mpoly = minimal_polynomial(u)
+        # the constant of the monic minimal polynomial
+        entry = {
+            "minpoly_constant": rat_to_json(Fraction(mpoly.constant(), mpoly.leading())),
+            "unit": witnessed,
+            "witnessed": witnessed,
+            "verdict": witnessed,
+        }
+        rows.append([dict(entry) for _ in range(ratios.delta)])
+    return {"verdict": all(row[0]["verdict"] for row in rows), "entries": rows}
 
 
-def _rank_check(ratios, flat_block, bits, expected):
-    # the rank is proven at bits alone, by a certified log minor and exact
-    # unit relations; value_at_doubled_precision and doubled_bits keep
-    # their schema-1 names and bytes and repeat that value
-    value = lcp_rank(ratios, flat_block, bits)
+def _rank_check(ratios, flat_block, expected):
+    # the rank is proven at the decomposition's precision alone, by a
+    # certified log minor and exact unit relations;
+    # value_at_doubled_precision and doubled_bits keep their schema-1 names
+    # and bytes and repeat that value
+    bits = ratios.decomposition.precision_bits
+    value = lcp_rank(ratios, flat_block)
     return {
         "expected": int(expected),
         "value": int(value),
@@ -453,10 +434,8 @@ def _dirichlet_check(field, tested_rank):
     }
 
 
-def _equivariance_check(spec, gens, bits, seed):
-    reports = verify_equivariance(
-        spec, gens, samples=EQUIVARIANCE_SAMPLES, precision=bits, seed=seed
-    )
+def _equivariance_check(spec, gens, seed):
+    reports = verify_equivariance(spec, gens, samples=EQUIVARIANCE_SAMPLES, seed=seed)
     return {
         "verdict": all(rep.verdict for rep in reports),
         "reports": [
@@ -472,39 +451,36 @@ def _equivariance_check(spec, gens, bits, seed):
     }
 
 
-def _witnessed_ratios(builder, decomp, emb, units, ratios):
+def _witnessed_ratios(builder, emb, units, ratios):
     """Match blocks to embeddings, record the decomposition section and
-    attach one unit witness per (unit, block); returns (ratios,
-    block_embeddings)."""
-    block_emb = _match_block_embeddings(emb, units, ratios)
-    builder.section("decomposition", _decomposition_section(decomp, block_emb))
-    return ratios.with_witnesses(_witness_table(units, block_emb)), block_emb
+    return the ratios witnessed by units and the matched places."""
+    places = _match_block_embeddings(emb, units, ratios)
+    builder.section("decomposition", _decomposition_section(ratios.decomposition, places))
+    return ratios.with_witnesses(units, places)
 
 
-def _flat_block_checks(builder, emb, ratios, flat, bits, tested_rank, expected_rank,
-                       orbit=()):
+def _flat_block_checks(builder, emb, ratios, flat, tested_rank, expected_rank, orbit=()):
     """J2, unit_ratios, dirichlet and rank, in that order; orbit is as in
     _unit_ratio_check."""
     j2 = check_J2(ratios, flat)
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
     builder.check("unit_ratios", _unit_ratio_check(ratios, orbit))
     builder.check("dirichlet", _dirichlet_check(emb.field, tested_rank))
-    builder.check("rank", _rank_check(ratios, flat, bits, expected_rank))
+    builder.check("rank", _rank_check(ratios, flat, expected_rank))
 
 
-def _seal_metric(builder, spec, ratios, labels, matrices, translations, bits, seed):
-    """One similarity generator per label, the generators and metric
-    sections, the equivariance check, then the sealed certificate."""
-    decomp = spec.decomposition
+def _seal_metric(builder, spec, labels, seed):
+    """One similarity generator per label, from spec's ratios and
+    translations, the generators and metric sections, the equivariance
+    check, then the sealed certificate."""
+    ratios = spec.ratios
     gens = [
-        SimilarityGenerator(
-            label, matrices[l], (0,) * decomp.p, translations[l], ratios.entries[l]
-        )
-        for l, label in enumerate(labels)
+        SimilarityGenerator(label, a, v, row)
+        for label, a, v, row in zip(labels, ratios.generators, spec.translations, ratios.entries)
     ]
-    builder.section("generators", _generators_section(gens, ratios, decomp.workbits))
+    builder.section("generators", _generators_section(gens, ratios))
     builder.section("metric", _metric_section(spec))
-    builder.check("equivariance", _equivariance_check(spec, gens, bits, seed))
+    builder.check("equivariance", _equivariance_check(spec, gens, seed))
     return builder.seal()
 
 
@@ -534,15 +510,14 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
 
     decomp = find_block_decomposition(list(dm.matrices), bits)
     emb = embeddings(field, bits)
-    ratios = check_J1(decomp, list(dm.matrices))
-    ratios, block_emb = _witnessed_ratios(builder, decomp, emb, dm.units, ratios)
+    ratios = _witnessed_ratios(builder, emb, dm.units, check_J1(decomp, list(dm.matrices)))
     builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     # distinguished block: the one carrying the defining embedding of the
     # generator (the largest real root)
-    flat = block_emb.index(emb.count - 1)
+    flat = ratios.places.index(emb.count - 1)
     # the units are the generator's Galois orbit prefix (make_dmatrix)
-    _flat_block_checks(builder, emb, ratios, flat, bits, n, n, frozenset(dm.units))
+    _flat_block_checks(builder, emb, ratios, flat, n, n, frozenset(dm.units))
 
     with _at_prec(decomp.workbits):
         translations = []
@@ -550,13 +525,10 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
             v = [mp.mpf(0)] * n
             v[l] = mp.log(ratios.entries[l][flat])
             translations.append(tuple(v))
-    spec = build_metric_spec(decomp, ratios, flat, translations)
+    spec = build_metric_spec(ratios, flat, translations)
     if notes:
         builder.section("notes", notes)
-    labels = ["g%d" % (l + 1) for l in range(n)]
-    return _seal_metric(
-        builder, spec, ratios, labels, dm.matrices, translations, bits, seed
-    )
+    return _seal_metric(builder, spec, ["g%d" % (l + 1) for l in range(n)], seed)
 
 
 # --------------------------------------------------------------------------
@@ -676,7 +648,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     require_unit(lam_elem, "eigenvalue")
     emb = embeddings(field, bits)
     builder.section("field", _field_section(field))
-    ratios, _ = _witnessed_ratios(builder, decomp, emb, [lam_elem], ratios)
+    ratios = _witnessed_ratios(builder, emb, [lam_elem], ratios)
 
     builder.check(
         "spectral",
@@ -688,11 +660,11 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
         },
     )
 
-    _flat_block_checks(builder, emb, ratios, flat, bits, 1, 1)
+    _flat_block_checks(builder, emb, ratios, flat, 1, 1)
 
     with _at_prec(decomp.workbits):
         translations = [(mp.log(lam),)]
-    spec = build_metric_spec(decomp, ratios, flat, translations)
+    spec = build_metric_spec(ratios, flat, translations)
     # (lambda t)^(2q+2) = lambda^(2q+2) t^(2q+2) holds in any commutative
     # ring, and the solved coefficient ln(lambda_c / mu) / ln(lambda_c) is
     # q + 1, since mu = lambda_c^(-q) when det a = 1; schema 1 seals both
@@ -709,9 +681,7 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
         },
     )
 
-    return _seal_metric(
-        builder, spec, ratios, ["kourganoff"], [a], translations, bits, seed
-    )
+    return _seal_metric(builder, spec, ["kourganoff"], seed)
 
 
 # --------------------------------------------------------------------------
@@ -834,8 +804,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
 
     decomp = find_block_decomposition(matrices, bits)
     emb = embeddings(field, bits)
-    ratios = check_J1(decomp, matrices)
-    ratios, block_emb = _witnessed_ratios(builder, decomp, emb, units, ratios)
+    ratios = _witnessed_ratios(builder, emb, units, check_J1(decomp, matrices))
     builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     # a squarefree splitter is M_beta, beta primitive, so its blocks are (s, t)
@@ -870,22 +839,16 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
             )
     builder.check("norm_product", {"verdict": bool(norms_ok), "units": norm_reports})
 
-    if lck:
-        flat = block_emb.index(s)
-    else:
-        flat = block_emb.index(0)
-    _flat_block_checks(builder, emb, ratios, flat, bits, len(units), s)
+    flat = ratios.places.index(s if lck else 0)
+    _flat_block_checks(builder, emb, ratios, flat, len(units), s)
 
     translations = [tuple(row[:s]) for row in log_rows]
-    spec = build_metric_spec(decomp, ratios, flat, translations)
+    spec = build_metric_spec(ratios, flat, translations)
     if lck:
         pairs = list(itertools.combinations(real_blocks, 2))
         if pairs:
             spec = add_cross_terms(spec, pairs)
-    labels = ["u%d" % (idx + 1) for idx in range(len(units))]
-    cert = _seal_metric(
-        builder, spec, ratios, labels, matrices, translations, bits, seed
-    )
+    cert = _seal_metric(builder, spec, ["u%d" % (idx + 1) for idx in range(len(units))], seed)
 
     data = OtData(
         field,

@@ -14,7 +14,9 @@ Python-int dyadics, rounded like the mpf operators, bit for bit.
 All numeric work runs at the requested precision plus guard bits.  The
 similarity verdict is exact: every generator commutes with a splitter of
 squarefree characteristic polynomial.  The non-isometry of the flat block
-is decided exactly from the unit witness behind each flat-block ratio.
+is decided exactly from the witness behind each flat-block ratio: the
+ratio of generator j on block k is |sigma_i(u)| for the witness
+(u, i) = (units[j], places[k]) that RatioMatrix carries.
 The remaining numeric decisions are taken against the tolerance
 2**(-bits/2).
 """
@@ -35,8 +37,7 @@ from .errors import (
     StructureError,
 )
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
-from .numberfield import FieldElem
-from .polynomials import IntPoly, as_rat, sturm_chain
+from .polynomials import IntPoly, sturm_chain
 from . import rawmetric
 from .rawmetric import _mpf_from_rational, _to_mpf
 from .embeddings import (
@@ -307,42 +308,24 @@ def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):
 # similarity ratios (J1) and the non-isometric flat block (J2)
 
 
-class UnitWitness:
-    """Exact algebraic certificate for one similarity ratio: the ratio
-    equals |embedding(element)|."""
-
-    __slots__ = ("element", "embedding_index")
-
-    def __init__(self, element: FieldElem, embedding_index: int):
-        self.element = element
-        self.embedding_index = int(embedding_index)
-
-
 class RatioMatrix:
     """Similarity ratios of each generator on each block.
 
     Entries are positive reals certified by the J1 check; rows are indexed
-    by generators, columns by blocks.  Witnesses, when present, tie each
-    entry to an exact unit in a number field.
+    by generators, columns by blocks.  Witnesses, when present, are one
+    exact unit per generator (units) and one embedding index per block
+    (places): the witness of entry (j, k) is (units[j], places[k]), and the
+    entry equals |sigma_(places[k])(units[j])|.
     """
 
-    __slots__ = (
-        "entries",
-        "decomposition",
-        "generators",
-        "witnesses",
-        "precision_bits",
-    )
+    __slots__ = ("entries", "decomposition", "generators", "units", "places")
 
-    def __init__(self, entries, decomposition, generators, witnesses=None,
-                 precision_bits=None):
+    def __init__(self, entries, decomposition, generators, units=None, places=None):
         self.entries = _freeze(entries)
         self.decomposition = decomposition
         self.generators = tuple(generators)
-        self.witnesses = witnesses
-        self.precision_bits = (
-            decomposition.precision_bits if precision_bits is None else precision_bits
-        )
+        self.units = units
+        self.places = places
 
     @property
     def n_gens(self):
@@ -352,19 +335,11 @@ class RatioMatrix:
     def delta(self):
         return self.decomposition.delta
 
-    def with_witnesses(self, witnesses) -> "RatioMatrix":
-        witnesses = tuple(tuple(row) for row in witnesses)
-        if len(witnesses) != self.n_gens or any(
-            len(row) != self.delta for row in witnesses
-        ):
-            raise InputError("witness table must match the ratio matrix shape")
-        return RatioMatrix(
-            self.entries,
-            self.decomposition,
-            self.generators,
-            witnesses,
-            self.precision_bits,
-        )
+    def with_witnesses(self, units, places) -> "RatioMatrix":
+        units, places = tuple(units), tuple(int(i) for i in places)
+        if len(units) != self.n_gens or len(places) != self.delta:
+            raise InputError("need one unit per generator and one place per block")
+        return RatioMatrix(self.entries, self.decomposition, self.generators, units, places)
 
 
 def _block_ratio(c, idx, gen_index, block_index):
@@ -423,27 +398,24 @@ def check_J1(decomp: BlockDecomposition, gens: Sequence[IntMatrix]) -> RatioMatr
 def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
     """Decide whether some generator fails to be an isometry on the flat block.
 
-    The flat-block ratio of a generator is |sigma_i(u)| for its exact unit
-    witness u at embedding i, so the decision is exact wherever the
-    mathematics allows: u = +-1 is an isometry, and a unit other than +-1
-    is not one at a real place, because sigma_i is injective.  At a complex
-    place the certified enclosure of |sigma_i(u)| must exclude 1.  True when
-    some generator is proven non-isometric, False when every witness is
-    +-1; otherwise PrecisionError.  Witnesses are required.
+    The flat-block ratio of generator j is |sigma_i(units[j])| at the flat
+    block's place i = places[flat_block], so the decision is exact wherever
+    the mathematics allows: u = +-1 is an isometry, and a unit other than
+    +-1 is not one at a real place, because sigma_i is injective.  At a
+    complex place the certified enclosure of |sigma_i(u)| must exclude 1.
+    True when some generator is proven non-isometric, False when every unit
+    is +-1; otherwise PrecisionError.  Witnesses are required.
     """
-    if ratios.witnesses is None:
+    if ratios.units is None:
         raise InputError("check_J2 needs unit witnesses on the ratio matrix")
     if not 0 <= flat_block < ratios.delta:
         raise InputError("flat block index out of range")
+    i = ratios.places[flat_block]
     undecided = False
-    for row in ratios.witnesses:
-        w = row[flat_block]
-        if w is None:
-            raise InputError("missing flat-block witness for a generator")
-        u, i = w.element, w.embedding_index
+    for u in ratios.units:
         if u == 1 or u == -1:
             continue
-        emb = embeddings(u.field, ratios.precision_bits)
+        emb = embeddings(u.field, ratios.decomposition.precision_bits)
         if emb.is_real(i):
             return True
         modulus = emb.abs_enclosure(u, i)
@@ -464,25 +436,21 @@ def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
 
 
 class SimilarityGenerator:
-    """One group generator: lattice map, affine part, and base translation.
+    """One group generator: lattice map and base translation.
 
-    The linear part acts on the fiber lattice, the translation is an exact
-    rational vector in fiber coordinates, and the base translation is the
-    numeric shift in base log-coordinates.  The ratio row caches the
-    per-block similarity ratios certified by J1.
+    The linear part acts on the fiber lattice and the base translation is
+    the numeric shift in base log-coordinates; the fiber translation is
+    zero.  The ratio row caches the per-block similarity ratios certified
+    by J1.
     """
 
-    __slots__ = ("label", "linear", "translation", "base_translation", "ratio_row")
+    __slots__ = ("label", "linear", "base_translation", "ratio_row")
 
-    def __init__(self, label, linear: IntMatrix, translation, base_translation,
-                 ratio_row):
+    def __init__(self, label, linear: IntMatrix, base_translation, ratio_row):
         if not is_gl_z(linear):
             raise InputError("linear part must be in GL(p, Z)")
         self.label = str(label)
         self.linear = linear
-        self.translation = tuple(as_rat(t) for t in translation)
-        if len(self.translation) != linear.n:
-            raise InputError("translation length must match the linear part")
         self.base_translation = tuple(base_translation)
         self.ratio_row = tuple(ratio_row)
         if any(not r > 0 for r in self.ratio_row):
@@ -496,28 +464,19 @@ class SimilarityGenerator:
         )
 
 
-def lcp_rank(ratios: RatioMatrix, flat_block: int,
-             bits: Optional[int] = None) -> int:
+def lcp_rank(ratios: RatioMatrix, flat_block: int) -> int:
     """Rank of the group generated by the flat-block similarity ratios.
 
-    Computed as the multiplicative rank of the exact unit witnesses behind
-    the flat-block column; witnesses are required.
+    Computed as the multiplicative rank of the exact units behind the
+    ratios, at the decomposition's precision; witnesses are required.
     """
-    if ratios.witnesses is None:
+    if ratios.units is None:
         raise InputError("lcp_rank needs unit witnesses on the ratio matrix")
     if not 0 <= flat_block < ratios.delta:
         raise InputError("flat block index out of range")
-    if bits is None:
-        bits = ratios.precision_bits
-    units = []
-    field = None
-    for row in ratios.witnesses:
-        w = row[flat_block]
-        if w is None:
-            raise InputError("missing flat-block witness for a generator")
-        units.append(w.element)
-        field = w.element.field
-    return multiplicative_rank(field, units, bits)
+    return multiplicative_rank(
+        ratios.units[0].field, ratios.units, ratios.decomposition.precision_bits
+    )
 
 
 # ----------------------------------------------------------------------
@@ -630,11 +589,10 @@ class MetricSpec:
         "translations",
         "cross_terms",
         "n",
-        "precision_bits",
     )
 
     def __init__(self, decomposition, ratios, flat_block, functionals,
-                 base_conformal, translations, cross_terms=(), precision_bits=None):
+                 base_conformal, translations, cross_terms=()):
         self.decomposition = decomposition
         self.ratios = ratios
         self.flat_block = int(flat_block)
@@ -643,9 +601,6 @@ class MetricSpec:
         self.translations = tuple(tuple(v) for v in translations)
         self.cross_terms = tuple(cross_terms)
         self.n = len(self.translations[0]) if self.translations else 0
-        self.precision_bits = (
-            decomposition.precision_bits if precision_bits is None else precision_bits
-        )
 
     @property
     def total_dim(self):
@@ -660,20 +615,20 @@ class MetricSpec:
             "base_conformal": self.base_conformal,
             "translations": self.translations,
             "cross_terms": self.cross_terms,
-            "precision_bits": self.precision_bits,
         }
         fields.update(kwargs)
         return MetricSpec(**fields)
 
 
-def build_metric_spec(decomp: BlockDecomposition, ratios: RatioMatrix,
-                      flat_block: int, translations) -> MetricSpec:
-    """Solve for the warping functionals and assemble the metric data.
+def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> MetricSpec:
+    """Solve for the warping functionals and assemble the metric data on
+    the ratios' decomposition.
 
     Block k receives the functional with increments ln(L1/Lk) along each
     generator's base translation, and the base conformal factor receives
     increments ln(L1); L1 is the flat-block ratio.
     """
+    decomp = ratios.decomposition
     if not 0 <= flat_block < decomp.delta:
         raise InputError("flat block index out of range")
     translations = [list(v) for v in translations]
@@ -699,46 +654,25 @@ def build_metric_spec(decomp: BlockDecomposition, ratios: RatioMatrix,
         base_conformal = solve_equivariant_functional(
             translations, base_targets, precision
         )
-    return MetricSpec(
-        decomp,
-        ratios,
-        flat_block,
-        functionals,
-        base_conformal,
-        translations,
-    )
+    return MetricSpec(decomp, ratios, flat_block, functionals, base_conformal, translations)
 
 
-def _check_rational(rows):
-    """Reject a float or an mpf entry (polynomials.as_rat); ints and
-    Fractions are kept as given, so a stored int stays an int."""
-    for row in rows:
-        for x in row:
-            as_rat(x)
-
-
-def _cross_covariance_check(spec: MetricSpec, k, k2, table, tol):
-    """Generators must scale the coupling table by the two block ratios."""
+def _cross_covariance_check(spec: MetricSpec, k, k2, tol):
+    """Generators must scale the all-ones coupling table by the two block
+    ratios."""
     decomp = spec.decomposition
-    idx1 = list(decomp.block_indices(k))
-    idx2 = list(decomp.block_indices(k2))
+    idx1, idx2 = decomp.block_indices(k), decomp.block_indices(k2)
     for gi, g in enumerate(spec.ratios.generators):
         c = restricted_blocks(decomp, g)
         with _at_prec(decomp.workbits):
-            lk = spec.ratios.entries[gi][k]
-            lk2 = spec.ratios.entries[gi][k2]
-            for a in range(len(idx1)):
-                for b in range(len(idx2)):
+            want = iv.mpf(spec.ratios.entries[gi][k] * spec.ratios.entries[gi][k2])
+            for a in idx1:
+                for b in idx2:
                     acc = iv.mpf(0)
-                    for i in range(len(idx1)):
-                        for j in range(len(idx2)):
-                            acc += (
-                                c[idx1[i]][idx1[a]]
-                                * iv.mpf(_to_mpf(table[i][j]))
-                                * c[idx2[j]][idx2[b]]
-                            )
-                    want = lk * lk2 * _to_mpf(table[a][b])
-                    if mp.mpf(abs(acc - iv.mpf(want)).b) > 8 * tol:
+                    for i in idx1:
+                        for j in idx2:
+                            acc += c[i][a] * c[j][b]
+                    if mp.mpf(abs(acc - want).b) > 8 * tol:
                         raise CheckFailureError(
                             "cross-term table between blocks %d and %d is not "
                             "covariant under generator %d" % (k, k2, gi)
@@ -762,13 +696,13 @@ def _grid_points(spec: MetricSpec):
     return rawmetric.span(weights, spec.translations, workbits)
 
 
-def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
+def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     """Couple pairs of non-flat blocks with equivariant off-diagonal terms.
 
-    Each pair (k, k') receives a coupling table of ints or Fractions
-    (all-ones by default), the functional f_c with increments
-    ln(L1/sqrt(Lk Lk')), and one common scale eps found by bisection so
-    the metric stays positive definite on the fundamental-domain grid.
+    Each pair (k, k') receives the all-ones coupling table, the functional
+    f_c with increments ln(L1/sqrt(Lk Lk')), and one common scale eps found
+    by bisection so the metric stays positive definite on the
+    fundamental-domain grid.
     rawmetric.cross_scale runs the search: it adds the new terms to spec's
     grid grams with the helper metric_gram uses, so every tested matrix is
     the coupled metric's gram, bit for bit, in the rows and columns a cross
@@ -779,7 +713,8 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
     if not pairs:
         return spec
     decomp = spec.decomposition
-    tol = tolerance(spec.precision_bits)
+    precision = decomp.precision_bits
+    tol = tolerance(precision)
     for k, k2 in pairs:
         if k == k2:
             raise InputError("cross terms need two distinct blocks")
@@ -787,33 +722,19 @@ def add_cross_terms(spec: MetricSpec, pairs, tables=None) -> MetricSpec:
             raise InputError("cross-term block index out of range")
         if spec.flat_block in (k, k2):
             raise InputError("cross terms may not touch the flat block")
-    if tables is None:
-        tables = []
-        for k, k2 in pairs:
-            rows = len(decomp.block_indices(k))
-            cols = len(decomp.block_indices(k2))
-            tables.append([[1] * cols for _ in range(rows)])
-    if len(tables) != len(pairs):
-        raise InputError("need one coupling table per pair")
     couplings = []
     with _at_prec(decomp.workbits):
-        for (k, k2), table in zip(pairs, tables):
-            rows = len(decomp.block_indices(k))
-            cols = len(decomp.block_indices(k2))
-            if len(table) != rows or any(len(r) != cols for r in table):
-                raise InputError("coupling table shape must match the blocks")
-            _check_rational(table)
-            _cross_covariance_check(spec, k, k2, table, tol)
+        for k, k2 in pairs:
+            _cross_covariance_check(spec, k, k2, tol)
+            ones = [[1] * len(decomp.block_indices(k2)) for _ in decomp.block_indices(k)]
             lam1 = [row[spec.flat_block] for row in spec.ratios.entries]
             targets = [
                 mp.log(lam1[j])
                 - mp.log(spec.ratios.entries[j][k] * spec.ratios.entries[j][k2]) / 2
                 for j in range(spec.ratios.n_gens)
             ]
-            functional = solve_equivariant_functional(
-                spec.translations, targets, spec.precision_bits
-            )
-            couplings.append(CrossTerm(k, k2, table, functional, 1))
+            functional = solve_equivariant_functional(spec.translations, targets, precision)
+            couplings.append(CrossTerm(k, k2, ones, functional, 1))
     at_one = spec.replace(cross_terms=spec.cross_terms + tuple(couplings))
     epsilon = rawmetric.cross_scale(
         rawmetric.MetricTerms(spec),
@@ -898,10 +819,10 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
     """
     if samples < 1:
         raise InputError("the equivariance check needs at least one sample point")
-    if precision is None:
-        precision = spec.precision_bits
-    precision = validate_precision(precision)
     decomp = spec.decomposition
+    if precision is None:
+        precision = decomp.precision_bits
+    precision = validate_precision(precision)
     workbits = max(decomp.workbits, precision + GUARD_BITS)
     tol = tolerance(precision)
     blocks = [conjugated_numeric(decomp, gen.linear) for gen in gens]

@@ -512,8 +512,10 @@ def irreducibility_heuristic(p: IntPoly) -> Tuple[str, str]:
     )
 
 
+@lru_cache(maxsize=64)
 def field_new(minpoly: IntPoly) -> NumberField:
-    """Construct a number field after vetting the defining polynomial."""
+    """Construct a number field after vetting the defining polynomial,
+    once per polynomial per process: a NumberField is immutable."""
     if not minpoly.is_monic():
         raise InputError("defining polynomial must be monic")
     if minpoly.degree < 1:

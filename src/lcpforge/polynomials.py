@@ -37,9 +37,9 @@ def _strip(coeffs):
 
 def as_int(c) -> int:
     """c as an int.  An int or a Fraction with denominator 1 converts;
-    anything else, such as 1/2 or a float, raises InputError rather than
-    being truncated."""
-    if isinstance(c, int):
+    anything else, such as 1/2, a float or a bool, raises InputError rather
+    than being truncated or read as 0 or 1."""
+    if isinstance(c, int) and not isinstance(c, bool):
         return int(c)
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
@@ -134,7 +134,7 @@ class IntPoly:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -195,7 +195,7 @@ class IntPoly:
 def _as_int_poly(x):
     if isinstance(x, IntPoly):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return IntPoly((x,))
     return NotImplemented
 

@@ -175,10 +175,8 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
             (mp.log(ratios.entries[0][flat]), mp.mpf(0)),
             (mp.mpf(0), mp.log(ratios.entries[1][flat])),
         ]
-    spec = build_metric_spec(decomp, ratios, flat, translations)
-    gen = SimilarityGenerator(
-        "g1", dm.matrices[0], (0, 0, 0), translations[0], ratios.entries[0]
-    )
+    spec = build_metric_spec(ratios, flat, translations)
+    gen = SimilarityGenerator("g1", dm.matrices[0], translations[0], ratios.entries[0])
     assert verify_equivariance(spec, [gen], 100, 128, seed=0)[0].verdict is True
     k = next(i for i in range(decomp.delta) if i != flat)
     bumped = list(spec.functionals)

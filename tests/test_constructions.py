@@ -24,12 +24,12 @@ from mpmath import iv, mp
 import lcpforge
 import lcpforge.constructions as constructions_module
 from lcpforge.certio import canonical_json
+from lcpforge.cli import main as cli_main
 from lcpforge.constructions import (
     DMatrixData,
     OtData,
     _match_block_embeddings,
     _unit_ratio_check,
-    _witness_table,
     make_dmatrix,
     make_exfield,
     make_kourganoff,
@@ -871,10 +871,10 @@ def test_unit_ratio_check_records_a_non_unit_witness():
     emb = embeddings(dm.field, 128)
     block_emb = _match_block_embeddings(emb, dm.units, ratios)
     units = list(dm.units)
-    good = _unit_ratio_check(ratios.with_witnesses(_witness_table(units, block_emb)))
+    good = _unit_ratio_check(ratios.with_witnesses(units, block_emb))
     assert good["verdict"] is True
     units[0] = 2 * units[0]  # minimal polynomial x^3 + 2x^2 - 8x - 8
-    payload = _unit_ratio_check(ratios.with_witnesses(_witness_table(units, block_emb)))
+    payload = _unit_ratio_check(ratios.with_witnesses(units, block_emb))
     assert payload["verdict"] is False
     for entry in payload["entries"][0]:
         assert entry["unit"] is False
@@ -977,6 +977,32 @@ def test_builders_refuse_non_integer_parameters(build, name):
     # 1.9 used to be truncated to 1, and a seed of 0.7 to 0
     with pytest.raises(InputError, match="^%s must be an integer" % name):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_exfield(True),
+        lambda: make_rank_n_lcp(2, 128, seed=True),
+        lambda: IntPoly((True, 1)),
+        lambda: IntMatrix([[True, 0], [0, 1]]),
+    ],
+    ids=["exfield-n", "rank-seed", "int-poly", "int-matrix"],
+)
+def test_bools_are_not_integers(build):
+    # bool is an int subclass: True used to build the field of n = 1 and
+    # the polynomial x + 1
+    with pytest.raises(InputError):
+        build()
+
+
+def test_ot_decides_irreducibility_once(monkeypatch, capsys):
+    # the CLI parses the units in the field it builds, and make_ot builds
+    # the same polynomial's field again: field_new decides it once
+    counts = _count_calls(monkeypatch, [(numberfield_module, "irreducibility_heuristic")])
+    assert cli_main(["ot", "--minpoly", "x^3-x-1", "--units", "0,1,0"]) == 0
+    assert counts == {"irreducibility_heuristic": 1}
+    assert json.loads(capsys.readouterr().out)["verdict"] == "PASS"
 
 
 def test_builders_take_integral_fractions():

@@ -67,6 +67,24 @@ def test_stored_certificate_verifies_bit_identically(path):
     assert report["reproduced"] is True
 
 
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_stored_certificate_traffic_has_the_shapes_the_builders_assume(path):
+    # the builders carry a ratio's witness as (units[j], places[k]), seal
+    # every fiber translation as zero and every cross-term table as all
+    # ones; a schema change that breaks one of these shapes fails here
+    doc = load_certificate(str(path)).document
+    places = doc["decomposition"]["block_embeddings"]
+    for gen, unit_row in zip(doc["generators"], doc["checks"]["unit_ratios"]["entries"]):
+        assert [w["embedding"] for w in gen["witnesses"]] == places
+        assert all(w["element"] == gen["witnesses"][0]["element"] for w in gen["witnesses"])
+        assert all(w["exponent"] == 1 for w in gen["witnesses"])
+        assert all(entry == unit_row[0] for entry in unit_row)
+        assert gen["translation"] == ["0"] * doc["decomposition"]["p"]
+    for term in doc["metric"]["cross_terms"]:
+        assert all(x == "1" for row in term["table"] for x in row)
+    assert len(doc["generators"]) == len(doc["checks"]["unit_ratios"]["entries"])
+
+
 REPORTS = Path(__file__).parent / "data" / "reports"
 
 

@@ -22,8 +22,6 @@ import lcpforge.rawmetric as rawmetric_module
 from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
 from lcpforge.constructions import (
     _match_block_embeddings,
-    _metric_section,
-    _witness_table,
     make_kourganoff,
     make_ot,
     make_rank_n_lcp,
@@ -42,7 +40,6 @@ from lcpforge.lcpcore import (
     AffineFunctional,
     CrossTerm,
     SimilarityGenerator,
-    UnitWitness,
     add_cross_terms,
     _grid_points,
     _sample_points,
@@ -105,9 +102,7 @@ def rank2_tagged(rank2_setup):
     field = field_new(M7)
     alpha = field.gen()
     sigma_alpha = field.from_coords((-2, 0, 1))
-    w0 = [UnitWitness(alpha, 2 - k) for k in range(3)]
-    w1 = [UnitWitness(sigma_alpha, 2 - k) for k in range(3)]
-    return ratios.with_witnesses([w0, w1])
+    return ratios.with_witnesses([alpha, sigma_alpha], [2 - k for k in range(3)])
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +111,11 @@ def rank2_metric(rank2_setup):
     with mp.workprec(decomp.workbits):
         v1 = (mp.log(ratios.entries[0][0]), mp.mpf(0))
         v2 = (mp.mpf(0), mp.log(ratios.entries[1][0]))
-    spec = build_metric_spec(decomp, ratios, 0, [v1, v2])
+    spec = build_metric_spec(ratios, 0, [v1, v2])
     a1, a2 = ratios.generators
     gens = [
-        SimilarityGenerator("g0", a1, (0, 0, 0), v1, ratios.entries[0]),
-        SimilarityGenerator("g1", a2, (0, 0, 0), v2, ratios.entries[1]),
+        SimilarityGenerator("g0", a1, v1, ratios.entries[0]),
+        SimilarityGenerator("g1", a2, v2, ratios.entries[1]),
     ]
     return spec, gens
 
@@ -136,10 +131,10 @@ def squared_metric(rank2_matrices):
     with mp.workprec(decomp.workbits):
         v1 = (mp.log(ratios.entries[0][0]), mp.mpf(0))
         v2 = (mp.mpf(0), mp.log(ratios.entries[1][0]))
-    spec = build_metric_spec(decomp, ratios, 0, [v1, v2])
+    spec = build_metric_spec(ratios, 0, [v1, v2])
     gens = [
-        SimilarityGenerator("s0", b1, (0, 0, 0), v1, ratios.entries[0]),
-        SimilarityGenerator("s1", b2, (0, 0, 0), v2, ratios.entries[1]),
+        SimilarityGenerator("s0", b1, v1, ratios.entries[0]),
+        SimilarityGenerator("s1", b2, v2, ratios.entries[1]),
     ]
     return spec, gens
 
@@ -403,7 +398,7 @@ def _tagged(matrices, units):
     ratios = check_J1(decomp, matrices)
     emb = embeddings(units[0].field, 128)
     block_emb = _match_block_embeddings(emb, units, ratios)
-    return ratios.with_witnesses(_witness_table(units, block_emb)), decomp
+    return ratios.with_witnesses(units, block_emb), decomp
 
 
 def _plane_block(decomp):
@@ -416,14 +411,15 @@ class TestJ2:
 
     def test_isometric_flat_block(self):
         # diag(1, -1) acts with ratio exactly one on both eigenlines; its
-        # witnesses are +-1 in the rationals
+        # witnesses are +-1 in the rationals, at the rationals' one place
         m = matrix_from_string("1,0;0,-1")
         decomp = find_block_decomposition([m], 128)
         ratios = check_J1(decomp, [m])
         one = field_new(IntPoly((-1, 1))).one()
-        ratios = ratios.with_witnesses([[UnitWitness(one, 0), UnitWitness(-one, 0)]])
-        assert check_J2(ratios, 0) is False
-        assert check_J2(ratios, 1) is False
+        for unit in (one, -one):
+            witnessed = ratios.with_witnesses([unit], [0, 0])
+            assert check_J2(witnessed, 0) is False
+            assert check_J2(witnessed, 1) is False
 
     def test_complex_place_decided_by_enclosure(self):
         # kourganoff --q 2: the contracted complement is a rotation plane
@@ -490,7 +486,7 @@ class TestFunctionalSolver:
 class TestMetricAssembly:
     def test_functional_increments_match_ratios(self, rank2_metric):
         spec, gens = rank2_metric
-        tol = tolerance(spec.precision_bits)
+        tol = tolerance(spec.decomposition.precision_bits)
         with mp.workprec(spec.decomposition.workbits):
             for j, gen in enumerate(gens):
                 lam1 = spec.ratios.entries[j][spec.flat_block]
@@ -518,7 +514,7 @@ class TestMetricAssembly:
     def test_flat_block_index_validated(self, rank2_setup):
         decomp, ratios = rank2_setup
         with pytest.raises(InputError):
-            build_metric_spec(decomp, ratios, 7, [(1, 0), (0, 1)])
+            build_metric_spec(ratios, 7, [(1, 0), (0, 1)])
 
 
 class TestEquivariance:
@@ -535,9 +531,7 @@ class TestEquivariance:
 
     def test_identity_generator_zero_residual(self, rank2_metric):
         spec, _ = rank2_metric
-        identity = SimilarityGenerator(
-            "id", IntMatrix.identity(3), (0, 0, 0), (0, 0), (1, 1, 1)
-        )
+        identity = SimilarityGenerator("id", IntMatrix.identity(3), (0, 0), (1, 1, 1))
         (report,) = verify_equivariance(spec, [identity], samples=10, precision=128, seed=0)
         assert report.verdict is True
         assert report.max_residual == 0
@@ -595,7 +589,7 @@ class TestEquivarianceInputs:
 
     def test_short_base_translation_is_refused(self, rank2_metric):
         spec, gens = rank2_metric
-        short = SimilarityGenerator("short", gens[0].linear, (0, 0, 0), (1,), gens[0].ratio_row)
+        short = SimilarityGenerator("short", gens[0].linear, (1,), gens[0].ratio_row)
         with pytest.raises(InputError):
             verify_equivariance(spec, [short], samples=3, precision=128, seed=0)
 
@@ -604,9 +598,7 @@ class TestEquivarianceInputs:
         # inf and nan have libmp mantissa 0; the kernel must not read them
         # as zero
         spec, gens = rank2_metric
-        bad = SimilarityGenerator(
-            "bad", gens[0].linear, (0, 0, 0), (special, 0), gens[0].ratio_row
-        )
+        bad = SimilarityGenerator("bad", gens[0].linear, (special, 0), gens[0].ratio_row)
         with pytest.raises(InputError):
             verify_equivariance(spec, [bad], samples=3, precision=128, seed=0)
         with pytest.raises(InputError):
@@ -815,9 +807,7 @@ class TestPullbackAgainstDenseReference:
 
     def test_identity_generator(self, rank2_metric):
         spec, _ = rank2_metric
-        identity = SimilarityGenerator(
-            "id", IntMatrix.identity(3), (0, 0, 0), (0, 0), (1, 1, 1)
-        )
+        identity = SimilarityGenerator("id", IntMatrix.identity(3), (0, 0), (1, 1, 1))
         report = self._check([(spec, [identity])])
         assert report.max_residual == 0
 
@@ -826,7 +816,7 @@ class TestPullbackAgainstDenseReference:
         # an off-block entry of C^T H_F C, where the target is an exact zero
         spec, _ = rank2_metric
         mixing = SimilarityGenerator(
-            "mix", matrix_from_string("-1,-1,0;-1,0,-1;0,-1,0"), (0, 0, 0), (0, 0), (1, 1, 1)
+            "mix", matrix_from_string("-1,-1,0;-1,0,-1;0,-1,0"), (0, 0), (1, 1, 1)
         )
         report = self._check([(spec, [mixing])])
         assert report.verdict is False
@@ -848,8 +838,7 @@ class TestPullbackAgainstDenseReference:
         shear = [[int(i == j) for j in range(decomp.p)] for i in range(decomp.p)]
         shear[0][3] = 1
         sheared = SimilarityGenerator(
-            "shear", IntMatrix(shear), (0,) * decomp.p, gens[0].base_translation,
-            (1,) * decomp.delta,
+            "shear", IntMatrix(shear), gens[0].base_translation, (1,) * decomp.delta
         )
         for seed in (0, 1, 2):
             self._check([(coupled, gens + [sheared])], seed=seed)
@@ -966,8 +955,6 @@ class TestCrossTerms:
             add_cross_terms(spec, [(0, 1)])  # touches the flat block
         with pytest.raises(InputError):
             add_cross_terms(spec, [(1, 9)])
-        with pytest.raises(InputError):
-            add_cross_terms(spec, [(1, 2)], tables=[[[1, 1]]])
 
     def test_empty_pairs_is_identity(self, squared_metric):
         spec, _ = squared_metric
@@ -1039,7 +1026,7 @@ def _reference_epsilon(spec, coupled, tested=None):
     and tests it with _dense_sylvester.  tested, when given, receives
     (gram, eliminated matrix, verdict) for every matrix tested, in order."""
     decomp = spec.decomposition
-    tol = tolerance(spec.precision_bits)
+    tol = tolerance(spec.decomposition.precision_bits)
     new_terms = coupled.cross_terms[len(spec.cross_terms):]
     with _at_prec(decomp.workbits):
         grid = _mpf_grid_points(spec)
@@ -1168,7 +1155,7 @@ class TestScaleSearchAgainstDenseReference:
         spec, _ = squared_metric
         base = spec.base_conformal
         low = spec.replace(base_conformal=AffineFunctional(base.coeffs, base.constant - 40))
-        tol = tolerance(low.precision_bits)
+        tol = tolerance(low.decomposition.precision_bits)
         p = low.decomposition.p
         with _at_prec(low.decomposition.workbits):
             for x in _mpf_grid_points(low):
@@ -1182,18 +1169,6 @@ class TestScaleSearchAgainstDenseReference:
         spec, pairs = ot_lck_uncoupled
         add_cross_terms(spec, pairs)
         assert len(metric_evaluations) == len(_grid_points(spec)) == 100
-
-
-class TestRationalEntries:
-    def test_float_coupling_table_rejected(self, squared_metric):
-        spec, _ = squared_metric
-        with pytest.raises(InputError):
-            add_cross_terms(spec, [(1, 2)], tables=[[[0.1]]])
-
-    def test_fraction_coupling_table_sealed_exactly(self, squared_metric):
-        spec, _ = squared_metric
-        coupled = add_cross_terms(spec, [(1, 2)], tables=[[[QQ(1, 2)]]])
-        assert _metric_section(coupled)["cross_terms"][0]["table"] == [["1/2"]]
 
 
 class TestRankAndWitnesses:
@@ -1222,24 +1197,17 @@ class TestRankAndWitnesses:
         _, ratios = rank2_setup
         field = field_new(M7)
         with pytest.raises(InputError):
-            ratios.with_witnesses([[UnitWitness(field.gen(), 0)]])
+            ratios.with_witnesses([field.gen()], [0, 1, 2])
+        with pytest.raises(InputError):
+            ratios.with_witnesses([field.gen()] * 2, [0, 1])
 
 
 class TestSimilarityGenerator:
     def test_validation(self, rank2_matrices):
         a1, _ = rank2_matrices
         with pytest.raises(InputError):
-            SimilarityGenerator("bad", matrix_from_string("2,0;0,1"), (0, 0), (0,), (1, 1))
+            SimilarityGenerator("bad", matrix_from_string("2,0;0,1"), (0,), (1, 1))
         with pytest.raises(InputError):
-            SimilarityGenerator("bad", a1, (0, 0), (0, 0), (1, 1, 1))
-        with pytest.raises(InputError):
-            SimilarityGenerator("bad", a1, (0, 0, 0), (0, 0), (1, -1, 1))
-        gen = SimilarityGenerator("ok", a1, (QQ(1, 2), 0, 0), (0, 0), (1, 1, 1))
-        assert gen.translation[0] == QQ(1, 2)
-
-    def test_float_translation_rejected(self, rank2_matrices):
-        # 0.1 would be sealed as 3602879701896397/2^55
-        a1, _ = rank2_matrices
-        for bad in (0.1, mp.mpf(1) / 3):
-            with pytest.raises(InputError):
-                SimilarityGenerator("bad", a1, (bad, 0, 0), (0, 0), (1, 1, 1))
+            SimilarityGenerator("bad", a1, (0, 0), (1, -1, 1))
+        gen = SimilarityGenerator("ok", a1, (0, 0), (1, 1, 1))
+        assert gen.ratio_row == (1, 1, 1)

@@ -505,9 +505,11 @@ class TestMinimalPolynomial:
 
 
     def test_derived_once_per_element_across_equal_fields(self, minpoly_derivations):
-        # equal elements of two separately built fields share one result
+        # equal elements of two separately built fields share one result;
+        # field_new keeps one field per polynomial, so the second is built
+        # directly
         a = field_new(IntPoly((-2, 0, 1))).from_coords((1, 1))
-        b = field_new(IntPoly((-2, 0, 1))).from_coords((1, 1))
+        b = NumberField(IntPoly((-2, 0, 1)), "irreducible").from_coords((1, 1))
         assert a.field is not b.field
         assert minimal_polynomial(a) is minimal_polynomial(b)
         assert minimal_polynomial(a) == IntPoly((-1, -2, 1))

@@ -73,7 +73,9 @@ def test_basic_ring_ops():
 
 
 def test_coefficients_must_be_integral():
-    assert IntPoly((QQ(4, 2), True)) == IntPoly((2, 1))
+    assert IntPoly((QQ(4, 2), 1)) == IntPoly((2, 1))
+    with pytest.raises(InputError):
+        IntPoly((QQ(4, 2), True))
     with pytest.raises(InputError):
         IntPoly((QQ(1, 2), 1))
     with pytest.raises(InputError):
@@ -129,7 +131,7 @@ B_INT = IntPoly((1, 0, 3))  # 1 + 3x^2
         (lambda: A_INT * B_INT, IntPoly((1, 2, 3, 6))),
         (lambda: A_INT * 3 - 1, IntPoly((2, 6))),
         (lambda: 1 - A_INT, IntPoly((0, -2))),
-        (lambda: 2 * B_INT + True, IntPoly((3, 0, 6))),
+        (lambda: 2 * B_INT + 1, IntPoly((3, 0, 6))),
         (lambda: A_INT.derivative(), IntPoly((2,))),
         (lambda: B_INT.derivative(), IntPoly((0, 6))),
         (lambda: IntPoly((1, 2)) == A_INT, True),
@@ -154,6 +156,15 @@ def test_int_and_rat_polys_mix_by_one_rule(expr, want):
     got = expr()
     assert type(got) is type(want)
     assert getattr(got, "coeffs", got) == getattr(want, "coeffs", want)
+
+
+def test_bool_operands_are_refused():
+    # a bool is an int subclass, but not an integer coefficient: it is
+    # refused like a float rather than read as 0 or 1
+    for expr in (lambda: A_INT + True, lambda: False * A_INT):
+        with pytest.raises(TypeError):
+            expr()
+    assert (IntPoly((1,)) == True) is False  # noqa: E712
 
 
 def test_exact_division_errors():
