@@ -21,7 +21,7 @@ from .constructions import (
     verify_certificate,
     worked_rank2_example,
 )
-from .embeddings import default_precision, validate_precision
+from .embeddings import validate_precision
 from .errors import CheckFailureError, InputError, LcpError, PrecisionError
 from .intlinalg import matrix_from_string, matrix_to_json
 from .numberfield import field_new
@@ -36,12 +36,6 @@ def parse_units(text: str):
         [rat_from_json(entry) for entry in row.split(",")]
         for row in text.split(";")
     ]
-
-
-def _resolve_precision(value):
-    if value is None:
-        return default_precision()
-    return validate_precision(value)
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +216,12 @@ def parse_args(argv):
 
 
 def _dispatch(args) -> int:
-    bits = _resolve_precision(args.precision)
+    # an explicit --precision is refused before any work; without one the
+    # builders and verify_certificate apply the default, so a command that
+    # needs no precision never reads LCPFORGE_PRECISION
+    bits = args.precision
+    if bits is not None:
+        validate_precision(bits)
     if args.command == "exfield":
         return _emit(_exfield_report(args.n, args.seed), args)
     if args.command == "dmatrix":
@@ -244,9 +243,7 @@ def _dispatch(args) -> int:
         return _emit(cert.document, args)
     if args.command == "verify":
         cert = load_certificate(args.certificate)
-        report = verify_certificate(
-            cert, None if args.precision is None else bits
-        )
+        report = verify_certificate(cert, bits)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "pipeline": "verify",

@@ -50,7 +50,7 @@ from .intlinalg import (
     matrix_to_json,
 )
 from .lcpcore import (
-    SimilarityGenerator,
+    SAMPLES,
     add_cross_terms,
     build_metric_spec,
     check_J1,
@@ -85,8 +85,6 @@ from .polynomials import (
     sturm_chain,
     trace_polys,
 )
-
-EQUIVARIANCE_SAMPLES = 100
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +292,10 @@ class _Builder:
 
 
 def _functional_payload(f, bits):
+    # every functional's constant is zero; "constant" keeps the schema-1 bytes
     return {
         "coeffs": enc_float_vector(f.coeffs, bits),
-        "constant": enc_float(f.constant, bits),
+        "constant": enc_float(0, bits),
     }
 
 
@@ -321,28 +320,32 @@ def _decomposition_section(decomp, block_embeddings):
     }
 
 
-def _generators_section(gens, ratios):
+def _generators_section(spec, labels):
     # every fiber translation is zero and every witness is the ratio
     # itself; "translation" and "exponent": 1 keep the schema-1 bytes
+    ratios = spec.ratios
     workbits = ratios.decomposition.workbits
     return [
         {
-            "label": gen.label,
-            "matrix": matrix_to_json(gen.linear),
+            "label": label,
+            "matrix": matrix_to_json(a),
             "translation": ["0"] * ratios.decomposition.p,
-            "base_translation": enc_float_vector(gen.base_translation, workbits),
-            "ratio_row": enc_float_vector(gen.ratio_row, workbits),
+            "base_translation": enc_float_vector(v, workbits),
+            "ratio_row": enc_float_vector(row, workbits),
             "witnesses": [
                 {"element": u.to_json(), "embedding": i, "exponent": 1}
                 for i in ratios.places
             ],
         }
-        for gen, u in zip(gens, ratios.units)
+        for label, a, v, row, u in zip(
+            labels, ratios.generators, spec.translations, ratios.entries, ratios.units
+        )
     ]
 
 
 def _metric_section(spec):
-    workbits = spec.decomposition.workbits
+    decomp = spec.decomposition
+    workbits = decomp.workbits
     payload = {
         "flat_block": spec.flat_block,
         "base_dim": spec.n,
@@ -353,7 +356,9 @@ def _metric_section(spec):
         "cross_terms": [
             {
                 "blocks": [term.k, term.k2],
-                "table": [[rat_to_json(x) for x in row] for row in term.table],
+                # every coupling table is all ones
+                "table": [["1"] * len(decomp.block_indices(term.k2))
+                          for _ in decomp.block_indices(term.k)],
                 "functional": _functional_payload(term.functional, workbits),
                 "epsilon": enc_float(term.epsilon, workbits),
             }
@@ -434,19 +439,20 @@ def _dirichlet_check(field, tested_rank):
     }
 
 
-def _equivariance_check(spec, gens, seed):
-    reports = verify_equivariance(spec, gens, samples=EQUIVARIANCE_SAMPLES, seed=seed)
+def _equivariance_check(spec, labels, seed):
+    results = verify_equivariance(spec, seed)
+    bits = spec.decomposition.precision_bits + 32
     return {
-        "verdict": all(rep.verdict for rep in reports),
+        "verdict": all(verdict for _, verdict in results),
         "reports": [
             {
-                "generator": rep.generator_label,
-                "samples": rep.samples,
-                "seed": rep.seed,
-                "max_residual": enc_float(rep.max_residual, rep.precision_bits + 32),
-                "verdict": rep.verdict,
+                "generator": label,
+                "samples": SAMPLES,
+                "seed": seed,
+                "max_residual": enc_float(residual, bits),
+                "verdict": verdict,
             }
-            for rep in reports
+            for label, (residual, verdict) in zip(labels, results)
         ],
     }
 
@@ -470,17 +476,11 @@ def _flat_block_checks(builder, emb, ratios, flat, tested_rank, expected_rank, o
 
 
 def _seal_metric(builder, spec, labels, seed):
-    """One similarity generator per label, from spec's ratios and
-    translations, the generators and metric sections, the equivariance
-    check, then the sealed certificate."""
-    ratios = spec.ratios
-    gens = [
-        SimilarityGenerator(label, a, v, row)
-        for label, a, v, row in zip(labels, ratios.generators, spec.translations, ratios.entries)
-    ]
-    builder.section("generators", _generators_section(gens, ratios))
+    """The generators section, one label per generator of spec, the metric
+    section, the equivariance check, then the sealed certificate."""
+    builder.section("generators", _generators_section(spec, labels))
     builder.section("metric", _metric_section(spec))
-    builder.check("equivariance", _equivariance_check(spec, gens, seed))
+    builder.check("equivariance", _equivariance_check(spec, labels, seed))
     return builder.seal()
 
 

@@ -21,7 +21,7 @@ import os
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from mpmath import iv, mp
 from mpmath.libmp import to_rational
@@ -279,14 +279,12 @@ class EmbeddingSet:
             return iv.log(a)
 
 
-def embeddings(field: NumberField, bits: Optional[int] = None) -> EmbeddingSet:
+def embeddings(field: NumberField, bits: int) -> EmbeddingSet:
     """Certified embedding data for a field at the requested precision.
 
     Internal escalations may exceed the user-facing precision cap, so only
     the lower bound is enforced here; entry points validate the full range.
     """
-    if bits is None:
-        bits = default_precision()
     if bits < MIN_PRECISION:
         raise InputError("precision must be at least %d bits" % MIN_PRECISION)
     return _embeddings_cached(field, bits)
@@ -427,9 +425,7 @@ def _log_rows(emb: EmbeddingSet, units, coords):
     ]
 
 
-def multiplicative_rank(
-    field: NumberField, units: Sequence[FieldElem], bits: Optional[int] = None
-) -> int:
+def multiplicative_rank(field: NumberField, units: Sequence[FieldElem], bits: int) -> int:
     """Rank of the subgroup generated by the given units.
 
     Unit-ness is checked exactly first.  The rank is then proven at the
@@ -437,8 +433,6 @@ def multiplicative_rank(
     logarithmic embedding, at most k by an exact relation for every other
     unit; PrecisionError when either proof fails.
     """
-    if bits is None:
-        bits = default_precision()
     validate_precision(bits)
     return _stable_rank(field, tuple(units), bits, None)
 
@@ -447,7 +441,7 @@ def projected_log_rank(
     field: NumberField,
     units: Sequence[FieldElem],
     coords: Sequence[int],
-    bits: Optional[int] = None,
+    bits: int,
 ) -> int:
     """Rank of the logarithmic embeddings restricted to selected places.
 
@@ -457,8 +451,6 @@ def projected_log_rank(
     among the units, so a projection that loses the rank of independent
     units raises PrecisionError.
     """
-    if bits is None:
-        bits = default_precision()
     validate_precision(bits)
     coords = tuple(coords)
     s, t = field.signature

@@ -7,8 +7,10 @@ generator acts by a similarity (ratio times orthogonal), and the ratio on
 the designated flat block is not identically one.  On top of a certified
 decomposition the module assembles translation-equivariant metrics whose
 conformal behaviour under the group is checked numerically on seeded
-sample points.  All arithmetic on metric values (the metric, its points,
-the cross-term scale search and the sampled check) runs in rawmetric on
+sample points by verify_equivariance(spec, seed), which reads each
+generator (lattice map, base translation, ratio row) off the metric it
+checks.  All arithmetic on metric values (the metric, its points, the
+cross-term scale search and the sampled check) runs in rawmetric on
 Python-int dyadics, rounded like the mpf operators, bit for bit.
 
 All numeric work runs at the requested precision plus guard bits.  The
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from mpmath import iv, mp
 
@@ -45,7 +47,6 @@ from .embeddings import (
     _at_prec,
     _iv_inverse,
     certified_poly_roots,
-    default_precision,
     embeddings,
     full_pivot_eliminate,
     multiplicative_rank,
@@ -57,6 +58,8 @@ _SPLITTER_TRIALS = 40
 _SPLITTER_SEED = 0x5EED
 _CROSS_BISECT_STEPS = 20
 _CROSS_GRID = 10
+# sample points of the equivariance check
+SAMPLES = 100
 
 
 # ----------------------------------------------------------------------
@@ -194,17 +197,13 @@ def _pick_splitter(gens: Sequence[IntMatrix]) -> Tuple[IntMatrix, IntPoly]:
     )
 
 
-def find_block_decomposition(
-    gens: Sequence[IntMatrix], precision: Optional[int] = None
-) -> BlockDecomposition:
+def find_block_decomposition(gens: Sequence[IntMatrix], precision: int) -> BlockDecomposition:
     """Common eigenblock structure of a commuting family of lattice maps.
 
     Real eigenvalues of the splitter give one-dimensional blocks in
     descending eigenvalue order; complex pairs give two-dimensional blocks
     ordered by real then imaginary part of the upper representative.
     """
-    if precision is None:
-        precision = default_precision()
     precision = validate_precision(precision)
     gens = list(gens)
     if not gens:
@@ -431,39 +430,6 @@ def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
     return False
 
 
-# ----------------------------------------------------------------------
-# similarity generators
-
-
-class SimilarityGenerator:
-    """One group generator: lattice map and base translation.
-
-    The linear part acts on the fiber lattice and the base translation is
-    the numeric shift in base log-coordinates; the fiber translation is
-    zero.  The ratio row caches the per-block similarity ratios certified
-    by J1.
-    """
-
-    __slots__ = ("label", "linear", "base_translation", "ratio_row")
-
-    def __init__(self, label, linear: IntMatrix, base_translation, ratio_row):
-        if not is_gl_z(linear):
-            raise InputError("linear part must be in GL(p, Z)")
-        self.label = str(label)
-        self.linear = linear
-        self.base_translation = tuple(base_translation)
-        self.ratio_row = tuple(ratio_row)
-        if any(not r > 0 for r in self.ratio_row):
-            raise InputError("ratio row entries must be positive")
-
-    def __repr__(self):
-        return "SimilarityGenerator(%r, p=%d, n=%d)" % (
-            self.label,
-            self.linear.n,
-            len(self.base_translation),
-        )
-
-
 def lcp_rank(ratios: RatioMatrix, flat_block: int) -> int:
     """Rank of the group generated by the flat-block similarity ratios.
 
@@ -484,13 +450,13 @@ def lcp_rank(ratios: RatioMatrix, flat_block: int) -> int:
 
 
 class AffineFunctional:
-    """An affine map c . x + d on base log-coordinates."""
+    """An affine map c . x + d on base log-coordinates.  Equivariance fixes
+    the increments c . v alone, so the constant d is always zero."""
 
-    __slots__ = ("coeffs", "constant")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, constant=0):
+    def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
-        self.constant = constant
 
     def shift(self, v):
         """Increment of the functional along a translation vector."""
@@ -500,16 +466,13 @@ class AffineFunctional:
         return acc
 
 
-def solve_equivariant_functional(translations, targets,
-                                 precision: Optional[int] = None) -> AffineFunctional:
+def solve_equivariant_functional(translations, targets, precision: int) -> AffineFunctional:
     """Affine functional f with f(x + v_j) - f(x) = r_j for all j.
 
     Solves c . v_j = r_j by Gaussian elimination at working precision and
     verifies every residual against the tolerance; the constant term is
     free and set to zero.
     """
-    if precision is None:
-        precision = default_precision()
     precision = validate_precision(precision)
     translations = [list(v) for v in translations]
     targets = list(targets)
@@ -560,14 +523,15 @@ def solve_equivariant_functional(translations, targets,
 
 
 class CrossTerm:
-    """Off-diagonal coupling between two non-flat blocks."""
+    """Off-diagonal coupling between two non-flat blocks: every entry
+    between them is epsilon * exp(2 f_c), the all-ones coupling table
+    scaled."""
 
-    __slots__ = ("k", "k2", "table", "functional", "epsilon")
+    __slots__ = ("k", "k2", "functional", "epsilon")
 
-    def __init__(self, k, k2, table, functional, epsilon):
+    def __init__(self, k, k2, functional, epsilon):
         self.k = int(k)
         self.k2 = int(k2)
-        self.table = _freeze(table)
         self.functional = functional
         self.epsilon = epsilon
 
@@ -726,7 +690,6 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     with _at_prec(decomp.workbits):
         for k, k2 in pairs:
             _cross_covariance_check(spec, k, k2, tol)
-            ones = [[1] * len(decomp.block_indices(k2)) for _ in decomp.block_indices(k)]
             lam1 = [row[spec.flat_block] for row in spec.ratios.entries]
             targets = [
                 mp.log(lam1[j])
@@ -734,7 +697,7 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
                 for j in range(spec.ratios.n_gens)
             ]
             functional = solve_equivariant_functional(spec.translations, targets, precision)
-            couplings.append(CrossTerm(k, k2, ones, functional, 1))
+            couplings.append(CrossTerm(k, k2, functional, 1))
     at_one = spec.replace(cross_terms=spec.cross_terms + tuple(couplings))
     epsilon = rawmetric.cross_scale(
         rawmetric.MetricTerms(spec),
@@ -748,7 +711,7 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
             "no positive cross-term scale keeps the sampled metric positive definite"
         )
     epsilon = rawmetric.from_dyadic(epsilon)
-    new_terms = tuple(CrossTerm(t.k, t.k2, t.table, t.functional, epsilon) for t in couplings)
+    new_terms = tuple(CrossTerm(t.k, t.k2, t.functional, epsilon) for t in couplings)
     return spec.replace(cross_terms=spec.cross_terms + new_terms)
 
 
@@ -756,50 +719,25 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
 # equivariance verification
 
 
-class EquivarianceReport:
-    """Outcome of the pullback identity check for one generator."""
-
-    __slots__ = (
-        "generator_label",
-        "samples",
-        "seed",
-        "max_residual",
-        "precision_bits",
-        "verdict",
-    )
-
-    def __init__(self, generator_label, samples, seed, max_residual,
-                 precision_bits, verdict):
-        self.generator_label = str(generator_label)
-        self.samples = int(samples)
-        self.seed = int(seed)
-        self.max_residual = max_residual
-        self.precision_bits = int(precision_bits)
-        self.verdict = bool(verdict)
-
-    def __repr__(self):
-        return "EquivarianceReport(%r, residual=%s, verdict=%s)" % (
-            self.generator_label,
-            mp.nstr(self.max_residual, 8) if self.max_residual else "0",
-            "pass" if self.verdict else "fail",
-        )
-
-
-def _sample_points(spec: MetricSpec, samples: int, seed: int, workbits: int):
-    """Seeded points in the span of the stored base translations, as pairs
-    at workbits: each translation takes a 48-bit random dyadic weight."""
+def _sample_points(spec: MetricSpec, seed: int):
+    """SAMPLES seeded points in the span of the stored base translations,
+    as pairs at the metric's working precision: each translation takes a
+    48-bit random dyadic weight."""
     rng = random.Random(seed)
     g = len(spec.translations)
-    weights = [[(rng.getrandbits(48), -48) for _ in range(g)] for _ in range(samples)]
-    return rawmetric.span(weights, spec.translations, workbits)
+    weights = [[(rng.getrandbits(48), -48) for _ in range(g)] for _ in range(SAMPLES)]
+    return rawmetric.span(weights, spec.translations, spec.decomposition.workbits)
 
 
-def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
-                        samples: int = 100, precision: Optional[int] = None,
-                        seed: int = 0) -> List[EquivarianceReport]:
-    """Check gamma*h = L1^2 h at seeded sample points, for each generator.
+def verify_equivariance(spec: MetricSpec, seed: int) -> List[Tuple]:
+    """Check gamma*h = L1^2 h at SAMPLES seeded sample points, for each
+    generator of spec.
 
-    The sample points do not depend on the generator, so h(x) is evaluated
+    Generator j is read off spec: the lattice map ratios.generators[j],
+    the base translation translations[j] and the flat-block ratio L1 in
+    ratios.entries[j].  The points span the translations, and the check
+    runs at the decomposition's working precision against the tolerance
+    of its precision.  The sample points do not depend on the generator, so h(x) is evaluated
     once per point and h(x + v) once per point and generator.  The
     pullback uses the exact affine Jacobian of the action: the linear part
     in block coordinates on the fiber, identity on base coordinates.  The
@@ -813,34 +751,20 @@ def verify_equivariance(spec: MetricSpec, gens: Sequence[SimilarityGenerator],
     586 working bits.  A block-scalar row of the fiber metric holds its
     diagonal alone, so its row of H_F C is one rounded product per entry,
     and only entries the metric's sparsity lets be nonzero are compared.
-    Returns one report per generator, in order, with the maximum relative
-    residual and the verdict against the precision tolerance.  An inf or
-    nan coordinate or translation raises InputError.
+    Returns one (max_residual, verdict) pair per generator, in order: the
+    maximum relative residual as an mpf and whether it is below the
+    tolerance.  An inf or nan coordinate or translation raises InputError.
     """
-    if samples < 1:
-        raise InputError("the equivariance check needs at least one sample point")
-    decomp = spec.decomposition
-    if precision is None:
-        precision = decomp.precision_bits
-    precision = validate_precision(precision)
-    workbits = max(decomp.workbits, precision + GUARD_BITS)
-    tol = tolerance(precision)
-    blocks = [conjugated_numeric(decomp, gen.linear) for gen in gens]
-    pts = _sample_points(spec, samples, seed, workbits)
+    decomp, ratios = spec.decomposition, spec.ratios
+    blocks = [conjugated_numeric(decomp, a) for a in ratios.generators]
+    pts = _sample_points(spec, seed)
     actions = []
-    with _at_prec(workbits):
-        for gen, c in zip(gens, blocks):
-            if len(gen.base_translation) < spec.n:
-                raise InputError(
-                    "generator %r has %d base coordinates, need %d"
-                    % (gen.label, len(gen.base_translation), spec.n)
-                )
-            lam1 = mp.mpf(gen.ratio_row[spec.flat_block])
+    with _at_prec(decomp.workbits):
+        for c, v, row in zip(blocks, spec.translations, ratios.entries):
+            lam1 = mp.mpf(row[spec.flat_block])
             c_t = [[rawmetric.to_dyadic(e) for e in col] for col in zip(*c)]
-            v = [rawmetric.to_dyadic(t) for t in gen.base_translation]
+            v = [rawmetric.to_dyadic(t) for t in v]
             actions.append((c_t, rawmetric.to_dyadic(lam1 * lam1), v))
-    residuals = rawmetric.pullback_residuals(rawmetric.MetricTerms(spec), actions, pts, workbits)
-    return [
-        EquivarianceReport(gen.label, samples, seed, r, precision, r < tol)
-        for gen, r in zip(gens, map(rawmetric.from_dyadic, residuals))
-    ]
+    residuals = rawmetric.pullback_residuals(rawmetric.MetricTerms(spec), actions, pts)
+    tol = tolerance(decomp.precision_bits)
+    return [(r, r < tol) for r in map(rawmetric.from_dyadic, residuals)]

@@ -127,13 +127,13 @@ def _abs_gt(a, b):
 
 
 def _functional(f):
-    return to_dyadic(f.constant), [to_dyadic(c) for c in f.coeffs]
+    return [to_dyadic(c) for c in f.coeffs]
 
 
 class MetricTerms:
     """The constant data of a MetricSpec as pairs at its working
-    precision: functional coefficients, cross-term scales and tables.
-    Converted once, read by every metric_gram call.
+    precision: functional coefficients and cross-term scales.  Converted
+    once, read by every metric_gram call.
 
     functionals lists every functional whose exp(2 f) the gram holds: the
     blocks' in block order, the base conformal factor's, then the cross
@@ -163,11 +163,10 @@ class MetricTerms:
                     _functional(term.functional),
                     list(decomp.block_indices(term.k)),
                     list(decomp.block_indices(term.k2)),
-                    [[to_dyadic(t) for t in row] for row in term.table],
                 )
                 for term in spec.cross_terms
             ]
-        self.functionals += [f for _, f, _, _, _ in self.cross]
+        self.functionals += [f for _, f, _, _ in self.cross]
 
 
 def _dot(acc, a, b, prec):
@@ -333,14 +332,14 @@ def _exps_here(twice, prec, units, fixed):
 
 
 def _increment(functional, v, prec, units):
-    """For the translation v of the base and a functional c . x + d: the
-    exact increment d0 = 2 c . v of 2 f, as the floor of -d0 at the scale
-    2**-(wp + 8), and D ~ exp(d0) on the fixed-point path at
+    """For the translation v of the base and a functional's coefficients
+    c: the exact increment d0 = 2 c . v of 2 f, as the floor of -d0 at the
+    scale 2**-(wp + 8), and D ~ exp(d0) on the fixed-point path at
     min(wp + 64, EXP_COSH_CUTOFF) bits, as (V_D, s_D).  Then _exp_near's
     bounds in units of 2**-wp: rho_D + L + 6 relative, and rho_D + 4 with
     L + 1 absolute for -2 < y < 0; units is L at wp = prec + 14."""
     wp = prec + 14
-    products = [(cm * vm, ce + ve) for (cm, ce), (vm, ve) in zip(functional[1], v) if cm and vm]
+    products = [(cm * vm, ce + ve) for (cm, ce), (vm, ve) in zip(functional, v) if cm and vm]
     low = min((pe for _, pe in products), default=0)
     dm = sum(pm << (pe - low) for pm, pe in products)
     if not dm:
@@ -405,30 +404,28 @@ def _exp_near(y, here, increment, prec):
     return _exp(m, e, prec)
 
 
-def _twice(functional, x, prec):
-    """2 f(x) for a functional c . x + d, summed from d; doubling a value
-    of at most prec bits is exact."""
-    constant, coeffs = functional
-    m, e = _dot(constant, coeffs, x, prec)
+def _twice(coeffs, x, prec):
+    """2 f(x) for a functional with coefficients c and zero constant, c . x
+    summed from zero; doubling a value of at most prec bits is exact."""
+    m, e = _dot(_ZERO, coeffs, x, prec)
     return m, e + 1
 
 
-def _exp_twice(functional, x, prec):
-    """exp(2 f(x)) for a functional c . x + d, summed from d, by _exp:
-    mpf_exp's value bit for bit, with no mpf built on the way."""
-    constant, coeffs = functional
-    m, e = _dot(constant, coeffs, x, prec)
+def _exp_twice(coeffs, x, prec):
+    """exp(2 f(x)) for a functional with coefficients c and zero constant,
+    by _exp: mpf_exp's value bit for bit, with no mpf built on the way."""
+    m, e = _dot(_ZERO, coeffs, x, prec)
     return _exp(m, e + 1, prec)
 
 
-def _add_cross(gram, scale, idx1, idx2, table, prec):
-    """Add scale * table[a][b] to the entries (idx1[a], idx2[b]) and
-    (idx2[b], idx1[a]) of gram, in place, row by row."""
-    for a, i in enumerate(idx1):
-        for b, j in enumerate(idx2):
-            value = _mul(scale, table[a][b], prec)
-            gram[i][j] = _add(gram[i][j], value, prec)
-            gram[j][i] = _add(gram[j][i], value, prec)
+def _add_cross(gram, scale, idx1, idx2, prec):
+    """Add scale, a value of at most prec bits, to the entries (i, j) and
+    (j, i) of gram for i in idx1 and j in idx2, in place, row by row: the
+    all-ones coupling table scaled, since scale * 1 rounds to scale."""
+    for i in idx1:
+        for j in idx2:
+            gram[i][j] = _add(gram[i][j], scale, prec)
+            gram[j][i] = _add(gram[j][i], scale, prec)
 
 
 def metric_gram(terms: MetricTerms, x, exps=None):
@@ -452,8 +449,8 @@ def metric_gram(terms: MetricTerms, x, exps=None):
             gram[i][i] = scale
     if terms.cross:
         factors = scales[len(scales) - len(terms.cross):]
-        for (epsilon, _, idx1, idx2, table), factor in zip(terms.cross, factors):
-            _add_cross(gram, _mul(epsilon, factor, prec), idx1, idx2, table, prec)
+        for (epsilon, _, idx1, idx2), factor in zip(terms.cross, factors):
+            _add_cross(gram, _mul(epsilon, factor, prec), idx1, idx2, prec)
     return gram
 
 
@@ -461,7 +458,7 @@ def _coupled(cross, size):
     """For each index below size, the indices a cross term couples it
     with, sorted; empty for an index no term touches."""
     partners = [set() for _ in range(size)]
-    for _, _, idx1, idx2, _ in cross:
+    for _, _, idx1, idx2 in cross:
         for i in idx1:
             partners[i].update(idx2)
         for j in idx2:
@@ -512,8 +509,7 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
     prec = terms.prec
     coupled = [i for i, s in enumerate(_coupled(terms.cross + new_terms, terms.total)) if s]
     at = {i: k for k, i in enumerate(coupled)}
-    new = [([at[i] for i in idx1], [at[j] for j in idx2], table)
-           for _, _, idx1, idx2, table in new_terms]
+    new = [([at[i] for i in idx1], [at[j] for j in idx2]) for _, _, idx1, idx2 in new_terms]
     grid = []
     for x in points:
         gram = metric_gram(terms, x)
@@ -522,14 +518,14 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
             return 0, -steps - 1
         grid.append((
             [[gram[i][j] for j in coupled] for i in coupled],
-            [_exp_twice(f, x, prec) for _, f, _, _, _ in new_terms],
+            [_exp_twice(f, x, prec) for _, f, _, _ in new_terms],
         ))
 
     def scaled_ok(eps):
         for gram, factors in grid:
             a = [list(row) for row in gram]
-            for (idx1, idx2, table), factor in zip(new, factors):
-                _add_cross(a, _mul(eps, factor, prec), idx1, idx2, table, prec)
+            for (idx1, idx2), factor in zip(new, factors):
+                _add_cross(a, _mul(eps, factor, prec), idx1, idx2, prec)
             if not positive_definite(a, tol, prec):
                 return False
         return True
@@ -546,13 +542,14 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
     return lo, -steps - 1
 
 
-def pullback_residuals(terms: MetricTerms, actions, points, prec):
+def pullback_residuals(terms: MetricTerms, actions, points):
     """Largest relative residual |J^T h(x + v) J - L1^2 h(x)| / max|L1^2 h(x)|
-    over the points, for each action, at prec bits, as pairs.
+    over the points, for each action, at the metric's working precision,
+    as pairs.
 
     Each action is (C^T, L1^2, v): the transpose of the block-coordinate
     linear part, the squared flat-block ratio and the base translation, as
-    pairs of at most prec bits, like the points.  J = diag(C, I), so only
+    pairs of at most that many bits, like the points.  J = diag(C, I), so only
     the fiber block of the pullback moves, to C^T (H_F C).  h(x) is
     evaluated once per point, h(x + v) once per point and action.  When
     _derivable, exp_basecase runs for h(x) alone: the exps of h(x + v) are
@@ -568,16 +565,16 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
     # a block-scalar row (None) holds its diagonal alone
     rows = [sorted(s + [l]) if s else None for l, s in enumerate(_coupled(terms.cross, p))]
     residuals = [_ZERO] * len(actions)
-    exp_prec = terms.prec
-    derive = _derivable(exp_prec)
+    prec = terms.prec
+    derive = _derivable(prec)
     if derive:
-        units = _exp_error_units(exp_prec + 14)
-        increments = [[_increment(f, v, exp_prec, units) for f in terms.functionals]
+        units = _exp_error_units(prec + 14)
+        increments = [[_increment(f, v, prec, units) for f in terms.functionals]
                       for _, _, v in actions]
     for x in points:
         if derive:
             fixed = []
-            h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, exp_prec, units, fixed))
+            h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, prec, units, fixed))
         else:
             h_here = metric_gram(terms, x)
         here = [h for row in h_here[:p] for h in row[:p]] + [h_here[i][i] for i in base]
@@ -585,7 +582,7 @@ def pullback_residuals(terms: MetricTerms, actions, points, prec):
             x_v = [_add(xi, vi, prec) for xi, vi in zip(x, v)]
             if derive:
                 h_there = metric_gram(terms, x_v, lambda twice: [
-                    _exp_near(y, h, d, exp_prec) for y, h, d in zip(twice, fixed, increments[g])
+                    _exp_near(y, h, d, prec) for y, h, d in zip(twice, fixed, increments[g])
                 ])
             else:
                 h_there = metric_gram(terms, x_v)

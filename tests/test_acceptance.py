@@ -160,7 +160,6 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
     from lcpforge.constructions import make_dmatrix
     from lcpforge.lcpcore import (
         AffineFunctional,
-        SimilarityGenerator,
         build_metric_spec,
         check_J1,
         find_block_decomposition,
@@ -176,17 +175,17 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
             (mp.mpf(0), mp.log(ratios.entries[1][flat])),
         ]
     spec = build_metric_spec(ratios, flat, translations)
-    gen = SimilarityGenerator("g1", dm.matrices[0], translations[0], ratios.entries[0])
-    assert verify_equivariance(spec, [gen], 100, 128, seed=0)[0].verdict is True
+    # generator g1 of spec: the first unit matrix and its base translation
+    _, verdict = verify_equivariance(spec, 0)[0]
+    assert verdict is True
     k = next(i for i in range(decomp.delta) if i != flat)
     bumped = list(spec.functionals)
     with mp.workprec(decomp.workbits):
         old = bumped[k]
-        bumped[k] = AffineFunctional(
-            (old.coeffs[0] + mp.mpf("0.001"),) + old.coeffs[1:], old.constant
-        )
+        bumped[k] = AffineFunctional((old.coeffs[0] + mp.mpf("0.001"),) + old.coeffs[1:])
     perturbed = spec.replace(functionals=tuple(bumped))
-    assert verify_equivariance(perturbed, [gen], 100, 128, seed=0)[0].verdict is False
+    _, verdict = verify_equivariance(perturbed, 0)[0]
+    assert verdict is False
 
 
 def test_criterion_6_warped_product_family():

@@ -189,6 +189,35 @@ def test_flag_overrides_env_var(capsys, monkeypatch):
     assert json.loads(out)["precision_bits"] == 128
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", str(Path(__file__).parent / "data" / "ranklcp_n1_128.json")],
+        ["exfield", "--n", "3"],
+        ["dmatrix", "--n", "2"],
+    ],
+    ids=["verify", "exfield", "dmatrix"],
+)
+def test_a_command_that_uses_no_default_precision_ignores_the_env_var(capsys, monkeypatch, argv):
+    # verify reruns at the stored precision, and the field reports take
+    # none, so a malformed LCPFORGE_PRECISION is never read
+    monkeypatch.setenv("LCPFORGE_PRECISION", "abc")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "PASS"
+
+
+def test_a_malformed_env_var_or_flag_still_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LCPFORGE_PRECISION", "abc")
+    code, _, err = run_cli(capsys, "ranklcp", "--n", "1")
+    assert code == 2
+    assert "LCPFORGE_PRECISION must be an integer" in err
+    monkeypatch.delenv("LCPFORGE_PRECISION")
+    code, _, err = run_cli(capsys, "exfield", "--n", "3", "--precision", "9999")
+    assert code == 2
+    assert "precision must be an integer in [64, 4096]" in err
+
+
 # --------------------------------------------------------------------------
 # verify command
 

@@ -70,8 +70,11 @@ def test_stored_certificate_verifies_bit_identically(path):
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_stored_certificate_traffic_has_the_shapes_the_builders_assume(path):
     # the builders carry a ratio's witness as (units[j], places[k]), seal
-    # every fiber translation as zero and every cross-term table as all
-    # ones; a schema change that breaks one of these shapes fails here
+    # every fiber translation as zero, every cross-term table as all ones,
+    # every functional constant as zero at the metric's working bits, and
+    # every equivariance report at 100 samples with its residual at the
+    # precision plus 32 bits; a schema change that breaks one of these
+    # shapes fails here
     doc = load_certificate(str(path)).document
     places = doc["decomposition"]["block_embeddings"]
     for gen, unit_row in zip(doc["generators"], doc["checks"]["unit_ratios"]["entries"]):
@@ -80,9 +83,21 @@ def test_stored_certificate_traffic_has_the_shapes_the_builders_assume(path):
         assert all(w["exponent"] == 1 for w in gen["witnesses"])
         assert all(entry == unit_row[0] for entry in unit_row)
         assert gen["translation"] == ["0"] * doc["decomposition"]["p"]
-    for term in doc["metric"]["cross_terms"]:
+    metric = doc["metric"]
+    for term in metric["cross_terms"]:
         assert all(x == "1" for row in term["table"] for x in row)
     assert len(doc["generators"]) == len(doc["checks"]["unit_ratios"]["entries"])
+    workbits = metric["translations"][0][0][1]
+    functionals = metric["functionals"] + [metric["base_conformal"]]
+    functionals += [term["functional"] for term in metric["cross_terms"]]
+    for f in functionals:
+        assert f["constant"] == ["0.0", workbits]
+        assert all(bits == workbits for _, bits in f["coeffs"])
+    reports = doc["checks"]["equivariance"]["reports"]
+    assert [r["generator"] for r in reports] == [g["label"] for g in doc["generators"]]
+    for report in reports:
+        assert report["samples"] == 100
+        assert report["max_residual"][1] == doc["precision_bits"] + 32
 
 
 REPORTS = Path(__file__).parent / "data" / "reports"
