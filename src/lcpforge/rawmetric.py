@@ -17,8 +17,7 @@ The sampled check calls exp_basecase only at the sample points
 themselves.  At a translated point x + v, _exp_near derives exp(2 f) from
 the point's own unrounded value and exp(2 c . v), and keeps the result
 only where a proven error bound (_exp's lemma) shows that libmp would
-round to the same value; elsewhere, and at working precisions above
-EXP_COSH_CUTOFF - 14 bits, where no bound is proven, _exp computes it.
+round to the same value; elsewhere _exp computes it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from fractions import Fraction
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
-from mpmath.libmp.libelefun import EXP_COSH_CUTOFF, exp_basecase, ln2_fixed
+from mpmath.libmp.libelefun import EXP_COSH_CUTOFF, EXP_SERIES_U_CUTOFF, exp_basecase, ln2_fixed
 
 from .embeddings import _at_prec
 from .errors import InputError
@@ -250,32 +249,21 @@ def _exp(m, e, prec):
     to mpf_exp itself.  exp(0) is 1, and so is exp(x) for |x| < 2**-wp,
     where mpf_exp perturbs 1 and round to nearest leaves it.
 
-    Lemma (the error of the fixed-point path, which _exp_near rests on).
-    Let 64 <= wp <= EXP_COSH_CUTOFF, r = floor(sqrt(wp)),
-    I = floor((wp + r) / (2r - 2)) + 1 and L = 3I + 16 (_exp_error_units).
-    For any x = m * 2**e let (V, s) = _exp_fixed(m, e, wp) and
-    M = max(1, V * 2**-wp + 2**-20).  Then
-    |V * 2**s - exp(x)| <= (L * M + 1) * 2**s.  (_relative_error turns
-    this into a bound relative to V * 2**s.)
-    Proof.  (a) The reduction gives x = n ln 2 + t * 2**-wp + xi with
-    |xi| < 5 * 2**-wp: for |x| < 2 only the floor of t, 0 <= xi < 2**-wp;
-    for |x| >= 2 the floors of the shifted x and of t, and ln2_fixed's
-    error of at most 2 units (machin sums its series at 10 guard bits;
-    tests/test_rawmetric.py checks it) times |n| <= 1.45 * 2**mag + 1.
-    So replacing x by n ln 2 + t * 2**-wp costs at most 6M units of 2**s.
-    (b) exp_basecase works at P = wp + r bits on u = t * 2**-P, |u| <
-    2**(1 - r).  Its series terms are floored from nonnegative values, so
-    each is low by less than 3 units of 2**-P and is 0 once u**(2i) <
-    2**-P, after at most I rounds; the tail is below 2 terms' worth.  So
-    the two sums and their combination are within 3(I + 2) + 2 units of
-    exp(u) * 2**P.  (c) Each of the r squarings doubles the relative error
-    and its floor adds at most max(1, exp(-t * 2**-wp)) * 2**-P; the final
-    shift by r floors once more.  That gives |V - exp(t * 2**-wp) * 2**wp|
-    <= (3(I + 2) + 4) M + 1 with M >= max(1, exp(t * 2**-wp)), since
-    L * M + 1 < 2**(wp - 20); with (a) that is the bound.
-    Above EXP_COSH_CUTOFF exp_basecase runs exponential_series, whose
-    square root (isqrt_fast) carries no proven error bound, so no such
-    lemma is claimed there.
+    Lemma (the error of the fixed-point path, which _exp_near rests on;
+    README proves it).  For wp >= 64 and any x = m * 2**e let (V, s) =
+    _exp_fixed(m, e, wp), M = max(1, V * 2**-wp + 2**-20) and
+    L = _exp_error_units(wp).  Then |V * 2**s - exp(x)| <= (L * M + 1) * 2**s.
+    Up to EXP_COSH_CUTOFF, exp_basecase sums a Taylor series: with
+    r = floor(sqrt(wp)) and I = floor((wp + r) / (2r - 2)) + 1, L = 3I + 16.
+    Above it, exponential_series sums cosh in k series (k = 2 below
+    EXP_SERIES_U_CUTOFF, int(0.3 * wp**0.35) from it), takes sinh by
+    isqrt_fast and squares r0 = int(0.5 * sqrt(wp)) times: with
+    I = floor((wp + 14) / (2 k r0)) + 1 and h = floor(r0 / 2),
+    L = floor(17 (I + k + 1) * 2**(h - 13)) + 8, where 2**(h - 9) bounds
+    how far the square root scales the cosh sum's error.  That assumes,
+    as libmp does, that isqrt_fast's start int(2**100 * y**-0.5) on a
+    float is within 1.41 * 2**-50 of 2**100 / sqrt(y), which holds when the
+    C library's pow is within one ulp.
     """
     if not m:
         return _ONE
@@ -291,37 +279,39 @@ def _exp(m, e, prec):
 
 def _exp_error_units(wp):
     """L of _exp's lemma at wp bits."""
-    r = int(wp ** 0.5)
-    return 3 * ((wp + r) // (2 * r - 2) + 1) + 16
+    if wp <= EXP_COSH_CUTOFF:
+        r = int(wp ** 0.5)
+        return 3 * ((wp + r) // (2 * r - 2) + 1) + 16
+    r = int(0.5 * wp ** 0.5)
+    k = 2 if wp < EXP_SERIES_U_CUTOFF else int(0.3 * wp ** 0.35)
+    i = (wp + 14) // (2 * k * r) + 1
+    return (17 * (i + k + 1) << (r >> 1) >> 13) + 8
 
 
 def _relative_error(v, wp, units):
     """An int rho with |V * 2**s - exp(x)| <= rho * 2**-wp * V * 2**s, for
     the lemma's (V, s) at wp bits and its L, units.  The lemma's bound is
-    at most L * V * 2**-wp + 2 units when V >= 2**wp, and at most L + 2
-    below."""
+    at most (L + (L >> 20) + 2) * V * 2**-wp units when V >= 2**wp, and at
+    most L + (L >> 20) + 2 below."""
+    units += (units >> 20) + 2
     if v >> wp:
-        return units + 3
-    return ((units + 2) << wp) // v + 1
-
-
-def _derivable(prec):
-    """Whether exps at prec bits may be derived: _exp's lemma holds at
-    wp = prec + 14, which the exp_basecase Taylor loop computes."""
-    return 64 <= prec + 14 <= EXP_COSH_CUTOFF
+        return units + 1
+    return (units << wp) // v + 1
 
 
 def _exps_here(twice, prec, units, fixed):
     """exp(y) as _exp gives it, for each y = 2 f(x) at a sample point x.
     Appends to fixed, per y, what _exp_near needs to derive exp(y') at
     x + v from it: (y's mantissa at the scale 2**-(wp + 8), V, s, rho), or
-    None where mpf_exp takes a branch that has no fixed-point value.
-    units is _exp_error_units(prec + 14)."""
+    None where _exp takes no fixed-point value: for zero, below 2**-wp,
+    with bits below 2**-(wp + 8), or for an integer that mpf_exp takes to
+    its power of e above 600 bits.  units is _exp_error_units(prec + 14)."""
     wp = prec + 14
     low = -wp - 8
     values = []
     for m, e in twice:
-        if not m or m.bit_length() + e < -wp or e < low:
+        if (not m or m.bit_length() + e < -wp or e < low
+                or (prec > 600 and e + (m & -m).bit_length() > 0)):
             values.append(_exp(m, e, prec))
             fixed.append(None)
             continue
@@ -334,10 +324,10 @@ def _exps_here(twice, prec, units, fixed):
 def _increment(functional, v, prec, units):
     """For the translation v of the base and a functional's coefficients
     c: the exact increment d0 = 2 c . v of 2 f, as the floor of -d0 at the
-    scale 2**-(wp + 8), and D ~ exp(d0) on the fixed-point path at
-    min(wp + 64, EXP_COSH_CUTOFF) bits, as (V_D, s_D).  Then _exp_near's
-    bounds in units of 2**-wp: rho_D + L + 6 relative, and rho_D + 4 with
-    L + 1 absolute for -2 < y < 0; units is L at wp = prec + 14."""
+    scale 2**-(wp + 8), and D ~ exp(d0) on the fixed-point path at wp + 64
+    bits, as (V_D, s_D).  Then _exp_near's bounds in units of 2**-wp:
+    rho_D + L + 6 relative, and rho_D + 4 with L + 1 absolute for
+    -2 < y < 0; units is L at wp = prec + 14."""
     wp = prec + 14
     products = [(cm * vm, ce + ve) for (cm, ce), (vm, ve) in zip(functional, v) if cm and vm]
     low = min((pe for _, pe in products), default=0)
@@ -347,9 +337,8 @@ def _increment(functional, v, prec, units):
     de = low + 1
     shift = de + wp + 8
     floor_minus = -dm << shift if shift >= 0 else -dm >> -shift
-    wp_d = min(wp + 64, EXP_COSH_CUTOFF)
-    vd, sd = _exp_fixed(dm, de, wp_d)
-    rho = (_relative_error(vd, wp_d, _exp_error_units(wp_d)) >> (wp_d - wp)) + 1
+    vd, sd = _exp_fixed(dm, de, wp + 64)
+    rho = (_relative_error(vd, wp + 64, _exp_error_units(wp + 64)) >> 64) + 1
     return floor_minus, vd, sd, rho + units + 6, rho + 4, units + 1
 
 
@@ -357,7 +346,7 @@ def _exp_near(y, here, increment, prec):
     """exp(y) as _exp gives it, for y = 2 f(x + v), derived from the
     sample point's own exponential when that decides the rounding.
 
-    With y0 = 2 f(x), V * 2**s from _exp_here, the exact increment d0 and
+    With y0 = 2 f(x), V * 2**s from _exps_here, the exact increment d0 and
     D ~ exp(d0) from _increment, eta = y - y0 - d0 is exact and tiny, and
     exp(y) = exp(y0) exp(d0) exp(eta).  W = V * 2**s * D * (1 + eta) is
     formed on ints and truncated to wp + 8 bits.  U bounds the distance
@@ -374,7 +363,8 @@ def _exp_near(y, here, increment, prec):
     wp = prec + 14
     low = -wp - 8
     mag = m.bit_length() + e
-    if here is None or not m or mag < -wp or e < low:
+    if (here is None or not m or mag < -wp or e < low
+            or (prec > 600 and e + (m & -m).bit_length() > 0)):
         return _exp(m, e, prec)
     m0, v, s, rho_v = here
     floor_minus, vd, sd, rho_rel, rho_abs, abs_units = increment
@@ -551,10 +541,11 @@ def pullback_residuals(terms: MetricTerms, actions, points):
     linear part, the squared flat-block ratio and the base translation, as
     pairs of at most that many bits, like the points.  J = diag(C, I), so only
     the fiber block of the pullback moves, to C^T (H_F C).  h(x) is
-    evaluated once per point, h(x + v) once per point and action.  When
-    _derivable, exp_basecase runs for h(x) alone: the exps of h(x + v) are
-    derived from those of h(x) by _exp_near, with the increments
-    exp(2 c . v) computed once per functional and action.
+    evaluated once per point, h(x + v) once per point and action.
+    exp_basecase runs for h(x) alone: the exps of h(x + v) are derived
+    from those of h(x) by _exp_near, with the increments exp(2 c . v)
+    computed once per functional and action.  The metric's working
+    precision is at least 96 bits, so _exp's lemma holds there.
 
     Only the entries the metric's sparsity lets be nonzero are read: the
     fiber block, whose row l has the diagonal and the indices cross terms
@@ -566,26 +557,18 @@ def pullback_residuals(terms: MetricTerms, actions, points):
     rows = [sorted(s + [l]) if s else None for l, s in enumerate(_coupled(terms.cross, p))]
     residuals = [_ZERO] * len(actions)
     prec = terms.prec
-    derive = _derivable(prec)
-    if derive:
-        units = _exp_error_units(prec + 14)
-        increments = [[_increment(f, v, prec, units) for f in terms.functionals]
-                      for _, _, v in actions]
+    units = _exp_error_units(prec + 14)
+    increments = [[_increment(f, v, prec, units) for f in terms.functionals]
+                  for _, _, v in actions]
     for x in points:
-        if derive:
-            fixed = []
-            h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, prec, units, fixed))
-        else:
-            h_here = metric_gram(terms, x)
+        fixed = []
+        h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, prec, units, fixed))
         here = [h for row in h_here[:p] for h in row[:p]] + [h_here[i][i] for i in base]
         for g, (c_t, lam1_sq, v) in enumerate(actions):
             x_v = [_add(xi, vi, prec) for xi, vi in zip(x, v)]
-            if derive:
-                h_there = metric_gram(terms, x_v, lambda twice: [
-                    _exp_near(y, h, d, prec) for y, h, d in zip(twice, fixed, increments[g])
-                ])
-            else:
-                h_there = metric_gram(terms, x_v)
+            h_there = metric_gram(terms, x_v, lambda twice: [
+                _exp_near(y, h, d, prec) for y, h, d in zip(twice, fixed, increments[g])
+            ])
             fiber = [
                 (h_row[l], None) if cols is None else ([h_row[k] for k in cols], cols)
                 for l, (h_row, cols) in enumerate(zip(h_there, rows))

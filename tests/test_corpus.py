@@ -9,10 +9,11 @@ The corpus covers the real and complex eigenvector paths, cross terms and
 the rank check at 128, 512 and 1024 bits:
 
 - ranklcp_n1_128, ranklcp_n2_128, ranklcp_n1_512, ranklcp_n2_1024:
-  ``ranklcp --n N``; at 1024 bits exp takes libmp's exponential_series,
-  with two generators
+  ``ranklcp --n N``; at 1024 bits the sampled check derives the translated
+  points' exps from libmp's exponential_series, with two generators
 - worked_example_128: ``worked-example``
-- kourganoff_q1_128, kourganoff_q1_1024: ``kourganoff --q 1 --matrix "2,1;1,1"``
+- kourganoff_q1_128, kourganoff_q1_1024: ``kourganoff --q 1 --matrix "2,1;1,1"``;
+  at 1024 bits with one generator
 - kourganoff_q2_128: ``kourganoff --q 2 --matrix "0,0,1;1,0,1;0,1,0"``
 - ot_x3-x-1_128, ot_x3-x-1_512: ``ot --minpoly "x^3-x-1" --units "0,1,0"``
 - ot_lck_x4-x-1_128, ot_lck_x4-x-1_512: ``ot --minpoly "x^4-x-1" --units

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import libelefun
+from mpmath.libmp import libelefun, libintmath
 
 import mpmath.ctx_mp_python
 import lcpforge.lcpcore as lcpcore_module
@@ -910,11 +910,17 @@ def test_raw_kernel_calls_the_mpf_operators_libmp_functions():
     exp_globals = libelefun.mpf_exp.__globals__
     assert rawmetric_module.exp_basecase is exp_globals["exp_basecase"]
     assert rawmetric_module.ln2_fixed is exp_globals["ln2_fixed"]
-    # exp_basecase's two algorithms and the precision between them, which
-    # rawmetric's proven bound for the Taylor loop depends on
+    # exp_basecase's algorithms and the precisions between them, which
+    # rawmetric's proven bound depends on: the Taylor loop, then
+    # exponential_series with two cosh series and with more, whose square
+    # root is isqrt_fast_python's Newton chain over giant_steps
     basecase_globals = libelefun.exp_basecase.__globals__
     assert basecase_globals["exponential_series"] is libelefun.exponential_series
     assert basecase_globals["EXP_COSH_CUTOFF"] == rawmetric_module.EXP_COSH_CUTOFF == 600
+    series_globals = libelefun.exponential_series.__globals__
+    assert series_globals["EXP_SERIES_U_CUTOFF"] == rawmetric_module.EXP_SERIES_U_CUTOFF == 1500
+    assert series_globals["isqrt_fast"] is libintmath.isqrt_fast_python
+    assert libintmath.isqrt_fast_python.__globals__["giant_steps"] is libintmath.giant_steps
 
 
 class TestCrossTerms:

@@ -11,20 +11,23 @@ loop of mp.mpf operators it replaced, and exp with libmp's mpf_exp, whose
 steps it takes on ints.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpf_exp, round_nearest
+from mpmath.libmp.libintmath import isqrt_fast_python
 
 import mpmath.ctx_mp_python
 from lcpforge.errors import InputError
+from lcpforge.intlinalg import IntMatrix
 import lcpforge.rawmetric as rawmetric_module
-from lcpforge.constructions import make_rank_n_lcp
+from lcpforge.constructions import make_kourganoff, make_rank_n_lcp
 from lcpforge.rawmetric import (
     _abs_gt,
     _add,
-    _derivable,
     _div,
     _dot,
     _exp,
@@ -320,42 +323,96 @@ def test_exp_at_ties_and_integer_arguments(prec, m, e):
     assert _same(_exp(m, e, prec), mpf_exp(_raw((m, e)), prec, round_nearest))
 
 
-# _exp's lemma bounds the fixed-point path on exp_basecase's Taylor loop,
-# wp = prec + 14 from 64 to EXP_COSH_CUTOFF = 600; exps above it are never
-# derived
+# _exp's lemma bounds the fixed-point path on each of exp_basecase's
+# algorithms: the Taylor loop at wp = prec + 14 from 64 to
+# EXP_COSH_CUTOFF = 600, then exponential_series with two cosh series
+# below EXP_SERIES_U_CUTOFF = 1500 and more from it, up to 4142 bits
+# (--precision 4096 with 32 guard bits)
 LEMMA_PRECS = st.sampled_from([50, 53, 96, 160, 288, 400, 544, 575, 586])
+SERIES_PRECS = st.one_of(st.integers(587, 1485), st.sampled_from([1486, 2066, 4128]))
 
 
 @st.composite
-def _lemma_arguments(draw):
+def _lemma_arguments(draw, precs=LEMMA_PRECS):
     """A precision and a nonzero (m, e): |x| < 2, where no reduction runs,
-    down to far below 2**-wp, or |x| >= 2 up to 2**40, reduced by ln 2; any
-    sign, mantissas of any width up to prec bits."""
-    prec = draw(LEMMA_PRECS)
+    down to far below 2**-wp, and often above 2**-25, where the series'
+    square root scales the cosh sum's error most, or |x| >= 2 up to 2**40,
+    reduced by ln 2; any sign, mantissas of any width up to prec bits."""
+    prec = draw(precs)
     m = draw(_values(prec))[0]
-    top = draw(st.one_of(st.integers(-prec - 60, 1), st.integers(2, 40)))
+    top = draw(st.one_of(st.integers(-prec - 60, 1), st.integers(-24, 1), st.integers(2, 40)))
     return prec, (m, top - m.bit_length())
 
 
-def test_derivation_runs_on_exp_basecase_taylor_loop_only():
-    assert [_derivable(prec) for prec in (49, 50, 586, 587, 1024)] == [
-        False, True, True, False, False]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_lemma_arguments())
-def test_exp_lemma_bounds_libmp_against_a_wider_exp(case):
-    prec, (m, e) = case
+def _lemma_holds(prec, m, e):
     wp = prec + 14
     v, s = _exp_fixed(m, e, wp)
     top = m.bit_length() + e
     with mp.workprec(wp + 80 + max(top, 0)):
         err = abs(mp.mpf(v) - mp.exp(mp.ldexp(m, e)) * mp.ldexp(1, -s))
         bound = _exp_error_units(wp) * max(1, mp.ldexp(v, -wp) + mp.ldexp(1, -20)) + 1
-        assert err <= bound
+        return err <= bound
 
 
-@pytest.mark.parametrize("w", list(range(64, 700, 17)) + [1000, 4200])
+@pytest.mark.parametrize("prec", [50, 96, 586, 587, 1024, 1485, 1486, 4128])
+def test_exps_are_derived_on_every_basecase_algorithm(prec):
+    # the Taylor loop, the two-series and the many-series exponential_series:
+    # a point value keeps its fixed-point value, and a translated value
+    # far from a rounding boundary is derived from it without libmp
+    y0, d0 = (5, -3), (3, -4)
+    y = _add(y0, d0, prec)
+    fallbacks = []
+    got = _derive(prec, y0, d0, y, fallbacks)
+    assert fallbacks == []
+    assert _same(got, mpf_exp(_raw(y), prec, round_nearest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lemma_arguments())
+def test_exp_lemma_bounds_libmp_against_a_wider_exp(case):
+    prec, (m, e) = case
+    assert _lemma_holds(prec, m, e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lemma_arguments(SERIES_PRECS))
+def test_series_lemma_bounds_libmp_against_a_wider_exp(case):
+    prec, (m, e) = case
+    assert _lemma_holds(prec, m, e)
+
+
+def test_isqrt_float_start_meets_the_lemma_assumption():
+    # isqrt_fast_python starts its Newton chain at int(2**100 * X**-0.5)
+    # for the top 100 bits X of its shifted argument, one float pow; the
+    # lemma assumes that is within 1.41 * 2**-50 of 2**100 / sqrt(X),
+    # which is checked here on ints: with d = 141 * 2**-50 / 100,
+    # (1 - d)**2 * 2**200 <= r**2 * X <= (1 + d)**2 * 2**200.  The
+    # arguments y have exponential_series' sizes, about 2 W bits for its
+    # working precisions W from 611 to 4400 bits
+    rng = random.Random(1)
+    one = 100 << 50
+    for _ in range(20000):
+        y = rng.getrandbits(rng.randint(1222, 8800)) | 1
+        x = y << 20
+        bc = x.bit_length()
+        bc += bc & 1
+        top = x >> (bc - 100)
+        r = int(2.0 ** 100 * top ** -0.5)
+        scaled = r * r * top * 10 ** 4
+        assert (one - 141) ** 2 << 100 <= scaled <= (one + 141) ** 2 << 100, y
+
+
+def test_giant_steps_gain_at_most_double_the_bits():
+    # the lemma's Newton chain: isqrt_fast_python steps from 50 bits to
+    # half its argument's bits, first to at most 100 bits, then each step
+    # to at most 2 p - 3 bits
+    for n in range(101, 9000):
+        steps = isqrt_fast_python.__globals__["giant_steps"](50, n)
+        assert 50 < steps[0] <= 100 and steps[-1] == n
+        assert all(b <= 2 * a - 3 for a, b in zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("w", list(range(64, 700, 17)) + [1000, 1500, 2080, 4200])
 def test_ln2_fixed_is_within_two_units(w):
     # the lemma's reduction step reads ln 2 from libmp at wp + mag bits
     with mp.workprec(w + 40):
@@ -370,7 +427,7 @@ def _derive(prec, y0, d0, y, fallbacks=None):
     fixed = []
     (here,) = _exps_here([y0], prec, units, fixed)
     assert _same(here, mpf_exp(_raw(y0), prec, round_nearest))
-    increment = _increment(((0, 0), [(d0[0], d0[1] - 1)]), [(1, 0)], prec, units)
+    increment = _increment([(d0[0], d0[1] - 1)], [(1, 0)], prec, units)
     if fallbacks is None:
         return _exp_near(y, fixed[0], increment, prec)
     calls = []
@@ -391,10 +448,10 @@ def _derive(prec, y0, d0, y, fallbacks=None):
 
 @st.composite
 def _translations(draw):
-    """A derivable precision, a point value y0, an increment d0 and
+    """A precision, a point value y0, an increment d0 and
     y = y0 + d0 + eta rounded to prec bits, with |eta| far below 1:
     y0 and y on both sides of 0 and of +-2, as 2 f(x) and 2 f(x + v)."""
-    prec = draw(LEMMA_PRECS.filter(_derivable))
+    prec = draw(st.one_of(LEMMA_PRECS, st.sampled_from([1024, 1056, 2080, 4128])))
     y0 = draw(_values(prec, exponents=st.just(0)))[0]
     y0 = (y0, draw(st.integers(-4, 5)) - y0.bit_length())
     d0 = draw(_values(prec + 20, exponents=st.just(0)))[0]
@@ -421,6 +478,11 @@ def test_derived_exp_is_exp(case):
     (160, 178543900202, -161),
     (544, 578, -545),
     (544, -3040, -550),
+    # exact ties of exponential_series' value (found by search)
+    (1024, 290, -12),
+    (1024, 69271774033380, -47),
+    (1056, -22825522, -24),
+    (1056, 586037065154, -44),
     # within 40 units of 2**-wp of a half-way point (found by search)
     (53, -5182964445433316, -55),
     (53, 8773358431609509, -57),
@@ -428,6 +490,12 @@ def test_derived_exp_is_exp(case):
     (160, -1327726751225912735816681588081904096490369300843, -155),
     (160, 742489281832896552256856484460010281264878913693, -157),
     (160, -1376851329317362123235559143763277028691771251300, -157),
+    (1024, -88845763, -26),
+    (1024, 177556, -17),
+    (1024, -255410, -21),
+    (1056, 112948992, -31),
+    (1056, -65, -11),
+    (1056, 30794072531415, -43),
 ])
 @pytest.mark.parametrize("d0", [(3, -2), (-5, -7), (1, 1)])
 def test_derivation_near_a_rounding_boundary_falls_back(prec, m, e, d0):
@@ -440,10 +508,32 @@ def test_derivation_near_a_rounding_boundary_falls_back(prec, m, e, d0):
     assert _same(got, mpf_exp(_raw(y), prec, round_nearest))
 
 
-def test_sampled_check_derives_the_translated_exponentials(monkeypatch):
-    # ranklcp --n 2 at 512 bits: 100 points, 3 functionals, 2 generators.
-    # 300 exps at the points themselves go through exp_basecase, and the
-    # 600 at translated points are derived from them, a few falling back
+@pytest.mark.parametrize("prec, m, e", [
+    # integers above 600 bits, some written with trailing zeros: mpf_exp
+    # takes them to its power of e, which rounds differently from the
+    # fixed-point path here (the integer cases above)
+    (601, -8, 0),
+    (601, -1, 3),
+    (1056, -106, -1),
+    (1056, -53, 0),
+    (2080, -64, 0),
+])
+def test_integer_exponents_above_600_bits_fall_back(prec, m, e):
+    y, d0 = (m, e), (3, -2)
+    want = mpf_exp(_raw(y), prec, round_nearest)
+    # at a sample point no fixed-point value is kept
+    fixed = []
+    (here,) = _exps_here([y], prec, _exp_error_units(prec + 14), fixed)
+    assert fixed == [None]
+    assert _same(here, want)
+    # at a translated point _exp computes it
+    fallbacks = []
+    got = _derive(prec, _add(y, (-d0[0], d0[1]), 4 * prec), d0, y, fallbacks)
+    assert fallbacks == [y]
+    assert _same(got, want)
+
+
+def _count_exp_basecase(monkeypatch):
     calls = []
     original = rawmetric_module.exp_basecase
 
@@ -452,8 +542,25 @@ def test_sampled_check_derives_the_translated_exponentials(monkeypatch):
         return original(t, wp)
 
     monkeypatch.setattr(rawmetric_module, "exp_basecase", counting)
+    return calls
+
+
+def test_sampled_check_derives_the_translated_exponentials(monkeypatch):
+    # ranklcp --n 2 at 512 bits: 100 points, 3 functionals, 2 generators.
+    # 300 exps at the points themselves go through exp_basecase, and the
+    # 600 at translated points are derived from them, a few falling back
+    calls = _count_exp_basecase(monkeypatch)
     make_rank_n_lcp(2, 512, seed=1)
     assert 300 <= len(calls) <= 400
+
+
+def test_sampled_check_derives_on_exponential_series(monkeypatch):
+    # kourganoff --q 1 at 1024 bits, working precision 1070: 100 points,
+    # 2 functionals, 1 generator.  200 exps at the points run
+    # exponential_series, and the 200 at translated points are derived
+    calls = _count_exp_basecase(monkeypatch)
+    make_kourganoff(1, IntMatrix([[2, 1], [1, 1]]), 1024, seed=1)
+    assert 200 <= len(calls) <= 230
 
 
 def _mpf_sylvester(a, tol):
