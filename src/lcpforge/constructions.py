@@ -15,15 +15,13 @@ from math import lcm
 
 from mpmath import mp
 
-from . import __version__
+from . import __version__, schema1
 from .certio import (
     LcpCertificate,
     SCHEMA_VERSION,
     collect_verdicts,
     canonical_json,
     enc_float,
-    enc_float_matrix,
-    enc_float_vector,
 )
 from .embeddings import (
     MAX_PRECISION,
@@ -50,7 +48,6 @@ from .intlinalg import (
     matrix_to_json,
 )
 from .lcpcore import (
-    SAMPLES,
     add_cross_terms,
     build_metric_spec,
     check_J1,
@@ -291,14 +288,6 @@ class _Builder:
         return LcpCertificate(self.doc)
 
 
-def _functional_payload(f, bits):
-    # every functional's constant is zero; "constant" keeps the schema-1 bytes
-    return {
-        "coeffs": enc_float_vector(f.coeffs, bits),
-        "constant": enc_float(0, bits),
-    }
-
-
 def _field_section(field, modulus=None):
     payload = {
         "minpoly": poly_to_json(field.minpoly),
@@ -307,67 +296,6 @@ def _field_section(field, modulus=None):
     }
     if modulus is not None:
         payload["modulus"] = int(modulus)
-    return payload
-
-
-def _decomposition_section(decomp, block_embeddings):
-    return {
-        "p": decomp.p,
-        "delta": decomp.delta,
-        "blocks": [list(b) for b in decomp.blocks],
-        "block_embeddings": list(block_embeddings),
-        "basis": enc_float_matrix(decomp.basis, decomp.workbits),
-    }
-
-
-def _generators_section(spec, labels):
-    # every fiber translation is zero and every witness is the ratio
-    # itself; "translation" and "exponent": 1 keep the schema-1 bytes
-    ratios = spec.ratios
-    workbits = ratios.decomposition.workbits
-    return [
-        {
-            "label": label,
-            "matrix": matrix_to_json(a),
-            "translation": ["0"] * ratios.decomposition.p,
-            "base_translation": enc_float_vector(v, workbits),
-            "ratio_row": enc_float_vector(row, workbits),
-            "witnesses": [
-                {"element": u.to_json(), "embedding": i, "exponent": 1}
-                for i in ratios.places
-            ],
-        }
-        for label, a, v, row, u in zip(
-            labels, ratios.generators, spec.translations, ratios.entries, ratios.units
-        )
-    ]
-
-
-def _metric_section(spec):
-    decomp = spec.decomposition
-    workbits = decomp.workbits
-    payload = {
-        "flat_block": spec.flat_block,
-        "base_dim": spec.n,
-        "total_dim": spec.total_dim,
-        "functionals": [_functional_payload(f, workbits) for f in spec.functionals],
-        "base_conformal": _functional_payload(spec.base_conformal, workbits),
-        "translations": [enc_float_vector(v, workbits) for v in spec.translations],
-        "cross_terms": [
-            {
-                "blocks": [term.k, term.k2],
-                # every coupling table is all ones
-                "table": [["1"] * len(decomp.block_indices(term.k2))
-                          for _ in decomp.block_indices(term.k)],
-                "functional": _functional_payload(term.functional, workbits),
-                "epsilon": enc_float(term.epsilon, workbits),
-            }
-            for term in spec.cross_terms
-        ],
-        # schema 1 has a slot for glued product factors; no pipeline
-        # builds one
-        "extensions": [],
-    }
     return payload
 
 
@@ -447,7 +375,7 @@ def _equivariance_check(spec, labels, seed):
         "reports": [
             {
                 "generator": label,
-                "samples": SAMPLES,
+                "samples": schema1.SAMPLES,
                 "seed": seed,
                 "max_residual": enc_float(residual, bits),
                 "verdict": verdict,
@@ -461,7 +389,7 @@ def _witnessed_ratios(builder, emb, units, ratios):
     """Match blocks to embeddings, record the decomposition section and
     return the ratios witnessed by units and the matched places."""
     places = _match_block_embeddings(emb, units, ratios)
-    builder.section("decomposition", _decomposition_section(ratios.decomposition, places))
+    builder.section("decomposition", schema1.decomposition_section(ratios.decomposition, places))
     return ratios.with_witnesses(units, places)
 
 
@@ -478,8 +406,8 @@ def _flat_block_checks(builder, emb, ratios, flat, tested_rank, expected_rank, o
 def _seal_metric(builder, spec, labels, seed):
     """The generators section, one label per generator of spec, the metric
     section, the equivariance check, then the sealed certificate."""
-    builder.section("generators", _generators_section(spec, labels))
-    builder.section("metric", _metric_section(spec))
+    builder.section("generators", schema1.generators_section(spec, labels))
+    builder.section("metric", schema1.metric_section(spec))
     builder.check("equivariance", _equivariance_check(spec, labels, seed))
     return builder.seal()
 

@@ -9,87 +9,41 @@ decomposition the module assembles translation-equivariant metrics whose
 conformal behaviour under the group is checked numerically on seeded
 sample points by verify_equivariance(spec, seed), which reads each
 generator (lattice map, base translation, ratio row) off the metric it
-checks.  All arithmetic on metric values (the metric, its points, the
-cross-term scale search and the sampled check) runs in rawmetric on
-Python-int dyadics, rounded like the mpf operators, bit for bit.
+checks.
 
-All numeric work runs at the requested precision plus guard bits.  The
-similarity verdict is exact: every generator commutes with a splitter of
-squarefree characteristic polynomial.  The non-isometry of the flat block
-is decided exactly from the witness behind each flat-block ratio: the
-ratio of generator j on block k is |sigma_i(u)| for the witness
-(u, i) = (units[j], places[k]) that RatioMatrix carries.
-The remaining numeric decisions are taken against the tolerance
-2**(-bits/2).
+This module takes the exact decisions and assembles the metric.  The
+stages that exist only to reproduce schema-1 bytes run in schema1: the
+block basis and its interval inverse, the ratios read off the conjugated
+blocks, the cross-term covariance reading, the scale search and the
+sampled check.
+
+The similarity verdict is exact: every generator commutes with a splitter
+of squarefree characteristic polynomial.  The non-isometry of the flat
+block is decided exactly from the witness behind each flat-block ratio:
+the ratio of generator j on block k is |sigma_i(u)| for the witness
+(u, i) = (units[j], places[k]) that RatioMatrix carries.  The remaining
+numeric decisions are taken at the requested precision plus guard bits,
+against the tolerance 2**(-bits/2).
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from mpmath import iv, mp
+from mpmath import mp
 
-from .errors import (
-    CheckFailureError,
-    InputError,
-    NeedsEscalation,
-    PrecisionError,
-    StructureError,
+from . import schema1
+from .embeddings import (
+    GUARD_BITS, _at_prec, embeddings, multiplicative_rank, tolerance, validate_precision,
 )
+from .errors import CheckFailureError, InputError, NeedsEscalation, PrecisionError, StructureError
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .polynomials import IntPoly, sturm_chain
-from . import rawmetric
-from .rawmetric import _mpf_from_rational, _to_mpf
-from .embeddings import (
-    GUARD_BITS,
-    _at_prec,
-    _iv_inverse,
-    certified_poly_roots,
-    embeddings,
-    full_pivot_eliminate,
-    multiplicative_rank,
-    tolerance,
-    validate_precision,
-)
+from .schema1 import _freeze, _to_mpf
 
 _SPLITTER_TRIALS = 40
 _SPLITTER_SEED = 0x5EED
-_CROSS_BISECT_STEPS = 20
-_CROSS_GRID = 10
-# sample points of the equivariance check
-SAMPLES = 100
-
-
-# ----------------------------------------------------------------------
-# small interval linear algebra helpers
-#
-# Matrices are tuples of row tuples.  Entries entering iv.mpf are exact
-# mpf values produced at working precision, so the conversions below do
-# not widen anything.
-
-
-def _iv_matrix(rows):
-    return [[iv.mpf(x) for x in row] for row in rows]
-
-
-def _iv_matmul(a, b):
-    """a * b; each entry sums from zero in increasing index order."""
-    n, k, m = len(a), len(b), len(b[0])
-    zero = iv.mpf(0)
-    return [
-        [sum((a[i][l] * b[l][j] for l in range(k)), zero) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def _mid(x):
-    return (mp.mpf(x.a) + mp.mpf(x.b)) / 2
-
-
-def _freeze(rows):
-    return tuple(tuple(row) for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -111,10 +65,9 @@ class BlockDecomposition:
     __slots__ = ("p", "delta", "blocks", "basis", "inverse", "precision_bits",
                  "workbits", "splitter", "family", "_conjugates")
 
-    def __init__(self, p, delta, blocks, basis, inverse, precision_bits, workbits,
-                 splitter, family):
-        self.p = p
-        self.delta = delta
+    def __init__(self, blocks, basis, inverse, workbits, precision_bits, splitter, family):
+        self.p = len(basis)
+        self.delta = len(blocks)
         self.blocks = tuple((int(a), int(b)) for a, b in blocks)
         self.basis = _freeze(basis)
         self.inverse = _freeze(inverse)
@@ -131,43 +84,7 @@ class BlockDecomposition:
 
     def __repr__(self):
         return "BlockDecomposition(p=%d, delta=%d, blocks=%r, bits=%d)" % (
-            self.p,
-            self.delta,
-            self.blocks,
-            self.precision_bits,
-        )
-
-
-def _kernel_vector(rows, workbits, scalar):
-    """One kernel vector of a numerically singular square matrix.
-
-    scalar is mp.mpf or mp.mpc.  Full-pivot elimination stops once the
-    remaining entries drop far below the working scale and expects nullity
-    one, which holds for a simple eigenvalue; back-substitution sets the
-    free coordinate to one and the result is scaled so that its largest
-    coordinate is one.
-    """
-    n = len(rows)
-    a = [[scalar(x) for x in row] for row in rows]
-    stop = mp.mpf(2) ** (-(3 * workbits) // 4)
-    scale = max((abs(x) for row in a for x in row), default=mp.mpf(0))
-    if scale == 0:
-        raise NeedsEscalation("kernel computation hit a zero matrix")
-    rank, row_perm, col_perm = full_pivot_eliminate(a, scale * stop)
-    if rank != n - 1:
-        raise NeedsEscalation(
-            "numeric kernel has unexpected dimension %d" % (n - rank)
-        )
-    x = [scalar(0)] * n
-    x[col_perm[n - 1]] = scalar(1)
-    for step in range(rank - 1, -1, -1):
-        row = a[row_perm[step]]
-        acc = scalar(0)
-        for j in range(step + 1, n):
-            acc += row[col_perm[j]] * x[col_perm[j]]
-        x[col_perm[step]] = -acc / row[col_perm[step]]
-    lead = max(x, key=abs)
-    return [v / lead for v in x]
+            self.p, self.delta, self.blocks, self.precision_bits)
 
 
 def _pick_splitter(gens: Sequence[IntMatrix]) -> Tuple[IntMatrix, IntPoly]:
@@ -230,77 +147,14 @@ def find_block_decomposition(gens: Sequence[IntMatrix], precision: int) -> Block
     last_error = None
     for attempt in (precision, 2 * precision):
         try:
-            return _decompose_at(gens, splitter, chi, precision, attempt)
+            found = schema1.decompose_at(splitter, chi, attempt)
         except NeedsEscalation as exc:
             last_error = exc
+        else:
+            return BlockDecomposition(*found, precision, splitter, gens)
     raise PrecisionError(
         "block decomposition failed up to %d bits: %s" % (attempt, last_error)
     )
-
-
-def _decompose_at(family, splitter, chi, precision, attempt) -> BlockDecomposition:
-    p = splitter.n
-    real_roots, complex_disks, workbits = certified_poly_roots(chi, attempt)
-    with _at_prec(workbits):
-        columns: List[List] = []
-        blocks: List[Tuple[int, int]] = []
-        # descending real eigenvalues, then complex pairs
-        for lo, hi in reversed(real_roots):
-            lam = _mpf_from_rational((lo + hi) / 2)
-            rows = [
-                [mp.mpf(int(splitter[i, j])) - (lam if i == j else 0) for j in range(p)]
-                for i in range(p)
-            ]
-            vec = _kernel_vector(rows, workbits, mp.mpf)
-            blocks.append((len(columns), 1))
-            columns.append(vec)
-        for center, _radius in complex_disks:
-            rows = [
-                [mp.mpc(int(splitter[i, j])) - (center if i == j else 0) for j in range(p)]
-                for i in range(p)
-            ]
-            vec = _kernel_vector(rows, workbits, mp.mpc)
-            blocks.append((len(columns), 2))
-            columns.append([z.real for z in vec])
-            columns.append([z.imag for z in vec])
-        delta = len(blocks)
-        if delta < 2:
-            raise StructureError(
-                "decomposition has %d block(s); a locally conformally product "
-                "structure needs at least two" % delta
-            )
-        basis = [[columns[j][i] for j in range(p)] for i in range(p)]
-        # raises NeedsEscalation unless every pivot excludes zero
-        inverse = _iv_inverse(_iv_matrix(basis))
-    return BlockDecomposition(p, delta, blocks, basis, inverse, precision, workbits,
-                              splitter, family)
-
-
-def restricted_blocks(decomp: BlockDecomposition, a: IntMatrix):
-    """Interval form of basis^-1 * a * basis, as one full matrix of row
-    tuples.  Computed once per (decomposition, matrix): J1, the cross-term
-    covariance check and the equivariance check read the same product."""
-    if a.n != decomp.p:
-        raise InputError("matrix dimension does not match the decomposition")
-    c = decomp._conjugates.get(a)
-    if c is None:
-        with _at_prec(decomp.workbits):
-            am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
-            c = _freeze(_iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis))))
-        decomp._conjugates[a] = c
-    return c
-
-
-def conjugated_numeric(decomp: BlockDecomposition, a: IntMatrix):
-    """Midpoint form of basis^-1 * a * basis (the block-coordinate action)."""
-    if a == IntMatrix.identity(a.n):
-        with _at_prec(decomp.workbits):
-            return _freeze(
-                [[mp.mpf(1 if i == j else 0) for j in range(a.n)] for i in range(a.n)]
-            )
-    c = restricted_blocks(decomp, a)
-    with _at_prec(decomp.workbits):
-        return _freeze([[_mid(x) for x in row] for row in c])
 
 
 # ----------------------------------------------------------------------
@@ -341,37 +195,6 @@ class RatioMatrix:
         return RatioMatrix(self.entries, self.decomposition, self.generators, units, places)
 
 
-def _block_ratio(c, idx, gen_index, block_index):
-    """Similarity ratio of one diagonal block of an interval matrix: the
-    midpoint of |c_ii|, or of sqrt(hull(g00, g11)) over the squared column
-    norms of a plane.  A GL(p, Z) matrix acts on an invariant block by
-    |nu| > 0, so an enclosure that touches 0 means the precision ran out."""
-    if len(idx) == 1:
-        enc = abs(c[idx[0]][idx[0]])
-    else:
-        i, j = idx
-        g00 = c[i][i] * c[i][i] + c[j][i] * c[j][i]
-        g11 = c[i][j] * c[i][j] + c[j][j] * c[j][j]
-        enc = iv.mpf([min(mp.mpf(g00.a), mp.mpf(g11.a)),
-                      max(mp.mpf(g00.b), mp.mpf(g11.b))])
-    if mp.mpf(enc.a) <= 0:
-        raise PrecisionError(
-            "J1: generator %d block %d: ratio enclosure touches 0"
-            % (gen_index, block_index)
-        )
-    return _mid(enc) if len(idx) == 1 else _mid(iv.sqrt(enc))
-
-
-def _ratios_of_matrix(decomp, a, gen_index):
-    """Per-block ratios of one generator that commutes with the splitter."""
-    c = restricted_blocks(decomp, a)
-    with _at_prec(decomp.workbits):
-        return [
-            _block_ratio(c, list(decomp.block_indices(k)), gen_index, k)
-            for k in range(decomp.delta)
-        ]
-
-
 def check_J1(decomp: BlockDecomposition, gens: Sequence[IntMatrix]) -> RatioMatrix:
     """Certify that every generator acts by a similarity on every block.
 
@@ -390,7 +213,7 @@ def check_J1(decomp: BlockDecomposition, gens: Sequence[IntMatrix]) -> RatioMatr
                 "generator %d does not commute with the splitter; blocks are "
                 "not invariant" % i
             )
-    entries = [_ratios_of_matrix(decomp, g, i) for i, g in enumerate(gens)]
+    entries = [schema1.ratios_of_matrix(decomp, g, i) for i, g in enumerate(gens)]
     return RatioMatrix(entries, decomp, gens)
 
 
@@ -544,16 +367,8 @@ class MetricSpec:
     flat metric, and optional cross terms couple pairs of non-flat blocks.
     """
 
-    __slots__ = (
-        "decomposition",
-        "ratios",
-        "flat_block",
-        "functionals",
-        "base_conformal",
-        "translations",
-        "cross_terms",
-        "n",
-    )
+    __slots__ = ("decomposition", "ratios", "flat_block", "functionals", "base_conformal",
+                 "translations", "cross_terms", "n")
 
     def __init__(self, decomposition, ratios, flat_block, functionals,
                  base_conformal, translations, cross_terms=()):
@@ -571,17 +386,9 @@ class MetricSpec:
         return self.decomposition.p + self.n
 
     def replace(self, **kwargs) -> "MetricSpec":
-        fields = {
-            "decomposition": self.decomposition,
-            "ratios": self.ratios,
-            "flat_block": self.flat_block,
-            "functionals": self.functionals,
-            "base_conformal": self.base_conformal,
-            "translations": self.translations,
-            "cross_terms": self.cross_terms,
-        }
-        fields.update(kwargs)
-        return MetricSpec(**fields)
+        # every slot but n, which the translations determine
+        fields = {name: getattr(self, name) for name in self.__slots__[:-1]}
+        return MetricSpec(**{**fields, **kwargs})
 
 
 def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> MetricSpec:
@@ -624,40 +431,13 @@ def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> Met
 def _cross_covariance_check(spec: MetricSpec, k, k2, tol):
     """Generators must scale the all-ones coupling table by the two block
     ratios."""
-    decomp = spec.decomposition
-    idx1, idx2 = decomp.block_indices(k), decomp.block_indices(k2)
-    for gi, g in enumerate(spec.ratios.generators):
-        c = restricted_blocks(decomp, g)
-        with _at_prec(decomp.workbits):
-            want = iv.mpf(spec.ratios.entries[gi][k] * spec.ratios.entries[gi][k2])
-            for a in idx1:
-                for b in idx2:
-                    acc = iv.mpf(0)
-                    for i in idx1:
-                        for j in idx2:
-                            acc += c[i][a] * c[j][b]
-                    if mp.mpf(abs(acc - want).b) > 8 * tol:
-                        raise CheckFailureError(
-                            "cross-term table between blocks %d and %d is not "
-                            "covariant under generator %d" % (k, k2, gi)
-                        )
-
-
-def _grid_points(spec: MetricSpec):
-    """Deterministic fundamental-domain grid, 10 cells per translation, as
-    pairs at the metric's working precision.  Translation j takes digit j
-    of the cell number, least significant first, and cell c the weight
-    (2c + 1) / 20 rounded to that precision."""
-    g, workbits = len(spec.translations), spec.decomposition.workbits
-    with _at_prec(workbits):
-        cells = [
-            rawmetric.to_dyadic(Fraction(2 * c + 1, 2 * _CROSS_GRID)) for c in range(_CROSS_GRID)
-        ]
-    weights = [
-        [cells[flat // _CROSS_GRID ** j % _CROSS_GRID] for j in range(g)]
-        for flat in range(_CROSS_GRID ** g)
-    ]
-    return rawmetric.span(weights, spec.translations, workbits)
+    ratios = spec.ratios
+    for gi, (g, row) in enumerate(zip(ratios.generators, ratios.entries)):
+        if not schema1.covariant(spec.decomposition, g, row, k, k2, tol):
+            raise CheckFailureError(
+                "cross-term table between blocks %d and %d is not "
+                "covariant under generator %d" % (k, k2, gi)
+            )
 
 
 def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
@@ -667,7 +447,7 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     f_c with increments ln(L1/sqrt(Lk Lk')), and one common scale eps found
     by bisection so the metric stays positive definite on the
     fundamental-domain grid.
-    rawmetric.cross_scale runs the search: it adds the new terms to spec's
+    schema1.cross_scale runs the search: it adds the new terms to spec's
     grid grams with the helper metric_gram uses, so every tested matrix is
     the coupled metric's gram, bit for bit, in the rows and columns a cross
     term touches; the others hold their diagonal alone, which it tests once
@@ -699,34 +479,17 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
             functional = solve_equivariant_functional(spec.translations, targets, precision)
             couplings.append(CrossTerm(k, k2, functional, 1))
     at_one = spec.replace(cross_terms=spec.cross_terms + tuple(couplings))
-    epsilon = rawmetric.cross_scale(
-        rawmetric.MetricTerms(spec),
-        rawmetric.MetricTerms(at_one).cross[len(spec.cross_terms):],
-        _grid_points(spec),
-        rawmetric.to_dyadic(tol),
-        _CROSS_BISECT_STEPS,
-    )
-    if not epsilon[0]:
+    epsilon = schema1.cross_epsilon(spec, at_one, tol)
+    if not epsilon:
         raise CheckFailureError(
             "no positive cross-term scale keeps the sampled metric positive definite"
         )
-    epsilon = rawmetric.from_dyadic(epsilon)
     new_terms = tuple(CrossTerm(t.k, t.k2, t.functional, epsilon) for t in couplings)
     return spec.replace(cross_terms=spec.cross_terms + new_terms)
 
 
 # ----------------------------------------------------------------------
 # equivariance verification
-
-
-def _sample_points(spec: MetricSpec, seed: int):
-    """SAMPLES seeded points in the span of the stored base translations,
-    as pairs at the metric's working precision: each translation takes a
-    48-bit random dyadic weight."""
-    rng = random.Random(seed)
-    g = len(spec.translations)
-    weights = [[(rng.getrandbits(48), -48) for _ in range(g)] for _ in range(SAMPLES)]
-    return rawmetric.span(weights, spec.translations, spec.decomposition.workbits)
 
 
 def verify_equivariance(spec: MetricSpec, seed: int) -> List[Tuple]:
@@ -737,34 +500,13 @@ def verify_equivariance(spec: MetricSpec, seed: int) -> List[Tuple]:
     the base translation translations[j] and the flat-block ratio L1 in
     ratios.entries[j].  The points span the translations, and the check
     runs at the decomposition's working precision against the tolerance
-    of its precision.  The sample points do not depend on the generator, so h(x) is evaluated
-    once per point and h(x + v) once per point and generator.  The
-    pullback uses the exact affine Jacobian of the action: the linear part
-    in block coordinates on the fiber, identity on base coordinates.  The
-    arithmetic, exp's fixed point included, runs in rawmetric on (m, e)
-    pairs m * 2**e, each sum and product rounded to nearest, ties to even,
-    in the order the mpf expressions evaluate, so the residual is the mpf
-    loop's bit for bit.  libmp's exp_basecase runs at the sample points
-    alone: each exp at x + v is derived from the one at x and is kept
-    where a proven bound shows that libmp rounds it alike, and libmp
-    computes the rest: a few per cent up to a precision of 2048 bits, and
-    more than half at 4096.  A block-scalar row of the fiber metric holds
-    its diagonal alone, so its row of H_F C is one rounded product per entry,
-    and only entries the metric's sparsity lets be nonzero are compared.
+    of its precision.  The pullback uses the exact affine Jacobian of the
+    action: the linear part in block coordinates on the fiber, identity on
+    base coordinates.  schema1.sampled_residuals computes the residuals,
+    bit for bit those of the loop of mpf operators they replace.
     Returns one (max_residual, verdict) pair per generator, in order: the
     maximum relative residual as an mpf and whether it is below the
     tolerance.  An inf or nan coordinate or translation raises InputError.
     """
-    decomp, ratios = spec.decomposition, spec.ratios
-    blocks = [conjugated_numeric(decomp, a) for a in ratios.generators]
-    pts = _sample_points(spec, seed)
-    actions = []
-    with _at_prec(decomp.workbits):
-        for c, v, row in zip(blocks, spec.translations, ratios.entries):
-            lam1 = mp.mpf(row[spec.flat_block])
-            c_t = [[rawmetric.to_dyadic(e) for e in col] for col in zip(*c)]
-            v = [rawmetric.to_dyadic(t) for t in v]
-            actions.append((c_t, rawmetric.to_dyadic(lam1 * lam1), v))
-    residuals = rawmetric.pullback_residuals(rawmetric.MetricTerms(spec), actions, pts)
-    tol = tolerance(decomp.precision_bits)
-    return [(r, r < tol) for r in map(rawmetric.from_dyadic, residuals)]
+    tol = tolerance(spec.decomposition.precision_bits)
+    return [(r, r < tol) for r in schema1.sampled_residuals(spec, seed)]

@@ -1,7 +1,14 @@
-"""All arithmetic on metric values: the metric, its points, the cross-term
-scale search and the sampled pullback residual, on Python-int dyadics.
+"""Schema 1: every stage whose output is pinned to the bytes of a
+schema-1 certificate.  lcpcore takes the exact decisions and assembles the
+metric, constructions runs the pipelines, and both call in here for the
+splitter's eigenblock basis and its interval inverse (decompose_at), the
+interval conjugates basis^-1 * a * basis, J1's ratios and the cross-term
+covariance read off them, the grid and seeded sample points, the metric,
+the cross-term scale search, the sampled pullback residual, and the
+decomposition, generators and metric sections.  Changing any value they
+make changes certificate bytes, so it needs a schema bump.
 
-Every value here is a signed pair (m, e) of ints standing for m * 2**e.
+Metric values are signed pairs (m, e) of ints standing for m * 2**e.
 Each sum and product is formed exactly on ints and rounded once to the
 working precision, round half to even, by _round.  mpmath's mpf_add and
 mpf_mul return that correctly rounded value whenever the operands have at
@@ -22,14 +29,23 @@ round to the same value; elsewhere _exp computes it.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
 from mpmath.libmp.libelefun import EXP_COSH_CUTOFF, EXP_SERIES_U_CUTOFF, exp_basecase, ln2_fixed
 
-from .embeddings import _at_prec
-from .errors import InputError
+from .certio import enc_float, enc_float_matrix, enc_float_vector
+from .embeddings import _at_prec, _iv_inverse, certified_poly_roots, full_pivot_eliminate
+from .errors import InputError, NeedsEscalation, PrecisionError, StructureError
+from .intlinalg import IntMatrix, matrix_to_json
+
+# sample points of the equivariance check, cells per translation of the
+# scale search's grid, and its bisection steps
+SAMPLES = 100
+_CROSS_GRID = 10
+_CROSS_BISECT_STEPS = 20
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -621,3 +637,314 @@ def pullback_residuals(terms: MetricTerms, actions, points):
             if _abs_gt(rel, residuals[g]):
                 residuals[g] = rel
     return residuals
+
+
+# ----------------------------------------------------------------------
+# the block decomposition's basis, the conjugates and J1's ratios
+#
+# Matrices are tuples of row tuples.  Entries entering iv.mpf are exact
+# mpf values produced at working precision, so the conversions below do
+# not widen anything.
+
+
+def _freeze(rows):
+    return tuple(tuple(row) for row in rows)
+
+
+def _iv_matrix(rows):
+    return [[iv.mpf(x) for x in row] for row in rows]
+
+
+def _iv_matmul(a, b):
+    """a * b; each entry sums from zero in increasing index order."""
+    n, k, m = len(a), len(b), len(b[0])
+    zero = iv.mpf(0)
+    return [
+        [sum((a[i][l] * b[l][j] for l in range(k)), zero) for j in range(m)]
+        for i in range(n)
+    ]
+
+
+def _mid(x):
+    return (mp.mpf(x.a) + mp.mpf(x.b)) / 2
+
+
+def _kernel_vector(rows, workbits, scalar):
+    """One kernel vector of a numerically singular square matrix.
+
+    scalar is mp.mpf or mp.mpc.  Full-pivot elimination stops once the
+    remaining entries drop far below the working scale and expects nullity
+    one, which holds for a simple eigenvalue; back-substitution sets the
+    free coordinate to one and the result is scaled so that its largest
+    coordinate is one.
+    """
+    n = len(rows)
+    a = [[scalar(x) for x in row] for row in rows]
+    stop = mp.mpf(2) ** (-(3 * workbits) // 4)
+    scale = max((abs(x) for row in a for x in row), default=mp.mpf(0))
+    if scale == 0:
+        raise NeedsEscalation("kernel computation hit a zero matrix")
+    rank, row_perm, col_perm = full_pivot_eliminate(a, scale * stop)
+    if rank != n - 1:
+        raise NeedsEscalation(
+            "numeric kernel has unexpected dimension %d" % (n - rank)
+        )
+    x = [scalar(0)] * n
+    x[col_perm[n - 1]] = scalar(1)
+    for step in range(rank - 1, -1, -1):
+        row = a[row_perm[step]]
+        acc = scalar(0)
+        for j in range(step + 1, n):
+            acc += row[col_perm[j]] * x[col_perm[j]]
+        x[col_perm[step]] = -acc / row[col_perm[step]]
+    lead = max(x, key=abs)
+    return [v / lead for v in x]
+
+
+def decompose_at(splitter, chi, bits):
+    """The eigenblocks of a splitter with squarefree characteristic
+    polynomial chi at bits: (blocks, basis, inverse, workbits).
+
+    Real eigenvalues give one-dimensional blocks in descending order, then
+    each complex pair a plane from the real and imaginary parts of its
+    eigenvector.  inverse is the interval Gauss-Jordan inverse of the basis;
+    NeedsEscalation unless every pivot excludes zero.
+    """
+    p = splitter.n
+    real_roots, complex_disks, workbits = certified_poly_roots(chi, bits)
+    with _at_prec(workbits):
+        columns, blocks = [], []
+        for lo, hi in reversed(real_roots):
+            lam = _mpf_from_rational((lo + hi) / 2)
+            rows = [
+                [mp.mpf(int(splitter[i, j])) - (lam if i == j else 0) for j in range(p)]
+                for i in range(p)
+            ]
+            blocks.append((len(columns), 1))
+            columns.append(_kernel_vector(rows, workbits, mp.mpf))
+        for center, _radius in complex_disks:
+            rows = [
+                [mp.mpc(int(splitter[i, j])) - (center if i == j else 0) for j in range(p)]
+                for i in range(p)
+            ]
+            vec = _kernel_vector(rows, workbits, mp.mpc)
+            blocks.append((len(columns), 2))
+            columns.append([z.real for z in vec])
+            columns.append([z.imag for z in vec])
+        if len(blocks) < 2:
+            raise StructureError(
+                "decomposition has %d block(s); a locally conformally product "
+                "structure needs at least two" % len(blocks)
+            )
+        basis = [[columns[j][i] for j in range(p)] for i in range(p)]
+        inverse = _iv_inverse(_iv_matrix(basis))
+    return blocks, basis, inverse, workbits
+
+
+def restricted_blocks(decomp, a: IntMatrix):
+    """Interval form of basis^-1 * a * basis, as one full matrix of row
+    tuples.  Computed once per (decomposition, matrix): J1, the cross-term
+    covariance check and the equivariance check read the same product."""
+    if a.n != decomp.p:
+        raise InputError("matrix dimension does not match the decomposition")
+    c = decomp._conjugates.get(a)
+    if c is None:
+        with _at_prec(decomp.workbits):
+            am = [[iv.mpf(int(a[i, j])) for j in range(a.n)] for i in range(a.n)]
+            c = _freeze(_iv_matmul(decomp.inverse, _iv_matmul(am, _iv_matrix(decomp.basis))))
+        decomp._conjugates[a] = c
+    return c
+
+
+def conjugated_numeric(decomp, a: IntMatrix):
+    """Midpoint form of basis^-1 * a * basis (the block-coordinate action)."""
+    if a == IntMatrix.identity(a.n):
+        with _at_prec(decomp.workbits):
+            return _freeze(
+                [[mp.mpf(1 if i == j else 0) for j in range(a.n)] for i in range(a.n)]
+            )
+    c = restricted_blocks(decomp, a)
+    with _at_prec(decomp.workbits):
+        return _freeze([[_mid(x) for x in row] for row in c])
+
+
+def _block_ratio(c, idx, gen_index, block_index):
+    """Similarity ratio of one diagonal block of an interval matrix: the
+    midpoint of |c_ii|, or of sqrt(hull(g00, g11)) over the squared column
+    norms of a plane.  A GL(p, Z) matrix acts on an invariant block by
+    |nu| > 0, so an enclosure that touches 0 means the precision ran out."""
+    if len(idx) == 1:
+        enc = abs(c[idx[0]][idx[0]])
+    else:
+        i, j = idx
+        g00 = c[i][i] * c[i][i] + c[j][i] * c[j][i]
+        g11 = c[i][j] * c[i][j] + c[j][j] * c[j][j]
+        enc = iv.mpf([min(mp.mpf(g00.a), mp.mpf(g11.a)),
+                      max(mp.mpf(g00.b), mp.mpf(g11.b))])
+    if mp.mpf(enc.a) <= 0:
+        raise PrecisionError(
+            "J1: generator %d block %d: ratio enclosure touches 0"
+            % (gen_index, block_index)
+        )
+    return _mid(enc) if len(idx) == 1 else _mid(iv.sqrt(enc))
+
+
+def ratios_of_matrix(decomp, a, gen_index):
+    """Per-block ratios of one generator that commutes with the splitter."""
+    c = restricted_blocks(decomp, a)
+    with _at_prec(decomp.workbits):
+        return [
+            _block_ratio(c, list(decomp.block_indices(k)), gen_index, k)
+            for k in range(decomp.delta)
+        ]
+
+
+def covariant(decomp, g, ratios, k, k2, tol):
+    """Whether g, with ratio row ratios, scales the all-ones coupling table
+    between blocks k and k2 by ratios[k] * ratios[k2]: each entry of its
+    image, read in interval arithmetic, lies within 8 tol of that product."""
+    c = restricted_blocks(decomp, g)
+    idx1, idx2 = decomp.block_indices(k), decomp.block_indices(k2)
+    with _at_prec(decomp.workbits):
+        want = iv.mpf(ratios[k] * ratios[k2])
+        for a in idx1:
+            for b in idx2:
+                acc = iv.mpf(0)
+                for i in idx1:
+                    for j in idx2:
+                        acc += c[i][a] * c[j][b]
+                if mp.mpf(abs(acc - want).b) > 8 * tol:
+                    return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# the points, the scale search and the sampled check on a MetricSpec
+
+
+def _grid_points(spec):
+    """Deterministic fundamental-domain grid, 10 cells per translation, as
+    pairs at the metric's working precision.  Translation j takes digit j
+    of the cell number, least significant first, and cell c the weight
+    (2c + 1) / 20 rounded to that precision."""
+    g, workbits = len(spec.translations), spec.decomposition.workbits
+    with _at_prec(workbits):
+        cells = [to_dyadic(Fraction(2 * c + 1, 2 * _CROSS_GRID)) for c in range(_CROSS_GRID)]
+    weights = [
+        [cells[flat // _CROSS_GRID ** j % _CROSS_GRID] for j in range(g)]
+        for flat in range(_CROSS_GRID ** g)
+    ]
+    return span(weights, spec.translations, workbits)
+
+
+def _sample_points(spec, seed: int):
+    """SAMPLES seeded points in the span of the stored base translations,
+    as pairs at the metric's working precision: each translation takes a
+    48-bit random dyadic weight."""
+    rng = random.Random(seed)
+    g = len(spec.translations)
+    weights = [[(rng.getrandbits(48), -48) for _ in range(g)] for _ in range(SAMPLES)]
+    return span(weights, spec.translations, spec.decomposition.workbits)
+
+
+def cross_epsilon(spec, coupled, tol):
+    """The common scale of the cross terms coupled adds to spec, at scale
+    1 there, by cross_scale on spec's grid, as an mpf; 0 if none passes."""
+    epsilon = cross_scale(
+        MetricTerms(spec),
+        MetricTerms(coupled).cross[len(spec.cross_terms):],
+        _grid_points(spec),
+        to_dyadic(tol),
+        _CROSS_BISECT_STEPS,
+    )
+    return from_dyadic(epsilon)
+
+
+def sampled_residuals(spec, seed: int):
+    """The largest relative residual of gamma*h = L1^2 h for each generator
+    of spec, over the SAMPLES seeded points, as mpf: pullback_residuals on
+    each generator's conjugate C, squared flat-block ratio L1^2 and base
+    translation v, converted to pairs at the working precision."""
+    decomp, ratios = spec.decomposition, spec.ratios
+    blocks = [conjugated_numeric(decomp, a) for a in ratios.generators]
+    pts = _sample_points(spec, seed)
+    actions = []
+    with _at_prec(decomp.workbits):
+        for c, v, row in zip(blocks, spec.translations, ratios.entries):
+            lam1 = mp.mpf(row[spec.flat_block])
+            c_t = [[to_dyadic(e) for e in col] for col in zip(*c)]
+            v = [to_dyadic(t) for t in v]
+            actions.append((c_t, to_dyadic(lam1 * lam1), v))
+    return [from_dyadic(r) for r in pullback_residuals(MetricTerms(spec), actions, pts)]
+
+
+# ----------------------------------------------------------------------
+# the decomposition, generators and metric sections
+
+
+def _functional_payload(f, bits):
+    # every functional's constant is zero; "constant" keeps the schema-1 bytes
+    return {
+        "coeffs": enc_float_vector(f.coeffs, bits),
+        "constant": enc_float(0, bits),
+    }
+
+
+def decomposition_section(decomp, block_embeddings):
+    return {
+        "p": decomp.p,
+        "delta": decomp.delta,
+        "blocks": [list(b) for b in decomp.blocks],
+        "block_embeddings": list(block_embeddings),
+        "basis": enc_float_matrix(decomp.basis, decomp.workbits),
+    }
+
+
+def generators_section(spec, labels):
+    # every fiber translation is zero and every witness is the ratio
+    # itself; "translation" and "exponent": 1 keep the schema-1 bytes
+    ratios = spec.ratios
+    workbits = ratios.decomposition.workbits
+    return [
+        {
+            "label": label,
+            "matrix": matrix_to_json(a),
+            "translation": ["0"] * ratios.decomposition.p,
+            "base_translation": enc_float_vector(v, workbits),
+            "ratio_row": enc_float_vector(row, workbits),
+            "witnesses": [
+                {"element": u.to_json(), "embedding": i, "exponent": 1}
+                for i in ratios.places
+            ],
+        }
+        for label, a, v, row, u in zip(
+            labels, ratios.generators, spec.translations, ratios.entries, ratios.units
+        )
+    ]
+
+
+def metric_section(spec):
+    decomp = spec.decomposition
+    workbits = decomp.workbits
+    return {
+        "flat_block": spec.flat_block,
+        "base_dim": spec.n,
+        "total_dim": spec.total_dim,
+        "functionals": [_functional_payload(f, workbits) for f in spec.functionals],
+        "base_conformal": _functional_payload(spec.base_conformal, workbits),
+        "translations": [enc_float_vector(v, workbits) for v in spec.translations],
+        "cross_terms": [
+            {
+                "blocks": [term.k, term.k2],
+                # every coupling table is all ones
+                "table": [["1"] * len(decomp.block_indices(term.k2))
+                          for _ in decomp.block_indices(term.k)],
+                "functional": _functional_payload(term.functional, workbits),
+                "epsilon": enc_float(term.epsilon, workbits),
+            }
+            for term in spec.cross_terms
+        ],
+        # schema 1 has a slot for glued product factors; no pipeline
+        # builds one
+        "extensions": [],
+    }

@@ -1,0 +1,148 @@
+"""A document-only oracle for the exact claims of a schema-1 certificate.
+
+Each corpus certificate is read as plain JSON and its exact claims are
+decided again with sympy, by code that shares nothing with lcpforge: this
+module imports no lcpforge module, so a defect in a builder cannot
+reproduce itself here.
+
+  claim                what is decided                    from the fields
+  -------------------  ---------------------------------  --------------------------------
+  irreducible          the field polynomial f is          field.minpoly (ascending)
+                       irreducible over Q
+  signature            degree and (r1, r2) equal f's:     field.degree, field.signature
+                       r1 real roots counted exactly
+  integral             every generator matrix has         generators[j].matrix
+                       integer entries
+  unimodular           det A_j = +-1                      generators[j].matrix
+  commute              A_i A_j = A_j A_i                  generators[j].matrix
+  char_poly_constants  the sealed constant of A_j's       checks.matrix_family
+                       characteristic polynomial is
+                       (-1)^p det A_j
+  unit_norms           every witness element u is a unit: generators[j].witnesses[k].element
+                       N(u) = Res(f, u) = +-1 for monic f
+  dirichlet            the sealed bound is r1 + r2 - 1    checks.dirichlet.bound
+
+The numeric claims (ratios, functional increments, off-block leakage, the
+rank minor and the sampled equivariance identity) are not decided here.
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import sympy
+
+DATA = Path(__file__).resolve().parent / "data"
+CORPUS = sorted(DATA.glob("*.json"))
+X = sympy.Symbol("x")
+
+
+def _poly(coeffs):
+    """The polynomial of ascending rational coefficient strings."""
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], X, domain="QQ")
+
+
+def _matrices(doc):
+    return [sympy.Matrix([[sympy.Rational(e) for e in row] for row in g["matrix"]])
+            for g in doc["generators"]]
+
+
+def _signature(f):
+    r1 = f.count_roots()
+    return r1, (f.degree() - r1) // 2
+
+
+def refusals(doc):
+    """The names of the claims of doc that do not hold, in the table's
+    order; empty when every claim holds."""
+    field = doc["field"]
+    f = _poly(field["minpoly"])
+    r1, r2 = _signature(f)
+    matrices = _matrices(doc)
+    failed = []
+
+    def claim(name, holds):
+        if not holds:
+            failed.append(name)
+
+    claim("irreducible", f.is_irreducible)
+    claim("signature", field["degree"] == f.degree() and field["signature"] == [r1, r2])
+    claim("integral", all(e.is_integer for a in matrices for e in a))
+    claim("unimodular", all(abs(a.det()) == 1 for a in matrices))
+    claim("commute", all(a * b == b * a for a in matrices for b in matrices))
+    family = doc["checks"].get("matrix_family")
+    if family is not None:
+        constants = [(-1) ** a.rows * a.det() for a in matrices]
+        claim("char_poly_constants", family["char_poly_constants"] == constants)
+    monic = f.monic()
+    claim("unit_norms", all(
+        abs(sympy.resultant(monic.as_expr(), _poly(w["element"]).as_expr(), X)) == 1
+        for g in doc["generators"] for w in g["witnesses"]
+    ))
+    claim("dirichlet", doc["checks"]["dirichlet"]["bound"] == r1 + r2 - 1)
+    return failed
+
+
+def _load(name):
+    return json.loads((DATA / name).read_text())
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_corpus_certificate_claims_hold(path):
+    assert refusals(json.loads(path.read_text())) == []
+
+
+def _set(doc, path, value):
+    """A copy of doc with the field at path (keys and indices) set to value."""
+    changed = copy.deepcopy(doc)
+    target = changed
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return changed
+
+
+# one sealed number changed per claim: (certificate, field path, new value)
+MUTATIONS = {
+    # x^4 - x - 1 becomes x^4 - x = x (x - 1)(x^2 + x + 1)
+    "irreducible": ("ot_lck_x4-x-1_128.json", ("field", "minpoly", 0), "0"),
+    "signature": ("ranklcp_n2_128.json", ("field", "signature", 0), 1),
+    "integral": ("ranklcp_n2_128.json", ("generators", 0, "matrix", 0, 0), "1/2"),
+    # [[2, 1], [1, 2]] has determinant 3
+    "unimodular": ("kourganoff_q1_128.json", ("generators", 0, "matrix", 1, 1), "2"),
+    "commute": ("ranklcp_n2_128.json", ("generators", 1, "matrix", 0, 0), "-1"),
+    "char_poly_constants": ("ot_x3-x-1_128.json", ("checks", "matrix_family",
+                                                   "char_poly_constants", 0), 1),
+    # 2x has norm 8 N(x) = 8
+    "unit_norms": ("kourganoff_q2_128.json", ("generators", 0, "witnesses", 0, "element", 1),
+                   "2"),
+    "dirichlet": ("ot_lck_x4-x-1_128.json", ("checks", "dirichlet", "bound"), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_a_changed_number_is_refused_by_name(name):
+    certificate, path, value = MUTATIONS[name]
+    doc = _load(certificate)
+    assert refusals(doc) == []
+    assert name in refusals(_set(doc, path, value))
+
+
+def test_the_oracle_imports_no_lcpforge_module():
+    # in a fresh interpreter, not under this test session's conftest
+    script = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('claims', sys.argv[1])\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'lcpforge'))\n"
+    )
+    # with the package on the path, so an import of it would succeed and show
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script, __file__],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

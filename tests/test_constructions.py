@@ -47,9 +47,9 @@ from lcpforge.errors import (
 )
 import lcpforge.embeddings as embeddings_module
 import lcpforge.intlinalg as intlinalg_module
-import lcpforge.lcpcore as lcpcore_module
 import lcpforge.numberfield as numberfield_module
 import lcpforge.polynomials as polynomials_module
+import lcpforge.schema1 as schema1_module
 from lcpforge.embeddings import embeddings
 from lcpforge.intlinalg import IntMatrix, commute, det, is_gl_z
 from lcpforge.lcpcore import check_J1, find_block_decomposition
@@ -550,7 +550,7 @@ def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch, packag
 
     count(embeddings_module, "_iv_horner")
     count(numberfield_module, "is_gl_z")
-    count(lcpcore_module, "_iv_matmul")
+    count(schema1_module, "_iv_matmul")
     for name in ("char_poly", "commute"):
         original = getattr(intlinalg_module, name)
         for info in pkgutil.iter_modules(lcpforge.__path__):

@@ -45,7 +45,7 @@ def test_corpus_is_present():
 
 # the mpmath that wrote the corpus: sealed residuals and floats pass
 # through its mpf_div, exp_basecase and nstr, whose results no
-# specification fixes, and rawmetric's error bound for exp is proven for
+# specification fixes, and schema1's error bound for exp is proven for
 # its exp_basecase
 MPMATH_VERSION = "1.3.0"
 MPMATH_BACKEND = "python"

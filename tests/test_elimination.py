@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from lcpforge.embeddings import _at_prec, full_pivot_eliminate, tolerance
+from lcpforge.embeddings import _at_prec, _iv_inverse, full_pivot_eliminate, tolerance
 from lcpforge.errors import NeedsEscalation
 from lcpforge.intlinalg import IntMatrix, char_poly
-from lcpforge.lcpcore import _iv_inverse, _iv_matrix, _kernel_vector
 from lcpforge.numberfield import (
     NumberField,
     field_new,
@@ -31,6 +30,7 @@ from lcpforge.numberfield import (
     mult_matrix,
 )
 from lcpforge.polynomials import IntPoly
+from lcpforge.schema1 import _iv_matrix, _kernel_vector
 
 WORKBITS = 160
 

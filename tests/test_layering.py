@@ -1,0 +1,60 @@
+"""The package's import layering, read from its source with ast.
+
+schema1 owns every stage whose output is pinned to schema-1 certificate
+bytes.  Only lcpcore and constructions call it, it imports none of its
+callers or the CLI, and lcpcore does no interval arithmetic of its own.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lcpforge"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / (module + ".py")).read_text())
+
+
+def _imports(module):
+    """Every module and imported name module imports, dotted; modules of
+    the package by their names within it ("schema1", "mpmath.iv")."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(["lcpforge"] * bool(node.level) + [node.module] * bool(node.module))
+            if node.module:
+                found.add(base)
+            found.update(base + "." + alias.name for alias in node.names)
+    return {name[len("lcpforge."):] if name.startswith("lcpforge.") else name
+            for name in found}
+
+
+def _imports_module(module, target):
+    return any(name == target or name.startswith(target + ".") for name in _imports(module))
+
+
+def test_the_import_reader_sees_relative_and_absolute_imports():
+    assert {"schema1", "schema1._to_mpf", "mpmath.mp"} <= _imports("lcpcore")
+    assert {"schema1", "certio.enc_float"} <= _imports("constructions")
+    assert "mpmath.iv" in _imports("schema1")
+
+
+def test_only_lcpcore_and_constructions_import_schema1():
+    importers = [m for m in MODULES if m != "schema1" and _imports_module(m, "schema1")]
+    assert importers == ["constructions", "lcpcore"]
+
+
+def test_schema1_imports_none_of_its_callers():
+    for caller in ("lcpcore", "constructions", "cli"):
+        assert not _imports_module("schema1", caller)
+
+
+def test_lcpcore_does_no_interval_arithmetic():
+    assert not _imports_module("lcpcore", "mpmath.iv")
+    names = {node.id for node in ast.walk(_tree("lcpcore")) if isinstance(node, ast.Name)}
+    attributes = {node.attr for node in ast.walk(_tree("lcpcore"))
+                  if isinstance(node, ast.Attribute)}
+    assert "iv" not in names | attributes

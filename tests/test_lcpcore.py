@@ -19,7 +19,7 @@ from mpmath.libmp import libelefun, libintmath
 import mpmath.ctx_mp_python
 import lcpforge.lcpcore as lcpcore_module
 import lcpforge.constructions as constructions_module
-import lcpforge.rawmetric as rawmetric_module
+import lcpforge.schema1 as schema1_module
 from lcpforge.certio import load_certificate
 from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
 from lcpforge.constructions import (
@@ -38,20 +38,14 @@ from lcpforge.errors import (
 )
 from lcpforge.intlinalg import IntMatrix, char_poly, matrix_from_string
 from lcpforge.lcpcore import (
-    _CROSS_BISECT_STEPS,
-    _CROSS_GRID,
-    SAMPLES,
     AffineFunctional,
     CrossTerm,
     RatioMatrix,
     add_cross_terms,
-    _grid_points,
-    _sample_points,
     _to_mpf,
     build_metric_spec,
     check_J1,
     check_J2,
-    conjugated_numeric,
     find_block_decomposition,
     lcp_rank,
     solve_equivariant_functional,
@@ -59,6 +53,14 @@ from lcpforge.lcpcore import (
 )
 from lcpforge.numberfield import field_new, mult_matrix
 from lcpforge.polynomials import IntPoly
+from lcpforge.schema1 import (
+    _CROSS_BISECT_STEPS,
+    _CROSS_GRID,
+    SAMPLES,
+    _grid_points,
+    _sample_points,
+    conjugated_numeric,
+)
 from oracles import real_subfield_minpoly
 
 M7 = real_subfield_minpoly(7)
@@ -76,11 +78,11 @@ def _cos_roots(prec=240):
 def _gram(spec, x):
     """The metric's gram matrix at base log-coordinates x, as mpf: the
     point is rounded to the working precision and handed to
-    rawmetric.metric_gram."""
+    schema1.metric_gram."""
     with _at_prec(spec.decomposition.workbits):
-        x = [rawmetric_module.to_dyadic(t) for t in x]
-    gram = rawmetric_module.metric_gram(rawmetric_module.MetricTerms(spec), x)
-    return [[rawmetric_module.from_dyadic(g) for g in row] for row in gram]
+        x = [schema1_module.to_dyadic(t) for t in x]
+    gram = schema1_module.metric_gram(schema1_module.MetricTerms(spec), x)
+    return [[schema1_module.from_dyadic(g) for g in row] for row in gram]
 
 
 @pytest.fixture(scope="module")
@@ -242,11 +244,11 @@ class TestBlockDecomposition:
     def test_escalation_error_names_the_last_precision_tried(self, monkeypatch, rank2_matrices):
         tried = []
 
-        def refuse(family, splitter, chi, precision, attempt):
+        def refuse(splitter, chi, attempt):
             tried.append(attempt)
             raise NeedsEscalation("refused at %d" % attempt)
 
-        monkeypatch.setattr(lcpcore_module, "_decompose_at", refuse)
+        monkeypatch.setattr(schema1_module, "decompose_at", refuse)
         with pytest.raises(PrecisionError, match=r"failed up to 256 bits: refused at 256"):
             find_block_decomposition(list(rank2_matrices), 128)
         assert tried == [128, 256]
@@ -294,7 +296,7 @@ def test_a_ratio_enclosure_touching_zero_is_a_precision_shortfall(c, idx):
     # a GL(p, Z) matrix acts on an invariant block by |nu| > 0, so J1 does
     # not seal a FAILED certificate here: it asks for more precision
     with mp.workprec(64), pytest.raises(PrecisionError, match="J1"):
-        lcpcore_module._block_ratio(c, idx, 0, 0)
+        schema1_module._block_ratio(c, idx, 0, 0)
 
 
 def _frozen_block_ratio(c, idx, tol, gen_index, block_index):
@@ -308,7 +310,7 @@ def _frozen_block_ratio(c, idx, tol, gen_index, block_index):
                 "generator %d block %d: ratio not certified positive"
                 % (gen_index, block_index)
             )
-        return lcpcore_module._mid(enc)
+        return schema1_module._mid(enc)
     i, j = idx
     m = [[c[i][i], c[i][j]], [c[j][i], c[j][j]]]
     g00 = m[0][0] * m[0][0] + m[1][0] * m[1][0]
@@ -332,13 +334,13 @@ def _frozen_block_ratio(c, idx, tol, gen_index, block_index):
             % (gen_index, block_index)
         )
     hull = iv.mpf([lo, hi])
-    return lcpcore_module._mid(iv.sqrt(hull))
+    return schema1_module._mid(iv.sqrt(hull))
 
 
 def _frozen_ratios_of_matrix(decomp, a, tol, gen_index):
-    """_ratios_of_matrix of the tolerance design, frozen, with its
+    """schema1.ratios_of_matrix of the tolerance design, frozen, with its
     off-block scan."""
-    c = lcpcore_module.restricted_blocks(decomp, a)
+    c = schema1_module.restricted_blocks(decomp, a)
     with _at_prec(decomp.workbits):
         block_of = {}
         for k in range(decomp.delta):
@@ -562,16 +564,16 @@ class TestEquivariance:
 
 @pytest.fixture
 def metric_evaluations(monkeypatch):
-    """One entry per metric evaluation the test makes: rawmetric.metric_gram
+    """One entry per metric evaluation the test makes: schema1.metric_gram
     is the one evaluator, behind the sampled check."""
     calls = []
-    original = rawmetric_module.metric_gram
+    original = schema1_module.metric_gram
 
     def counting(terms, x, *exps):
         calls.append(len(x))
         return original(terms, x, *exps)
 
-    monkeypatch.setattr(rawmetric_module, "metric_gram", counting)
+    monkeypatch.setattr(schema1_module, "metric_gram", counting)
     return calls
 
 
@@ -846,7 +848,7 @@ class TestPointsAgainstMpfReference:
     def _same(self, pairs, want):
         assert len(pairs) == len(want)
         for x, w in zip(pairs, want):
-            assert [rawmetric_module.from_dyadic(t)._mpf_ for t in x] == [t._mpf_ for t in w]
+            assert [schema1_module.from_dyadic(t)._mpf_ for t in x] == [t._mpf_ for t in w]
 
     def test_grid_points(self, ot_lck_uncoupled, squared_metric, kourganoff_q2_inputs):
         for spec in (ot_lck_uncoupled[0], squared_metric, kourganoff_q2_inputs[0]):
@@ -864,7 +866,7 @@ class TestPointsAgainstMpfReference:
 
 
 class TestMetricAgainstMpfReference:
-    """rawmetric.metric_gram returns the mp.mpf loop's gram, entry for
+    """schema1.metric_gram returns the mp.mpf loop's gram, entry for
     entry."""
 
     def _check(self, spec, points):
@@ -901,24 +903,24 @@ def test_raw_kernel_calls_the_mpf_operators_libmp_functions():
     # that mpf_exp itself calls.  A backend or mpmath release that rebinds
     # any of them must fail here, not drift the sealed residuals
     operators = vars(mpmath.ctx_mp_python)
-    assert rawmetric_module.mpf_div is operators["mpf_div"]
+    assert schema1_module.mpf_div is operators["mpf_div"]
     for op in (mp.mpf.__add__, mp.mpf.__sub__, mp.mpf.__mul__, mp.mpf.__truediv__):
         assert op.__globals__ is operators
     exp_bindings = [cell.cell_contents for cell in mp.exp.__closure__]
-    assert any(f is rawmetric_module.mpf_exp for f in exp_bindings)
-    assert rawmetric_module.mpf_exp is libelefun.mpf_exp
+    assert any(f is schema1_module.mpf_exp for f in exp_bindings)
+    assert schema1_module.mpf_exp is libelefun.mpf_exp
     exp_globals = libelefun.mpf_exp.__globals__
-    assert rawmetric_module.exp_basecase is exp_globals["exp_basecase"]
-    assert rawmetric_module.ln2_fixed is exp_globals["ln2_fixed"]
+    assert schema1_module.exp_basecase is exp_globals["exp_basecase"]
+    assert schema1_module.ln2_fixed is exp_globals["ln2_fixed"]
     # exp_basecase's algorithms and the precisions between them, which
-    # rawmetric's proven bound depends on: the Taylor loop, then
+    # schema1's proven bound depends on: the Taylor loop, then
     # exponential_series with two cosh series and with more, whose square
     # root is isqrt_fast_python's Newton chain over giant_steps
     basecase_globals = libelefun.exp_basecase.__globals__
     assert basecase_globals["exponential_series"] is libelefun.exponential_series
-    assert basecase_globals["EXP_COSH_CUTOFF"] == rawmetric_module.EXP_COSH_CUTOFF == 600
+    assert basecase_globals["EXP_COSH_CUTOFF"] == schema1_module.EXP_COSH_CUTOFF == 600
     series_globals = libelefun.exponential_series.__globals__
-    assert series_globals["EXP_SERIES_U_CUTOFF"] == rawmetric_module.EXP_SERIES_U_CUTOFF == 1500
+    assert series_globals["EXP_SERIES_U_CUTOFF"] == schema1_module.EXP_SERIES_U_CUTOFF == 1500
     assert series_globals["isqrt_fast"] is libintmath.isqrt_fast_python
     assert libintmath.isqrt_fast_python.__globals__["giant_steps"] is libintmath.giant_steps
 
@@ -998,9 +1000,9 @@ class TestSylvesterAgainstDenseReference:
         workbits = 128 + GUARD_BITS
         with _at_prec(workbits):
             tol = tolerance(128)
-            pairs = [[rawmetric_module.to_dyadic(x) for x in row] for row in rows]
-            tol_pair = rawmetric_module.to_dyadic(tol)
-            assert rawmetric_module.positive_definite(pairs, tol_pair, workbits) == (
+            pairs = [[schema1_module.to_dyadic(x) for x in row] for row in rows]
+            tol_pair = schema1_module.to_dyadic(tol)
+            assert schema1_module.positive_definite(pairs, tol_pair, workbits) == (
                 _dense_sylvester(rows, tol)[0]
             )
 
@@ -1093,7 +1095,7 @@ class TestScaleSearchAgainstDenseReference:
         """(matrix as passed, matrix as left, verdict) for every
         positive_definite call, in order."""
         tested = []
-        original = rawmetric_module.positive_definite
+        original = schema1_module.positive_definite
 
         def recording(a, tol, prec):
             gram = [list(row) for row in a]
@@ -1101,7 +1103,7 @@ class TestScaleSearchAgainstDenseReference:
             tested.append((gram, a, verdict))
             return verdict
 
-        monkeypatch.setattr(rawmetric_module, "positive_definite", recording)
+        monkeypatch.setattr(schema1_module, "positive_definite", recording)
         return tested
 
     @pytest.mark.parametrize("which", ["squared", "ot_lck"])
@@ -1127,7 +1129,7 @@ class TestScaleSearchAgainstDenseReference:
             for i in (*decomp.block_indices(t.k), *decomp.block_indices(t.k2))
         })
         assert len(touched) < coupled.total_dim
-        as_mpf = rawmetric_module.from_dyadic
+        as_mpf = schema1_module.from_dyadic
         for got, ref in zip(tested, want):
             assert got[2] == ref[2]
             for got_matrix, ref_matrix in zip(got[:2], ref[:2]):

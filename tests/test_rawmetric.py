@@ -1,5 +1,5 @@
 """The dyadic kernel's rounding, add, mul, exp, division and elimination
-against mpmath's, bit for bit.
+(lcpforge.schema1) against mpmath's, bit for bit.
 
 The mp.mpf operators call the libmp functions bound in
 mpmath.ctx_mp_python; the kernel must return the same normalized value for
@@ -23,9 +23,9 @@ from mpmath.libmp.libintmath import isqrt_fast_python
 import mpmath.ctx_mp_python
 from lcpforge.errors import InputError
 from lcpforge.intlinalg import IntMatrix
-import lcpforge.rawmetric as rawmetric_module
+import lcpforge.schema1 as schema1_module
 from lcpforge.constructions import make_kourganoff, make_rank_n_lcp
-from lcpforge.rawmetric import (
+from lcpforge.schema1 import (
     _abs_gt,
     _add,
     _div,
@@ -416,7 +416,7 @@ def test_giant_steps_gain_at_most_double_the_bits():
 def test_ln2_fixed_is_within_two_units(w):
     # the lemma's reduction step reads ln 2 from libmp at wp + mag bits
     with mp.workprec(w + 40):
-        assert abs(mp.mpf(rawmetric_module.ln2_fixed(w)) - mp.ldexp(mp.ln2, w)) <= 2
+        assert abs(mp.mpf(schema1_module.ln2_fixed(w)) - mp.ldexp(mp.ln2, w)) <= 2
 
 
 def _derive(prec, y0, d0, y, fallbacks=None):
@@ -431,17 +431,17 @@ def _derive(prec, y0, d0, y, fallbacks=None):
     if fallbacks is None:
         return _exp_near(y, fixed[0], increment, prec)
     calls = []
-    original = rawmetric_module._exp
+    original = schema1_module._exp
 
     def recording(m, e, p):
         calls.append((m, e))
         return original(m, e, p)
 
-    rawmetric_module._exp = recording
+    schema1_module._exp = recording
     try:
         value = _exp_near(y, fixed[0], increment, prec)
     finally:
-        rawmetric_module._exp = original
+        schema1_module._exp = original
     fallbacks.extend(calls)
     return value
 
@@ -535,13 +535,13 @@ def test_integer_exponents_above_600_bits_fall_back(prec, m, e):
 
 def _count_exp_basecase(monkeypatch):
     calls = []
-    original = rawmetric_module.exp_basecase
+    original = schema1_module.exp_basecase
 
     def counting(t, wp):
         calls.append(wp)
         return original(t, wp)
 
-    monkeypatch.setattr(rawmetric_module, "exp_basecase", counting)
+    monkeypatch.setattr(schema1_module, "exp_basecase", counting)
     return calls
 
 
