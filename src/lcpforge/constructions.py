@@ -7,13 +7,15 @@ results into an LcpCertificate.  Construction errors (bad input, broken
 structural hypotheses) raise; verification failures produce a FAILED
 certificate naming the first failing check, except where a mismatch is
 specified as a hard failure.
+
+The pipelines take the exact decisions and fix the order of the checks;
+every float and literal that a section or check payload seals is made in
+schema1, so this module imports no mpmath.
 """
 
 import itertools
 from fractions import Fraction
 from math import lcm
-
-from mpmath import mp
 
 from . import __version__, schema1
 from .certio import (
@@ -21,22 +23,20 @@ from .certio import (
     SCHEMA_VERSION,
     collect_verdicts,
     canonical_json,
-    enc_float,
 )
 from .embeddings import (
-    MAX_PRECISION,
-    _at_prec,
     default_precision,
     embeddings,
     log_vector,
     projected_log_rank,
-    tolerance,
     validate_precision,
     verify_ratio_witness,
 )
 from .errors import (
     CheckFailureError,
     InputError,
+    NeedsEscalation,
+    PrecisionError,
     StructureError,
 )
 from .intlinalg import (
@@ -342,22 +342,6 @@ def _unit_ratio_check(ratios, orbit=()):
     return {"verdict": all(row[0]["verdict"] for row in rows), "entries": rows}
 
 
-def _rank_check(ratios, flat_block, expected):
-    # the rank is proven at the decomposition's precision alone, by a
-    # certified log minor and exact unit relations;
-    # value_at_doubled_precision and doubled_bits keep their schema-1 names
-    # and bytes and repeat that value
-    bits = ratios.decomposition.precision_bits
-    value = lcp_rank(ratios, flat_block)
-    return {
-        "expected": int(expected),
-        "value": int(value),
-        "value_at_doubled_precision": int(value),
-        "doubled_bits": min(2 * bits, MAX_PRECISION),
-        "verdict": value == int(expected),
-    }
-
-
 def _dirichlet_check(field, tested_rank):
     bound = dirichlet_rank_bound(field)
     return {
@@ -367,29 +351,14 @@ def _dirichlet_check(field, tested_rank):
     }
 
 
-def _equivariance_check(spec, labels, seed):
-    results = verify_equivariance(spec, seed)
-    bits = spec.decomposition.precision_bits + 32
-    return {
-        "verdict": all(verdict for _, verdict in results),
-        "reports": [
-            {
-                "generator": label,
-                "samples": schema1.SAMPLES,
-                "seed": seed,
-                "max_residual": enc_float(residual, bits),
-                "verdict": verdict,
-            }
-            for label, (residual, verdict) in zip(labels, results)
-        ],
-    }
-
-
 def _witnessed_ratios(builder, emb, units, ratios):
-    """Match blocks to embeddings, record the decomposition section and
+    """Match blocks to embeddings, record the decomposition section and the
+    J1 check, which check_J1 passed when it returned the ratios, and
     return the ratios witnessed by units and the matched places."""
+    decomp = ratios.decomposition
     places = _match_block_embeddings(emb, units, ratios)
-    builder.section("decomposition", schema1.decomposition_section(ratios.decomposition, places))
+    builder.section("decomposition", schema1.decomposition_section(decomp, places))
+    builder.check("J1", schema1.j1_check(decomp.precision_bits))
     return ratios.with_witnesses(units, places)
 
 
@@ -400,7 +369,8 @@ def _flat_block_checks(builder, emb, ratios, flat, tested_rank, expected_rank, o
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
     builder.check("unit_ratios", _unit_ratio_check(ratios, orbit))
     builder.check("dirichlet", _dirichlet_check(emb.field, tested_rank))
-    builder.check("rank", _rank_check(ratios, flat, expected_rank))
+    bits = ratios.decomposition.precision_bits
+    builder.check("rank", schema1.rank_check(lcp_rank(ratios, flat), expected_rank, bits))
 
 
 def _seal_metric(builder, spec, labels, seed):
@@ -408,7 +378,8 @@ def _seal_metric(builder, spec, labels, seed):
     section, the equivariance check, then the sealed certificate."""
     builder.section("generators", schema1.generators_section(spec, labels))
     builder.section("metric", schema1.metric_section(spec))
-    builder.check("equivariance", _equivariance_check(spec, labels, seed))
+    results = verify_equivariance(spec, seed)
+    builder.check("equivariance", schema1.equivariance_check(spec, labels, seed, results))
     return builder.seal()
 
 
@@ -439,7 +410,6 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
     decomp = find_block_decomposition(list(dm.matrices), bits)
     emb = embeddings(field, bits)
     ratios = _witnessed_ratios(builder, emb, dm.units, check_J1(decomp, list(dm.matrices)))
-    builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     # distinguished block: the one carrying the defining embedding of the
     # generator (the largest real root)
@@ -447,13 +417,7 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
     # the units are the generator's Galois orbit prefix (make_dmatrix)
     _flat_block_checks(builder, emb, ratios, flat, n, n, frozenset(dm.units))
 
-    with _at_prec(decomp.workbits):
-        translations = []
-        for l in range(n):
-            v = [mp.mpf(0)] * n
-            v[l] = mp.log(ratios.entries[l][flat])
-            translations.append(tuple(v))
-    spec = build_metric_spec(ratios, flat, translations)
+    spec = build_metric_spec(ratios, flat, schema1.log_ratio_translations(ratios, flat))
     if notes:
         builder.section("notes", notes)
     return _seal_metric(builder, spec, ["g%d" % (l + 1) for l in range(n)], seed)
@@ -548,7 +512,6 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
 
     decomp = find_block_decomposition([a], bits)
     ratios = check_J1(decomp, [a])
-    builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     # the decomposition split a along its squarefree characteristic
     # polynomial: blocks 0..real-1 are its real roots, descending, and
@@ -567,7 +530,6 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     up = 0 if chain.variations_at(1) > chain.variations_at_pos_inf() else real - 1
     contracting = [k for k in range(decomp.delta) if k != up]
     flat = contracting[0]
-    lam = ratios.entries[0][flat]
 
     # exact algebraic data for the eigenvalues; chi is irreducible, as a
     # rational root would be +-1 and no passing chi has one
@@ -578,37 +540,12 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     builder.section("field", _field_section(field))
     ratios = _witnessed_ratios(builder, emb, [lam_elem], ratios)
 
-    builder.check(
-        "spectral",
-        {
-            "verdict": True,
-            "expanding_block": up,
-            "contracting_blocks": contracting,
-            "ratio": enc_float(lam, decomp.workbits),
-        },
-    )
+    builder.check("spectral", schema1.spectral_check(ratios, up, contracting))
 
     _flat_block_checks(builder, emb, ratios, flat, 1, 1)
 
-    with _at_prec(decomp.workbits):
-        translations = [(mp.log(lam),)]
-    spec = build_metric_spec(ratios, flat, translations)
-    # (lambda t)^(2q+2) = lambda^(2q+2) t^(2q+2) holds in any commutative
-    # ring, and the solved coefficient ln(lambda_c / mu) / ln(lambda_c) is
-    # q + 1, since mu = lambda_c^(-q) when det a = 1; schema 1 seals both
-    # facts as literals, and the coefficient as solved
-    builder.check(
-        "warp",
-        {
-            "power": 2 * q + 2,
-            "exact_points": 50,
-            "exact_identity": True,
-            "functional_coeff": enc_float(spec.functionals[up].coeffs[0], decomp.workbits),
-            "coeff_matches_power": True,
-            "verdict": True,
-        },
-    )
-
+    spec = build_metric_spec(ratios, flat, schema1.log_ratio_translations(ratios, flat))
+    builder.check("warp", schema1.warp_check(spec, q, up))
     return _seal_metric(builder, spec, ["kourganoff"], seed)
 
 
@@ -733,7 +670,6 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     decomp = find_block_decomposition(matrices, bits)
     emb = embeddings(field, bits)
     ratios = _witnessed_ratios(builder, emb, units, check_J1(decomp, matrices))
-    builder.check("J1", {"verdict": True, "tolerance_bits": bits // 2})
 
     # a squarefree splitter is M_beta, beta primitive, so its blocks are (s, t)
     real_blocks = [k for k, (_, size) in enumerate(decomp.blocks) if size == 1]
@@ -745,27 +681,15 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     }
     builder.check("block_form", block_form)
 
-    # absolute norm of every unit generator is 1 up to sign: the weighted
-    # log coordinates must sum to zero
-    tol = tolerance(bits)
-    log_rows = []
-    norm_reports = []
-    norms_ok = True
-    with _at_prec(emb.workbits):
-        for idx, u in enumerate(units):
-            row = log_vector(emb, u)
-            log_rows.append(row)
-            residual = abs(mp.exp(mp.fsum(row)) - 1)
-            ok = residual < tol
-            norms_ok = norms_ok and ok
-            norm_reports.append(
-                {
-                    "unit": idx,
-                    "residual": enc_float(residual, emb.workbits),
-                    "verdict": bool(ok),
-                }
-            )
-    builder.check("norm_product", {"verdict": bool(norms_ok), "units": norm_reports})
+    # the log embedding gives the base translations; the absolute norm of
+    # every unit is 1 up to sign, so its weighted log coordinates sum to zero
+    try:
+        log_rows = [log_vector(emb, u) for u in units]
+    except NeedsEscalation as exc:
+        raise PrecisionError(
+            "norm_product: log embedding not certified at %d bits: %s" % (bits, exc)
+        ) from None
+    builder.check("norm_product", schema1.norm_product_check(emb, log_rows))
 
     flat = ratios.places.index(s if lck else 0)
     _flat_block_checks(builder, emb, ratios, flat, len(units), s)

@@ -11,11 +11,12 @@ sample points by verify_equivariance(spec, seed), which reads each
 generator (lattice map, base translation, ratio row) off the metric it
 checks.
 
-This module takes the exact decisions and assembles the metric.  The
-stages that exist only to reproduce schema-1 bytes run in schema1: the
-block basis and its interval inverse, the ratios read off the conjugated
-blocks, the cross-term covariance reading, the scale search and the
-sampled check.
+This module takes the exact decisions and assembles the metric, and
+imports no mpmath.  The stages that exist only to reproduce schema-1
+bytes run in schema1: the block basis and its interval inverse, the
+ratios read off the conjugated blocks, the warping functionals' log
+targets and their solve, the cross-term covariance reading, the scale
+search and the sampled check.  A functional is its coefficient tuple.
 
 The similarity verdict is exact: every generator commutes with a splitter
 of squarefree characteristic polynomial.  The non-isometry of the flat
@@ -31,16 +32,12 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
-from mpmath import mp
-
 from . import schema1
-from .embeddings import (
-    GUARD_BITS, _at_prec, embeddings, multiplicative_rank, tolerance, validate_precision,
-)
+from .embeddings import embeddings, multiplicative_rank, tolerance, validate_precision
 from .errors import CheckFailureError, InputError, NeedsEscalation, PrecisionError, StructureError
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .polynomials import IntPoly, sturm_chain
-from .schema1 import _freeze, _to_mpf
+from .schema1 import _freeze
 
 _SPLITTER_TRIALS = 40
 _SPLITTER_SEED = 0x5EED
@@ -240,10 +237,8 @@ def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
         emb = embeddings(u.field, ratios.decomposition.precision_bits)
         if emb.is_real(i):
             return True
-        modulus = emb.abs_enclosure(u, i)
-        with _at_prec(emb.workbits):
-            if not mp.mpf(modulus.a) <= 1 <= mp.mpf(modulus.b):
-                return True
+        if 1 not in emb.abs_enclosure(u, i):
+            return True
         undecided = True
     if undecided:
         raise PrecisionError(
@@ -269,86 +264,13 @@ def lcp_rank(ratios: RatioMatrix, flat_block: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# equivariant affine functionals and metric assembly
-
-
-class AffineFunctional:
-    """An affine map c . x + d on base log-coordinates.  Equivariance fixes
-    the increments c . v alone, so the constant d is always zero."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    def shift(self, v):
-        """Increment of the functional along a translation vector."""
-        acc = mp.mpf(0)
-        for c, vi in zip(self.coeffs, v):
-            acc += _to_mpf(c) * _to_mpf(vi)
-        return acc
-
-
-def solve_equivariant_functional(translations, targets, precision: int) -> AffineFunctional:
-    """Affine functional f with f(x + v_j) - f(x) = r_j for all j.
-
-    Solves c . v_j = r_j by Gaussian elimination at working precision and
-    verifies every residual against the tolerance; the constant term is
-    free and set to zero.
-    """
-    precision = validate_precision(precision)
-    translations = [list(v) for v in translations]
-    targets = list(targets)
-    if len(translations) != len(targets):
-        raise InputError("need one target per translation")
-    if not translations:
-        raise InputError("need at least one translation")
-    n = len(translations[0])
-    if any(len(v) != n for v in translations):
-        raise InputError("translations must share one dimension")
-    workbits = precision + GUARD_BITS
-    tol = tolerance(precision)
-    with _at_prec(workbits):
-        a = [[_to_mpf(x) for x in v] + [_to_mpf(r)] for v, r in zip(translations, targets)]
-        rows = len(a)
-        pivot_cols = []
-        r = 0
-        for col in range(n):
-            piv = max(range(r, rows), key=lambda i: abs(a[i][col]), default=None)
-            if piv is None or abs(a[piv][col]) <= tol:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            lead = a[r][col]
-            a[r] = [x / lead for x in a[r]]
-            for i in range(rows):
-                if i != r:
-                    f = a[i][col]
-                    if f:
-                        a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivot_cols.append(col)
-            r += 1
-        for i in range(r, rows):
-            if abs(a[i][n]) > tol:
-                raise StructureError(
-                    "translation system is inconsistent: no affine functional "
-                    "matches the requested increments"
-                )
-        coeffs = [mp.mpf(0)] * n
-        for row_idx, col in enumerate(pivot_cols):
-            coeffs[col] = a[row_idx][n]
-        func = AffineFunctional(coeffs)
-        for v, target in zip(translations, targets):
-            if abs(func.shift(v) - _to_mpf(target)) > tol:
-                raise StructureError(
-                    "translation system is singular: residual exceeds tolerance"
-                )
-    return func
+# metric assembly
 
 
 class CrossTerm:
     """Off-diagonal coupling between two non-flat blocks: every entry
     between them is epsilon * exp(2 f_c), the all-ones coupling table
-    scaled."""
+    scaled; functional is f_c's coefficient tuple."""
 
     __slots__ = ("k", "k2", "functional", "epsilon")
 
@@ -365,6 +287,7 @@ class MetricSpec:
     The flat block carries the identity form; every other block k carries
     exp(2 f_k) times the identity, the base carries exp(2 f_0) times the
     flat metric, and optional cross terms couple pairs of non-flat blocks.
+    Each functional f is its coefficient tuple c, f(x) = c . x.
     """
 
     __slots__ = ("decomposition", "ratios", "flat_block", "functionals", "base_conformal",
@@ -397,7 +320,9 @@ def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> Met
 
     Block k receives the functional with increments ln(L1/Lk) along each
     generator's base translation, and the base conformal factor receives
-    increments ln(L1); L1 is the flat-block ratio.
+    increments ln(L1); L1 is the flat-block ratio.  schema1 solves them
+    (warping_functionals); a system no functional solves raises
+    StructureError.
     """
     decomp = ratios.decomposition
     if not 0 <= flat_block < decomp.delta:
@@ -405,48 +330,18 @@ def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> Met
     translations = [list(v) for v in translations]
     if len(translations) != ratios.n_gens:
         raise InputError("need one base translation per generator")
-    precision = decomp.precision_bits
-    workbits = decomp.workbits
-    with _at_prec(workbits):
-        lam1 = [row[flat_block] for row in ratios.entries]
-        functionals = []
-        for k in range(decomp.delta):
-            if k == flat_block:
-                functionals.append(AffineFunctional([0] * len(translations[0])))
-                continue
-            targets = [
-                mp.log(lam1[j] / ratios.entries[j][k])
-                for j in range(ratios.n_gens)
-            ]
-            functionals.append(
-                solve_equivariant_functional(translations, targets, precision)
-            )
-        base_targets = [mp.log(lam1[j]) for j in range(ratios.n_gens)]
-        base_conformal = solve_equivariant_functional(
-            translations, base_targets, precision
-        )
+    functionals, base_conformal = schema1.warping_functionals(ratios, flat_block, translations)
     return MetricSpec(decomp, ratios, flat_block, functionals, base_conformal, translations)
-
-
-def _cross_covariance_check(spec: MetricSpec, k, k2, tol):
-    """Generators must scale the all-ones coupling table by the two block
-    ratios."""
-    ratios = spec.ratios
-    for gi, (g, row) in enumerate(zip(ratios.generators, ratios.entries)):
-        if not schema1.covariant(spec.decomposition, g, row, k, k2, tol):
-            raise CheckFailureError(
-                "cross-term table between blocks %d and %d is not "
-                "covariant under generator %d" % (k, k2, gi)
-            )
 
 
 def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     """Couple pairs of non-flat blocks with equivariant off-diagonal terms.
 
-    Each pair (k, k') receives the all-ones coupling table, the functional
-    f_c with increments ln(L1/sqrt(Lk Lk')), and one common scale eps found
-    by bisection so the metric stays positive definite on the
-    fundamental-domain grid.
+    Each pair (k, k') receives the all-ones coupling table, which every
+    generator must scale by its two block ratios, the functional f_c with
+    increments ln(L1/sqrt(Lk Lk')) (schema1.cross_functional), and one
+    common scale eps found by bisection so the metric stays positive
+    definite on the fundamental-domain grid.
     schema1.cross_scale runs the search: it adds the new terms to spec's
     grid grams with the helper metric_gram uses, so every tested matrix is
     the coupled metric's gram, bit for bit, in the rows and columns a cross
@@ -457,8 +352,7 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     if not pairs:
         return spec
     decomp = spec.decomposition
-    precision = decomp.precision_bits
-    tol = tolerance(precision)
+    tol = tolerance(decomp.precision_bits)
     for k, k2 in pairs:
         if k == k2:
             raise InputError("cross terms need two distinct blocks")
@@ -467,17 +361,14 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
         if spec.flat_block in (k, k2):
             raise InputError("cross terms may not touch the flat block")
     couplings = []
-    with _at_prec(decomp.workbits):
-        for k, k2 in pairs:
-            _cross_covariance_check(spec, k, k2, tol)
-            lam1 = [row[spec.flat_block] for row in spec.ratios.entries]
-            targets = [
-                mp.log(lam1[j])
-                - mp.log(spec.ratios.entries[j][k] * spec.ratios.entries[j][k2]) / 2
-                for j in range(spec.ratios.n_gens)
-            ]
-            functional = solve_equivariant_functional(spec.translations, targets, precision)
-            couplings.append(CrossTerm(k, k2, functional, 1))
+    for k, k2 in pairs:
+        for gi, (g, row) in enumerate(zip(spec.ratios.generators, spec.ratios.entries)):
+            if not schema1.covariant(decomp, g, row, k, k2, tol):
+                raise CheckFailureError(
+                    "cross-term table between blocks %d and %d is not "
+                    "covariant under generator %d" % (k, k2, gi)
+                )
+        couplings.append(CrossTerm(k, k2, schema1.cross_functional(spec, k, k2), 1))
     at_one = spec.replace(cross_terms=spec.cross_terms + tuple(couplings))
     epsilon = schema1.cross_epsilon(spec, at_one, tol)
     if not epsilon:

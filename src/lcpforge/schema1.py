@@ -3,10 +3,15 @@ schema-1 certificate.  lcpcore takes the exact decisions and assembles the
 metric, constructions runs the pipelines, and both call in here for the
 splitter's eigenblock basis and its interval inverse (decompose_at), the
 interval conjugates basis^-1 * a * basis, J1's ratios and the cross-term
-covariance read off them, the grid and seeded sample points, the metric,
-the cross-term scale search, the sampled pullback residual, and the
-decomposition, generators and metric sections.  Changing any value they
-make changes certificate bytes, so it needs a schema bump.
+covariance read off them, the base translations, the warping functionals'
+log targets and their solve, the grid and seeded sample points, the
+metric, the cross-term scale search, the sampled pullback residual, the
+decomposition, generators and metric sections, and every check payload
+that seals a float or a schema-1 literal.  Neither caller imports mpmath
+or a float encoder: outside this module the sealed floats come only from
+embeddings' enclosures, polynomials.refine_root and certio.enc_float.
+Changing any value made here changes certificate bytes, so it needs a
+schema bump.
 
 Metric values are signed pairs (m, e) of ints standing for m * 2**e.
 Each sum and product is formed exactly on ints and rounded once to the
@@ -37,7 +42,10 @@ from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
 from mpmath.libmp.libelefun import EXP_COSH_CUTOFF, EXP_SERIES_U_CUTOFF, exp_basecase, ln2_fixed
 
 from .certio import enc_float, enc_float_matrix, enc_float_vector
-from .embeddings import _at_prec, _iv_inverse, certified_poly_roots, full_pivot_eliminate
+from .embeddings import (
+    GUARD_BITS, MAX_PRECISION, _at_prec, _iv_inverse, certified_poly_roots, full_pivot_eliminate,
+    tolerance, validate_precision,
+)
 from .errors import InputError, NeedsEscalation, PrecisionError, StructureError
 from .intlinalg import IntMatrix, matrix_to_json
 
@@ -142,7 +150,7 @@ def _abs_gt(a, b):
 
 
 def _functional(f):
-    return [to_dyadic(c) for c in f.coeffs]
+    return [to_dyadic(c) for c in f]
 
 
 class MetricTerms:
@@ -819,6 +827,117 @@ def covariant(decomp, g, ratios, k, k2, tol):
 
 
 # ----------------------------------------------------------------------
+# the base translations and the warping functionals
+#
+# A functional is the tuple of its coefficients c: f(x) = c . x.  Its
+# constant is zero, since equivariance fixes only the increments c . v.
+
+
+def log_ratio_translations(ratios, flat_block):
+    """The base translation of each generator at the decomposition's
+    working precision: generator l moves base coordinate l by ln L1, its
+    flat-block ratio, and no other."""
+    n = ratios.n_gens
+    with _at_prec(ratios.decomposition.workbits):
+        zero = mp.mpf(0)
+        return [tuple(mp.log(row[flat_block]) if i == l else zero for i in range(n))
+                for l, row in enumerate(ratios.entries)]
+
+
+def solve_equivariant_functional(translations, targets, precision: int):
+    """The coefficients c of the functional f with f(x + v_j) - f(x) = r_j
+    for all j.
+
+    Solves c . v_j = r_j by Gaussian elimination at the precision plus
+    guard bits and verifies every residual against the tolerance; a
+    system no functional matches, or one too singular to solve, raises
+    StructureError.
+    """
+    precision = validate_precision(precision)
+    translations = [list(v) for v in translations]
+    targets = list(targets)
+    if len(translations) != len(targets):
+        raise InputError("need one target per translation")
+    if not translations:
+        raise InputError("need at least one translation")
+    n = len(translations[0])
+    if any(len(v) != n for v in translations):
+        raise InputError("translations must share one dimension")
+    workbits = precision + GUARD_BITS
+    tol = tolerance(precision)
+    with _at_prec(workbits):
+        a = [[_to_mpf(x) for x in v] + [_to_mpf(r)] for v, r in zip(translations, targets)]
+        rows = len(a)
+        pivot_cols = []
+        r = 0
+        for col in range(n):
+            piv = max(range(r, rows), key=lambda i: abs(a[i][col]), default=None)
+            if piv is None or abs(a[piv][col]) <= tol:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            lead = a[r][col]
+            a[r] = [x / lead for x in a[r]]
+            for i in range(rows):
+                if i != r:
+                    f = a[i][col]
+                    if f:
+                        a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            pivot_cols.append(col)
+            r += 1
+        for i in range(r, rows):
+            if abs(a[i][n]) > tol:
+                raise StructureError(
+                    "translation system is inconsistent: no affine functional "
+                    "matches the requested increments"
+                )
+        coeffs = [mp.mpf(0)] * n
+        for row_idx, col in enumerate(pivot_cols):
+            coeffs[col] = a[row_idx][n]
+        for v, target in zip(translations, targets):
+            shift = mp.mpf(0)
+            for c, vi in zip(coeffs, v):
+                shift += c * _to_mpf(vi)
+            if abs(shift - _to_mpf(target)) > tol:
+                raise StructureError(
+                    "translation system is singular: residual exceeds tolerance"
+                )
+    return tuple(coeffs)
+
+
+def warping_functionals(ratios, flat_block, translations):
+    """The functional of every block, zero on the flat block, and the base
+    conformal factor's, as (functionals, base).  Block k's has increments
+    ln(L1/Lk) along each generator's base translation and the base's has
+    ln L1, L1 being the flat-block ratio; the targets are formed at the
+    decomposition's working precision."""
+    decomp = ratios.decomposition
+    precision = decomp.precision_bits
+    with _at_prec(decomp.workbits):
+        lam1 = [row[flat_block] for row in ratios.entries]
+        functionals = []
+        for k in range(decomp.delta):
+            if k == flat_block:
+                functionals.append((0,) * len(translations[0]))
+                continue
+            targets = [mp.log(l1 / row[k]) for l1, row in zip(lam1, ratios.entries)]
+            functionals.append(solve_equivariant_functional(translations, targets, precision))
+        base = solve_equivariant_functional(translations, [mp.log(l1) for l1 in lam1], precision)
+    return functionals, base
+
+
+def cross_functional(spec, k, k2):
+    """The functional of the cross term between blocks k and k2 of spec:
+    increments ln(L1/sqrt(Lk Lk')), formed at the working precision."""
+    decomp = spec.decomposition
+    with _at_prec(decomp.workbits):
+        targets = [
+            mp.log(row[spec.flat_block]) - mp.log(row[k] * row[k2]) / 2
+            for row in spec.ratios.entries
+        ]
+        return solve_equivariant_functional(spec.translations, targets, decomp.precision_bits)
+
+
+# ----------------------------------------------------------------------
 # the points, the scale search and the sampled check on a MetricSpec
 
 
@@ -879,13 +998,13 @@ def sampled_residuals(spec, seed: int):
 
 
 # ----------------------------------------------------------------------
-# the decomposition, generators and metric sections
+# the decomposition, generators and metric sections and the check payloads
 
 
 def _functional_payload(f, bits):
     # every functional's constant is zero; "constant" keeps the schema-1 bytes
     return {
-        "coeffs": enc_float_vector(f.coeffs, bits),
+        "coeffs": enc_float_vector(f, bits),
         "constant": enc_float(0, bits),
     }
 
@@ -948,3 +1067,61 @@ def metric_section(spec):
         # builds one
         "extensions": [],
     }
+
+
+def j1_check(bits):
+    # check_J1 raises unless every generator is a similarity, and decides
+    # that exactly; "tolerance_bits" keeps the schema-1 bytes
+    return {"verdict": True, "tolerance_bits": bits // 2}
+
+
+def rank_check(value, expected, bits):
+    # the rank is proven at the decomposition's precision alone, by a
+    # certified log minor and exact unit relations;
+    # value_at_doubled_precision and doubled_bits keep their schema-1 names
+    # and bytes and repeat that value
+    value, expected = int(value), int(expected)
+    return {"expected": expected, "value": value, "value_at_doubled_precision": value,
+            "doubled_bits": min(2 * bits, MAX_PRECISION), "verdict": value == expected}
+
+
+def spectral_check(ratios, up, contracting):
+    """The spectral shape make_kourganoff decided, with the contracting
+    ratio of its one generator."""
+    ratio = enc_float(ratios.entries[0][contracting[0]], ratios.decomposition.workbits)
+    return {"verdict": True, "expanding_block": up, "contracting_blocks": contracting,
+            "ratio": ratio}
+
+
+def warp_check(spec, q, up):
+    # (lambda t)^(2q+2) = lambda^(2q+2) t^(2q+2) holds in any commutative
+    # ring, and the solved coefficient ln(lambda_c / mu) / ln(lambda_c) is
+    # q + 1, since mu = lambda_c^(-q) when det a = 1; schema 1 seals both
+    # facts as literals, and the coefficient as solved
+    coeff = enc_float(spec.functionals[up][0], spec.decomposition.workbits)
+    return {"power": 2 * q + 2, "exact_points": 50, "exact_identity": True,
+            "functional_coeff": coeff, "coeff_matches_power": True, "verdict": True}
+
+
+def norm_product_check(emb, log_rows):
+    """The absolute norm of every unit is 1 up to sign, so the weighted
+    log coordinates of each, log_rows, must sum to zero: |exp(sum) - 1|
+    below the tolerance, at the embeddings' working precision."""
+    tol = tolerance(emb.bits)
+    reports = []
+    with _at_prec(emb.workbits):
+        for idx, row in enumerate(log_rows):
+            residual = abs(mp.exp(mp.fsum(row)) - 1)
+            reports.append({"unit": idx, "residual": enc_float(residual, emb.workbits),
+                            "verdict": bool(residual < tol)})
+    return {"verdict": all(r["verdict"] for r in reports), "units": reports}
+
+
+def equivariance_check(spec, labels, seed, results):
+    """The reports of verify_equivariance's results on spec, one
+    (max_residual, verdict) pair per generator label."""
+    bits = spec.decomposition.precision_bits + 32
+    reports = [{"generator": label, "samples": SAMPLES, "seed": seed,
+                "max_residual": enc_float(residual, bits), "verdict": verdict}
+               for label, (residual, verdict) in zip(labels, results)]
+    return {"verdict": all(verdict for _, verdict in results), "reports": reports}

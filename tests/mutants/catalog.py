@@ -63,4 +63,61 @@ MUTANTS = (
         "lo, hi = w, w + 1",
         ("tests/test_rawmetric.py::test_derivation_near_a_rounding_boundary_falls_back",),
     ),
+    Mutant(
+        "a block functional's target flipped from ln(L1/Lk) to ln(Lk/L1)",
+        "metric",
+        "src/lcpforge/schema1.py",
+        "targets = [mp.log(l1 / row[k]) for l1, row in zip(lam1, ratios.entries)]",
+        "targets = [mp.log(row[k] / l1) for l1, row in zip(lam1, ratios.entries)]",
+        ("tests/test_lcpcore.py::TestMetricAssembly::test_functional_increments_match_ratios",),
+    ),
+    Mutant(
+        "matrix_family seals det A where the constant of det(X I - A) is (-1)^p det A",
+        "matrix_family",
+        "src/lcpforge/constructions.py",
+        "constants = [(-1) ** m.n * det(m) for m in matrices]",
+        "constants = [det(m) for m in matrices]",
+        ("tests/test_corpus.py::test_stored_certificate_verifies_bit_identically",),
+    ),
+    Mutant(
+        "unit_ratios takes every derived witness for a unit",
+        "unit_ratios",
+        "src/lcpforge/constructions.py",
+        "witnessed = is_unit(u)",
+        "witnessed = True",
+        ("tests/test_constructions.py::test_unit_ratio_check_records_a_non_unit_witness",),
+    ),
+    Mutant(
+        "dirichlet refuses a rank that attains the bound",
+        "dirichlet",
+        "src/lcpforge/constructions.py",
+        '"verdict": tested_rank <= bound,',
+        '"verdict": tested_rank < bound,',
+        ("tests/test_acceptance.py::test_criterion_3_dirichlet_bound_holds_and_is_attained",),
+    ),
+    Mutant(
+        "spectral counts the real roots but not those in [-1, 1]",
+        "spectral",
+        "src/lcpforge/constructions.py",
+        "if (real, chain.count_in(-1, 1)) != ((2, 1) if q == 1 else (1, 0)):",
+        "if real != (2 if q == 1 else 1):",
+        ("tests/test_constructions.py"
+         "::test_kourganoff_spectral_hypothesis_is_the_exact_predicate",),
+    ),
+    Mutant(
+        "ot reads a real sign at the isolating interval's end without bisecting",
+        "positivity",
+        "src/lcpforge/constructions.py",
+        "while chain.count_in(lo, hi):",
+        "while False:",
+        ("tests/test_constructions.py::test_real_sign_is_decided_exactly",),
+    ),
+    Mutant(
+        "J2 takes a complex-place modulus enclosing 1 for a non-isometry",
+        "J2",
+        "src/lcpforge/lcpcore.py",
+        "if 1 not in emb.abs_enclosure(u, i):",
+        "if True:",
+        ("tests/test_lcpcore.py::TestJ2::test_salem_rotation_plane_is_undecided",),
+    ),
 )

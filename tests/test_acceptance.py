@@ -159,7 +159,6 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
     # verdict of the equivariance check
     from lcpforge.constructions import make_dmatrix
     from lcpforge.lcpcore import (
-        AffineFunctional,
         build_metric_spec,
         check_J1,
         find_block_decomposition,
@@ -182,7 +181,7 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
     bumped = list(spec.functionals)
     with mp.workprec(decomp.workbits):
         old = bumped[k]
-        bumped[k] = AffineFunctional((old.coeffs[0] + mp.mpf("0.001"),) + old.coeffs[1:])
+        bumped[k] = (old[0] + mp.mpf("0.001"),) + old[1:]
     perturbed = spec.replace(functionals=tuple(bumped))
     _, verdict = verify_equivariance(perturbed, 0)[0]
     assert verdict is False

@@ -1,8 +1,8 @@
-"""A document-only oracle for the exact claims of a schema-1 certificate.
+"""A document-only oracle for the claims of a schema-1 certificate.
 
-Each corpus certificate is read as plain JSON and its exact claims are
-decided again with sympy, by code that shares nothing with lcpforge: this
-module imports no lcpforge module, so a defect in a builder cannot
+Each corpus certificate is read as plain JSON and its claims are decided
+again with sympy and mpmath, by code that shares nothing with lcpforge:
+this module imports no lcpforge module, so a defect in a builder cannot
 reproduce itself here.
 
   claim                what is decided                    from the fields
@@ -21,9 +21,26 @@ reproduce itself here.
   unit_norms           every witness element u is a unit: generators[j].witnesses[k].element
                        N(u) = Res(f, u) = +-1 for monic f
   dirichlet            the sealed bound is r1 + r2 - 1    checks.dirichlet.bound
+  ratios               ratio_row[k] of generator j is     generators[j].ratio_row,
+                       |sigma_i(u)|^e for its witness     generators[j].witnesses,
+                       (u, e) at place i = block k's      decomposition.block_embeddings
+  translations         the metric's translations are the  metric.translations,
+                       generators' base translations      generators[j].base_translation
+  increments           c . v_j is ln(L1/Lk) for block k's metric.functionals,
+                       functional, ln L1 for the base's   metric.base_conformal,
+                       and ln(L1/sqrt(Lk Lk')) for a      metric.cross_terms,
+                       cross term's, L = |sigma(u_j)|     generators[j].base_translation
+  J2                   J2's flat block is the metric's,   checks.J2, metric.flat_block,
+                       and its verdict says whether some  generators[j].witnesses
+                       flat-block witness has |sigma(u)|
+                       off 1
 
-The numeric claims (ratios, functional increments, off-block leakage, the
-rank minor and the sampled equivariance identity) are not decided here.
+The numeric claims are decided at 2b + 64 bits, b the certificate's
+precision, against its tolerance 2**-tolerance_bits (checks.J1).  The
+places are the roots of f from mpmath's polyroots: its r1 real roots
+ascending, then the upper root of each complex pair, ordered by real and
+then imaginary part.  Off-block leakage, the rank minor and the sampled
+equivariance identity are not decided here.
 """
 
 import copy
@@ -31,8 +48,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 import sympy
 
@@ -54,6 +73,69 @@ def _matrices(doc):
 def _signature(f):
     r1 = f.count_roots()
     return r1, (f.degree() - r1) // 2
+
+
+def _places(f, r1, bits):
+    """The places of f at bits, in the order block_embeddings indexes."""
+    roots = mpmath.polyroots([int(c) for c in f.all_coeffs()], maxsteps=200, extraprec=bits)
+    roots = sorted(roots, key=lambda z: abs(z.imag))
+    upper = sorted((z for z in roots[r1:] if z.imag > 0), key=lambda z: (z.real, z.imag))
+    return sorted(z.real for z in roots[:r1]) + upper
+
+
+def _embed(element, place):
+    """sigma(u) at place for u's ascending power-basis coordinates."""
+    acc = 0
+    for c in reversed(element):
+        q = Fraction(c)
+        acc = acc * place + mpmath.mpf(q.numerator) / q.denominator
+    return acc
+
+
+def _float(pair):
+    return mpmath.mpf(pair[0])
+
+
+def _numeric_refusals(doc, f, r1):
+    """The names of the numeric claims of doc that do not hold."""
+    metric, generators = doc["metric"], doc["generators"]
+    flat, j2 = metric["flat_block"], doc["checks"]["J2"]
+    places = doc["decomposition"]["block_embeddings"]
+    translations = [g["base_translation"] for g in generators]
+    failed = []
+    with mpmath.workprec(2 * doc["precision_bits"] + 64):
+        tol = mpmath.mpf(2) ** -doc["checks"]["J1"]["tolerance_bits"]
+        roots = _places(f, r1, mpmath.mp.prec)
+        # |sigma(u)|^e of each generator's witness on each block
+        moduli = [[abs(_embed(w["element"], roots[i])) ** w["exponent"]
+                   for w, i in zip(g["witnesses"], places)] for g in generators]
+        if not all([w["embedding"] for w in g["witnesses"]] == places
+                   and all(abs(_float(r) - m) <= tol for r, m in zip(g["ratio_row"], row))
+                   for g, row in zip(generators, moduli)):
+            failed.append("ratios")
+        if metric["translations"] != translations:
+            failed.append("translations")
+
+        def near(functional, v, want):
+            got = mpmath.fsum(_float(c) * _float(x) for c, x in zip(functional["coeffs"], v))
+            return abs(got - want) <= tol
+
+        increments = []
+        for v, row in zip(translations, moduli):
+            logs = [mpmath.log(m) for m in row]
+            lam1 = logs[flat]
+            for functional, log in zip(metric["functionals"], logs):
+                increments.append(near(functional, v, lam1 - log))
+            increments.append(near(metric["base_conformal"], v, lam1))
+            for term in metric["cross_terms"]:
+                k, k2 = term["blocks"]
+                increments.append(near(term["functional"], v, lam1 - (logs[k] + logs[k2]) / 2))
+        if not all(increments):
+            failed.append("increments")
+        off_one = any(abs(row[flat] - 1) > tol for row in moduli)
+        if j2["flat_block"] != flat or j2["verdict"] != off_one:
+            failed.append("J2")
+    return failed
 
 
 def refusals(doc):
@@ -84,7 +166,7 @@ def refusals(doc):
         for g in doc["generators"] for w in g["witnesses"]
     ))
     claim("dirichlet", doc["checks"]["dirichlet"]["bound"] == r1 + r2 - 1)
-    return failed
+    return failed + _numeric_refusals(doc, f, r1)
 
 
 def _load(name):
@@ -121,6 +203,16 @@ MUTATIONS = {
     "unit_norms": ("kourganoff_q2_128.json", ("generators", 0, "witnesses", 0, "element", 1),
                    "2"),
     "dirichlet": ("ot_lck_x4-x-1_128.json", ("checks", "dirichlet", "bound"), 3),
+    # 1e-18 off, above the tolerance 2**-64
+    "ratios": ("ranklcp_n2_128.json", ("generators", 0, "ratio_row", 1, 0),
+               "0.44504186791262880957780512899358951893271113752913"),
+    "translations": ("ot_lck_x4-x-1_128.json", ("metric", "translations", 1, 0, 0),
+                     "1.0898649811667496392560014250747788844085709651722"),
+    # the solved coefficient q + 1 = 2, 1e-18 off
+    "increments": ("kourganoff_q1_128.json", ("metric", "functionals", 0, "coeffs", 0, 0),
+                   "1.999999999999999999"),
+    # -1 is an isometry at every place
+    "J2": ("ot_x3-x-1_128.json", ("generators", 0, "witnesses", 0, "element"), ["-1", "0", "0"]),
 }
 
 

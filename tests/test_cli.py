@@ -349,6 +349,20 @@ def test_ot_with_dependent_units_exits_1(capsys):
     assert "not a full lattice" in err
 
 
+def test_ot_log_embedding_shortfall_exits_1_naming_the_stage(capsys):
+    # alpha^90 for alpha^3 = alpha + 1: at 64 bits its log enclosures are
+    # too wide for the norm check, where alpha^80's are narrow enough
+    alpha_80 = "1042002567,1828587033,1380359512"
+    alpha_90 = "17342153393,30433357674,22973462017"
+    argv = ("ot", "--minpoly", "x^3-x-1", "--precision", "64", "--units")
+    assert run_cli(capsys, *argv, alpha_80)[0] == 0
+    code, out, err = run_cli(capsys, *argv, alpha_90)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: norm_product: log embedding not "
+                          "certified at 64 bits: log enclosure too wide")
+
+
 def test_totally_real_ot_field_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "ot", "--minpoly", "x^3+x^2-2x-1", "--units", "0,1,0"

@@ -43,6 +43,7 @@ from lcpforge.errors import (
     CheckFailureError,
     InputError,
     NonUnitError,
+    PrecisionError,
     StructureError,
 )
 import lcpforge.embeddings as embeddings_module
@@ -1007,6 +1008,15 @@ def test_ot_decides_irreducibility_once(monkeypatch, capsys):
 
 def test_builders_take_integral_fractions():
     assert make_exfield(Fraction(2)).modulus == make_exfield(2).modulus
+
+
+def test_run_pipeline_names_a_log_embedding_shortfall():
+    # alpha^90 for alpha^3 = alpha + 1 at 64 bits: log_vector's escalation
+    # signal becomes a PrecisionError naming the stage
+    parameters = {"minpoly": ["-1", "-1", "0", "1"], "lck": False,
+                  "units": [["17342153393", "30433357674", "22973462017"]]}
+    with pytest.raises(PrecisionError, match="^norm_product: log embedding not certified"):
+        run_pipeline("ot", parameters, 64, 0)
 
 
 def test_run_pipeline_unknown_name():

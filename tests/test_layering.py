@@ -3,6 +3,10 @@
 schema1 owns every stage whose output is pinned to schema-1 certificate
 bytes.  Only lcpcore and constructions call it, it imports none of its
 callers or the CLI, and lcpcore does no interval arithmetic of its own.
+Every float a certificate seals is made in schema1, embeddings or
+polynomials.refine_root and written by certio's encoder: lcpcore,
+constructions and the CLI import no mpmath, no float encoder and no
+precision context.
 """
 
 import ast
@@ -37,9 +41,10 @@ def _imports_module(module, target):
 
 
 def test_the_import_reader_sees_relative_and_absolute_imports():
-    assert {"schema1", "schema1._to_mpf", "mpmath.mp"} <= _imports("lcpcore")
-    assert {"schema1", "certio.enc_float"} <= _imports("constructions")
-    assert "mpmath.iv" in _imports("schema1")
+    assert {"schema1", "schema1._freeze", "embeddings.tolerance"} <= _imports("lcpcore")
+    assert {"schema1", "certio.canonical_json"} <= _imports("constructions")
+    assert {"mpmath.iv", "certio.enc_float", "embeddings._at_prec"} <= _imports("schema1")
+    assert {"mpmath", "mpmath.mp", "mpmath.libmp.repr_dps"} <= _imports("certio")
 
 
 def test_only_lcpcore_and_constructions_import_schema1():
@@ -58,3 +63,16 @@ def test_lcpcore_does_no_interval_arithmetic():
     attributes = {node.attr for node in ast.walk(_tree("lcpcore"))
                   if isinstance(node, ast.Attribute)}
     assert "iv" not in names | attributes
+
+
+def test_lcpcore_constructions_and_cli_make_no_sealed_float():
+    for module in ("lcpcore", "constructions", "cli"):
+        made = sorted(name for name in _imports(module)
+                      if name == "mpmath" or name.startswith("mpmath.")
+                      or name.startswith("certio.enc_float") or name == "embeddings._at_prec")
+        assert made == [], module
+
+
+def test_only_schema1_embeddings_and_certio_import_mpmath():
+    importers = [m for m in MODULES if _imports_module(m, "mpmath")]
+    assert importers == ["certio", "embeddings", "schema1"]
