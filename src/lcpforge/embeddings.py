@@ -465,18 +465,20 @@ def projected_log_rank(
 @lru_cache(maxsize=64)
 def _stable_rank(field, units, bits, coords):
     """Log-embedding rank of units, each checked exactly first, proven at
-    bits in both directions.
+    bits in both directions by one certified inverse.
 
     full_pivot_eliminate on the midpoints of the log enclosures picks k
-    pivot units and k places, and _iv_inverse certifies that k x k minor on
+    pivot units and k places, and _iv_inverse inverts that k x k minor M on
     the enclosures themselves: the rank is at least k.  It is at most the
-    unit and the place count; below both, every other unit u_j gets an
-    exact relation u_j^a = w * prod p_i^b_i over the pivots p_i, with w a
-    root of unity and a > 0: the rank is at most k.  Either proof failing
-    raises PrecisionError.  coords, when given, restricts the log vectors
-    to those places.  Cached per (field, units, bits, coords), all hashable
-    and immutable, so a pipeline that checks its units' rank and later
-    seals the rank of the same units decides it once.
+    unit and the place count; below both, the same inverse gives every
+    other unit u_j, log row r on the pivot places, its coefficients r M^-1
+    over the pivots and an exact relation u_j^a = w * prod p_i^b_i over the
+    pivots p_i, with w a root of unity and a > 0: the rank is at most k.
+    Either proof failing raises PrecisionError.  coords, when given,
+    restricts the log vectors to those places.  Cached per (field, units,
+    bits, coords), all hashable and immutable, so a pipeline that checks
+    its units' rank and later seals the rank of the same units decides it
+    once.
     """
     for u in units:
         require_unit(u, "rank input")
@@ -490,26 +492,24 @@ def _stable_rank(field, units, bits, coords):
             k, rows, cols = full_pivot_eliminate(
                 [list(row) for row in mids], tolerance(bits)
             )
-            _iv_inverse([[logs[i][j] for j in cols[:k]] for i in rows[:k]])
+            inverse = _iv_inverse([[logs[i][j] for j in cols[:k]] for i in rows[:k]])
         except NeedsEscalation as exc:
             raise PrecisionError(
                 "log-embedding rank not certified at %d bits: %s" % (bits, exc)
             ) from None
         pivots, places = rows[:k], cols[:k]
+        inverse = [[mp.mpf(x.mid) for x in row] for row in inverse]
         for j in rows[k:] if k < len(cols) else ():
             # the certified minor makes the coefficients of log u_j over the
-            # pivot logs unique: solve them on the pivot places and take the
-            # nearest fractions of denominator at most 2^16.  Two such
-            # fractions lie at least 2^-32 apart, the tolerance at the
+            # pivot logs unique: read them off the inverse's midpoints and
+            # take the nearest fractions of denominator at most 2^16.  Two
+            # such fractions lie at least 2^-32 apart, the tolerance at the
             # lowest precision; the exact check alone proves the relation,
             # and a wrong candidate's powers take some 17 squarings each
-            solved = mp.lu_solve(
-                [[mids[i][c] for i in pivots] for c in places],
-                [mids[j][c] for c in places],
-            ) if k else ()
+            r = [mids[j][c] for c in places]
             coeffs = [
-                Fraction(*to_rational(x._mpf_)).limit_denominator(2 ** 16)
-                for x in solved
+                Fraction(*to_rational(mp.fdot(r, col)._mpf_)).limit_denominator(2 ** 16)
+                for col in zip(*inverse)
             ]
             a = math.lcm(1, *(q.denominator for q in coeffs))
             w = units[j] ** a

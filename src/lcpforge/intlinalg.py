@@ -1,9 +1,9 @@
 """Exact integer matrix operations.
 
-Everything here is fraction-free or runs over an exact field: one Bareiss
-elimination on ints, exact at every division, for determinants over Z and
-characteristic polynomials over Z[X]; kernel solves over a number field for
-exact eigenvectors.
+One exact elimination, a fraction-free (Bareiss) row echelon form, serves
+Z, Z[X], Q and Q(lambda): determinants and characteristic polynomials are
+its last pivot, on ints alone, and the kernels behind minimal polynomials
+and exact eigenvectors are back-substitution on it.
 Dimensions are desk scale; nothing here is tuned beyond that.
 """
 
@@ -88,28 +88,47 @@ class IntMatrix:
         return "IntMatrix(%s)" % body
 
 
-def _bareiss(m, one, exact_div):
-    """Fraction-free Bareiss determinant of a square matrix, eliminated in
-    place.  Entries live in an integral domain whose exact division is
-    exact_div; every division in the loop is exact."""
-    n = len(m)
-    negate = False
-    prev = one
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    negate = not negate
-                    break
-            else:
-                return one - one
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
+def _echelon(m, exact_div):
+    """Fraction-free (Bareiss) row echelon form of a rectangular matrix, in
+    place, over an integral domain whose exact division is exact_div.
+
+    Each entry below the pivot rows is a minor, so every division by the
+    previous pivot is exact.  A zero pivot is swapped for the first nonzero
+    entry below it, and a column with none is skipped.  Returns the pivot
+    columns, row i holding pivot i, and the parity of the row swaps;
+    entries below the pivots are left stale and never read.
+    """
+    nrows, ncols = len(m), len(m[0])
+    pivots, swapped = [], False
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        # != 0 rather than truth: an IntPoly is true even when it is zero
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            swapped = not swapped
+        top, pivot = m[r], m[r][c]
+        for row in m[r + 1:]:
+            lead = row[c]
+            new = [pivot * x - lead * y for x, y in zip(row[c + 1:], top[c + 1:])]
+            row[c + 1:] = [exact_div(x, prev) for x in new] if r else new
         prev = pivot
-    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
+        pivots.append(c)
+    return pivots, swapped
+
+
+def _determinant(m, exact_div):
+    """Determinant of a square matrix, read off its echelon form: the last
+    pivot, signed by the row swaps, or zero when a column has no pivot."""
+    pivots, swapped = _echelon(m, exact_div)
+    last = m[-1][-1]
+    if len(pivots) < len(m):
+        return last - last
+    return -last if swapped else last
 
 
 @lru_cache(maxsize=64)
@@ -117,7 +136,7 @@ def det(a: IntMatrix) -> int:
     """Bareiss determinant over Z.  Cached per matrix: IntMatrix is
     immutable and hashes on its rows, so the unit, matrix-family, block
     and similarity checks share one elimination per matrix."""
-    return _bareiss([list(row) for row in a.rows], 1, operator.floordiv)
+    return _determinant([list(row) for row in a.rows], operator.floordiv)
 
 
 def is_gl_z(a: IntMatrix) -> bool:
@@ -134,7 +153,7 @@ def char_poly(a: IntMatrix) -> IntPoly:
         [x - a.rows[i][j] if i == j else IntPoly((-a.rows[i][j],)) for j in range(n)]
         for i in range(n)
     ]
-    return _bareiss(m, IntPoly((1,)), int_poly_exact_div)
+    return _determinant(m, int_poly_exact_div)
 
 
 def commute(a: IntMatrix, b: IntMatrix) -> bool:
@@ -142,48 +161,26 @@ def commute(a: IntMatrix, b: IntMatrix) -> bool:
 
 
 def field_kernel_basis(rows: Sequence[Sequence]) -> List[List]:
-    """Kernel basis of a matrix over a field, by exact Gauss-Jordan.
+    """Kernel basis of a matrix over a field, by back-substitution on its
+    echelon form.
 
-    Entries must support +, -, *, 1 / x and truth testing, as Fraction and
+    Entries must support +, -, *, / and comparison with 0, as Fraction and
     FieldElem do.  Returns one vector per free column, each with its free
-    coordinate set to one.
+    coordinate one and the other free coordinates zero, so the basis is
+    fixed by the column rank profile alone.
     """
     m = [list(r) for r in rows]
     if not m:
         return []
-    nrows, ncols = len(m), len(m[0])
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    sample = rows[0][0]
-    zero = sample - sample
-    one = zero + 1
+    ncols, zero = len(m[0]), rows[0][0] - rows[0][0]
+    pivots, _ = _echelon(m, operator.truediv)
     basis = []
-    for fc in free:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [zero] * ncols
-        # free coordinate one; pivot coordinates read off the reduced rows
-        for c, pr in pivots.items():
-            vec[c] = -m[pr][fc]
-        vec[fc] = one
+        vec[free] = zero + 1
+        for row, c in reversed(list(zip(m, pivots))):
+            tail = sum((row[j] * vec[j] for j in range(c + 1, ncols)), zero)
+            vec[c] = -tail / row[c]
         basis.append(vec)
     return basis
 
@@ -205,8 +202,7 @@ def eigen_solve(a: IntMatrix, lam) -> Tuple:
     if len(basis) == 0:
         raise InputError("value is not an eigenvalue: kernel is trivial")
     vec = basis[0]
-    lead = next(x for x in vec if x)
-    inv = lead.inverse()
+    inv = next(x for x in vec if x).inverse()
     return tuple(x * inv for x in vec)
 
 

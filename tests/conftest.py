@@ -1,4 +1,5 @@
 import importlib
+import operator
 import pkgutil
 from fractions import Fraction
 
@@ -87,16 +88,17 @@ def minpoly_derivations(monkeypatch):
 @pytest.fixture
 def det_derivations(monkeypatch):
     """One entry per integer determinant the test derives, cache hits aside:
-    the Bareiss elimination over Z is the derivation."""
+    the echelon form over Z, the one elimination whose division is floor
+    division, is the derivation."""
     derived = []
-    original = intlinalg_module._bareiss
+    original = intlinalg_module._echelon
 
-    def recording(m, one, exact_div):
-        if type(one) is int:
+    def recording(m, exact_div):
+        if exact_div is operator.floordiv:
             derived.append(len(m))
-        return original(m, one, exact_div)
+        return original(m, exact_div)
 
-    monkeypatch.setattr(intlinalg_module, "_bareiss", recording)
+    monkeypatch.setattr(intlinalg_module, "_echelon", recording)
     return derived
 
 

@@ -51,7 +51,7 @@ MUTANTS = (
         "rank",
         "src/lcpforge/embeddings.py",
         "_iv_inverse([[logs[i][j] for j in cols[:k]] for i in rows[:k]])",
-        "pass",
+        "_iv_inverse([[logs[i][j].mid for j in cols[:k]] for i in rows[:k]])",
         ("tests/test_embeddings.py::TestRankProof"
          "::test_minor_with_a_pivot_touching_zero_is_refused",),
     ),
@@ -119,5 +119,66 @@ MUTANTS = (
         "if 1 not in emb.abs_enclosure(u, i):",
         "if True:",
         ("tests/test_lcpcore.py::TestJ2::test_salem_rotation_plane_is_undecided",),
+    ),
+    Mutant(
+        "the echelon form drops the parity of its row swaps",
+        "matrix_family",
+        "src/lcpforge/intlinalg.py",
+        "swapped = not swapped",
+        "swapped = False",
+        ("tests/test_elimination.py::test_determinant_signs_follow_the_row_swaps",
+         "tests/test_intlinalg.py::TestCharPoly::test_runs_on_integers"),
+    ),
+    Mutant(
+        "the kernel back-substitution flips the sign of each pivot coordinate",
+        "exact kernels",
+        "src/lcpforge/intlinalg.py",
+        "vec[c] = -tail / row[c]",
+        "vec[c] = tail / row[c]",
+        ("tests/test_elimination.py::test_kernel_matches_sympy_nullspace",),
+    ),
+    Mutant(
+        "_stable_rank proves no upper bound on the rank",
+        "rank",
+        "src/lcpforge/embeddings.py",
+        "if not _is_torsion(w):",
+        "if False:",
+        ("tests/test_embeddings.py::TestRankProof"
+         "::test_a_midpoint_rank_below_the_true_rank_is_refused",),
+    ),
+    Mutant(
+        "equivariance is sealed as passing whatever the residual",
+        "equivariance",
+        "src/lcpforge/lcpcore.py",
+        "return [(r, r < tol) for r in schema1.sampled_residuals(spec, seed)]",
+        "return [(r, True) for r in schema1.sampled_residuals(spec, seed)]",
+        ("tests/test_acceptance.py"
+         "::test_criterion_5_equivariance_residuals_and_negative_control",),
+    ),
+    Mutant(
+        "the cross-term covariance bound loosened from 8 tol to 2^32 tol",
+        "cross terms",
+        "src/lcpforge/schema1.py",
+        "if mp.mpf(abs(acc - want).b) > 8 * tol:",
+        "if mp.mpf(abs(acc - want).b) > 2 ** 32 * tol:",
+        ("tests/test_lcpcore.py::TestCrossTerms"
+         "::test_a_ratio_off_by_a_relative_two_to_the_minus_40_is_not_covariant",),
+    ),
+    Mutant(
+        "norm_product passes every unit whatever its residual",
+        "norm_product",
+        "src/lcpforge/schema1.py",
+        '"verdict": bool(residual < tol)})',
+        '"verdict": True})',
+        ("tests/test_constructions.py::test_norm_product_refuses_a_log_sum_off_zero",),
+    ),
+    Mutant(
+        "full_lattice passes a projected rank below the real place count",
+        "full_lattice",
+        "src/lcpforge/constructions.py",
+        "if projected_rank < s:",
+        "if False:",
+        ("tests/test_constructions.py::test_ot_rejects_trivial_unit_lattice",
+         "tests/test_constructions.py::test_ot_rejects_dependent_units"),
     ),
 )

@@ -31,19 +31,37 @@ reproduce itself here.
                        and ln(L1/sqrt(Lk Lk')) for a      metric.cross_terms,
                        cross term's, L = |sigma(u_j)|     generators[j].base_translation
   J2                   J2's flat block is the metric's,   checks.J2, metric.flat_block,
-                       and its verdict says whether some  generators[j].witnesses
-                       flat-block witness has |sigma(u)|
-                       off 1
+                       and its verdict says whether some  generators[j].witnesses,
+                       flat-block witness u has           decomposition.block_embeddings
+                       |sigma(u)| off 1, decided exactly:
+                       at a real place u is not +-1; at
+                       a complex place u's minimal
+                       polynomial is not +- its own
+                       reciprocal (off 1) or is
+                       cyclotomic (on 1)
+  rank_minor           some minor of the log matrix       checks.rank.value,
+                       log|sigma_i(u)|^e of the           generators[j].witnesses,
+                       witnesses, of the sealed rank's    decomposition.block_embeddings
+                       size, exceeds the tolerance
+  leakage              basis^-1 A_j basis is below the    decomposition.basis,
+                       tolerance off the blocks           decomposition.blocks,
+                                                          generators[j].matrix
 
-The numeric claims are decided at 2b + 64 bits, b the certificate's
-precision, against its tolerance 2**-tolerance_bits (checks.J1).  The
-places are the roots of f from mpmath's polyroots: its r1 real roots
-ascending, then the upper root of each complex pair, ordered by real and
-then imaginary part.  Off-block leakage, the rank minor and the sampled
-equivariance identity are not decided here.
+J2 and the claims above it are exact.  The numeric claims, ratios,
+translations, increments, rank_minor and leakage, are decided at 2b + 64
+bits, b the certificate's precision, against its tolerance
+2**-tolerance_bits (checks.J1).  The places are the roots of f from
+mpmath's polyroots: its r1 real roots ascending, then the upper root of
+each complex pair, ordered by real and then imaginary part.  A witness's
+minimal polynomial is the one irreducible factor of its characteristic
+polynomial Res_y(f(y), x - u(y)).  J2 at a complex place whose witness
+polynomial is its own reciprocal up to sign and not cyclotomic is not
+decided, and is refused.  The sampled equivariance identity is not
+decided here.
 """
 
 import copy
+import itertools
 import json
 import os
 import subprocess
@@ -57,12 +75,12 @@ import sympy
 
 DATA = Path(__file__).resolve().parent / "data"
 CORPUS = sorted(DATA.glob("*.json"))
-X = sympy.Symbol("x")
+X, Y = sympy.symbols("x y")
 
 
-def _poly(coeffs):
+def _poly(coeffs, var=X):
     """The polynomial of ascending rational coefficient strings."""
-    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], X, domain="QQ")
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], var, domain="QQ")
 
 
 def _matrices(doc):
@@ -94,6 +112,62 @@ def _embed(element, place):
 
 def _float(pair):
     return mpmath.mpf(pair[0])
+
+
+def _off_one(field, element, real):
+    """Whether |sigma(u)| != 1 at a place of the field polynomial, for u
+    of ascending power-basis coordinates element, decided exactly; None
+    when neither rule decides it.
+
+    sigma is injective, so at a real place |sigma(u)| = 1 exactly when
+    u = +-1.  At a complex place |sigma(u)| = 1 makes 1/sigma(u) its
+    complex conjugate, a conjugate of u, so u's minimal polynomial is
+    then its own reciprocal up to sign; a root of unity has modulus 1 at
+    every place.
+    """
+    if real:
+        return [Fraction(c) for c in element] not in (
+            [sign] + [0] * (len(element) - 1) for sign in (1, -1))
+    charpoly = sympy.resultant(_poly(field, Y).as_expr(),
+                               X - _poly(element, Y).as_expr(), Y)
+    factors = sympy.factor_list(charpoly, X)[1]
+    if len(factors) != 1:
+        # f is reducible: u has no one minimal polynomial
+        return None
+    minpoly = sympy.Poly(factors[0][0], X)
+    coeffs = minpoly.all_coeffs()
+    if coeffs[::-1] not in (coeffs, [-c for c in coeffs]):
+        return True
+    return False if minpoly.is_cyclotomic else None
+
+
+def _has_minor(rows, k, tol):
+    """Whether some k x k minor of rows exceeds tol in absolute value."""
+    if k == 0:
+        return True
+    return any(
+        abs(mpmath.det(mpmath.matrix([[rows[i][j] for j in cols] for i in picked]))) > tol
+        for picked in itertools.combinations(range(len(rows)), k)
+        for cols in itertools.combinations(range(len(rows[0])), k)
+    )
+
+
+def _leaks(doc, tol):
+    """Whether some basis^-1 A_j basis has an entry above tol off the
+    blocks of the decomposition."""
+    decomposition = doc["decomposition"]
+    basis = mpmath.matrix([[_float(e) for e in row] for row in decomposition["basis"]])
+    inverse = basis ** -1
+    block = [k for k, (start, size) in enumerate(decomposition["blocks"])
+             for _ in range(start, start + size)]
+    for g in doc["generators"]:
+        a = mpmath.matrix([[mpmath.mpf(Fraction(e).numerator) / Fraction(e).denominator
+                            for e in row] for row in g["matrix"]])
+        conjugate = inverse * a * basis
+        if any(abs(conjugate[i, j]) > tol
+               for i in range(len(block)) for j in range(len(block)) if block[i] != block[j]):
+            return True
+    return False
 
 
 def _numeric_refusals(doc, f, r1):
@@ -132,9 +206,16 @@ def _numeric_refusals(doc, f, r1):
                 increments.append(near(term["functional"], v, lam1 - (logs[k] + logs[k2]) / 2))
         if not all(increments):
             failed.append("increments")
-        off_one = any(abs(row[flat] - 1) > tol for row in moduli)
+        states = {_off_one(doc["field"]["minpoly"], g["witnesses"][flat]["element"],
+                           places[flat] < r1) for g in generators}
+        off_one = True if True in states else None if None in states else False
         if j2["flat_block"] != flat or j2["verdict"] != off_one:
             failed.append("J2")
+        logs = [[mpmath.log(m) for m in row] for row in moduli]
+        if not _has_minor(logs, doc["checks"]["rank"]["value"], tol):
+            failed.append("rank_minor")
+        if _leaks(doc, tol):
+            failed.append("leakage")
     return failed
 
 
@@ -211,8 +292,13 @@ MUTATIONS = {
     # the solved coefficient q + 1 = 2, 1e-18 off
     "increments": ("kourganoff_q1_128.json", ("metric", "functionals", 0, "coeffs", 0, 0),
                    "1.999999999999999999"),
-    # -1 is an isometry at every place
+    # -1 is an isometry at every place; here the flat place is real
     "J2": ("ot_x3-x-1_128.json", ("generators", 0, "witnesses", 0, "element"), ["-1", "0", "0"]),
+    # two units have no 3 x 3 minor
+    "rank_minor": ("ranklcp_n2_128.json", ("checks", "rank", "value"), 3),
+    # 1e-18 off, so the first column is no longer an eigenvector
+    "leakage": ("ranklcp_n2_128.json", ("decomposition", "basis", 0, 0),
+                ["0.35689586789220944489439951002130058339912718673465", 160]),
 }
 
 
@@ -222,6 +308,22 @@ def test_a_changed_number_is_refused_by_name(name):
     doc = _load(certificate)
     assert refusals(doc) == []
     assert name in refusals(_set(doc, path, value))
+
+
+@pytest.mark.parametrize("certificate", ["ot_lck_x4-x-1_128.json", "kourganoff_q2_128.json"])
+def test_j2_at_a_complex_flat_place_is_decided_exactly(certificate):
+    # the flat place is complex; the witness's minimal polynomial is not
+    # its own reciprocal, so J2 holds, and -1, cyclotomic, is refused
+    doc = _load(certificate)
+    flat = doc["metric"]["flat_block"]
+    assert doc["decomposition"]["block_embeddings"][flat] >= doc["field"]["signature"][0]
+    assert refusals(doc) == []
+    minus_one = ["-1"] + ["0"] * (doc["field"]["degree"] - 1)
+    changed = copy.deepcopy(doc)
+    for g in changed["generators"]:
+        g["witnesses"][flat]["element"] = minus_one
+    assert "J2" in refusals(changed)
+    assert "J2" in refusals(_set(doc, ("checks", "J2", "verdict"), False))
 
 
 def test_the_oracle_imports_no_lcpforge_module():

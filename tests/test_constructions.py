@@ -572,6 +572,24 @@ def test_rank_pipeline_computes_each_certified_quantity_once(monkeypatch, packag
         }
 
 
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        (lambda f, a: (f.zero(), f.one(), a), "eigenvector has zero lead"),
+        (lambda f, a: (f.one(), a * a, a), "for the eigenvector"),
+    ],
+    ids=["zero-lead", "wrong-coordinate"],
+)
+def test_worked_example_refuses_an_eigenvector_off_its_golden_value(
+    monkeypatch, vector, message
+):
+    monkeypatch.setattr(
+        constructions_module, "eigen_solve", lambda a, lam: vector(lam.field, lam)
+    )
+    with pytest.raises(CheckFailureError, match=message):
+        worked_rank2_example(128)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_rank_pipeline_derives_each_determinant_once(det_derivations, n):
     # the unit decision, the matrix family check, the block decomposition's
@@ -791,6 +809,17 @@ def test_ot_plastic_passes(plastic_ot):
     assert cert.checks["full_lattice"]["rank"] == 1
     assert cert.checks["norm_product"]["verdict"] is True
     assert cert.checks["rank"]["value"] == 1
+
+
+def test_norm_product_refuses_a_log_sum_off_zero():
+    # a unit's weighted log coordinates sum to zero; a sum of 2^-40, far
+    # above the tolerance 2^-64, is a norm off +-1 and fails the check
+    emb = embeddings(field_new(PLASTIC), 128)
+    with mp.workprec(emb.workbits):
+        rows = [[mp.mpf(0), mp.mpf(0)], [mp.mpf(2) ** -40, mp.mpf(0)]]
+    payload = schema1_module.norm_product_check(emb, rows)
+    assert [r["verdict"] for r in payload["units"]] == [True, False]
+    assert payload["verdict"] is False
 
 
 def test_ot_flat_block_is_real_scaling(plastic_ot):

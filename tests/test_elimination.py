@@ -1,14 +1,17 @@
-"""Direct tests of the four elimination routines, one per arithmetic.
+"""Direct tests of the three elimination routines, one per arithmetic.
 
-- exact over a field (Gauss-Jordan): ``field_kernel_basis``, through
-  ``minimal_polynomial``, against sympy;
+- exact (fraction-free Bareiss echelon form, ``intlinalg._echelon``):
+  kernels over Q against sympy's ``nullspace``, determinants over Z with
+  row swaps and zero columns against sympy, minimal polynomials over a
+  number field against sympy, and ``eigen_solve`` on a degenerate
+  eigenspace;
 - floating point (full pivot): ``full_pivot_eliminate`` ranks against
   sympy, and the kernel back-substitution on real and complex eigenvalues;
 - interval (Gauss-Jordan): ``_iv_inverse`` encloses sympy's exact inverse
   and refuses a singular matrix.
 
-The Bareiss determinant and characteristic polynomial are cross-checked
-against sympy in test_intlinalg.py.
+The characteristic polynomial, the exact routine over Z[X], is
+cross-checked against sympy in test_intlinalg.py.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from mpmath.libmp import to_rational
 
 from lcpforge.embeddings import _at_prec, _iv_inverse, full_pivot_eliminate, tolerance
 from lcpforge.errors import NeedsEscalation
-from lcpforge.intlinalg import IntMatrix, char_poly
+from lcpforge.intlinalg import IntMatrix, char_poly, det, eigen_solve, field_kernel_basis
 from lcpforge.numberfield import (
     NumberField,
     field_new,
@@ -140,6 +143,87 @@ def test_interval_inverse_refuses_singular_matrix():
     with _at_prec(WORKBITS):
         with pytest.raises(NeedsEscalation):
             _iv_inverse(_iv_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+
+
+# ----------------------------------------------------------------------
+# exact: kernels and determinants on the echelon form
+
+small_fractions = st.builds(
+    Fraction, small_ints, st.integers(min_value=1, max_value=3)
+)
+rational_rectangular = st.tuples(
+    st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=6)
+).flatmap(
+    lambda rc: st.lists(
+        st.lists(small_fractions, min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0],
+        max_size=rc[0],
+    )
+)
+
+
+@given(rational_rectangular)
+def test_kernel_matches_sympy_nullspace(rows):
+    # both put one on a free column and zero on the others, so the same
+    # free columns give the same vectors
+    want = [
+        [Fraction(int(x.p), int(x.q)) for x in vec]
+        for vec in sympy.Matrix(rows).nullspace()
+    ]
+    assert field_kernel_basis(rows) == want
+
+
+def _swapped_and_zero_column(rows, zero_column):
+    """rows with a zero first entry, so the first pivot needs a row swap
+    when the column has a nonzero entry, and column zero_column zeroed
+    when it is in range."""
+    rows = [list(row) for row in rows]
+    rows[0][0] = 0
+    for row in rows:
+        if zero_column < len(row):
+            row[zero_column] = 0
+    return rows
+
+
+@given(square, st.integers(min_value=1, max_value=8))
+def test_determinant_matches_sympy_with_swaps_and_zero_columns(rows, zero_column):
+    rows = _swapped_and_zero_column(rows, zero_column)
+    assert det(IntMatrix(rows)) == sympy.Matrix(rows).det()
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([[0, 1], [1, 0]], -1),  # one swap
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),  # one swap, of rows 0 and 2
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),  # two swaps
+        ([[1, 0, 2], [3, 0, 4], [5, 0, 6]], 0),  # a zero column
+        ([[0, 2, 1], [0, 4, 3], [0, 1, 7]], 0),  # a zero first column
+    ],
+)
+def test_determinant_signs_follow_the_row_swaps(rows, want):
+    assert det(IntMatrix(rows)) == want == sympy.Matrix(rows).det()
+
+
+def test_degenerate_eigenspace_gives_the_first_basis_vector():
+    # diag(C, C), C the multiplication matrix of alpha: the eigenspace of
+    # alpha is two-dimensional, free columns 2 and 5 of the echelon form;
+    # the first basis vector is C's eigenvector in the first block
+    field = field_new(IntPoly((-1, -1, 0, 1)))
+    alpha = field.gen()
+    c = mult_matrix(alpha).rows
+    a = IntMatrix([list(r) + [0] * 3 for r in c] + [[0] * 3 + list(r) for r in c])
+    rows = [
+        [field.from_rational(a[i, j]) - (alpha if i == j else 0) for j in range(6)]
+        for i in range(6)
+    ]
+    basis = field_kernel_basis(rows)
+    assert len(basis) == 2
+    first = eigen_solve(mult_matrix(alpha), alpha)
+    zero = field.zero()
+    assert eigen_solve(a, alpha) == first + (zero,) * 3
+    lead = basis[0][0]
+    assert tuple(x / lead for x in basis[0]) == first + (zero,) * 3
 
 
 # ----------------------------------------------------------------------

@@ -946,6 +946,20 @@ class TestCrossTerms:
         with pytest.raises(CheckFailureError):
             add_cross_terms(spec, [(1, 2)])
 
+    def test_a_ratio_off_by_a_relative_two_to_the_minus_40_is_not_covariant(
+        self, squared_metric
+    ):
+        # each entry of the coupling table's image must lie within 8 tol
+        # of the ratio product; 2^-40 of it is far outside at 128 bits
+        decomp = squared_metric.decomposition
+        tol = tolerance(decomp.precision_bits)
+        g, row = squared_metric.ratios.generators[0], squared_metric.ratios.entries[0]
+        assert schema1_module.covariant(decomp, g, row, 1, 2, tol)
+        with mp.workprec(decomp.workbits):
+            off = list(row)
+            off[1] = off[1] * (1 + mp.mpf(2) ** -40)
+        assert not schema1_module.covariant(decomp, g, off, 1, 2, tol)
+
     def test_pair_validation(self, squared_metric):
         spec = squared_metric
         with pytest.raises(InputError):

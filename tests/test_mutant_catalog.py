@@ -1,6 +1,7 @@
 """The mutation catalog stays runnable: every snippet occurs exactly once
-in its file and every test that must kill it exists.  The mutants
-themselves run outside tier-1, by `python tests/mutants/run.py`."""
+in its file, the file still compiles with the mutant planted, and every
+test that must kill it exists.  The mutants themselves run outside
+tier-1, by `python tests/mutants/run.py`."""
 
 import ast
 import importlib.util
@@ -32,6 +33,14 @@ def _defined(path, names):
 def test_catalogued_mutant_applies_once(mutant):
     assert mutant.snippet != mutant.replacement
     assert (ROOT / mutant.path).read_text().count(mutant.snippet) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_catalogued_mutant_compiles(mutant):
+    # a mutant that does not parse would fail its tests for the wrong
+    # reason, and run.py reports it as not run
+    path = ROOT / mutant.path
+    compile(path.read_text().replace(mutant.snippet, mutant.replacement), str(path), "exec")
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
