@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from mpmath import mp
 from mpmath.libmp import repr_dps
 
-from .errors import InputError
+from .errors import Immutable, InputError
 
 SCHEMA_VERSION = 1
 
@@ -139,7 +139,7 @@ def _write(node, out, indent):
         )
 
 
-class LcpCertificate:
+class LcpCertificate(Immutable):
     """Sealed record of one pipeline run with all verification verdicts."""
 
     __slots__ = ("document",)
@@ -152,9 +152,6 @@ class LcpCertificate:
             if key not in document:
                 raise InputError("certificate document lacks %r" % key)
         object.__setattr__(self, "document", document)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LcpCertificate is immutable")
 
     @property
     def pipeline(self) -> str:

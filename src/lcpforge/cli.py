@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Runs the construction pipelines, verifies stored certificates, and emits
-either canonical JSON or a short text report.  Exit codes: 0 when the
-certificate (or re-verification) passes, 1 when verification fails, 2 on
-usage errors.
+Parses a command line into the parameter mapping its certificate or report
+stores, builds it through constructions.run_pipeline or field_report,
+verifies stored certificates, and emits either canonical JSON or a short
+text report.  Exit codes: 0 when the certificate (or re-verification)
+passes, 1 when verification fails, 2 on usage errors.
 """
 
 import os
@@ -11,21 +12,12 @@ import sys
 from types import SimpleNamespace
 
 from .certio import SCHEMA_VERSION, canonical_json, load_certificate, write_atomic
-from .constructions import (
-    _field_section,
-    make_dmatrix,
-    make_exfield,
-    make_kourganoff,
-    make_ot,
-    make_rank_n_lcp,
-    verify_certificate,
-    worked_rank2_example,
-)
+from .constructions import field_report, run_pipeline, verify_certificate
 from .embeddings import validate_precision
-from .errors import CheckFailureError, InputError, LcpError, PrecisionError
+from .errors import CheckFailureError, LcpError, PrecisionError
 from .intlinalg import matrix_from_string, matrix_to_json
 from .numberfield import field_new
-from .polynomials import poly_from_string, rat_from_json
+from .polynomials import poly_from_string, poly_to_json, rat_from_json
 from . import __version__
 
 
@@ -36,39 +28,6 @@ def parse_units(text: str):
         [rat_from_json(entry) for entry in row.split(",")]
         for row in text.split(";")
     ]
-
-
-# --------------------------------------------------------------------------
-# reports for the exact-only commands
-
-
-def _exfield_report(n, seed):
-    ex = make_exfield(n)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "lcpforge", "version": __version__},
-        "pipeline": "exfield",
-        "parameters": {"n": int(n)},
-        "seed": int(seed),
-        "field": _field_section(ex.field, ex.modulus),
-        "verdict": "PASS",
-    }
-
-
-def _dmatrix_report(n, seed):
-    dm = make_dmatrix(n)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "lcpforge", "version": __version__},
-        "pipeline": "dmatrix",
-        "parameters": {"n": int(n)},
-        "seed": int(seed),
-        "field": _field_section(dm.field, dm.exfield.modulus),
-        "units": [u.to_json() for u in dm.units],
-        "matrices": [matrix_to_json(m) for m in dm.matrices],
-        "multiplicative_rank": len(dm.units),
-        "verdict": "PASS",
-    }
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +174,19 @@ def parse_args(argv):
     return args
 
 
+def _parameters(args) -> dict:
+    """The parameter mapping args.command's certificate or report stores,
+    read off the command line by the text parsers."""
+    if args.command == "kourganoff":
+        return {"q": args.q, "matrix": matrix_to_json(matrix_from_string(args.matrix))}
+    if args.command == "ot":
+        minpoly = poly_from_string(args.minpoly)
+        field = field_new(minpoly)
+        units = [field.from_coords(row).to_json() for row in parse_units(args.units)]
+        return {"minpoly": poly_to_json(minpoly), "units": units, "lck": args.lck}
+    return {"n": args.n} if COMMANDS[args.command][1] is _RANK else {}
+
+
 def _dispatch(args) -> int:
     # an explicit --precision is refused before any work; without one the
     # builders and verify_certificate apply the default, so a command that
@@ -222,43 +194,27 @@ def _dispatch(args) -> int:
     bits = args.precision
     if bits is not None:
         validate_precision(bits)
-    if args.command == "exfield":
-        return _emit(_exfield_report(args.n, args.seed), args)
-    if args.command == "dmatrix":
-        return _emit(_dmatrix_report(args.n, args.seed), args)
-    if args.command == "ranklcp":
-        cert = make_rank_n_lcp(args.n, bits, args.seed)
+    if args.command in ("exfield", "dmatrix"):
+        return _emit(field_report(args.command, _parameters(args), args.seed), args)
+    if args.command != "verify":
+        cert = run_pipeline(args.command, _parameters(args), bits, args.seed)
         return _emit(cert.document, args)
-    if args.command == "kourganoff":
-        cert = make_kourganoff(args.q, matrix_from_string(args.matrix), bits, args.seed)
-        return _emit(cert.document, args)
-    if args.command == "ot":
-        minpoly = poly_from_string(args.minpoly)
-        field = field_new(minpoly)
-        units = [field.from_coords(row) for row in parse_units(args.units)]
-        _, cert = make_ot(minpoly, units, bits, args.seed, lck=args.lck)
-        return _emit(cert.document, args)
-    if args.command == "worked-example":
-        cert = worked_rank2_example(bits, args.seed)
-        return _emit(cert.document, args)
-    if args.command == "verify":
-        cert = load_certificate(args.certificate)
-        report = verify_certificate(cert, bits)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "pipeline": "verify",
-            "parameters": {"certificate": os.path.basename(args.certificate)},
-            "seed": cert.seed,
-            "precision_bits": report["precision_bits"],
-            "report": {
-                "bit_identical": report["bit_identical"],
-                "mismatches": report["mismatches"],
-                "rerun_verdict": report["verdict"],
-            },
-            "verdict": "PASS" if report["reproduced"] else "FAILED",
-        }
-        return _emit(doc, args, _render_verify_text)
-    raise InputError("unknown command %r" % args.command)
+    cert = load_certificate(args.certificate)
+    report = verify_certificate(cert, bits)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "pipeline": "verify",
+        "parameters": {"certificate": os.path.basename(args.certificate)},
+        "seed": cert.seed,
+        "precision_bits": report["precision_bits"],
+        "report": {
+            "bit_identical": report["bit_identical"],
+            "mismatches": report["mismatches"],
+            "rerun_verdict": report["verdict"],
+        },
+        "verdict": "PASS" if report["reproduced"] else "FAILED",
+    }
+    return _emit(doc, args, _render_verify_text)
 
 
 def main(argv=None) -> int:

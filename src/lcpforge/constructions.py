@@ -15,7 +15,6 @@ schema1, so this module imports no mpmath.
 
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from . import __version__, schema1
 from .certio import (
@@ -28,6 +27,7 @@ from .embeddings import (
     default_precision,
     embeddings,
     log_vector,
+    multiplicative_rank,
     projected_log_rank,
     validate_precision,
     verify_ratio_witness,
@@ -68,6 +68,7 @@ from .numberfield import (
     mult_matrix,
     order_mod_sign,
     require_unit,
+    _over_common_denominator,
 )
 from .polynomials import (
     IntPoly,
@@ -258,19 +259,22 @@ def _match_block_embeddings(emb, units, ratios):
 # certificate assembly
 
 
+def _document(pipeline, parameters, seed, **fields):
+    """The header every certificate and field report opens with, and fields."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "lcpforge", "version": __version__},
+        "pipeline": pipeline,
+        "parameters": parameters,
+        "seed": seed,
+        **fields,
+    }
+
+
 class _Builder:
     def __init__(self, pipeline, parameters, bits, seed):
-        self.doc = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": "lcpforge", "version": __version__},
-            "pipeline": pipeline,
-            "parameters": parameters,
-            "precision_bits": bits,
-            "seed": seed,
-            "checks": {},
-            "verdict": "PASS",
-            "failed_check": None,
-        }
+        self.doc = _document(pipeline, parameters, seed, precision_bits=bits, checks={},
+                             verdict="PASS", failed_check=None)
 
     def section(self, key, payload):
         self.doc[key] = payload
@@ -586,8 +590,7 @@ def _real_sign(f, interval, u):
     zero, and f is irreducible of degree at least 3 in an OT field, so no
     dyadic point is a root of f.
     """
-    den = lcm(*(c.denominator for c in u.coords))
-    g = IntPoly(int(c * den) for c in u.coords)
+    g = IntPoly(_over_common_denominator(u.coords)[0])
     chain = sturm_chain(g)
     lo, hi = interval
     while chain.count_in(lo, hi):
@@ -662,6 +665,16 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
             "projected unit lattice has rank %d < %d; not a full lattice"
             % (projected_rank, s)
         )
+    # units of multiplicative rank above s project to a subgroup of R^s of
+    # rank above s, which is no lattice; the rank check reads this proof
+    # back from _stable_rank's cache
+    if len(units) > s:
+        rank = multiplicative_rank(field, units, bits)
+        if rank > s:
+            raise CheckFailureError(
+                "full_lattice: the units have multiplicative rank %d > %d, so "
+                "their projected logs generate no lattice" % (rank, s)
+            )
     builder.check(
         "full_lattice", {"verdict": True, "rank": projected_rank, "expected": s}
     )
@@ -741,12 +754,35 @@ def _exactly(kind):
     return read
 
 
+def field_report(name: str, parameters: dict, seed: int = 0) -> dict:
+    """The exfield or dmatrix report document from its parameter mapping
+    {"n": n}: the field of make_exfield(n), or the field, units and
+    matrices of make_dmatrix(n)."""
+    n = _stored(parameters, "n", _exactly(int), "parameters.")
+    if name == "exfield":
+        ex = make_exfield(n)
+        return _document(name, {"n": n}, seed, field=_field_section(ex.field, ex.modulus),
+                         verdict="PASS")
+    if name == "dmatrix":
+        dm = make_dmatrix(n)
+        return _document(
+            name, {"n": n}, seed,
+            field=_field_section(dm.field, dm.exfield.modulus),
+            units=[u.to_json() for u in dm.units],
+            matrices=[matrix_to_json(m) for m in dm.matrices],
+            multiplicative_rank=len(dm.units),
+            verdict="PASS",
+        )
+    raise InputError("unknown field report %r" % name)
+
+
 def run_pipeline(name: str, parameters: dict, precision=None,
                  seed: int = 0) -> LcpCertificate:
     """Run a named pipeline from its JSON-ready parameter mapping.
 
     Every parameter is read before the pipeline starts; a missing or
-    malformed one raises InputError naming it.
+    malformed one raises InputError naming it.  The CLI builds every
+    certificate here, and verify_certificate rebuilds one here.
     """
     if not isinstance(parameters, dict):
         raise InputError("certificate field parameters is not an object")

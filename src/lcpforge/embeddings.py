@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 from mpmath import iv, mp
 from mpmath.libmp import to_rational
 
-from .errors import InputError, NeedsEscalation, PrecisionError
+from .errors import Immutable, InputError, NeedsEscalation, PrecisionError
 from .numberfield import FieldElem, NumberField, require_unit
 from .polynomials import (
     IntPoly,
@@ -115,15 +115,11 @@ def full_pivot_eliminate(a, cutoff):
     return min(nrows, ncols), row_perm, col_perm
 
 
-def _iv_identity(n):
-    return [[iv.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def _iv_inverse(rows):
     """Interval Gauss-Jordan inverse; pivots must exclude zero."""
     n = len(rows)
     a = [list(r) for r in rows]
-    inv = _iv_identity(n)
+    inv = [[iv.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot_row = max(
             range(col, n), key=lambda r: abs(mp.mpf(a[r][col].mid))
@@ -162,10 +158,6 @@ def _iv_from_dyadic_pair(lo, hi):
     return iv.mpf([a.a, b.b])
 
 
-def _box(re_part, im_part):
-    return (re_part, im_part)
-
-
 def _box_from_disk(center, radius):
     spread = iv.mpf([-radius, radius])
     return (iv.mpf(center.real) + spread, iv.mpf(center.imag) + spread)
@@ -186,10 +178,10 @@ def _box_abs(x):
 def _box_horner(coeffs: Sequence, z):
     """Evaluate a polynomial with rational coefficients on a complex box."""
     zero = iv.mpf(0)
-    acc = _box(zero, zero)
+    acc = (zero, zero)
     for c in reversed(coeffs):
         acc = _box_mul(acc, z)
-        acc = _box_add(acc, _box(_iv_from_rational(c), zero))
+        acc = _box_add(acc, (_iv_from_rational(c), zero))
     return acc
 
 
@@ -204,7 +196,7 @@ def _iv_horner(coeffs: Sequence, x):
 # embedding sets
 
 
-class EmbeddingSet:
+class EmbeddingSet(Immutable):
     """All archimedean embeddings of a field at a fixed precision.
 
     Embeddings are indexed 0..s+t-1: first the real ones in ascending root
@@ -224,9 +216,6 @@ class EmbeddingSet:
         # embed_enclosure's values per (element, index): the set is shared
         # through _embeddings_cached, so every check reads one enclosure
         object.__setattr__(self, "_enclosures", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EmbeddingSet is immutable")
 
     @property
     def count(self) -> int:
@@ -345,13 +334,13 @@ def _certified_complex_disks(p, s, t, workbits):
     # Weierstrass-style radius around each approximation
     disks = []
     for k, z in enumerate(approx):
-        zbox = _box(iv.mpf(z.real), iv.mpf(z.imag))
+        zbox = (iv.mpf(z.real), iv.mpf(z.imag))
         num = _box_abs(_box_horner(p.coeffs, zbox))
         den = iv.mpf(1)
         for j, w in enumerate(approx):
             if j == k:
                 continue
-            diff = _box(iv.mpf(z.real) - iv.mpf(w.real), iv.mpf(z.imag) - iv.mpf(w.imag))
+            diff = (iv.mpf(z.real) - iv.mpf(w.real), iv.mpf(z.imag) - iv.mpf(w.imag))
             den = den * _box_abs(diff)
         if mp.mpf(den.a) <= 0:
             raise NeedsEscalation("root approximations collide")
@@ -377,10 +366,7 @@ def _certified_complex_disks(p, s, t, workbits):
             ci, ri = disks[i]
             cj, rj = disks[j]
             sep = _box_abs(
-                _box(
-                    iv.mpf(ci.real) - iv.mpf(cj.real),
-                    iv.mpf(ci.imag) - iv.mpf(cj.imag),
-                )
+                (iv.mpf(ci.real) - iv.mpf(cj.real), iv.mpf(ci.imag) - iv.mpf(cj.imag))
             )
             if mp.mpf(sep.a) <= mp.mpf((iv.mpf(ri) + iv.mpf(rj)).b):
                 raise NeedsEscalation("Weierstrass disks overlap")

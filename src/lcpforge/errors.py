@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its
+immutable value classes."""
+
+
+class Immutable:
+    """Base of the package's value classes: an instance refuses attribute
+    assignment, so its constructor sets each slot with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
 
 class LcpError(Exception):

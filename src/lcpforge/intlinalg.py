@@ -13,11 +13,11 @@ import operator
 from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import InputError
+from .errors import Immutable, InputError
 from .polynomials import IntPoly, as_int, int_poly_exact_div
 
 
-class IntMatrix:
+class IntMatrix(Immutable):
     """Immutable square matrix with integer entries."""
 
     __slots__ = ("rows", "n")
@@ -41,9 +41,6 @@ class IntMatrix:
     def _seal(self, rows):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", len(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

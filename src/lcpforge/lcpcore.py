@@ -290,12 +290,11 @@ class MetricSpec:
     Each functional f is its coefficient tuple c, f(x) = c . x.
     """
 
-    __slots__ = ("decomposition", "ratios", "flat_block", "functionals", "base_conformal",
+    __slots__ = ("ratios", "flat_block", "functionals", "base_conformal",
                  "translations", "cross_terms", "n")
 
-    def __init__(self, decomposition, ratios, flat_block, functionals,
-                 base_conformal, translations, cross_terms=()):
-        self.decomposition = decomposition
+    def __init__(self, ratios, flat_block, functionals, base_conformal,
+                 translations, cross_terms=()):
         self.ratios = ratios
         self.flat_block = int(flat_block)
         self.functionals = tuple(functionals)
@@ -303,6 +302,10 @@ class MetricSpec:
         self.translations = tuple(tuple(v) for v in translations)
         self.cross_terms = tuple(cross_terms)
         self.n = len(self.translations[0]) if self.translations else 0
+
+    @property
+    def decomposition(self):
+        return self.ratios.decomposition
 
     @property
     def total_dim(self):
@@ -331,7 +334,7 @@ def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> Met
     if len(translations) != ratios.n_gens:
         raise InputError("need one base translation per generator")
     functionals, base_conformal = schema1.warping_functionals(ratios, flat_block, translations)
-    return MetricSpec(decomp, ratios, flat_block, functionals, base_conformal, translations)
+    return MetricSpec(ratios, flat_block, functionals, base_conformal, translations)
 
 
 def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:

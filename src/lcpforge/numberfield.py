@@ -36,6 +36,7 @@ from math import floor, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
+    Immutable,
     InconclusiveIrreducibilityError,
     InputError,
     NonIntegralError,
@@ -56,7 +57,7 @@ from .polynomials import (
 )
 
 
-class NumberField:
+class NumberField(Immutable):
     """Q[x]/(minpoly) with the power basis of the class of x."""
 
     __slots__ = ("minpoly", "degree", "signature", "irreducibility")
@@ -80,9 +81,6 @@ class NumberField:
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "irreducibility", irreducibility)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberField is immutable")
-
     def zero(self) -> "FieldElem":
         return FieldElem(self, (0,) * self.degree)
 
@@ -92,7 +90,7 @@ class NumberField:
     def gen(self) -> "FieldElem":
         if self.degree == 1:
             # the root of x - c is the rational c itself
-            return self.from_rational(-self.minpoly.coeff(0))
+            return self.from_rational(-self.minpoly.constant())
         coords = [0] * self.degree
         coords[1] = 1
         return FieldElem(self, coords)
@@ -141,7 +139,7 @@ class NumberField:
         return "NumberField(%r, signature=%r)" % (self.minpoly, self.signature)
 
 
-class FieldElem:
+class FieldElem(Immutable):
     """Element of a NumberField in power-basis coordinates."""
 
     __slots__ = ("field", "coords")
@@ -152,9 +150,6 @@ class FieldElem:
             raise InputError("coordinate length mismatch")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
 
     def __bool__(self):
         return any(c != 0 for c in self.coords)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import InputError
+from .errors import Immutable, InputError
 
 
 def _strip(coeffs):
@@ -68,7 +68,7 @@ def binary_power(base, k: int, one, mul=operator.mul):
     return result
 
 
-class IntPoly:
+class IntPoly(Immutable):
     """Dense immutable polynomial with integer coefficients, lowest degree
     first.  An int operand lifts to a constant polynomial; any other
     operand, such as a Fraction, is refused with TypeError rather than
@@ -80,9 +80,6 @@ class IntPoly:
         object.__setattr__(
             self, "coeffs", _strip(c if type(c) is int else as_int(c) for c in coeffs)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
 
     # ------------------------------------------------------------------
     # structure
@@ -99,11 +96,6 @@ class IntPoly:
 
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def coeff(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
 
     # ------------------------------------------------------------------
     # ring operations
@@ -468,7 +460,7 @@ def _sign_changes(signs) -> int:
     return count
 
 
-class SturmChain:
+class SturmChain(Immutable):
     """Sturm chain of the squarefree part as a tuple of primitive IntPolys,
     with the verdict whether p itself is squarefree.
 
@@ -488,9 +480,6 @@ class SturmChain:
             p = int_poly_exact_div(p, IntPoly(seq[-1]).primitive())
             seq = _prs(p.coeffs, _without_content(p.derivative().coeffs))
         object.__setattr__(self, "polys", tuple(IntPoly(c) for c in seq))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SturmChain is immutable")
 
     def variations_at(self, x) -> int:
         return _sign_changes(sign_at(p, x) for p in self.polys)

@@ -181,4 +181,20 @@ MUTANTS = (
         ("tests/test_constructions.py::test_ot_rejects_trivial_unit_lattice",
          "tests/test_constructions.py::test_ot_rejects_dependent_units"),
     ),
+    Mutant(
+        "full_lattice lets independent units beyond the real place count through",
+        "full_lattice",
+        "src/lcpforge/constructions.py",
+        "        if rank > s:",
+        "        if False:",
+        ("tests/test_cli.py::test_ot_with_more_independent_units_than_real_places_exits_1",),
+    ),
+    Mutant(
+        "warp seals the flat block's functional coefficient for the expanding one's",
+        "warp",
+        "src/lcpforge/constructions.py",
+        'builder.check("warp", schema1.warp_check(spec, q, up))',
+        'builder.check("warp", schema1.warp_check(spec, q, flat))',
+        ("tests/test_constructions.py::test_kourganoff_q2_passes",),
+    ),
 )

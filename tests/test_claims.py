@@ -46,24 +46,34 @@ reproduce itself here.
   leakage              basis^-1 A_j basis is below the    decomposition.basis,
                        tolerance off the blocks           decomposition.blocks,
                                                           generators[j].matrix
+  equivariance         the sealed verdicts say whether    checks.equivariance,
+                       C_j^T h(x + v_j) C_j = L1^2 h(x)   decomposition.basis,
+                       at fresh seeded base points x,     generators[j].matrix,
+                       C_j = basis^-1 A_j basis and h     generators[j].base_translation,
+                       the metric the functionals, base   generators[j].ratio_row,
+                       factor and cross terms define      metric.functionals,
+                                                          metric.base_conformal,
+                                                          metric.cross_terms
 
 J2 and the claims above it are exact.  The numeric claims, ratios,
-translations, increments, rank_minor and leakage, are decided at 2b + 64
-bits, b the certificate's precision, against its tolerance
-2**-tolerance_bits (checks.J1).  The places are the roots of f from
+translations, increments, rank_minor, leakage and equivariance, are
+decided at 2b + 64 bits, b the certificate's precision, against its
+tolerance 2**-tolerance_bits (checks.J1).  The places are the roots of f from
 mpmath's polyroots: its r1 real roots ascending, then the upper root of
 each complex pair, ordered by real and then imaginary part.  A witness's
 minimal polynomial is the one irreducible factor of its characteristic
 polynomial Res_y(f(y), x - u(y)).  J2 at a complex place whose witness
 polynomial is its own reciprocal up to sign and not cyclotomic is not
-decided, and is refused.  The sampled equivariance identity is not
-decided here.
+decided, and is refused.  The equivariance residual is relative to the
+largest entry of L1^2 h(x), as the sealed max_residual is; the points are
+drawn here, not read from the certificate's seed.
 """
 
 import copy
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,6 +86,10 @@ import sympy
 DATA = Path(__file__).resolve().parent / "data"
 CORPUS = sorted(DATA.glob("*.json"))
 X, Y = sympy.symbols("x y")
+# the base points of the equivariance claim: weights in [0, 1) of the
+# translations, drawn from a seed of this module's own
+EQUIVARIANCE_POINTS = 4
+EQUIVARIANCE_SEED = 20220615
 
 
 def _poly(coeffs, var=X):
@@ -170,6 +184,65 @@ def _leaks(doc, tol):
     return False
 
 
+def _rational(entry):
+    q = Fraction(entry)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _equivariant(doc, tol):
+    """Per generator j, whether C_j^T h(x + v_j) C_j = L1^2 h(x) holds to
+    tol relative to the largest entry of L1^2 h(x) at every fresh point x,
+    with C_j = basis^-1 A_j basis, v_j the base translation and L1 the
+    flat-block ratio.  The pullback acts by diag(C_j, I) on fiber and base.
+    """
+    decomposition, metric = doc["decomposition"], doc["metric"]
+    basis = mpmath.matrix([[_float(e) for e in row] for row in decomposition["basis"]])
+    inverse = basis ** -1
+    p, n, flat = decomposition["p"], metric["base_dim"], metric["flat_block"]
+    indices = [range(start, start + size) for start, size in decomposition["blocks"]]
+
+    def coeffs(functional):
+        return [_float(c) for c in functional["coeffs"]]
+
+    def exp2(c, x):
+        return mpmath.exp(2 * mpmath.fsum(ci * xi for ci, xi in zip(c, x)))
+
+    def h(x):
+        gram = mpmath.zeros(p + n)
+        for k, block in enumerate(indices):
+            scale = 1 if k == flat else exp2(coeffs(metric["functionals"][k]), x)
+            for i in block:
+                gram[i, i] = scale
+        for i in range(p, p + n):
+            gram[i, i] = exp2(coeffs(metric["base_conformal"]), x)
+        for term in metric["cross_terms"]:
+            k, k2 = term["blocks"]
+            scale = _float(term["epsilon"]) * exp2(coeffs(term["functional"]), x)
+            for i in indices[k]:
+                for j in indices[k2]:
+                    gram[i, j] = gram[j, i] = scale
+        return gram
+
+    translations = [[_float(t) for t in g["base_translation"]] for g in doc["generators"]]
+    rng = random.Random(EQUIVARIANCE_SEED)
+    points = [[mpmath.fsum(rng.random() * v[i] for v in translations) for i in range(n)]
+              for _ in range(EQUIVARIANCE_POINTS)]
+    holds = []
+    for g, v in zip(doc["generators"], translations):
+        a = mpmath.matrix([[_rational(e) for e in row] for row in g["matrix"]])
+        jacobian = mpmath.eye(p + n)
+        jacobian[:p, :p] = inverse * a * basis
+        lam1_sq = _float(g["ratio_row"][flat]) ** 2
+        worst = 0
+        for x in points:
+            target = lam1_sq * h(x)
+            pulled = jacobian.T * h([xi + vi for xi, vi in zip(x, v)]) * jacobian
+            scale = max(abs(e) for e in target)
+            worst = max(worst, max(abs(e) for e in pulled - target) / scale)
+        holds.append(worst < tol)
+    return holds
+
+
 def _numeric_refusals(doc, f, r1):
     """The names of the numeric claims of doc that do not hold."""
     metric, generators = doc["metric"], doc["generators"]
@@ -216,6 +289,11 @@ def _numeric_refusals(doc, f, r1):
             failed.append("rank_minor")
         if _leaks(doc, tol):
             failed.append("leakage")
+        holds = _equivariant(doc, tol)
+        equivariance = doc["checks"]["equivariance"]
+        if ([r["verdict"] for r in equivariance["reports"]] != holds
+                or equivariance["verdict"] != all(holds)):
+            failed.append("equivariance")
     return failed
 
 
@@ -299,6 +377,10 @@ MUTATIONS = {
     # 1e-18 off, so the first column is no longer an eigenvector
     "leakage": ("ranklcp_n2_128.json", ("decomposition", "basis", 0, 0),
                 ["0.35689586789220944489439951002130058339912718673465", 160]),
+    # a block functional's coefficient 1e-18 off: exp(2 f_k) no longer
+    # scales by (L1/Lk)^2 along the translation
+    "equivariance": ("ot_lck_x4-x-1_128.json", ("metric", "functionals", 0, "coeffs", 1),
+                     ["-1.500000000000000001", 160]),
 }
 
 

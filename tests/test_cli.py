@@ -14,8 +14,10 @@ import pytest
 from fractions import Fraction as QQ
 
 import lcpforge
-from lcpforge import __version__
+import lcpforge.cli as cli_module
+from lcpforge import __version__, constructions
 from lcpforge.cli import COMMANDS, main, parse_args, parse_units
+from lcpforge.constructions import run_pipeline
 from lcpforge.embeddings import multiplicative_rank
 from lcpforge.errors import InputError
 from lcpforge.intlinalg import IntMatrix, matrix_from_string as parse_matrix
@@ -139,6 +141,31 @@ def test_kourganoff_and_ot_commands(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [
+    ("ranklcp", "--n", "1"),
+    ("worked-example",),
+    ("kourganoff", "--q", "1", "--matrix", "2,1;1,1"),
+    ("ot", "--minpoly", "x^3-x-1", "--units", "0,1,0"),
+], ids=lambda argv: argv[0])
+def test_a_build_and_its_verify_each_run_the_pipeline_once(argv, tmp_path, monkeypatch, capsys):
+    # the CLI hands run_pipeline the parameter mapping the certificate
+    # stores, and verify_certificate rebuilds through the same function
+    calls = []
+
+    def counted(name, parameters, *rest):
+        calls.append((name, parameters))
+        return run_pipeline(name, parameters, *rest)
+
+    monkeypatch.setattr(cli_module, "run_pipeline", counted)
+    monkeypatch.setattr(constructions, "run_pipeline", counted)
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+    stored = json.loads(path.read_text())["parameters"]
+    assert calls == [(argv[0], stored)]
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    assert calls == [(argv[0], stored)] * 2
 
 
 def test_minpoly_star_between_coefficient_and_x(capsys):
@@ -347,6 +374,26 @@ def test_ot_with_dependent_units_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "not a full lattice" in err
+
+
+def test_ot_with_more_independent_units_than_real_places_exits_1(capsys):
+    # x^5 - x - 1 has s = 1, and alpha and alpha - 1 are independent units:
+    # their logs project to a subgroup of R of rank 2, which is no lattice
+    code, out, err = run_cli(
+        capsys, "ot", "--minpoly", "x^5-x-1", "--units", "0,1,0,0,0;-1,1,0,0,0"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: full_lattice: the units have "
+                          "multiplicative rank 2 > 1")
+
+
+def test_ot_with_more_dependent_units_than_real_places_passes(capsys):
+    # alpha and alpha^2 have rank 1 = s, so their projected logs are a lattice
+    code, out, _ = run_cli(
+        capsys, "ot", "--minpoly", "x^5-x-1", "--units", "0,1,0,0,0;0,0,1,0,0"
+    )
+    assert code == 0
+    assert json.loads(out)["checks"]["full_lattice"]["rank"] == 1
 
 
 def test_ot_log_embedding_shortfall_exits_1_naming_the_stage(capsys):

@@ -111,7 +111,7 @@ class TestCharPoly:
         expected = _sympy_matrix(a).charpoly(lam).all_coeffs()
         got = char_poly(a)
         assert [int(c) for c in reversed(got.coeffs)] == [int(c) for c in expected]
-        assert got.coeff(0) == (-1) ** a.n * det(a)
+        assert got.constant() == (-1) ** a.n * det(a)
 
     @given(monic_polys)
     def test_companion_recovers_polynomial(self, p):

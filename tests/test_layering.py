@@ -6,11 +6,22 @@ callers or the CLI, and lcpcore does no interval arithmetic of its own.
 Every float a certificate seals is made in schema1, embeddings or
 polynomials.refine_root and written by certio's encoder: lcpcore,
 constructions and the CLI import no mpmath, no float encoder and no
-precision context.
+precision context.  The CLI builds through constructions.run_pipeline and
+imports no builder, and one base class holds the immutability rule of
+every value class.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from lcpforge.constructions import make_rank_n_lcp
+from lcpforge.embeddings import embeddings
+from lcpforge.errors import Immutable
+from lcpforge.intlinalg import IntMatrix
+from lcpforge.numberfield import field_new
+from lcpforge.polynomials import IntPoly, sturm_chain
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lcpforge"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -76,3 +87,40 @@ def test_lcpcore_constructions_and_cli_make_no_sealed_float():
 def test_only_schema1_embeddings_and_certio_import_mpmath():
     importers = [m for m in MODULES if _imports_module(m, "mpmath")]
     assert importers == ["certio", "embeddings", "schema1"]
+
+
+def test_the_cli_imports_no_builder():
+    assert "constructions.run_pipeline" in _imports("cli")
+    assert [name for name in _imports("cli") if name.split(".")[-1].startswith("make_")] == []
+
+
+def _setattr_owners():
+    return sorted(
+        "%s.%s" % (module, node.name)
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
+    )
+
+
+def test_one_class_defines_the_immutability_rule():
+    assert _setattr_owners() == ["errors.Immutable"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntPoly((1, 1)),
+    lambda: sturm_chain(IntPoly((-2, 0, 1))),
+    lambda: IntMatrix(((1, 0), (0, 1))),
+    lambda: field_new(IntPoly((-1, -1, 0, 1))),
+    lambda: field_new(IntPoly((-1, -1, 0, 1))).gen(),
+    lambda: embeddings(field_new(IntPoly((-1, -1, 0, 1))), 64),
+    lambda: make_rank_n_lcp(1, 64),
+], ids=["IntPoly", "SturmChain", "IntMatrix", "NumberField", "FieldElem", "EmbeddingSet",
+        "LcpCertificate"])
+def test_every_value_class_refuses_assignment_by_name(build):
+    value = build()
+    name = type(value).__name__
+    assert isinstance(value, Immutable) and not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        value.anything = 1

@@ -1,7 +1,9 @@
 """The mutation catalog stays runnable: every snippet occurs exactly once
 in its file, the file still compiles with the mutant planted, and every
 test that must kill it exists.  The mutants themselves run outside
-tier-1, by `python tests/mutants/run.py`."""
+tier-1, by `python tests/mutants/run.py`.  Likewise every name on the
+reachability sweep's allow-list still names a function; the sweep runs
+by `python tests/mutants/reach.py`."""
 
 import ast
 import importlib.util
@@ -10,11 +12,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "mutant_catalog", ROOT / "tests" / "mutants" / "catalog.py")
-_catalog = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_catalog)
-MUTANTS = _catalog.MUTANTS
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "mutant_" + name, ROOT / "tests" / "mutants" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MUTANTS = _load("catalog").MUTANTS
+_reach = _load("reach")
 
 
 def _defined(path, names):
@@ -53,3 +62,8 @@ def test_catalogued_tests_exist(mutant):
 
 def test_names_are_distinct():
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+
+
+def test_every_allow_listed_function_exists():
+    defined = set(_reach.defined_functions().values())
+    assert sorted(_reach.ALLOWED - defined) == []

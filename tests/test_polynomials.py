@@ -210,7 +210,7 @@ def test_real_subfield_minpoly_is_an_irreducible_unit_polynomial(m):
     assert p.degree == (m - 1) // 2
     assert sympy_poly(p).is_irreducible
     assert irreducibility_heuristic(p)[0] == "irreducible"
-    assert abs(p.coeff(0)) == 1
+    assert abs(p.constant()) == 1
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 11, 13])
