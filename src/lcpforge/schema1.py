@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import ldexp
+from operator import mul
 
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_exp, round_nearest
@@ -57,6 +59,14 @@ _CROSS_BISECT_STEPS = 20
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
+# the top of an exact zero, below that of every other value
+_NO_TOP = -(1 << 62)
+# the pullback filter's float estimate leaves out an entry's products below
+# 2**_FLOOR times its largest and H_F's values below 2**_H_FLOOR times the
+# largest at the point, and counts them in its error bound instead, so
+# every float product it forms is normal (README, lemma 1)
+_FLOOR = -900
+_H_FLOOR = -100
 
 
 def _mpf_from_rational(q):
@@ -556,6 +566,130 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
     return lo, -steps - 1
 
 
+def _top(v):
+    """t with 2**(t - 1) <= |v| < 2**t for v nonzero; _NO_TOP for zero."""
+    m, e = v
+    return e + m.bit_length() if m else _NO_TOP
+
+
+def _split(v):
+    """(f, t) with v = f * 2**t * (1 + d), |d| < 2**-52, 1/2 <= |f| <= 1
+    and t = _top(v): the top 53 bits of v's mantissa, floored, as a float;
+    (0.0, _NO_TOP) for zero."""
+    m, e = v
+    if not m:
+        return 0.0, _NO_TOP
+    b = m.bit_length()
+    if b > 53:
+        return ldexp(float(m >> (b - 53)), -53), e + b
+    return ldexp(float(m), -b), e + b
+
+
+def _scaled(splits, floor):
+    """The floats f * 2**(t - top) of (f, t) pairs from _split, top the
+    largest t of a nonzero f, with 0.0 for those whose t - top is below
+    floor; returns them, top and how many nonzero values became 0.0."""
+    top = max(t for f, t in splits if f)
+    scaled = [ldexp(f, t - top) if f and t - top >= floor else 0.0 for f, t in splits]
+    return scaled, top, sum(1 for f, t in splits if f and t - top < floor)
+
+
+def _estimates(c_t, support, entries, eta):
+    """The float half of the pullback filter for one action, formed once.
+
+    Entry (i, j) of C^T H_F C is the sum over the (l, k) of support of
+    C_li H_lk C_kj.  Returns (i, j, q, top, w) for each entry with a
+    nonzero product C_li C_kj: q lists the products over support divided
+    by 2**top, each one float product of the factors' _split values, top
+    is the largest product's top, and w = eta * sum |q| plus 2**_FLOOR for
+    each product _scaled leaves out.  An entry whose products are all
+    zero is an exact zero, and is left out.
+    """
+    cs = [[_split(c) for c in col] for col in c_t]
+    estimates = []
+    for i, j in entries:
+        ci, cj = cs[i], cs[j]
+        products = [(ci[l][0] * cj[k][0], ci[l][1] + cj[k][1]) for l, k in support]
+        if any(f for f, _ in products):
+            q, top, left_out = _scaled(products, _FLOOR)
+            estimates.append((i, j, q, top, eta * sum(map(abs, q)) + ldexp(left_out, _FLOOR)))
+    return estimates
+
+
+def _hc_column(fiber, c_col, prec):
+    """The column H_F C[:, j], for c_col = C[:, j]: entry l is H_F[l] . c_col
+    over the entries row l may hold, summed from zero in index order; for
+    a block-scalar row that is one product, rounded as _mul rounds it."""
+    hc_col = []
+    for (h, cols), c in zip(fiber, c_col):
+        if cols is not None:
+            hc_col.append(_dot(_ZERO, h, [c_col[k] for k in cols], prec))
+            continue
+        m = h[0] * c[0]
+        e = h[1] + c[1]
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                t += 2
+            m = t >> 1
+            e += n
+        hc_col.append((m, e))
+    return hc_col
+
+
+def _absorbable(c_t, rows, entries, prec):
+    """For each (i, j) of entries, (i, j, None), or (i, j, (l, before,
+    after)) when one term of the dot C[:, i] . (H_F C)[:, j] may decide it
+    at every point (README, lemma 2).
+
+    Term l is C_li (H_F C)_lj, and |C_li| < 2**top C_li.  A block-scalar
+    row's (H_F C)_lj is at most 2**(top H_ll + top C_lj); a coupled row's,
+    a sum of m rounded products, at most 2**(max top H_lk + bitlen(m) +
+    max top C_kj over its k).  So at a point where each row's H_F values
+    and bitlen(m) give at most h, term l is at most 2**(bounds[l] + h).
+    Term l, the largest bound, may decide the dot only when every other
+    bound is prec + 1 below it, since P <= 2**b has a top of at most b + 1;
+    before and after are the largest bounds of the earlier and the later
+    terms.
+    """
+    c_top = [[_top(c) for c in col] for col in c_t]
+    plans = []
+    for i, j in entries:
+        bounds = [c_top[i][l] + max(c_top[j][k] for k in (cols or (l,)))
+                  for l, cols in enumerate(rows)]
+        top = max(bounds)
+        l = bounds.index(top)
+        before = max(bounds[:l], default=_NO_TOP)
+        after = max(bounds[l + 1:], default=_NO_TOP)
+        plans.append((i, j, (l, before, after) if max(before, after) <= top - prec - 1 else None))
+    return plans
+
+
+def _absorbed(c_i, c_j, fiber, plan, h, prec):
+    """C[:, i] . (H_F C)[:, j], for c_i = C[:, i] and c_j = C[:, j], when
+    its term l, P = C_li (H_F C)_lj, decides it (README, lemma 2); else
+    None.  plan is (l, before, after) from _absorbable, and h bounds the
+    point's H_F values as there.
+
+    The terms are summed from zero in index order with each sum rounded
+    to prec bits, and (H_F C)_lj is formed as _hc_column forms it.  The
+    sum is P when every later term is within a quarter ulp of P and the
+    earlier ones sum to less than half that.
+    """
+    l, before, after = plan
+    h_row, cols = fiber[l]
+    if cols is None:
+        hc = _mul(h_row, c_j[l], prec)
+    else:
+        hc = _dot(_ZERO, h_row, [c_j[k] for k in cols], prec)
+    product = _mul(c_i[l], hc, prec)
+    gap = _top(product) - prec - 2
+    if product[0] and after + h <= gap and before + h + l.bit_length() < gap:
+        return product
+    return None
+
+
 def pullback_residuals(terms: MetricTerms, actions, points):
     """Largest relative residual |J^T h(x + v) J - L1^2 h(x)| / max|L1^2 h(x)|
     over the points, for each action, at the metric's working precision,
@@ -574,20 +708,40 @@ def pullback_residuals(terms: MetricTerms, actions, points):
     Only the entries the metric's sparsity lets be nonzero are read: the
     fiber block, whose row l has the diagonal and the indices cross terms
     couple l with, and the base diagonal.  Every other entry is an exact
-    zero in h(x), h(x + v) and the pullback alike.
+    zero in h(x), h(x + v) and the pullback alike.  Entry (i, j) of the
+    pullback is C[:, i] . (H_F C)[:, j] with every product and sum rounded
+    and summed from zero in index order, and its value is only ever that
+    dot's; a column of H_F C is formed when an entry needs it.
+
+    The entries whose target L1^2 h(x) may be nonzero, the fiber diagonal,
+    the pairs cross terms couple and the base diagonal, are formed first,
+    and give the scale; _absorbed forms a dot that one product decides
+    from two products.  Every other fiber entry has a zero target, so it
+    only competes for the largest difference.  Its exact dot runs only
+    when its float estimate from _estimates, plus a bound on that
+    estimate's error and the dot's own (README, lemma 1), reaches the
+    larger of the largest difference so far and the residual so far times
+    the scale: an entry below that cannot change the residual.
     """
-    p, base = terms.p, range(terms.p, terms.total)
+    p, base, prec = terms.p, range(terms.p, terms.total), terms.prec
+    coupled = _coupled(terms.cross, p)
     # a block-scalar row (None) holds its diagonal alone
-    rows = [sorted(s + [l]) if s else None for l, s in enumerate(_coupled(terms.cross, p))]
+    rows = [sorted(s + [l]) if s else None for l, s in enumerate(coupled)]
+    support = [(l, k) for l, cols in enumerate(rows) for k in (cols or (l,))]
+    on_target = [(i, i) for i in range(p)] + [(i, j) for i in range(p) for j in coupled[i]]
+    off_target = [(i, j) for i in range(p) for j in range(p) if i != j and j not in coupled[i]]
+    eta = (len(support) + 13) * 2.0 ** -51
     residuals = [_ZERO] * len(actions)
-    prec = terms.prec
     units = _exp_error_units(prec + 14)
     increments = [[_increment(f, v, prec, units) for f in terms.functionals]
                   for _, _, v in actions]
+    estimates = [_estimates(c_t, support, off_target, eta) for c_t, _, _ in actions]
+    plans = [_absorbable(c_t, rows, on_target, prec) for c_t, _, _ in actions]
+    # a coupled row sums m products, which adds bitlen(m) to its bound
+    width = max(len(cols or ()) for cols in rows).bit_length()
     for x in points:
         fixed = []
         h_here = metric_gram(terms, x, lambda twice: _exps_here(twice, prec, units, fixed))
-        here = [h for row in h_here[:p] for h in row[:p]] + [h_here[i][i] for i in base]
         for g, (c_t, lam1_sq, v) in enumerate(actions):
             x_v = [_add(xi, vi, prec) for xi, vi in zip(x, v)]
             h_there = metric_gram(terms, x_v, lambda twice: [
@@ -597,35 +751,26 @@ def pullback_residuals(terms: MetricTerms, actions, points):
                 (h_row[l], None) if cols is None else ([h_row[k] for k in cols], cols)
                 for l, (h_row, cols) in enumerate(zip(h_there, rows))
             ]
-            # every sum runs from zero in index order.  Entry l of column j
-            # of H_F C is H_F[l] . C[:, j] over the entries row l may hold;
-            # the rest are exact zeros and add nothing.  For a block-scalar
-            # row that is one product, rounded as _dot rounds it
-            hc_cols = []
-            for c_col in c_t:
-                hc_col = []
-                for (h, cols), c in zip(fiber, c_col):
-                    if cols is not None:
-                        hc_col.append(_dot(_ZERO, h, [c_col[k] for k in cols], prec))
-                        continue
-                    m = h[0] * c[0]
-                    e = h[1] + c[1]
-                    n = m.bit_length() - prec
-                    if n > 0:
-                        t = m >> (n - 1)
-                        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-                            t += 2
-                        m = t >> 1
-                        e += n
-                    hc_col.append((m, e))
-                hc_cols.append(hc_col)
-            pulled = [_dot(_ZERO, c_col, hc_col, prec) for c_col in c_t for hc_col in hc_cols]
-            pulled += [h_there[i][i] for i in base]
+            columns = [None] * p
+
+            def column(j):
+                if columns[j] is None:
+                    columns[j] = _hc_column(fiber, c_t[j], prec)
+                return columns[j]
+
+            hs, h_top, left_out = _scaled([_split(h_there[l][k]) for l, k in support], _H_FLOOR)
+            h_bound = h_top + width
+            pulled = []
+            for i, j, plan in plans[g]:
+                pij = plan and _absorbed(c_t[i], c_t[j], fiber, plan, h_bound, prec)
+                pulled.append((pij or _dot(_ZERO, c_t[i], column(j), prec), h_here[i][j]))
+            pulled += [(h_there[i][i], h_here[i][i]) for i in base]
+
             # the target L1^2 h(x) is exactly zero where h(x) is, and there
             # the difference is the pulled entry itself.  Tied entries have
             # equal absolute values, so the maxima do not depend on the order
             scale = diff = _ZERO
-            for pij, h in zip(pulled, here):
+            for pij, h in pulled:
                 if h[0]:
                     tm, te = _mul(lam1_sq, h, prec)
                     if _abs_gt((tm, te), scale):
@@ -637,11 +782,33 @@ def pullback_residuals(terms: MetricTerms, actions, points):
                     continue
                 if _abs_gt(d, diff):
                     diff = d
-            if not scale[0]:
-                scale = _ONE
+            scale = (abs(scale[0]), scale[1]) if scale[0] else _ONE
+
+            # every other fiber entry has a zero target.  By lemma 1 it is
+            # at most (|estimate| + w + slack) * 2**(top + h_top), and an
+            # entry at most the residual so far times the scale leaves the
+            # residual as it is
+            thr = residuals[g][0] * scale[0], residuals[g][1] + scale[1]
+            if _abs_gt(diff, thr):
+                thr = abs(diff[0]), diff[1]
+            slack = ldexp(left_out, _H_FLOOR)
+            tf, te = _split(thr)
+            for i, j, q, top, w in estimates[g]:
+                # a float below the nearest float to tf * 2**s is below
+                # tf * 2**s itself, so ldexp's rounding is harmless; above
+                # 2**960 no bound lemma 1 gives comes near the limit
+                if abs(sum(map(mul, hs, q))) + w + slack < ldexp(tf, min(te - h_top - top, 960)):
+                    continue
+                pij = _dot(_ZERO, c_t[i], column(j), prec)
+                if _abs_gt(pij, thr):
+                    diff = pij
+                    thr = abs(pij[0]), pij[1]
+                    tf, te = _split(thr)
+                elif _abs_gt(pij, diff):
+                    diff = pij
             # rounded division by scale is monotone, so the largest
             # relative residual is the largest difference divided once
-            rel = _div((abs(diff[0]), diff[1]), (abs(scale[0]), scale[1]), prec)
+            rel = _div((abs(diff[0]), diff[1]), scale, prec)
             if _abs_gt(rel, residuals[g]):
                 residuals[g] = rel
     return residuals

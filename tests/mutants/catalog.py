@@ -47,6 +47,22 @@ MUTANTS = (
         ("tests/test_lcpcore.py::TestPullbackAgainstDenseReference",),
     ),
     Mutant(
+        "the pullback filter skips an entry on its float estimate with no error margin",
+        "equivariance",
+        "src/lcpforge/schema1.py",
+        "if abs(sum(map(mul, hs, q))) + w + slack < ldexp(tf, min(te - h_top - top, 960)):",
+        "if abs(sum(map(mul, hs, q))) < ldexp(tf, min(te - h_top - top, 960)):",
+        ("tests/test_pullback_filter.py::test_entries_planted_at_the_running_threshold",),
+    ),
+    Mutant(
+        "the pullback's absorption rule takes a dot's later terms up to one ulp",
+        "equivariance",
+        "src/lcpforge/schema1.py",
+        "gap = _top(product) - prec - 2",
+        "gap = _top(product) - prec",
+        ("tests/test_pullback_filter.py::test_absorption_stops_at_a_quarter_ulp",),
+    ),
+    Mutant(
         "_stable_rank proves no lower bound on the rank",
         "rank",
         "src/lcpforge/embeddings.py",

@@ -54,9 +54,15 @@ reproduce itself here.
                        factor and cross terms define      metric.functionals,
                                                           metric.base_conformal,
                                                           metric.cross_terms
+  epsilon              the metric h, each cross term at   metric.translations,
+                       its sealed epsilon, is positive    metric.functionals,
+                       definite at every point of the     metric.base_conformal,
+                       scale search's grid: each pivot    metric.cross_terms,
+                       of its elimination exceeds the     decomposition.blocks
+                       tolerance
 
 J2 and the claims above it are exact.  The numeric claims, ratios,
-translations, increments, rank_minor, leakage and equivariance, are
+translations, increments, rank_minor, leakage, equivariance and epsilon, are
 decided at 2b + 64 bits, b the certificate's precision, against its
 tolerance 2**-tolerance_bits (checks.J1).  The places are the roots of f from
 mpmath's polyroots: its r1 real roots ascending, then the upper root of
@@ -66,7 +72,9 @@ polynomial Res_y(f(y), x - u(y)).  J2 at a complex place whose witness
 polynomial is its own reciprocal up to sign and not cyclotomic is not
 decided, and is refused.  The equivariance residual is relative to the
 largest entry of L1^2 h(x), as the sealed max_residual is; the points are
-drawn here, not read from the certificate's seed.
+drawn here, not read from the certificate's seed.  The scale search's grid
+weights translation j by (2c + 1)/20 for each of 10 cells c, every
+combination of cells once.
 """
 
 import copy
@@ -90,6 +98,8 @@ X, Y = sympy.symbols("x y")
 # translations, drawn from a seed of this module's own
 EQUIVARIANCE_POINTS = 4
 EQUIVARIANCE_SEED = 20220615
+# cells per translation of the grid the cross-term scale is searched on
+SCALE_GRID_CELLS = 10
 
 
 def _poly(coeffs, var=X):
@@ -189,15 +199,10 @@ def _rational(entry):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _equivariant(doc, tol):
-    """Per generator j, whether C_j^T h(x + v_j) C_j = L1^2 h(x) holds to
-    tol relative to the largest entry of L1^2 h(x) at every fresh point x,
-    with C_j = basis^-1 A_j basis, v_j the base translation and L1 the
-    flat-block ratio.  The pullback acts by diag(C_j, I) on fiber and base.
-    """
+def _metric(doc):
+    """The metric h(x) the document's functionals, base conformal factor
+    and cross terms define, as a function of the base point x."""
     decomposition, metric = doc["decomposition"], doc["metric"]
-    basis = mpmath.matrix([[_float(e) for e in row] for row in decomposition["basis"]])
-    inverse = basis ** -1
     p, n, flat = decomposition["p"], metric["base_dim"], metric["flat_block"]
     indices = [range(start, start + size) for start, size in decomposition["blocks"]]
 
@@ -223,6 +228,20 @@ def _equivariant(doc, tol):
                     gram[i, j] = gram[j, i] = scale
         return gram
 
+    return h
+
+
+def _equivariant(doc, tol):
+    """Per generator j, whether C_j^T h(x + v_j) C_j = L1^2 h(x) holds to
+    tol relative to the largest entry of L1^2 h(x) at every fresh point x,
+    with C_j = basis^-1 A_j basis, v_j the base translation and L1 the
+    flat-block ratio.  The pullback acts by diag(C_j, I) on fiber and base.
+    """
+    decomposition, metric = doc["decomposition"], doc["metric"]
+    basis = mpmath.matrix([[_float(e) for e in row] for row in decomposition["basis"]])
+    inverse = basis ** -1
+    p, n, flat = decomposition["p"], metric["base_dim"], metric["flat_block"]
+    h = _metric(doc)
     translations = [[_float(t) for t in g["base_translation"]] for g in doc["generators"]]
     rng = random.Random(EQUIVARIANCE_SEED)
     points = [[mpmath.fsum(rng.random() * v[i] for v in translations) for i in range(n)]
@@ -241,6 +260,34 @@ def _equivariant(doc, tol):
             worst = max(worst, max(abs(e) for e in pulled - target) / scale)
         holds.append(worst < tol)
     return holds
+
+
+def _pivots_exceed(a, tol):
+    """Whether every pivot of the elimination of the symmetric matrix a,
+    without row swaps, exceeds tol: a is positive definite with room."""
+    a = a.copy()
+    for k in range(a.rows):
+        if a[k, k] <= tol:
+            return False
+        for i in range(k + 1, a.rows):
+            factor = a[i, k] / a[k, k]
+            for j in range(k, a.rows):
+                a[i, j] -= factor * a[k, j]
+    return True
+
+
+def _positive_on_grid(doc, tol):
+    """Whether the metric, each cross term at its sealed epsilon, passes
+    _pivots_exceed at every point of the scale search's grid."""
+    h = _metric(doc)
+    translations = [[_float(t) for t in v] for v in doc["metric"]["translations"]]
+    weights = [mpmath.mpf(2 * c + 1) / (2 * SCALE_GRID_CELLS) for c in range(SCALE_GRID_CELLS)]
+    for cells in itertools.product(weights, repeat=len(translations)):
+        x = [mpmath.fsum(w * v[i] for w, v in zip(cells, translations))
+             for i in range(doc["metric"]["base_dim"])]
+        if not _pivots_exceed(h(x), tol):
+            return False
+    return True
 
 
 def _numeric_refusals(doc, f, r1):
@@ -294,6 +341,8 @@ def _numeric_refusals(doc, f, r1):
         if ([r["verdict"] for r in equivariance["reports"]] != holds
                 or equivariance["verdict"] != all(holds)):
             failed.append("equivariance")
+        if not _positive_on_grid(doc, tol):
+            failed.append("epsilon")
     return failed
 
 
@@ -381,6 +430,11 @@ MUTATIONS = {
     # scales by (L1/Lk)^2 along the translation
     "equivariance": ("ot_lck_x4-x-1_128.json", ("metric", "functionals", 0, "coeffs", 1),
                      ["-1.500000000000000001", 160]),
+    # the coupled block [[a, s], [s, b]] has s^2 = eps^2 ab up to the
+    # coefficients' last digits, so at eps = 1 its last pivot is near 0;
+    # any eps keeps the metric equivariant
+    "epsilon": ("ot_lck_x4-x-1_128.json", ("metric", "cross_terms", 0, "epsilon"),
+                ["1.0", 160]),
 }
 
 
