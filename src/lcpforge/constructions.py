@@ -67,8 +67,8 @@ from .numberfield import (
     minimal_polynomial,
     mult_matrix,
     order_mod_sign,
+    real_sign,
     require_unit,
-    _over_common_denominator,
 )
 from .polynomials import (
     IntPoly,
@@ -79,7 +79,6 @@ from .polynomials import (
     poly_from_json,
     poly_to_json,
     rat_to_json,
-    sign_at,
     sturm_chain,
     trace_polys,
 )
@@ -374,7 +373,7 @@ def _flat_block_checks(builder, emb, ratios, flat, tested_rank, expected_rank, o
     builder.check("unit_ratios", _unit_ratio_check(ratios, orbit))
     builder.check("dirichlet", _dirichlet_check(emb.field, tested_rank))
     bits = ratios.decomposition.precision_bits
-    builder.check("rank", schema1.rank_check(lcp_rank(ratios, flat), expected_rank, bits))
+    builder.check("rank", schema1.rank_check(lcp_rank(ratios), expected_rank, bits))
 
 
 def _seal_metric(builder, spec, labels, seed):
@@ -580,28 +579,6 @@ class OtData:
         self.block_form = block_form
 
 
-def _real_sign(f, interval, u):
-    """Sign of u = g(r) at the real root r of f in the isolating interval
-    (lo, hi], decided exactly.
-
-    g is taken as a positive integer multiple, which has u's sign.  The
-    interval is bisected until g's Sturm chain counts no root in it; g then
-    keeps one sign on (lo, hi], read at hi.  u is a unit, so g(r) is not
-    zero, and f is irreducible of degree at least 3 in an OT field, so no
-    dyadic point is a root of f.
-    """
-    g = IntPoly(_over_common_denominator(u.coords)[0])
-    chain = sturm_chain(g)
-    lo, hi = interval
-    while chain.count_in(lo, hi):
-        mid = (lo + hi) / 2
-        if sign_at(f, mid) == sign_at(f, hi):
-            hi = mid
-        else:
-            lo = mid
-    return sign_at(g, hi)
-
-
 def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
             lck: bool = False):
     """Unit-lattice pipeline for a field with signature (s, t), s, t >= 1.
@@ -649,7 +626,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     intervals = isolate_real_roots(field.minpoly)
     units, squared = [], []
     for u in units_in:
-        negative = any(_real_sign(field.minpoly, r, u) < 0 for r in intervals)
+        negative = any(real_sign(u, r) < 0 for r in intervals)
         units.append(u * u if negative else u)
         squared.append(bool(negative))
     builder.check("positivity", {"verdict": True, "squared": list(squared)})

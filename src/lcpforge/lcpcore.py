@@ -15,8 +15,8 @@ This module takes the exact decisions and assembles the metric, and
 imports no mpmath.  The stages that exist only to reproduce schema-1
 bytes run in schema1: the block basis and its interval inverse, the
 ratios read off the conjugated blocks, the warping functionals' log
-targets and their solve, the cross-term covariance reading, the scale
-search and the sampled check.  A functional is its coefficient tuple.
+targets and their solve, the scale search and the sampled check.  A
+functional is its coefficient tuple.
 
 The similarity verdict is exact: every generator commutes with a splitter
 of squarefree characteristic polynomial.  The non-isometry of the flat
@@ -36,6 +36,7 @@ from . import schema1
 from .embeddings import embeddings, multiplicative_rank, tolerance, validate_precision
 from .errors import CheckFailureError, InputError, NeedsEscalation, PrecisionError, StructureError
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
+from .numberfield import real_sign
 from .polynomials import IntPoly, sturm_chain
 from .schema1 import _freeze
 
@@ -140,6 +141,13 @@ def find_block_decomposition(gens: Sequence[IntMatrix], precision: int) -> Block
                 "generators do not commute: generator %d does not commute "
                 "with the splitter" % i
             )
+    # chi is squarefree: a line per real root and a plane per complex pair
+    delta = (p + sturm_chain(chi).count_all()) // 2
+    if delta < 2:
+        raise StructureError(
+            "decomposition has %d block(s); a locally conformally product "
+            "structure needs at least two" % delta
+        )
 
     last_error = None
     for attempt in (precision, 2 * precision):
@@ -164,8 +172,8 @@ class RatioMatrix:
     Entries are positive reals certified by the J1 check; rows are indexed
     by generators, columns by blocks.  Witnesses, when present, are one
     exact unit per generator (units) and one embedding index per block
-    (places): the witness of entry (j, k) is (units[j], places[k]), and the
-    entry equals |sigma_(places[k])(units[j])|.
+    (places): generator j acts on block k by sigma_(places[k])(units[j]),
+    and entry (j, k) is its modulus.
     """
 
     __slots__ = ("entries", "decomposition", "generators", "units", "places")
@@ -248,16 +256,17 @@ def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
     return False
 
 
-def lcp_rank(ratios: RatioMatrix, flat_block: int) -> int:
-    """Rank of the group generated by the flat-block similarity ratios.
+def lcp_rank(ratios: RatioMatrix) -> int:
+    """Multiplicative rank of the units witnessing the ratios, at the
+    decomposition's precision; witnesses are required.
 
-    Computed as the multiplicative rank of the exact units behind the
-    ratios, at the decomposition's precision; witnesses are required.
+    It is the rank of the flat block's ratio group at a real flat place i,
+    since |sigma_i(w)| = 1 forces w = +-1 (sigma_i is injective), and with
+    one generator that J2 proves non-isometric.  At a complex flat place
+    with two or more units it is only an upper bound on that rank.
     """
     if ratios.units is None:
         raise InputError("lcp_rank needs unit witnesses on the ratio matrix")
-    if not 0 <= flat_block < ratios.delta:
-        raise InputError("flat block index out of range")
     return multiplicative_rank(
         ratios.units[0].field, ratios.units, ratios.decomposition.precision_bits
     )
@@ -338,13 +347,19 @@ def build_metric_spec(ratios: RatioMatrix, flat_block: int, translations) -> Met
 
 
 def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
-    """Couple pairs of non-flat blocks with equivariant off-diagonal terms.
+    """Couple pairs of one-dimensional non-flat blocks with equivariant
+    off-diagonal terms.
 
-    Each pair (k, k') receives the all-ones coupling table, which every
-    generator must scale by its two block ratios, the functional f_c with
-    increments ln(L1/sqrt(Lk Lk')) (schema1.cross_functional), and one
-    common scale eps found by bisection so the metric stays positive
+    Each pair (k, k') receives the all-ones coupling table, the functional
+    f_c with increments ln(L1/sqrt(Lk Lk')) (schema1.cross_functional), and
+    one common scale eps found by bisection so the metric stays positive
     definite on the fundamental-domain grid.
+
+    Covariance is decided exactly on the required ratio witnesses: with
+    nu = sigma_(places[k])(units[j]), generator j scales the coupling by
+    nu nu', which is Lk Lk' exactly when the unit has one sign at the two
+    real places (numberfield.real_sign on the certified brackets).
+
     schema1.cross_scale runs the search: it adds the new terms to spec's
     grid grams with the helper metric_gram uses, so every tested matrix is
     the coupled metric's gram, bit for bit, in the rows and columns a cross
@@ -354,8 +369,10 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     pairs = [tuple(pair) for pair in pairs]
     if not pairs:
         return spec
-    decomp = spec.decomposition
-    tol = tolerance(decomp.precision_bits)
+    ratios, decomp = spec.ratios, spec.decomposition
+    if ratios.units is None:
+        raise InputError("add_cross_terms needs unit witnesses on the ratio matrix")
+    emb = embeddings(ratios.units[0].field, decomp.precision_bits)
     for k, k2 in pairs:
         if k == k2:
             raise InputError("cross terms need two distinct blocks")
@@ -363,17 +380,21 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
             raise InputError("cross-term block index out of range")
         if spec.flat_block in (k, k2):
             raise InputError("cross terms may not touch the flat block")
+        if any(decomp.blocks[b][1] != 1 or not emb.is_real(ratios.places[b])
+               for b in (k, k2)):
+            raise InputError("cross terms couple one-dimensional blocks at real places only")
     couplings = []
     for k, k2 in pairs:
-        for gi, (g, row) in enumerate(zip(spec.ratios.generators, spec.ratios.entries)):
-            if not schema1.covariant(decomp, g, row, k, k2, tol):
+        i, i2 = ratios.places[k], ratios.places[k2]
+        for j, u in enumerate(ratios.units):
+            if real_sign(u, emb.real_roots[i]) != real_sign(u, emb.real_roots[i2]):
                 raise CheckFailureError(
                     "cross-term table between blocks %d and %d is not "
-                    "covariant under generator %d" % (k, k2, gi)
+                    "covariant under generator %d" % (k, k2, j)
                 )
         couplings.append(CrossTerm(k, k2, schema1.cross_functional(spec, k, k2), 1))
     at_one = spec.replace(cross_terms=spec.cross_terms + tuple(couplings))
-    epsilon = schema1.cross_epsilon(spec, at_one, tol)
+    epsilon = schema1.cross_epsilon(spec, at_one)
     if not epsilon:
         raise CheckFailureError(
             "no positive cross-term scale keeps the sampled metric positive definite"

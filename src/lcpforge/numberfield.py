@@ -53,6 +53,7 @@ from .polynomials import (
     minpoly_from_traces,
     rat_from_json,
     refine_root,
+    sign_at,
     sturm_chain,
 )
 
@@ -350,6 +351,28 @@ def is_unit(a: FieldElem) -> bool:
 def require_unit(a: FieldElem, what: str = "element") -> None:
     if not is_unit(a):
         raise NonUnitError("%s is not an algebraic unit: %r" % (what, a))
+
+
+def real_sign(u: FieldElem, interval) -> int:
+    """Exact sign of a nonzero u at the one real root r of the field
+    polynomial f in interval = (lo, hi]: the sign of g(r), g the integer
+    polynomial of u's coordinates over their positive common denominator.
+
+    Bisects until g's Sturm chain counts no root in (lo, hi]; g then keeps
+    one sign there, read at hi.  No midpoint is a root of f: f is
+    irreducible, and g is constant when f is linear.
+    """
+    f = u.field.minpoly
+    g = IntPoly(_over_common_denominator(u.coords)[0])
+    chain = sturm_chain(g)
+    lo, hi = interval
+    while chain.count_in(lo, hi):
+        mid = (lo + hi) / 2
+        if sign_at(f, mid) == sign_at(f, hi):
+            hi = mid
+        else:
+            lo = mid
+    return sign_at(g, hi)
 
 
 # ----------------------------------------------------------------------

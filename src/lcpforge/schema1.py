@@ -2,12 +2,12 @@
 schema-1 certificate.  lcpcore takes the exact decisions and assembles the
 metric, constructions runs the pipelines, and both call in here for the
 splitter's eigenblock basis and its interval inverse (decompose_at), the
-interval conjugates basis^-1 * a * basis, J1's ratios and the cross-term
-covariance read off them, the base translations, the warping functionals'
-log targets and their solve, the grid and seeded sample points, the
-metric, the cross-term scale search, the sampled pullback residual, the
-decomposition, generators and metric sections, and every check payload
-that seals a float or a schema-1 literal.  Neither caller imports mpmath
+interval conjugates basis^-1 * a * basis, J1's ratios read off them, the
+base translations, the warping functionals' log targets and their solve,
+the grid and seeded sample points, the metric, the cross-term scale
+search, the sampled pullback residual, the decomposition, generators and
+metric sections, and every check payload that seals a float or a
+schema-1 literal.  Neither caller imports mpmath
 or a float encoder: outside this module the sealed floats come only from
 embeddings' enclosures, polynomials.refine_root and certio.enc_float.
 Changing any value made here changes certificate bytes, so it needs a
@@ -906,11 +906,6 @@ def decompose_at(splitter, chi, bits):
             blocks.append((len(columns), 2))
             columns.append([z.real for z in vec])
             columns.append([z.imag for z in vec])
-        if len(blocks) < 2:
-            raise StructureError(
-                "decomposition has %d block(s); a locally conformally product "
-                "structure needs at least two" % len(blocks)
-            )
         basis = [[columns[j][i] for j in range(p)] for i in range(p)]
         inverse = _iv_inverse(_iv_matrix(basis))
     return blocks, basis, inverse, workbits
@@ -918,8 +913,8 @@ def decompose_at(splitter, chi, bits):
 
 def restricted_blocks(decomp, a: IntMatrix):
     """Interval form of basis^-1 * a * basis, as one full matrix of row
-    tuples.  Computed once per (decomposition, matrix): J1, the cross-term
-    covariance check and the equivariance check read the same product."""
+    tuples.  Computed once per (decomposition, matrix): J1 and the
+    equivariance check read the same product."""
     if a.n != decomp.p:
         raise InputError("matrix dimension does not match the decomposition")
     c = decomp._conjugates.get(a)
@@ -972,25 +967,6 @@ def ratios_of_matrix(decomp, a, gen_index):
             _block_ratio(c, list(decomp.block_indices(k)), gen_index, k)
             for k in range(decomp.delta)
         ]
-
-
-def covariant(decomp, g, ratios, k, k2, tol):
-    """Whether g, with ratio row ratios, scales the all-ones coupling table
-    between blocks k and k2 by ratios[k] * ratios[k2]: each entry of its
-    image, read in interval arithmetic, lies within 8 tol of that product."""
-    c = restricted_blocks(decomp, g)
-    idx1, idx2 = decomp.block_indices(k), decomp.block_indices(k2)
-    with _at_prec(decomp.workbits):
-        want = iv.mpf(ratios[k] * ratios[k2])
-        for a in idx1:
-            for b in idx2:
-                acc = iv.mpf(0)
-                for i in idx1:
-                    for j in idx2:
-                        acc += c[i][a] * c[j][b]
-                if mp.mpf(abs(acc - want).b) > 8 * tol:
-                    return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -1133,14 +1109,14 @@ def _sample_points(spec, seed: int):
     return span(weights, spec.translations, spec.decomposition.workbits)
 
 
-def cross_epsilon(spec, coupled, tol):
-    """The common scale of the cross terms coupled adds to spec, at scale
-    1 there, by cross_scale on spec's grid, as an mpf; 0 if none passes."""
+def cross_epsilon(spec, coupled):
+    """The common scale of the cross terms coupled adds to spec, at scale 1
+    there, by cross_scale on spec's grid and tolerance, as an mpf; 0 if none."""
     epsilon = cross_scale(
         MetricTerms(spec),
         MetricTerms(coupled).cross[len(spec.cross_terms):],
         _grid_points(spec),
-        to_dyadic(tol),
+        to_dyadic(tolerance(spec.decomposition.precision_bits)),
         _CROSS_BISECT_STEPS,
     )
     return from_dyadic(epsilon)

@@ -123,7 +123,7 @@ MUTANTS = (
     Mutant(
         "ot reads a real sign at the isolating interval's end without bisecting",
         "positivity",
-        "src/lcpforge/constructions.py",
+        "src/lcpforge/numberfield.py",
         "while chain.count_in(lo, hi):",
         "while False:",
         ("tests/test_constructions.py::test_real_sign_is_decided_exactly",),
@@ -172,13 +172,14 @@ MUTANTS = (
          "::test_criterion_5_equivariance_residuals_and_negative_control",),
     ),
     Mutant(
-        "the cross-term covariance bound loosened from 8 tol to 2^32 tol",
+        "cross terms are accepted whatever the unit's signs at the two places",
         "cross terms",
-        "src/lcpforge/schema1.py",
-        "if mp.mpf(abs(acc - want).b) > 8 * tol:",
-        "if mp.mpf(abs(acc - want).b) > 2 ** 32 * tol:",
-        ("tests/test_lcpcore.py::TestCrossTerms"
-         "::test_a_ratio_off_by_a_relative_two_to_the_minus_40_is_not_covariant",),
+        "src/lcpforge/lcpcore.py",
+        "if real_sign(u, emb.real_roots[i]) != real_sign(u, emb.real_roots[i2]):",
+        "if False:",
+        ("tests/test_lcpcore.py::TestCrossTerms::test_sign_indefinite_action_rejected",
+         "tests/test_lcpcore.py::TestCrossTerms"
+         "::test_a_sign_change_below_the_tolerance_is_not_covariant"),
     ),
     Mutant(
         "norm_product passes every unit whatever its residual",

@@ -11,6 +11,8 @@ of every certificate in tests/data.  It lists every function, method and
 nested function that src/lcpforge defines and that no call reached, and
 exits 1 if one of them is not on ALLOWED: code no operation reaches is
 deleted together with its tests, or named here with the reason it stays.
+It also exits 1, naming it, when a function on ALLOWED was reached, so
+the list names only what the sweep does not run.
 """
 
 import ast
@@ -51,12 +53,7 @@ ALLOWED = {
     "certio.LcpCertificate.pipeline",
     "certio.LcpCertificate.parameters",
     "certio.LcpCertificate.precision_bits",
-    "certio.LcpCertificate.seed",
-    "certio.LcpCertificate.checks",
-    "certio.LcpCertificate.verdict",
-    "certio.LcpCertificate.passed",
     "certio.LcpCertificate.failed_check",
-    "certio.LcpCertificate.to_json",
     "certio.LcpCertificate.save",
 }
 
@@ -146,8 +143,12 @@ def main():
     for name in unreached:
         print("%s: %s" % ("allowed" if allowed(name) else "UNREACHED", name))
     bad = [name for name in unreached if not allowed(name)]
-    print("%d functions unreached, %d of them not allowed" % (len(unreached), len(bad)))
-    return 1 if bad else 0
+    stale = sorted(ALLOWED.difference(unreached))
+    for name in stale:
+        print("REACHED, still on ALLOWED: %s" % name)
+    print("%d functions unreached, %d of them not allowed; %d stale allow-list entries"
+          % (len(unreached), len(bad), len(stale)))
+    return 1 if bad or stale else 0
 
 
 if __name__ == "__main__":

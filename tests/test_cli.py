@@ -292,6 +292,21 @@ def test_inadmissible_power_exits_2(capsys):
     assert "q = 1 and q = 2" in err
 
 
+def test_a_single_block_exits_2_before_any_root_is_certified(capsys, monkeypatch):
+    # chi = x^2 + 1 has no real root, so the splitter has one plane: the
+    # count decides it, with no root certification or kernel computation
+    import lcpforge.embeddings as embeddings_module
+    import lcpforge.schema1 as schema1_module
+
+    calls = []
+    for module in (embeddings_module, schema1_module):
+        monkeypatch.setattr(module, "certified_poly_roots", lambda *args: calls.append(args))
+    code, _, err = run_cli(capsys, "kourganoff", "--q", "1", "--matrix", "0,-1;1,0")
+    assert code == 2
+    assert "decomposition has 1 block(s)" in err
+    assert calls == []
+
+
 def test_bad_grammar_exits_2(capsys):
     code, _, err = run_cli(capsys, "kourganoff", "--q", "1", "--matrix", "a;b")
     assert code == 2

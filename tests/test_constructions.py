@@ -708,7 +708,9 @@ def test_kourganoff_rejects_rotation():
 
 
 def test_kourganoff_rejects_shear():
-    with pytest.raises(StructureError):
+    # refused by the splitter search: the block count that follows assumes
+    # a squarefree characteristic polynomial
+    with pytest.raises(StructureError, match="distinct eigenvalues"):
         make_kourganoff(1, IntMatrix(((1, 1), (0, 1))), 128)
 
 
@@ -855,7 +857,7 @@ def test_real_sign_is_decided_exactly(coords):
     # (near -0.7245) and positive at the second
     u = FieldElem(field_new(QUARTIC), coords)
     intervals = polynomials_module.isolate_real_roots(QUARTIC)
-    got = [constructions_module._real_sign(QUARTIC, r, u) for r in intervals]
+    got = [numberfield_module.real_sign(u, r) for r in intervals]
     with mp.workprec(256):
         roots = sorted(r.real for r in mp.polyroots([1, 0, 0, -1, -1]) if abs(r.imag) < 1e-60)
         coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(u.coords)]

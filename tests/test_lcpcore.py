@@ -110,27 +110,51 @@ def rank2_tagged(rank2_setup):
     return ratios.with_witnesses([alpha, sigma_alpha], [2 - k for k in range(3)])
 
 
-@pytest.fixture(scope="module")
-def rank2_metric(rank2_setup):
-    decomp, ratios = rank2_setup
+def _witnessed_metric(units, flat, translations):
+    """The metric of the multiplication matrices of units on Q(2cos 2pi/7)
+    with flat block flat, its ratios witnessed by units at the places the
+    blocks match; translations(ratio entries) gives the base translations."""
+    matrices = [mult_matrix(u) for u in units]
+    decomp = find_block_decomposition(matrices, 128)
+    ratios = check_J1(decomp, matrices)
+    places = _match_block_embeddings(embeddings(field_new(M7), 128), units, ratios)
     with mp.workprec(decomp.workbits):
-        v1 = (mp.log(ratios.entries[0][0]), mp.mpf(0))
-        v2 = (mp.mpf(0), mp.log(ratios.entries[1][0]))
-    return build_metric_spec(ratios, 0, [v1, v2])
+        vs = translations(ratios.entries)
+    return build_metric_spec(ratios.with_witnesses(units, places), flat, vs)
+
+
+def _rank2_translations(entries):
+    return [(mp.log(entries[0][0]), mp.mpf(0)), (mp.mpf(0), mp.log(entries[1][0]))]
 
 
 @pytest.fixture(scope="module")
-def squared_metric(rank2_matrices):
-    # squared generators scale every block by a positive factor, which is
-    # what the cross-term covariance check needs
-    a1, a2 = rank2_matrices
-    b1, b2 = a1 * a1, a2 * a2
-    decomp = find_block_decomposition([b1, b2], 128)
-    ratios = check_J1(decomp, [b1, b2])
-    with mp.workprec(decomp.workbits):
-        v1 = (mp.log(ratios.entries[0][0]), mp.mpf(0))
-        v2 = (mp.mpf(0), mp.log(ratios.entries[1][0]))
-    return build_metric_spec(ratios, 0, [v1, v2])
+def rank2_metric():
+    field = field_new(M7)
+    alpha = field.gen()
+    return _witnessed_metric([alpha, alpha * alpha - 2], 0, _rank2_translations)
+
+
+@pytest.fixture(scope="module")
+def squared_metric():
+    # squared units are positive at every place, which is what the
+    # cross-term covariance check needs
+    field = field_new(M7)
+    alpha = field.gen()
+    units = [alpha * alpha, (alpha * alpha - 2) ** 2]
+    return _witnessed_metric(units, 0, _rank2_translations)
+
+
+@pytest.fixture(scope="module")
+def sign_change_metric():
+    # one generator M_u, u = alpha^-60 sigma(alpha)^-7: its eigenvalues,
+    # about 9.65e-17, -5.12e-4 and -2.02e19, sit on blocks 0, 1 and 2 at
+    # places 0, 2 and 1, and block 2 is flat
+    field = field_new(M7)
+    alpha = field.gen()
+    u = alpha ** -60 * (alpha * alpha - 2) ** -7
+    spec = _witnessed_metric([u], 2, lambda entries: [(mp.log(entries[0][2]),)])
+    assert spec.ratios.places == (0, 2, 1)
+    return spec
 
 
 def _with_generator(spec, matrix, translation, ratio_row):
@@ -946,19 +970,33 @@ class TestCrossTerms:
         with pytest.raises(CheckFailureError):
             add_cross_terms(spec, [(1, 2)])
 
-    def test_a_ratio_off_by_a_relative_two_to_the_minus_40_is_not_covariant(
-        self, squared_metric
-    ):
-        # each entry of the coupling table's image must lie within 8 tol
-        # of the ratio product; 2^-40 of it is far outside at 128 bits
-        decomp = squared_metric.decomposition
-        tol = tolerance(decomp.precision_bits)
-        g, row = squared_metric.ratios.generators[0], squared_metric.ratios.entries[0]
-        assert schema1_module.covariant(decomp, g, row, 1, 2, tol)
-        with mp.workprec(decomp.workbits):
-            off = list(row)
-            off[1] = off[1] * (1 + mp.mpf(2) ** -40)
-        assert not schema1_module.covariant(decomp, g, off, 1, 2, tol)
+    def test_a_sign_change_below_the_tolerance_is_not_covariant(self, sign_change_metric):
+        # blocks 0 and 1 carry eigenvalues of opposite signs whose product,
+        # about -4.9e-20, lies within 8 tol of the ratio product at 128
+        # bits: an absolute interval test of the coupling's image passes it
+        # and leaves a residual near 0.38 to the sampled check
+        with _at_prec(sign_change_metric.decomposition.workbits):
+            row = sign_change_metric.ratios.entries[0]
+            assert row[0] * row[1] < 8 * tolerance(128)
+        with pytest.raises(CheckFailureError, match="not covariant under generator 0"):
+            add_cross_terms(sign_change_metric, [(0, 1)])
+
+    def test_unwitnessed_ratios_refused(self, squared_metric):
+        ratios = squared_metric.ratios
+        bare = RatioMatrix(ratios.entries, ratios.decomposition, ratios.generators)
+        with pytest.raises(InputError, match="witnesses"):
+            add_cross_terms(squared_metric.replace(ratios=bare), [(1, 2)])
+
+    def test_two_dimensional_block_refused(self, ot_lck_uncoupled):
+        # with a real block flat, the other real block and the plane are
+        # both non-flat, and the plane has no sign to compare
+        spec, _ = ot_lck_uncoupled
+        blocks = spec.decomposition.blocks
+        small = [k for k, (_, size) in enumerate(blocks) if size == 1]
+        large = next(k for k, (_, size) in enumerate(blocks) if size == 2)
+        real_flat = spec.replace(flat_block=small[0])
+        with pytest.raises(InputError, match="one-dimensional blocks"):
+            add_cross_terms(real_flat, [(small[1], large)])
 
     def test_pair_validation(self, squared_metric):
         spec = squared_metric
@@ -1189,8 +1227,7 @@ class TestScaleSearchAgainstDenseReference:
 
 class TestRankAndWitnesses:
     def test_lcp_rank_two(self, rank2_tagged):
-        assert lcp_rank(rank2_tagged, 0) == 2
-        assert lcp_rank(rank2_tagged, 1) == 2
+        assert lcp_rank(rank2_tagged) == 2
 
     def test_witnesses_match_embeddings(self, rank2_setup):
         from lcpforge.embeddings import verify_ratio_witness
@@ -1207,7 +1244,7 @@ class TestRankAndWitnesses:
     def test_rank_requires_witnesses(self, rank2_setup):
         _, ratios = rank2_setup
         with pytest.raises(InputError):
-            lcp_rank(ratios, 0)
+            lcp_rank(ratios)
 
     def test_witness_shape_validated(self, rank2_setup):
         _, ratios = rank2_setup
