@@ -30,7 +30,6 @@ from .embeddings import (
     multiplicative_rank,
     projected_log_rank,
     validate_precision,
-    verify_ratio_witness,
 )
 from .errors import (
     CheckFailureError,
@@ -63,7 +62,6 @@ from .numberfield import (
     elem_from_json,
     field_new,
     galois_generator,
-    is_unit,
     minimal_polynomial,
     mult_matrix,
     order_mod_sign,
@@ -216,45 +214,6 @@ def make_dmatrix(n: int) -> DMatrixData:
 
 
 # --------------------------------------------------------------------------
-# block-to-embedding matching
-
-
-def _match_block_embeddings(emb, units, ratios):
-    """Embedding index carried by each block, certified on every unit.
-
-    Block k matches embedding i when every generator's ratio on block k
-    is witnessed by the corresponding unit at embedding i; the match must
-    be a bijection with real embeddings on 1-dimensional blocks.
-    """
-    decomp = ratios.decomposition
-    matches = []
-    for k in range(decomp.delta):
-        cands = [
-            i
-            for i in range(emb.count)
-            if all(
-                verify_ratio_witness(emb, u, i, ratios.entries[j][k])
-                for j, u in enumerate(units)
-            )
-        ]
-        if len(cands) != 1:
-            raise StructureError(
-                "block %d matches %d embeddings; cannot certify the "
-                "block-to-embedding correspondence" % (k, len(cands))
-            )
-        matches.append(cands[0])
-    if len(set(matches)) != decomp.delta:
-        raise StructureError("block-to-embedding match is not injective")
-    for k, (_, size) in enumerate(decomp.blocks):
-        if (size == 1) != emb.is_real(matches[k]):
-            raise StructureError(
-                "block %d has dimension %d but matched a %s embedding"
-                % (k, size, "real" if emb.is_real(matches[k]) else "complex")
-            )
-    return tuple(matches)
-
-
-# --------------------------------------------------------------------------
 # certificate assembly
 
 
@@ -315,34 +274,27 @@ def _matrix_family_check(matrices):
 
 
 def _unit_ratio_check(ratios, orbit=()):
-    """Exact unit-ness of every ratio witness; a non-unit is recorded as
-    neither a unit nor witnessed, not raised.  The places come from
-    _match_block_embeddings, which has already certified each ratio against
-    its witnessed embedding modulus, so a unit witness is witnessed.  The
-    witness of entry (j, k) is (units[j], places[k]), so each generator's
-    unit is decided once and its entry is written for every block.
+    """The minimal polynomial constant of every ratio witness.  check_J1
+    matched each witness at its place through verify_ratio_witness, which
+    raises NonUnitError on a non-unit, so every witness is a unit and
+    witnessed, and the entries record that decision as j1_check records
+    J1's.  The witness of entry (j, k) is (units[j], places[k]), so each
+    generator's entry is written for every block.
 
-    orbit holds Galois conjugates of the field generator.  The minimal
-    polynomial of such a unit is the field polynomial, so its constant
-    and its unit-ness (monic with constant +-1, as is_unit decides) are
-    read off that polynomial; every other unit is derived."""
+    orbit holds Galois conjugates of the field generator, whose minimal
+    polynomial is the field polynomial; every other one is derived."""
     rows = []
     for u in ratios.units:
-        if u in orbit:
-            mpoly = u.field.minpoly
-            witnessed = mpoly.is_monic() and abs(mpoly.constant()) == 1
-        else:
-            witnessed = is_unit(u)
-            mpoly = minimal_polynomial(u)
+        mpoly = u.field.minpoly if u in orbit else minimal_polynomial(u)
         # the constant of the monic minimal polynomial
         entry = {
             "minpoly_constant": rat_to_json(Fraction(mpoly.constant(), mpoly.leading())),
-            "unit": witnessed,
-            "witnessed": witnessed,
-            "verdict": witnessed,
+            "unit": True,
+            "witnessed": True,
+            "verdict": True,
         }
         rows.append([dict(entry) for _ in range(ratios.delta)])
-    return {"verdict": all(row[0]["verdict"] for row in rows), "entries": rows}
+    return {"verdict": True, "entries": rows}
 
 
 def _dirichlet_check(field, tested_rank):
@@ -354,24 +306,21 @@ def _dirichlet_check(field, tested_rank):
     }
 
 
-def _witnessed_ratios(builder, emb, units, ratios):
-    """Match blocks to embeddings, record the decomposition section and the
-    J1 check, which check_J1 passed when it returned the ratios, and
-    return the ratios witnessed by units and the matched places."""
+def _record_J1(builder, ratios):
+    """The decomposition section, with the places check_J1 matched, and the
+    J1 check, which check_J1 passed when it returned the ratios."""
     decomp = ratios.decomposition
-    places = _match_block_embeddings(emb, units, ratios)
-    builder.section("decomposition", schema1.decomposition_section(decomp, places))
+    builder.section("decomposition", schema1.decomposition_section(decomp, ratios.places))
     builder.check("J1", schema1.j1_check(decomp.precision_bits))
-    return ratios.with_witnesses(units, places)
 
 
-def _flat_block_checks(builder, emb, ratios, flat, tested_rank, expected_rank, orbit=()):
+def _flat_block_checks(builder, field, ratios, flat, tested_rank, expected_rank, orbit=()):
     """J2, unit_ratios, dirichlet and rank, in that order; orbit is as in
     _unit_ratio_check."""
     j2 = check_J2(ratios, flat)
     builder.check("J2", {"verdict": bool(j2), "flat_block": flat})
     builder.check("unit_ratios", _unit_ratio_check(ratios, orbit))
-    builder.check("dirichlet", _dirichlet_check(emb.field, tested_rank))
+    builder.check("dirichlet", _dirichlet_check(field, tested_rank))
     bits = ratios.decomposition.precision_bits
     builder.check("rank", schema1.rank_check(lcp_rank(ratios), expected_rank, bits))
 
@@ -411,14 +360,14 @@ def _assemble_rank_certificate(builder, dm, n, bits, seed, notes=None):
     builder.check("matrix_family", _matrix_family_check(dm.matrices))
 
     decomp = find_block_decomposition(list(dm.matrices), bits)
-    emb = embeddings(field, bits)
-    ratios = _witnessed_ratios(builder, emb, dm.units, check_J1(decomp, list(dm.matrices)))
+    ratios = check_J1(decomp, dm.units, embeddings(field, bits))
+    _record_J1(builder, ratios)
 
     # distinguished block: the one carrying the defining embedding of the
     # generator (the largest real root)
-    flat = ratios.places.index(emb.count - 1)
+    flat = ratios.places.index(field.degree - 1)
     # the units are the generator's Galois orbit prefix (make_dmatrix)
-    _flat_block_checks(builder, emb, ratios, flat, n, n, frozenset(dm.units))
+    _flat_block_checks(builder, field, ratios, flat, n, n, frozenset(dm.units))
 
     spec = build_metric_spec(ratios, flat, schema1.log_ratio_translations(ratios, flat))
     if notes:
@@ -513,7 +462,6 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     )
 
     decomp = find_block_decomposition([a], bits)
-    ratios = check_J1(decomp, [a])
 
     # the decomposition split a along its squarefree characteristic
     # polynomial: blocks 0..real-1 are its real roots, descending, and
@@ -534,17 +482,16 @@ def make_kourganoff(q: int, a: IntMatrix, precision=None, seed: int = 0) -> LcpC
     flat = contracting[0]
 
     # exact algebraic data for the eigenvalues; chi is irreducible, as a
-    # rational root would be +-1 and no passing chi has one
+    # rational root would be +-1 and no passing chi has one, and its root
+    # is a unit, as det a = 1
     field = field_new(cpoly)
-    lam_elem = field.gen()
-    require_unit(lam_elem, "eigenvalue")
-    emb = embeddings(field, bits)
     builder.section("field", _field_section(field))
-    ratios = _witnessed_ratios(builder, emb, [lam_elem], ratios)
+    ratios = check_J1(decomp, [field.gen()], embeddings(field, bits))
+    _record_J1(builder, ratios)
 
     builder.check("spectral", schema1.spectral_check(ratios, up, contracting))
 
-    _flat_block_checks(builder, emb, ratios, flat, 1, 1)
+    _flat_block_checks(builder, field, ratios, flat, 1, 1)
 
     spec = build_metric_spec(ratios, flat, schema1.log_ratio_translations(ratios, flat))
     builder.check("warp", schema1.warp_check(spec, q, up))
@@ -658,7 +605,8 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
 
     decomp = find_block_decomposition(matrices, bits)
     emb = embeddings(field, bits)
-    ratios = _witnessed_ratios(builder, emb, units, check_J1(decomp, matrices))
+    ratios = check_J1(decomp, units, emb)
+    _record_J1(builder, ratios)
 
     # a squarefree splitter is M_beta, beta primitive, so its blocks are (s, t)
     real_blocks = [k for k, (_, size) in enumerate(decomp.blocks) if size == 1]
@@ -681,7 +629,7 @@ def make_ot(minpoly: IntPoly, unit_exprs, precision=None, seed: int = 0,
     builder.check("norm_product", schema1.norm_product_check(emb, log_rows))
 
     flat = ratios.places.index(s if lck else 0)
-    _flat_block_checks(builder, emb, ratios, flat, len(units), s)
+    _flat_block_checks(builder, field, ratios, flat, len(units), s)
 
     translations = [tuple(row[:s]) for row in log_rows]
     spec = build_metric_spec(ratios, flat, translations)

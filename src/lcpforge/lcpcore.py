@@ -19,12 +19,14 @@ targets and their solve, the scale search and the sampled check.  A
 functional is its coefficient tuple.
 
 The similarity verdict is exact: every generator commutes with a splitter
-of squarefree characteristic polynomial.  The non-isometry of the flat
-block is decided exactly from the witness behind each flat-block ratio:
-the ratio of generator j on block k is |sigma_i(u)| for the witness
-(u, i) = (units[j], places[k]) that RatioMatrix carries.  The remaining
-numeric decisions are taken at the requested precision plus guard bits,
-against the tolerance 2**(-bits/2).
+of squarefree characteristic polynomial.  check_J1 owns the place
+decision: it matches each block to the one place i at which every ratio
+of the block is |sigma_i(u)|, within the tolerance, for its generator's
+unit u, so the ratio of generator j on block k is witnessed by
+(u, i) = (units[j], places[k]), which RatioMatrix carries from birth.  The
+non-isometry of the flat block is decided exactly from the witness behind
+each flat-block ratio.  The remaining numeric decisions are taken at the
+requested precision plus guard bits, against the tolerance 2**(-bits/2).
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ import random
 from typing import List, Sequence, Tuple
 
 from . import schema1
-from .embeddings import embeddings, multiplicative_rank, tolerance, validate_precision
+from .embeddings import (
+    embeddings,
+    multiplicative_rank,
+    tolerance,
+    validate_precision,
+    verify_ratio_witness,
+)
 from .errors import CheckFailureError, InputError, NeedsEscalation, PrecisionError, StructureError
 from .intlinalg import IntMatrix, char_poly, commute, is_gl_z
 from .numberfield import real_sign
@@ -167,23 +175,27 @@ def find_block_decomposition(gens: Sequence[IntMatrix], precision: int) -> Block
 
 
 class RatioMatrix:
-    """Similarity ratios of each generator on each block.
+    """Similarity ratios of each generator of the decomposition's family on
+    each block, with their witnesses.
 
     Entries are positive reals certified by the J1 check; rows are indexed
-    by generators, columns by blocks.  Witnesses, when present, are one
-    exact unit per generator (units) and one embedding index per block
-    (places): generator j acts on block k by sigma_(places[k])(units[j]),
-    and entry (j, k) is its modulus.
+    by generators, columns by blocks.  The witnesses are one exact unit per
+    generator (units) and one embedding index per block (places):
+    generator j acts on block k by sigma_(places[k])(units[j]), and entry
+    (j, k) is its modulus.  check_J1 builds them.
     """
 
-    __slots__ = ("entries", "decomposition", "generators", "units", "places")
+    __slots__ = ("entries", "decomposition", "units", "places")
 
-    def __init__(self, entries, decomposition, generators, units=None, places=None):
+    def __init__(self, entries, decomposition, units, places):
         self.entries = _freeze(entries)
         self.decomposition = decomposition
-        self.generators = tuple(generators)
-        self.units = units
-        self.places = places
+        self.units = tuple(units)
+        self.places = tuple(places)
+
+    @property
+    def generators(self):
+        return self.decomposition.family
 
     @property
     def n_gens(self):
@@ -193,33 +205,64 @@ class RatioMatrix:
     def delta(self):
         return self.decomposition.delta
 
-    def with_witnesses(self, units, places) -> "RatioMatrix":
-        units, places = tuple(units), tuple(int(i) for i in places)
-        if len(units) != self.n_gens or len(places) != self.delta:
-            raise InputError("need one unit per generator and one place per block")
-        return RatioMatrix(self.entries, self.decomposition, self.generators, units, places)
 
+def _match_block_embeddings(emb, units, decomp, entries):
+    """Embedding index carried by each block, certified on every unit.
 
-def check_J1(decomp: BlockDecomposition, gens: Sequence[IntMatrix]) -> RatioMatrix:
-    """Certify that every generator acts by a similarity on every block.
-
-    The verdict is exact.  The splitter's characteristic polynomial is
-    squarefree, so a generator that commutes with it keeps each of its
-    eigenlines: it acts by its eigenvalue nu on a real block and by
-    [[a, b], [-b, a]] on a plane, a similarity of ratio |nu|.  The family
-    was tested against the splitter when the decomposition was built; any
-    other generator is tested here.  Returns the matrix of similarity
-    ratios, read off the conjugated blocks.
+    Block k matches embedding i when every generator's ratio on block k
+    is witnessed by the corresponding unit at embedding i; the match must
+    be a bijection with real embeddings on 1-dimensional blocks.
     """
-    gens = list(gens)
-    for i, g in enumerate(gens):
-        if g not in decomp.family and not commute(g, decomp.splitter):
-            raise CheckFailureError(
-                "generator %d does not commute with the splitter; blocks are "
-                "not invariant" % i
+    matches = []
+    for k in range(decomp.delta):
+        cands = [
+            i
+            for i in range(emb.count)
+            if all(
+                verify_ratio_witness(emb, u, i, entries[j][k])
+                for j, u in enumerate(units)
             )
-    entries = [schema1.ratios_of_matrix(decomp, g, i) for i, g in enumerate(gens)]
-    return RatioMatrix(entries, decomp, gens)
+        ]
+        if len(cands) != 1:
+            raise StructureError(
+                "block %d matches %d embeddings; cannot certify the "
+                "block-to-embedding correspondence" % (k, len(cands))
+            )
+        matches.append(cands[0])
+    if len(set(matches)) != decomp.delta:
+        raise StructureError("block-to-embedding match is not injective")
+    for k, (_, size) in enumerate(decomp.blocks):
+        if (size == 1) != emb.is_real(matches[k]):
+            raise StructureError(
+                "block %d has dimension %d but matched a %s embedding"
+                % (k, size, "real" if emb.is_real(matches[k]) else "complex")
+            )
+    return tuple(matches)
+
+
+def check_J1(decomp: BlockDecomposition, units, emb) -> RatioMatrix:
+    """Certify that every generator of the decomposition's family acts by a
+    similarity on every block, and witness each ratio.
+
+    The similarity verdict is exact.  The splitter's characteristic
+    polynomial is squarefree and find_block_decomposition refused a family
+    that does not commute with it, so each generator keeps the splitter's
+    eigenlines: it acts by its eigenvalue nu on a real block and by
+    [[a, b], [-b, a]] on a plane, a similarity of ratio |nu|.  The ratios
+    are read off the conjugated blocks (schema1.ratios_of_matrix).
+
+    units holds one exact unit per generator, emb the embeddings of their
+    field at the decomposition's precision.  Each block is matched to the
+    one place i at which every ratio of the block is |sigma_i(u)|, within
+    the tolerance, for its generator's unit u (verify_ratio_witness, which
+    raises NonUnitError on a non-unit).  Returns the witnessed ratios.
+    """
+    units = tuple(units)
+    if len(units) != len(decomp.family):
+        raise InputError("need one unit witness per generator")
+    entries = [schema1.ratios_of_matrix(decomp, g, i) for i, g in enumerate(decomp.family)]
+    places = _match_block_embeddings(emb, units, decomp, entries)
+    return RatioMatrix(entries, decomp, units, places)
 
 
 def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
@@ -231,10 +274,8 @@ def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
     +-1 is not one at a real place, because sigma_i is injective.  At a
     complex place the certified enclosure of |sigma_i(u)| must exclude 1.
     True when some generator is proven non-isometric, False when every unit
-    is +-1; otherwise PrecisionError.  Witnesses are required.
+    is +-1; otherwise PrecisionError.
     """
-    if ratios.units is None:
-        raise InputError("check_J2 needs unit witnesses on the ratio matrix")
     if not 0 <= flat_block < ratios.delta:
         raise InputError("flat block index out of range")
     i = ratios.places[flat_block]
@@ -258,15 +299,13 @@ def check_J2(ratios: RatioMatrix, flat_block: int) -> bool:
 
 def lcp_rank(ratios: RatioMatrix) -> int:
     """Multiplicative rank of the units witnessing the ratios, at the
-    decomposition's precision; witnesses are required.
+    decomposition's precision.
 
     It is the rank of the flat block's ratio group at a real flat place i,
     since |sigma_i(w)| = 1 forces w = +-1 (sigma_i is injective), and with
     one generator that J2 proves non-isometric.  At a complex flat place
     with two or more units it is only an upper bound on that rank.
     """
-    if ratios.units is None:
-        raise InputError("lcp_rank needs unit witnesses on the ratio matrix")
     return multiplicative_rank(
         ratios.units[0].field, ratios.units, ratios.decomposition.precision_bits
     )
@@ -355,7 +394,7 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     one common scale eps found by bisection so the metric stays positive
     definite on the fundamental-domain grid.
 
-    Covariance is decided exactly on the required ratio witnesses: with
+    Covariance is decided exactly on the ratio witnesses: with
     nu = sigma_(places[k])(units[j]), generator j scales the coupling by
     nu nu', which is Lk Lk' exactly when the unit has one sign at the two
     real places (numberfield.real_sign on the certified brackets).
@@ -370,8 +409,6 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
     if not pairs:
         return spec
     ratios, decomp = spec.ratios, spec.decomposition
-    if ratios.units is None:
-        raise InputError("add_cross_terms needs unit witnesses on the ratio matrix")
     emb = embeddings(ratios.units[0].field, decomp.precision_bits)
     for k, k2 in pairs:
         if k == k2:

@@ -15,12 +15,15 @@ Mutant = namedtuple("Mutant", "name check path snippet replacement tests")
 
 MUTANTS = (
     Mutant(
-        "J1 without the commute test",
-        "J1",
+        "the block decomposition without the commute test",
+        "block decomposition",
         "src/lcpforge/lcpcore.py",
-        "if g not in decomp.family and not commute(g, decomp.splitter):",
+        "if not commute(g, splitter):",
         "if False:",
-        ("tests/test_lcpcore.py::TestJ1::test_off_block_leakage_fails",),
+        ("tests/test_lcpcore.py::TestBlockDecomposition"
+         "::test_non_commuting_family_with_a_combined_splitter_rejected",
+         "tests/test_constructions.py"
+         "::test_rank_pipeline_refuses_a_non_commuting_family_before_sealing"),
     ),
     Mutant(
         "_pick_splitter accepts a non-squarefree characteristic polynomial",
@@ -98,10 +101,10 @@ MUTANTS = (
     Mutant(
         "unit_ratios takes every derived witness for a unit",
         "unit_ratios",
-        "src/lcpforge/constructions.py",
-        "witnessed = is_unit(u)",
-        "witnessed = True",
-        ("tests/test_constructions.py::test_unit_ratio_check_records_a_non_unit_witness",),
+        "src/lcpforge/embeddings.py",
+        'require_unit(elem, "ratio witness")',
+        "pass",
+        ("tests/test_embeddings.py::TestVerifyRatioWitness::test_rejects_non_unit_witness",),
     ),
     Mutant(
         "dirichlet refuses a rank that attains the bound",

@@ -166,7 +166,7 @@ def test_criterion_5_equivariance_residuals_and_negative_control(
 
     dm = make_dmatrix(2)
     decomp = find_block_decomposition(list(dm.matrices), 128)
-    ratios = check_J1(decomp, list(dm.matrices))
+    ratios = check_J1(decomp, dm.units, embeddings(dm.field, 128))
     flat = 0
     with mp.workprec(decomp.workbits):
         translations = [

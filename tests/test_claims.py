@@ -39,6 +39,19 @@ reproduce itself here.
                        polynomial is not +- its own
                        reciprocal (off 1) or is
                        cyclotomic (on 1)
+  incomplete           h is incomplete: the base factor   metric.base_conformal,
+                       exp(2 c . x) has c != 0, read      generators[j].witnesses,
+                       exactly off the sealed decimals,   decomposition.block_embeddings
+                       and some flat-block witness has
+                       |sigma(u)| off 1, decided as J2
+                       decides it (the increments
+                       c . v_j = ln L1 tie the two).
+                       Cross terms couple fiber blocks
+                       only, so at a fixed fiber point
+                       the base ray x(t) = -t c / |c|,
+                       t >= 0, has length the integral
+                       of exp(-t |c|), 1/|c|, and leaves
+                       every compact set
   rank_minor           some minor of the log matrix       checks.rank.value,
                        log|sigma_i(u)|^e of the           generators[j].witnesses,
                        witnesses, of the sealed rank's    decomposition.block_embeddings
@@ -61,7 +74,7 @@ reproduce itself here.
                        of its elimination exceeds the     decomposition.blocks
                        tolerance
 
-J2 and the claims above it are exact.  The numeric claims, ratios,
+J2, incomplete and the claims above them are exact.  The numeric claims, ratios,
 translations, increments, rank_minor, leakage, equivariance and epsilon, are
 decided at 2b + 64 bits, b the certificate's precision, against its
 tolerance 2**-tolerance_bits (checks.J1).  The places are the roots of f from
@@ -331,6 +344,9 @@ def _numeric_refusals(doc, f, r1):
         off_one = True if True in states else None if None in states else False
         if j2["flat_block"] != flat or j2["verdict"] != off_one:
             failed.append("J2")
+        if off_one is not True or not any(
+                Fraction(c[0]) for c in metric["base_conformal"]["coeffs"]):
+            failed.append("incomplete")
         logs = [[mpmath.log(m) for m in row] for row in moduli]
         if not _has_minor(logs, doc["checks"]["rank"]["value"], tol):
             failed.append("rank_minor")
@@ -421,6 +437,9 @@ MUTATIONS = {
                    "1.999999999999999999"),
     # -1 is an isometry at every place; here the flat place is real
     "J2": ("ot_x3-x-1_128.json", ("generators", 0, "witnesses", 0, "element"), ["-1", "0", "0"]),
+    # the base factor exp(2 f_0) constant: no base ray has finite length
+    "incomplete": ("ranklcp_n2_128.json", ("metric", "base_conformal", "coeffs"),
+                   [["0.0", 160], ["0.0", 160]]),
     # two units have no 3 x 3 minor
     "rank_minor": ("ranklcp_n2_128.json", ("checks", "rank", "value"), 3),
     # 1e-18 off, so the first column is no longer an eigenvector

@@ -7,8 +7,9 @@ Every float a certificate seals is made in schema1, embeddings or
 polynomials.refine_root and written by certio's encoder: lcpcore,
 constructions and the CLI import no mpmath, no float encoder and no
 precision context.  The CLI builds through constructions.run_pipeline and
-imports no builder, and one base class holds the immutability rule of
-every value class.
+imports no builder, one base class holds the immutability rule of
+every value class, and lcpcore alone reads a ratio witness against its
+ratio.
 """
 
 import ast
@@ -87,6 +88,18 @@ def test_lcpcore_constructions_and_cli_make_no_sealed_float():
 def test_only_schema1_embeddings_and_certio_import_mpmath():
     importers = [m for m in MODULES if _imports_module(m, "mpmath")]
     assert importers == ["certio", "embeddings", "schema1"]
+
+
+def test_lcpcore_alone_decides_the_ratio_witnesses():
+    # check_J1 matches each block to its place; no other module reads a
+    # witness against a ratio, and ratios carry their witnesses from birth
+    readers = [m for m in MODULES
+               if "embeddings.verify_ratio_witness" in _imports(m)
+               or any(isinstance(node, ast.Attribute) and node.attr == "verify_ratio_witness"
+                      for node in ast.walk(_tree(m)))]
+    assert readers == ["lcpcore"]
+    assert [m for m in MODULES for node in ast.walk(_tree(m))
+            if isinstance(node, ast.FunctionDef) and node.name == "with_witnesses"] == []
 
 
 def test_the_cli_imports_no_builder():

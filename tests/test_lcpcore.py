@@ -23,7 +23,6 @@ import lcpforge.schema1 as schema1_module
 from lcpforge.certio import load_certificate
 from lcpforge.embeddings import GUARD_BITS, _at_prec, embeddings, tolerance
 from lcpforge.constructions import (
-    _match_block_embeddings,
     make_kourganoff,
     make_ot,
     make_rank_n_lcp,
@@ -38,6 +37,7 @@ from lcpforge.errors import (
 )
 from lcpforge.intlinalg import IntMatrix, char_poly, matrix_from_string
 from lcpforge.lcpcore import (
+    BlockDecomposition,
     CrossTerm,
     RatioMatrix,
     add_cross_terms,
@@ -94,9 +94,12 @@ def rank2_matrices():
 
 @pytest.fixture(scope="module")
 def rank2_setup(rank2_matrices):
+    # the family is M_alpha, M_sigma(alpha), witnessed by alpha, sigma(alpha)
     a1, a2 = rank2_matrices
+    field = field_new(M7)
+    units = [field.gen(), field.from_coords((-2, 0, 1))]
     decomp = find_block_decomposition([a1, a2], 128)
-    ratios = check_J1(decomp, [a1, a2])
+    ratios = check_J1(decomp, units, embeddings(field, 128))
     return decomp, ratios
 
 
@@ -104,23 +107,19 @@ def rank2_setup(rank2_matrices):
 def rank2_tagged(rank2_setup):
     # block k of the descending order matches ascending embedding 2 - k
     _, ratios = rank2_setup
-    field = field_new(M7)
-    alpha = field.gen()
-    sigma_alpha = field.from_coords((-2, 0, 1))
-    return ratios.with_witnesses([alpha, sigma_alpha], [2 - k for k in range(3)])
+    assert ratios.places == tuple(2 - k for k in range(3))
+    return ratios
 
 
 def _witnessed_metric(units, flat, translations):
     """The metric of the multiplication matrices of units on Q(2cos 2pi/7)
     with flat block flat, its ratios witnessed by units at the places the
     blocks match; translations(ratio entries) gives the base translations."""
-    matrices = [mult_matrix(u) for u in units]
-    decomp = find_block_decomposition(matrices, 128)
-    ratios = check_J1(decomp, matrices)
-    places = _match_block_embeddings(embeddings(field_new(M7), 128), units, ratios)
+    decomp = find_block_decomposition([mult_matrix(u) for u in units], 128)
+    ratios = check_J1(decomp, units, embeddings(field_new(M7), 128))
     with mp.workprec(decomp.workbits):
         vs = translations(ratios.entries)
-    return build_metric_spec(ratios.with_witnesses(units, places), flat, vs)
+    return build_metric_spec(ratios, flat, vs)
 
 
 def _rank2_translations(entries):
@@ -159,13 +158,18 @@ def sign_change_metric():
 
 def _with_generator(spec, matrix, translation, ratio_row):
     """spec with one more generator after its own: a lattice map, its base
-    translation and its ratio row.  The sample points span every
-    translation, so they still span the lattice of spec's own."""
-    ratios = spec.ratios
+    translation and its ratio row, on a copy of the decomposition whose
+    family ends with the map; its unit witness, 1, is not read by the
+    sampled check.  The sample points span every translation, so they
+    still span the lattice of spec's own."""
+    ratios, d = spec.ratios, spec.decomposition
+    decomp = BlockDecomposition(d.blocks, d.basis, d.inverse, d.workbits, d.precision_bits,
+                                d.splitter, d.family + (matrix,))
     extended = RatioMatrix(
         ratios.entries + (tuple(ratio_row),),
-        ratios.decomposition,
-        ratios.generators + (matrix,),
+        decomp,
+        ratios.units + (ratios.units[0].field.one(),),
+        ratios.places,
     )
     return spec.replace(ratios=extended, translations=spec.translations + (tuple(translation),))
 
@@ -204,7 +208,8 @@ class TestBlockDecomposition:
         b = matrix_from_string("1,1;1,2")
         decomp = find_block_decomposition([b], 128)
         assert decomp.blocks == ((0, 1), (1, 1))
-        ratios = check_J1(decomp, [b])
+        field = field_new(char_poly(b))
+        ratios = check_J1(decomp, [field.gen()], embeddings(field, 128))
         with mp.workprec(220):
             expanding = (3 + mp.sqrt(5)) / 2
             contracting = (3 - mp.sqrt(5)) / 2
@@ -212,10 +217,10 @@ class TestBlockDecomposition:
             assert abs(ratios.entries[0][1] - contracting) < mp.mpf(2) ** -100
 
     def test_complex_pair_block(self):
-        m = mult_matrix(field_new(PLASTIC).gen())
-        decomp = find_block_decomposition([m], 128)
+        field = field_new(PLASTIC)
+        decomp = find_block_decomposition([mult_matrix(field.gen())], 128)
         assert decomp.blocks == ((0, 1), (1, 2))
-        ratios = check_J1(decomp, [m])
+        ratios = check_J1(decomp, [field.gen()], embeddings(field, 128))
         with mp.workprec(220):
             # the real scaling times the squared pair modulus is the norm
             prod = ratios.entries[0][0] * ratios.entries[0][1] ** 2
@@ -282,26 +287,15 @@ class TestBlockDecomposition:
 
 
 class TestJ1:
-    def test_off_block_leakage_fails(self, rank2_setup):
-        decomp, _ = rank2_setup
-        # a lattice map that does not commute with the family cannot
-        # preserve the eigenblocks
-        stranger = matrix_from_string("1,1,0;0,1,0;0,0,1")
-        with pytest.raises(
-            CheckFailureError,
-            match="generator 0 does not commute with the splitter; blocks are not invariant",
-        ):
-            check_J1(decomp, [stranger])
-
     def test_ratio_rows_multiplicative(self, rank2_setup, rank2_matrices):
         decomp, ratios = rank2_setup
         a1, a2 = rank2_matrices
         tol = tolerance(decomp.precision_bits)
         with mp.workprec(decomp.workbits):
-            prod = check_J1(decomp, [a1 * a2]).entries[0]
+            prod = schema1_module.ratios_of_matrix(decomp, a1 * a2, 0)
             for k in range(decomp.delta):
                 assert abs(prod[k] - ratios.entries[0][k] * ratios.entries[1][k]) < 8 * tol
-            cube = check_J1(decomp, [a1 * a1 * a2]).entries[0]
+            cube = schema1_module.ratios_of_matrix(decomp, a1 * a1 * a2, 0)
             for k in range(decomp.delta):
                 want = ratios.entries[0][k] ** 2 * ratios.entries[1][k]
                 assert abs(cube[k] - want) < 16 * tol
@@ -408,10 +402,10 @@ J1_PIPELINES = {
 def test_exact_J1_reads_the_ratios_of_the_tolerance_design(monkeypatch, pipeline, bits):
     # each pipeline stops after J1; its ratios equal, bit for bit, the
     # frozen tolerance design's on the same decomposition and generators
-    def compare(decomp, gens):
-        got = check_J1(decomp, gens).entries
+    def compare(decomp, units, emb):
+        got = check_J1(decomp, units, emb).entries
         tol = tolerance(decomp.precision_bits)
-        want = [_frozen_ratios_of_matrix(decomp, g, tol, i) for i, g in enumerate(gens)]
+        want = [_frozen_ratios_of_matrix(decomp, g, tol, i) for i, g in enumerate(decomp.family)]
         assert [[x._mpf_ for x in row] for row in got] == [
             [x._mpf_ for x in row] for row in want
         ]
@@ -426,10 +420,7 @@ def _tagged(matrices, units):
     # ratios of the family, with each block matched to the embedding that
     # witnesses it, as the pipelines do
     decomp = find_block_decomposition(matrices, 128)
-    ratios = check_J1(decomp, matrices)
-    emb = embeddings(units[0].field, 128)
-    block_emb = _match_block_embeddings(emb, units, ratios)
-    return ratios.with_witnesses(units, block_emb), decomp
+    return check_J1(decomp, units, embeddings(units[0].field, 128)), decomp
 
 
 def _plane_block(decomp):
@@ -445,10 +436,10 @@ class TestJ2:
         # witnesses are +-1 in the rationals, at the rationals' one place
         m = matrix_from_string("1,0;0,-1")
         decomp = find_block_decomposition([m], 128)
-        ratios = check_J1(decomp, [m])
+        entries = [schema1_module.ratios_of_matrix(decomp, m, 0)]
         one = field_new(IntPoly((-1, 1))).one()
         for unit in (one, -one):
-            witnessed = ratios.with_witnesses([unit], [0, 0])
+            witnessed = RatioMatrix(entries, decomp, [unit], [0, 0])
             assert check_J2(witnessed, 0) is False
             assert check_J2(witnessed, 1) is False
 
@@ -476,9 +467,10 @@ class TestJ2:
         assert check_J2(ratios, _plane_block(decomp)) is True
 
     def test_witnesses_required(self, rank2_setup):
+        # ratios carry their witnesses from birth
         _, ratios = rank2_setup
-        with pytest.raises(InputError):
-            check_J2(ratios, 0)
+        with pytest.raises(TypeError):
+            RatioMatrix(ratios.entries, ratios.decomposition)
 
     def test_flat_index_validated(self, rank2_tagged):
         with pytest.raises(InputError):
@@ -981,12 +973,6 @@ class TestCrossTerms:
         with pytest.raises(CheckFailureError, match="not covariant under generator 0"):
             add_cross_terms(sign_change_metric, [(0, 1)])
 
-    def test_unwitnessed_ratios_refused(self, squared_metric):
-        ratios = squared_metric.ratios
-        bare = RatioMatrix(ratios.entries, ratios.decomposition, ratios.generators)
-        with pytest.raises(InputError, match="witnesses"):
-            add_cross_terms(squared_metric.replace(ratios=bare), [(1, 2)])
-
     def test_two_dimensional_block_refused(self, ot_lck_uncoupled):
         # with a real block flat, the other real block and the plane are
         # both non-flat, and the plane has no sign to compare
@@ -1241,15 +1227,8 @@ class TestRankAndWitnesses:
             assert verify_ratio_witness(emb, alpha, 2 - k, ratios.entries[0][k])
             assert verify_ratio_witness(emb, sigma_alpha, 2 - k, ratios.entries[1][k])
 
-    def test_rank_requires_witnesses(self, rank2_setup):
-        _, ratios = rank2_setup
-        with pytest.raises(InputError):
-            lcp_rank(ratios)
-
     def test_witness_shape_validated(self, rank2_setup):
-        _, ratios = rank2_setup
+        decomp, _ = rank2_setup
         field = field_new(M7)
-        with pytest.raises(InputError):
-            ratios.with_witnesses([field.gen()], [0, 1, 2])
-        with pytest.raises(InputError):
-            ratios.with_witnesses([field.gen()] * 2, [0, 1])
+        with pytest.raises(InputError, match="one unit witness per generator"):
+            check_J1(decomp, [field.gen()], embeddings(field, 128))
