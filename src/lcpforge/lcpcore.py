@@ -391,8 +391,11 @@ def add_cross_terms(spec: MetricSpec, pairs) -> MetricSpec:
 
     Each pair (k, k') receives the all-ones coupling table, the functional
     f_c with increments ln(L1/sqrt(Lk Lk')) (schema1.cross_functional), and
-    one common scale eps found by bisection so the metric stays positive
-    definite on the fundamental-domain grid.
+    one common scale eps that keeps the metric positive definite on the
+    fundamental-domain grid: 1 if that passes, else half the largest
+    passing k / 2**20.  schema1.cross_scale bisects for k, or, when the
+    terms couple one pair of indices, decides it by one pass at the top
+    grid scale.
 
     Covariance is decided exactly on the ratio witnesses: with
     nu = sigma_(places[k])(units[j]), generator j scales the coupling by

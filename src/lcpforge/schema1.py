@@ -517,6 +517,18 @@ def positive_definite(a, tol, prec):
     return True
 
 
+def _passes(grid, new, eps, tol, prec):
+    """Whether every grid gram of cross_scale, with eps times each new
+    term's factor added by _add_cross, passes positive_definite."""
+    for gram, factors in grid:
+        a = [list(row) for row in gram]
+        for (idx1, idx2), factor in zip(new, factors):
+            _add_cross(a, _mul(eps, factor, prec), idx1, idx2, prec)
+        if not positive_definite(a, tol, prec):
+            return False
+    return True
+
+
 def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
     """The scale eps of new_terms (MetricTerms.cross entries at eps = 1)
     that keeps the gram positive definite at every point: 1 if that passes,
@@ -529,6 +541,20 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
     row and column, so the elimination never changes its row, it never
     changes another row, and its pivot is its diagonal entry, which does
     not depend on eps: it is tested once per point, not once per step.
+
+    Lemma: when the cross terms, old and new, couple exactly two indices
+    i < j and every old scale is >= 0, a pass at eps is a pass at every
+    smaller eps >= 0.  The 2 x 2 elimination tests h_i, which does not
+    depend on eps, and then round(h_j - round(f * c)), with c the
+    off-diagonal entry: each new term adds round(eps * F), F = exp(2 f_c)
+    > 0, to an entry that starts >= 0, and f = round(c / h_i) with h_i >
+    tol >= 0.  Rounding to nearest is monotone, so c, f and round(f * c)
+    never fall as eps grows, and the last pivot never rises.  A pass at
+    the top grid scale (2**steps - 1) / 2**steps is then a pass at every
+    scale the bisection would test, and the bisection's result,
+    (2**steps - 1) / 2**(steps + 1), is returned after that one pass.
+    With more coupled indices, or when the top scale fails, the bisection
+    runs.
     """
     prec = terms.prec
     coupled = [i for i, s in enumerate(_coupled(terms.cross + new_terms, terms.total)) if s]
@@ -545,21 +571,16 @@ def cross_scale(terms: MetricTerms, new_terms, points, tol, steps):
             [_exp_twice(f, x, prec) for _, f, _, _ in new_terms],
         ))
 
-    def scaled_ok(eps):
-        for gram, factors in grid:
-            a = [list(row) for row in gram]
-            for (idx1, idx2), factor in zip(new, factors):
-                _add_cross(a, _mul(eps, factor, prec), idx1, idx2, prec)
-            if not positive_definite(a, tol, prec):
-                return False
-        return True
-
-    if scaled_ok(_ONE):
+    if _passes(grid, new, _ONE, tol, prec):
         return _ONE
+    top = (1 << steps) - 1
+    if (len(coupled) == 2 and all(eps[0] >= 0 for eps, _, _, _ in terms.cross)
+            and _passes(grid, new, (top, -steps), tol, prec)):
+        return top, -steps - 1
     lo, hi = 0, 1 << steps
     for _ in range(steps):
         mid = (lo + hi) >> 1
-        if scaled_ok((mid, -steps)):
+        if _passes(grid, new, (mid, -steps), tol, prec):
             lo = mid
         else:
             hi = mid

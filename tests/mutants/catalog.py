@@ -185,6 +185,33 @@ MUTANTS = (
          "::test_a_sign_change_below_the_tolerance_is_not_covariant"),
     ),
     Mutant(
+        "the scale search takes the top scale without testing it",
+        "cross terms",
+        "src/lcpforge/schema1.py",
+        "and _passes(grid, new, (top, -steps), tol, prec)):",
+        "and True):",
+        ("tests/test_lcpcore.py::TestScaleSearchAgainstDenseReference"
+         "::test_second_term_on_the_same_pair",),
+    ),
+    Mutant(
+        "the top-scale shortcut for any number of coupled indices",
+        "cross terms",
+        "src/lcpforge/schema1.py",
+        "if (len(coupled) == 2 and all(eps[0] >= 0 for eps, _, _, _ in terms.cross)",
+        "if (all(eps[0] >= 0 for eps, _, _, _ in terms.cross)",
+        ("tests/test_lcpcore.py::TestScaleSearchAgainstDenseReference"
+         "::test_outside_the_lemma_the_search_bisects",),
+    ),
+    Mutant(
+        "the top-scale shortcut whatever the sign of an old cross scale",
+        "cross terms",
+        "src/lcpforge/schema1.py",
+        "all(eps[0] >= 0 for eps, _, _, _ in terms.cross)",
+        "True",
+        ("tests/test_lcpcore.py::TestScaleSearchAgainstDenseReference"
+         "::test_outside_the_lemma_the_search_bisects",),
+    ),
+    Mutant(
         "norm_product passes every unit whatever its residual",
         "norm_product",
         "src/lcpforge/schema1.py",

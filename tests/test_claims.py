@@ -73,11 +73,29 @@ reproduce itself here.
                        scale search's grid: each pivot    metric.cross_terms,
                        of its elimination exceeds the     decomposition.blocks
                        tolerance
+  epsilon_domain       h is positive definite on the      metric.translations,
+                       whole fundamental domain {sum of   metric.functionals,
+                       t_j v_j : t in [0, 1]^g}: each     metric.base_conformal,
+                       pivot's lower bound over the       metric.cross_terms,
+                       domain exceeds the tolerance.      decomposition.blocks
+                       Cross terms couple disjoint pairs
+                       of one-dimensional non-flat
+                       blocks k, k' (else not decided,
+                       and refused),
+                       so the pivots are the diagonal
+                       exp(2 c . x) off the pairs, and
+                       exp(2 c_k . x) then exp(2 c_k' .
+                       x) (1 - eps^2 exp(2 d . x)) on a
+                       pair, d = 2 c_c - c_k - c_k'; a
+                       linear form c . x on the domain
+                       lies between the sums of the
+                       negative and of the positive
+                       c . v_j
 
 J2, incomplete and the claims above them are exact.  The numeric claims, ratios,
-translations, increments, rank_minor, leakage, equivariance and epsilon, are
-decided at 2b + 64 bits, b the certificate's precision, against its
-tolerance 2**-tolerance_bits (checks.J1).  The places are the roots of f from
+translations, increments, rank_minor, leakage, equivariance, epsilon and
+epsilon_domain, are decided at 2b + 64 bits, b the certificate's precision,
+against its tolerance 2**-tolerance_bits (checks.J1).  The places are the roots of f from
 mpmath's polyroots: its r1 real roots ascending, then the upper root of
 each complex pair, ordered by real and then imaginary part.  A witness's
 minimal polynomial is the one irreducible factor of its characteristic
@@ -303,6 +321,45 @@ def _positive_on_grid(doc, tol):
     return True
 
 
+def _positive_on_domain(doc, tol):
+    """Whether every pivot of the metric's elimination, each cross term
+    at its sealed epsilon, exceeds tol at every point of the fundamental
+    domain {sum t_j v_j : t in [0, 1]^g}: the constant 2 x 2 argument on
+    each coupled pair, over the bounds of each linear form on the domain.
+    Cross terms that share a block, or touch the flat block or a block
+    of another size, are not decided, and refused."""
+    decomposition, metric = doc["decomposition"], doc["metric"]
+    sizes = [size for _, size in decomposition["blocks"]]
+    translations = [[_float(t) for t in v] for v in metric["translations"]]
+
+    def coeffs(functional):
+        return [_float(c) for c in functional["coeffs"]]
+
+    def low(c):
+        """The least value of 2 c . x on the domain."""
+        return 2 * mpmath.fsum(min(0, mpmath.fdot(c, v)) for v in translations)
+
+    functionals = [coeffs(f) for f in metric["functionals"]]
+    paired = [k for term in metric["cross_terms"] for k in term["blocks"]]
+    if (len(set(paired)) < len(paired) or metric["flat_block"] in paired
+            or any(sizes[k] != 1 for k in paired)):
+        return False
+    # the logs of the pivots' lower bounds: the base's, each uncoupled
+    # non-flat block's, then two per coupled pair; the flat block's is 0
+    logs = [0, low(coeffs(metric["base_conformal"]))]
+    logs += [low(c) for k, c in enumerate(functionals)
+             if k != metric["flat_block"] and k not in paired]
+    for term in metric["cross_terms"]:
+        k, k2 = term["blocks"]
+        d = [2 * c - a - b for c, a, b in
+             zip(coeffs(term["functional"]), functionals[k], functionals[k2])]
+        room = 1 - _float(term["epsilon"]) ** 2 * mpmath.exp(-low([-di for di in d]))
+        if room <= 0:
+            return False
+        logs += [low(functionals[k]), low(functionals[k2]) + mpmath.log(room)]
+    return all(mpmath.exp(v) > tol for v in logs)
+
+
 def _numeric_refusals(doc, f, r1):
     """The names of the numeric claims of doc that do not hold."""
     metric, generators = doc["metric"], doc["generators"]
@@ -359,6 +416,8 @@ def _numeric_refusals(doc, f, r1):
             failed.append("equivariance")
         if not _positive_on_grid(doc, tol):
             failed.append("epsilon")
+        if not _positive_on_domain(doc, tol):
+            failed.append("epsilon_domain")
     return failed
 
 
@@ -454,6 +513,10 @@ MUTATIONS = {
     # any eps keeps the metric equivariant
     "epsilon": ("ot_lck_x4-x-1_128.json", ("metric", "cross_terms", 0, "epsilon"),
                 ["1.0", 160]),
+    # at eps = 1 the coupled pair's last pivot is at most
+    # exp(2 c_k' . x) (1 - exp(2 d . x)) <= 0 where d . x >= 0
+    "epsilon_domain": ("ot_lck_x4-x-1_128.json", ("metric", "cross_terms", 0, "epsilon"),
+                       ["1.0", 160]),
 }
 
 

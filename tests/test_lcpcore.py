@@ -1056,39 +1056,48 @@ class TestSylvesterAgainstDenseReference:
             self._check([[mp.mpf(x) / divisor for x in row] for row in rows])
 
 
-def _reference_epsilon(spec, coupled, tested=None):
-    """The scale search as a dense loop of mp.mpf operators: every bisection
-    step couples spec with the new terms of coupled at the trial scale,
-    evaluates the whole metric at every grid point with _mpf_gram
-    and tests it with _dense_sylvester.  tested, when given, receives
-    (gram, eliminated matrix, verdict) for every matrix tested, in order."""
+def _reference_passes(spec, coupled, eps, tested=None):
+    """Whether the dense loop of mp.mpf operators passes spec coupled with
+    the new terms of coupled at scale eps: it evaluates the whole metric at
+    every grid point with _mpf_gram and tests it with _dense_sylvester,
+    stopping at the first failure.  tested, when given, receives (gram,
+    eliminated matrix, verdict) for every matrix tested, in order."""
     decomp = spec.decomposition
-    tol = tolerance(spec.decomposition.precision_bits)
-    new_terms = coupled.cross_terms[len(spec.cross_terms):]
+    tol = tolerance(decomp.precision_bits)
+    terms = tuple(
+        CrossTerm(t.k, t.k2, t.functional, eps)
+        for t in coupled.cross_terms[len(spec.cross_terms):]
+    )
+    candidate = spec.replace(cross_terms=spec.cross_terms + terms)
     with _at_prec(decomp.workbits):
-        grid = _mpf_grid_points(spec)
+        for x in _mpf_grid_points(spec):
+            gram = _mpf_gram(candidate, [mp.mpf(0)] * decomp.p + list(x))
+            verdict, eliminated = _dense_sylvester(gram, tol)
+            if tested is not None:
+                tested.append((gram, eliminated, verdict))
+            if not verdict:
+                return False
+    return True
 
-        def scaled_ok(eps):
-            terms = tuple(
-                CrossTerm(t.k, t.k2, t.functional, eps) for t in new_terms
-            )
-            candidate = spec.replace(cross_terms=spec.cross_terms + terms)
-            for x in grid:
-                gram = _mpf_gram(candidate, [mp.mpf(0)] * decomp.p + list(x))
-                verdict, eliminated = _dense_sylvester(gram, tol)
-                if tested is not None:
-                    tested.append((gram, eliminated, verdict))
-                if not verdict:
-                    return False
-            return True
 
+def _reference_epsilon(spec, coupled, trials=None):
+    """The scale search as the plain bisection of _reference_passes: scale
+    1, then _CROSS_BISECT_STEPS midpoints.  trials, when given, receives
+    every scale tried, in order."""
+
+    def passes(eps):
+        if trials is not None:
+            trials.append(eps)
+        return _reference_passes(spec, coupled, eps)
+
+    with _at_prec(spec.decomposition.workbits):
         one = mp.mpf(1)
-        if scaled_ok(one):
+        if passes(one):
             return one
         lo, hi = mp.mpf(0), one
         for _ in range(_CROSS_BISECT_STEPS):
             midpoint = (lo + hi) / 2
-            if scaled_ok(midpoint):
+            if passes(midpoint):
                 lo = midpoint
             else:
                 hi = midpoint
@@ -1106,9 +1115,9 @@ def ot_lck_uncoupled(ot_lck_inputs):
 class TestScaleSearchAgainstDenseReference:
     """The scale search on cached grid data finds the dense loop's scale."""
 
-    def _check(self, spec, pairs):
+    def _check(self, spec, pairs, trials=None):
         coupled = add_cross_terms(spec, pairs)
-        want = _reference_epsilon(spec, coupled)
+        want = _reference_epsilon(spec, coupled, trials)
         for term in coupled.cross_terms[len(spec.cross_terms):]:
             assert term.epsilon == want
         return want
@@ -1122,10 +1131,21 @@ class TestScaleSearchAgainstDenseReference:
         epsilon = self._check(spec, pairs)
         assert epsilon == ot_lck_inputs[0].cross_terms[0].epsilon
 
-    def test_second_term_on_the_same_pair(self, squared_metric):
+    def test_second_term_on_the_same_pair(self, squared_metric, monkeypatch):
+        # the old term fills part of the coupled entry, so the top grid
+        # scale fails; after that one trial the search tries the dense
+        # bisection's scales, in its order
         spec = squared_metric
         once = add_cross_terms(spec, [(1, 2)])
-        assert self._check(once, [(1, 2)]) < once.cross_terms[0].epsilon
+        trials = self._recorded_trials(monkeypatch)
+        want = []
+        assert self._check(once, [(1, 2)], want) < once.cross_terms[0].epsilon
+        steps = _CROSS_BISECT_STEPS
+        with _at_prec(once.decomposition.workbits):
+            top = mp.mpf((1 << steps) - 1) / (1 << steps)
+        assert [schema1_module.from_dyadic(eps) for eps, _ in trials] == [want[0], top, *want[1:]]
+        _, at_top = trials[1]
+        assert not at_top[-1][2]
 
     @staticmethod
     def _recorded_eliminations(monkeypatch):
@@ -1143,21 +1163,45 @@ class TestScaleSearchAgainstDenseReference:
         monkeypatch.setattr(schema1_module, "positive_definite", recording)
         return tested
 
+    @classmethod
+    def _recorded_trials(cls, monkeypatch):
+        """(scale, eliminations) for every scale the search tries, in
+        order: the eliminations are _recorded_eliminations' records of the
+        positive_definite calls made at that scale."""
+        trials = []
+        tested = cls._recorded_eliminations(monkeypatch)
+        original = schema1_module._passes
+
+        def trial(grid, new, eps, tol, prec):
+            start = len(tested)
+            verdict = original(grid, new, eps, tol, prec)
+            trials.append((eps, tested[start:]))
+            return verdict
+
+        monkeypatch.setattr(schema1_module, "_passes", trial)
+        return trials
+
     @pytest.mark.parametrize("which", ["squared", "ot_lck"])
     def test_tested_matrices_match_the_mpf_loop(
         self, which, squared_metric, ot_lck_uncoupled, monkeypatch
     ):
-        # every grid gram the search tests, and the matrix its elimination
-        # leaves, equal the dense mpf loop's rows and columns that a cross
-        # term touches, bit for bit; each verdict is the whole matrix's
+        # at each scale the search tries, every grid gram it tests, and the
+        # matrix its elimination leaves, equal the dense mpf loop's rows
+        # and columns that a cross term touches at that scale, bit for
+        # bit; each verdict is the whole matrix's
         if which == "squared":
             spec, pairs = squared_metric, [(1, 2)]
         else:
             spec, pairs = ot_lck_uncoupled
-        tested = self._recorded_eliminations(monkeypatch)
+        trials = self._recorded_trials(monkeypatch)
         coupled = add_cross_terms(spec, pairs)
-        want = []
-        _reference_epsilon(spec, coupled, want)
+        tested, want = [], []
+        for eps, eliminations in trials:
+            ref = []
+            _reference_passes(spec, coupled, schema1_module.from_dyadic(eps), ref)
+            assert len(eliminations) == len(ref)
+            tested += eliminations
+            want += ref
         assert len(tested) == len(want) > len(_grid_points(spec))
         assert any(not verdict for _, _, verdict in want)
         decomp = coupled.decomposition
@@ -1173,6 +1217,42 @@ class TestScaleSearchAgainstDenseReference:
                 assert [[as_mpf(x)._mpf_ for x in row] for row in got_matrix] == [
                     [ref_matrix[i][j]._mpf_ for j in touched] for i in touched
                 ]
+
+    def test_a_cold_ot_lck_build_tests_the_top_scale_once(self, monkeypatch):
+        # scale 1 fails at the first grid point and the top grid scale
+        # passes at all 100, so the search ends there with the bisection's
+        # own result: 101 eliminations, where 20 bisection steps over the
+        # grid made 2001
+        tested = self._recorded_eliminations(monkeypatch)
+        field = field_new(QUARTIC)
+        a = field.gen()
+        make_ot(QUARTIC, [a, a - field.one()], 128, seed=0, lck=True)
+        assert len(tested) == 101
+        assert [verdict for _, _, verdict in tested] == [False] + [True] * 100
+
+    @pytest.mark.parametrize("outside", ["three indices", "a negative old scale"])
+    def test_outside_the_lemma_the_search_bisects(self, outside, squared_metric, monkeypatch):
+        # the lemma needs one coupled pair and old scales >= 0.  Beside the
+        # old term on (1, 2) a new term on indices 0 and 1 couples three;
+        # or the old scale turns negative and two new terms on (1, 2) make
+        # scale 1 fail.  Either way the search tries scale 1 and then the
+        # bisection's midpoints, 1/2 first, and no top-scale trial
+        once = add_cross_terms(squared_metric, [(1, 2)])
+        terms = schema1_module.MetricTerms(once)
+        (m, e), functional, idx1, idx2 = terms.cross[0]
+        if outside == "three indices":
+            new_terms = [((1, 0), functional, [0], [1])]
+        else:
+            terms.cross[0] = ((-m, e), functional, idx1, idx2)
+            new_terms = [((1, 0), functional, idx1, idx2)] * 2
+        steps = _CROSS_BISECT_STEPS
+        with _at_prec(once.decomposition.workbits):
+            tol = schema1_module.to_dyadic(tolerance(once.decomposition.precision_bits))
+        trials = self._recorded_trials(monkeypatch)
+        schema1_module.cross_scale(terms, new_terms, _grid_points(once), tol, steps)
+        scales = [eps for eps, _ in trials]
+        assert scales[:2] == [(1, 0), (1 << (steps - 1), -steps)]
+        assert len(scales) == 1 + steps
 
     def test_only_coupled_rows_are_eliminated(self, ot_lck_uncoupled, monkeypatch):
         # ot --lck couples two one-dimensional blocks: of its 6 x 6 grams

@@ -28,6 +28,7 @@ from lcpforge.constructions import make_kourganoff, make_rank_n_lcp
 from lcpforge.schema1 import (
     _abs_gt,
     _add,
+    _add_cross,
     _div,
     _dot,
     _exp,
@@ -620,6 +621,63 @@ def test_elimination_matches_the_mpf_loop(case):
     assert positive_definite(got, tol, prec) is verdict
     for got_row, want_row in zip(got, want):
         assert [_raw(x) for x in got_row] == [w._mpf_ for w in want_row]
+
+
+def _positive(prec, shifts):
+    """A positive pair of at most prec bits, in [2**s / 2, 2**s) for s
+    drawn from shifts."""
+    return st.tuples(_values(prec, exponents=st.just(0)), shifts).map(
+        lambda v: (abs(v[0][0]), v[1] - v[0][0].bit_length()))
+
+
+@st.composite
+def _coupled_pair(draw):
+    """A precision of 96..1056 bits, a 2 x 2 gram of pairs with positive
+    diagonal h1, h2 and an old off-diagonal entry >= 0 (an exact zero when
+    no old term couples the pair), a factor F > 0 and scales 0 <= eps0 <=
+    eps1, all of at most prec bits.  F is drawn within a few ulps of the
+    value that puts eps1 on the last pivot's threshold, so that both
+    verdicts and near-ties occur."""
+    prec = draw(st.integers(96, 1056))
+    tol = (1, -(prec // 2))
+    h1 = draw(_positive(prec, st.integers(-4, 4)))
+    h2 = draw(_positive(prec, st.integers(-4, 4)))
+    old = draw(st.one_of(st.just((0, 0)), _positive(prec, st.integers(-8, 0))))
+    eps1 = draw(st.one_of(
+        st.integers(0, 1 << 20).map(lambda k: (k, -20)), _positive(prec, st.just(0))))
+    eps0 = draw(st.one_of(
+        st.integers(0, 8).map(lambda d: (max(eps1[0] - d, 0), eps1[1])),
+        st.fractions(0, 1).map(lambda t: (eps1[0] * t.numerator // t.denominator, eps1[1])),
+    ))
+    with mp.workprec(prec):
+        h1_, h2_, old_, eps1_ = map(from_dyadic, (h1, h2, old, eps1))
+        target = (mp.sqrt(h1_ * (h2_ - from_dyadic(tol))) - old_) / eps1_ if eps1[0] else 0
+        if target > 0:
+            m, e = to_dyadic(target)
+            factor = _round(m + draw(st.integers(-8, 8)), e, prec)
+        else:
+            factor = draw(_positive(prec, st.integers(-4, 4)))
+    return prec, tol, h1, h2, old, factor, eps0, eps1
+
+
+def _pair_passes(case, eps):
+    """positive_definite of the case's gram with eps * F added to its
+    off-diagonal entries, as the scale search adds a new term."""
+    prec, tol, h1, h2, old, factor = case[:6]
+    gram = [[h1, old], [old, h2]]
+    _add_cross(gram, _mul(eps, factor, prec), [0], [1], prec)
+    return positive_definite(gram, tol, prec)
+
+
+@settings(max_examples=400)
+@given(_coupled_pair())
+def test_one_coupled_pair_passes_below_a_passing_scale(case):
+    # the lemma of schema1.cross_scale: with one coupled pair, an old entry
+    # >= 0 and F > 0, the verdict is monotone in eps, so the search may
+    # take the top grid scale's pass for every scale below it
+    eps0, eps1 = case[6:]
+    if _pair_passes(case, eps1):
+        assert _pair_passes(case, eps0)
 
 
 @settings(max_examples=300)
